@@ -184,10 +184,11 @@ def build_parser() -> argparse.ArgumentParser:
                   help="conjectural simplex classification (circumcenter vs hull)"))
 
     p = add("estimate-c", _cmd_estimate_c,
-            help="minimize spread of congruent copies in the r-ball")
+            help="certified minimal spread of congruent copies in the r-ball")
     add_input(p)
     p.add_argument("--radius", type=float, required=True)
-    p.add_argument("--restarts", type=int, default=64)
+    p.add_argument("--restarts", type=int, default=64,
+                   help="cap on warm-started solve passes")
     p.add_argument("--ambient-dim", type=int, default=None)
     p.add_argument("--oracle-samples", type=int, default=0,
                    help="cross-check sample count (0 disables)")

@@ -34,7 +34,7 @@ class Infeasible(GeometryError):
 
 
 class NonConvergence(GeometryError):
-    """No optimizer restart produced a usable feasible placement."""
+    """A sampled feasible spread fell below the certified lower bound on c."""
 
 
 class EmptySample(GeometryError):

@@ -2,21 +2,24 @@
 
 The spread of a placed configuration is (max point norm) - (min point norm).
 For a target A and radius r < circumradius(A), every congruent copy of A
-inside the origin-centered r-ball has spread bounded below by a positive
-constant; this module estimates that constant two independent ways:
+inside the origin-centered r-ball has spread at least a constant
+c(A, r) > 0.  Two independent ways to get at it:
 
-* estimate_c: multi-start derivative-free local search (Nelder-Mead) over a
-  rotation/translation parameterization, with an increasing quadratic
-  penalty on ball violations and an exact feasibility repair step;
+* estimate_c: the exact convex reduction, with a certified bracket
+  c_lower <= c(A, r) <= c_estimate.  Write the origin as y + h*n, with y in
+  aff(A) (coordinates in R^m) and h its height off the hull.  The spread
+  falls as h grows, so the optimum takes h^2 = r^2 - max_i |a_i - y|^2, and
+  c = r - sqrt(r^2 - t*), where t* is the least max_i f_i(y) - min_j f_j(y),
+  f_i(y) = |a_i|^2 - 2<a_i, y>, over the y with every |a_i - y| <= r: a
+  convex program in m + 2 variables (y and two levels), solved with SLSQP.
+  c_lower comes from its Lagrangian dual (see _dual_bound).
 * sample_spread_oracle: the minimum spread over a reproducible stream of
-  random feasible copies.
-
-Both report upper bounds on the true constant; nothing here certifies a
-lower bound.  Copies are sampled by drawing a Haar rotation, drawing a
-candidate position for the copy's enclosing-ball center uniformly in
-B(0, r), and shrinking that position radially (closed form) until the copy
-fits.  The shrink gives the sampler full support over feasible copies and
-concentrates mass on the feasibility boundary, where minima live.
+  random feasible copies, an upper bound.  Copies are sampled by drawing a
+  Haar rotation and a candidate position for the copy's enclosing-ball
+  center uniformly in B(0, r), then shrinking that position radially
+  (closed form) until the copy fits.  The shrink gives the sampler full
+  support over feasible copies and concentrates mass on the feasibility
+  boundary, where minima live.
 """
 
 from __future__ import annotations
@@ -25,15 +28,21 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.optimize import minimize
 
-from .errors import DomainError, EmptySample, Infeasible, NonConvergence, NotSpherical
-from .geometry import Configuration, RigidMotion, affine_dimension
-from .spheres import circumsphere, min_enclosing_ball
+from .errors import DomainError, EmptySample, Infeasible, NonConvergence
+from .geometry import Configuration, RigidMotion, affine_dimension, diameter
+from .spheres import min_enclosing_ball
 
 FEASIBILITY_SLACK = 1e-9
-DEFAULT_PENALTY_SCHEDULE = (1e1, 1e2, 1e3, 1e4, 1e5, 1e6)
+# Relative rounding slack of the spread solve.  The dual bound on t* is
+# lowered by ROUNDING_SLACK * r^2, which lowers c_lower by at least
+# ROUNDING_SLACK * r / 2; a radius inside FEASIBILITY_SLACK is raised to
+# ROUNDING_SLACK past the enclosing radius; a sampled spread may undercut
+# c_lower by ROUNDING_SLACK * r before it counts as a contradiction.
+ROUNDING_SLACK = 1e-12
+# Slack, in squared units of the unit-diameter target, within which a
+# constraint counts as active when the dual multipliers are fitted.
+_ACTIVE_TOL = 1e-9
 _CHUNK = 1 << 16
 
 
@@ -99,11 +108,14 @@ class SpreadProblem:
 
 @dataclass(frozen=True, eq=False)
 class SpreadEstimate:
-    """Best found spread over feasible placements, with reproducibility data.
+    """Certified bracket c_lower <= c(A, r) <= c_estimate, with its placement.
 
-    c_estimate is an upper-bound estimate of the true minimum; best_motion
-    maps embed_target(problem.target, problem.ambient_dim) onto the
-    certified-feasible best placement.
+    c_estimate is the spread of the placement best_motion makes of
+    embed_target(problem.target, problem.ambient_dim); max_norm is that
+    placement's largest point norm.  c_lower is a certified lower bound.
+    best_restart is the index of the solve pass whose placement is returned;
+    restarts is the cap on passes.  The solve's outputs are None when no
+    copy fits.
     """
 
     c_estimate: float | None
@@ -114,8 +126,8 @@ class SpreadEstimate:
     seed: int
     radius: float
     ambient_dim: int
-    penalty_schedule: tuple
     tolerance: float
+    c_lower: float | None = None
     best_restart: int | None = None
     max_norm: float | None = None
 
@@ -129,12 +141,12 @@ class SpreadEstimate:
         return {
             "feasible": self.feasible,
             "c_estimate": self.c_estimate,
+            "c_lower": self.c_lower,
             "oracle_value": self.oracle_value,
             "restarts": self.restarts,
             "seed": self.seed,
             "radius": self.radius,
             "ambient_dim": self.ambient_dim,
-            "penalty_schedule": list(self.penalty_schedule),
             "tolerance": self.tolerance,
             "best_restart": self.best_restart,
             "max_norm": self.max_norm,
@@ -146,50 +158,6 @@ def embedding_feasible(problem: SpreadProblem) -> bool:
     """A congruent copy fits in some r-ball iff the enclosing-ball radius does."""
     return min_enclosing_ball(problem.target).radius \
         <= problem.radius + FEASIBILITY_SLACK
-
-
-# ---------------------------------------------------------------------------
-# Rotation parameterization: matrix exponential of a skew-symmetric matrix
-# built from D(D-1)/2 parameters (strict upper triangle, lexicographic).
-# ---------------------------------------------------------------------------
-
-def rotation_param_count(dim: int) -> int:
-    return dim * (dim - 1) // 2
-
-
-def _skew_from_params(params: np.ndarray, dim: int) -> np.ndarray:
-    s = np.zeros((dim, dim))
-    iu = np.triu_indices(dim, k=1)
-    s[iu] = params
-    return s - s.T
-
-
-def _rotation_from_params(params: np.ndarray, dim: int) -> np.ndarray:
-    if dim == 1:
-        return np.ones((1, 1))
-    if dim == 2:
-        c, s = math.cos(params[0]), math.sin(params[0])
-        return np.array([[c, -s], [s, c]])
-    if dim == 3:
-        skew = _skew_from_params(params, 3)
-        angle = math.sqrt(float(params @ params))
-        if angle < 1e-12:
-            return np.eye(3) + skew + 0.5 * (skew @ skew)
-        return (np.eye(3) + (math.sin(angle) / angle) * skew
-                + ((1.0 - math.cos(angle)) / (angle * angle)) * (skew @ skew))
-    return scipy.linalg.expm(_skew_from_params(params, dim))
-
-
-def _params_from_rotation(rot: np.ndarray) -> np.ndarray:
-    """Inverse of _rotation_from_params for det +1 matrices."""
-    dim = rot.shape[0]
-    if dim == 1:
-        return np.zeros(0)
-    if dim == 2:
-        return np.array([math.atan2(rot[1, 0], rot[0, 0])])
-    log = scipy.linalg.logm(rot)
-    skew = 0.5 * (np.real(log) - np.real(log).T)
-    return skew[np.triu_indices(dim, k=1)]
 
 
 # ---------------------------------------------------------------------------
@@ -297,153 +265,174 @@ def sample_spread_oracle(problem: SpreadProblem, n_samples: int,
 
 
 # ---------------------------------------------------------------------------
-# Multi-start penalized Nelder-Mead estimator
+# The convex reduction and its certified dual bound
 # ---------------------------------------------------------------------------
 
-def _mirror(points: np.ndarray) -> np.ndarray:
-    flipped = points.copy()
-    flipped[:, -1] *= -1.0
-    return flipped
+def _solve_levels(a: np.ndarray, radius: float, y0: np.ndarray) -> np.ndarray:
+    """One SLSQP pass on the reduced program in (y, u, l), started at y0."""
+    from scipy.optimize import minimize
+
+    n, m = a.shape
+    sq = np.einsum("ij,ij->i", a, a)
+    r2 = radius * radius
+    ones, zeros = np.ones((n, 1)), np.zeros((n, 1))
+
+    def levels(y):
+        return sq - 2.0 * a @ y
+
+    constraints = [
+        {"type": "ineq", "fun": lambda z: z[m] - levels(z[:m]),
+         "jac": lambda z: np.hstack([2.0 * a, ones, zeros])},
+        {"type": "ineq", "fun": lambda z: levels(z[:m]) - z[m + 1],
+         "jac": lambda z: np.hstack([-2.0 * a, zeros, -ones])},
+        {"type": "ineq",
+         "fun": lambda z: r2 - np.einsum("ij,ij->i", a - z[:m], a - z[:m]),
+         "jac": lambda z: np.hstack([2.0 * (a - z[:m]), zeros, zeros])},
+    ]
+    start = levels(y0)
+    result = minimize(lambda z: z[m] - z[m + 1],
+                      np.concatenate([y0, [start.max(), start.min()]]),
+                      jac=lambda z: np.concatenate([np.zeros(m), [1.0, -1.0]]),
+                      method="SLSQP", constraints=constraints,
+                      options={"ftol": 1e-16, "maxiter": 1000})
+    return result.x[:m]
 
 
-def _polish(centered: np.ndarray, radius: float, theta0: np.ndarray,
-            t0: np.ndarray, penalty_schedule, tolerance: float):
-    """Penalty-staged Nelder-Mead from one start; returns (value, rotation, t)."""
-    dim = centered.shape[1]
-    n_rot = rotation_param_count(dim)
-    z = np.concatenate([theta0, t0])
-    n_z = z.size
-    gaps = np.einsum("kd,kd->k", centered, centered) - radius * radius
+def _dual_bound(a: np.ndarray, radius: float, y: np.ndarray) -> float:
+    """Lower bound on t* from multipliers fitted on the constraints active at y.
 
-    def objective(vec, mu):
-        rot = _rotation_from_params(vec[:n_rot], dim)
-        image = centered @ rot.T + vec[n_rot:]
-        norms = np.linalg.norm(image, axis=1)
-        excess = norms.max() - radius
-        value = norms.max() - norms.min()
-        if excess > 0.0:
-            value += mu * excess * excess
-        return value
+    For lam, mu >= 0 each summing to 1 and nu >= 0, every feasible z has
+    t(z) >= sum lam_i f_i(z) - sum mu_j f_j(z) + sum nu_k (|a_k - z|^2 - r^2),
+    so the least value of that Lagrangian over any set holding the feasible
+    z bounds t*.  The multipliers are fitted by NNLS; a residual only
+    loosens the bound.
+    """
+    from scipy.optimize import nnls
 
-    schedule = list(penalty_schedule)
-    for stage, mu in enumerate(schedule):
-        last = stage == len(schedule) - 1
-        result = minimize(
-            objective, z, args=(mu,), method="Nelder-Mead",
-            options={
-                "maxfev": (400 if last else 120) * n_z,
-                "xatol": max(tolerance * 1e-2, 1e-12) if last else 1e-6,
-                "fatol": max(tolerance * 1e-4, 1e-14) if last else 1e-9,
-            })
-        z = result.x
-    rot = _rotation_from_params(z[:n_rot], dim)
-    image = centered @ rot.T
-    t_final = z[n_rot:]
-    dots = np.einsum("d,kd->k", t_final, image)[None, :]
-    offset = np.array([float(t_final @ t_final)])
-    factor = _shrink_factors(offset, dots, gaps)[0]
-    t_final = factor * t_final
-    value = _spread_of(image + t_final)
-    return value, rot, t_final
+    n, m = a.shape
+    sq = np.einsum("ij,ij->i", a, a)
+    r2 = radius * radius
+    levels = sq - 2.0 * a @ y
+    dist2 = np.einsum("ij,ij->i", a - y, a - y)
+    top = levels >= levels.max() - _ACTIVE_TOL
+    bottom = levels <= levels.min() + _ACTIVE_TOL
+    ball = dist2 >= r2 - _ACTIVE_TOL
+    # One column per active constraint: its gradient in y (stationarity asks
+    # these rows to sum to zero), then its share of sum(lam) = 1 and of
+    # sum(mu) = 1.
+    k, j = top.sum(), top.sum() + bottom.sum()
+    columns = np.hstack([
+        np.vstack([-2.0 * a[top].T, np.ones(k), np.zeros(k)]),
+        np.vstack([2.0 * a[bottom].T, np.zeros(j - k), np.ones(j - k)]),
+        np.vstack([2.0 * (y - a[ball]).T, np.zeros((2, ball.sum()))]),
+    ])
+    x, _ = nnls(columns, np.concatenate([np.zeros(m), [1.0, 1.0]]))
+    lam, mu, nu = np.zeros(n), np.zeros(n), np.zeros(n)
+    lam[top], mu[bottom], nu[ball] = x[:k], x[k:j], x[j:]
+    if lam.sum() <= 0.0 or mu.sum() <= 0.0:
+        return 0.0  # t* >= 0 always
+    lam /= lam.sum()
+    mu /= mu.sum()
+    # The Lagrangian is alpha |z|^2 - 2 <w, z> + const.  Over the ball of
+    # radius r around the point farthest from y, which holds every feasible
+    # z, it is least at the point of the ball nearest w / alpha, or, when no
+    # ball constraint carries weight, at the point farthest along w.
+    w = (lam - mu + nu) @ a
+    alpha = nu.sum()
+    anchor = a[int(np.argmax(dist2))]
+    if alpha > 0.0:
+        offset = w / alpha - anchor
+        z = anchor + offset * (radius / max(float(np.linalg.norm(offset)), radius))
+    else:
+        z = anchor + w * (radius / max(float(np.linalg.norm(w)), np.finfo(float).tiny))
+    at_z = sq - 2.0 * a @ z
+    return float((lam - mu) @ at_z
+                 + nu @ (np.einsum("ij,ij->i", a - z, a - z) - r2))
 
 
 def estimate_c(problem: SpreadProblem, restarts: int = 64, seed: int = 0,
-               penalty_schedule=DEFAULT_PENALTY_SCHEDULE,
                tolerance: float = 1e-9,
                oracle_samples: int = 0) -> SpreadEstimate:
-    """Estimate the minimal spread of congruent copies of the target in the r-ball.
+    """The minimal spread of congruent copies of the target in the r-ball.
 
-    Each restart runs Nelder-Mead over rotation parameters and a
-    translation, through the increasing penalty schedule, then repairs
-    feasibility exactly by shrinking the translation toward the origin.
-    Restart i is seeded from (seed, i), so results are reproducible and
-    independent of any execution parallelism.  Two deterministic anchors
-    come first: the copy centered at its enclosing-ball center (always
-    feasible) and, for spherical targets, the copy centered at its
-    circumcenter (optimal whenever radius >= circumradius).
+    Solves the convex reduction (module docstring) on the target scaled to
+    unit diameter, so every slack is relative and c(sA, sr) = s c(A, r).
+    The first pass starts at the enclosing-ball center; each further pass
+    warm-starts from the last, up to `restarts` passes, until c_estimate -
+    c_lower <= tolerance * radius, or until a pass tightens neither side.
+    The target fits iff its farthest point from its enclosing-ball center
+    is at most radius * (1 + FEASIBILITY_SLACK) away.
 
-    With oracle_samples > 0, a sampling-oracle scan is run for the
-    oracle_value diagnostic; if it beats the optimizer, its best placement
-    seeds one extra polish restart.
+    The reduction needs a height off the affine hull, so an ambient
+    dimension equal to the affine dimension is rejected with DomainError.
+    With oracle_samples > 0, a sampling-oracle scan seeded by `seed` fills
+    oracle_value; a sampled spread below c_lower raises NonConvergence.
     """
     if restarts < 1:
         raise DomainError("need at least one restart")
-    if not embedding_feasible(problem):
-        return SpreadEstimate(
-            c_estimate=None, best_motion=None, restarts=restarts,
-            oracle_value=None, feasible=False, seed=seed,
-            radius=problem.radius, ambient_dim=problem.ambient_dim,
-            penalty_schedule=tuple(penalty_schedule), tolerance=tolerance)
+    m = affine_dimension(problem.target)
+    if problem.ambient_dim == m:
+        raise DomainError(
+            f"ambient dimension {m} equals the affine dimension; the spread "
+            "solve needs room for a height off the affine hull")
+    report = dict(restarts=restarts, seed=seed, radius=problem.radius,
+                  ambient_dim=problem.ambient_dim, tolerance=tolerance)
+    emb = embed_target(problem.target, problem.ambient_dim)
+    scale = diameter(emb) or problem.radius
+    unit = Configuration(dim=emb.dim, points=emb.points / scale)
+    radius = problem.radius / scale
+    center = min_enclosing_ball(unit).center
+    rel = unit.points - center
+    basis = np.linalg.svd(rel, full_matrices=False)[2]
+    a = rel @ basis[:m].T
+    reach = float(np.sqrt(np.max(np.einsum("ij,ij->i", a, a))))
+    if reach > radius * (1.0 + FEASIBILITY_SLACK):
+        return SpreadEstimate(c_estimate=None, best_motion=None,
+                              oracle_value=None, feasible=False, **report)
+    # A radius inside the slack is raised just past the enclosing radius, so
+    # the center is strictly feasible.  c only falls as the radius grows, so
+    # c_lower still bounds c(A, r) from below.
+    radius = max(radius, reach * (1.0 + ROUNDING_SLACK))
 
-    emb, ball, centered = _prepare(problem)
-    dim = problem.ambient_dim
-    n_rot = rotation_param_count(dim)
-    full_rank = affine_dimension(emb) == dim
-    gaps = np.einsum("kd,kd->k", centered, centered) - problem.radius ** 2
+    def origin_of(y):
+        top = float(np.max(np.einsum("ij,ij->i", a - y, a - y)))
+        if top > radius * radius:
+            # Pull y toward the center: max_i |a_i - y|^2 is convex along
+            # the segment, so it is at most r^2 where the chord from reach^2
+            # to top reaches r^2.
+            y = y * ((radius * radius - reach * reach) / (top - reach * reach))
+            top = float(np.max(np.einsum("ij,ij->i", a - y, a - y)))
+        return scale * (center + y @ basis[:m]
+                        + math.sqrt(max(radius * radius - top, 0.0)) * basis[m])
 
-    anchors = [np.zeros(dim)]
-    try:
-        sphere = circumsphere(emb)
-        anchors.append(ball.center - sphere.center)
-    except (NotSpherical, DomainError):
-        pass
-
-    mirrored_pts = _mirror(centered) if full_rank else None
-    best = None  # (value, restart_index, rotation, translation, mirrored)
-
-    def consider(value, index, rot, t_vec, mirrored):
-        nonlocal best
-        if math.isfinite(value) and (best is None or value < best[0]):
-            best = (value, index, rot, t_vec, mirrored)
-
-    for i in range(restarts):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-        mirrored = full_rank and i >= len(anchors) and (i - len(anchors)) % 2 == 1
-        pts = mirrored_pts if mirrored else centered
-        if i < len(anchors):
-            theta0 = np.zeros(n_rot)
-            t0 = anchors[i]
-        else:
-            theta0 = rng.uniform(-math.pi, math.pi, n_rot)
-            direction = rng.standard_normal(dim)
-            direction /= max(float(np.linalg.norm(direction)), 1e-300)
-            t_raw = problem.radius * rng.random() ** (1.0 / dim) * direction
-            rot0 = _rotation_from_params(theta0, dim)
-            image0 = pts @ rot0.T
-            dots = np.einsum("d,kd->k", t_raw, image0)[None, :]
-            offset = np.array([float(t_raw @ t_raw)])
-            t0 = _shrink_factors(offset, dots, gaps)[0] * t_raw
-        value, rot, t_vec = _polish(pts, problem.radius, theta0, t0,
-                                    penalty_schedule, tolerance)
-        consider(value, i, rot, t_vec, mirrored)
+    y = np.zeros(m)
+    best, c_lower = None, 0.0
+    for index in range(restarts):
+        y = _solve_levels(a, radius, y)
+        origin = origin_of(y)
+        norms = np.linalg.norm(emb.points - origin, axis=1)
+        value = float(norms.max() - norms.min())
+        t = max(_dual_bound(a, radius, y) - ROUNDING_SLACK * radius * radius, 0.0)
+        lower = scale * t / (radius + math.sqrt(max(radius * radius - t, 0.0)))
+        if best is not None and value >= best[0] and lower <= c_lower:
+            break  # a pass that tightens neither side ends the search
+        c_lower = max(c_lower, lower)
+        if best is None or value < best[0]:
+            best = (value, float(norms.max()), origin, index)
+        if best[0] - c_lower <= tolerance * problem.radius:
+            break
 
     oracle_value = None
     if oracle_samples > 0:
-        (oracle_value, o_rot, o_t), _ = _oracle_search(
-            problem, oracle_samples, seed)
-        if best is None or oracle_value < best[0] - 1e-6:
-            mirrored = False
-            if np.linalg.det(o_rot) < 0:
-                mirrored = True
-                o_rot = o_rot @ np.diag([1.0] * (dim - 1) + [-1.0])
-            pts = _mirror(centered) if mirrored else centered
-            value, rot, t_vec = _polish(
-                pts, problem.radius, _params_from_rotation(o_rot), o_t,
-                penalty_schedule, tolerance)
-            consider(value, restarts, rot, t_vec, mirrored)
+        (oracle_value, _, _), _ = _oracle_search(problem, oracle_samples, seed)
+        if oracle_value < c_lower - ROUNDING_SLACK * problem.radius:
+            raise NonConvergence(
+                f"sampled spread {oracle_value!r} is below the certified "
+                f"lower bound {c_lower!r}")
 
-    if best is None:
-        raise NonConvergence("no restart produced a feasible placement")
-
-    value, index, rot, t_vec, mirrored = best
-    effective_rot = rot @ np.diag([1.0] * (dim - 1) + [-1.0]) if mirrored else rot
-    motion = RigidMotion(rotation=effective_rot,
-                         translation=t_vec - effective_rot @ ball.center)
-    placed = emb.points @ effective_rot.T + motion.translation
-    max_norm = float(np.max(np.linalg.norm(placed, axis=1)))
+    value, max_norm, origin, index = best
+    motion = RigidMotion(rotation=np.eye(emb.dim), translation=-origin)
     return SpreadEstimate(
-        c_estimate=value, best_motion=motion, restarts=restarts,
-        oracle_value=oracle_value, feasible=True, seed=seed,
-        radius=problem.radius, ambient_dim=problem.ambient_dim,
-        penalty_schedule=tuple(penalty_schedule), tolerance=tolerance,
-        best_restart=index, max_norm=max_norm)
+        c_estimate=value, best_motion=motion, oracle_value=oracle_value,
+        feasible=True, c_lower=c_lower, best_restart=index,
+        max_norm=max_norm, **report)

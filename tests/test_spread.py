@@ -1,11 +1,20 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import diamramsey
 from diamramsey import (
     Configuration,
     DomainError,
     EmptySample,
     Infeasible,
+    NonConvergence,
     apply_motion,
     distance_matrix,
     embed_target,
@@ -17,8 +26,10 @@ from diamramsey import (
     sample_spread_oracle,
     spread,
     SpreadProblem,
+    almost_regular_simplex,
+    min_enclosing_ball,
 )
-from oracles import planar_spread_min
+from oracles import configurations, planar_spread_min
 
 OBTUSE_150 = obtuse_triangle(150.0, 1.0)
 EQUILATERAL = regular_simplex(2)
@@ -134,9 +145,17 @@ class TestEstimateC:
         assert estimate.oracle_value >= estimate.c_estimate - 1e-6
 
     def test_override_ambient_dimension(self):
+        # in the plane of the triangle the height off its hull is forced to 0
         problem = SpreadProblem(target=OBTUSE_150, radius=1.05, ambient_dim=2)
-        estimate = estimate_c(problem, restarts=6, seed=0)
-        assert estimate.c_estimate <= 1e-6
+        with pytest.raises(DomainError):
+            estimate_c(problem, restarts=6, seed=0)
+
+    def test_higher_ambient_dimension_same_value(self):
+        base = estimate_c(SpreadProblem(target=OBTUSE_150, radius=0.95))
+        wide = estimate_c(SpreadProblem(target=OBTUSE_150, radius=0.95,
+                                        ambient_dim=5))
+        assert wide.c_estimate == pytest.approx(base.c_estimate, rel=1e-9)
+        assert len(wide.best_motion.translation) == 5
 
     def test_serializes(self):
         import json
@@ -146,61 +165,111 @@ class TestEstimateC:
         assert payload["feasible"] is True
         assert payload["seed"] == 0
         assert len(payload["best_motion"]["rotation"]) == 3
+        assert payload["c_lower"] == estimate.c_lower
+        assert "penalty_schedule" not in payload
 
 
-class TestRotationParameterization:
-    @pytest.mark.parametrize("dim", [2, 3, 4])
-    def test_round_trip(self, dim):
-        from diamramsey.spread import (_params_from_rotation,
-                                       _rotation_from_params,
-                                       rotation_param_count)
-        rng = np.random.default_rng(1)
-        for _ in range(5):
-            params = rng.uniform(-1.5, 1.5, rotation_param_count(dim))
-            rot = _rotation_from_params(params, dim)
-            assert np.allclose(rot.T @ rot, np.eye(dim), atol=1e-12)
-            assert np.linalg.det(rot) == pytest.approx(1.0, abs=1e-9)
-            back = _rotation_from_params(_params_from_rotation(rot), dim)
-            assert np.allclose(back, rot, atol=1e-9)
+class TestCertifiedBracket:
+    @pytest.mark.parametrize("radius", [0.55, 0.65, 0.75, 0.85, 0.95])
+    def test_triangle_ladder(self, radius):
+        estimate = estimate_c(SpreadProblem(target=OBTUSE_150, radius=radius))
+        assert 0.0 < estimate.c_lower <= estimate.c_estimate
+        assert estimate.c_estimate <= estimate.c_lower + estimate.tolerance * radius
 
-    def test_mirror_flip_identity(self):
-        # an orientation-reversing placement R @ a equals (R F) @ (F a)
-        from diamramsey.spread import _mirror
-        rng = np.random.default_rng(2)
-        rot = random_motion(3, seed=5).rotation
-        if np.linalg.det(rot) > 0:
-            rot = rot @ np.diag([1.0, 1.0, -1.0])
-        pts = rng.normal(0, 1, (4, 3))
-        flip = np.diag([1.0, 1.0, -1.0])
-        assert np.allclose((_mirror(pts)) @ (rot @ flip).T, pts @ rot.T)
+    @pytest.mark.parametrize("dim, radius", [(3, 0.707), (3, 0.6457),
+                                             (4, 0.707), (4, 0.6633)])
+    def test_almost_regular_simplex(self, dim, radius):
+        problem = SpreadProblem(target=almost_regular_simplex(dim, 0.01),
+                                radius=radius)
+        estimate = estimate_c(problem, restarts=2)
+        assert 0.0 < estimate.c_lower <= estimate.c_estimate
+        assert estimate.c_estimate <= estimate.c_lower + 1e-9 * radius
+        assert estimate.max_norm <= radius * (1.0 + 1e-12)
 
-    def test_oracle_seeded_restart_branch(self, monkeypatch):
-        # cripple the random restarts so the oracle scan wins and seeds the
-        # extra polish; the final value must still match the good estimate
+    @pytest.mark.parametrize("radius", [0.75, 0.95])
+    def test_lower_bound_below_grid_oracle(self, radius):
+        estimate = estimate_c(SpreadProblem(target=OBTUSE_150, radius=radius))
+        assert estimate.c_lower <= planar_spread_min(OBTUSE_150.points, radius)
+
+    def test_lower_bound_below_sampling_oracle(self):
+        problem = SpreadProblem(target=almost_regular_simplex(3, 0.01),
+                                radius=0.6457)
+        estimate = estimate_c(problem)
+        assert estimate.c_lower <= sample_spread_oracle(problem, 50000, seed=2)
+
+    def test_zero_lower_bound_above_circumradius(self):
+        estimate = estimate_c(SpreadProblem(target=OBTUSE_150, radius=1.05))
+        assert estimate.c_lower == 0.0
+
+    def test_near_enclosing_radius_keeps_order(self):
+        # at the enclosing radius the feasible centres shrink to a point, the
+        # worst-conditioned case; the bracket must still be ordered
+        for radius in (0.5 * (1.0 - 1e-10), 0.5, 0.5 * (1.0 + 1e-6)):
+            estimate = estimate_c(SpreadProblem(target=OBTUSE_150, radius=radius))
+            assert estimate.feasible
+            assert estimate.c_lower <= estimate.c_estimate
+            assert estimate.max_norm <= radius * (1.0 + 2e-9)
+
+    def test_oracle_below_lower_bound_raises(self, monkeypatch):
         import importlib
         sp = importlib.import_module("diamramsey.spread")
-        problem = SpreadProblem(target=OBTUSE_150, radius=0.95)
-        reference = estimate_c(problem, restarts=8, seed=0).c_estimate
-        original = sp._polish
-        calls = {"n": 0}
+        monkeypatch.setattr(sp, "_oracle_search",
+                            lambda problem, n, seed: ((0.0, None, None), None))
+        with pytest.raises(NonConvergence):
+            estimate_c(SpreadProblem(target=OBTUSE_150, radius=0.95),
+                       oracle_samples=10)
 
-        def lame_then_real(pts, radius, theta0, t0, schedule, tol):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                # first (anchor) restart: return a deliberately bad value
-                value, rot, t_vec = original(pts, radius, theta0, t0,
-                                             (1e6,), tol)
-                return value + 1.0, rot, t_vec
-            return original(pts, radius, theta0, t0, schedule, tol)
+    @given(configurations(min_points=2, max_points=6), st.floats(1.02, 3.0),
+           st.integers(0, 2 ** 16))
+    @settings(max_examples=40)
+    def test_invariant_under_motion_and_relabelling(self, config, factor, seed):
+        meb = min_enclosing_ball(config).radius
+        assume(meb > 0.0)
+        radius = factor * meb
+        base = estimate_c(SpreadProblem(target=config, radius=radius))
+        moved = apply_motion(config, random_motion(config.dim, seed=seed))
+        order = np.random.default_rng(seed).permutation(len(config))
+        relabelled = Configuration(dim=config.dim, points=moved.points[order])
+        other = estimate_c(SpreadProblem(target=relabelled, radius=radius))
+        assert other.c_estimate == pytest.approx(base.c_estimate,
+                                                 abs=1e-9 * radius)
+        assert other.c_lower <= base.c_estimate
+        assert base.c_lower <= other.c_estimate
 
-        monkeypatch.setattr(sp, "_polish", lame_then_real)
-        estimate = sp.estimate_c(problem, restarts=1, seed=0,
-                                 oracle_samples=20000)
-        assert calls["n"] == 2
-        assert estimate.best_restart == 1
-        assert estimate.oracle_value is not None
-        assert estimate.c_estimate <= estimate.oracle_value + 1e-9
-        assert estimate.c_estimate == pytest.approx(reference, rel=0.05)
+
+class TestScaleInvariance:
+    @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1.0, 1e6])
+    def test_spread_scales_with_target(self, scale):
+        base = estimate_c(SpreadProblem(target=OBTUSE_150, radius=0.95),
+                          restarts=2)
+        target = obtuse_triangle(150.0, scale)
+        estimate = estimate_c(SpreadProblem(target=target, radius=0.95 * scale),
+                              restarts=2)
+        assert estimate.c_estimate == pytest.approx(scale * base.c_estimate,
+                                                    rel=1e-9)
+        assert estimate.c_lower == pytest.approx(scale * base.c_lower, rel=1e-9)
+        assert estimate.max_norm <= 0.95 * scale * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1.0, 1e6])
+    def test_infeasible_below_enclosing_radius(self, scale):
+        # the enclosing radius is 0.5 * scale, so no copy fits at 0.3 * scale
+        target = obtuse_triangle(150.0, scale)
+        estimate = estimate_c(SpreadProblem(target=target, radius=0.3 * scale),
+                              restarts=2)
+        assert not estimate.feasible
+        assert estimate.c_estimate is None and estimate.c_lower is None
+
+
+class TestLazyImport:
+    def test_import_loads_no_scipy(self):
+        src = str(Path(diamramsey.__file__).resolve().parents[1])
+        code = ("import sys, diamramsey; "
+                "print(sorted(m for m in sys.modules "
+                "if m == 'scipy' or m.startswith('scipy.')))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True,
+                             env=dict(os.environ, PYTHONPATH=src))
+        assert out.stdout.strip() == "[]"
 
 
 class TestSampleSpreadOracle:
