@@ -19,6 +19,10 @@ DEFAULT_TOL = 1e-9
 # Orthogonality defect allowed on rotation matrices, max-norm of R^T R - I.
 ORTHOGONALITY_TOL = 1e-9
 
+# Float64 entries per block of diameter's screen and recompute; a block
+# holds this many // (n * dim) rows.
+_DIAMETER_BLOCK = 1 << 20
+
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr = np.array(arr, dtype=float)
@@ -116,8 +120,57 @@ class RigidMotion:
 
 
 def diameter(config: Configuration) -> float:
-    """Largest pairwise distance; 0 for a singleton."""
-    return float(np.max(distance_matrix(config)))
+    """Largest pairwise distance; 0 for a singleton.
+
+    Bit for bit the maximum of distance_matrix(config), without its n*n*d
+    tensor.  A Gram-form screen |x_i|^2 + |x_j|^2 - 2<x_i, x_j> over row
+    blocks of the centred points keeps each row's maximum; only the rows
+    whose maximum lies within twice the screen's rounding bound of the
+    largest one are recomputed with distance_matrix's formula.  A set whose
+    whole tensor fits in one block skips the screen.
+    """
+    pts = config.points
+    n, d = pts.shape
+    rows = max(1, _DIAMETER_BLOCK // (n * d))
+    candidates = np.arange(n) if rows >= n else _screened_rows(pts, rows)
+    best = 0.0
+    for start in range(0, len(candidates), rows):
+        diff = pts[candidates[start:start + rows], None, :] - pts[None, :, :]
+        best = max(best, float(np.max(np.einsum("ijk,ijk->ij", diff, diff))))
+    # The rounded sqrt is monotone, so this is distance_matrix's maximum.
+    return float(np.sqrt(best))
+
+
+def _screened_rows(pts: np.ndarray, rows: int) -> np.ndarray:
+    """The rows of pts that may hold the largest distance, screened `rows` at a time."""
+    n, d = pts.shape
+    x = pts - pts.mean(axis=0)
+    peak = float(np.max(np.abs(x)))
+    if peak == 0.0:
+        return np.arange(1)  # all points coincide
+    x = np.ldexp(x, -np.frexp(peak)[1])
+    sq = np.einsum("ij,ij->i", x, x)
+    neg2xt = -2.0 * x.T
+    screen = np.empty(n)
+    for start in range(0, n, rows):
+        gram = x[start:start + rows] @ neg2xt
+        gram += sq
+        screen[start:start + rows] = gram.max(axis=1) + sq[start:start + rows]
+    # The rounding bound.  Let u = eps/2 and R^2 = max_i |x_i|^2 (x centred,
+    # then scaled by a power of two, which is exact).  Against the true
+    # squared distance D_ij of the input points:
+    #   * centring rounds each coordinate of p_i - c by at most u relative,
+    #     which moves |x_i - x_j|^2 off D_ij by at most 8uR^2;
+    #   * the screen S_ij rounds |x_i|^2, |x_j|^2 and the Gram product by
+    #     d*u*R^2, d*u*R^2 and 2*d*u*R^2, and its two additions by 3uR^2 and
+    #     4uR^2;
+    #   * diameter's recompute E_ij rounds each difference by u relative (2u
+    #     once squared) and sums d products, so it is off by (d + 2)u * 4R^2.
+    # In all |S_ij - E_ij| <= (8d + 23)uR^2 < B = (4d + 16) eps R^2.  If E is
+    # largest at (i, j), then row i's screened maximum is at least
+    # E_ij - B >= S_kl - 2B for every pair (k, l), so row i is kept.
+    bound = (4 * d + 16) * np.finfo(float).eps * float(sq.max())
+    return np.flatnonzero(screen >= screen.max() - 2.0 * bound)
 
 
 def distance_matrix(config: Configuration) -> np.ndarray:

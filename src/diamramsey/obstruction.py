@@ -15,7 +15,7 @@ from enum import Enum
 
 from .errors import DomainError
 from .geometry import DEFAULT_TOL, Configuration, diameter
-from .spheres import circumcenter_in_hull, circumsphere
+from .spheres import _circumsphere, circumcenter_in_hull
 
 SQRT2 = math.sqrt(2.0)
 
@@ -64,8 +64,8 @@ def obstruction_verdict(config: Configuration, tol: float = DEFAULT_TOL) -> Verd
     Raises NotSpherical for sets lying on no sphere; those are not even
     Ramsey-eligible and the caller should report that case distinctly.
     """
-    circ = circumsphere(config, tol).radius
     diam = diameter(config)
+    circ = _circumsphere(config, tol, diam).radius
     threshold = diam / SQRT2
     margin = circ - threshold
     status = Status.NOT_DIAMETER_RAMSEY if margin > tol else Status.UNKNOWN

@@ -18,8 +18,11 @@ import numpy as np
 from .errors import Degenerate, DomainError, NotSimplex, NotSpherical
 from .geometry import DEFAULT_TOL, Configuration, affine_dimension, diameter, _freeze
 
-# Containment slack inside Welzl's recursion; also the guarantee on the output.
-_WELZL_EPS = 1e-9
+# Containment slack inside Welzl's recursion, relative to the set's extent
+# (its largest coordinate offset from the first point).  The returned radius
+# is the farthest point's distance from the returned center, so the output
+# holds every point with no slack.
+_WELZL_SLACK = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,7 +42,7 @@ class Ball:
             raise DomainError("ball radius must be nonnegative")
         object.__setattr__(self, "center", _freeze(c))
 
-    def contains(self, point, tol: float = _WELZL_EPS) -> bool:
+    def contains(self, point, tol: float = DEFAULT_TOL) -> bool:
         return float(np.linalg.norm(np.asarray(point, dtype=float) - self.center)) \
             <= self.radius + tol
 
@@ -63,6 +66,12 @@ class Sphere:
         object.__setattr__(self, "carrier", _freeze(np.asarray(self.carrier, dtype=float)))
 
 
+def _sq_dists(pts: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """Squared distances to center; their square roots equal np.linalg.norm's."""
+    diff = pts - center
+    return np.add.reduce(diff * diff, axis=1)
+
+
 def _support_ball(pts: np.ndarray, support: tuple[int, ...]):
     """Smallest ball with all of `support` on its boundary (center in their hull).
 
@@ -70,70 +79,90 @@ def _support_ball(pts: np.ndarray, support: tuple[int, ...]):
     """
     if not support:
         return None, -1.0
-    chosen = pts[list(support)]
-    base = chosen[0]
     if len(support) == 1:
-        return base, 0.0
-    rel = chosen[1:] - base
-    rhs = 0.5 * np.einsum("ij,ij->i", rel, rel)
-    sol, *_ = np.linalg.lstsq(rel, rhs, rcond=None)
-    center = base + sol
-    radius = float(np.max(np.linalg.norm(chosen - center, axis=1)))
+        return pts[support[0]], 0.0
+    chosen = pts[list(support)]
+    if len(support) == 2:
+        center = 0.5 * (chosen[0] + chosen[1])
+    else:
+        base = chosen[0]
+        rel = chosen[1:] - base
+        rhs = 0.5 * np.einsum("ij,ij->i", rel, rel)
+        sol, *_ = np.linalg.lstsq(rel, rhs, rcond=None)
+        center = base + sol
+    return center, float(np.sqrt(_sq_dists(chosen, center).max()))
+
+
+def _welzl_mtf(pts: np.ndarray, order: np.ndarray, support: tuple[int, ...],
+               dim: int, slack: float):
+    """Welzl's move-to-front recursion over `order`, reordered in place.
+
+    After each ball change one vectorised pass over the rest of the order
+    finds the next point outside the ball by more than `slack`.  A ball
+    change at the front of the order, or one that fills the support to
+    dim+1 points, needs no recursion: the ball is that support's ball.
+    """
+    center, radius = _support_ball(pts, support)
+    full = len(support) == dim
+    ordered = pts[order]  # the move-to-front only reorders the scanned prefix
+    i = 0
+    while i < len(order):
+        if center is not None:
+            beyond = _sq_dists(ordered[i:], center) > (radius + slack) ** 2
+            k = int(beyond.argmax())
+            if not beyond[k]:
+                break
+            i += k
+        j = int(order[i])
+        if full or i == 0:
+            # No move-to-front either: it is a no-op at i == 0, and no
+            # recursion reads this level's order once the support is full.
+            center, radius = _support_ball(pts, support + (j,))
+        else:
+            center, radius = _welzl_mtf(pts, order[:i].copy(), support + (j,), dim, slack)
+            order[1:i + 1] = order[:i]
+            order[0] = j
+        i += 1
     return center, radius
 
 
-def _welzl_mtf(pts: np.ndarray, order: list[int], support: tuple[int, ...], dim: int):
-    ball = _support_ball(pts, support)
-    if len(support) == dim + 1:
-        return ball
-    i = 0
-    while i < len(order):
-        j = order[i]
-        center, radius = ball
-        outside = center is None or \
-            float(np.linalg.norm(pts[j] - center)) > radius + _WELZL_EPS
-        if outside:
-            ball = _welzl_mtf(pts, order[:i], support + (j,), dim)
-            order.insert(0, order.pop(i))
-        i += 1
-    return ball
-
-
-def _enumerate_meb(pts: np.ndarray, dim: int):
+def _enumerate_meb(pts: np.ndarray, dim: int, slack: float):
     """Exhaustive candidate-support search; rescue path for degenerate inputs."""
     n = len(pts)
     best = None
     for size in range(1, min(dim + 1, n) + 1):
         for subset in itertools.combinations(range(n), size):
             center, radius = _support_ball(pts, subset)
-            dists = np.linalg.norm(pts - center, axis=1)
-            if np.all(dists <= radius + _WELZL_EPS):
+            if np.all(np.sqrt(_sq_dists(pts, center)) <= radius + slack):
                 if best is None or radius < best[1]:
                     best = (center, radius)
     if best is None:
         raise Degenerate("no candidate support subset encloses the point set")
-    return best
+    return best[0]
 
 
 def min_enclosing_ball(config: Configuration, seed: int = 0) -> Ball:
     """Smallest closed ball containing the configuration.
 
     Welzl's randomized move-to-front recursion over a seeded shuffle; the
-    ball is determined by a support set of at most dim+1 boundary points and
-    contains every point within 1e-9.
+    ball is determined by a support set of at most dim+1 boundary points,
+    found with a containment slack of _WELZL_SLACK times the set's extent.
+    The radius is the farthest point's distance from the center, so every
+    point lies inside with no slack.
     """
     pts = config.points
     n = len(config)
+    slack = _WELZL_SLACK * float(np.abs(pts - pts[0]).max())
     rng = np.random.default_rng(seed)
     for _ in range(3):
-        order = [int(i) for i in rng.permutation(n)]
-        center, radius = _welzl_mtf(pts, order, (), config.dim)
-        if center is not None:
-            dists = np.linalg.norm(pts - center, axis=1)
-            if np.all(dists <= radius + _WELZL_EPS):
-                return Ball(center=center, radius=max(radius, 0.0))
-    center, radius = _enumerate_meb(pts, config.dim)
-    return Ball(center=center, radius=max(radius, 0.0))
+        center, radius = _welzl_mtf(pts, rng.permutation(n), (), config.dim, slack)
+        dists = np.sqrt(_sq_dists(pts, center))
+        if (dists <= radius + slack).all():
+            break
+    else:
+        center = _enumerate_meb(pts, config.dim, slack)
+        dists = np.sqrt(_sq_dists(pts, center))
+    return Ball(center=center, radius=float(dists.max()))
 
 
 def circumsphere(config: Configuration, tol: float = DEFAULT_TOL) -> Sphere:
@@ -144,10 +173,14 @@ def circumsphere(config: Configuration, tol: float = DEFAULT_TOL) -> Sphere:
     hull coordinates, and the result is rejected as NotSpherical when the
     worst equidistance defect exceeds tol * diameter.
     """
+    return _circumsphere(config, tol, diameter(config))
+
+
+def _circumsphere(config: Configuration, tol: float, diam: float) -> Sphere:
+    """circumsphere, given the configuration's diameter."""
     if len(config) < 2:
         raise DomainError("circumsphere requires at least two points")
     pts = config.points
-    diam = diameter(config)
     if diam <= 0.0:
         raise Degenerate("all points coincide; no smallest containing sphere")
 

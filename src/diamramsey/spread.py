@@ -33,6 +33,8 @@ from .errors import DomainError, EmptySample, Infeasible, NonConvergence
 from .geometry import Configuration, RigidMotion, affine_dimension, diameter
 from .spheres import min_enclosing_ball
 
+# Relative feasibility slack: a copy fits when the enclosing-ball radius is
+# at most r * (1 + FEASIBILITY_SLACK).
 FEASIBILITY_SLACK = 1e-9
 # Relative rounding slack of the spread solve.  The dual bound on t* is
 # lowered by ROUNDING_SLACK * r^2, which lowers c_lower by at least
@@ -155,9 +157,12 @@ class SpreadEstimate:
 
 
 def embedding_feasible(problem: SpreadProblem) -> bool:
-    """A congruent copy fits in some r-ball iff the enclosing-ball radius does."""
+    """A congruent copy fits in some r-ball iff the enclosing-ball radius does.
+
+    The radius may exceed r by the relative slack FEASIBILITY_SLACK.
+    """
     return min_enclosing_ball(problem.target).radius \
-        <= problem.radius + FEASIBILITY_SLACK
+        <= problem.radius * (1.0 + FEASIBILITY_SLACK)
 
 
 # ---------------------------------------------------------------------------

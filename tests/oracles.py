@@ -43,6 +43,46 @@ def brute_force_meb(points) -> tuple[float, np.ndarray]:
     return best
 
 
+def welzl_loop(points, seed: int, slack: float) -> tuple[np.ndarray, float]:
+    """Welzl's move-to-front recursion, one point at a time over a Python list.
+
+    The reference for min_enclosing_ball's vectorised scan: the same seeded
+    order, support balls and containment test, with the move-to-front done
+    by list.insert/pop.  Returns the center and the support ball's radius.
+    """
+    pts = np.asarray(points, dtype=float)
+    dim = pts.shape[1]
+
+    def support_ball(support):
+        chosen = pts[list(support)]
+        if len(support) == 1:
+            return chosen[0], 0.0
+        if len(support) == 2:
+            center = 0.5 * (chosen[0] + chosen[1])
+        else:
+            rel = chosen[1:] - chosen[0]
+            rhs = 0.5 * np.einsum("ij,ij->i", rel, rel)
+            center = chosen[0] + np.linalg.lstsq(rel, rhs, rcond=None)[0]
+        return center, float(np.max(np.linalg.norm(chosen - center, axis=1)))
+
+    def mtf(order, support):
+        ball = support_ball(support) if support else (None, -1.0)
+        if len(support) == dim + 1:
+            return ball
+        i = 0
+        while i < len(order):
+            j = order[i]
+            center, radius = ball
+            if center is None or \
+                    float(np.add.reduce((pts[j] - center) ** 2)) > (radius + slack) ** 2:
+                ball = mtf(order[:i], support + (j,))
+                order.insert(0, order.pop(i))
+            i += 1
+        return ball
+
+    return mtf([int(i) for i in np.random.default_rng(seed).permutation(len(pts))], ())
+
+
 def naive_monochromatic_search(host_points, colors, target_points, tol):
     """Full enumeration over same-colour subsets and their permutations."""
     host = np.asarray(host_points, dtype=float)

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import diamramsey.geometry
 from diamramsey import (
     Configuration,
     DomainError,
@@ -18,10 +20,38 @@ from diamramsey import (
     random_motion,
     regular_simplex,
 )
-from oracles import configurations
+from oracles import configurations, dist_matrix
 
 UNIT_SQUARE = Configuration.from_points([[0, 0], [1, 0], [1, 1], [0, 1]])
 EQUILATERAL = regular_simplex(2)
+
+
+@st.composite
+def clouds(draw):
+    """Seeded clouds with the near-ties and cancellations diameter must survive.
+
+    Normal clouds, clouds with duplicate points, collinear sets, points on a
+    sphere and antipodal pairs on a sphere (every row ties), scaled by
+    10^-9 ... 10^9 and translated by up to 1e6 times their extent.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 60))
+    dim = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(
+        ["normal", "duplicates", "collinear", "sphere", "antipodal"]))
+    pts = rng.normal(size=(n, dim))
+    if kind == "duplicates":
+        pts = pts[rng.integers(0, max(n // 3, 1), n)]
+    elif kind == "collinear":
+        pts = np.outer(rng.normal(size=n), rng.normal(size=dim))
+    elif kind in ("sphere", "antipodal"):
+        pts /= np.linalg.norm(pts, axis=1)[:, None]
+        if kind == "antipodal":
+            pts = np.vstack([pts, -pts])
+    pts *= 10.0 ** draw(st.integers(-9, 9))
+    extent = float(np.max(np.abs(pts - pts[0])))
+    shift = draw(st.sampled_from([0.0, 1.0, 1e3, 1e6]))
+    return Configuration.from_points(pts + shift * extent * rng.normal(size=dim))
 
 
 class TestConfiguration:
@@ -52,6 +82,50 @@ class TestDiameter:
 
     def test_regular_simplex_unit_edges(self):
         assert diameter(regular_simplex(3)) == pytest.approx(1.0, abs=1e-12)
+
+    @given(clouds(), st.sampled_from([1, 7, 1 << 20]))
+    @example(Configuration.from_points([[1e6, -2.0, 3.5]]), 1 << 20)
+    @example(Configuration.from_points([[0.0], [-1e-9]]), 1 << 20)
+    @example(Configuration.from_points([[1.0, 2.0], [1.0, 2.0]]), 1)
+    @settings(max_examples=150)
+    def test_equals_full_distance_matrix(self, config, block):
+        # Bit for bit the maximum of distance_matrix, also when the screen
+        # and the recompute run in blocks of a single row.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(diamramsey.geometry, "_DIAMETER_BLOCK", block)
+            value = diameter(config)
+        assert value == float(np.max(distance_matrix(config)))
+        # distance_matrix sums its squares with einsum, which may round the
+        # last bit differently from the oracle's plain sum.
+        oracle = float(np.max(dist_matrix(config.points)))
+        assert abs(value - oracle) <= 4 * np.finfo(float).eps * oracle
+
+    @pytest.mark.parametrize("seed", [451, 878, 1247, 2987])
+    def test_antipodal_near_ties(self, seed, monkeypatch):
+        # Antipodal pairs on a sphere: every row's maximum ties within
+        # rounding, and for these seeds the row with the largest screened
+        # value is not the row of the largest distance, so recomputing only
+        # that row comes out one bit low.  One-row blocks force the screen.
+        monkeypatch.setattr(diamramsey.geometry, "_DIAMETER_BLOCK", 1)
+        rng = np.random.default_rng(seed)
+        n, dim = int(rng.integers(2, 60)), int(rng.integers(1, 7))
+        x = rng.normal(size=(n, dim))
+        x /= np.linalg.norm(x, axis=1)[:, None]
+        config = Configuration.from_points(
+            np.vstack([x, -x]) * 10.0 ** int(rng.integers(-9, 10)))
+        assert diameter(config) == float(np.max(distance_matrix(config)))
+
+    def test_peak_allocation_without_distance_tensor(self):
+        # The n*n*d difference tensor alone would take 216 MB here.
+        config = Configuration.from_points(
+            np.random.default_rng(0).normal(size=(3000, 3)))
+        tracemalloc.start()
+        try:
+            diameter(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64e6
 
 
 class TestDistanceMatrix:

@@ -3,6 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import diamramsey.geometry
+import diamramsey.obstruction
+import diamramsey.spheres
 from diamramsey import (
     Configuration,
     ConjectureLabel,
@@ -26,6 +29,19 @@ class TestObstructionVerdict:
         assert verdict.circumradius == pytest.approx(1.0, abs=1e-9)
         assert verdict.margin == pytest.approx(1.0 - 1.0 / math.sqrt(2), abs=1e-9)
         assert verdict.margin > 0
+
+    def test_computes_the_diameter_once(self, monkeypatch):
+        calls = []
+
+        def counted(config):
+            calls.append(config)
+            return diamramsey.geometry.diameter(config)
+
+        monkeypatch.setattr(diamramsey.obstruction, "diameter", counted)
+        monkeypatch.setattr(diamramsey.spheres, "diameter", counted)
+        verdict = obstruction_verdict(obtuse_triangle(150.0, 1.0))
+        assert verdict.status is Status.NOT_DIAMETER_RAMSEY
+        assert len(calls) == 1
 
     def test_equilateral_unknown(self):
         verdict = obstruction_verdict(regular_simplex(2))

@@ -24,7 +24,7 @@ from diamramsey import (
     random_motion,
     regular_simplex,
 )
-from oracles import brute_force_meb, configurations
+from oracles import brute_force_meb, configurations, welzl_loop
 
 EQUILATERAL = regular_simplex(2)
 OBTUSE_150 = obtuse_triangle(150.0, 1.0)
@@ -62,6 +62,35 @@ class TestMinEnclosingBall:
         ball = min_enclosing_ball(Configuration.from_points(pts))
         assert ball.radius == pytest.approx(1.0, abs=1e-9)
         assert np.allclose(ball.center, [0, 0], atol=1e-9)
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1.0, 1e6])
+    def test_scale_invariant_radius(self, scale):
+        ball = min_enclosing_ball(obtuse_triangle(150.0, scale))
+        assert ball.radius == pytest.approx(0.5 * scale, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_holds_every_point_without_slack(self, seed):
+        rng = np.random.default_rng(seed)
+        dim = int(rng.integers(1, 4))
+        small = rng.normal(0, 2, (int(rng.integers(1, 10)), dim))
+        # Points on a sphere: many lie within rounding of the boundary.
+        sphere = rng.normal(size=(3000, dim))
+        sphere = 2.0 * sphere / np.linalg.norm(sphere, axis=1)[:, None] + rng.normal(size=dim)
+        for pts in (small, rng.normal(0, 2, (3000, dim)), sphere):
+            ball = min_enclosing_ball(Configuration.from_points(pts), seed=seed)
+            assert np.all(np.linalg.norm(pts - ball.center, axis=1) <= ball.radius)
+        oracle_radius, _ = brute_force_meb(small)
+        ball = min_enclosing_ball(Configuration.from_points(small), seed=seed)
+        assert ball.radius == pytest.approx(oracle_radius, rel=1e-9)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_same_ball_as_per_point_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        pts = rng.normal(size=(int(rng.integers(1, 400)), int(rng.integers(1, 5))))
+        ball = min_enclosing_ball(Configuration.from_points(pts), seed=seed)
+        center, _ = welzl_loop(pts, seed, 1e-12 * np.abs(pts - pts[0]).max())
+        assert np.array_equal(ball.center, center)
+        assert ball.radius == np.max(np.linalg.norm(pts - center, axis=1))
 
     @pytest.mark.parametrize("seed", range(30))
     def test_matches_brute_force(self, seed):

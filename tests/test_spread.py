@@ -20,6 +20,7 @@ from diamramsey import (
     embed_target,
     embedding_feasible,
     estimate_c,
+    falsify_coloring,
     obtuse_triangle,
     random_motion,
     regular_simplex,
@@ -258,6 +259,14 @@ class TestScaleInvariance:
                               restarts=2)
         assert not estimate.feasible
         assert estimate.c_estimate is None and estimate.c_lower is None
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1.0, 1e6])
+    def test_samplers_infeasible_below_enclosing_radius(self, scale):
+        target = obtuse_triangle(150.0, scale)
+        with pytest.raises(Infeasible):
+            sample_spread_oracle(SpreadProblem(target=target, radius=0.3 * scale), 2000)
+        with pytest.raises(Infeasible):
+            falsify_coloring(target, 0.3 * scale, 0.1 * scale, 2000)
 
 
 class TestLazyImport:
