@@ -5,7 +5,10 @@ colour(x) = floor(|x| / c), so a ball of radius r needs k = floor(r/c) + 1
 colours and any two points whose norms differ by at least c get different
 colours.  The falsifier samples random congruent copies of a target inside
 the ball (same sampler as the spread oracle) and counts monochromatic ones;
-the finder does exact backtracking on small coloured sets.
+the finder does exact backtracking on small coloured sets.  The colouring
+depends on norms only, so the sampler draws translates of one fixed copy:
+rotating it by a Haar rotation first would leave the distribution of every
+copy's shell indices unchanged (see the spread module).
 """
 
 from __future__ import annotations
@@ -15,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded, DomainError, Infeasible
-from .geometry import Configuration, affine_dimension, diameter, distance_matrix
-from .spread import SpreadProblem, _feasible_batches, _prepare, embedding_feasible
+from .errors import BudgetExceeded, DomainError
+from .geometry import Configuration, diameter, distance_matrix
+from .spread import SpreadProblem, _feasible_batches, _prepare
 
 FINDER_BUDGET = 20
 
@@ -119,26 +122,22 @@ def falsify_coloring(target: Configuration, r: float, c: float,
     reproducible from the seed.  n_samples = 0 yields a vacuous report.
     """
     k = num_colors(r, c)
-    problem = SpreadProblem(target=target, radius=r)
-    if not embedding_feasible(problem):
-        raise Infeasible(f"no congruent copy of the target fits in radius {r}")
+    centered = _prepare(SpreadProblem(target=target, radius=r))
     if n_samples <= 0:
         return FalsifyReport(radius=r, shell_width=c, num_colors=k,
                              n_samples=0, seed=seed, monochromatic_count=0,
                              min_spread=None, min_color_span=None, vacuous=True)
-    emb, _, centered = _prepare(problem)
-    special = affine_dimension(emb) < problem.ambient_dim
     mono = 0
     min_spread = math.inf
-    min_span = None
-    for norms, _, _ in _feasible_batches(centered, r, n_samples, seed, special):
-        shells = np.floor(norms / c).astype(int)
-        spans = shells.max(axis=1) - shells.min(axis=1)
-        mono += int(np.sum(spans == 0))
-        spreads = norms.max(axis=1) - norms.min(axis=1)
-        min_spread = min(min_spread, float(spreads.min()))
-        chunk_span = int(spans.min())
-        min_span = chunk_span if min_span is None else min(min_span, chunk_span)
+    min_span = math.inf
+    for norms in _feasible_batches(centered, r, n_samples, seed):
+        top, bottom = norms.max(axis=0), norms.min(axis=0)
+        # floor(|x| / c) is monotone in |x|, so a copy's extreme shells are
+        # those of its extreme norms
+        spans = np.floor(top / c) - np.floor(bottom / c)
+        mono += int(np.count_nonzero(spans == 0.0))
+        min_spread = min(min_spread, float((top - bottom).min()))
+        min_span = min(min_span, int(spans.min()))
     return FalsifyReport(radius=r, shell_width=c, num_colors=k,
                          n_samples=n_samples, seed=seed,
                          monochromatic_count=mono, min_spread=min_spread,

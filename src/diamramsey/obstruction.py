@@ -38,8 +38,9 @@ class Verdict:
     """Obstruction outcome with its diagnostic quantities.
 
     status is NotDiameterRamsey only when margin = circumradius -
-    diameter/sqrt(2) clears the tolerance; everything else is Unknown
-    because the obstruction is one-directional.
+    diameter/sqrt(2) clears the tolerance times the diameter, so the verdict
+    does not depend on units; everything else is Unknown because the
+    obstruction is one-directional.
     """
 
     status: Status
@@ -61,6 +62,9 @@ class Verdict:
 def obstruction_verdict(config: Configuration, tol: float = DEFAULT_TOL) -> Verdict:
     """Apply the circumradius test to a spherical configuration.
 
+    NotDiameterRamsey needs margin > tol * diameter; tol is relative, as in
+    circumsphere's equidistance check.
+
     Raises NotSpherical for sets lying on no sphere; those are not even
     Ramsey-eligible and the caller should report that case distinctly.
     """
@@ -68,7 +72,7 @@ def obstruction_verdict(config: Configuration, tol: float = DEFAULT_TOL) -> Verd
     circ = _circumsphere(config, tol, diam).radius
     threshold = diam / SQRT2
     margin = circ - threshold
-    status = Status.NOT_DIAMETER_RAMSEY if margin > tol else Status.UNKNOWN
+    status = Status.NOT_DIAMETER_RAMSEY if margin > tol * diam else Status.UNKNOWN
     return Verdict(status=status, circumradius=circ, diameter=diam,
                    threshold=threshold, margin=margin)
 

@@ -2,20 +2,21 @@
 
 The minimum enclosing ball uses the move-to-front variant of Welzl's
 algorithm with a seeded shuffle; on degenerate inputs that defeat the
-recursion, it falls back to enumerating candidate support subsets.  The
-circumsphere is solved inside the affine hull of the points, which is what
-makes "smallest containing sphere" well defined for lower-dimensional sets
-(an off-hull center can only enlarge the radius).
+recursion, it falls back to enumerating candidate support subsets, up to a
+fixed budget.  The circumsphere is solved inside the affine hull of the
+points, which is what makes "smallest containing sphere" well defined for
+lower-dimensional sets (an off-hull center can only enlarge the radius).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Degenerate, DomainError, NotSimplex, NotSpherical
+from .errors import Degenerate, DomainError, NonConvergence, NotSimplex, NotSpherical
 from .geometry import DEFAULT_TOL, Configuration, affine_dimension, diameter, _freeze
 
 # Containment slack inside Welzl's recursion, relative to the set's extent
@@ -23,6 +24,10 @@ from .geometry import DEFAULT_TOL, Configuration, affine_dimension, diameter, _f
 # is the farthest point's distance from the returned center, so the output
 # holds every point with no slack.
 _WELZL_SLACK = 1e-12
+# Most support subsets the enumeration fallback may try (each costs a small
+# solve and an O(n) containment check), so a large set that defeats Welzl's
+# recursion raises instead of running for hours.
+_ENUMERATION_BUDGET = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,10 +132,20 @@ def _welzl_mtf(pts: np.ndarray, order: np.ndarray, support: tuple[int, ...],
 
 
 def _enumerate_meb(pts: np.ndarray, dim: int, slack: float):
-    """Exhaustive candidate-support search; rescue path for degenerate inputs."""
+    """Exhaustive candidate-support search; rescue path for degenerate inputs.
+
+    Raises NonConvergence instead of trying more than _ENUMERATION_BUDGET
+    support subsets.
+    """
     n = len(pts)
+    sizes = range(1, min(dim + 1, n) + 1)
+    if sum(math.comb(n, size) for size in sizes) > _ENUMERATION_BUDGET:
+        raise NonConvergence(
+            f"Welzl's recursion failed on {n} points in R^{dim}, and "
+            f"enumerating their supports would try over "
+            f"{_ENUMERATION_BUDGET} subsets")
     best = None
-    for size in range(1, min(dim + 1, n) + 1):
+    for size in sizes:
         for subset in itertools.combinations(range(n), size):
             center, radius = _support_ball(pts, subset)
             if np.all(np.sqrt(_sq_dists(pts, center)) <= radius + slack):
@@ -148,7 +163,9 @@ def min_enclosing_ball(config: Configuration, seed: int = 0) -> Ball:
     ball is determined by a support set of at most dim+1 boundary points,
     found with a containment slack of _WELZL_SLACK times the set's extent.
     The radius is the farthest point's distance from the center, so every
-    point lies inside with no slack.
+    point lies inside with no slack.  If three passes fail, candidate
+    supports are enumerated; a set with too many of them raises
+    NonConvergence.
     """
     pts = config.points
     n = len(config)

@@ -14,12 +14,15 @@ c(A, r) > 0.  Two independent ways to get at it:
   convex program in m + 2 variables (y and two levels), solved with SLSQP.
   c_lower comes from its Lagrangian dual (see _dual_bound).
 * sample_spread_oracle: the minimum spread over a reproducible stream of
-  random feasible copies, an upper bound.  Copies are sampled by drawing a
-  Haar rotation and a candidate position for the copy's enclosing-ball
-  center uniformly in B(0, r), then shrinking that position radially
-  (closed form) until the copy fits.  The shrink gives the sampler full
-  support over feasible copies and concentrates mass on the feasibility
-  boundary, where minima live.
+  random feasible copies, an upper bound.  A copy is the target centered at
+  its enclosing-ball center, b_i, translated by g*t: t is drawn uniformly in
+  B(0, r) and shrunk radially (closed form g in [0, 1]) until the copy
+  fits.  The shrink gives the sampler full support over the copies' norm
+  profiles and concentrates mass on the feasibility boundary, where minima
+  live.  Translates suffice: a copy R b_i + g*t under a Haar rotation R
+  independent of t has norms |b_i + g*R^T t|, its g depends on t only
+  through R^T t, and R^T t is again uniform in B(0, r); so norms, spreads
+  and shell indices have the same distribution with R left out.
 """
 
 from __future__ import annotations
@@ -161,101 +164,76 @@ def embedding_feasible(problem: SpreadProblem) -> bool:
 
     The radius may exceed r by the relative slack FEASIBILITY_SLACK.
     """
-    return min_enclosing_ball(problem.target).radius \
-        <= problem.radius * (1.0 + FEASIBILITY_SLACK)
+    return _fits(min_enclosing_ball(problem.target).radius, problem.radius)
+
+
+def _fits(ball_radius: float, radius: float) -> bool:
+    return ball_radius <= radius * (1.0 + FEASIBILITY_SLACK)
 
 
 # ---------------------------------------------------------------------------
 # Feasible-copy sampling
 # ---------------------------------------------------------------------------
 
-def _haar_rotations(rng: np.random.Generator, count: int, dim: int,
-                    special: bool) -> np.ndarray:
-    """Batch of Haar rotations on O(dim), or SO(dim) when special=True."""
-    gauss = rng.standard_normal((count, dim, dim))
-    q = np.empty_like(gauss)
-    for j in range(dim):
-        v = gauss[:, :, j].copy()
-        for i in range(j):
-            proj = np.einsum("nd,nd->n", v, q[:, :, i])
-            v -= proj[:, None] * q[:, :, i]
-        norms = np.linalg.norm(v, axis=1)
-        norms = np.where(norms < 1e-300, 1.0, norms)
-        q[:, :, j] = v / norms[:, None]
-    if special:
-        det = np.linalg.det(q)
-        q[det < 0, :, -1] *= -1.0
-    return q
-
-
 def _shrink_factors(offsets: np.ndarray, dots: np.ndarray,
                     gaps: np.ndarray) -> np.ndarray:
-    """Largest g in [0, 1] with |g*t + b_i| <= r for every point i.
+    """Largest g in [0, 1] with |b_i + g*t| <= r for every point i.
 
-    offsets: |t|^2 per sample; dots: <t, b_i> per sample and point; gaps:
-    |b_i|^2 - r^2 <= 0 per point.  Solves each per-point quadratic exactly.
+    offsets: |t|^2 per copy, shape (n,); dots: <t, b_i>, shape (k, n), one
+    row per point; gaps: |b_i|^2 - r^2 <= 0 per point, shape (k,).  Each
+    per-point quadratic is solved exactly; its root times |t|^2 is reduced
+    across the k rows first, and dividing by |t|^2 > 0 afterwards gives the
+    same bits as dividing each row.  With gaps <= 0 the discriminant is a
+    sum of nonnegative terms.
     """
-    gaps = np.minimum(gaps, 0.0)
-    disc = np.sqrt(np.maximum(dots * dots - offsets[:, None] * gaps[None, :], 0.0))
-    safe = np.where(offsets > 0.0, offsets, 1.0)[:, None]
-    roots = (-dots + disc) / safe
-    factors = np.min(roots, axis=1)
-    factors = np.where(offsets > 0.0, factors, 1.0)
+    disc = dots * dots
+    disc -= offsets * gaps[:, None]
+    np.sqrt(disc, out=disc)
+    roots = (disc - dots).min(axis=0)
+    factors = np.divide(roots, offsets, out=np.ones_like(offsets),
+                        where=offsets > 0.0)
     return np.minimum(factors, 1.0)
 
 
 def _feasible_batches(centered: np.ndarray, radius: float, n_samples: int,
-                      seed: int, special: bool):
-    """Yield (norms, rotations, translations) chunks of random feasible copies.
+                      seed: int):
+    """Yield the point norms of random feasible copies, (k, count) per chunk.
 
-    Chunks are seeded independently via spawn keys, so the stream is
+    Copy j is centered + g_j*t_j, with t_j uniform in B(0, radius) and g_j
+    its shrink factor; row i holds point i's norm in every copy of the
+    chunk.  Chunks are seeded independently via spawn keys, so the stream is
     deterministic and may be partitioned across workers by chunk index.
     """
     dim = centered.shape[1]
-    gaps = np.einsum("kd,kd->k", centered, centered) - radius * radius
+    gaps = np.minimum(np.einsum("kd,kd->k", centered, centered)
+                      - radius * radius, 0.0)
     n_chunks = (n_samples + _CHUNK - 1) // _CHUNK
     for chunk in range(n_chunks):
         count = min(_CHUNK, n_samples - chunk * _CHUNK)
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk,)))
-        rots = _haar_rotations(rng, count, dim, special)
-        directions = rng.standard_normal((count, dim))
-        directions /= np.maximum(np.linalg.norm(directions, axis=1), 1e-300)[:, None]
+        t = rng.standard_normal((dim, count))
         radii = radius * rng.random(count) ** (1.0 / dim)
-        t_raw = directions * radii[:, None]
-        images = np.einsum("nij,kj->nki", rots, centered)
-        dots = np.einsum("nd,nkd->nk", t_raw, images)
-        offsets = np.einsum("nd,nd->n", t_raw, t_raw)
-        factors = _shrink_factors(offsets, dots, gaps)
-        translations = t_raw * factors[:, None]
-        images += translations[:, None, :]
-        norms = np.linalg.norm(images, axis=2)
-        yield norms, rots, translations
+        t *= radii / np.maximum(np.sqrt(np.einsum("dn,dn->n", t, t)), 1e-300)
+        t *= _shrink_factors(np.einsum("dn,dn->n", t, t), centered @ t, gaps)
+        norms = np.empty((len(centered), count))
+        for i, point in enumerate(centered):
+            copy = t + point[:, None]
+            norms[i] = np.einsum("dn,dn->n", copy, copy)
+        yield np.sqrt(norms, out=norms)
 
 
-def _prepare(problem: SpreadProblem):
-    """Embed the target, center it at its enclosing-ball center."""
+def _prepare(problem: SpreadProblem) -> np.ndarray:
+    """The embedded target, centered at its enclosing-ball center.
+
+    Raises Infeasible, before any sampling, when the enclosing radius exceeds
+    r * (1 + FEASIBILITY_SLACK).
+    """
     emb = embed_target(problem.target, problem.ambient_dim)
     ball = min_enclosing_ball(emb)
-    centered = emb.points - ball.center
-    return emb, ball, centered
-
-
-def _oracle_search(problem: SpreadProblem, n_samples: int, seed: int):
-    if n_samples <= 0:
-        raise EmptySample("oracle needs a positive sample count")
-    if not embedding_feasible(problem):
+    if not _fits(ball.radius, problem.radius):
         raise Infeasible(
             f"enclosing-ball radius exceeds {problem.radius}; no copy fits")
-    emb, ball, centered = _prepare(problem)
-    special = affine_dimension(emb) < problem.ambient_dim
-    best = (math.inf, None, None)
-    for norms, rots, translations in _feasible_batches(
-            centered, problem.radius, n_samples, seed, special):
-        spreads = norms.max(axis=1) - norms.min(axis=1)
-        idx = int(np.argmin(spreads))
-        if spreads[idx] < best[0]:
-            best = (float(spreads[idx]), rots[idx].copy(), translations[idx].copy())
-    return best, ball
+    return emb.points - ball.center
 
 
 def sample_spread_oracle(problem: SpreadProblem, n_samples: int,
@@ -265,8 +243,13 @@ def sample_spread_oracle(problem: SpreadProblem, n_samples: int,
     Always an upper bound on the true minimum; approaches 0 as the sample
     count grows whenever radius >= circumradius(target).
     """
-    (value, _, _), _ = _oracle_search(problem, n_samples, seed)
-    return value
+    if n_samples <= 0:
+        raise EmptySample("oracle needs a positive sample count")
+    best = math.inf
+    for norms in _feasible_batches(_prepare(problem), problem.radius,
+                                   n_samples, seed):
+        best = min(best, float((norms.max(axis=0) - norms.min(axis=0)).min()))
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +412,7 @@ def estimate_c(problem: SpreadProblem, restarts: int = 64, seed: int = 0,
 
     oracle_value = None
     if oracle_samples > 0:
-        (oracle_value, _, _), _ = _oracle_search(problem, oracle_samples, seed)
+        oracle_value = sample_spread_oracle(problem, oracle_samples, seed)
         if oracle_value < c_lower - ROUNDING_SLACK * problem.radius:
             raise NonConvergence(
                 f"sampled spread {oracle_value!r} is below the certified "

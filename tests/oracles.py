@@ -137,6 +137,51 @@ def planar_spread_min(points2d, radius, n_grid=481, refine=6):
     return best
 
 
+def rotated_copy_spreads(points, radius, ambient_dim, n, seed):
+    """Spreads of n random feasible copies, each rotated before it is placed.
+
+    The reference for the library's translate-only sampler.  The target is
+    centred at its brute-force enclosing-ball centre and padded to
+    ambient_dim; each copy applies a Haar rotation (sign-fixed QR of a
+    Gaussian matrix), draws a centre uniformly in B(0, radius), and shrinks
+    that centre toward the origin by bisection until the copy fits.
+    """
+    pts = np.asarray(points, dtype=float)
+    body = np.zeros((len(pts), ambient_dim))
+    body[:, :pts.shape[1]] = pts - brute_force_meb(pts)[1]
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.standard_normal((n, ambient_dim, ambient_dim)))
+    q *= np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+    images = np.einsum("nij,kj->nki", q, body)
+    direction = rng.standard_normal((n, ambient_dim))
+    direction /= np.linalg.norm(direction, axis=1)[:, None]
+    centres = direction * (radius * rng.random(n) ** (1.0 / ambient_dim))[:, None]
+
+    def fits(g):
+        placed = images + (g[:, None] * centres)[:, None, :]
+        return np.linalg.norm(placed, axis=2).max(axis=1) <= radius
+
+    lo, hi = np.zeros(n), np.ones(n)
+    inside = fits(hi)
+    lo[inside] = 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        ok = fits(mid) & ~inside
+        lo = np.where(ok, mid, lo)
+        hi = np.where(ok | inside, hi, mid)
+    norms = np.linalg.norm(images + (lo[:, None] * centres)[:, None, :], axis=2)
+    return norms.max(axis=1) - norms.min(axis=1)
+
+
+def ks_statistic(a, b) -> float:
+    """Two-sample Kolmogorov-Smirnov statistic: the largest gap between ECDFs."""
+    a, b = np.sort(a), np.sort(b)
+    grid = np.concatenate([a, b])
+    gap = np.searchsorted(a, grid, side="right") / len(a) \
+        - np.searchsorted(b, grid, side="right") / len(b)
+    return float(np.abs(gap).max())
+
+
 def random_configuration(rng: np.random.Generator, max_points=8, max_dim=4,
                          scale=2.0) -> Configuration:
     n = int(rng.integers(1, max_points + 1))

@@ -65,6 +65,16 @@ class TestObstructionVerdict:
             assert obstruction_verdict(scaled).status \
                 == obstruction_verdict(config).status
 
+    @pytest.mark.parametrize("scale", [1e-12, 1e-9, 1e-6, 1.0, 1e6])
+    def test_verdict_independent_of_units(self, scale):
+        # the margin scales with the set, so the tolerance must too
+        verdict = obstruction_verdict(obtuse_triangle(150.0, scale))
+        assert verdict.status is Status.NOT_DIAMETER_RAMSEY
+        assert verdict.margin == pytest.approx(
+            scale * (1.0 - 1.0 / math.sqrt(2)), rel=1e-9)
+        equilateral = Configuration(dim=2, points=scale * regular_simplex(2).points)
+        assert obstruction_verdict(equilateral).status is Status.UNKNOWN
+
 
 class TestTriangleCircumradius:
     def test_right_angle_thales(self):

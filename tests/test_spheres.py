@@ -1,14 +1,17 @@
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import diamramsey.spheres
 from diamramsey import (
     Configuration,
     Degenerate,
     DomainError,
+    NonConvergence,
     NotSimplex,
     NotSpherical,
     affine_dimension,
@@ -99,6 +102,26 @@ class TestMinEnclosingBall:
         ball = min_enclosing_ball(Configuration.from_points(pts), seed=seed)
         oracle_radius, _ = brute_force_meb(pts)
         assert ball.radius == pytest.approx(oracle_radius, abs=1e-9)
+
+    def test_enumeration_fallback_rescues_tiny_sets(self, monkeypatch):
+        # Welzl returning a too-small ball three times sends the call to the
+        # support enumeration, which must still find the true ball
+        monkeypatch.setattr(diamramsey.spheres, "_welzl_mtf",
+                            lambda pts, *args: (pts[0], 0.0))
+        rng = np.random.default_rng(5)
+        for n, dim in ((1, 2), (4, 2), (9, 3)):
+            pts = rng.normal(size=(n, dim))
+            ball = min_enclosing_ball(Configuration.from_points(pts))
+            assert ball.radius == pytest.approx(brute_force_meb(pts)[0], rel=1e-9)
+
+    def test_enumeration_fallback_bounded(self, monkeypatch):
+        monkeypatch.setattr(diamramsey.spheres, "_welzl_mtf",
+                            lambda pts, *args: (pts[0], 0.0))
+        pts = np.random.default_rng(0).normal(size=(3000, 3))
+        start = time.perf_counter()
+        with pytest.raises(NonConvergence):
+            min_enclosing_ball(Configuration.from_points(pts))
+        assert time.perf_counter() - start < 1.0
 
 
 class TestCircumsphere:

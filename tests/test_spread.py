@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,9 @@ from diamramsey import (
     almost_regular_simplex,
     min_enclosing_ball,
 )
-from oracles import configurations, planar_spread_min
+from diamramsey.spread import _CHUNK, _feasible_batches, _prepare
+from oracles import (configurations, ks_statistic, planar_spread_min,
+                     rotated_copy_spreads)
 
 OBTUSE_150 = obtuse_triangle(150.0, 1.0)
 EQUILATERAL = regular_simplex(2)
@@ -214,8 +217,8 @@ class TestCertifiedBracket:
     def test_oracle_below_lower_bound_raises(self, monkeypatch):
         import importlib
         sp = importlib.import_module("diamramsey.spread")
-        monkeypatch.setattr(sp, "_oracle_search",
-                            lambda problem, n, seed: ((0.0, None, None), None))
+        monkeypatch.setattr(sp, "sample_spread_oracle",
+                            lambda problem, n, seed: 0.0)
         with pytest.raises(NonConvergence):
             estimate_c(SpreadProblem(target=OBTUSE_150, radius=0.95),
                        oracle_samples=10)
@@ -308,6 +311,50 @@ class TestSampleSpreadOracle:
         problem = SpreadProblem(target=OBTUSE_150, radius=0.9)
         assert sample_spread_oracle(problem, 30000, seed=4) \
             == sample_spread_oracle(problem, 30000, seed=4)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_more_chunks_never_raise_the_minimum(self, seed):
+        # chunk 0 is the same stream whatever the sample count
+        problem = SpreadProblem(target=almost_regular_simplex(3, 0.01),
+                                radius=0.6457)
+        assert sample_spread_oracle(problem, 2 * _CHUNK, seed=seed) \
+            <= sample_spread_oracle(problem, _CHUNK, seed=seed)
+
+    @pytest.mark.parametrize("target, radius", [
+        (OBTUSE_150, 0.5), (OBTUSE_150, 0.95), (EQUILATERAL, 0.7),
+        (almost_regular_simplex(3, 0.01), 0.6457),
+        (almost_regular_simplex(4, 0.01), 0.707)])
+    def test_every_copy_inside_the_ball(self, target, radius):
+        problem = SpreadProblem(target=target, radius=radius)
+        for norms in _feasible_batches(_prepare(problem), radius, 20000, 3):
+            assert norms.shape == (len(target), 20000)
+            assert norms.max() <= radius * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("target, radius", [
+        (OBTUSE_150, 0.95), (almost_regular_simplex(4, 0.01), 0.707)])
+    def test_translates_match_rotated_copies(self, target, radius):
+        # A Haar rotation before the translation cannot change the spread
+        # distribution; dropping the 1/dim power on the radii moves this
+        # statistic to 0.11 and 0.06 on these two cases.
+        problem = SpreadProblem(target=target, radius=radius)
+        spreads = np.concatenate([
+            norms.max(axis=0) - norms.min(axis=0)
+            for norms in _feasible_batches(_prepare(problem), radius, 20000, 0)])
+        reference = rotated_copy_spreads(target.points, radius,
+                                         problem.ambient_dim, 20000, seed=0)
+        assert ks_statistic(spreads, reference) <= 0.03
+
+    def test_peak_allocation(self):
+        problem = SpreadProblem(target=almost_regular_simplex(4, 0.01),
+                                radius=0.707)
+        sample_spread_oracle(problem, 100)
+        tracemalloc.start()
+        try:
+            sample_spread_oracle(problem, 2 * _CHUNK)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48 * 2 ** 20
 
 
 class TestMonotonicity:
