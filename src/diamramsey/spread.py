@@ -11,8 +11,10 @@ c(A, r) > 0.  Two independent ways to get at it:
   falls as h grows, so the optimum takes h^2 = r^2 - max_i |a_i - y|^2, and
   c = r - sqrt(r^2 - t*), where t* is the least max_i f_i(y) - min_j f_j(y),
   f_i(y) = |a_i|^2 - 2<a_i, y>, over the y with every |a_i - y| <= r: a
-  convex program in m + 2 variables (y and two levels), solved with SLSQP.
-  c_lower comes from its Lagrangian dual (see _dual_bound).
+  convex program in m + 2 variables (y and two levels).  Its n ball
+  constraints collapse into one paraboloid, and a numpy primal-dual
+  interior-point method solves it (see _solve_levels).  c_lower comes from
+  the Lagrangian dual at the solver's own multipliers (see _dual_bound).
 * sample_spread_oracle: the minimum spread over a reproducible stream of
   random feasible copies, an upper bound.  A copy is the target centered at
   its enclosing-ball center, b_i, translated by g*t: t is drawn uniformly in
@@ -45,9 +47,21 @@ FEASIBILITY_SLACK = 1e-9
 # ROUNDING_SLACK past the enclosing radius; a sampled spread may undercut
 # c_lower by ROUNDING_SLACK * r before it counts as a contradiction.
 ROUNDING_SLACK = 1e-12
-# Slack, in squared units of the unit-diameter target, within which a
-# constraint counts as active when the dual multipliers are fitted.
-_ACTIVE_TOL = 1e-9
+# Interior-point settings, in units of the unit-diameter target: iterations
+# stop once the mean complementarity is below _IPM_GAP and the dual residual
+# below _IPM_RESIDUAL times the largest multiplier, or after _IPM_PATIENCE
+# iterations that do not improve on the best once it is within
+# _IPM_STALL_MERIT of those targets.  _IPM_STEP is the fraction of the step
+# to the boundary taken.  The KKT finish takes _IPM_FINISH_STEPS Newton
+# steps and accepts constraint values up to _IPM_FINISH_SLACK.
+_IPM_MAX_ITERATIONS = 60
+_IPM_GAP = 1e-17
+_IPM_RESIDUAL = 1e-13
+_IPM_STALL_MERIT = 1e6
+_IPM_PATIENCE = 3
+_IPM_STEP = 0.99
+_IPM_FINISH_STEPS = 6
+_IPM_FINISH_SLACK = 1e-16
 _CHUNK = 1 << 16
 
 
@@ -256,71 +270,197 @@ def sample_spread_oracle(problem: SpreadProblem, n_samples: int,
 # The convex reduction and its certified dual bound
 # ---------------------------------------------------------------------------
 
-def _solve_levels(a: np.ndarray, radius: float, y0: np.ndarray) -> np.ndarray:
-    """One SLSQP pass on the reduced program in (y, u, l), started at y0."""
-    from scipy.optimize import minimize
+def _solve_levels(a: np.ndarray, radius: float, y0: np.ndarray):
+    """The reduced program's optimal y and its multipliers (lam, mu, nu).
 
-    n, m = a.shape
-    sq = np.einsum("ij,ij->i", a, a)
-    r2 = radius * radius
-    ones, zeros = np.ones((n, 1)), np.zeros((n, 1))
-
-    def levels(y):
-        return sq - 2.0 * a @ y
-
-    constraints = [
-        {"type": "ineq", "fun": lambda z: z[m] - levels(z[:m]),
-         "jac": lambda z: np.hstack([2.0 * a, ones, zeros])},
-        {"type": "ineq", "fun": lambda z: levels(z[:m]) - z[m + 1],
-         "jac": lambda z: np.hstack([-2.0 * a, zeros, -ones])},
-        {"type": "ineq",
-         "fun": lambda z: r2 - np.einsum("ij,ij->i", a - z[:m], a - z[:m]),
-         "jac": lambda z: np.hstack([2.0 * (a - z[:m]), zeros, zeros])},
-    ]
-    start = levels(y0)
-    result = minimize(lambda z: z[m] - z[m + 1],
-                      np.concatenate([y0, [start.max(), start.min()]]),
-                      jac=lambda z: np.concatenate([np.zeros(m), [1.0, -1.0]]),
-                      method="SLSQP", constraints=constraints,
-                      options={"ftol": 1e-16, "maxiter": 1000})
-    return result.x[:m]
-
-
-def _dual_bound(a: np.ndarray, radius: float, y: np.ndarray) -> float:
-    """Lower bound on t* from multipliers fitted on the constraints active at y.
-
-    For lam, mu >= 0 each summing to 1 and nu >= 0, every feasible z has
-    t(z) >= sum lam_i f_i(z) - sum mu_j f_j(z) + sum nu_k (|a_k - z|^2 - r^2),
-    so the least value of that Lagrangian over any set holding the feasible
-    z bounds t*.  The multipliers are fitted by NNLS; a residual only
-    loosens the bound.
+    a holds the target's coordinates in its affine hull, centered at its
+    enclosing-ball center, and radius exceeds their largest norm.  The n ball
+    constraints |a_k - y|^2 <= r^2 collapse into one: |a_k - y|^2 = f_k(y) +
+    |y|^2 and u >= max f_k, so they are exactly u + |y|^2 <= r^2.  That
+    leaves min u - l over 2n linear constraints, l <= f_k(y) <= u, and one
+    paraboloid, in m + 2 variables, solved by a primal-dual interior-point
+    method (_interior_point).  Its steps use separate primal and dual
+    lengths; near the enclosing radius R, where the multipliers grow without
+    bound as r falls to R, a solve that does not converge is repeated with
+    one common length, which is steadier there.  lam and mu weight the upper
+    and lower level constraints, nu the paraboloid.
     """
-    from scipy.optimize import nnls
+    solve = _interior_point(a, radius, y0, common_step=False)
+    if not solve[-1]:
+        retry = _interior_point(a, radius, y0, common_step=True)
+        if retry[-1]:
+            solve = retry
+    return solve[:-1]
 
+
+def _interior_point(a: np.ndarray, radius: float, y0: np.ndarray,
+                    common_step: bool):
+    """Mehrotra predictor-corrector on the collapsed program, then a KKT finish.
+
+    Levels are measured from R^2 = max |a_k|^2, so the paraboloid reads
+    v + |y|^2 <= delta = r^2 - R^2 with v = u - R^2, and its slack keeps
+    full relative precision when r is within rounding of R.  The start is
+    y0/2, strictly inside, with slacks from the levels there and multipliers
+    that are dual feasible at y = 0 (lam = 1/n + nu p, mu = 1/n, where p
+    are convex weights, fitted by least squares, of the points within delta
+    of the farthest, whose weighted mean is the center), scaled to a common
+    complementarity.  The paraboloid's slack is updated exactly,
+    quadratic term included.  When the iterations stall short of
+    _IPM_GAP and _IPM_RESIDUAL, the KKT equations of the constraints whose
+    multiplier exceeds their slack at the best iterate are solved by Newton's
+    method; that point replaces the iterate if it is feasible with
+    nonnegative multipliers.  Returns y, lam, mu, nu and whether either
+    stage converged.
+    """
     n, m = a.shape
     sq = np.einsum("ij,ij->i", a, a)
-    r2 = radius * radius
-    levels = sq - 2.0 * a @ y
-    dist2 = np.einsum("ij,ij->i", a - y, a - y)
-    top = levels >= levels.max() - _ACTIVE_TOL
-    bottom = levels <= levels.min() + _ACTIVE_TOL
-    ball = dist2 >= r2 - _ACTIVE_TOL
-    # One column per active constraint: its gradient in y (stationarity asks
-    # these rows to sum to zero), then its share of sum(lam) = 1 and of
-    # sum(mu) = 1.
-    k, j = top.sum(), top.sum() + bottom.sum()
-    columns = np.hstack([
-        np.vstack([-2.0 * a[top].T, np.ones(k), np.zeros(k)]),
-        np.vstack([2.0 * a[bottom].T, np.zeros(j - k), np.ones(j - k)]),
-        np.vstack([2.0 * (y - a[ball]).T, np.zeros((2, ball.sum()))]),
-    ])
-    x, _ = nnls(columns, np.concatenate([np.zeros(m), [1.0, 1.0]]))
-    lam, mu, nu = np.zeros(n), np.zeros(n), np.zeros(n)
-    lam[top], mu[bottom], nu[ball] = x[:k], x[k:j], x[j:]
+    reach2 = float(sq.max())
+    reach = math.sqrt(reach2)
+    excess = sq - reach2
+    delta = (radius - reach) * (radius + reach)
+    size = 2 * n + 1
+    jac = np.zeros((size, m + 2))
+    jac[:n, :m], jac[:n, m] = -2.0 * a, -1.0
+    jac[n:2 * n, :m], jac[n:2 * n, m + 1] = 2.0 * a, 1.0
+    jac[2 * n, m] = 1.0
+    rhs = np.concatenate([-excess, excess])
+    cost = np.zeros(m + 2)
+    cost[m], cost[m + 1] = 1.0, -1.0
+    diag = np.arange(m)
+
+    def values(x):
+        y = x[:m]
+        return np.concatenate([jac[:2 * n] @ x - rhs, [x[m] + y @ y - delta]])
+
+    y = 0.5 * y0
+    levels = excess - 2.0 * a @ y
+    room = 0.5 * (delta - levels.max() - y @ y)
+    x = np.concatenate([y, [levels.max() + room, levels.min() - room]])
+    s = -values(x)
+    support = excess >= -delta
+    weights = np.zeros(n)
+    weights[support] = np.linalg.lstsq(
+        np.vstack([a[support].T, np.ones(int(support.sum()))]),
+        np.concatenate([np.zeros(m), [1.0]]), rcond=None)[0]
+    weights = np.maximum(weights, 0.0)
+    weights /= weights.sum()
+    target = s[:-1].mean() / n
+    nu = target / s[-1]
+    z = np.concatenate([1.0 / n + nu * weights, np.full(n, 1.0 / n), [nu]])
+    z *= target * size / (s @ z)
+
+    best, since, converged = (math.inf, x, z, s), 0, False
+    for _ in range(_IPM_MAX_ITERATIONS):
+        jac[2 * n, :m] = 2.0 * x[:m]
+        dual = cost + jac.T @ z
+        primal = values(x) + s
+        gap = float(s @ z) / size
+        merit = max(gap / _IPM_GAP,
+                    float(np.abs(dual).max()) / (_IPM_RESIDUAL * (1.0 + z.max())))
+        if merit < best[0]:
+            best, since = (merit, x, z, s), 0
+        elif best[0] <= _IPM_STALL_MERIT:
+            since += 1
+            if since >= _IPM_PATIENCE:
+                break
+        if merit <= 1.0:
+            converged = True
+            break
+        hess = (jac.T * (z / s)) @ jac
+        hess[diag, diag] += 2.0 * z[-1]
+        try:
+            inverse = np.linalg.inv(hess)
+        except np.linalg.LinAlgError:
+            break
+
+        def direction(centring):
+            dx = inverse @ (-dual - jac.T @ ((z * primal - centring) / s))
+            ds = -primal - jac @ dx
+            return dx, ds, (-centring - z * ds) / s
+
+        def lengths(dx, ds, dz):
+            primal_len = 1.0 / max(1.0, float(-(ds[:-1] / s[:-1]).min()))
+            # the paraboloid's exact slack s + t ds - t^2 |dy|^2 stays positive
+            curve, slope = float(dx[:m] @ dx[:m]), float(ds[-1])
+            root = math.sqrt(max(slope * slope + 4.0 * curve * s[-1], 0.0)) - slope
+            if root > 0.0:
+                primal_len = min(primal_len, 2.0 * s[-1] / root)
+            dual_len = 1.0 / max(1.0, float(-(dz / z).min()))
+            if common_step:
+                primal_len = dual_len = min(primal_len, dual_len)
+            return primal_len, dual_len
+
+        dx, ds, dz = direction(s * z)
+        primal_len, dual_len = lengths(dx, ds, dz)
+        predicted = float((s + primal_len * ds) @ (z + dual_len * dz)) / size
+        dx, ds, dz = direction(s * z + ds * dz - (predicted / gap) ** 3 * gap)
+        primal_len, dual_len = (min(1.0, _IPM_STEP * t) for t in lengths(dx, ds, dz))
+        if not primal_len > 0.0:
+            break
+        paraboloid = s[-1] + primal_len * ds[-1] - primal_len ** 2 * float(dx[:m] @ dx[:m])
+        x, z, s = x + primal_len * dx, z + dual_len * dz, s + primal_len * ds
+        s[-1] = paraboloid
+
+    _, x, z, s = best
+    if not converged:
+        finish = _kkt_finish(jac, values, cost, m, x, z, z > s)
+        if finish is not None:
+            (x, z), converged = finish, True
+    return x[:m], z[:n], z[n:2 * n], float(z[-1]), converged
+
+
+def _kkt_finish(jac, values, cost, m, x, z, active):
+    """Newton's method on the KKT equations with the active rows as equalities.
+
+    Returns (x, z) when the result is feasible, up to _IPM_FINISH_SLACK, with
+    nonnegative multipliers and stationarity to _IPM_RESIDUAL relative;
+    otherwise None.
+    """
+    rows = int(active.sum())
+    za = z[active]
+    system = np.zeros((m + 2 + rows, m + 2 + rows))
+    for _ in range(_IPM_FINISH_STEPS):
+        jac[-1, :m] = 2.0 * x[:m]
+        part = jac[active]
+        residual = np.concatenate([cost + part.T @ za, values(x)[active]])
+        system[:m + 2, m + 2:], system[m + 2:, :m + 2] = part.T, part
+        if active[-1]:
+            system[np.arange(m), np.arange(m)] = 2.0 * za[-1]
+        step = np.linalg.lstsq(system, -residual, rcond=None)[0]
+        x, za = x + step[:m + 2], za + step[m + 2:]
+    jac[-1, :m] = 2.0 * x[:m]
+    stationarity = float(np.abs(cost + jac[active].T @ za).max())
+    if (za.min(initial=0.0) < 0.0 or values(x).max() > _IPM_FINISH_SLACK
+            or stationarity > _IPM_RESIDUAL * (1.0 + float(np.abs(za).max(initial=0.0)))):
+        return None
+    full = np.zeros_like(z)
+    full[active] = za
+    return x, full
+
+
+def _dual_bound(a: np.ndarray, radius: float, y: np.ndarray, lam: np.ndarray,
+                mu: np.ndarray, nu: float) -> float:
+    """Lower bound on t* from the solver's multipliers, less its own rounding.
+
+    The collapsed program's multipliers map back to one per original
+    constraint: lam' = lam / sum(lam), mu' = mu / sum(mu), nu_k = nu lam'_k.
+    For any lam', mu' >= 0 each summing to 1 and nu_k >= 0, every feasible z
+    has t(z) >= sum lam'_i f_i(z) - sum mu'_j f_j(z)
+    + sum nu_k (|a_k - z|^2 - r^2), so the least value of that Lagrangian
+    over any set holding the feasible z bounds t*, whatever the multipliers'
+    accuracy.  The value is lowered by a bound on its floating-point error,
+    (n + m + 4) eps times the sum of the terms' magnitudes, which grows with
+    nu near the enclosing radius.
+    """
+    n, m = a.shape
     if lam.sum() <= 0.0 or mu.sum() <= 0.0:
         return 0.0  # t* >= 0 always
-    lam /= lam.sum()
-    mu /= mu.sum()
+    lam = lam / lam.sum()
+    mu = mu / mu.sum()
+    nu = nu * lam
+    sq = np.einsum("ij,ij->i", a, a)
+    r2 = radius * radius
+    dist2 = np.einsum("ij,ij->i", a - y, a - y)
     # The Lagrangian is alpha |z|^2 - 2 <w, z> + const.  Over the ball of
     # radius r around the point farthest from y, which holds every feasible
     # z, it is least at the point of the ball nearest w / alpha, or, when no
@@ -333,9 +473,11 @@ def _dual_bound(a: np.ndarray, radius: float, y: np.ndarray) -> float:
         z = anchor + offset * (radius / max(float(np.linalg.norm(offset)), radius))
     else:
         z = anchor + w * (radius / max(float(np.linalg.norm(w)), np.finfo(float).tiny))
-    at_z = sq - 2.0 * a @ z
-    return float((lam - mu) @ at_z
-                 + nu @ (np.einsum("ij,ij->i", a - z, a - z) - r2))
+    cross = 2.0 * a @ z
+    ball = np.einsum("ij,ij->i", a - z, a - z)
+    magnitude = np.abs(lam - mu) @ (sq + np.abs(cross)) + nu @ (ball + r2)
+    value = (lam - mu) @ (sq - cross) + nu @ (ball - r2)
+    return float(value - (n + m + 4) * np.finfo(float).eps * magnitude)
 
 
 def estimate_c(problem: SpreadProblem, restarts: int = 64, seed: int = 0,
@@ -346,8 +488,9 @@ def estimate_c(problem: SpreadProblem, restarts: int = 64, seed: int = 0,
     Solves the convex reduction (module docstring) on the target scaled to
     unit diameter, so every slack is relative and c(sA, sr) = s c(A, r).
     The first pass starts at the enclosing-ball center; each further pass
-    warm-starts from the last, up to `restarts` passes, until c_estimate -
-    c_lower <= tolerance * radius, or until a pass tightens neither side.
+    starts halfway between it and the last pass's point, up to `restarts`
+    passes, until c_estimate - c_lower <= tolerance * radius, or until a
+    pass tightens neither side.
     The target fits iff its farthest point from its enclosing-ball center
     is at most radius * (1 + FEASIBILITY_SLACK) away.
 
@@ -396,11 +539,12 @@ def estimate_c(problem: SpreadProblem, restarts: int = 64, seed: int = 0,
     y = np.zeros(m)
     best, c_lower = None, 0.0
     for index in range(restarts):
-        y = _solve_levels(a, radius, y)
+        y, lam, mu, nu = _solve_levels(a, radius, y)
         origin = origin_of(y)
         norms = np.linalg.norm(emb.points - origin, axis=1)
         value = float(norms.max() - norms.min())
-        t = max(_dual_bound(a, radius, y) - ROUNDING_SLACK * radius * radius, 0.0)
+        t = max(_dual_bound(a, radius, y, lam, mu, nu)
+                - ROUNDING_SLACK * radius * radius, 0.0)
         lower = scale * t / (radius + math.sqrt(max(radius * radius - t, 0.0)))
         if best is not None and value >= best[0] and lower <= c_lower:
             break  # a pass that tightens neither side ends the search

@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's code paths: the enclosing ball is
 found by enumerating candidate support subsets, monochromatic copies by
-full subset-and-permutation enumeration, and the minimal spread of a planar
-target by a complete 2-d grid search with closed-form plane height.
+full subset-and-permutation enumeration, the minimal spread of a planar
+target by a complete 2-d grid search with closed-form plane height, and the
+spread solve's reduced program by SLSQP (scipy, imported where it is used).
 """
 
 import itertools
@@ -81,6 +82,51 @@ def welzl_loop(points, seed: int, slack: float) -> tuple[np.ndarray, float]:
         return ball
 
     return mtf([int(i) for i in np.random.default_rng(seed).permutation(len(pts))], ())
+
+
+def hull_coordinates(points) -> np.ndarray:
+    """The points in an orthonormal basis of their affine hull, centred at their mean."""
+    pts = np.asarray(points, dtype=float)
+    rel = pts - pts.mean(axis=0)
+    _, svals, vt = np.linalg.svd(rel, full_matrices=False)
+    rank = int(np.sum(svals > 1e-12 * svals[0]))
+    return rel @ vt[:rank].T
+
+
+def slsqp_levels(a, radius, y0):
+    """One SLSQP pass on the spread solve's reduced program, started at y0.
+
+    min u - l over (y, u, l) with l <= f_i(y) <= u, f_i(y) = |a_i|^2 -
+    2<a_i, y>, and |a_i - y| <= r for every point: the library's solver
+    before it became a numpy interior-point method.  Returns y.
+    """
+    from scipy.optimize import minimize
+
+    a = np.asarray(a, dtype=float)
+    n, m = a.shape
+    sq = np.einsum("ij,ij->i", a, a)
+    r2 = radius * radius
+    ones, zeros = np.ones((n, 1)), np.zeros((n, 1))
+
+    def levels(y):
+        return sq - 2.0 * a @ y
+
+    constraints = [
+        {"type": "ineq", "fun": lambda z: z[m] - levels(z[:m]),
+         "jac": lambda z: np.hstack([2.0 * a, ones, zeros])},
+        {"type": "ineq", "fun": lambda z: levels(z[:m]) - z[m + 1],
+         "jac": lambda z: np.hstack([-2.0 * a, zeros, -ones])},
+        {"type": "ineq",
+         "fun": lambda z: r2 - np.einsum("ij,ij->i", a - z[:m], a - z[:m]),
+         "jac": lambda z: np.hstack([2.0 * (a - z[:m]), zeros, zeros])},
+    ]
+    start = levels(y0)
+    result = minimize(lambda z: z[m] - z[m + 1],
+                      np.concatenate([y0, [start.max(), start.min()]]),
+                      jac=lambda z: np.concatenate([np.zeros(m), [1.0, -1.0]]),
+                      method="SLSQP", constraints=constraints,
+                      options={"ftol": 1e-16, "maxiter": 1000})
+    return result.x[:m]
 
 
 def naive_monochromatic_search(host_points, colors, target_points, tol):
@@ -195,8 +241,8 @@ _coord = st.integers(min_value=-500, max_value=500).map(lambda k: k / 100.0)
 
 
 @st.composite
-def configurations(draw, min_points=1, max_points=7, max_dim=4):
-    dim = draw(st.integers(1, max_dim))
+def configurations(draw, min_points=1, max_points=7, max_dim=4, min_dim=1):
+    dim = draw(st.integers(min_dim, max_dim))
     n = draw(st.integers(min_points, max_points))
     rows = draw(st.lists(
         st.lists(_coord, min_size=dim, max_size=dim),

@@ -1,0 +1,34 @@
+import ast
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+import diamramsey
+
+PACKAGE = Path(diamramsey.__file__).resolve().parent
+PYPROJECT = PACKAGE.parents[1] / "pyproject.toml"
+
+
+def test_package_imports_no_scipy():
+    offenders = []
+    for module in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(module.read_text(), str(module))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            offenders += [f"{module.name}:{node.lineno} {name}" for name in names
+                          if name == "scipy" or name.startswith("scipy.")]
+    assert offenders == []
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib needs Python 3.11")
+def test_numpy_is_the_only_runtime_dependency():
+    import tomllib
+    project = tomllib.loads(PYPROJECT.read_text())["project"]
+    names = [re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in project["dependencies"]]
+    assert names == ["numpy"]
