@@ -4,13 +4,15 @@ Each run prints one JSON report to stdout (command, echoed inputs, outputs,
 seed, timing, version).  All randomness flows from --seed, defaulting to 0,
 never wall-clock, so reruns reproduce the numeric outputs.  Domain errors
 exit 1 with machine-readable JSON on stderr and a one-line summary on
-stdout; usage errors exit 2.
+stdout; usage errors, among them a float flag that is nan or infinite,
+exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -29,6 +31,14 @@ from .geometry import DEFAULT_TOL, affine_dimension, diameter
 from .obstruction import classify_triangle, conjecture_classification, obstruction_verdict
 from .spheres import circumcenter_in_hull, circumsphere, jung_bound, min_enclosing_ball
 from .spread import SpreadProblem, estimate_c, sample_spread_oracle
+
+
+def _finite(text: str) -> float:
+    """argparse type for float flags: nan and infinities are usage errors."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
 
 
 def _load(args):
@@ -159,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="configuration file format (default json)")
         p.add_argument("--seed", type=int, default=0,
                        help="seed for all randomness (default 0)")
-        p.add_argument("--tol", type=float, default=None,
+        p.add_argument("--tol", type=_finite, default=None,
                        help="numeric tolerance override")
         p.add_argument("--out", default=None,
                        help="also write the primary output to this path")
@@ -177,8 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
                   help="circumradius obstruction verdict"))
 
     p = add("triangle", _cmd_triangle, help="verdict for a triangle by largest angle")
-    p.add_argument("--alpha", type=float, required=True, help="largest angle, degrees")
-    p.add_argument("--side", type=float, default=1.0, help="side opposite alpha")
+    p.add_argument("--alpha", type=_finite, required=True, help="largest angle, degrees")
+    p.add_argument("--side", type=_finite, default=1.0, help="side opposite alpha")
 
     add_input(add("conjecture", _cmd_conjecture,
                   help="conjectural simplex classification (circumcenter vs hull)"))
@@ -186,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("estimate-c", _cmd_estimate_c,
             help="certified minimal spread of congruent copies in the r-ball")
     add_input(p)
-    p.add_argument("--radius", type=float, required=True)
+    p.add_argument("--radius", type=_finite, required=True)
     p.add_argument("--restarts", type=int, default=64,
                    help="cap on warm-started solve passes")
     p.add_argument("--ambient-dim", type=int, default=None)
@@ -195,19 +205,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("oracle", _cmd_oracle, help="sampling lower-effort spread scan")
     add_input(p)
-    p.add_argument("--radius", type=float, required=True)
+    p.add_argument("--radius", type=_finite, required=True)
     p.add_argument("--samples", type=int, default=100000)
     p.add_argument("--ambient-dim", type=int, default=None)
 
     p = add("color", _cmd_color, help="shell-colour the points of a configuration")
     add_input(p)
-    p.add_argument("--shell", type=float, required=True, help="shell width")
+    p.add_argument("--shell", type=_finite, required=True, help="shell width")
 
     p = add("falsify", _cmd_falsify,
             help="Monte-Carlo hunt for monochromatic congruent copies")
     add_input(p)
-    p.add_argument("--radius", type=float, required=True)
-    p.add_argument("--shell", type=float, required=True)
+    p.add_argument("--radius", type=_finite, required=True)
+    p.add_argument("--shell", type=_finite, required=True)
     p.add_argument("--samples", type=int, default=100000)
 
     p = add("find-copy", _cmd_find_copy,
@@ -218,11 +228,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("construct", _cmd_construct, help="emit a witness configuration")
     p.add_argument("shape", choices=("regular", "cor3", "obtuse"))
     p.add_argument("--dim", type=int, default=2, help="simplex dimension")
-    p.add_argument("--delta", type=float, default=0.01,
+    p.add_argument("--delta", type=_finite, default=0.01,
                    help="circumradius perturbation (cor3)")
-    p.add_argument("--alpha", type=float, default=150.0,
+    p.add_argument("--alpha", type=_finite, default=150.0,
                    help="apex angle in degrees (obtuse)")
-    p.add_argument("--side", type=float, default=1.0,
+    p.add_argument("--side", type=_finite, default=1.0,
                    help="base length (obtuse)")
 
     return parser

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded, DomainError
-from .geometry import Configuration, diameter, distance_matrix
+from .errors import BudgetExceeded, DomainError, _check_positive
+from .geometry import Configuration, _match, distance_matrix
 from .spread import SpreadProblem, _feasible_batches, _prepare
 
 FINDER_BUDGET = 20
@@ -27,16 +27,15 @@ FINDER_BUDGET = 20
 
 def shell_color(point, c: float) -> int:
     """Index of the width-c shell containing the point: floor(|x| / c)."""
-    if c <= 0:
-        raise DomainError("shell width must be positive")
+    _check_positive(c, "shell width")
     norm = float(np.linalg.norm(np.asarray(point, dtype=float)))
     return int(math.floor(norm / c))
 
 
 def num_colors(r: float, c: float) -> int:
     """Colours needed for the radius-r ball under width-c shells: floor(r/c) + 1."""
-    if r <= 0 or c <= 0:
-        raise DomainError("radius and shell width must be positive")
+    _check_positive(r, "radius")
+    _check_positive(c, "shell width")
     return int(math.floor(r / c)) + 1
 
 
@@ -74,8 +73,7 @@ class ColoredConfiguration:
 
 def color_configuration(config: Configuration, c: float) -> ColoredConfiguration:
     """Apply the shell colouring pointwise."""
-    if c <= 0:
-        raise DomainError("shell width must be positive")
+    _check_positive(c, "shell width")
     norms = np.linalg.norm(config.points, axis=1)
     colors = tuple(int(v) for v in np.floor(norms / c).astype(int))
     return ColoredConfiguration(configuration=config, colors=colors)
@@ -149,8 +147,10 @@ def find_monochromatic_copy(colored: ColoredConfiguration,
                             tol: float | None = None):
     """Indices of a single-colour subset congruent to the target, or None.
 
-    Exact backtracking over same-colour point assignments, pruning on
-    pairwise distance agreement within tol (default 1e-6 * diam(target)).
+    Exact backtracking over each colour class, matching pairwise distances
+    within the absolute tol (default 1e-6 * diam(target)).  Index i of the
+    result is the host point matched to target point i.  A zero-diameter
+    target has a zero default tol, so only coincident host points match it.
     Limited to |B| <= 20; larger sets raise BudgetExceeded.
     """
     host = colored.configuration
@@ -158,13 +158,9 @@ def find_monochromatic_copy(colored: ColoredConfiguration,
     if n_host > FINDER_BUDGET:
         raise BudgetExceeded(f"host set has {n_host} points; budget is {FINDER_BUDGET}")
     k = len(target)
-    if k > n_host:
-        return None
-    if tol is None:
-        tol = 1e-6 * diameter(target)
-        if tol <= 0:
-            tol = 1e-9
     dist_t = distance_matrix(target)
+    if tol is None:
+        tol = 1e-6 * float(dist_t.max())
     dist_h = distance_matrix(host)
 
     by_color: dict[int, list[int]] = {}
@@ -174,22 +170,7 @@ def find_monochromatic_copy(colored: ColoredConfiguration,
     for indices in by_color.values():
         if len(indices) < k:
             continue
-        chosen: list[int] = []
-
-        def backtrack(step: int) -> bool:
-            if step == k:
-                return True
-            for cand in indices:
-                if cand in chosen:
-                    continue
-                if all(abs(dist_h[cand, chosen[j]] - dist_t[step, j]) <= tol
-                       for j in range(step)):
-                    chosen.append(cand)
-                    if backtrack(step + 1):
-                        return True
-                    chosen.pop()
-            return False
-
-        if backtrack(0):
-            return tuple(chosen)
+        match = _match(dist_t, dist_h, range(k), [indices] * k, tol)
+        if match is not None:
+            return tuple(match[i] for i in range(k))
     return None

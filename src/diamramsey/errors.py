@@ -4,6 +4,8 @@ Every error the library raises deliberately derives from GeometryError so
 callers (and the CLI) can distinguish domain failures from genuine bugs.
 """
 
+import math
+
 
 class GeometryError(Exception):
     """Base class for all deliberate failures raised by this package."""
@@ -11,6 +13,16 @@ class GeometryError(Exception):
 
 class DomainError(GeometryError):
     """An argument is outside the documented domain of an operation."""
+
+
+def _check_positive(value: float, what: str) -> None:
+    """Raise DomainError unless value is finite and positive.
+
+    A bare `value <= 0` test lets nan through, since every comparison with
+    nan is false.
+    """
+    if not (math.isfinite(value) and value > 0):
+        raise DomainError(f"{what} must be finite and positive, got {value}")
 
 
 class NonOrthogonal(GeometryError):

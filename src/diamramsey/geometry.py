@@ -215,13 +215,45 @@ def _sorted_rows_compatible(row_a: np.ndarray, row_b: np.ndarray, tol: float) ->
     return bool(np.all(np.abs(np.sort(row_a) - np.sort(row_b)) <= tol))
 
 
+def _match(dist_a: np.ndarray, dist_b: np.ndarray, order, candidates,
+           tol: float) -> dict[int, int] | None:
+    """An injective map i -> j matching dist_a[i, i2] to dist_b[j, j2] within tol.
+
+    Backtracking: the points i of dist_a are placed in `order`, each on an
+    unused j from candidates[i] whose distances to the points already placed
+    agree within the absolute tol.  Returns the map, or None if none exists.
+    Worst case factorial; intended for small sets.
+    """
+    assignment: dict[int, int] = {}
+
+    def extend(k: int) -> bool:
+        if k == len(order):
+            return True
+        i = order[k]
+        for j in candidates[i]:
+            if j in assignment.values():
+                continue
+            if all(abs(dist_a[i, i2] - dist_b[j, j2]) <= tol
+                   for i2, j2 in assignment.items()):
+                assignment[i] = j
+                if extend(k + 1):
+                    return True
+                del assignment[i]
+        return False
+
+    return assignment if extend(0) else None
+
+
 def is_congruent(config_a: Configuration, config_b: Configuration,
                  tol: float = DEFAULT_TOL) -> bool:
-    """True iff some relabelling matches the two distance matrices within tol.
+    """True iff some relabelling matches the two distance matrices.
 
-    Backtracking over point assignments, processing the most distance-
-    distinctive points of `config_a` first so contradictions surface early.
-    Worst case is factorial; intended for small sets (n <= 12).
+    Distances must agree within tol times the larger of the two diameters,
+    so the answer does not depend on units and is symmetric in the two sets.
+    The sorted distance multisets and sorted rows prune first; the search
+    then places the most distance-distinctive points of `config_a` first so
+    contradictions surface early.  Worst case is factorial; intended for
+    small sets (n <= 12).
     """
     n = len(config_a)
     if n != len(config_b):
@@ -230,6 +262,7 @@ def is_congruent(config_a: Configuration, config_b: Configuration,
         return True
     dist_a = distance_matrix(config_a)
     dist_b = distance_matrix(config_b)
+    tol = tol * max(dist_a.max(), dist_b.max())
 
     flat_a = np.sort(dist_a[np.triu_indices(n, k=1)])
     flat_b = np.sort(dist_b[np.triu_indices(n, k=1)])
@@ -245,28 +278,7 @@ def is_congruent(config_a: Configuration, config_b: Configuration,
         [j for j in range(n) if _sorted_rows_compatible(dist_a[i], dist_b[j], tol)]
         for i in range(n)
     ]
-
-    assignment: dict[int, int] = {}
-
-    def backtrack(k: int) -> bool:
-        if k == n:
-            return True
-        i = order[k]
-        for j in candidates[i]:
-            if j in assignment.values():
-                continue
-            ok = all(
-                abs(dist_a[i, i2] - dist_b[j, j2]) <= tol
-                for i2, j2 in assignment.items()
-            )
-            if ok:
-                assignment[i] = j
-                if backtrack(k + 1):
-                    return True
-                del assignment[i]
-        return False
-
-    return backtrack(0)
+    return _match(dist_a, dist_b, order, candidates, tol) is not None
 
 
 def random_motion(dim: int, seed=0, translation_scale: float = 1.0) -> RigidMotion:

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DomainError
+from .errors import DomainError, _check_positive
 from .geometry import DEFAULT_TOL, Configuration, diameter
 from .spheres import _circumsphere, circumcenter_in_hull
 
@@ -81,8 +81,7 @@ def triangle_circumradius(a: float, alpha: float) -> float:
     """Circumradius a / (2 sin alpha) of a triangle from a side and its opposite angle (degrees)."""
     if not 0.0 < alpha < 180.0:
         raise DomainError("angle must lie strictly between 0 and 180 degrees")
-    if a <= 0:
-        raise DomainError("side length must be positive")
+    _check_positive(a, "side length")
     return a / (2.0 * math.sin(math.radians(alpha)))
 
 

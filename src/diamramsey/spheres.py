@@ -48,8 +48,13 @@ class Ball:
         object.__setattr__(self, "center", _freeze(c))
 
     def contains(self, point, tol: float = DEFAULT_TOL) -> bool:
+        """Whether the point lies within radius * (1 + tol) of the center.
+
+        The slack is relative to the radius, so the answer does not depend
+        on units; a ball of radius 0 holds only its center.
+        """
         return float(np.linalg.norm(np.asarray(point, dtype=float) - self.center)) \
-            <= self.radius + tol
+            <= self.radius * (1.0 + tol)
 
 
 @dataclass(frozen=True, eq=False)

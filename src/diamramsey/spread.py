@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EmptySample, Infeasible, NonConvergence
+from .errors import DomainError, EmptySample, Infeasible, NonConvergence, _check_positive
 from .geometry import Configuration, RigidMotion, affine_dimension, diameter
 from .spheres import min_enclosing_ball
 
@@ -115,8 +115,7 @@ class SpreadProblem:
     ambient_dim: int | None = None
 
     def __post_init__(self):
-        if not (np.isfinite(self.radius) and self.radius > 0):
-            raise DomainError("ball radius must be positive")
+        _check_positive(self.radius, "ball radius")
         m = affine_dimension(self.target)
         if self.ambient_dim is None:
             object.__setattr__(self, "ambient_dim", m + 1)

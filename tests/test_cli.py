@@ -174,6 +174,61 @@ class TestErrors:
         assert json.loads(captured.err)["error"] == "Infeasible"
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-finite number {name} in a report")
+
+
+# Every subcommand with valid values for its flags ({tri} is a triangle file,
+# {host} a coloured one), and the float flags it takes.
+COMMANDS = {
+    "diameter": ("diameter --input {tri}", ()),
+    "meb": ("meb --input {tri}", ()),
+    "circumsphere": ("circumsphere --input {tri}", ()),
+    "jung": ("jung --input {tri}", ()),
+    "obstruct": ("obstruct --input {tri}", ()),
+    "conjecture": ("conjecture --input {tri}", ()),
+    "triangle": ("triangle --alpha 150 --side 1", ("--alpha", "--side")),
+    "estimate-c": ("estimate-c --input {tri} --radius 0.95 --restarts 4",
+                   ("--radius",)),
+    "oracle": ("oracle --input {tri} --radius 0.95 --samples 2000", ("--radius",)),
+    "color": ("color --input {tri} --shell 0.1", ("--shell",)),
+    "falsify": ("falsify --input {tri} --radius 0.95 --shell 0.005 --samples 2000",
+                ("--radius", "--shell")),
+    "find-copy": ("find-copy --input {host} --target {tri}", ()),
+    **{f"construct-{shape}": (f"construct {shape}", ("--delta", "--alpha", "--side"))
+       for shape in ("regular", "cor3", "obtuse")},
+}
+
+
+class TestBadNumbers:
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_every_float_flag(self, capsys, tmp_path, tri150, command):
+        # each run exits 0 with a finite report, 1 with a JSON error, or 2
+        colored = ColoredConfiguration(configuration=regular_simplex(2),
+                                       colors=(0, 0, 0))
+        host = tmp_path / "host.json"
+        host.write_text(json.dumps(colored_to_dict(colored)))
+        template, flags = COMMANDS[command]
+        base = [part.format(tri=tri150, host=host) for part in template.split()]
+        failures = []
+        for flag in ("--tol",) + flags:
+            for value in ("nan", "inf", "-inf", "0", "-1"):
+                arg = f"{flag}={value}"
+                try:
+                    code = cli.run(base + [arg])
+                    captured = capsys.readouterr()
+                    if code == 1:
+                        assert "error" in json.loads(captured.err)
+                    elif code == 0:
+                        json.loads(captured.out, parse_constant=_reject_constant)
+                    else:
+                        assert code == 2, f"exit {code}"
+                except Exception as exc:  # collect every bad run, not just the first
+                    capsys.readouterr()
+                    failures.append(f"{arg}: {type(exc).__name__}: {exc}")
+        assert not failures, failures
+
+
 class TestDeterminism:
     def _outputs(self, capsys, *args):
         code, report, _ = run_cli(capsys, *args)

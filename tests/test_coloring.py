@@ -67,6 +67,16 @@ class TestNumColors:
         with pytest.raises(DomainError):
             num_colors(1.0, -1.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, bad):
+        # nan slips past a bare `<= 0` check
+        config = Configuration.from_points([[0.05], [0.15]])
+        for call in (lambda: num_colors(bad, 0.1), lambda: num_colors(1.0, bad),
+                     lambda: shell_color([0.25], bad),
+                     lambda: color_configuration(config, bad)):
+            with pytest.raises(DomainError):
+                call()
+
     def test_shell_coloring_record(self):
         coloring = ShellColoring(shell_width=0.1, radius=0.95)
         assert coloring.num_colors == 10
@@ -156,6 +166,14 @@ class TestFindMonochromaticCopy:
                                        colors=(0, 0, 0, 0))
         segment = Configuration.from_points([[0.0, 0.0], [3.0, 0.0]])
         assert find_monochromatic_copy(colored, segment) is None
+
+    def test_coincident_target_needs_coincident_points(self):
+        # a zero-diameter target leaves a zero tolerance: 5e-10 apart is not
+        # a copy of two coincident points
+        host = Configuration.from_points([[0.0, 0.0], [5e-10, 0.0], [3.0, 0.0]])
+        colored = ColoredConfiguration(configuration=host, colors=(0, 0, 0))
+        target = Configuration.from_points([[1.0, 1.0], [1.0, 1.0]])
+        assert find_monochromatic_copy(colored, target) is None
 
     def test_budget(self):
         big = Configuration.from_points(np.random.default_rng(0).normal(0, 1, (21, 2)))

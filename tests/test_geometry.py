@@ -13,10 +13,12 @@ from diamramsey import (
     NonOrthogonal,
     RigidMotion,
     affine_dimension,
+    almost_regular_simplex,
     apply_motion,
     diameter,
     distance_matrix,
     is_congruent,
+    obtuse_triangle,
     random_motion,
     regular_simplex,
 )
@@ -212,6 +214,20 @@ class TestIsCongruent:
         moved = apply_motion(config, random_motion(config.dim, seed=seed))
         assert is_congruent(config, moved, 1e-8)
         assert is_congruent(moved, config, 1e-8)
+
+    def test_tolerance_is_relative_at_small_scale(self):
+        # every distance of these triangles is below 1e-11, so an absolute
+        # 1e-9 tolerance would call them congruent
+        assert not is_congruent(obtuse_triangle(150.0, 1e-12),
+                                obtuse_triangle(100.0, 1e-12))
+
+    @pytest.mark.parametrize("scale", [1e8, 1e9])
+    def test_tolerance_is_relative_at_large_scale(self, scale):
+        # rounding the moved copy perturbs distances by ~eps * scale > 1e-9
+        config = Configuration(dim=4, points=scale * almost_regular_simplex(4, 0.01).points)
+        moved = apply_motion(config, random_motion(4, seed=3, translation_scale=scale))
+        assert is_congruent(config, moved)
+        assert is_congruent(moved, config)
 
 
 class TestAffineDimension:

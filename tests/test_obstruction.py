@@ -96,6 +96,13 @@ class TestTriangleCircumradius:
         with pytest.raises(DomainError):
             triangle_circumradius(0.0, 90.0)
 
+    @pytest.mark.parametrize("side", [float("nan"), float("inf")])
+    def test_non_finite_side(self, side):
+        with pytest.raises(DomainError):
+            triangle_circumradius(side, 150.0)
+        with pytest.raises(DomainError):
+            classify_triangle(150.0, side)
+
 
 class TestClassifyTriangle:
     def test_150_not_diameter_ramsey(self):

@@ -51,6 +51,15 @@ class TestMinEnclosingBall:
         assert ball.radius == pytest.approx(0.5, abs=1e-9)
         assert ball.radius == pytest.approx(oracle_radius, abs=1e-9)
 
+    def test_contains_is_relative_to_the_radius(self):
+        # radius 5e-13: an absolute 1e-9 slack would hold points 200 radii out
+        ball = min_enclosing_ball(obtuse_triangle(150.0, 1e-12))
+        assert ball.contains(ball.center + [ball.radius, 0.0])
+        assert not ball.contains([1e-10, 0.0])
+        big = min_enclosing_ball(obtuse_triangle(150.0, 1e9))
+        assert big.contains(big.center + [big.radius * (1 + 1e-12), 0.0])
+        assert not big.contains(big.center + [big.radius * (1 + 1e-6), 0.0])
+
     def test_contains_all_points(self):
         rng = np.random.default_rng(3)
         for trial in range(25):
