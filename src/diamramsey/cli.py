@@ -4,8 +4,8 @@ Each run prints one JSON report to stdout (command, echoed inputs, outputs,
 seed, timing, version).  All randomness flows from --seed, defaulting to 0,
 never wall-clock, so reruns reproduce the numeric outputs.  Domain errors
 exit 1 with machine-readable JSON on stderr and a one-line summary on
-stdout; usage errors, among them a float flag that is nan or infinite,
-exit 2.
+stdout; usage errors, among them a float flag that is nan or infinite and
+a negative --tol, exit 2.
 """
 
 from __future__ import annotations
@@ -38,6 +38,14 @@ def _finite(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    """argparse type for --tol: a finite number, zero or more."""
+    value = _finite(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is negative")
     return value
 
 
@@ -169,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="configuration file format (default json)")
         p.add_argument("--seed", type=int, default=0,
                        help="seed for all randomness (default 0)")
-        p.add_argument("--tol", type=_finite, default=None,
+        p.add_argument("--tol", type=_tolerance, default=None,
                        help="numeric tolerance override")
         p.add_argument("--out", default=None,
                        help="also write the primary output to this path")

@@ -18,25 +18,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded, DomainError, _check_positive
+from .errors import BudgetExceeded, DomainError, _check_positive, _check_tolerance
 from .geometry import Configuration, _match, distance_matrix
 from .spread import SpreadProblem, _feasible_batches, _prepare
 
 FINDER_BUDGET = 20
 
 
+def _shells(length: float, c: float, what: str) -> int:
+    """floor(length / c); DomainError when the quotient overflows to inf."""
+    quotient = length / c
+    if not math.isfinite(quotient):
+        raise DomainError(f"{what} {length} over shell width {c} overflows")
+    return int(math.floor(quotient))
+
+
 def shell_color(point, c: float) -> int:
     """Index of the width-c shell containing the point: floor(|x| / c)."""
     _check_positive(c, "shell width")
-    norm = float(np.linalg.norm(np.asarray(point, dtype=float)))
-    return int(math.floor(norm / c))
+    return _shells(float(np.linalg.norm(np.asarray(point, dtype=float))), c, "norm")
 
 
 def num_colors(r: float, c: float) -> int:
     """Colours needed for the radius-r ball under width-c shells: floor(r/c) + 1."""
     _check_positive(r, "radius")
     _check_positive(c, "shell width")
-    return int(math.floor(r / c)) + 1
+    return _shells(r, c, "radius") + 1
 
 
 @dataclass(frozen=True)
@@ -72,10 +79,17 @@ class ColoredConfiguration:
 
 
 def color_configuration(config: Configuration, c: float) -> ColoredConfiguration:
-    """Apply the shell colouring pointwise."""
+    """Apply the shell colouring pointwise.
+
+    Raises DomainError when a colour floor(|x| / c) does not fit in a
+    64-bit integer, instead of letting the cast wrap it.
+    """
     _check_positive(c, "shell width")
-    norms = np.linalg.norm(config.points, axis=1)
-    colors = tuple(int(v) for v in np.floor(norms / c).astype(int))
+    shells = np.floor(np.linalg.norm(config.points, axis=1) / c)
+    if not np.all(shells < 2.0 ** 63):
+        raise DomainError(
+            f"shell index {shells.max()} at shell width {c} exceeds the 64-bit range")
+    colors = tuple(int(v) for v in shells.astype(np.int64))
     return ColoredConfiguration(configuration=config, colors=colors)
 
 
@@ -153,6 +167,8 @@ def find_monochromatic_copy(colored: ColoredConfiguration,
     target has a zero default tol, so only coincident host points match it.
     Limited to |B| <= 20; larger sets raise BudgetExceeded.
     """
+    if tol is not None:
+        _check_tolerance(tol)
     host = colored.configuration
     n_host = len(host)
     if n_host > FINDER_BUDGET:

@@ -25,6 +25,16 @@ def _check_positive(value: float, what: str) -> None:
         raise DomainError(f"{what} must be finite and positive, got {value}")
 
 
+def _check_tolerance(value: float) -> None:
+    """Raise DomainError unless value is a nonnegative number; zero is allowed.
+
+    A negative slack can never be met, so a stopping test or a verdict
+    built on it would run out its budget or reject every input.
+    """
+    if not value >= 0:
+        raise DomainError(f"tolerance must be nonnegative, got {value}")
+
+
 class NonOrthogonal(GeometryError):
     """A rigid motion's rotation matrix fails the orthogonality tolerance."""
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NonOrthogonal
+from .errors import DomainError, NonOrthogonal, _check_tolerance
 
 DEFAULT_TOL = 1e-9
 
@@ -101,6 +101,7 @@ class RigidMotion:
         return float(np.max(np.abs(self.rotation.T @ self.rotation - eye)))
 
     def is_orthogonal(self, tol: float = ORTHOGONALITY_TOL) -> bool:
+        _check_tolerance(tol)
         return self.orthogonality_defect() <= tol
 
     @classmethod
@@ -199,6 +200,7 @@ def apply_motion(config: Configuration, motion: RigidMotion,
 
 def affine_dimension(config: Configuration, tol: float = DEFAULT_TOL) -> int:
     """Rank of the span of p_i - p_1, with a relative singular value cutoff."""
+    _check_tolerance(tol)
     pts = config.points
     if len(config) == 1:
         return 0
@@ -255,6 +257,7 @@ def is_congruent(config_a: Configuration, config_b: Configuration,
     contradictions surface early.  Worst case is factorial; intended for
     small sets (n <= 12).
     """
+    _check_tolerance(tol)
     n = len(config_a)
     if n != len(config_b):
         return False

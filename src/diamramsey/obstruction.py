@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DomainError, _check_positive
+from .errors import DomainError, _check_positive, _check_tolerance
 from .geometry import DEFAULT_TOL, Configuration, diameter
 from .spheres import _circumsphere, circumcenter_in_hull
 
@@ -68,6 +68,7 @@ def obstruction_verdict(config: Configuration, tol: float = DEFAULT_TOL) -> Verd
     Raises NotSpherical for sets lying on no sphere; those are not even
     Ramsey-eligible and the caller should report that case distinctly.
     """
+    _check_tolerance(tol)
     diam = diameter(config)
     circ = _circumsphere(config, tol, diam).radius
     threshold = diam / SQRT2

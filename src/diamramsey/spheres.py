@@ -1,10 +1,14 @@
 """Enclosing balls and circumspheres.
 
-The minimum enclosing ball uses the move-to-front variant of Welzl's
-algorithm with a seeded shuffle; on degenerate inputs that defeat the
-recursion, it falls back to enumerating candidate support subsets, up to a
-fixed budget.  The circumsphere is solved inside the affine hull of the
-points, which is what makes "smallest containing sphere" well defined for
+The minimum enclosing ball runs the move-to-front variant of Welzl's
+algorithm on a small core of the points, not on all of them: the
+coordinate extremes in a seeded shuffle, grown one farthest-point pivot at
+a time (Welzl 1991; Gartner 1999) until one vectorised pass finds no point
+outside.  A core that stops growing counts as a failed pass, and the next
+pass runs on all the points; on degenerate inputs that defeat three passes,
+it falls back to enumerating candidate support subsets, up to a fixed
+budget.  The circumsphere is solved inside the affine hull of the points,
+which is what makes "smallest containing sphere" well defined for
 lower-dimensional sets (an off-hull center can only enlarge the radius).
 """
 
@@ -16,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Degenerate, DomainError, NonConvergence, NotSimplex, NotSpherical
+from .errors import (Degenerate, DomainError, NonConvergence, NotSimplex, NotSpherical,
+                     _check_tolerance)
 from .geometry import DEFAULT_TOL, Configuration, affine_dimension, diameter, _freeze
 
 # Containment slack inside Welzl's recursion, relative to the set's extent
@@ -53,6 +58,7 @@ class Ball:
         The slack is relative to the radius, so the answer does not depend
         on units; a ball of radius 0 holds only its center.
         """
+        _check_tolerance(tol)
         return float(np.linalg.norm(np.asarray(point, dtype=float) - self.center)) \
             <= self.radius * (1.0 + tol)
 
@@ -161,30 +167,71 @@ def _enumerate_meb(pts: np.ndarray, dim: int, slack: float):
     return best[0]
 
 
+def _core_ball(pts: np.ndarray, core: np.ndarray, order: np.ndarray,
+               dim: int, slack: float):
+    """Welzl's ball of a core subset, grown by farthest-point pivots.
+
+    `order` is the move-to-front order over `core` (positions into it).
+    Each round one vectorised pass over all points finds the farthest from
+    the core's ball; a point beyond radius + slack joins the core and seeds
+    the support of the next solve, since by Welzl's lemma it lies on the
+    boundary of the grown core's ball.  The previous round's move-to-front
+    order is kept.  Returns the center and the squared distances of all
+    points to it, or None once the radius stops growing or the pivot is
+    already in the core: the solve failed, and the caller retries.
+    """
+    center, radius = _welzl_mtf(pts[core], order, (), dim, slack)
+    while True:
+        sq = _sq_dists(pts, center)
+        far = int(sq.argmax())
+        if sq[far] <= (radius + slack) ** 2:
+            return center, sq
+        if far in core:
+            return None
+        core = np.append(core, far)
+        pivot = len(core) - 1
+        grown, grown_radius = _welzl_mtf(pts[core], order, (pivot,), dim, slack)
+        if not grown_radius > radius:
+            return None
+        center, radius = grown, grown_radius
+        order = np.append(pivot, order)
+
+
 def min_enclosing_ball(config: Configuration, seed: int = 0) -> Ball:
     """Smallest closed ball containing the configuration.
 
-    Welzl's randomized move-to-front recursion over a seeded shuffle; the
-    ball is determined by a support set of at most dim+1 boundary points,
-    found with a containment slack of _WELZL_SLACK times the set's extent.
-    The radius is the farthest point's distance from the center, so every
-    point lies inside with no slack.  If three passes fail, candidate
-    supports are enumerated; a set with too many of them raises
-    NonConvergence.
+    Welzl's randomized move-to-front recursion runs on a small core, not
+    on the whole set.  The core starts as the points that attain each
+    coordinate's minimum and maximum, in an order shuffled by `seed`; each
+    round one vectorised pass adds the farthest point outside the core's
+    ball as a pivot, until none lies beyond a containment slack of
+    _WELZL_SLACK times the set's extent.  The ball is determined by a
+    support set of at most dim+1 boundary points.  A set whose core is all
+    of it is solved over a seeded shuffle of the whole set.  The radius is
+    the farthest point's distance from the center, so every point lies
+    inside with no slack.  If the radius stops growing or a pivot repeats,
+    the pass failed (rounding of far-translated coordinates beyond the
+    slack does this), and the next pass shuffles all the points; if three
+    passes fail, candidate supports are enumerated, and a set with too many
+    of them raises NonConvergence.
     """
     pts = config.points
-    n = len(config)
     slack = _WELZL_SLACK * float(np.abs(pts - pts[0]).max())
+    extremes = np.zeros(len(config), dtype=bool)
+    extremes[pts.argmin(axis=0)] = extremes[pts.argmax(axis=0)] = True
+    core = np.flatnonzero(extremes)  # sorted, so a core of all n points is arange(n)
     rng = np.random.default_rng(seed)
     for _ in range(3):
-        center, radius = _welzl_mtf(pts, rng.permutation(n), (), config.dim, slack)
-        dists = np.sqrt(_sq_dists(pts, center))
-        if (dists <= radius + slack).all():
+        found = _core_ball(pts, core, rng.permutation(len(core)), config.dim, slack)
+        if found is not None:
+            center, sq = found
             break
+        # A core that stalls stalls again in any order, so retry on all points.
+        core = np.arange(len(config))
     else:
         center = _enumerate_meb(pts, config.dim, slack)
-        dists = np.sqrt(_sq_dists(pts, center))
-    return Ball(center=center, radius=float(dists.max()))
+        sq = _sq_dists(pts, center)
+    return Ball(center=center, radius=float(np.sqrt(sq.max())))
 
 
 def circumsphere(config: Configuration, tol: float = DEFAULT_TOL) -> Sphere:
@@ -195,6 +242,7 @@ def circumsphere(config: Configuration, tol: float = DEFAULT_TOL) -> Sphere:
     hull coordinates, and the result is rejected as NotSpherical when the
     worst equidistance defect exceeds tol * diameter.
     """
+    _check_tolerance(tol)
     return _circumsphere(config, tol, diameter(config))
 
 
@@ -231,6 +279,7 @@ def circumradius(config: Configuration) -> float:
 
 def is_spherical(config: Configuration, tol: float = DEFAULT_TOL) -> bool:
     """Whether the set lies on some sphere. Singletons count as spherical."""
+    _check_tolerance(tol)
     if len(config) < 2:
         return True
     try:
@@ -259,6 +308,7 @@ def circumcenter_in_hull(config: Configuration, tol: float = DEFAULT_TOL) -> boo
     circumcenter's barycentric coordinates are solved from the affine
     system; a face case (coordinate 0) counts as contained via -tol.
     """
+    _check_tolerance(tol)
     m = affine_dimension(config)
     if len(config) != m + 1 or m == 0:
         raise NotSimplex(

@@ -34,7 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EmptySample, Infeasible, NonConvergence, _check_positive
+from .errors import (DomainError, EmptySample, Infeasible, NonConvergence, _check_positive,
+                     _check_tolerance)
 from .geometry import Configuration, RigidMotion, affine_dimension, diameter
 from .spheres import min_enclosing_ball
 
@@ -500,6 +501,7 @@ def estimate_c(problem: SpreadProblem, restarts: int = 64, seed: int = 0,
     """
     if restarts < 1:
         raise DomainError("need at least one restart")
+    _check_tolerance(tolerance)
     m = affine_dimension(problem.target)
     if problem.ambient_dim == m:
         raise DomainError(

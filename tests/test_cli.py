@@ -164,6 +164,26 @@ class TestErrors:
         assert cli.run(["obstruct"]) == 2
         assert cli.run(["no-such-command"]) == 2
 
+    @pytest.mark.parametrize("args, reason", [
+        (("falsify", "--radius", "1e300", "--shell", "1e-300", "--samples", "10"),
+         "overflows"),
+        (("color", "--shell", "1e-300"), "64-bit"),
+    ])
+    def test_colour_count_overflow_exits_one(self, capsys, tri150, args, reason):
+        code = cli.run([args[0], "--input", tri150, *args[1:]])
+        captured = capsys.readouterr()
+        assert code == 1
+        err = json.loads(captured.err)
+        assert err["error"] == "DomainError"
+        assert reason in err["message"]
+
+    @pytest.mark.parametrize("command", ["estimate-c", "circumsphere", "obstruct"])
+    def test_negative_tol_is_usage_error(self, capsys, tri150, command):
+        extra = ["--radius", "0.9"] if command == "estimate-c" else []
+        assert cli.run([command, "--input", tri150, *extra, "--tol=-1"]) == 2
+        assert cli.run([command, "--input", tri150, *extra, "--tol=0"]) in (0, 1)
+        capsys.readouterr()
+
     def test_infeasible_exits_one(self, capsys, tmp_path):
         path = tmp_path / "pair.json"
         path.write_text(json.dumps({"dim": 2, "points": [[0, 0], [1, 0]]}))

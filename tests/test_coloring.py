@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -77,6 +79,14 @@ class TestNumColors:
             with pytest.raises(DomainError):
                 call()
 
+    def test_overflowing_ratio_rejected(self):
+        # r/c and |x|/c overflow to inf although both inputs are finite
+        with pytest.raises(DomainError):
+            num_colors(1e300, 1e-300)
+        with pytest.raises(DomainError):
+            shell_color([1.0, 0.0], 1e-310)
+        assert num_colors(1e300, 1e-8) == int(math.floor(1e300 / 1e-8)) + 1
+
     def test_shell_coloring_record(self):
         coloring = ShellColoring(shell_width=0.1, radius=0.95)
         assert coloring.num_colors == 10
@@ -92,6 +102,14 @@ class TestColorConfiguration:
         config = Configuration.from_points([[0.3, 0], [0, 0.3], [-0.3, 0]])
         colors = set(color_configuration(config, 0.07).colors)
         assert len(colors) == 1
+
+    def test_unrepresentable_shell_index_rejected(self):
+        # floor(|x| / c) past 2**63 used to wrap to a negative int64 colour
+        config = Configuration.from_points([[0.05], [0.15]])
+        with pytest.raises(DomainError, match="64-bit"):
+            color_configuration(config, 1e-300)
+        c = 0.15 / 2.0 ** 62
+        assert color_configuration(config, c).colors == (int(np.floor(0.05 / c)), 2 ** 62)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(DomainError):

@@ -1,0 +1,39 @@
+import pytest
+
+import diamramsey as dr
+
+TRI = dr.obtuse_triangle(150.0)
+COLORED = dr.ColoredConfiguration(configuration=TRI, colors=(0, 0, 0))
+
+# Every public callable that takes a tolerance, called with tol=value.
+CALLS = {
+    "is_orthogonal": lambda tol: dr.RigidMotion.identity(2).is_orthogonal(tol),
+    "apply_motion": lambda tol: dr.apply_motion(TRI, dr.RigidMotion.identity(2), tol),
+    "affine_dimension": lambda tol: dr.affine_dimension(TRI, tol),
+    "is_congruent": lambda tol: dr.is_congruent(TRI, TRI, tol),
+    "Ball.contains": lambda tol: dr.min_enclosing_ball(TRI).contains([0.5, 0.0], tol),
+    "circumsphere": lambda tol: dr.circumsphere(TRI, tol),
+    "is_spherical": lambda tol: dr.is_spherical(TRI, tol),
+    "circumcenter_in_hull": lambda tol: dr.circumcenter_in_hull(TRI, tol),
+    "obstruction_verdict": lambda tol: dr.obstruction_verdict(TRI, tol),
+    "conjecture_classification": lambda tol: dr.conjecture_classification(TRI, tol),
+    "find_monochromatic_copy": lambda tol: dr.find_monochromatic_copy(COLORED, TRI, tol),
+    "estimate_c": lambda tol: dr.estimate_c(dr.SpreadProblem(TRI, 0.9), tolerance=tol),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_negative_tolerance_rejected(name):
+    for bad in (-1.0, -1e-300, float("nan")):
+        with pytest.raises(dr.DomainError, match="nonnegative"):
+            CALLS[name](bad)
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_zero_tolerance_allowed(name):
+    try:
+        CALLS[name](0.0)
+    except dr.DomainError as exc:
+        pytest.fail(f"tol=0 rejected: {exc}")
+    except dr.GeometryError:
+        pass  # an exact test may fail on rounding; only the domain matters

@@ -15,6 +15,7 @@ from diamramsey import (
     NotSimplex,
     NotSpherical,
     affine_dimension,
+    almost_regular_simplex,
     apply_motion,
     circumcenter_in_hull,
     circumradius,
@@ -27,6 +28,7 @@ from diamramsey import (
     random_motion,
     regular_simplex,
 )
+from diamramsey.spheres import _welzl_mtf
 from oracles import brute_force_meb, configurations, welzl_loop
 
 EQUILATERAL = regular_simplex(2)
@@ -99,10 +101,16 @@ class TestMinEnclosingBall:
     def test_same_ball_as_per_point_loop(self, seed):
         rng = np.random.default_rng(seed)
         pts = rng.normal(size=(int(rng.integers(1, 400)), int(rng.integers(1, 5))))
+        n, dim = pts.shape
+        slack = 1e-12 * np.abs(pts - pts[0]).max()
+        center, _ = _welzl_mtf(pts, np.random.default_rng(seed).permutation(n), (), dim, slack)
+        loop_center, _ = welzl_loop(pts, seed, slack)
+        assert np.array_equal(center, loop_center)
+        # the public function solves a core, not the whole seeded order
+        radius = np.max(np.linalg.norm(pts - center, axis=1))
         ball = min_enclosing_ball(Configuration.from_points(pts), seed=seed)
-        center, _ = welzl_loop(pts, seed, 1e-12 * np.abs(pts - pts[0]).max())
-        assert np.array_equal(ball.center, center)
-        assert ball.radius == np.max(np.linalg.norm(pts - center, axis=1))
+        assert abs(ball.radius - radius) <= 1e-12 * radius
+        assert np.abs(ball.center - center).max() <= 1e-12 * radius
 
     @pytest.mark.parametrize("seed", range(30))
     def test_matches_brute_force(self, seed):
@@ -131,6 +139,113 @@ class TestMinEnclosingBall:
         with pytest.raises(NonConvergence):
             min_enclosing_ball(Configuration.from_points(pts))
         assert time.perf_counter() - start < 1.0
+
+
+def _unit_sphere(rng, n: int, dim: int) -> np.ndarray:
+    x = rng.normal(size=(n, dim))
+    return x / np.linalg.norm(x, axis=1)[:, None]
+
+
+def _cloud(kind: str, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """A seeded cloud of about n points, and its distinct points."""
+    if kind == "gaussian":
+        pts = rng.normal(size=(n, 3))
+    elif kind == "sphere":  # every point within rounding of the boundary
+        pts = _unit_sphere(rng, n, 3) + rng.normal(size=3)
+    elif kind == "cap30":
+        tangent = _unit_sphere(rng, n, 2)
+        angle = np.radians(30.0) * rng.random(n)
+        pts = np.hstack([np.cos(angle)[:, None], np.sin(angle)[:, None] * tangent])
+    elif kind == "repeated":
+        base = rng.normal(size=(max(n // 100, 8), 2))
+        return np.repeat(base, 100, axis=0)[rng.permutation(100 * len(base))], base
+    elif kind == "collinear":
+        pts = rng.normal(size=(n, 1)) * rng.normal(size=3) + rng.normal(size=3)
+    else:  # coplanar in R^4
+        pts = rng.normal(size=(n, 2)) @ rng.normal(size=(2, 4)) + rng.normal(size=4)
+    return pts, pts
+
+
+CLOUDS = ["gaussian", "sphere", "cap30", "repeated", "collinear", "coplanar"]
+MOVES = ["none", "translate", "scale1e9", "scale1e-9"]
+
+
+class TestCoreSet:
+    """The core-grown ball against Welzl over the whole seeded order."""
+
+    @pytest.mark.parametrize("n", [8, 20000])
+    @pytest.mark.parametrize("move", MOVES)
+    @pytest.mark.parametrize("kind", CLOUDS)
+    def test_matches_whole_order_ball(self, kind, move, n):
+        rng = np.random.default_rng([n, CLOUDS.index(kind), MOVES.index(move)])
+        pts, base = _cloud(kind, n, rng)
+        scale = {"scale1e9": 1e9, "scale1e-9": 1e-9}.get(move, 1.0)
+        offset = 0.0
+        if move == "translate":
+            offset = 1e6 * np.ptp(pts, axis=0).max() * rng.normal(size=pts.shape[1])
+        moved = scale * pts + offset
+        ball = min_enclosing_ball(Configuration.from_points(moved), seed=n)
+        assert np.all(np.linalg.norm(moved - ball.center, axis=1) <= ball.radius)
+        m, dim = moved.shape
+        slack = 1e-12 * np.abs(moved - moved[0]).max()
+        center, _ = _welzl_mtf(moved, np.random.default_rng(n).permutation(m), (), dim, slack)
+        radius = np.linalg.norm(moved - center, axis=1).max()
+        # Two support sets give centres that differ by the rounding of the
+        # coordinates, eps * max|x|, which a far translation makes dominant.
+        rounding = 4 * np.finfo(float).eps * np.abs(moved).max()
+        assert abs(ball.radius - radius) <= 1e-12 * radius + rounding
+        if len(base) <= 10:
+            assert ball.radius == pytest.approx(scale * brute_force_meb(base)[0], rel=1e-9)
+
+    def test_core_stays_small(self, monkeypatch):
+        # Welzl over the whole cloud would see all 50000 points; the
+        # pivot-grown core needs a few.
+        sizes = []
+        welzl = diamramsey.spheres._welzl_mtf
+
+        def recording(pts, *args):
+            sizes.append(len(pts))
+            return welzl(pts, *args)
+
+        monkeypatch.setattr(diamramsey.spheres, "_welzl_mtf", recording)
+        pts = np.random.default_rng(4).normal(size=(50000, 2))
+        ball = min_enclosing_ball(Configuration.from_points(pts), seed=4)
+        assert np.all(np.linalg.norm(pts - ball.center, axis=1) <= ball.radius)
+        assert 0 < max(sizes) <= 64
+
+    def test_stalled_core_retries_on_all_points(self, monkeypatch):
+        # Translated by 1e6 radii, the sphere's coordinates are rounded far
+        # beyond Welzl's slack, and this core's radius stops growing; the
+        # retry runs on all points instead of repeating the stall.
+        sizes = []
+        welzl = diamramsey.spheres._welzl_mtf
+
+        def recording(pts, *args):
+            sizes.append(len(pts))
+            return welzl(pts, *args)
+
+        monkeypatch.setattr(diamramsey.spheres, "_welzl_mtf", recording)
+        rng = np.random.default_rng(6)
+        pts = _unit_sphere(rng, 2000, 3) + 1e6 * rng.normal(size=3)
+        ball = min_enclosing_ball(Configuration.from_points(pts))
+        assert max(sizes) == 2000, "the core no longer stalls here"
+        assert np.all(np.linalg.norm(pts - ball.center, axis=1) <= ball.radius)
+        assert ball.radius == pytest.approx(1.0, rel=1e-9)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_witness_balls_solve_the_whole_seeded_order(self, seed):
+        # The core of a witness is all of it, so its ball is bit for bit
+        # Welzl's over the seeded shuffle of the whole set.
+        for config in (OBTUSE_150, almost_regular_simplex(3, 0.01),
+                       almost_regular_simplex(4, 0.01)):
+            for dim in (config.dim, config.dim + 1, config.dim + 3):
+                pts = np.zeros((len(config), dim))
+                pts[:, :config.dim] = config.points
+                ball = min_enclosing_ball(Configuration.from_points(pts), seed=seed)
+                slack = 1e-12 * np.abs(pts - pts[0]).max()
+                order = np.random.default_rng(seed).permutation(len(pts))
+                center, _ = _welzl_mtf(pts, order, (), dim, slack)
+                assert np.array_equal(ball.center, center)
 
 
 class TestCircumsphere:

@@ -273,11 +273,11 @@ class TestScaleInvariance:
             falsify_coloring(target, 0.3 * scale, 0.1 * scale, 2000)
 
 
-def _scipy_modules_after(code: str) -> str:
-    """Run code in a fresh interpreter; return the scipy modules it loaded."""
+def _modules_after(code: str, package: str = "scipy") -> str:
+    """Run code in a fresh interpreter; return the modules of `package` it loaded."""
     src = str(Path(diamramsey.__file__).resolve().parents[1])
-    code += ("\nprint(sorted(m for m in sys.modules "
-             "if m == 'scipy' or m.startswith('scipy.')))")
+    code += (f"\nprint(sorted(m for m in sys.modules "
+             f"if m == {package!r} or m.startswith({package + '.'!r})))")
     out = subprocess.run([sys.executable, "-c", "import sys\n" + code],
                          capture_output=True, text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=src))
@@ -286,29 +286,38 @@ def _scipy_modules_after(code: str) -> str:
 
 class TestLazyImport:
     def test_import_loads_no_scipy(self):
-        assert _scipy_modules_after("import diamramsey") == "[]"
+        assert _modules_after("import diamramsey") == "[]"
 
     def test_estimate_c_loads_no_scipy(self):
         code = ("import diamramsey as dr\n"
                 "est = dr.estimate_c(dr.SpreadProblem("
                 "target=dr.obtuse_triangle(150.0, 1.0), radius=0.95))\n"
                 "assert est.c_lower > 0")
-        assert _scipy_modules_after(code) == "[]"
+        assert _modules_after(code) == "[]"
 
     def test_cli_estimate_c_loads_no_scipy(self, tmp_path):
-        target = tmp_path / "tri150.json"
-        target.write_text(json.dumps({"dim": 2,
-                                      "points": OBTUSE_150.points.tolist()}))
-        argv = ["diamramsey", "estimate-c", "--input", str(target),
-                "--radius", "0.95"]
-        code = ("import runpy\n"
-                f"sys.argv = {argv!r}\n"
-                "try:\n"
-                "    runpy.run_module('diamramsey.cli', run_name='__main__',"
-                " alter_sys=True)\n"
-                "except SystemExit as stop:\n"
-                "    assert stop.code == 0, stop.code")
-        assert _scipy_modules_after(code) == "[]"
+        code = _cli_code(tmp_path, "estimate-c", "--radius", "0.95")
+        assert _modules_after(code) == "[]"
+
+    @pytest.mark.parametrize("args", [("meb",), ("estimate-c", "--radius", "0.95")])
+    def test_cli_loads_no_numpy_ma(self, tmp_path, args):
+        # np.unique's first call imports numpy.ma, a cost every fresh CLI
+        # process would pay
+        assert _modules_after(_cli_code(tmp_path, *args), "numpy.ma") == "[]"
+
+
+def _cli_code(tmp_path, command: str, *args: str) -> str:
+    """Code running `python -m diamramsey.cli command` on the 150-degree triangle."""
+    target = tmp_path / "tri150.json"
+    target.write_text(json.dumps({"dim": 2, "points": OBTUSE_150.points.tolist()}))
+    argv = ["diamramsey", command, "--input", str(target), *args]
+    return ("import runpy\n"
+            f"sys.argv = {argv!r}\n"
+            "try:\n"
+            "    runpy.run_module('diamramsey.cli', run_name='__main__',"
+            " alter_sys=True)\n"
+            "except SystemExit as stop:\n"
+            "    assert stop.code == 0, stop.code")
 
 
 class TestAgainstSlsqp:
