@@ -67,7 +67,6 @@ from .spheres import (
 from .spread import (
     SpreadEstimate,
     SpreadProblem,
-    embed_target,
     embedding_feasible,
     estimate_c,
     sample_spread_oracle,
@@ -111,7 +110,6 @@ __all__ = [
     "conjecture_classification",
     "diameter",
     "distance_matrix",
-    "embed_target",
     "embedding_feasible",
     "estimate_c",
     "falsify_coloring",

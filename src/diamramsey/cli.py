@@ -28,8 +28,9 @@ from .formats import (
     load_configuration,
 )
 from .geometry import DEFAULT_TOL, affine_dimension, diameter
-from .obstruction import classify_triangle, conjecture_classification, obstruction_verdict
-from .spheres import circumcenter_in_hull, circumsphere, jung_bound, min_enclosing_ball
+from .obstruction import (ConjectureLabel, classify_triangle, conjecture_classification,
+                          obstruction_verdict)
+from .spheres import circumsphere, jung_bound, min_enclosing_ball
 from .spread import SpreadProblem, estimate_c, sample_spread_oracle
 
 
@@ -102,16 +103,15 @@ def _cmd_triangle(args):
 
 def _cmd_conjecture(args):
     config = _load(args)
-    in_hull = circumcenter_in_hull(config, tol=_tol(args))
     label = conjecture_classification(config, tol=_tol(args))
-    return {"label": label.value, "circumcenter_in_hull": in_hull,
+    return {"label": label.value,
+            "circumcenter_in_hull": label is ConjectureLabel.DIAMETER_RAMSEY,
             "conjectural": True}, None, None
 
 
 def _cmd_estimate_c(args):
     config = _load(args)
-    problem = SpreadProblem(target=config, radius=args.radius,
-                            ambient_dim=args.ambient_dim)
+    problem = SpreadProblem(target=config, radius=args.radius)
     estimate = estimate_c(problem, restarts=args.restarts, seed=args.seed,
                           tolerance=_tol(args), oracle_samples=args.oracle_samples)
     return estimate.to_dict(), None, None
@@ -119,8 +119,7 @@ def _cmd_estimate_c(args):
 
 def _cmd_oracle(args):
     config = _load(args)
-    problem = SpreadProblem(target=config, radius=args.radius,
-                            ambient_dim=args.ambient_dim)
+    problem = SpreadProblem(target=config, radius=args.radius)
     value = sample_spread_oracle(problem, args.samples, seed=args.seed)
     return {"oracle_value": value, "n_samples": args.samples,
             "radius": args.radius}, None, None
@@ -207,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=_finite, required=True)
     p.add_argument("--restarts", type=int, default=64,
                    help="cap on warm-started solve passes")
-    p.add_argument("--ambient-dim", type=int, default=None)
     p.add_argument("--oracle-samples", type=int, default=0,
                    help="cross-check sample count (0 disables)")
 
@@ -215,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_input(p)
     p.add_argument("--radius", type=_finite, required=True)
     p.add_argument("--samples", type=int, default=100000)
-    p.add_argument("--ambient-dim", type=int, default=None)
 
     p = add("color", _cmd_color, help="shell-colour the points of a configuration")
     add_input(p)

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .errors import Degenerate, DomainError
+from .errors import Degenerate, DomainError, _check_positive
 from .geometry import Configuration, diameter, distance_matrix
 
 
@@ -54,8 +54,7 @@ def almost_regular_simplex(d: int, delta: float) -> Configuration:
     """
     if d < 2:
         raise DomainError("construction needs dimension at least 2")
-    if delta <= 0:
-        raise DomainError("perturbation must be positive")
+    _check_positive(delta, "perturbation")
     r = math.sqrt(0.5 + delta)
     a = math.sqrt(0.5 / d + delta)
     apex_sq = 1.0 + 2.0 * delta - 2.0 * r * a
@@ -79,8 +78,7 @@ def obtuse_triangle(alpha: float, a: float = 1.0) -> Configuration:
     """
     if not 90.0 < alpha < 180.0:
         raise DomainError("apex angle must lie strictly between 90 and 180 degrees")
-    if a <= 0:
-        raise DomainError("side length must be positive")
+    _check_positive(a, "side length")
     rad = math.radians(alpha)
     circ = a / (2.0 * math.sin(rad))
     depth = math.sqrt(circ * circ - 0.25 * a * a)

@@ -201,14 +201,21 @@ def apply_motion(config: Configuration, motion: RigidMotion,
 def affine_dimension(config: Configuration, tol: float = DEFAULT_TOL) -> int:
     """Rank of the span of p_i - p_1, with a relative singular value cutoff."""
     _check_tolerance(tol)
-    pts = config.points
-    if len(config) == 1:
-        return 0
-    diffs = pts[1:] - pts[0]
-    svals = np.linalg.svd(diffs, compute_uv=False)
-    if svals.size == 0 or svals[0] <= 0.0:
-        return 0
-    return int(np.sum(svals > tol * svals[0]))
+    return len(_hull_basis(config.points, tol))
+
+
+def _hull_basis(points: np.ndarray, tol: float) -> np.ndarray:
+    """Orthonormal rows spanning the p_i - p_1, shape (m, dim).
+
+    The rows are the right singular vectors whose singular value exceeds
+    tol times the largest, so m is the affine dimension at that cutoff; a
+    single point or coincident points give m = 0.  This is the package's
+    only SVD: every caller that needs the affine hull goes through it.
+    """
+    if len(points) == 1:
+        return np.zeros((0, points.shape[1]))
+    _, svals, vt = np.linalg.svd(points[1:] - points[0], full_matrices=False)
+    return vt[:int(np.sum(svals > tol * svals[0]))]
 
 
 def _sorted_rows_compatible(row_a: np.ndarray, row_b: np.ndarray, tol: float) -> bool:

@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import (Degenerate, DomainError, NonConvergence, NotSimplex, NotSpherical,
                      _check_tolerance)
-from .geometry import DEFAULT_TOL, Configuration, affine_dimension, diameter, _freeze
+from .geometry import (DEFAULT_TOL, Configuration, _freeze, _hull_basis, affine_dimension,
+                       diameter)
 
 # Containment slack inside Welzl's recursion, relative to the set's extent
 # (its largest coordinate offset from the first point).  The returned radius
@@ -255,9 +256,7 @@ def _circumsphere(config: Configuration, tol: float, diam: float) -> Sphere:
         raise Degenerate("all points coincide; no smallest containing sphere")
 
     rel = pts[1:] - pts[0]
-    u, svals, vt = np.linalg.svd(rel, full_matrices=False)
-    rank = int(np.sum(svals > 1e-12 * svals[0]))
-    basis = vt[:rank]                       # (rank, dim), orthonormal rows
+    basis = _hull_basis(pts, 1e-12)         # (rank, dim), orthonormal rows
     coords = rel @ basis.T                  # hull coordinates of p_i - p_1
     rhs = 0.5 * np.einsum("ij,ij->i", coords, coords)
     sol, *_ = np.linalg.lstsq(coords, rhs, rcond=None)

@@ -25,6 +25,12 @@ c(A, r) > 0.  Two independent ways to get at it:
   independent of t has norms |b_i + g*R^T t|, its g depends on t only
   through R^T t, and R^T t is again uniform in B(0, r); so norms, spreads
   and shell indices have the same distribution with R left out.
+
+Both work in the target's hull coordinates, from one SVD (_hull_frame):
+the solve in the m coordinates of aff(A), the samplers in R^(m+1), with a
+zero coordinate appended for the height off the hull.  No ambient
+dimension is an input: a copy in any R^n lies in the span of its points
+and the origin, of dimension at most m + 1.
 """
 
 from __future__ import annotations
@@ -36,8 +42,8 @@ import numpy as np
 
 from .errors import (DomainError, EmptySample, Infeasible, NonConvergence, _check_positive,
                      _check_tolerance)
-from .geometry import Configuration, RigidMotion, affine_dimension, diameter
-from .spheres import min_enclosing_ball
+from .geometry import DEFAULT_TOL, Configuration, RigidMotion, _hull_basis, diameter
+from .spheres import Ball, min_enclosing_ball
 
 # Relative feasibility slack: a copy fits when the enclosing-ball radius is
 # at most r * (1 + FEASIBILITY_SLACK).
@@ -76,62 +82,31 @@ def _spread_of(points: np.ndarray) -> float:
     return float(norms.max() - norms.min())
 
 
-def embed_target(config: Configuration, ambient_dim: int) -> Configuration:
-    """Isometric copy of the configuration in R^ambient_dim.
-
-    Pads coordinates with zeros when the ambient dimension grows; when it
-    shrinks, the points are first re-expressed in an orthonormal basis of
-    their affine hull (requires affine dimension <= ambient_dim).
-    """
-    if ambient_dim < 1:
-        raise DomainError("ambient dimension must be positive")
-    pts = config.points
-    if config.dim > ambient_dim:
-        m = affine_dimension(config)
-        if m > ambient_dim:
-            raise DomainError(
-                f"affine dimension {m} does not fit in R^{ambient_dim}")
-        rel = pts - pts[0]
-        _, svals, vt = np.linalg.svd(rel, full_matrices=False)
-        if m == 0:
-            pts = np.zeros((len(config), 1))
-        else:
-            pts = rel @ vt[:m].T
-    out = np.zeros((len(config), ambient_dim))
-    out[:, :pts.shape[1]] = pts
-    return Configuration(dim=ambient_dim, points=out)
-
-
 @dataclass(frozen=True, eq=False)
 class SpreadProblem:
-    """Target set, ball radius, and the ambient dimension to embed into.
+    """Target set and ball radius.
 
-    ambient_dim defaults to affine_dimension(target) + 1: one extra
-    dimension is enough, since any higher-dimensional copy lies in the
-    subspace spanned by its points and the origin.
+    There is no ambient dimension to choose: a copy in any R^n lies in the
+    span of its points and the origin, of dimension at most m + 1 for a
+    target of affine dimension m, so c(A, r) is the same for every n > m.
     """
 
     target: Configuration
     radius: float
-    ambient_dim: int | None = None
 
     def __post_init__(self):
         _check_positive(self.radius, "ball radius")
-        m = affine_dimension(self.target)
-        if self.ambient_dim is None:
-            object.__setattr__(self, "ambient_dim", m + 1)
-        if self.ambient_dim < max(m, 1):
-            raise DomainError(
-                f"ambient dimension {self.ambient_dim} below affine dimension {m}")
 
 
 @dataclass(frozen=True, eq=False)
 class SpreadEstimate:
     """Certified bracket c_lower <= c(A, r) <= c_estimate, with its placement.
 
-    c_estimate is the spread of the placement best_motion makes of
-    embed_target(problem.target, problem.ambient_dim); max_norm is that
-    placement's largest point norm.  c_lower is a certified lower bound.
+    best_motion acts on the target's own points with one zero coordinate
+    appended, in R^ambient_dim, ambient_dim = target.dim + 1; the height
+    off the hull runs along the appended axis.  c_estimate is the spread of
+    that placement and max_norm its largest point norm.  c_lower is a
+    certified lower bound.
     best_restart is the index of the solve pass whose placement is returned;
     restarts is the cap on passes.  The solve's outputs are None when no
     copy fits.
@@ -183,6 +158,25 @@ def embedding_feasible(problem: SpreadProblem) -> bool:
 
 def _fits(ball_radius: float, radius: float) -> bool:
     return ball_radius <= radius * (1.0 + FEASIBILITY_SLACK)
+
+
+def _hull_frame(target: Configuration, scale: float):
+    """The target's hull coordinates over scale, centred at their enclosing ball.
+
+    Returns (a, basis, ball): basis holds the m orthonormal rows spanning
+    the affine hull (one SVD, geometry._hull_basis), ball is the enclosing
+    ball of the scaled coordinates, found by Welzl in m dimensions, and
+    point i is points[0] + scale * (a[i] + ball.center) @ basis up to its
+    component off the hull, which the cutoff DEFAULT_TOL drops.
+    """
+    pts = target.points
+    basis = _hull_basis(pts, DEFAULT_TOL)
+    coords = (pts - pts[0]) @ basis.T / scale
+    if len(basis) == 0:  # one point, or coincident points
+        ball = Ball(center=np.zeros(0), radius=0.0)
+    else:
+        ball = min_enclosing_ball(Configuration(dim=len(basis), points=coords))
+    return coords - ball.center, basis, ball
 
 
 # ---------------------------------------------------------------------------
@@ -237,17 +231,17 @@ def _feasible_batches(centered: np.ndarray, radius: float, n_samples: int,
 
 
 def _prepare(problem: SpreadProblem) -> np.ndarray:
-    """The embedded target, centered at its enclosing-ball center.
+    """The target in R^(m+1): hull coordinates centered at the enclosing-ball
+    center, with one zero coordinate appended for the height off the hull.
 
     Raises Infeasible, before any sampling, when the enclosing radius exceeds
     r * (1 + FEASIBILITY_SLACK).
     """
-    emb = embed_target(problem.target, problem.ambient_dim)
-    ball = min_enclosing_ball(emb)
+    a, _, ball = _hull_frame(problem.target, 1.0)
     if not _fits(ball.radius, problem.radius):
         raise Infeasible(
             f"enclosing-ball radius exceeds {problem.radius}; no copy fits")
-    return emb.points - ball.center
+    return np.hstack([a, np.zeros((len(a), 1))])
 
 
 def sample_spread_oracle(problem: SpreadProblem, n_samples: int,
@@ -492,33 +486,23 @@ def estimate_c(problem: SpreadProblem, restarts: int = 64, seed: int = 0,
     passes, until c_estimate - c_lower <= tolerance * radius, or until a
     pass tightens neither side.
     The target fits iff its farthest point from its enclosing-ball center
-    is at most radius * (1 + FEASIBILITY_SLACK) away.
-
-    The reduction needs a height off the affine hull, so an ambient
-    dimension equal to the affine dimension is rejected with DomainError.
+    is at most radius * (1 + FEASIBILITY_SLACK) away.  The solve runs in
+    the target's m hull coordinates, from one SVD; the placement puts the
+    height off the hull on one appended axis (see SpreadEstimate).
     With oracle_samples > 0, a sampling-oracle scan seeded by `seed` fills
     oracle_value; a sampled spread below c_lower raises NonConvergence.
     """
     if restarts < 1:
         raise DomainError("need at least one restart")
     _check_tolerance(tolerance)
-    m = affine_dimension(problem.target)
-    if problem.ambient_dim == m:
-        raise DomainError(
-            f"ambient dimension {m} equals the affine dimension; the spread "
-            "solve needs room for a height off the affine hull")
+    target = problem.target
     report = dict(restarts=restarts, seed=seed, radius=problem.radius,
-                  ambient_dim=problem.ambient_dim, tolerance=tolerance)
-    emb = embed_target(problem.target, problem.ambient_dim)
-    scale = diameter(emb) or problem.radius
-    unit = Configuration(dim=emb.dim, points=emb.points / scale)
+                  ambient_dim=target.dim + 1, tolerance=tolerance)
+    scale = diameter(target) or problem.radius
     radius = problem.radius / scale
-    center = min_enclosing_ball(unit).center
-    rel = unit.points - center
-    basis = np.linalg.svd(rel, full_matrices=False)[2]
-    a = rel @ basis[:m].T
-    reach = float(np.sqrt(np.max(np.einsum("ij,ij->i", a, a))))
-    if reach > radius * (1.0 + FEASIBILITY_SLACK):
+    a, basis, ball = _hull_frame(target, scale)
+    reach = ball.radius
+    if not _fits(reach, radius):
         return SpreadEstimate(c_estimate=None, best_motion=None,
                               oracle_value=None, feasible=False, **report)
     # A radius inside the slack is raised just past the enclosing radius, so
@@ -534,15 +518,16 @@ def estimate_c(problem: SpreadProblem, restarts: int = 64, seed: int = 0,
             # to top reaches r^2.
             y = y * ((radius * radius - reach * reach) / (top - reach * reach))
             top = float(np.max(np.einsum("ij,ij->i", a - y, a - y)))
-        return scale * (center + y @ basis[:m]
-                        + math.sqrt(max(radius * radius - top, 0.0)) * basis[m])
+        return np.append(target.points[0] + scale * ((ball.center + y) @ basis),
+                         scale * math.sqrt(max(radius * radius - top, 0.0)))
 
-    y = np.zeros(m)
+    placed = np.hstack([target.points, np.zeros((len(target), 1))])
+    y = np.zeros(len(basis))
     best, c_lower = None, 0.0
     for index in range(restarts):
         y, lam, mu, nu = _solve_levels(a, radius, y)
         origin = origin_of(y)
-        norms = np.linalg.norm(emb.points - origin, axis=1)
+        norms = np.linalg.norm(placed - origin, axis=1)
         value = float(norms.max() - norms.min())
         t = max(_dual_bound(a, radius, y, lam, mu, nu)
                 - ROUNDING_SLACK * radius * radius, 0.0)
@@ -564,7 +549,7 @@ def estimate_c(problem: SpreadProblem, restarts: int = 64, seed: int = 0,
                 f"lower bound {c_lower!r}")
 
     value, max_norm, origin, index = best
-    motion = RigidMotion(rotation=np.eye(emb.dim), translation=-origin)
+    motion = RigidMotion(rotation=np.eye(target.dim + 1), translation=-origin)
     return SpreadEstimate(
         c_estimate=value, best_motion=motion, oracle_value=oracle_value,
         feasible=True, c_lower=c_lower, best_restart=index,

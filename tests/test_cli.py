@@ -164,6 +164,13 @@ class TestErrors:
         assert cli.run(["obstruct"]) == 2
         assert cli.run(["no-such-command"]) == 2
 
+    @pytest.mark.parametrize("command", ["estimate-c", "oracle"])
+    def test_ambient_dim_is_usage_error(self, capsys, tri150, command):
+        # c(A, r) depends on no ambient dimension, so there is none to pick
+        assert cli.run([command, "--input", tri150, "--radius", "0.9",
+                        "--ambient-dim", "3"]) == 2
+        capsys.readouterr()
+
     @pytest.mark.parametrize("args, reason", [
         (("falsify", "--radius", "1e300", "--shell", "1e-300", "--samples", "10"),
          "overflows"),

@@ -131,9 +131,10 @@ class TestMonochromaticSpreadBound:
 
 class TestFalsifyColoring:
     def test_control_finds_monochromatic_copies(self):
-        # circumradius 1/sqrt(3) < 0.6: copies fit on a single shell
+        # circumradius 1/sqrt(3) < 0.6: copies fit on a single shell; about
+        # 6 in 10^5 draws are monochromatic, so 2 * 10^5 expect about 12
         report = falsify_coloring(regular_simplex(2), r=0.6, c=0.01,
-                                  n_samples=20000, seed=0)
+                                  n_samples=200000, seed=0)
         assert report.monochromatic_count >= 1
         assert report.min_spread < 0.01
         assert report.min_color_span == 0

@@ -133,6 +133,17 @@ class TestObtuseTriangle:
             obtuse_triangle(150.0, 0.0)
 
 
+@pytest.mark.parametrize("build, what", [
+    (lambda value: almost_regular_simplex(3, value), "perturbation"),
+    (lambda value: obtuse_triangle(150.0, value), "side length"),
+], ids=["almost_regular_simplex", "obtuse_triangle"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_parameter_named(build, what, value):
+    # a nan or infinite size reports the parameter, not a downstream check
+    with pytest.raises(DomainError, match=f"{what} must be finite and positive"):
+        build(value)
+
+
 class TestAlmostRegularMeasure:
     @pytest.mark.parametrize("d", [1, 2, 3, 5])
     def test_regular_simplex_is_zero(self, d):

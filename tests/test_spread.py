@@ -17,9 +17,8 @@ from diamramsey import (
     EmptySample,
     Infeasible,
     NonConvergence,
+    affine_dimension,
     apply_motion,
-    distance_matrix,
-    embed_target,
     embedding_feasible,
     estimate_c,
     falsify_coloring,
@@ -59,33 +58,13 @@ class TestSpread:
             assert spread(moved) == pytest.approx(spread(OBTUSE_150), abs=1e-9)
 
 
-class TestEmbedTarget:
-    def test_pads_extra_dimension(self):
-        emb = embed_target(EQUILATERAL, 3)
-        assert emb.dim == 3
-        assert np.allclose(emb.points[:, 2], 0.0)
-        assert np.allclose(distance_matrix(emb), distance_matrix(EQUILATERAL))
-
-    def test_reduces_high_ambient(self):
-        flat = Configuration(
-            dim=4, points=np.hstack([EQUILATERAL.points, np.zeros((3, 2))]))
-        moved = apply_motion(flat, random_motion(4, seed=1))
-        emb = embed_target(moved, 3)
-        assert emb.dim == 3
-        assert np.allclose(distance_matrix(emb), distance_matrix(EQUILATERAL),
-                           atol=1e-9)
-
-    def test_rejects_too_small(self):
-        with pytest.raises(DomainError):
-            embed_target(regular_simplex(3), 2)
+def padded(config: Configuration, extra: int = 1) -> Configuration:
+    """The configuration with `extra` zero coordinates appended."""
+    return Configuration(dim=config.dim + extra, points=np.hstack(
+        [config.points, np.zeros((len(config), extra))]))
 
 
 class TestSpreadProblem:
-    def test_default_ambient_is_affine_plus_one(self):
-        assert SpreadProblem(target=OBTUSE_150, radius=0.9).ambient_dim == 3
-        segment = Configuration.from_points([[0.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
-        assert SpreadProblem(target=segment, radius=0.9).ambient_dim == 2
-
     def test_rejects_bad_radius(self):
         with pytest.raises(DomainError):
             SpreadProblem(target=OBTUSE_150, radius=0.0)
@@ -128,8 +107,7 @@ class TestEstimateC:
     def test_best_motion_certifies_value(self):
         problem = SpreadProblem(target=OBTUSE_150, radius=0.9)
         estimate = estimate_c(problem, restarts=8, seed=3)
-        emb = embed_target(problem.target, problem.ambient_dim)
-        placed = apply_motion(emb, estimate.best_motion)
+        placed = apply_motion(padded(problem.target), estimate.best_motion)
         norms = np.linalg.norm(placed.points, axis=1)
         assert float(norms.max()) <= problem.radius + 1e-7
         assert spread(placed) == pytest.approx(estimate.c_estimate, abs=1e-7)
@@ -149,18 +127,42 @@ class TestEstimateC:
         assert estimate.oracle_value is not None
         assert estimate.oracle_value >= estimate.c_estimate - 1e-6
 
-    def test_override_ambient_dimension(self):
-        # in the plane of the triangle the height off its hull is forced to 0
-        problem = SpreadProblem(target=OBTUSE_150, radius=1.05, ambient_dim=2)
-        with pytest.raises(DomainError):
-            estimate_c(problem, restarts=6, seed=0)
+    @given(configurations(min_points=2, max_points=6), st.integers(1, 3),
+           st.floats(1.02, 3.0), st.integers(0, 2 ** 16))
+    @settings(max_examples=40)
+    def test_lifted_target_same_value(self, config, extra, factor, seed):
+        # a copy of the target in a higher R^n gives the same problem; the
+        # placement acts on the lifted points with one zero coordinate added
+        meb = min_enclosing_ball(config).radius
+        assume(meb > 0.0)
+        radius = factor * meb
+        base = estimate_c(SpreadProblem(target=config, radius=radius))
+        lifted = apply_motion(padded(config, extra),
+                              random_motion(config.dim + extra, seed=seed))
+        estimate = estimate_c(SpreadProblem(target=lifted, radius=radius))
+        for est, target in ((base, config), (estimate, lifted)):
+            assert est.ambient_dim == target.dim + 1
+            placed = apply_motion(padded(target), est.best_motion)
+            norms = np.linalg.norm(placed.points, axis=1)
+            assert spread(placed) == pytest.approx(est.c_estimate, abs=1e-12 * radius)
+            assert norms.max() <= radius * (1.0 + 1e-12)
+        assert estimate.c_estimate == pytest.approx(base.c_estimate, abs=1e-9 * radius)
+        assert estimate.c_lower == pytest.approx(base.c_lower, abs=1e-9 * radius)
 
-    def test_higher_ambient_dimension_same_value(self):
-        base = estimate_c(SpreadProblem(target=OBTUSE_150, radius=0.95))
-        wide = estimate_c(SpreadProblem(target=OBTUSE_150, radius=0.95,
-                                        ambient_dim=5))
-        assert wide.c_estimate == pytest.approx(base.c_estimate, rel=1e-9)
-        assert len(wide.best_motion.translation) == 5
+    def test_one_svd(self, monkeypatch):
+        # SpreadProblem decomposes nothing; estimate_c decomposes the hull once
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        problem = SpreadProblem(target=almost_regular_simplex(4, 0.01), radius=0.707)
+        assert len(calls) == 0
+        estimate_c(problem)
+        assert len(calls) == 1
 
     def test_serializes(self):
         import json
@@ -424,7 +426,7 @@ class TestSampleSpreadOracle:
             norms.max(axis=0) - norms.min(axis=0)
             for norms in _feasible_batches(_prepare(problem), radius, 20000, 0)])
         reference = rotated_copy_spreads(target.points, radius,
-                                         problem.ambient_dim, 20000, seed=0)
+                                         affine_dimension(target) + 1, 20000, seed=0)
         assert ks_statistic(spreads, reference) <= 0.03
 
     def test_peak_allocation(self):

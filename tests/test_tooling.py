@@ -26,6 +26,21 @@ def test_package_imports_no_scipy():
     assert offenders == []
 
 
+def test_svd_only_in_geometry():
+    # geometry._hull_basis is the one place the affine hull is decomposed
+    offenders = []
+    for module in sorted(PACKAGE.rglob("*.py")):
+        if module.name == "geometry.py":
+            continue
+        for node in ast.walk(ast.parse(module.read_text(), str(module))):
+            if isinstance(node, ast.Attribute) and node.attr == "svd":
+                offenders.append(f"{module.name}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom):
+                offenders += [f"{module.name}:{node.lineno}" for alias in node.names
+                              if alias.name == "svd"]
+    assert offenders == []
+
+
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib needs Python 3.11")
 def test_numpy_is_the_only_runtime_dependency():
     import tomllib
