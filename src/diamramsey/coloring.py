@@ -132,6 +132,10 @@ def falsify_coloring(target: Configuration, r: float, c: float,
 
     Uses the same feasible-copy sampler as the spread oracle, so reports are
     reproducible from the seed.  n_samples = 0 yields a vacuous report.
+
+    A shrunk copy's farthest point lies on |x| = r.  When r/c is an integer
+    that sphere is a shell boundary, so whether the point shares a shell
+    with the rest of the copy comes down to the last bit of its norm.
     """
     k = num_colors(r, c)
     centered = _prepare(SpreadProblem(target=target, radius=r))
@@ -142,8 +146,7 @@ def falsify_coloring(target: Configuration, r: float, c: float,
     mono = 0
     min_spread = math.inf
     min_span = math.inf
-    for norms in _feasible_batches(centered, r, n_samples, seed):
-        top, bottom = norms.max(axis=0), norms.min(axis=0)
+    for top, bottom in _feasible_batches(centered, r, n_samples, seed):
         # floor(|x| / c) is monotone in |x|, so a copy's extreme shells are
         # those of its extreme norms
         spans = np.floor(top / c) - np.floor(bottom / c)

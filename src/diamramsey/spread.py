@@ -24,7 +24,10 @@ c(A, r) > 0.  Two independent ways to get at it:
   live.  Translates suffice: a copy R b_i + g*t under a Haar rotation R
   independent of t has norms |b_i + g*R^T t|, its g depends on t only
   through R^T t, and R^T t is again uniform in B(0, r); so norms, spreads
-  and shell indices have the same distribution with R left out.
+  and shell indices have the same distribution with R left out.  No copy is
+  built either: each point's squared norm comes from the dot products the
+  shrink already needs, and only each copy's largest and smallest norm are
+  kept, which is all a spread or a shell colouring reads.
 
 Both work in the target's hull coordinates, from one SVD (_hull_frame):
 the solve in the m coordinates of aff(A), the samplers in R^(m+1), with a
@@ -188,33 +191,38 @@ def _shrink_factors(offsets: np.ndarray, dots: np.ndarray,
     """Largest g in [0, 1] with |b_i + g*t| <= r for every point i.
 
     offsets: |t|^2 per copy, shape (n,); dots: <t, b_i>, shape (k, n), one
-    row per point; gaps: |b_i|^2 - r^2 <= 0 per point, shape (k,).  Each
-    per-point quadratic is solved exactly; its root times |t|^2 is reduced
-    across the k rows first, and dividing by |t|^2 > 0 afterwards gives the
-    same bits as dividing each row.  With gaps <= 0 the discriminant is a
-    sum of nonnegative terms.
+    row per point, left unchanged; gaps: |b_i|^2 - r^2 <= 0 per point, shape
+    (k,).  Each per-point quadratic is solved exactly, in one (k, n) buffer;
+    its root times |t|^2 is reduced across the k rows first, and dividing by
+    |t|^2 > 0 afterwards gives the same bits as dividing each row.  With
+    gaps <= 0 the discriminant is a sum of nonnegative terms.
     """
     disc = dots * dots
-    disc -= offsets * gaps[:, None]
+    for row, gap in zip(disc, gaps):
+        row -= gap * offsets
     np.sqrt(disc, out=disc)
-    roots = (disc - dots).min(axis=0)
-    factors = np.divide(roots, offsets, out=np.ones_like(offsets),
+    disc -= dots
+    factors = np.divide(disc.min(axis=0), offsets, out=np.ones_like(offsets),
                         where=offsets > 0.0)
     return np.minimum(factors, 1.0)
 
 
 def _feasible_batches(centered: np.ndarray, radius: float, n_samples: int,
                       seed: int):
-    """Yield the point norms of random feasible copies, (k, count) per chunk.
+    """Yield (top, bottom) per chunk: each copy's largest and smallest point norm.
 
     Copy j is centered + g_j*t_j, with t_j uniform in B(0, radius) and g_j
-    its shrink factor; row i holds point i's norm in every copy of the
-    chunk.  Chunks are seeded independently via spawn keys, so the stream is
-    deterministic and may be partitioned across workers by chunk index.
+    its shrink factor; top and bottom have shape (count,).  No copy is
+    built: point i's squared norm is |b_i|^2 + g*(2<b_i, t> + g*|t|^2),
+    formed in place in the shrink's own dot products, and only the extremes
+    of the squared norms are square-rooted (the smallest clamped at 0
+    against rounding).  Chunks are seeded independently via spawn keys, so
+    the stream is deterministic and may be partitioned across workers by
+    chunk index.
     """
     dim = centered.shape[1]
-    gaps = np.minimum(np.einsum("kd,kd->k", centered, centered)
-                      - radius * radius, 0.0)
+    squares = np.einsum("kd,kd->k", centered, centered)
+    gaps = np.minimum(squares - radius * radius, 0.0)
     n_chunks = (n_samples + _CHUNK - 1) // _CHUNK
     for chunk in range(n_chunks):
         count = min(_CHUNK, n_samples - chunk * _CHUNK)
@@ -222,12 +230,16 @@ def _feasible_batches(centered: np.ndarray, radius: float, n_samples: int,
         t = rng.standard_normal((dim, count))
         radii = radius * rng.random(count) ** (1.0 / dim)
         t *= radii / np.maximum(np.sqrt(np.einsum("dn,dn->n", t, t)), 1e-300)
-        t *= _shrink_factors(np.einsum("dn,dn->n", t, t), centered @ t, gaps)
-        norms = np.empty((len(centered), count))
-        for i, point in enumerate(centered):
-            copy = t + point[:, None]
-            norms[i] = np.einsum("dn,dn->n", copy, copy)
-        yield np.sqrt(norms, out=norms)
+        offsets = np.einsum("dn,dn->n", t, t)
+        dots = centered @ t
+        g = _shrink_factors(offsets, dots, gaps)
+        dots *= 2.0
+        dots += g * offsets
+        dots *= g
+        dots += squares[:, None]
+        top = np.sqrt(dots.max(axis=0))
+        bottom = np.sqrt(np.maximum(dots.min(axis=0), 0.0))
+        yield top, bottom
 
 
 def _prepare(problem: SpreadProblem) -> np.ndarray:
@@ -254,9 +266,9 @@ def sample_spread_oracle(problem: SpreadProblem, n_samples: int,
     if n_samples <= 0:
         raise EmptySample("oracle needs a positive sample count")
     best = math.inf
-    for norms in _feasible_batches(_prepare(problem), problem.radius,
-                                   n_samples, seed):
-        best = min(best, float((norms.max(axis=0) - norms.min(axis=0)).min()))
+    for top, bottom in _feasible_batches(_prepare(problem), problem.radius,
+                                         n_samples, seed):
+        best = min(best, float((top - bottom).min()))
     return best
 
 

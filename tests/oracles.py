@@ -3,8 +3,9 @@
 These deliberately avoid the library's code paths: the enclosing ball is
 found by enumerating candidate support subsets, monochromatic copies by
 full subset-and-permutation enumeration, the minimal spread of a planar
-target by a complete 2-d grid search with closed-form plane height, and the
-spread solve's reduced program by SLSQP (scipy, imported where it is used).
+target by a complete 2-d grid search with closed-form plane height, the
+spread solve's reduced program by SLSQP (scipy, imported where it is used),
+and the sampler's copies by building each one point by point.
 """
 
 import itertools
@@ -217,6 +218,45 @@ def rotated_copy_spreads(points, radius, ambient_dim, n, seed):
         hi = np.where(ok | inside, hi, mid)
     norms = np.linalg.norm(images + (lo[:, None] * centres)[:, None, :], axis=2)
     return norms.max(axis=1) - norms.min(axis=1)
+
+
+def _explicit_shrink_factors(offsets, dots, gaps):
+    """Largest g in [0, 1] with |b_i + g*t| <= r for every point i."""
+    disc = dots * dots
+    disc -= offsets * gaps[:, None]
+    np.sqrt(disc, out=disc)
+    roots = (disc - dots).min(axis=0)
+    factors = np.divide(roots, offsets, out=np.ones_like(offsets),
+                        where=offsets > 0.0)
+    return np.minimum(factors, 1.0)
+
+
+_EXPLICIT_CHUNK = 1 << 16
+
+
+def explicit_copy_norms(centered, radius, n_samples, seed):
+    """Yield the point norms of the sampler's copies, (k, count) per chunk.
+
+    The reference for the fused sampler kernel: the same seeded draws, but
+    each copy centered + g*t is built point by point and every norm is
+    taken from its coordinates; row i holds point i's norm in every copy.
+    """
+    dim = centered.shape[1]
+    gaps = np.minimum(np.einsum("kd,kd->k", centered, centered)
+                      - radius * radius, 0.0)
+    n_chunks = (n_samples + _EXPLICIT_CHUNK - 1) // _EXPLICIT_CHUNK
+    for chunk in range(n_chunks):
+        count = min(_EXPLICIT_CHUNK, n_samples - chunk * _EXPLICIT_CHUNK)
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk,)))
+        t = rng.standard_normal((dim, count))
+        radii = radius * rng.random(count) ** (1.0 / dim)
+        t *= radii / np.maximum(np.sqrt(np.einsum("dn,dn->n", t, t)), 1e-300)
+        t *= _explicit_shrink_factors(np.einsum("dn,dn->n", t, t), centered @ t, gaps)
+        norms = np.empty((len(centered), count))
+        for i, point in enumerate(centered):
+            copy = t + point[:, None]
+            norms[i] = np.einsum("dn,dn->n", copy, copy)
+        yield np.sqrt(norms, out=norms)
 
 
 def ks_statistic(a, b) -> float:

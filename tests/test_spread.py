@@ -30,13 +30,27 @@ from diamramsey import (
     SpreadProblem,
     almost_regular_simplex,
     min_enclosing_ball,
+    obstruction_verdict,
 )
 from diamramsey.spread import ROUNDING_SLACK, _CHUNK, _feasible_batches, _prepare
-from oracles import (configurations, hull_coordinates, ks_statistic,
+from oracles import (configurations, explicit_copy_norms, hull_coordinates, ks_statistic,
                      planar_spread_min, rotated_copy_spreads, slsqp_levels)
 
 OBTUSE_150 = obtuse_triangle(150.0, 1.0)
 EQUILATERAL = regular_simplex(2)
+
+
+def sampler_witnesses():
+    """The benchmark's seven sampler cases: the 150-degree triangle at three
+    radii, and the almost-regular 3- and 4-simplex at 0.707 and halfway
+    between their enclosing radius and circumradius."""
+    cases = [(OBTUSE_150, r) for r in (0.95, 0.85, 0.75)]
+    for d in (3, 4):
+        simplex = almost_regular_simplex(d, 0.01)
+        mid = 0.5 * (min_enclosing_ball(simplex).radius
+                     + obstruction_verdict(simplex).circumradius)
+        cases += [(simplex, 0.707), (simplex, mid)]
+    return cases
 
 
 class TestSpread:
@@ -411,9 +425,10 @@ class TestSampleSpreadOracle:
         (almost_regular_simplex(4, 0.01), 0.707)])
     def test_every_copy_inside_the_ball(self, target, radius):
         problem = SpreadProblem(target=target, radius=radius)
-        for norms in _feasible_batches(_prepare(problem), radius, 20000, 3):
-            assert norms.shape == (len(target), 20000)
-            assert norms.max() <= radius * (1.0 + 1e-12)
+        for top, bottom in _feasible_batches(_prepare(problem), radius, 20000, 3):
+            assert top.shape == bottom.shape == (20000,)
+            assert np.all(bottom <= top)
+            assert top.max() <= radius * (1.0 + 1e-12)
 
     @pytest.mark.parametrize("target, radius", [
         (OBTUSE_150, 0.95), (almost_regular_simplex(4, 0.01), 0.707)])
@@ -423,11 +438,37 @@ class TestSampleSpreadOracle:
         # statistic to 0.11 and 0.06 on these two cases.
         problem = SpreadProblem(target=target, radius=radius)
         spreads = np.concatenate([
-            norms.max(axis=0) - norms.min(axis=0)
-            for norms in _feasible_batches(_prepare(problem), radius, 20000, 0)])
+            top - bottom
+            for top, bottom in _feasible_batches(_prepare(problem), radius, 20000, 0)])
         reference = rotated_copy_spreads(target.points, radius,
                                          affine_dimension(target) + 1, 20000, seed=0)
         assert ks_statistic(spreads, reference) <= 0.03
+
+    @pytest.mark.parametrize("target, radius", sampler_witnesses() + [
+        (OBTUSE_150, 0.5), (EQUILATERAL, 0.7), (OBTUSE_150, 5.0)])
+    def test_extremes_match_explicit_copies(self, target, radius):
+        # the fused kernel's extreme squared norms against the same seeded
+        # copies built point by point
+        centered = _prepare(SpreadProblem(target=target, radius=radius))
+        bound = 8.0 * np.finfo(float).eps * radius * radius
+        for (top, bottom), norms in zip(
+                _feasible_batches(centered, radius, 2 * _CHUNK, 5),
+                explicit_copy_norms(centered, radius, 2 * _CHUNK, 5), strict=True):
+            assert np.abs(top ** 2 - norms.max(axis=0) ** 2).max() <= bound
+            assert np.abs(bottom ** 2 - norms.min(axis=0) ** 2).max() <= bound
+
+    @pytest.mark.parametrize("target, radius, width", [
+        (EQUILATERAL, 0.6, 0.011), (OBTUSE_150, 0.95, 0.033)])
+    def test_monochromatic_count_matches_explicit_copies(self, target, radius, width):
+        # r/c is not an integer, so no shrunk copy's farthest point, which
+        # lies on |x| = r, sits on a shell boundary
+        centered = _prepare(SpreadProblem(target=target, radius=radius))
+        expected = sum(
+            int(np.count_nonzero(np.floor(norms.max(axis=0) / width)
+                                 == np.floor(norms.min(axis=0) / width)))
+            for norms in explicit_copy_norms(centered, radius, 2 * _CHUNK, 2))
+        report = falsify_coloring(target, radius, width, 2 * _CHUNK, seed=2)
+        assert report.monochromatic_count == expected > 0
 
     def test_peak_allocation(self):
         problem = SpreadProblem(target=almost_regular_simplex(4, 0.01),
@@ -439,7 +480,7 @@ class TestSampleSpreadOracle:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 48 * 2 ** 20
+        assert peak <= 20 * 2 ** 20
 
 
 class TestMonotonicity:
