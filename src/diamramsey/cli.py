@@ -5,7 +5,7 @@ seed, timing, version).  All randomness flows from --seed, defaulting to 0,
 never wall-clock, so reruns reproduce the numeric outputs.  Domain errors
 exit 1 with machine-readable JSON on stderr and a one-line summary on
 stdout; usage errors, among them a float flag that is nan or infinite and
-a negative --tol, exit 2.
+a negative --tol, --seed, --samples or --oracle-samples, exit 2.
 """
 
 from __future__ import annotations
@@ -45,6 +45,14 @@ def _finite(text: str) -> float:
 def _tolerance(text: str) -> float:
     """argparse type for --tol: a finite number, zero or more."""
     value = _finite(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is negative")
+    return value
+
+
+def _count(text: str) -> int:
+    """argparse type for --seed and the sample counts: an integer, zero or more."""
+    value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"{text!r} is negative")
     return value
@@ -174,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         p.add_argument("--format", choices=("json", "csv"), default="json",
                        help="configuration file format (default json)")
-        p.add_argument("--seed", type=int, default=0,
+        p.add_argument("--seed", type=_count, default=0,
                        help="seed for all randomness (default 0)")
         p.add_argument("--tol", type=_tolerance, default=None,
                        help="numeric tolerance override")
@@ -206,13 +214,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=_finite, required=True)
     p.add_argument("--restarts", type=int, default=64,
                    help="cap on warm-started solve passes")
-    p.add_argument("--oracle-samples", type=int, default=0,
+    p.add_argument("--oracle-samples", type=_count, default=0,
                    help="cross-check sample count (0 disables)")
 
     p = add("oracle", _cmd_oracle, help="sampling lower-effort spread scan")
     add_input(p)
     p.add_argument("--radius", type=_finite, required=True)
-    p.add_argument("--samples", type=int, default=100000)
+    p.add_argument("--samples", type=_count, default=100000)
 
     p = add("color", _cmd_color, help="shell-colour the points of a configuration")
     add_input(p)
@@ -223,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_input(p)
     p.add_argument("--radius", type=_finite, required=True)
     p.add_argument("--shell", type=_finite, required=True)
-    p.add_argument("--samples", type=int, default=100000)
+    p.add_argument("--samples", type=_count, default=100000)
 
     p = add("find-copy", _cmd_find_copy,
             help="exact monochromatic-copy search in a coloured set")

@@ -4,24 +4,20 @@ The minimum enclosing ball runs the move-to-front variant of Welzl's
 algorithm on a small core of the points, not on all of them: the
 coordinate extremes in a seeded shuffle, grown one farthest-point pivot at
 a time (Welzl 1991; Gartner 1999) until one vectorised pass finds no point
-outside.  A core that stops growing counts as a failed pass, and the next
-pass runs on all the points; on degenerate inputs that defeat three passes,
-it falls back to enumerating candidate support subsets, up to a fixed
-budget.  The circumsphere is solved inside the affine hull of the points,
-which is what makes "smallest containing sphere" well defined for
+outside.  A core that stalls under rounding keeps its last ball, with
+the radius measured to the farthest of all the points, so it still holds
+every point.  The circumsphere is solved inside the affine hull of the
+points, which is what makes "smallest containing sphere" well defined for
 lower-dimensional sets (an off-hull center can only enlarge the radius).
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (Degenerate, DomainError, NonConvergence, NotSimplex, NotSpherical,
-                     _check_tolerance)
+from .errors import Degenerate, DomainError, NotSimplex, NotSpherical, _check_tolerance
 from .geometry import (DEFAULT_TOL, Configuration, _freeze, _hull_basis, affine_dimension,
                        diameter)
 
@@ -30,10 +26,6 @@ from .geometry import (DEFAULT_TOL, Configuration, _freeze, _hull_basis, affine_
 # is the farthest point's distance from the returned center, so the output
 # holds every point with no slack.
 _WELZL_SLACK = 1e-12
-# Most support subsets the enumeration fallback may try (each costs a small
-# solve and an O(n) containment check), so a large set that defeats Welzl's
-# recursion raises instead of running for hours.
-_ENUMERATION_BUDGET = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,11 +49,15 @@ class Ball:
         """Whether the point lies within radius * (1 + tol) of the center.
 
         The slack is relative to the radius, so the answer does not depend
-        on units; a ball of radius 0 holds only its center.
+        on units; a ball of radius 0 holds only its center.  A point that
+        is not a vector as long as the center raises DomainError.
         """
         _check_tolerance(tol)
-        return float(np.linalg.norm(np.asarray(point, dtype=float) - self.center)) \
-            <= self.radius * (1.0 + tol)
+        point = np.asarray(point, dtype=float)
+        if point.shape != self.center.shape:
+            raise DomainError(f"point of shape {point.shape} does not match a ball "
+                              f"center of dimension {len(self.center)}")
+        return float(np.linalg.norm(point - self.center)) <= self.radius * (1.0 + tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,31 +139,6 @@ def _welzl_mtf(pts: np.ndarray, order: np.ndarray, support: tuple[int, ...],
     return center, radius
 
 
-def _enumerate_meb(pts: np.ndarray, dim: int, slack: float):
-    """Exhaustive candidate-support search; rescue path for degenerate inputs.
-
-    Raises NonConvergence instead of trying more than _ENUMERATION_BUDGET
-    support subsets.
-    """
-    n = len(pts)
-    sizes = range(1, min(dim + 1, n) + 1)
-    if sum(math.comb(n, size) for size in sizes) > _ENUMERATION_BUDGET:
-        raise NonConvergence(
-            f"Welzl's recursion failed on {n} points in R^{dim}, and "
-            f"enumerating their supports would try over "
-            f"{_ENUMERATION_BUDGET} subsets")
-    best = None
-    for size in sizes:
-        for subset in itertools.combinations(range(n), size):
-            center, radius = _support_ball(pts, subset)
-            if np.all(np.sqrt(_sq_dists(pts, center)) <= radius + slack):
-                if best is None or radius < best[1]:
-                    best = (center, radius)
-    if best is None:
-        raise Degenerate("no candidate support subset encloses the point set")
-    return best[0]
-
-
 def _core_ball(pts: np.ndarray, core: np.ndarray, order: np.ndarray,
                dim: int, slack: float):
     """Welzl's ball of a core subset, grown by farthest-point pivots.
@@ -178,23 +149,25 @@ def _core_ball(pts: np.ndarray, core: np.ndarray, order: np.ndarray,
     the support of the next solve, since by Welzl's lemma it lies on the
     boundary of the grown core's ball.  The previous round's move-to-front
     order is kept.  Returns the center and the squared distances of all
-    points to it, or None once the radius stops growing or the pivot is
-    already in the core: the solve failed, and the caller retries.
+    points to it.  Rounding beyond the slack can stall the core: the pivot
+    is already in it, or a round neither grows the radius nor brings the
+    farthest point nearer.  Then the current center is returned; its
+    squared distances include the pivot.  The core grows every round, so
+    there are at most n rounds.
     """
     center, radius = _welzl_mtf(pts[core], order, (), dim, slack)
+    sq = _sq_dists(pts, center)
     while True:
-        sq = _sq_dists(pts, center)
         far = int(sq.argmax())
-        if sq[far] <= (radius + slack) ** 2:
+        if sq[far] <= (radius + slack) ** 2 or far in core:
             return center, sq
-        if far in core:
-            return None
         core = np.append(core, far)
         pivot = len(core) - 1
         grown, grown_radius = _welzl_mtf(pts[core], order, (pivot,), dim, slack)
-        if not grown_radius > radius:
-            return None
-        center, radius = grown, grown_radius
+        grown_sq = _sq_dists(pts, grown)
+        if not (grown_radius > radius or grown_sq.max() < sq[far]):
+            return center, sq
+        center, radius, sq = grown, grown_radius, grown_sq
         order = np.append(pivot, order)
 
 
@@ -208,30 +181,19 @@ def min_enclosing_ball(config: Configuration, seed: int = 0) -> Ball:
     ball as a pivot, until none lies beyond a containment slack of
     _WELZL_SLACK times the set's extent.  The ball is determined by a
     support set of at most dim+1 boundary points.  A set whose core is all
-    of it is solved over a seeded shuffle of the whole set.  The radius is
+    of it is solved over a seeded shuffle of the whole set.  If a pivot
+    repeats, or a round neither grows the radius nor brings the farthest
+    point nearer, the core's last center is kept.  Either way the radius is
     the farthest point's distance from the center, so every point lies
-    inside with no slack.  If the radius stops growing or a pivot repeats,
-    the pass failed (rounding of far-translated coordinates beyond the
-    slack does this), and the next pass shuffles all the points; if three
-    passes fail, candidate supports are enumerated, and a set with too many
-    of them raises NonConvergence.
+    inside with no slack.
     """
     pts = config.points
     slack = _WELZL_SLACK * float(np.abs(pts - pts[0]).max())
     extremes = np.zeros(len(config), dtype=bool)
     extremes[pts.argmin(axis=0)] = extremes[pts.argmax(axis=0)] = True
     core = np.flatnonzero(extremes)  # sorted, so a core of all n points is arange(n)
-    rng = np.random.default_rng(seed)
-    for _ in range(3):
-        found = _core_ball(pts, core, rng.permutation(len(core)), config.dim, slack)
-        if found is not None:
-            center, sq = found
-            break
-        # A core that stalls stalls again in any order, so retry on all points.
-        core = np.arange(len(config))
-    else:
-        center = _enumerate_meb(pts, config.dim, slack)
-        sq = _sq_dists(pts, center)
+    order = np.random.default_rng(seed).permutation(len(core))
+    center, sq = _core_ball(pts, core, order, config.dim, slack)
     return Ball(center=center, radius=float(np.sqrt(sq.max())))
 
 

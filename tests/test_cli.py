@@ -227,19 +227,28 @@ COMMANDS = {
 }
 
 
+# integer flags beyond --seed, which every command takes
+INTEGER_FLAGS = {
+    "estimate-c": ("--restarts", "--oracle-samples"),
+    "oracle": ("--samples",),
+    "falsify": ("--samples",),
+    **{f"construct-{shape}": ("--dim",) for shape in ("regular", "cor3", "obtuse")},
+}
+
+
 class TestBadNumbers:
-    @pytest.mark.parametrize("command", sorted(COMMANDS))
-    def test_every_float_flag(self, capsys, tmp_path, tri150, command):
+    @staticmethod
+    def _sweep(capsys, tmp_path, tri150, command, flags, values):
         # each run exits 0 with a finite report, 1 with a JSON error, or 2
         colored = ColoredConfiguration(configuration=regular_simplex(2),
                                        colors=(0, 0, 0))
         host = tmp_path / "host.json"
         host.write_text(json.dumps(colored_to_dict(colored)))
-        template, flags = COMMANDS[command]
+        template, _ = COMMANDS[command]
         base = [part.format(tri=tri150, host=host) for part in template.split()]
         failures = []
-        for flag in ("--tol",) + flags:
-            for value in ("nan", "inf", "-inf", "0", "-1"):
+        for flag in flags:
+            for value in values:
                 arg = f"{flag}={value}"
                 try:
                     code = cli.run(base + [arg])
@@ -254,6 +263,27 @@ class TestBadNumbers:
                     capsys.readouterr()
                     failures.append(f"{arg}: {type(exc).__name__}: {exc}")
         assert not failures, failures
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_every_float_flag(self, capsys, tmp_path, tri150, command):
+        self._sweep(capsys, tmp_path, tri150, command, ("--tol",) + COMMANDS[command][1],
+                    ("nan", "inf", "-inf", "0", "-1"))
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_every_integer_flag(self, capsys, tmp_path, tri150, command):
+        self._sweep(capsys, tmp_path, tri150, command,
+                    ("--seed",) + INTEGER_FLAGS.get(command, ()), ("-1", "0"))
+
+    @pytest.mark.parametrize("args", [
+        ("meb", "--input", "{tri}", "--seed", "-1"),
+        ("oracle", "--input", "{tri}", "--radius", "0.95", "--seed", "-1"),
+        ("falsify", "--input", "{tri}", "--radius", "0.95", "--shell", "0.005",
+         "--samples", "-5"),
+        ("estimate-c", "--input", "{tri}", "--radius", "0.95", "--oracle-samples", "-5"),
+    ])
+    def test_negative_counts_are_usage_errors(self, capsys, tri150, args):
+        code, _, _ = run_cli(capsys, *(arg.format(tri=tri150) for arg in args))
+        assert code == 2
 
 
 class TestDeterminism:

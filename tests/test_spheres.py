@@ -1,5 +1,4 @@
 import math
-import time
 
 import numpy as np
 import pytest
@@ -8,10 +7,10 @@ from hypothesis import strategies as st
 
 import diamramsey.spheres
 from diamramsey import (
+    Ball,
     Configuration,
     Degenerate,
     DomainError,
-    NonConvergence,
     NotSimplex,
     NotSpherical,
     affine_dimension,
@@ -61,6 +60,13 @@ class TestMinEnclosingBall:
         big = min_enclosing_ball(obtuse_triangle(150.0, 1e9))
         assert big.contains(big.center + [big.radius * (1 + 1e-12), 0.0])
         assert not big.contains(big.center + [big.radius * (1 + 1e-6), 0.0])
+
+    @pytest.mark.parametrize("point", [[0.5], [0.0, 0.0, 0.0], [[0.0, 0.0]], 0.5])
+    def test_contains_rejects_points_of_the_wrong_shape(self, point):
+        # [0.5] would broadcast to (0.5, 0.5) and a 3-vector would fail in numpy
+        with pytest.raises(DomainError):
+            Ball(np.zeros(2), 1.0).contains(point)
+        assert Ball(np.zeros(2), 1.0).contains([0.5, 0.0])
 
     def test_contains_all_points(self):
         rng = np.random.default_rng(3)
@@ -119,26 +125,6 @@ class TestMinEnclosingBall:
         ball = min_enclosing_ball(Configuration.from_points(pts), seed=seed)
         oracle_radius, _ = brute_force_meb(pts)
         assert ball.radius == pytest.approx(oracle_radius, abs=1e-9)
-
-    def test_enumeration_fallback_rescues_tiny_sets(self, monkeypatch):
-        # Welzl returning a too-small ball three times sends the call to the
-        # support enumeration, which must still find the true ball
-        monkeypatch.setattr(diamramsey.spheres, "_welzl_mtf",
-                            lambda pts, *args: (pts[0], 0.0))
-        rng = np.random.default_rng(5)
-        for n, dim in ((1, 2), (4, 2), (9, 3)):
-            pts = rng.normal(size=(n, dim))
-            ball = min_enclosing_ball(Configuration.from_points(pts))
-            assert ball.radius == pytest.approx(brute_force_meb(pts)[0], rel=1e-9)
-
-    def test_enumeration_fallback_bounded(self, monkeypatch):
-        monkeypatch.setattr(diamramsey.spheres, "_welzl_mtf",
-                            lambda pts, *args: (pts[0], 0.0))
-        pts = np.random.default_rng(0).normal(size=(3000, 3))
-        start = time.perf_counter()
-        with pytest.raises(NonConvergence):
-            min_enclosing_ball(Configuration.from_points(pts))
-        assert time.perf_counter() - start < 1.0
 
 
 def _unit_sphere(rng, n: int, dim: int) -> np.ndarray:
@@ -213,10 +199,16 @@ class TestCoreSet:
         assert np.all(np.linalg.norm(pts - ball.center, axis=1) <= ball.radius)
         assert 0 < max(sizes) <= 64
 
-    def test_stalled_core_retries_on_all_points(self, monkeypatch):
-        # Translated by 1e6 radii, the sphere's coordinates are rounded far
-        # beyond Welzl's slack, and this core's radius stops growing; the
-        # retry runs on all points instead of repeating the stall.
+    @pytest.mark.parametrize("case", ["translated", "noisy", "stalls", "gaussian"])
+    def test_stalled_core_returns_its_ball(self, monkeypatch, case):
+        # Rounding beyond Welzl's slack makes the core's radius stop growing
+        # on all four clouds.  On the sphere translated by 1e6 radii and the
+        # one with 1e-11 radial noise, the farthest point still comes nearer,
+        # and the core goes on to a clean pass.  The S^3 translated by 1e6
+        # stalls: its core's ball is kept, measured to the farthest of all
+        # the points.  On the Gaussian cloud translated by 1e10 extents,
+        # stopping at the first round whose radius did not grow would leave
+        # a ball 2.8e-4 too wide.
         sizes = []
         welzl = diamramsey.spheres._welzl_mtf
 
@@ -224,13 +216,32 @@ class TestCoreSet:
             sizes.append(len(pts))
             return welzl(pts, *args)
 
+        seed = 0
+        if case == "noisy":
+            rng = np.random.default_rng([15, 4])
+            pts = _unit_sphere(rng, 2000, 4) * (1 + 1e-11 * rng.normal(size=(2000, 1)))
+        elif case == "gaussian":
+            seed, rng = 51, np.random.default_rng([51, 6, 4])
+            pts = rng.normal(size=(2000, 6))
+            pts = pts + 1e10 * np.ptp(pts, axis=0).max() * rng.normal(size=6)
+        else:
+            rng = np.random.default_rng(6 if case == "translated" else 7)
+            dim = 3 if case == "translated" else 4
+            pts = _unit_sphere(rng, 2000, dim) + 1e6 * rng.normal(size=dim)
         monkeypatch.setattr(diamramsey.spheres, "_welzl_mtf", recording)
-        rng = np.random.default_rng(6)
-        pts = _unit_sphere(rng, 2000, 3) + 1e6 * rng.normal(size=3)
-        ball = min_enclosing_ball(Configuration.from_points(pts))
-        assert max(sizes) == 2000, "the core no longer stalls here"
+        ball = min_enclosing_ball(Configuration.from_points(pts), seed=seed)
+        monkeypatch.undo()
+        assert 0 < max(sizes) <= 64
         assert np.all(np.linalg.norm(pts - ball.center, axis=1) <= ball.radius)
-        assert ball.radius == pytest.approx(1.0, rel=1e-9)
+        n, dim = pts.shape
+        slack = 1e-12 * np.abs(pts - pts[0]).max()
+        center, _ = _welzl_mtf(pts, np.random.default_rng(0).permutation(n), (), dim, slack)
+        radius = np.linalg.norm(pts - center, axis=1).max()
+        # the far translation adds the coordinates' rounding, as above
+        rounding = 4 * np.finfo(float).eps * np.abs(pts).max()
+        assert abs(ball.radius - radius) <= 1e-11 * radius + rounding
+        if case != "gaussian":
+            assert ball.radius == pytest.approx(1.0, rel=1e-9)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_witness_balls_solve_the_whole_seeded_order(self, seed):

@@ -41,6 +41,27 @@ def test_svd_only_in_geometry():
     assert offenders == []
 
 
+def test_no_unused_imports():
+    # a module-level import must be read somewhere in its module, or be
+    # re-exported through __all__
+    offenders = []
+    for module in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(module.read_text(), str(module))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                used |= {elt.value for elt in node.value.elts}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                offenders += [
+                    f"{module.name}:{node.lineno} {alias.name}" for alias in node.names
+                    if (alias.asname or alias.name.split(".")[0]) not in used]
+    assert offenders == []
+
+
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib needs Python 3.11")
 def test_numpy_is_the_only_runtime_dependency():
     import tomllib
