@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded, DomainError, _check_positive, _check_tolerance
-from .geometry import Configuration, _match, distance_matrix
+from .geometry import Configuration, _integer, _match, distance_matrix
 from .spread import SpreadProblem, _feasible_batches, _prepare
 
 FINDER_BUDGET = 20
@@ -70,7 +70,7 @@ class ColoredConfiguration:
     colors: tuple
 
     def __post_init__(self):
-        colors = tuple(int(c) for c in self.colors)
+        colors = tuple(_integer(c, "a colour") for c in self.colors)
         if len(colors) != len(self.configuration):
             raise DomainError("need exactly one colour per point")
         if any(c < 0 for c in colors):

@@ -28,8 +28,11 @@ def configuration_from_dict(data: dict) -> Configuration:
     widths = {len(row) if isinstance(row, list) else -1 for row in points}
     if len(widths) != 1 or -1 in widths:
         raise DomainError("ragged rows: every point needs the same coordinate count")
-    dim = data.get("dim", widths.pop())
-    return Configuration(dim=int(dim), points=points)
+    # JSON true and false load as bools, which are ints to Python; they are
+    # not coordinates.
+    if not all(type(x) in (int, float) for row in points for x in row):
+        raise DomainError("every coordinate must be a number")
+    return Configuration(dim=data.get("dim", widths.pop()), points=points)
 
 
 def configuration_to_json(config: Configuration) -> str:
@@ -73,7 +76,7 @@ def colored_to_dict(colored: ColoredConfiguration) -> dict:
 
 def colored_from_dict(data: dict) -> ColoredConfiguration:
     config = configuration_from_dict(data)
-    if "colors" not in data:
+    if not isinstance(data.get("colors"), list):
         raise DomainError("coloured configuration needs a 'colors' array")
     return ColoredConfiguration(configuration=config, colors=tuple(data["colors"]))
 

@@ -8,6 +8,7 @@ after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,11 +24,29 @@ ORTHOGONALITY_TOL = 1e-9
 # holds this many // (n * dim) rows.
 _DIAMETER_BLOCK = 1 << 20
 
+# Passes of the double-normal walk behind _far_pair_sq.
+_WALK_PASSES = 3
+
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr = np.array(arr, dtype=float)
     arr.flags.writeable = False
     return arr
+
+
+def _integer(value, what: str) -> int:
+    """value as a plain int, or DomainError if it is not an integer.
+
+    operator.index accepts Python and numpy integers but not floats such as
+    2.0 or 0.5, which int() would truncate; bools are rejected too, so True
+    never stands for 1.
+    """
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise DomainError(f"{what} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,7 +57,11 @@ class Configuration:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+        object.__setattr__(self, "dim", _integer(self.dim, "ambient dimension"))
+        try:
+            pts = np.asarray(self.points, dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DomainError(f"points must be real numbers: {exc}") from exc
         if pts.ndim != 2:
             raise DomainError("points must be a 2-d array of shape (n, dim)")
         if self.dim < 1:
@@ -124,11 +147,13 @@ def diameter(config: Configuration) -> float:
     """Largest pairwise distance; 0 for a singleton.
 
     Bit for bit the maximum of distance_matrix(config), without its n*n*d
-    tensor.  A Gram-form screen |x_i|^2 + |x_j|^2 - 2<x_i, x_j> over row
-    blocks of the centred points keeps each row's maximum; only the rows
-    whose maximum lies within twice the screen's rounding bound of the
-    largest one are recomputed with distance_matrix's formula.  A set whose
-    whole tensor fits in one block skips the screen.
+    tensor.  A set whose whole tensor fits in one block is recomputed whole.
+    Otherwise _screened_rows first drops every row that cannot reach a
+    realised lower bound L (|x_i - x_j| <= |x_i| + max|x| about the
+    centroid), then screens the rest with the Gram form over row blocks;
+    only the rows it keeps are recomputed with distance_matrix's formula.
+    On clouds the prune leaves a few dozen rows; on a sphere, where every
+    row reaches L, it keeps them all and the screen costs O(n*n*d) as before.
     """
     pts = config.points
     n, d = pts.shape
@@ -136,27 +161,60 @@ def diameter(config: Configuration) -> float:
     candidates = np.arange(n) if rows >= n else _screened_rows(pts, rows)
     best = 0.0
     for start in range(0, len(candidates), rows):
-        diff = pts[candidates[start:start + rows], None, :] - pts[None, :, :]
-        best = max(best, float(np.max(np.einsum("ijk,ijk->ij", diff, diff))))
+        best = max(best, float(np.max(_row_sq_dists(pts, candidates[start:start + rows]))))
     # The rounded sqrt is monotone, so this is distance_matrix's maximum.
     return float(np.sqrt(best))
 
 
+def _row_sq_dists(pts: np.ndarray, rows) -> np.ndarray:
+    """The squares of distance_matrix's entries in the given rows, bit for bit."""
+    diff = pts[rows, None, :] - pts[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+def _far_pair_sq(pts: np.ndarray, start: int) -> float:
+    """A realised squared distance of pts, at most the square of the diameter.
+
+    The double-normal walk (Malandain & Boissonnat 2002): from row `start`,
+    each O(n*d) pass moves to the farthest point and stops once the
+    distance stops growing, or after _WALK_PASSES passes.  The entries are
+    distance_matrix's, so their square root never exceeds diameter().
+    """
+    best = 0.0
+    for _ in range(_WALK_PASSES):
+        dists = _row_sq_dists(pts, [start])[0]
+        far = int(dists.argmax())
+        if not dists[far] > best:
+            break
+        best, start = float(dists[far]), far
+    return best
+
+
 def _screened_rows(pts: np.ndarray, rows: int) -> np.ndarray:
-    """The rows of pts that may hold the largest distance, screened `rows` at a time."""
+    """The rows of pts that may hold the largest distance.
+
+    The points are centred and scaled by a power of two; _reaching_rows
+    drops the rows that cannot reach a realised distance, and the rest are
+    screened with the Gram form |x_i|^2 + |x_j|^2 - 2<x_i, x_j>, `rows` at a
+    time.  A row is kept when its screened maximum lies within twice the
+    rounding bound B (derived below) of the largest.
+    """
     n, d = pts.shape
     x = pts - pts.mean(axis=0)
     peak = float(np.max(np.abs(x)))
     if peak == 0.0:
         return np.arange(1)  # all points coincide
-    x = np.ldexp(x, -np.frexp(peak)[1])
+    scale = int(np.frexp(peak)[1])
+    x = np.ldexp(x, -scale)
     sq = np.einsum("ij,ij->i", x, x)
+    kept = _reaching_rows(pts, sq, scale)
     neg2xt = -2.0 * x.T
-    screen = np.empty(n)
-    for start in range(0, n, rows):
-        gram = x[start:start + rows] @ neg2xt
+    screen = np.empty(len(kept))
+    for start in range(0, len(kept), rows):
+        block = kept[start:start + rows]
+        gram = x[block] @ neg2xt
         gram += sq
-        screen[start:start + rows] = gram.max(axis=1) + sq[start:start + rows]
+        screen[start:start + rows] = gram.max(axis=1) + sq[block]
     # The rounding bound.  Let u = eps/2 and R^2 = max_i |x_i|^2 (x centred,
     # then scaled by a power of two, which is exact).  Against the true
     # squared distance D_ij of the input points:
@@ -168,10 +226,49 @@ def _screened_rows(pts: np.ndarray, rows: int) -> np.ndarray:
     #   * diameter's recompute E_ij rounds each difference by u relative (2u
     #     once squared) and sums d products, so it is off by (d + 2)u * 4R^2.
     # In all |S_ij - E_ij| <= (8d + 23)uR^2 < B = (4d + 16) eps R^2.  If E is
-    # largest at (i, j), then row i's screened maximum is at least
-    # E_ij - B >= S_kl - 2B for every pair (k, l), so row i is kept.
+    # largest at (i, j), then row i survives the prune, and its screened
+    # maximum is at least E_ij - B >= S_kl - 2B for every kept pair (k, l),
+    # so row i is kept.
     bound = (4 * d + 16) * np.finfo(float).eps * float(sq.max())
-    return np.flatnonzero(screen >= screen.max() - 2.0 * bound)
+    return kept[screen >= screen.max() - 2.0 * bound]
+
+
+def _reaching_rows(pts: np.ndarray, sq: np.ndarray, scale: int) -> np.ndarray:
+    """The rows i with |x_i| + R >= L, up to rounding.
+
+    `sq` holds the squared norms |x_i|^2 of pts centred on their computed
+    centroid c and scaled by 2^-scale; R = max|x_i|.  L^2 is a realised
+    squared distance, _far_pair_sq from the point farthest from c, so
+    L >= R up to rounding.  Since |x_i - x_j| <= |x_i| + R, a row that
+    misses L cannot hold the largest distance; the slack, derived below,
+    keeps the rows that hold it.  A sphere keeps every row.
+    """
+    n, d = pts.shape
+    eps = np.finfo(float).eps
+    far_sq = _far_pair_sq(pts, int(sq.argmax()))
+    # Let u = eps/2, y_i = p_i - c in exact arithmetic, scaled like x, and E
+    # distance_matrix's squared entries, largest at (a, b), with D_ab the
+    # exact squared distance.  L^2 = E_st for the walk's pair, so
+    # L^2 <= E_ab.
+    #   * E rounds each difference by u relative, its square by u, and sums
+    #     d terms, so E_ab <= (1 + (d + 2)u) D_ab.  Scaling by 4^-scale is
+    #     exact, and L^2 >= 2^-970 (eps L^2 >= tiny) keeps the squares that
+    #     underflow within u L^2 in all.
+    #   * Through c, sqrt(D_ab) <= |y_a| + |y_b| <= |y_a| + max|y|, and
+    #     centring rounds each coordinate by u relative, so
+    #     |y_i| <= |x_i| / (1 - u).
+    #   * The keep test rounds |x_i|^2 by du relative, each square root by u
+    #     (so |x_i| and R by (d/2 + 1)u), the sum by u and its square by u:
+    #     the computed (|x_a| + R)^2 is within (d + 5)u below its value.
+    # So the computed (|x_a| + R)^2 >= (1 - (2d + 9)u) L^2 to first order.
+    # The threshold L^2 - slack, rounded up by at most u L^2, stays below it
+    # with slack = (d + 6) eps L^2 = (2d + 12)u L^2, and rows a and b (E is
+    # symmetric) are both kept.  At L^2 = inf the bound says nothing.
+    if not np.finfo(float).tiny <= eps * far_sq < np.inf:
+        return np.arange(n)
+    far_sq = float(np.ldexp(far_sq, -2 * scale))
+    reach = np.sqrt(sq) + np.sqrt(sq.max())
+    return np.flatnonzero(reach * reach >= far_sq - (d + 6) * eps * far_sq)
 
 
 def distance_matrix(config: Configuration) -> np.ndarray:

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Degenerate, DomainError, NotSimplex, NotSpherical, _check_tolerance
-from .geometry import (DEFAULT_TOL, Configuration, _freeze, _hull_basis, affine_dimension,
-                       diameter)
+from .geometry import (DEFAULT_TOL, Configuration, _far_pair_sq, _freeze, _hull_basis,
+                       affine_dimension, diameter)
 
 # Containment slack inside Welzl's recursion, relative to the set's extent
 # (its largest coordinate offset from the first point).  The returned radius
@@ -203,18 +203,28 @@ def circumsphere(config: Configuration, tol: float = DEFAULT_TOL) -> Sphere:
     The hull is reduced to an orthonormal basis, the center is recovered
     from the linear system 2<x, p_i - p_1> = |p_i|^2 - |p_1|^2 restricted to
     hull coordinates, and the result is rejected as NotSpherical when the
-    worst equidistance defect exceeds tol * diameter.
+    worst equidistance defect exceeds tol * diameter.  That test is first
+    decided against a realised lower bound L <= diameter, from a short
+    double-normal walk in O(n * dim); the exact diameter is computed only
+    when the residual exceeds tol * L, or when L = 0.
     """
     _check_tolerance(tol)
-    return _circumsphere(config, tol, diameter(config))
+    return _circumsphere(config, tol)
 
 
-def _circumsphere(config: Configuration, tol: float, diam: float) -> Sphere:
-    """circumsphere, given the configuration's diameter."""
+def _circumsphere(config: Configuration, tol: float, diam: float | None = None) -> Sphere:
+    """circumsphere, given the configuration's diameter if it is known."""
     if len(config) < 2:
         raise DomainError("circumsphere requires at least two points")
     pts = config.points
-    if diam <= 0.0:
+    if diam is None:
+        # The square root is monotone, so bound <= diameter(config).
+        bound = float(np.sqrt(_far_pair_sq(pts, 0)))
+        if bound == 0.0:
+            bound = diam = diameter(config)
+    else:
+        bound = diam
+    if bound <= 0.0:
         raise Degenerate("all points coincide; no smallest containing sphere")
 
     rel = pts[1:] - pts[0]
@@ -227,9 +237,14 @@ def _circumsphere(config: Configuration, tol: float, diam: float) -> Sphere:
     dists = np.linalg.norm(pts - center, axis=1)
     radius = float(np.mean(dists))
     residual = float(np.max(np.abs(dists - radius)))
-    if residual > tol * diam:
-        raise NotSpherical(
-            f"equidistance residual {residual:.3e} exceeds {tol:.1e} * diameter")
+    # Rounded products are monotone, so residual <= tol * bound already
+    # means residual <= tol * diameter.
+    if residual > tol * bound:
+        if diam is None:
+            diam = diameter(config)
+        if residual > tol * diam:
+            raise NotSpherical(
+                f"equidistance residual {residual:.3e} exceeds {tol:.1e} * diameter")
     return Sphere(center=center, radius=radius, carrier=basis, residual=residual)
 
 

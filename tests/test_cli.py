@@ -201,6 +201,46 @@ class TestErrors:
         assert json.loads(captured.err)["error"] == "Infeasible"
 
 
+class TestMalformedFiles:
+    """A malformed input file exits 1 with a JSON DomainError, never a traceback."""
+
+    PAIR = [[0, 0], [1, 0]]
+
+    @pytest.mark.parametrize("data", [
+        {"dim": "abc", "points": PAIR},
+        {"dim": None, "points": PAIR},
+        {"dim": 2.7, "points": PAIR},
+        {"dim": True, "points": [[0], [1]]},
+        {"dim": 2, "points": [["a", 0], [1, 0]]},
+        {"dim": 2, "points": [[True, 0], [1, 0]]},
+    ], ids=["dim-string", "dim-null", "dim-float", "dim-bool", "string-coordinate",
+            "bool-coordinate"])
+    def test_configuration(self, capsys, tmp_path, data):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        self.assert_domain_error(capsys, ["diameter", "--input", str(path)])
+
+    @pytest.mark.parametrize("colors", [[0.5, 0], 5, "ab", [None, 0], [True, 0]],
+                             ids=["half", "number", "string", "null", "bool"])
+    def test_colours(self, capsys, tmp_path, colors):
+        # Colour 0.5 used to be floored to 0, so the two points counted as
+        # monochromatic and find-copy reported a copy of the pair.
+        host = tmp_path / "host.json"
+        host.write_text(json.dumps({"dim": 2, "points": self.PAIR, "colors": colors}))
+        target = tmp_path / "target.json"
+        target.write_text(json.dumps({"dim": 2, "points": self.PAIR}))
+        self.assert_domain_error(
+            capsys, ["find-copy", "--input", str(host), "--target", str(target)])
+
+    @staticmethod
+    def assert_domain_error(capsys, argv):
+        code = cli.run(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert json.loads(captured.err)["error"] == "DomainError"
+        assert "Traceback" not in captured.err + captured.out
+
+
 def _reject_constant(name):
     raise ValueError(f"non-finite number {name} in a report")
 

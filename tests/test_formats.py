@@ -38,6 +38,23 @@ class TestJsonRoundTrip:
             configuration_from_json('{"dim": 2}')
 
 
+    @pytest.mark.parametrize("dim", ['"abc"', "null", "2.7", "2.0", "true"])
+    def test_non_integer_dim_rejected(self, dim):
+        with pytest.raises(DomainError):
+            configuration_from_json(f'{{"dim": {dim}, "points": [[1, 2], [3, 4]]}}')
+
+    @pytest.mark.parametrize("point", ['["a", 2]', "[true, 2]", "[null, 2]", "[[1], 2]",
+                                       "[1e999, 2]", "[1" + "0" * 400 + ", 2]"],
+                             ids=["string", "bool", "null", "list", "inf", "huge-int"])
+    def test_non_numeric_coordinate_rejected(self, point):
+        with pytest.raises(DomainError):
+            configuration_from_json(f'{{"points": [{point}, [3, 4]]}}')
+
+    def test_integer_coordinates_accepted(self):
+        config = configuration_from_json('{"points": [[1, 2], [3.5, 4]]}')
+        assert config.dim == 2 and config.points.dtype == float
+
+
 class TestCsvRoundTrip:
     def test_round_trip(self):
         config = regular_simplex(2)
@@ -73,6 +90,17 @@ class TestColored:
     def test_colors_required(self):
         with pytest.raises(DomainError):
             colored_from_dict({"dim": 1, "points": [[0.0]]})
+
+    @pytest.mark.parametrize("colors", [[0.5, 0], [1.0, 0], [-1, 0], [True, 0],
+                                        [None, 0], ["0", 0], 5, "ab", None])
+    def test_non_integer_colours_rejected(self, colors):
+        with pytest.raises(DomainError):
+            colored_from_dict({"points": [[0.0], [1.0]], "colors": colors})
+
+    def test_numpy_integer_colours_accepted(self):
+        config = Configuration.from_points([[0.0], [1.0]])
+        colored = ColoredConfiguration(configuration=config, colors=np.array([2, 0]))
+        assert colored.colors == (2, 0) and type(colored.colors[0]) is int
 
 
 class TestFiles:

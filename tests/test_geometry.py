@@ -32,21 +32,25 @@ EQUILATERAL = regular_simplex(2)
 def clouds(draw):
     """Seeded clouds with the near-ties and cancellations diameter must survive.
 
-    Normal clouds, clouds with duplicate points, collinear sets, points on a
-    sphere and antipodal pairs on a sphere (every row ties), scaled by
-    10^-9 ... 10^9 and translated by up to 1e6 times their extent.
+    Normal clouds of up to 300 points, where most rows miss the realised
+    distance and are pruned; clouds with duplicate points, collinear sets,
+    points on a sphere or a spherical cap and antipodal pairs on a sphere
+    (every row ties); all scaled by 10^-9 ... 10^9 and translated by up to
+    1e6 times their extent.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n = draw(st.integers(1, 60))
-    dim = draw(st.integers(1, 6))
     kind = draw(st.sampled_from(
-        ["normal", "duplicates", "collinear", "sphere", "antipodal"]))
+        ["normal", "duplicates", "collinear", "sphere", "cap", "antipodal"]))
+    n = draw(st.integers(1, 300 if kind == "normal" else 60))
+    dim = draw(st.integers(1, 6))
     pts = rng.normal(size=(n, dim))
     if kind == "duplicates":
         pts = pts[rng.integers(0, max(n // 3, 1), n)]
     elif kind == "collinear":
         pts = np.outer(rng.normal(size=n), rng.normal(size=dim))
-    elif kind in ("sphere", "antipodal"):
+    elif kind == "cap":
+        pts[:, 0] = 3.0  # within about 30 degrees of the first axis
+    if kind in ("sphere", "cap", "antipodal"):
         pts /= np.linalg.norm(pts, axis=1)[:, None]
         if kind == "antipodal":
             pts = np.vstack([pts, -pts])
@@ -54,6 +58,31 @@ def clouds(draw):
     extent = float(np.max(np.abs(pts - pts[0])))
     shift = draw(st.sampled_from([0.0, 1.0, 1e3, 1e6]))
     return Configuration.from_points(pts + shift * extent * rng.normal(size=dim))
+
+
+def evenly_spaced_line(n, dim, seed):
+    """n evenly spaced points, symmetric about the origin, on a random line."""
+    direction = np.random.default_rng(seed).normal(size=dim)
+    return np.outer(np.arange(n) - (n - 1) / 2.0, direction)
+
+
+def antipodal_pairs(n, dim, seed):
+    """n points on the unit sphere and their antipodes."""
+    x = np.random.default_rng(seed).normal(size=(n, dim))
+    x /= np.linalg.norm(x, axis=1)[:, None]
+    return np.vstack([x, -x])
+
+
+# Sets on which |x_i| + R = L holds to rounding for the rows of the largest
+# distance, so the prune's slack decides whether they survive.
+NEAR_TIES = (
+    [pytest.param(evenly_spaced_line(n, dim, n), id=f"line-{n}x{dim}")
+     for n, dim in ((2, 1), (3, 1), (10, 1), (11, 2), (64, 3), (101, 5), (700, 3))]
+    + [pytest.param(regular_simplex(k).points, id=f"simplex-{k}") for k in (1, 2, 3, 5, 8)]
+    + [pytest.param(antipodal_pairs(n, dim, seed), id=f"antipodal-{n}x{dim}-{seed}")
+       for n, dim, seed in ((1, 3, 0), (5, 2, 1), (30, 3, 2), (60, 6, 3), (350, 3, 4))
+       + tuple((40, 3, seed) for seed in range(5, 25))]
+)
 
 
 class TestConfiguration:
@@ -68,6 +97,21 @@ class TestConfiguration:
     def test_rejects_non_finite(self):
         with pytest.raises(DomainError):
             Configuration(dim=1, points=[[np.inf]])
+
+    @pytest.mark.parametrize("dim", [2.0, 2.5, "2", None, True, np.float64(2.0)])
+    def test_rejects_non_integer_dim(self, dim):
+        # dim=2.0 used to pass and crash estimate_c later; dim=True was
+        # kept and serialised as true.
+        with pytest.raises(DomainError):
+            Configuration(dim=dim, points=[[0.0, 0.0], [1.0, 0.5]])
+
+    def test_integer_dim_becomes_int(self):
+        config = Configuration(dim=np.int64(2), points=[[0.0, 0.0], [1.0, 0.5]])
+        assert type(config.dim) is int and config.dim == 2
+
+    def test_rejects_non_numeric_points(self):
+        with pytest.raises(DomainError):
+            Configuration(dim=2, points=[["a", 0.0], [1.0, 0.5]])
 
     def test_points_are_frozen(self):
         config = Configuration.from_points([[1.0, 2.0]])
@@ -117,6 +161,31 @@ class TestDiameter:
             np.vstack([x, -x]) * 10.0 ** int(rng.integers(-9, 10)))
         assert diameter(config) == float(np.max(distance_matrix(config)))
 
+    @pytest.mark.parametrize("shift", [0.0, 1e6])
+    @pytest.mark.parametrize("block", [1, 1 << 20])
+    @pytest.mark.parametrize("pts", NEAR_TIES)
+    def test_near_ties_of_the_prune(self, pts, block, shift, monkeypatch):
+        extent = float(np.max(np.abs(pts - pts[0])))
+        config = Configuration.from_points(pts + shift * extent)
+        monkeypatch.setattr(diamramsey.geometry, "_DIAMETER_BLOCK", block)
+        assert diameter(config) == float(np.max(distance_matrix(config)))
+
+    def test_prune_keeps_few_rows_of_a_cloud(self, monkeypatch):
+        kept = spy_on_prune(monkeypatch)
+        config = Configuration.from_points(
+            np.random.default_rng(0).normal(size=(3000, 3)))
+        value = diameter(config)
+        assert len(kept) == 1 and len(kept[0]) <= 64
+        assert value == reference_diameter(config)
+
+    def test_prune_keeps_every_row_of_a_sphere(self, monkeypatch):
+        kept = spy_on_prune(monkeypatch)
+        pts = np.random.default_rng(0).normal(size=(3000, 3))
+        config = Configuration.from_points(pts / np.linalg.norm(pts, axis=1)[:, None])
+        value = diameter(config)
+        assert len(kept) == 1 and len(kept[0]) == 3000
+        assert value == reference_diameter(config)
+
     def test_peak_allocation_without_distance_tensor(self):
         # The n*n*d difference tensor alone would take 216 MB here.
         config = Configuration.from_points(
@@ -128,6 +197,34 @@ class TestDiameter:
         finally:
             tracemalloc.stop()
         assert peak <= 64e6
+
+
+def spy_on_prune(monkeypatch) -> list:
+    """Record the rows that each diameter call passes to the Gram screen."""
+    kept = []
+    prune = diamramsey.geometry._reaching_rows
+
+    def recording(*args):
+        kept.append(prune(*args))
+        return kept[-1]
+
+    monkeypatch.setattr(diamramsey.geometry, "_reaching_rows", recording)
+    return kept
+
+
+def reference_diameter(config) -> float:
+    """max(distance_matrix(config)), 300 rows at a time.
+
+    The whole n*n*d difference tensor would take 216 MB at n = 3000, d = 3;
+    the rows are distance_matrix's formula, and test_equals_full_distance_matrix
+    checks that row blocks give its bits.
+    """
+    pts = config.points
+    best = 0.0
+    for start in range(0, len(pts), 300):
+        diff = pts[start:start + 300, None, :] - pts[None, :, :]
+        best = max(best, float(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)).max()))
+    return best
 
 
 class TestDistanceMatrix:

@@ -27,7 +27,7 @@ from diamramsey import (
     random_motion,
     regular_simplex,
 )
-from diamramsey.spheres import _welzl_mtf
+from diamramsey.spheres import _circumsphere, _welzl_mtf
 from oracles import brute_force_meb, configurations, welzl_loop
 
 EQUILATERAL = regular_simplex(2)
@@ -282,6 +282,37 @@ class TestCircumsphere:
     def test_single_point_rejected(self):
         with pytest.raises(DomainError):
             circumsphere(Configuration.from_points([[0.0]]))
+
+    def test_sphere_decided_without_the_diameter(self, monkeypatch):
+        pts = np.random.default_rng(0).normal(size=(3000, 3))
+        config = Configuration.from_points(pts / np.linalg.norm(pts, axis=1)[:, None])
+        want = _circumsphere(config, 1e-9, diameter(config))
+        calls = []
+        monkeypatch.setattr(diamramsey.spheres, "diameter",
+                            lambda c: calls.append(c) or diameter(c))
+        sphere = circumsphere(config)
+        assert calls == []
+        assert np.array_equal(sphere.center, want.center)
+        assert np.array_equal(sphere.carrier, want.carrier)
+        assert (sphere.radius, sphere.residual) == (want.radius, want.residual)
+
+    def test_a_weak_lower_bound_falls_back_to_the_diameter(self, monkeypatch):
+        # Three points on the unit circle and one just off it.  With the
+        # lower bound L cut to half the diameter, a residual between
+        # tol * L and tol * diam is still accepted, and one above
+        # tol * diam still rejected.
+        angles = np.array([0.0, 2.0, 4.0])
+        pts = np.vstack([np.column_stack([np.cos(angles), np.sin(angles)]),
+                         [[0.0, 1.0 + 1e-6]]])
+        config = Configuration.from_points(pts)
+        diam = diameter(config)
+        residual = _circumsphere(config, math.inf, diam).residual
+        monkeypatch.setattr(diamramsey.spheres, "_far_pair_sq",
+                            lambda pts, start: (diam / 2) ** 2)
+        sphere = circumsphere(config, 1.5 * residual / diam)
+        assert sphere.residual == residual
+        with pytest.raises(NotSpherical):
+            circumsphere(config, 0.5 * residual / diam)
 
     def test_lower_dimensional_set_keeps_center_in_hull(self):
         # a planar triangle floating in R^3: the carrier spans its plane
