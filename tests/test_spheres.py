@@ -27,7 +27,7 @@ from diamramsey import (
     random_motion,
     regular_simplex,
 )
-from diamramsey.spheres import _circumsphere, _welzl_mtf
+from diamramsey.spheres import _circumsphere, _sq_dists, _walk, _welzl_mtf
 from oracles import brute_force_meb, configurations, welzl_loop
 
 EQUILATERAL = regular_simplex(2)
@@ -201,14 +201,13 @@ class TestCoreSet:
 
     @pytest.mark.parametrize("case", ["translated", "noisy", "stalls", "gaussian"])
     def test_stalled_core_returns_its_ball(self, monkeypatch, case):
-        # Rounding beyond Welzl's slack makes the core's radius stop growing
-        # on all four clouds.  On the sphere translated by 1e6 radii and the
-        # one with 1e-11 radial noise, the farthest point still comes nearer,
-        # and the core goes on to a clean pass.  The S^3 translated by 1e6
-        # stalls: its core's ball is kept, measured to the farthest of all
-        # the points.  On the Gaussian cloud translated by 1e10 extents,
-        # stopping at the first round whose radius did not grow would leave
-        # a ball 2.8e-4 too wide.
+        # Rounding beyond Welzl's slack decides containment on all four
+        # clouds.  With walked rounds each ends in a clean pass: on the S^3
+        # translated by 1e6 and the Gaussian cloud translated by 1e10
+        # extents one round grows no radius but brings the farthest point
+        # nearer.  On the Gaussian cloud, stopping at the first round whose
+        # radius did not grow would leave a ball 2.8e-4 too wide.
+        # test_stalled_round_keeps_its_ball covers a round that stalls.
         sizes = []
         welzl = diamramsey.spheres._welzl_mtf
 
@@ -243,6 +242,34 @@ class TestCoreSet:
         if case != "gaussian":
             assert ball.radius == pytest.approx(1.0, rel=1e-9)
 
+    @pytest.mark.parametrize("seed", [7, 27, 29])
+    def test_stalled_round_keeps_its_ball(self, monkeypatch, seed):
+        # On these circles translated by 1e6 radii the last round neither
+        # grows the radius nor brings the farthest point nearer: its walked
+        # ball is dropped and the one before it kept, measured to the
+        # farthest of all the points.
+        walks = []
+        walk = diamramsey.spheres._walk
+
+        def recording(*args):
+            walks.append(walk(*args))
+            return walks[-1]
+
+        rng = np.random.default_rng([seed, 21])
+        pts = _unit_sphere(rng, 2000, 2) + 1e6 * rng.normal(size=2)
+        monkeypatch.setattr(diamramsey.spheres, "_walk", recording)
+        ball = min_enclosing_ball(Configuration.from_points(pts), seed=seed)
+        monkeypatch.undo()
+        assert walks[-1] is not None and not np.array_equal(ball.center, walks[-1][0])
+        assert np.all(np.linalg.norm(pts - ball.center, axis=1) <= ball.radius)
+        slack = 1e-12 * np.abs(pts - pts[0]).max()
+        center, _ = _welzl_mtf(pts, np.random.default_rng(0).permutation(len(pts)), (), 2,
+                               slack)
+        radius = np.linalg.norm(pts - center, axis=1).max()
+        rounding = 4 * np.finfo(float).eps * np.abs(pts).max()
+        assert abs(ball.radius - radius) <= 1e-11 * radius + rounding
+        assert ball.radius == pytest.approx(1.0, rel=1e-9)
+
     @pytest.mark.parametrize("seed", range(4))
     def test_witness_balls_solve_the_whole_seeded_order(self, seed):
         # The core of a witness is all of it, so its ball is bit for bit
@@ -257,6 +284,65 @@ class TestCoreSet:
                 order = np.random.default_rng(seed).permutation(len(pts))
                 center, _ = _welzl_mtf(pts, order, (), dim, slack)
                 assert np.array_equal(ball.center, center)
+
+    def test_rounds_walk_from_one_extreme(self, monkeypatch):
+        # Move-to-front runs once, on the one coordinate extreme the seed
+        # picks; every pivot round is walked to.
+        calls = []
+        welzl = diamramsey.spheres._welzl_mtf
+
+        def recording(pts, *args):
+            calls.append(pts.copy())
+            return welzl(pts, *args)
+
+        monkeypatch.setattr(diamramsey.spheres, "_welzl_mtf", recording)
+        pts = np.random.default_rng(9).normal(size=(5000, 6))
+        extremes = pts[np.union1d(pts.argmin(axis=0), pts.argmax(axis=0))]
+        for seed in range(4):
+            calls.clear()
+            ball = min_enclosing_ball(Configuration.from_points(pts), seed=seed)
+            assert len(calls) == 1 and len(calls[0]) == 1
+            assert (extremes == calls[0][0]).all(axis=1).any()
+            assert np.all(np.linalg.norm(pts - ball.center, axis=1) <= ball.radius)
+
+    @pytest.mark.parametrize("kind", CLOUDS)
+    def test_rounds_fall_back_to_move_to_front(self, monkeypatch, kind):
+        # A walk that does not end leaves the round to move-to-front over
+        # the support and the pivot; the ball is the same.
+        rng = np.random.default_rng([CLOUDS.index(kind), 5])
+        pts, _ = _cloud(kind, 3000, rng)
+        walked = min_enclosing_ball(Configuration.from_points(pts), seed=2)
+        monkeypatch.setattr(diamramsey.spheres, "_WALK_STEPS", 0)
+        ball = min_enclosing_ball(Configuration.from_points(pts), seed=2)
+        assert np.all(np.linalg.norm(pts - ball.center, axis=1) <= ball.radius)
+        assert abs(ball.radius - walked.radius) <= 1e-12 * walked.radius
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_walk_reaches_the_smallest_ball(self, seed):
+        rng = np.random.default_rng([seed, 11])
+        pts = rng.normal(0, 2, (int(rng.integers(1, 10)), int(rng.integers(1, 5))))
+        start = pts.mean(axis=0) + rng.normal(size=pts.shape[1])
+        pivot = int(np.linalg.norm(pts - start, axis=1).argmax())
+        center, support = _walk(pts, start, pivot)
+        radius = float(np.linalg.norm(pts - center, axis=1).max())
+        oracle_radius, _ = brute_force_meb(pts)
+        assert radius == pytest.approx(oracle_radius, rel=1e-9, abs=1e-12)
+        # the support lies on the boundary
+        on = np.linalg.norm(pts[support] - center, axis=1)
+        assert np.allclose(on, radius, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [10, 300])
+@pytest.mark.parametrize("dim", range(1, 13))
+def test_sq_dists_are_the_squares_of_norm(n, dim):
+    # Both branches, column sums (n >= _COLUMN_ROWS, dim < 8) and numpy's
+    # reduce, give np.linalg.norm's bits once square-rooted.
+    rng = np.random.default_rng([n, dim])
+    pts = rng.normal(size=(n, dim)) * 10.0 ** rng.integers(-6, 7, size=dim) \
+        + 10.0 ** int(rng.integers(-2, 7))
+    center = pts[0] + rng.normal(size=dim)
+    assert np.array_equal(np.sqrt(_sq_dists(pts, center)),
+                          np.linalg.norm(pts - center, axis=1))
 
 
 class TestCircumsphere:
