@@ -30,7 +30,7 @@ from .formats import (
 from .geometry import DEFAULT_TOL, affine_dimension, diameter
 from .obstruction import (ConjectureLabel, classify_triangle, conjecture_classification,
                           obstruction_verdict)
-from .spheres import circumsphere, jung_bound, min_enclosing_ball
+from .spheres import _jung_radius, circumsphere, min_enclosing_ball
 from .spread import SpreadProblem, estimate_c, sample_spread_oracle
 
 
@@ -91,10 +91,11 @@ def _cmd_circumsphere(args):
 
 def _cmd_jung(args):
     config = _load(args)
+    m, diam = affine_dimension(config), diameter(config)
     return {
-        "jung_bound": jung_bound(config),
-        "affine_dimension": affine_dimension(config),
-        "diameter": diameter(config),
+        "jung_bound": _jung_radius(m, diam),
+        "affine_dimension": m,
+        "diameter": diam,
     }, None, None
 
 

@@ -20,9 +20,13 @@ DEFAULT_TOL = 1e-9
 # Orthogonality defect allowed on rotation matrices, max-norm of R^T R - I.
 ORTHOGONALITY_TOL = 1e-9
 
-# Float64 entries per block of diameter's screen and recompute; a block
-# holds this many // (n * dim) rows.
+# Float64 entries per block of diameter's recompute; a block holds this
+# many // (n * dim) rows.
 _DIAMETER_BLOCK = 1 << 20
+
+# Rows per block of diameter's Gram screen, at most: 32 rows against a few
+# thousand columns keep the block's product in cache.
+_SCREEN_ROWS = 32
 
 # Passes of the double-normal walk behind _far_pair_sq.
 _WALK_PASSES = 3
@@ -150,15 +154,20 @@ def diameter(config: Configuration) -> float:
     tensor.  A set whose whole tensor fits in one block is recomputed whole.
     Otherwise _screened_rows first drops every row that cannot reach a
     realised lower bound L (|x_i - x_j| <= |x_i| + max|x| about the
-    centroid), then screens the rest with the Gram form over row blocks;
-    only the rows it keeps are recomputed with distance_matrix's formula.
-    On clouds the prune leaves a few dozen rows; on a sphere, where every
-    row reaches L, it keeps them all and the screen costs O(n*n*d) as before.
+    centroid).  It screens each remaining row with the Gram form only
+    against the remaining rows whose projection p on one axis lies in its
+    window |p_i + p_j| <= sqrt(2|x_i|^2 + 2 max|x|^2 - L^2), and keeps the
+    rows whose screened maximum is near the largest; only those are
+    recomputed with distance_matrix's formula.  On Gaussian clouds the
+    prune leaves a few dozen rows.  On a sphere every row reaches L, but
+    the windows are narrow: 3000 points on the unit sphere in R^3 screen
+    under a third of their n*n pairs, not all of them.
     """
     pts = config.points
     n, d = pts.shape
     rows = max(1, _DIAMETER_BLOCK // (n * d))
-    candidates = np.arange(n) if rows >= n else _screened_rows(pts, rows)
+    candidates = (np.arange(n) if rows >= n
+                  else _screened_rows(pts, min(rows, _SCREEN_ROWS)))
     best = 0.0
     for start in range(0, len(candidates), rows):
         best = max(best, float(np.max(_row_sq_dists(pts, candidates[start:start + rows]))))
@@ -193,13 +202,23 @@ def _far_pair_sq(pts: np.ndarray, start: int) -> float:
 def _screened_rows(pts: np.ndarray, rows: int) -> np.ndarray:
     """The rows of pts that may hold the largest distance.
 
-    The points are centred and scaled by a power of two; _reaching_rows
-    drops the rows that cannot reach a realised distance, and the rest are
-    screened with the Gram form |x_i|^2 + |x_j|^2 - 2<x_i, x_j>, `rows` at a
-    time.  A row is kept when its screened maximum lies within twice the
-    rounding bound B (derived below) of the largest.
+    The points are centred and scaled by a power of two.  _reaching_rows
+    drops the rows that cannot reach the walk's realised distance L, and
+    the rest are sorted by their projection p on the direction of the
+    point farthest from the centroid.  By the parallelogram law
+    |x_i - x_j|^2 = 2|x_i|^2 + 2|x_j|^2 - |x_i + x_j|^2, and
+    |x_i + x_j| >= |p_i + p_j|, so row i reaches L only against the rows
+    with |p_i + p_j| <= w_i = sqrt(2|x_i|^2 + 2R^2 - L^2), R = max|x|; after
+    the sort those form one contiguous slice.  Each block of `rows`
+    consecutive rows is screened with the Gram form
+    |x_i|^2 + |x_j|^2 - 2<x_i, x_j> against the union of its windows, and a
+    row is kept when its screened maximum lies within twice the rounding
+    bound B (derived below) of the largest.  3000 points of the unit sphere
+    in R^3 screen about 26% of their n*n pairs, 2000 points of the 4-sphere
+    in R^5 about 40%.
     """
-    n, d = pts.shape
+    d = pts.shape[1]
+    eps = np.finfo(float).eps
     x = pts - pts.mean(axis=0)
     peak = float(np.max(np.abs(x)))
     if peak == 0.0:
@@ -207,14 +226,54 @@ def _screened_rows(pts: np.ndarray, rows: int) -> np.ndarray:
     scale = int(np.frexp(peak)[1])
     x = np.ldexp(x, -scale)
     sq = np.einsum("ij,ij->i", x, x)
-    kept = _reaching_rows(pts, sq, scale)
-    neg2xt = -2.0 * x.T
-    screen = np.empty(len(kept))
+    top = int(sq.argmax())
+    far_sq = _far_pair_sq(pts, top)
+    # Scaling by 4^-scale is exact, and L^2 >= 2^-970 (eps L^2 >= tiny)
+    # keeps the squares that underflow in distance_matrix's entries within
+    # u L^2 in all (u = eps/2).  Outside that range, or at L^2 = inf, L says
+    # nothing, and L^2 = 0 keeps every row and every pair.
+    if np.finfo(float).tiny <= eps * far_sq < np.inf:
+        far_sq = float(np.ldexp(far_sq, -2 * scale))
+    else:
+        far_sq = 0.0
+    kept = _reaching_rows(sq, far_sq, d)
+    proj = x[kept] @ (x[top] / np.sqrt(sq[top]))
+    order = np.argsort(proj)
+    kept, proj = kept[order], proj[order]
+    cols = x[kept]
+    col_sq = sq[kept]
+    r_sq = float(sq.max())
+    # The window's slack.  Let (a, b) be where distance_matrix's squared
+    # entries E are largest, both rows kept by _reaching_rows, and
+    # u = eps/2.  Exact arithmetic on the floats x_i first:
+    #   * L^2 is an entry of E, so E_ab >= L^2, and by the bound B below
+    #     |x_a - x_b|^2 >= E_ab - (4d + 16)uR^2 >= L^2 - (4d + 16)uR^2;
+    #   * `sq` rounds each |x_i|^2 by du relative, so with q = |p_a + p_b|
+    #     (p exact on the unit axis) q^2 <= 2sq_a + 2r_sq - L^2 + (8d + 16)uR^2;
+    #   * the computed t = 2sq_a + (2r_sq - L^2 + s) rounds by at most
+    #     2uR^2 + 2uR^2 + 4uR^2, so q^2 <= t - s + (8d + 24)uR^2.
+    # Then the linear side.  The axis rounds by (d/2 + 2)u relative, so its
+    # length is within that of 1, and each computed projection P_i is off by
+    # duR more: |P_a + P_b| <= q + (3d + 4)uR.  The window w = sqrt(t)
+    # rounds down by 2uR at most, and the bounds -(w + P_a) and w - P_a by
+    # 3uR.  So b is inside a's bounds when q + (3d + 9)uR <= sqrt(t), which
+    # holds if t >= q^2 + (12d + 37)uR^2, since q <= 2R.  Both parts give
+    # s = (20d + 61)uR^2 <= (10d + 31) eps r_sq to first order.  Rows whose
+    # bound t is negative get w = 0.
+    slack = (10 * d + 31) * eps * r_sq
+    half = np.sqrt(np.maximum(2.0 * col_sq + (2.0 * r_sq - far_sq + slack), 0.0))
+    first = np.searchsorted(proj, -(half + proj), side="left")
+    last = np.searchsorted(proj, half - proj, side="right")
+    neg2xt = -2.0 * cols.T
+    buf = np.empty(rows * len(kept))
+    screen = np.full(len(kept), -np.inf)
     for start in range(0, len(kept), rows):
-        block = kept[start:start + rows]
-        gram = x[block] @ neg2xt
-        gram += sq
-        screen[start:start + rows] = gram.max(axis=1) + sq[block]
+        lo = int(first[start:start + rows].min())
+        hi = int(last[start:start + rows].max())
+        if lo < hi:
+            block = slice(start, start + rows)
+            screen[block] = _gram_row_max(cols[block], neg2xt[:, lo:hi], col_sq[lo:hi], buf)
+            screen[block] += col_sq[block]
     # The rounding bound.  Let u = eps/2 and R^2 = max_i |x_i|^2 (x centred,
     # then scaled by a power of two, which is exact).  Against the true
     # squared distance D_ij of the input points:
@@ -226,34 +285,45 @@ def _screened_rows(pts: np.ndarray, rows: int) -> np.ndarray:
     #   * diameter's recompute E_ij rounds each difference by u relative (2u
     #     once squared) and sums d products, so it is off by (d + 2)u * 4R^2.
     # In all |S_ij - E_ij| <= (8d + 23)uR^2 < B = (4d + 16) eps R^2.  If E is
-    # largest at (i, j), then row i survives the prune, and its screened
-    # maximum is at least E_ij - B >= S_kl - 2B for every kept pair (k, l),
-    # so row i is kept.
-    bound = (4 * d + 16) * np.finfo(float).eps * float(sq.max())
+    # largest at (i, j), then rows i and j survive the prune, j lies in i's
+    # window, and i's screened maximum is at least E_ij - B >= S_kl - 2B for
+    # every screened pair (k, l), so row i is kept.
+    bound = (4 * d + 16) * eps * r_sq
     return kept[screen >= screen.max() - 2.0 * bound]
 
 
-def _reaching_rows(pts: np.ndarray, sq: np.ndarray, scale: int) -> np.ndarray:
+def _gram_row_max(rows: np.ndarray, neg2xt: np.ndarray, col_sq: np.ndarray,
+                  buf: np.ndarray) -> np.ndarray:
+    """Each row's largest |x_j|^2 - 2<x_i, x_j> over the columns of neg2xt.
+
+    The product goes into the front of `buf`, which the caller reuses from
+    block to block: a fresh rows x columns array per block is much slower.
+    """
+    gram = np.matmul(rows, neg2xt, out=buf[:len(rows) * neg2xt.shape[1]].reshape(
+        len(rows), neg2xt.shape[1]))
+    gram += col_sq
+    return gram.max(axis=1)
+
+
+def _reaching_rows(sq: np.ndarray, far_sq: float, d: int) -> np.ndarray:
     """The rows i with |x_i| + R >= L, up to rounding.
 
-    `sq` holds the squared norms |x_i|^2 of pts centred on their computed
-    centroid c and scaled by 2^-scale; R = max|x_i|.  L^2 is a realised
-    squared distance, _far_pair_sq from the point farthest from c, so
-    L >= R up to rounding.  Since |x_i - x_j| <= |x_i| + R, a row that
-    misses L cannot hold the largest distance; the slack, derived below,
-    keeps the rows that hold it.  A sphere keeps every row.
+    `sq` holds the squared norms |x_i|^2 of points in R^d centred on their
+    computed centroid c and scaled by a power of two; R = max|x_i|.
+    `far_sq` is L^2, a realised squared distance scaled alike (_far_pair_sq
+    from the point farthest from c, so L >= R up to rounding), or 0, which
+    keeps every row.  Since |x_i - x_j| <= |x_i| + R, a row that misses L
+    cannot hold the largest distance; the slack, derived below, keeps the
+    rows that hold it.  A sphere keeps every row.
     """
-    n, d = pts.shape
     eps = np.finfo(float).eps
-    far_sq = _far_pair_sq(pts, int(sq.argmax()))
     # Let u = eps/2, y_i = p_i - c in exact arithmetic, scaled like x, and E
     # distance_matrix's squared entries, largest at (a, b), with D_ab the
     # exact squared distance.  L^2 = E_st for the walk's pair, so
     # L^2 <= E_ab.
     #   * E rounds each difference by u relative, its square by u, and sums
-    #     d terms, so E_ab <= (1 + (d + 2)u) D_ab.  Scaling by 4^-scale is
-    #     exact, and L^2 >= 2^-970 (eps L^2 >= tiny) keeps the squares that
-    #     underflow within u L^2 in all.
+    #     d terms, so E_ab <= (1 + (d + 2)u) D_ab, with the underflowing
+    #     squares within u L^2 (see _screened_rows).
     #   * Through c, sqrt(D_ab) <= |y_a| + |y_b| <= |y_a| + max|y|, and
     #     centring rounds each coordinate by u relative, so
     #     |y_i| <= |x_i| / (1 - u).
@@ -263,10 +333,7 @@ def _reaching_rows(pts: np.ndarray, sq: np.ndarray, scale: int) -> np.ndarray:
     # So the computed (|x_a| + R)^2 >= (1 - (2d + 9)u) L^2 to first order.
     # The threshold L^2 - slack, rounded up by at most u L^2, stays below it
     # with slack = (d + 6) eps L^2 = (2d + 12)u L^2, and rows a and b (E is
-    # symmetric) are both kept.  At L^2 = inf the bound says nothing.
-    if not np.finfo(float).tiny <= eps * far_sq < np.inf:
-        return np.arange(n)
-    far_sq = float(np.ldexp(far_sq, -2 * scale))
+    # symmetric) are both kept.
     reach = np.sqrt(sq) + np.sqrt(sq.max())
     return np.flatnonzero(reach * reach >= far_sq - (d + 6) * eps * far_sq)
 

@@ -359,10 +359,12 @@ def jung_bound(config: Configuration) -> float:
     Every bounded set of affine dimension m fits in a closed ball of this
     radius; in particular every finite set fits in radius diam / sqrt(2).
     """
-    m = affine_dimension(config)
-    if m == 0:
-        return 0.0
-    return float(np.sqrt(m / (2.0 * m + 2.0)) * diameter(config))
+    return _jung_radius(affine_dimension(config), diameter(config))
+
+
+def _jung_radius(m: int, diam: float) -> float:
+    """sqrt(m / (2m + 2)) * diam: jung_bound from its two inputs, 0 at m = 0."""
+    return float(np.sqrt(m / (2.0 * m + 2.0)) * diam)
 
 
 def circumcenter_in_hull(config: Configuration, tol: float = DEFAULT_TOL) -> bool:

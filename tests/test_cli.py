@@ -6,8 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from diamramsey import cli, regular_simplex
-from diamramsey.formats import colored_to_dict, save_configuration
+from diamramsey import affine_dimension, cli, diameter, jung_bound, regular_simplex
+from diamramsey.formats import colored_to_dict, load_configuration, save_configuration
 from diamramsey.coloring import ColoredConfiguration
 
 
@@ -48,6 +48,27 @@ class TestSubcommands:
         assert code == 0
         assert report["outputs"]["jung_bound"] == pytest.approx(
             1 / math.sqrt(3), abs=1e-9)
+
+    def test_jung_computes_each_input_once(self, capsys, tri150, monkeypatch):
+        # One diameter and one hull SVD, and the library's values bit for bit.
+        calls = {"diameter": 0, "svd": 0}
+        geometry = sys.modules["diamramsey.geometry"]
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(cli, "diameter", counted("diameter", cli.diameter))
+        monkeypatch.setattr(geometry, "_hull_basis", counted("svd", geometry._hull_basis))
+        code, report, _ = run_cli(capsys, "jung", "--input", tri150)
+        assert code == 0 and calls == {"diameter": 1, "svd": 1}
+        monkeypatch.undo()
+        config = load_configuration(tri150)
+        assert report["outputs"] == {"jung_bound": jung_bound(config),
+                                     "affine_dimension": affine_dimension(config),
+                                     "diameter": diameter(config)}
 
     def test_obstruct(self, capsys, tri150):
         code, report, _ = run_cli(capsys, "obstruct", "--input", tri150)

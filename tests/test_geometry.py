@@ -34,17 +34,21 @@ def clouds(draw):
 
     Normal clouds of up to 300 points, where most rows miss the realised
     distance and are pruned; clouds with duplicate points, collinear sets,
-    points on a sphere or a spherical cap and antipodal pairs on a sphere
-    (every row ties); all scaled by 10^-9 ... 10^9 and translated by up to
-    1e6 times their extent.
+    points on a sphere or a spherical cap, antipodal pairs on a sphere
+    (every row ties) and a great circle with its two poles, whose windows
+    hold every circle row when a pole is the projection axis; all scaled by
+    10^-9 ... 10^9 and translated by up to 1e6 times their extent.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(
-        ["normal", "duplicates", "collinear", "sphere", "cap", "antipodal"]))
+        ["normal", "duplicates", "collinear", "sphere", "cap", "antipodal", "orthogonal"]))
     n = draw(st.integers(1, 300 if kind == "normal" else 60))
     dim = draw(st.integers(1, 6))
     pts = rng.normal(size=(n, dim))
-    if kind == "duplicates":
+    if kind == "orthogonal":
+        dim = max(dim, 2)
+        pts = orthogonal_circle(n, dim, rng)
+    elif kind == "duplicates":
         pts = pts[rng.integers(0, max(n // 3, 1), n)]
     elif kind == "collinear":
         pts = np.outer(rng.normal(size=n), rng.normal(size=dim))
@@ -60,6 +64,24 @@ def clouds(draw):
     return Configuration.from_points(pts + shift * extent * rng.normal(size=dim))
 
 
+def orthogonal_circle(n, dim, rng):
+    """Both poles of a random unit axis, then n points of the great circle
+    orthogonal to it (dim >= 2; in R^2 the circle is two antipodes).
+
+    Every point lies on the unit sphere about the origin.  When a pole is
+    the point farthest from the centroid, the circle projects to about 0 on
+    it, and each circle row's window |p_i + p_j| <= sqrt(4 - L^2) ~ 0 holds
+    every circle row.
+    """
+    axis, *plane = np.linalg.qr(rng.normal(size=(dim, min(dim, 3))))[0].T
+    if dim == 2:
+        circle = np.outer((-1.0) ** np.arange(n), plane[0])
+    else:
+        angles = rng.uniform(0.0, 2.0 * np.pi) + 2.0 * np.pi * np.arange(n) / n
+        circle = np.outer(np.cos(angles), plane[0]) + np.outer(np.sin(angles), plane[1])
+    return np.vstack([axis, -axis, circle])
+
+
 def evenly_spaced_line(n, dim, seed):
     """n evenly spaced points, symmetric about the origin, on a random line."""
     direction = np.random.default_rng(seed).normal(size=dim)
@@ -71,6 +93,66 @@ def antipodal_pairs(n, dim, seed):
     x = np.random.default_rng(seed).normal(size=(n, dim))
     x /= np.linalg.norm(x, axis=1)[:, None]
     return np.vstack([x, -x])
+
+
+def exact_antipodes(n, dim, seed):
+    """n points on the unit sphere, each followed by its antipode.
+
+    The pairs cancel exactly in the centroid, which is 0, so the centred
+    points are the input and each pair's projections sum to exactly 0.
+    """
+    pairs = antipodal_pairs(n, dim, seed)
+    return pairs.reshape(2, n, dim).transpose(1, 0, 2).reshape(2 * n, dim)
+
+
+def regular_polygon(m, dim, seed):
+    """The m vertices of a regular m-gon on the unit circle of a random plane in R^dim."""
+    angles = 2.0 * np.pi * np.arange(m) / m
+    frame = np.linalg.qr(np.random.default_rng(seed).normal(size=(dim, 2)))[0]
+    return np.column_stack([np.cos(angles), np.sin(angles)]) @ frame.T
+
+
+def integer_circle_and_poles(dim):
+    """Integer points of the radius-65 sphere in R^dim: both poles of the
+    first axis, then the 36 points with 65^2 = a^2 + b^2 on the great
+    circle orthogonal to it (in R^2, its two points).
+
+    Everything is exact: the centroid is 0, every squared norm is 65^2, and
+    the first pole, the first largest norm, is the projection axis.  Each
+    circle row then projects to exactly 0 and its window is
+    |p_i + p_j| <= sqrt(2 * 65^2 + 2 * 65^2 - 130^2) = 0 up to the slack,
+    so it holds every circle row on its edge.
+    """
+    legs = [(65, 0), (16, 63), (25, 60), (33, 56), (39, 52)]
+    circle = {(sa * a, sb * b) for a, b in legs + [(b, a) for a, b in legs]
+              for sa in (1, -1) for sb in (1, -1)}
+    pts = np.zeros((2 + (len(circle) if dim > 2 else 2), dim))
+    pts[0, 0], pts[1, 0] = 65.0, -65.0
+    if dim == 2:
+        pts[2:, 1] = 65.0, -65.0
+    else:
+        pts[2:, 1:3] = sorted(circle)
+    return pts
+
+
+def unit_sphere(n, dim, seed):
+    x = np.random.default_rng(seed).normal(size=(n, dim))
+    return x / np.linalg.norm(x, axis=1)[:, None]
+
+
+# Sets whose windows |p_i + p_j| <= w_i have pairs on or next to their edge.
+# Without the window's slack, the polygons 6x3-2, 16x2-0, 16x2-2 and 40x2-5
+# come out one bit low in one- and seven-entry blocks.
+WINDOW_EDGES = (
+    [pytest.param(exact_antipodes(n, dim, seed), id=f"exact-antipodes-{n}x{dim}")
+     for n, dim, seed in ((1, 2, 0), (7, 3, 1), (40, 3, 2), (60, 6, 3), (1500, 3, 4))]
+    + [pytest.param(regular_polygon(m, dim, seed), id=f"polygon-{m}x{dim}-{seed}")
+       for m, dim, seed in ((4, 2, 0), (6, 3, 2), (16, 2, 0), (16, 2, 2), (40, 2, 5),
+                            (100, 3, 1), (3000, 2, 0))]
+    + [pytest.param(integer_circle_and_poles(dim), id=f"circle-and-poles-{dim}")
+       for dim in (2, 3, 4, 6)]
+    + [pytest.param(unit_sphere(3000, dim, dim), id=f"sphere-3000x{dim}") for dim in range(2, 7)]
+)
 
 
 # Sets on which |x_i| + R = L holds to rounding for the rows of the largest
@@ -170,20 +252,47 @@ class TestDiameter:
         monkeypatch.setattr(diamramsey.geometry, "_DIAMETER_BLOCK", block)
         assert diameter(config) == float(np.max(distance_matrix(config)))
 
+    @pytest.mark.parametrize("shift", [0.0, 1e6])
+    @pytest.mark.parametrize("pts", WINDOW_EDGES)
+    def test_window_edges(self, pts, shift, monkeypatch):
+        extent = float(np.max(np.abs(pts - pts[0])))
+        config = Configuration.from_points(pts + shift * extent)
+        want = reference_diameter(config)
+        for block in (1, 7, 1 << 20):
+            monkeypatch.setattr(diamramsey.geometry, "_DIAMETER_BLOCK", block)
+            assert diameter(config) == want, block
+
+    @pytest.mark.parametrize("dim", [2, 3, 6])
+    def test_one_window_holds_the_circle(self, dim, monkeypatch):
+        # One-row blocks: each pole screens only the other pole, and each
+        # circle row every circle row, all at |p_i + p_j| = 0.
+        pts = integer_circle_and_poles(dim)
+        monkeypatch.setattr(diamramsey.geometry, "_DIAMETER_BLOCK", 1)
+        blocks = spy_on_screen(monkeypatch)
+        assert diameter(Configuration.from_points(pts)) == 130.0
+        circle = len(pts) - 2
+        assert sorted(cols for _, cols in blocks) == [1, 1] + [circle] * circle
+
     def test_prune_keeps_few_rows_of_a_cloud(self, monkeypatch):
+        # The windows screen no more than the kept rows against all n.
         kept = spy_on_prune(monkeypatch)
+        blocks = spy_on_screen(monkeypatch)
         config = Configuration.from_points(
             np.random.default_rng(0).normal(size=(3000, 3)))
         value = diameter(config)
         assert len(kept) == 1 and len(kept[0]) <= 64
+        assert sum(rows * cols for rows, cols in blocks) <= len(kept[0]) * 3000
         assert value == reference_diameter(config)
 
     def test_prune_keeps_every_row_of_a_sphere(self, monkeypatch):
+        # Every row reaches L, but at most 40% of the n*n pairs (about 26%
+        # here) lie in the windows.
         kept = spy_on_prune(monkeypatch)
-        pts = np.random.default_rng(0).normal(size=(3000, 3))
-        config = Configuration.from_points(pts / np.linalg.norm(pts, axis=1)[:, None])
+        blocks = spy_on_screen(monkeypatch)
+        config = Configuration.from_points(unit_sphere(3000, 3, 0))
         value = diameter(config)
         assert len(kept) == 1 and len(kept[0]) == 3000
+        assert sum(rows * cols for rows, cols in blocks) <= 0.4 * 3000**2
         assert value == reference_diameter(config)
 
     def test_peak_allocation_without_distance_tensor(self):
@@ -210,6 +319,19 @@ def spy_on_prune(monkeypatch) -> list:
 
     monkeypatch.setattr(diamramsey.geometry, "_reaching_rows", recording)
     return kept
+
+
+def spy_on_screen(monkeypatch) -> list:
+    """Record the (rows, columns) shape of each block of the Gram screen."""
+    blocks = []
+    screen = diamramsey.geometry._gram_row_max
+
+    def recording(rows, neg2xt, *args):
+        blocks.append((len(rows), neg2xt.shape[1]))
+        return screen(rows, neg2xt, *args)
+
+    monkeypatch.setattr(diamramsey.geometry, "_gram_row_max", recording)
+    return blocks
 
 
 def reference_diameter(config) -> float:
