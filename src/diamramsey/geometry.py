@@ -31,6 +31,9 @@ _SCREEN_ROWS = 32
 # Passes of the double-normal walk behind _far_pair_sq.
 _WALK_PASSES = 3
 
+# Float64 differences per broadcast of is_congruent's row comparison.
+_PLAN_ENTRIES = 1 << 20
+
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr = np.array(arr, dtype=float)
@@ -382,12 +385,6 @@ def _hull_basis(points: np.ndarray, tol: float) -> np.ndarray:
     return vt[:int(np.sum(svals > tol * svals[0]))]
 
 
-def _sorted_rows_compatible(row_a: np.ndarray, row_b: np.ndarray, tol: float) -> bool:
-    # Sorted sequences realize the optimal bottleneck matching on the line,
-    # so entrywise comparison is a valid necessary condition.
-    return bool(np.all(np.abs(np.sort(row_a) - np.sort(row_b)) <= tol))
-
-
 def _match(dist_a: np.ndarray, dist_b: np.ndarray, order, candidates,
            tol: float) -> dict[int, int] | None:
     """An injective map i -> j matching dist_a[i, i2] to dist_b[j, j2] within tol.
@@ -443,16 +440,30 @@ def is_congruent(config_a: Configuration, config_b: Configuration,
     if not np.all(np.abs(flat_a - flat_b) <= tol):
         return False
 
-    def distinctiveness(row: np.ndarray) -> int:
-        vals = np.sort(row)
-        return int(np.sum(np.diff(vals) > tol))
-
-    order = sorted(range(n), key=lambda i: -distinctiveness(dist_a[i]))
-    candidates = [
-        [j for j in range(n) if _sorted_rows_compatible(dist_a[i], dist_b[j], tol)]
-        for i in range(n)
-    ]
+    order, candidates = _search_plan(dist_a, dist_b, tol)
     return _match(dist_a, dist_b, order, candidates, tol) is not None
+
+
+def _search_plan(dist_a: np.ndarray, dist_b: np.ndarray, tol: float):
+    """_match's order and candidates, from the distance rows sorted once.
+
+    Point i of a may go to point j of b only if their sorted rows agree
+    entrywise within tol: sorted sequences realise the optimal bottleneck
+    matching on the line, so that is a necessary condition.  The pairs are
+    compared in broadcasts of at most _PLAN_ENTRIES differences, a single
+    one for every n up to 101.  The order places first the points whose
+    sorted row has the most gaps wider than tol (a stable sort, so ties keep
+    their index order).
+    """
+    n = len(dist_a)
+    sorted_a, sorted_b = np.sort(dist_a, axis=1), np.sort(dist_b, axis=1)
+    rows = max(1, _PLAN_ENTRIES // (n * n))
+    compatible = np.concatenate([
+        (np.abs(sorted_a[i:i + rows, None] - sorted_b[None]) <= tol).all(axis=2)
+        for i in range(0, n, rows)])
+    distinct = (np.diff(sorted_a, axis=1) > tol).sum(axis=1)
+    order = sorted(range(n), key=lambda i: -int(distinct[i]))
+    return order, [np.flatnonzero(row).tolist() for row in compatible]
 
 
 def random_motion(dim: int, seed=0, translation_scale: float = 1.0) -> RigidMotion:

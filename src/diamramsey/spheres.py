@@ -4,12 +4,13 @@ The minimum enclosing ball starts from one of the coordinate extremes,
 picked by a seeded shuffle, and grows one farthest-point pivot at a time
 (Gartner 1999) until one vectorised pass finds no point outside.  Each
 round walks to the ball of the current support and the pivot (Fischer,
-Gartner & Kutz 2003); Welzl's move-to-front recursion (Welzl 1991)
-solves sets whose extremes are all of them, and any round whose walk does
-not end.  A ball that stalls under rounding is kept, with the radius
-measured to the farthest of all the points, so it still holds
-every point.  The circumsphere is solved inside the affine hull of the
-points, which is what makes "smallest containing sphere" well defined for
+Gartner & Kutz 2003).  A set whose extremes are all of it, such as every
+simplex, is walked to in one go from its centroid.  Welzl's move-to-front
+recursion (Welzl 1991) solves only what a walk leaves unended.  A ball
+that stalls under rounding is kept, with the radius measured to the
+farthest of all the points, so it still holds every point.  The
+circumsphere is solved inside the affine hull of the points, which is
+what makes "smallest containing sphere" well defined for
 lower-dimensional sets (an off-hull center can only enlarge the radius).
 """
 
@@ -32,7 +33,8 @@ _WELZL_SLACK = 1e-12
 # Rows from which _sq_dists sums column by column.
 _COLUMN_ROWS = 256
 
-# Steps of one _walk before the pivot round falls back to move-to-front.
+# Steps of one _walk before its pivot round, or its whole-set ball, falls
+# back to move-to-front.
 _WALK_STEPS = 64
 
 
@@ -260,8 +262,10 @@ def min_enclosing_ball(config: Configuration, seed: int = 0) -> Ball:
     the set's extent is a pivot, and _core_ball walks to the ball of the
     current support and the pivot.  The ball is determined by a support
     set of at most dim+1 boundary points.  A set whose extremes are all of
-    it is solved by Welzl's move-to-front recursion over a seeded shuffle
-    of the whole set.  If the pivot is already in the support, or a round
+    it (every witness the library builds) is walked to from its centroid
+    with the farthest point as the pivot (_whole_ball); for such a set
+    `seed` only orders the move-to-front fallback of a walk that does not
+    end.  If the pivot is already in the support, or a round
     neither grows the radius nor brings the farthest point nearer, the
     last center is kept.  Either way the radius is the farthest point's
     distance from the center, so every point lies inside with no slack.
@@ -273,16 +277,35 @@ def min_enclosing_ball(config: Configuration, seed: int = 0) -> Ball:
     slack = _WELZL_SLACK * extent
     extremes = np.zeros(len(config), dtype=bool)
     extremes[pts.argmin(axis=0)] = extremes[pts.argmax(axis=0)] = True
-    core = np.flatnonzero(extremes)  # sorted, so a core of all n points is arange(n)
-    order = np.random.default_rng(seed).permutation(len(core))
-    if len(core) < len(pts):
+    core = np.flatnonzero(extremes)
+    if len(core) == len(pts):
+        center = _whole_ball(pts, seed, config.dim, slack)
+        sq = _sq_dists(pts, center)
+    else:
         # Grow from one extreme.  Starting from move-to-front over all
         # 2*dim of them solves about five times as many support balls on
         # 5000 Gaussian points in R^6 (159 against 30, medians of 88
         # calls), and how many varies several-fold with the seed.
-        core, order = core[order[:1]], np.zeros(1, dtype=int)
-    center, sq = _core_ball(pts, core, order, config.dim, slack)
+        first = core[np.random.default_rng(seed).permutation(len(core))[:1]]
+        center, sq = _core_ball(pts, first, np.zeros(1, dtype=int), config.dim, slack)
     return Ball(center=center, radius=float(np.sqrt(sq.max())))
+
+
+def _whole_ball(pts: np.ndarray, seed: int, dim: int, slack: float) -> np.ndarray:
+    """Center of the smallest ball of a set whose coordinate extremes are all of it.
+
+    Walked to from the centroid, with the farthest point as the pivot.  If
+    the walk does not end, Welzl's move-to-front recursion over a seeded
+    shuffle of the set solves it.  On a simplex in R^d move-to-front
+    solves up to 2^(d+1) support balls and the walk about d: on the
+    regular simplex in R^8, 28 ms against 0.7 ms on a 2-vCPU Xeon.
+    """
+    start = pts.mean(axis=0)
+    walked = _walk(pts, start, int(_sq_dists(pts, start).argmax()))
+    if walked is not None:
+        return walked[0]
+    order = np.random.default_rng(seed).permutation(len(pts))
+    return _welzl_mtf(pts, order, (), dim, slack)[0]
 
 
 def circumsphere(config: Configuration, tol: float = DEFAULT_TOL) -> Sphere:

@@ -62,14 +62,18 @@ ROUNDING_SLACK = 1e-12
 # below _IPM_RESIDUAL times the largest multiplier, or after _IPM_PATIENCE
 # iterations that do not improve on the best once it is within
 # _IPM_STALL_MERIT of those targets.  _IPM_STEP is the fraction of the step
-# to the boundary taken.  The KKT finish takes _IPM_FINISH_STEPS Newton
-# steps and accepts constraint values up to _IPM_FINISH_SLACK.
+# to the boundary taken; a solve with one common step length takes
+# _IPM_TAIL_STEP once the mean complementarity is below _IPM_TAIL_GAP.  The
+# KKT finish takes _IPM_FINISH_STEPS Newton steps and accepts constraint
+# values up to _IPM_FINISH_SLACK.
 _IPM_MAX_ITERATIONS = 60
 _IPM_GAP = 1e-17
 _IPM_RESIDUAL = 1e-13
 _IPM_STALL_MERIT = 1e6
 _IPM_PATIENCE = 3
 _IPM_STEP = 0.99
+_IPM_TAIL_GAP = 1e-10
+_IPM_TAIL_STEP = 1.0 - 1e-4
 _IPM_FINISH_STEPS = 6
 _IPM_FINISH_SLACK = 1e-16
 _CHUNK = 1 << 16
@@ -111,8 +115,11 @@ class SpreadEstimate:
     that placement and max_norm its largest point norm.  c_lower is a
     certified lower bound.
     best_restart is the index of the solve pass whose placement is returned;
-    restarts is the cap on passes.  The solve's outputs are None when no
-    copy fits.
+    restarts is the cap on passes.  diagnostics holds "passes", one entry
+    per pass run: "iterations", the Newton systems it solved, and "stage",
+    the stage that converged ("interior_point", "separate_steps" or
+    "kkt_finish"; None if none did).  It is deterministic and holds no
+    timings.  The solve's outputs are None when no copy fits.
     """
 
     c_estimate: float | None
@@ -127,6 +134,7 @@ class SpreadEstimate:
     c_lower: float | None = None
     best_restart: int | None = None
     max_norm: float | None = None
+    diagnostics: dict | None = None
 
     def to_dict(self) -> dict:
         motion = None
@@ -148,6 +156,7 @@ class SpreadEstimate:
             "best_restart": self.best_restart,
             "max_norm": self.max_norm,
             "best_motion": motion,
+            "diagnostics": self.diagnostics,
         }
 
 
@@ -277,7 +286,7 @@ def sample_spread_oracle(problem: SpreadProblem, n_samples: int,
 # ---------------------------------------------------------------------------
 
 def _solve_levels(a: np.ndarray, radius: float, y0: np.ndarray):
-    """The reduced program's optimal y and its multipliers (lam, mu, nu).
+    """The reduced program's optimal y, its multipliers (lam, mu, nu), and diagnostics.
 
     a holds the target's coordinates in its affine hull, centered at its
     enclosing-ball center, and radius exceeds their largest norm.  The n ball
@@ -285,22 +294,26 @@ def _solve_levels(a: np.ndarray, radius: float, y0: np.ndarray):
     |y|^2 and u >= max f_k, so they are exactly u + |y|^2 <= r^2.  That
     leaves min u - l over 2n linear constraints, l <= f_k(y) <= u, and one
     paraboloid, in m + 2 variables, solved by a primal-dual interior-point
-    method (_interior_point).  Its steps use separate primal and dual
-    lengths; near the enclosing radius R, where the multipliers grow without
-    bound as r falls to R, a solve that does not converge is repeated with
-    one common length, which is steadier there.  lam and mu weight the upper
-    and lower level constraints, nu the paraboloid.
+    method (_interior_point).  Its steps take one common length for the
+    primal and the dual: the paraboloid's curvature ties the dual residual
+    to the primal step.  A solve that does not converge, on the rare
+    degenerate program where that common length stalls, is repeated with
+    separate primal and dual lengths.  lam and mu weight the upper and
+    lower level constraints, nu the paraboloid.  The diagnostics are the
+    Newton systems solved ("iterations", both solves and the KKT finish
+    counted) and the stage that converged: "interior_point",
+    "separate_steps" (the repeated solve) or "kkt_finish"; None if none did.
     """
-    solve = _interior_point(a, radius, y0, common_step=False)
-    if not solve[-1]:
-        retry = _interior_point(a, radius, y0, common_step=True)
-        if retry[-1]:
+    *solve, systems, stage = _interior_point(a, radius, y0, separate=False)
+    if stage is None:
+        *retry, more, stage = _interior_point(a, radius, y0, separate=True)
+        systems += more
+        if stage is not None:
             solve = retry
-    return solve[:-1]
+    return (*solve, {"iterations": systems, "stage": stage})
 
 
-def _interior_point(a: np.ndarray, radius: float, y0: np.ndarray,
-                    common_step: bool):
+def _interior_point(a: np.ndarray, radius: float, y0: np.ndarray, separate: bool):
     """Mehrotra predictor-corrector on the collapsed program, then a KKT finish.
 
     Levels are measured from R^2 = max |a_k|^2, so the paraboloid reads
@@ -310,13 +323,19 @@ def _interior_point(a: np.ndarray, radius: float, y0: np.ndarray,
     that are dual feasible at y = 0 (lam = 1/n + nu p, mu = 1/n, where p
     are convex weights, fitted by least squares, of the points within delta
     of the farthest, whose weighted mean is the center), scaled to a common
-    complementarity.  The paraboloid's slack is updated exactly,
-    quadratic term included.  When the iterations stall short of
+    complementarity.  Each iteration inverts one Newton system and applies
+    it twice: the predictor, then the corrector, whose right-hand side is
+    the predictor's plus the shift of its centring.  Each step goes
+    _IPM_STEP of the way to the boundary; with one common length it goes
+    _IPM_TAIL_STEP of the way once the mean complementarity is below
+    _IPM_TAIL_GAP, so the last iterations cut the gap 10^4-fold, not
+    100-fold.  The paraboloid's slack is updated exactly, quadratic term
+    included.  When the iterations stall short of
     _IPM_GAP and _IPM_RESIDUAL, the KKT equations of the constraints whose
     multiplier exceeds their slack at the best iterate are solved by Newton's
     method; that point replaces the iterate if it is feasible with
-    nonnegative multipliers.  Returns y, lam, mu, nu and whether either
-    stage converged.
+    nonnegative multipliers.  Returns y, lam, mu, nu, the Newton systems
+    solved, and the stage that converged, or None.
     """
     n, m = a.shape
     sq = np.einsum("ij,ij->i", a, a)
@@ -355,7 +374,20 @@ def _interior_point(a: np.ndarray, radius: float, y0: np.ndarray,
     z = np.concatenate([1.0 / n + nu * weights, np.full(n, 1.0 / n), [nu]])
     z *= target * size / (s @ z)
 
-    best, since, converged = (math.inf, x, z, s), 0, False
+    def lengths(dx, ds, dz):
+        """Primal and dual step lengths to the boundary, and |dy|^2."""
+        primal_len = 1.0 / max(1.0, float(-(ds[:-1] / s[:-1]).min()))
+        # the paraboloid's exact slack s + t ds - t^2 |dy|^2 stays positive
+        curve, slope = float(dx[:m] @ dx[:m]), float(ds[-1])
+        root = math.sqrt(max(slope * slope + 4.0 * curve * s[-1], 0.0)) - slope
+        if root > 0.0:
+            primal_len = min(primal_len, 2.0 * s[-1] / root)
+        dual_len = 1.0 / max(1.0, float(-(dz / z).min()))
+        if not separate:
+            primal_len = dual_len = min(primal_len, dual_len)
+        return primal_len, dual_len, curve
+
+    best, since, stage, systems = (math.inf, x, z, s), 0, None, 0
     for _ in range(_IPM_MAX_ITERATIONS):
         jac[2 * n, :m] = 2.0 * x[:m]
         dual = cost + jac.T @ z
@@ -370,49 +402,48 @@ def _interior_point(a: np.ndarray, radius: float, y0: np.ndarray,
             if since >= _IPM_PATIENCE:
                 break
         if merit <= 1.0:
-            converged = True
+            stage = "separate_steps" if separate else "interior_point"
             break
-        hess = (jac.T * (z / s)) @ jac
+        ratio = z / s
+        hess = (jac.T * ratio) @ jac
         hess[diag, diag] += 2.0 * z[-1]
         try:
             inverse = np.linalg.inv(hess)
         except np.linalg.LinAlgError:
             break
-
-        def direction(centring):
-            dx = inverse @ (-dual - jac.T @ ((z * primal - centring) / s))
-            ds = -primal - jac @ dx
-            return dx, ds, (-centring - z * ds) / s
-
-        def lengths(dx, ds, dz):
-            primal_len = 1.0 / max(1.0, float(-(ds[:-1] / s[:-1]).min()))
-            # the paraboloid's exact slack s + t ds - t^2 |dy|^2 stays positive
-            curve, slope = float(dx[:m] @ dx[:m]), float(ds[-1])
-            root = math.sqrt(max(slope * slope + 4.0 * curve * s[-1], 0.0)) - slope
-            if root > 0.0:
-                primal_len = min(primal_len, 2.0 * s[-1] / root)
-            dual_len = 1.0 / max(1.0, float(-(dz / z).min()))
-            if common_step:
-                primal_len = dual_len = min(primal_len, dual_len)
-            return primal_len, dual_len
-
-        dx, ds, dz = direction(s * z)
-        primal_len, dual_len = lengths(dx, ds, dz)
+        systems += 1
+        # The predictor's centring is s*z, so (z*primal - s*z)/s = ratio*primal - z.
+        predictor = -dual - jac.T @ (ratio * primal - z)
+        dx = inverse @ predictor
+        ds = -primal - jac @ dx
+        dz = -z - ratio * ds
+        primal_len, dual_len, _ = lengths(dx, ds, dz)
         predicted = float((s + primal_len * ds) @ (z + dual_len * dz)) / size
-        dx, ds, dz = direction(s * z + ds * dz - (predicted / gap) ** 3 * gap)
-        primal_len, dual_len = (min(1.0, _IPM_STEP * t) for t in lengths(dx, ds, dz))
+        # The corrector's centring is s*z + ds*dz - sigma*gap, with
+        # sigma = (predicted/gap)^3: the predictor's right-hand side plus
+        # jac^T (shift / s), shift = ds*dz - sigma*gap.
+        shift = ds * dz
+        shift -= (predicted / gap) ** 3 * gap
+        shift /= s
+        dx = inverse @ (predictor + jac.T @ shift)
+        ds = -primal - jac @ dx
+        dz = -z - shift - ratio * ds
+        step = _IPM_STEP if separate or gap >= _IPM_TAIL_GAP else _IPM_TAIL_STEP
+        primal_len, dual_len, curve = lengths(dx, ds, dz)
+        primal_len, dual_len = min(1.0, step * primal_len), min(1.0, step * dual_len)
         if not primal_len > 0.0:
             break
-        paraboloid = s[-1] + primal_len * ds[-1] - primal_len ** 2 * float(dx[:m] @ dx[:m])
+        paraboloid = s[-1] + primal_len * ds[-1] - primal_len ** 2 * curve
         x, z, s = x + primal_len * dx, z + dual_len * dz, s + primal_len * ds
         s[-1] = paraboloid
 
     _, x, z, s = best
-    if not converged:
+    if stage is None:
+        systems += _IPM_FINISH_STEPS
         finish = _kkt_finish(jac, values, cost, m, x, z, z > s)
         if finish is not None:
-            (x, z), converged = finish, True
-    return x[:m], z[:n], z[n:2 * n], float(z[-1]), converged
+            (x, z), stage = finish, "kkt_finish"
+    return x[:m], z[:n], z[n:2 * n], float(z[-1]), systems, stage
 
 
 def _kkt_finish(jac, values, cost, m, x, z, active):
@@ -535,9 +566,10 @@ def estimate_c(problem: SpreadProblem, restarts: int = 64, seed: int = 0,
 
     placed = np.hstack([target.points, np.zeros((len(target), 1))])
     y = np.zeros(len(basis))
-    best, c_lower = None, 0.0
+    best, c_lower, passes = None, 0.0, []
     for index in range(restarts):
-        y, lam, mu, nu = _solve_levels(a, radius, y)
+        y, lam, mu, nu, diagnostics = _solve_levels(a, radius, y)
+        passes.append(diagnostics)
         origin = origin_of(y)
         norms = np.linalg.norm(placed - origin, axis=1)
         value = float(norms.max() - norms.min())
@@ -565,4 +597,4 @@ def estimate_c(problem: SpreadProblem, restarts: int = 64, seed: int = 0,
     return SpreadEstimate(
         c_estimate=value, best_motion=motion, oracle_value=oracle_value,
         feasible=True, c_lower=c_lower, best_restart=index,
-        max_norm=max_norm, **report)
+        max_norm=max_norm, diagnostics={"passes": passes}, **report)

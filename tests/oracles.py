@@ -1,7 +1,8 @@
 """Independent reference implementations used only by the tests.
 
 These deliberately avoid the library's code paths: the enclosing ball is
-found by enumerating candidate support subsets, monochromatic copies by
+found by enumerating candidate support subsets, is_congruent's pruning by
+comparing sorted rows one pair at a time, monochromatic copies by
 full subset-and-permutation enumeration, the minimal spread of a planar
 target by a complete 2-d grid search with closed-form plane height, the
 spread solve's reduced program by SLSQP (scipy, imported where it is used),
@@ -83,6 +84,24 @@ def welzl_loop(points, seed: int, slack: float) -> tuple[np.ndarray, float]:
         return ball
 
     return mtf([int(i) for i in np.random.default_rng(seed).permutation(len(pts))], ())
+
+
+def sorted_rows_compatible(row_a, row_b, tol: float) -> bool:
+    """is_congruent's former pairwise row test: sorted rows agree within tol."""
+    return bool(np.all(np.abs(np.sort(row_a) - np.sort(row_b)) <= tol))
+
+
+def pairwise_search_plan(dist_a, dist_b, tol: float):
+    """is_congruent's former search order and candidates, one row pair at a time."""
+    n = len(dist_a)
+
+    def distinctiveness(row) -> int:
+        return int(np.sum(np.diff(np.sort(row)) > tol))
+
+    order = sorted(range(n), key=lambda i: -distinctiveness(dist_a[i]))
+    candidates = [[j for j in range(n) if sorted_rows_compatible(dist_a[i], dist_b[j], tol)]
+                  for i in range(n)]
+    return order, candidates
 
 
 def hull_coordinates(points) -> np.ndarray:

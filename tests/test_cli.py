@@ -94,6 +94,8 @@ class TestSubcommands:
         assert code == 0
         assert report["outputs"]["feasible"] is True
         assert report["outputs"]["c_estimate"] > 1e-3
+        passes = report["outputs"]["diagnostics"]["passes"]
+        assert passes and all(solve["stage"] == "interior_point" for solve in passes)
 
     def test_oracle(self, capsys, tri150):
         code, report, _ = run_cli(capsys, "oracle", "--input", tri150,

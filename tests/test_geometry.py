@@ -22,7 +22,7 @@ from diamramsey import (
     random_motion,
     regular_simplex,
 )
-from oracles import configurations, dist_matrix
+from oracles import configurations, dist_matrix, pairwise_search_plan
 
 UNIT_SQUARE = Configuration.from_points([[0, 0], [1, 0], [1, 1], [0, 1]])
 EQUILATERAL = regular_simplex(2)
@@ -447,6 +447,61 @@ class TestIsCongruent:
         moved = apply_motion(config, random_motion(4, seed=3, translation_scale=scale))
         assert is_congruent(config, moved)
         assert is_congruent(moved, config)
+
+
+class TestSearchPlan:
+    """is_congruent's broadcast pruning against the pairwise rule it replaced."""
+
+    @staticmethod
+    def _pairs(seed):
+        rng = np.random.default_rng([seed, 41])
+        n, dim = int(rng.integers(2, 13)), int(rng.integers(1, 5))
+        if seed % 3 == 0:  # repeated distances: ties in the order and the rows
+            base = regular_simplex(min(n - 1, 8)).points
+            n, dim = base.shape[0], base.shape[1]
+            pts = base + 1e-10 * rng.normal(size=base.shape)
+        else:
+            pts = rng.normal(size=(n, dim))
+        config = Configuration.from_points(pts)
+        moved = apply_motion(config, random_motion(dim, seed=seed))
+        bumped = pts.copy()
+        bumped[int(rng.integers(n))] += 1e-9 * rng.normal(size=dim)
+        return config, [moved, Configuration.from_points(bumped),
+                        Configuration.from_points(rng.normal(size=(n, dim)))]
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_same_plan_as_pairwise_rule(self, seed):
+        config, others = self._pairs(seed)
+        dist_a = distance_matrix(config)
+        for other in others:
+            dist_b = distance_matrix(other)
+            for tol in (0.0, 1e-12, 1e-9, 1e-3):
+                tol = tol * max(dist_a.max(), dist_b.max())
+                assert diamramsey.geometry._search_plan(dist_a, dist_b, tol) \
+                    == pairwise_search_plan(dist_a, dist_b, tol)
+
+    def test_exact_ties(self):
+        # Rows with equal distances have fewer gaps, so they are placed
+        # after rows 2 and 3, which have none.
+        config = Configuration.from_points([[0, 0], [1, 0], [2, 0], [0, 1], [3, 3]])
+        moved = apply_motion(config, random_motion(2, seed=5))
+        dist_a = distance_matrix(config)
+        for dist_b in (dist_a, distance_matrix(moved)):
+            for tol in (0.0, 1e-9):
+                plan = diamramsey.geometry._search_plan(dist_a, dist_b, tol)
+                assert plan == pairwise_search_plan(dist_a, dist_b, tol)
+                assert plan[0][:2] == [2, 3]
+
+    def test_blocked_broadcast_gives_the_same_plan(self, monkeypatch):
+        config, (moved, bumped, _) = self._pairs(1)
+        dist_a = distance_matrix(config)
+        tol = 1e-9 * dist_a.max()
+        for other in (moved, bumped):
+            whole = diamramsey.geometry._search_plan(dist_a, distance_matrix(other), tol)
+            monkeypatch.setattr(diamramsey.geometry, "_PLAN_ENTRIES", len(config) ** 2 * 2)
+            blocked = diamramsey.geometry._search_plan(dist_a, distance_matrix(other), tol)
+            monkeypatch.undo()
+            assert blocked == whole
 
 
 class TestAffineDimension:

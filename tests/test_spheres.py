@@ -272,18 +272,35 @@ class TestCoreSet:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_witness_balls_solve_the_whole_seeded_order(self, seed):
-        # The core of a witness is all of it, so its ball is bit for bit
-        # Welzl's over the seeded shuffle of the whole set.
+        # The core of a witness is all of it, so its ball is walked to; it
+        # agrees with Welzl's over the seeded shuffle of the whole set, and
+        # holds every point with no slack.
         for config in (OBTUSE_150, almost_regular_simplex(3, 0.01),
                        almost_regular_simplex(4, 0.01)):
             for dim in (config.dim, config.dim + 1, config.dim + 3):
                 pts = np.zeros((len(config), dim))
                 pts[:, :config.dim] = config.points
                 ball = min_enclosing_ball(Configuration.from_points(pts), seed=seed)
+                assert np.all(np.linalg.norm(pts - ball.center, axis=1) <= ball.radius)
                 slack = 1e-12 * np.abs(pts - pts[0]).max()
                 order = np.random.default_rng(seed).permutation(len(pts))
                 center, _ = _welzl_mtf(pts, order, (), dim, slack)
-                assert np.array_equal(ball.center, center)
+                radius = np.linalg.norm(pts - center, axis=1).max()
+                rounding = 4 * np.finfo(float).eps * np.abs(pts).max()
+                assert abs(ball.radius - radius) <= 1e-12 * radius + rounding
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_unended_walk_solves_the_whole_seeded_order(self, monkeypatch, seed):
+        # A whole-set walk that does not end leaves the ball to Welzl's
+        # move-to-front over the seeded shuffle, bit for bit.
+        monkeypatch.setattr(diamramsey.spheres, "_WALK_STEPS", 0)
+        for config in (OBTUSE_150, almost_regular_simplex(4, 0.01)):
+            pts = config.points
+            ball = min_enclosing_ball(config, seed=seed)
+            slack = 1e-12 * np.abs(pts - pts[0]).max()
+            order = np.random.default_rng(seed).permutation(len(pts))
+            center, _ = _welzl_mtf(pts, order, (), config.dim, slack)
+            assert np.array_equal(ball.center, center)
 
     def test_rounds_walk_from_one_extreme(self, monkeypatch):
         # Move-to-front runs once, on the one coordinate extreme the seed
@@ -330,6 +347,59 @@ class TestCoreSet:
         # the support lies on the boundary
         on = np.linalg.norm(pts[support] - center, axis=1)
         assert np.allclose(on, radius, rtol=1e-9, atol=1e-12)
+
+
+class TestWalkedWholeSets:
+    """Sets whose coordinate extremes are all of them: every witness."""
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_regular_simplex_radius(self, dim):
+        config = regular_simplex(dim)
+        want = math.sqrt(dim / (2 * dim + 2)) * diameter(config)
+        ball = min_enclosing_ball(config)
+        assert abs(ball.radius - want) <= 1e-15 * want
+        assert np.all(np.linalg.norm(config.points - ball.center, axis=1) <= ball.radius)
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_almost_regular_simplex_matches_brute_force(self, dim):
+        config = almost_regular_simplex(dim, 1e-6)
+        ball = min_enclosing_ball(config)
+        oracle_radius, _ = brute_force_meb(config.points)
+        assert ball.radius == pytest.approx(oracle_radius, rel=1e-12)
+
+    def test_simplices_need_no_move_to_front(self, monkeypatch):
+        # Move-to-front over a simplex in R^d solves up to 2^(d+1) support
+        # balls; the walk adds one point a step.
+        calls = []
+        welzl = diamramsey.spheres._welzl_mtf
+
+        def recording(pts, *args):
+            calls.append(len(pts))
+            return welzl(pts, *args)
+
+        monkeypatch.setattr(diamramsey.spheres, "_welzl_mtf", recording)
+        for dim in range(2, 9):
+            for config in (regular_simplex(dim), almost_regular_simplex(dim, 1e-6)):
+                for seed in range(3):
+                    min_enclosing_ball(config, seed=seed)
+        assert calls == []
+
+    @pytest.mark.parametrize("seed", range(24))
+    @pytest.mark.parametrize("move", ["none", "far"])
+    def test_tiny_sets_match_whole_order_ball(self, seed, move):
+        rng = np.random.default_rng([seed, 31])
+        dim = int(rng.integers(1, 5))
+        pts = rng.normal(size=(int(rng.integers(1, 2 * dim + 2)), dim))
+        if move == "far":
+            pts = pts + 1e6 * np.ptp(pts, axis=0).max() * rng.normal(size=dim)
+        ball = min_enclosing_ball(Configuration.from_points(pts), seed=seed)
+        assert np.all(np.linalg.norm(pts - ball.center, axis=1) <= ball.radius)
+        n = len(pts)
+        slack = 1e-12 * np.abs(pts - pts[0]).max()
+        center, _ = _welzl_mtf(pts, np.random.default_rng(seed).permutation(n), (), dim, slack)
+        radius = np.linalg.norm(pts - center, axis=1).max()
+        rounding = 4 * np.finfo(float).eps * np.abs(pts).max()
+        assert abs(ball.radius - radius) <= 1e-11 * radius + rounding
 
 
 @pytest.mark.parametrize("n", [10, 300])

@@ -190,6 +190,53 @@ class TestEstimateC:
         assert "penalty_schedule" not in payload
 
 
+class TestDiagnostics:
+    STAGES = {"interior_point", "separate_steps", "kkt_finish"}
+
+    def test_one_entry_per_pass(self):
+        problem = SpreadProblem(target=OBTUSE_150, radius=0.95)
+        estimate = estimate_c(problem, restarts=3)
+        passes = estimate.diagnostics["passes"]
+        assert 1 <= len(passes) <= 3 and estimate.best_restart < len(passes)
+        for solve in passes:
+            assert isinstance(solve["iterations"], int) and solve["iterations"] > 0
+            assert solve["stage"] in self.STAGES
+        assert estimate_c(problem, restarts=3).diagnostics == estimate.diagnostics
+
+    def test_reaches_the_report(self):
+        import json
+        estimate = estimate_c(SpreadProblem(target=EQUILATERAL, radius=0.6), restarts=2)
+        payload = json.loads(json.dumps(estimate.to_dict()))
+        assert payload["diagnostics"] == estimate.diagnostics
+        infeasible = estimate_c(SpreadProblem(target=EQUILATERAL, radius=0.4))
+        assert infeasible.diagnostics is None and infeasible.to_dict()["diagnostics"] is None
+
+    @pytest.mark.parametrize("target, radius", [
+        (OBTUSE_150, 0.95), (OBTUSE_150, 0.75), (almost_regular_simplex(3, 0.01), 0.707),
+        (almost_regular_simplex(4, 0.01), 0.6633), (almost_regular_simplex(8, 1e-6), 0.7)])
+    def test_witnesses_converge_in_the_interior_point(self, target, radius):
+        estimate = estimate_c(SpreadProblem(target=target, radius=radius), restarts=2)
+        assert [solve["stage"] for solve in estimate.diagnostics["passes"]] \
+            == ["interior_point"]
+        assert estimate.diagnostics["passes"][0]["iterations"] <= 14
+
+    def test_common_step_stall_is_repeated_with_separate_steps(self):
+        # Three points in the plane at 1.1 times their enclosing radius,
+        # one of the 1200 programs of TestEnclosingRadius's sweep on which
+        # the common step length stalls for all its iterations.
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            n, dim = int(rng.integers(2, 7)), int(rng.integers(2, 5))
+            points = rng.standard_normal((n, dim))
+        config = Configuration.from_points(points)
+        radius = 1.1 * min_enclosing_ball(config).radius
+        estimate = estimate_c(SpreadProblem(target=config, radius=radius))
+        assert [solve["stage"] for solve in estimate.diagnostics["passes"]] \
+            == ["separate_steps"]
+        assert 0.0 < estimate.c_lower <= estimate.c_estimate
+        assert estimate.c_estimate - estimate.c_lower <= 1e-12 * radius
+
+
 class TestCertifiedBracket:
     @pytest.mark.parametrize("radius", [0.55, 0.65, 0.75, 0.85, 0.95])
     def test_triangle_ladder(self, radius):
@@ -381,6 +428,23 @@ class TestEnclosingRadius:
             assert estimate.max_norm <= radius * (1.0 + 2e-9)
             widest = max(widest, (estimate.c_estimate - estimate.c_lower) / radius)
         assert widest <= self.SLSQP_WIDEST
+
+    @pytest.mark.parametrize("factor", [1.0 + 1e-9, 1.001, 1.1])
+    def test_ordered_bracket_just_above(self, factor):
+        # The same sets just above the enclosing radius, where near-degenerate
+        # programs leave the solve to its separate-step repeat or the KKT finish.
+        rng = np.random.default_rng(0)
+        widest, stages = 0.0, set()
+        for _ in range(300):
+            n, dim = int(rng.integers(2, 7)), int(rng.integers(2, 5))
+            config = Configuration.from_points(rng.standard_normal((n, dim)))
+            radius = min_enclosing_ball(config).radius * factor
+            estimate = estimate_c(SpreadProblem(target=config, radius=radius))
+            assert estimate.c_lower <= estimate.c_estimate
+            widest = max(widest, (estimate.c_estimate - estimate.c_lower) / radius)
+            stages |= {solve["stage"] for solve in estimate.diagnostics["passes"]}
+        assert widest < self.SLSQP_WIDEST
+        assert None not in stages
 
 
 class TestSampleSpreadOracle:

@@ -68,3 +68,11 @@ def test_numpy_is_the_only_runtime_dependency():
     project = tomllib.loads(PYPROJECT.read_text())["project"]
     names = [re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in project["dependencies"]]
     assert names == ["numpy"]
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib needs Python 3.11")
+def test_runtime_warnings_fail_the_suite():
+    # an overflow or a division by zero in a solver step is an error, not a line of output
+    import tomllib
+    options = tomllib.loads(PYPROJECT.read_text())["tool"]["pytest"]["ini_options"]
+    assert "error::RuntimeWarning" in options["filterwarnings"]
