@@ -164,13 +164,23 @@ def diameter(config: Configuration) -> float:
     recomputed with distance_matrix's formula.  On Gaussian clouds the
     prune leaves a few dozen rows.  On a sphere every row reaches L, but
     the windows are narrow: 3000 points on the unit sphere in R^3 screen
-    under a third of their n*n pairs, not all of them.
+    about a quarter of their n*n pairs, and 4% about the sphere's own
+    centre, where obstruction_verdict screens them.
     """
-    pts = config.points
+    return _diameter(config.points)
+
+
+def _diameter(pts: np.ndarray, center: np.ndarray | None = None,
+              far_sq: float | None = None) -> float:
+    """diameter() of the rows of pts, screened about `center` (default the centroid).
+
+    `far_sq`, a realised squared distance of pts, replaces the walk from the
+    point farthest from the centre.  Neither changes the value.
+    """
     n, d = pts.shape
     rows = max(1, _DIAMETER_BLOCK // (n * d))
     candidates = (np.arange(n) if rows >= n
-                  else _screened_rows(pts, min(rows, _SCREEN_ROWS)))
+                  else _screened_rows(pts, min(rows, _SCREEN_ROWS), center, far_sq))
     best = 0.0
     for start in range(0, len(candidates), rows):
         best = max(best, float(np.max(_row_sq_dists(pts, candidates[start:start + rows]))))
@@ -202,13 +212,15 @@ def _far_pair_sq(pts: np.ndarray, start: int) -> float:
     return best
 
 
-def _screened_rows(pts: np.ndarray, rows: int) -> np.ndarray:
+def _screened_rows(pts: np.ndarray, rows: int, center: np.ndarray | None = None,
+                   far_sq: float | None = None) -> np.ndarray:
     """The rows of pts that may hold the largest distance.
 
-    The points are centred and scaled by a power of two.  _reaching_rows
-    drops the rows that cannot reach the walk's realised distance L, and
-    the rest are sorted by their projection p on the direction of the
-    point farthest from the centroid.  By the parallelogram law
+    The points are centred, on `center` or else their centroid, and scaled
+    by a power of two.  _reaching_rows drops the rows that cannot reach a
+    realised distance L (`far_sq`, or else the walk's from the point
+    farthest from the centre), and the rest are sorted by their projection
+    p on the direction of that farthest point.  By the parallelogram law
     |x_i - x_j|^2 = 2|x_i|^2 + 2|x_j|^2 - |x_i + x_j|^2, and
     |x_i + x_j| >= |p_i + p_j|, so row i reaches L only against the rows
     with |p_i + p_j| <= w_i = sqrt(2|x_i|^2 + 2R^2 - L^2), R = max|x|; after
@@ -216,13 +228,14 @@ def _screened_rows(pts: np.ndarray, rows: int) -> np.ndarray:
     consecutive rows is screened with the Gram form
     |x_i|^2 + |x_j|^2 - 2<x_i, x_j> against the union of its windows, and a
     row is kept when its screened maximum lies within twice the rounding
-    bound B (derived below) of the largest.  3000 points of the unit sphere
-    in R^3 screen about 26% of their n*n pairs, 2000 points of the 4-sphere
-    in R^5 about 40%.
+    bound B (derived below) of the largest.  The proofs use nothing of the
+    centre c but the rounding of x = p - c.  3000 points of the unit sphere
+    in R^3 screen about 28% of their n*n pairs about the centroid, 4% about
+    the sphere's centre, where every |x| is the radius.
     """
     d = pts.shape[1]
     eps = np.finfo(float).eps
-    x = pts - pts.mean(axis=0)
+    x = pts - (pts.mean(axis=0) if center is None else center)
     peak = float(np.max(np.abs(x)))
     if peak == 0.0:
         return np.arange(1)  # all points coincide
@@ -230,7 +243,8 @@ def _screened_rows(pts: np.ndarray, rows: int) -> np.ndarray:
     x = np.ldexp(x, -scale)
     sq = np.einsum("ij,ij->i", x, x)
     top = int(sq.argmax())
-    far_sq = _far_pair_sq(pts, top)
+    if far_sq is None:
+        far_sq = _far_pair_sq(pts, top)
     # Scaling by 4^-scale is exact, and L^2 >= 2^-970 (eps L^2 >= tiny)
     # keeps the squares that underflow in distance_matrix's entries within
     # u L^2 in all (u = eps/2).  Outside that range, or at L^2 = inf, L says
@@ -311,13 +325,12 @@ def _gram_row_max(rows: np.ndarray, neg2xt: np.ndarray, col_sq: np.ndarray,
 def _reaching_rows(sq: np.ndarray, far_sq: float, d: int) -> np.ndarray:
     """The rows i with |x_i| + R >= L, up to rounding.
 
-    `sq` holds the squared norms |x_i|^2 of points in R^d centred on their
-    computed centroid c and scaled by a power of two; R = max|x_i|.
-    `far_sq` is L^2, a realised squared distance scaled alike (_far_pair_sq
-    from the point farthest from c, so L >= R up to rounding), or 0, which
-    keeps every row.  Since |x_i - x_j| <= |x_i| + R, a row that misses L
-    cannot hold the largest distance; the slack, derived below, keeps the
-    rows that hold it.  A sphere keeps every row.
+    `sq` holds the squared norms |x_i|^2 of points in R^d centred on a
+    point c and scaled by a power of two; R = max|x_i|.  `far_sq` is L^2,
+    a realised squared distance scaled alike, or 0, which keeps every row.
+    Since |x_i - x_j| <= |x_i| + R, a row that misses L cannot hold the
+    largest distance; the slack, derived below, keeps the rows that hold
+    it.  A sphere keeps every row.
     """
     eps = np.finfo(float).eps
     # Let u = eps/2, y_i = p_i - c in exact arithmetic, scaled like x, and E

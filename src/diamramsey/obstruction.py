@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DomainError, _check_positive, _check_tolerance
-from .geometry import DEFAULT_TOL, Configuration, diameter
-from .spheres import _circumsphere, circumcenter_in_hull
+from .geometry import DEFAULT_TOL, Configuration, _diameter, _far_pair_sq
+from .spheres import _circumsphere, _sq_dists, circumcenter_in_hull
 
 SQRT2 = math.sqrt(2.0)
 
@@ -63,14 +63,26 @@ def obstruction_verdict(config: Configuration, tol: float = DEFAULT_TOL) -> Verd
     """Apply the circumradius test to a spherical configuration.
 
     NotDiameterRamsey needs margin > tol * diameter; tol is relative, as in
-    circumsphere's equidistance check.
+    circumsphere's equidistance check.  One double-normal walk serves the
+    circumsphere's check and the diameter's prune, and the diameter, bit
+    for bit diameter(config), is screened about the circumcenter when its
+    farthest point is nearer than the centroid's (a full sphere: 4% of the
+    pairs instead of 28%), else about the centroid (a cap).
 
     Raises NotSpherical for sets lying on no sphere; those are not even
     Ramsey-eligible and the caller should report that case distinctly.
     """
     _check_tolerance(tol)
-    diam = diameter(config)
-    circ = _circumsphere(config, tol, diam).radius
+    pts = config.points
+    centroid = pts.mean(axis=0)
+    sq = _sq_dists(pts, centroid)
+    far_sq = _far_pair_sq(pts, int(sq.argmax()))
+    sphere, diam = _circumsphere(config, tol, far_sq)
+    if diam is None:
+        # radius + residual bounds every distance from the circumcenter.
+        nearer = (sphere.radius + sphere.residual) ** 2 < sq.max()
+        diam = _diameter(pts, sphere.center if nearer else centroid, far_sq)
+    circ = sphere.radius
     threshold = diam / SQRT2
     margin = circ - threshold
     status = Status.NOT_DIAMETER_RAMSEY if margin > tol * diam else Status.UNKNOWN

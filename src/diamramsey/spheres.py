@@ -6,7 +6,9 @@ picked by a seeded shuffle, and grows one farthest-point pivot at a time
 round walks to the ball of the current support and the pivot (Fischer,
 Gartner & Kutz 2003).  A set whose extremes are all of it, such as every
 simplex, is walked to in one go from its centroid.  Welzl's move-to-front
-recursion (Welzl 1991) solves only what a walk leaves unended.  A ball
+recursion (Welzl 1991) solves only what a walk leaves unended.  Each
+support's center and barycentric weights come from one solve of its small
+Gram system; only a near-degenerate support takes least squares.  A ball
 that stalls under rounding is kept, with the radius measured to the
 farthest of all the points, so it still holds every point.  The
 circumsphere is solved inside the affine hull of the points, which is
@@ -21,17 +23,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Degenerate, DomainError, NotSimplex, NotSpherical, _check_tolerance
-from .geometry import (DEFAULT_TOL, Configuration, _far_pair_sq, _freeze, _hull_basis,
-                       affine_dimension, diameter)
+from .geometry import (DEFAULT_TOL, Configuration, _diameter, _far_pair_sq, _freeze,
+                       _hull_basis, affine_dimension, diameter)
 
-# Containment slack inside Welzl's recursion, relative to the set's extent
-# (its largest coordinate offset from the first point).  The returned radius
-# is the farthest point's distance from the returned center, so the output
-# holds every point with no slack.
+# Containment slack inside Welzl's recursion: _WELZL_SLACK times the set's
+# extent (its largest coordinate offset from the first point) plus
+# _WELZL_ROUNDING times eps * max|x|, the rounding of a center among
+# coordinates that large.  The returned radius is the farthest point's
+# distance from the returned center, so the output holds every point.
 _WELZL_SLACK = 1e-12
+_WELZL_ROUNDING = 1.0
 
 # Rows from which _sq_dists sums column by column.
 _COLUMN_ROWS = 256
+
+# Smallest squared sine, 1 / ((G^-1)_kk G_kk), between a row p_k - p_0 of a
+# support and the span of its other rows at which _circumcenter solves with
+# their Gram matrix G: the diagonally scaled G of m rows then has condition
+# number at most m^2 / _GRAM_SIN2.
+_GRAM_SIN2 = 1e-2
 
 # Steps of one _walk before its pivot round, or its whole-set ball, falls
 # back to move-to-front.
@@ -123,15 +133,39 @@ def _support_ball(pts: np.ndarray, support: tuple[int, ...]):
     if len(support) == 1:
         return pts[support[0]], 0.0
     chosen = pts[list(support)]
-    if len(support) == 2:
-        center = 0.5 * (chosen[0] + chosen[1])
-    else:
-        base = chosen[0]
-        rel = chosen[1:] - base
-        rhs = 0.5 * np.einsum("ij,ij->i", rel, rel)
-        sol, *_ = np.linalg.lstsq(rel, rhs, rcond=None)
-        center = base + sol
+    center, _ = _circumcenter(chosen)
     return center, float(np.sqrt(_sq_dists(chosen, center).max()))
+
+
+def _circumcenter(chosen: np.ndarray):
+    """Center of the sphere through `chosen` within their affine hull, and its weights.
+
+    With rel the rows chosen[1:] - chosen[0], the center is chosen[0] +
+    beta @ rel, beta solving rel rel^T beta = |rel|^2 / 2, and its
+    barycentric weights are (1 - sum(beta), beta).  A near-degenerate
+    support (_GRAM_SIN2) takes minimum-norm least squares instead.
+    """
+    if len(chosen) == 1:
+        return chosen[0], np.ones(1)
+    if len(chosen) == 2:
+        return 0.5 * (chosen[0] + chosen[1]), np.full(2, 0.5)
+    base = chosen[0]
+    rel = chosen[1:] - base
+    rhs = 0.5 * np.einsum("ij,ij->i", rel, rel)
+    gram = rel @ rel.T
+    try:
+        inverse = np.linalg.inv(gram)
+        # Each entry is >= 1 for a positive definite gram, but a rounded
+        # near-singular one can come out indefinite.
+        spread = inverse.diagonal() * gram.diagonal()
+    except np.linalg.LinAlgError:
+        spread = np.zeros(1)
+    if spread.min() > 0.0 and spread.max() <= 1.0 / _GRAM_SIN2:
+        beta = inverse @ rhs
+        return base + beta @ rel, np.append(1.0 - beta.sum(), beta)
+    sol, *_ = np.linalg.lstsq(rel, rhs, rcond=None)
+    beta, *_ = np.linalg.lstsq(rel.T, sol, rcond=None)
+    return base + sol, np.append(1.0 - beta.sum(), beta)
 
 
 def _welzl_mtf(pts: np.ndarray, order: np.ndarray, support: tuple[int, ...],
@@ -182,7 +216,7 @@ def _walk(pts: np.ndarray, center: np.ndarray, pivot: int):
     """
     support = [pivot]
     for _ in range(_WALK_STEPS):
-        target, _ = _support_ball(pts, tuple(support))
+        target, weights = _circumcenter(pts[support])
         step = target - center
         anchor = pts[support[0]]
         # Along center + s*step every point of T stays at one distance; a
@@ -199,11 +233,6 @@ def _walk(pts: np.ndarray, center: np.ndarray, pivot: int):
                 support.append(int(hits[k]))
                 continue
         center = target
-        if len(support) == 1:
-            return center, support
-        chosen = pts[support]
-        rest, *_ = np.linalg.lstsq((chosen[1:] - chosen[0]).T, center - chosen[0], rcond=None)
-        weights = np.append(1.0 - rest.sum(), rest)
         k = int(weights.argmin())
         if weights[k] >= 0.0:
             return center, support
@@ -258,8 +287,8 @@ def min_enclosing_ball(config: Configuration, seed: int = 0) -> Ball:
     The ball grows from one point that attains a coordinate's minimum or
     maximum, the first of them in an order shuffled by `seed`.  Each round
     one vectorised pass over all points finds the farthest from the
-    current ball; a point beyond a containment slack of _WELZL_SLACK times
-    the set's extent is a pivot, and _core_ball walks to the ball of the
+    current ball; a point beyond the containment slack (_WELZL_SLACK,
+    _WELZL_ROUNDING) is a pivot, and _core_ball walks to the ball of the
     current support and the pivot.  The ball is determined by a support
     set of at most dim+1 boundary points.  A set whose extremes are all of
     it (every witness the library builds) is walked to from its centroid
@@ -271,12 +300,16 @@ def min_enclosing_ball(config: Configuration, seed: int = 0) -> Ball:
     distance from the center, so every point lies inside with no slack.
     """
     pts = config.points
-    # The extent column by column: a broadcast over rows of dim entries
-    # is several times slower on large sets, as in _sq_dists.
-    extent = max(float(np.abs(column - column[0]).max()) for column in pts.T)
-    slack = _WELZL_SLACK * extent
+    lowest, highest = pts.argmin(axis=0), pts.argmax(axis=0)
+    axes = np.arange(config.dim)
+    low, high = pts[lowest, axes], pts[highest, axes]
+    # Rounding is monotone, so the largest |p - p_0| of a coordinate is
+    # attained at its minimum or maximum.
+    extent = float(np.maximum(high - pts[0], pts[0] - low).max())
+    peak = float(np.maximum(high, -low).max())
+    slack = _WELZL_SLACK * extent + _WELZL_ROUNDING * np.finfo(float).eps * peak
     extremes = np.zeros(len(config), dtype=bool)
-    extremes[pts.argmin(axis=0)] = extremes[pts.argmax(axis=0)] = True
+    extremes[lowest] = extremes[highest] = True
     core = np.flatnonzero(extremes)
     if len(core) == len(pts):
         center = _whole_ball(pts, seed, config.dim, slack)
@@ -320,21 +353,23 @@ def circumsphere(config: Configuration, tol: float = DEFAULT_TOL) -> Sphere:
     when the residual exceeds tol * L, or when L = 0.
     """
     _check_tolerance(tol)
-    return _circumsphere(config, tol)
+    return _circumsphere(config, tol, _far_pair_sq(config.points, 0))[0]
 
 
-def _circumsphere(config: Configuration, tol: float, diam: float | None = None) -> Sphere:
-    """circumsphere, given the configuration's diameter if it is known."""
+def _circumsphere(config: Configuration, tol: float, far_sq: float):
+    """circumsphere, decided on `far_sq`, a realised squared distance of the set.
+
+    Returns the sphere and the exact diameter if deciding needed it, else
+    None.
+    """
     if len(config) < 2:
         raise DomainError("circumsphere requires at least two points")
     pts = config.points
-    if diam is None:
-        # The square root is monotone, so bound <= diameter(config).
-        bound = float(np.sqrt(_far_pair_sq(pts, 0)))
-        if bound == 0.0:
-            bound = diam = diameter(config)
-    else:
-        bound = diam
+    # The square root is monotone, so bound <= diameter(config).
+    bound = float(np.sqrt(far_sq))
+    diam = None
+    if bound == 0.0:
+        bound = diam = _diameter(pts)
     if bound <= 0.0:
         raise Degenerate("all points coincide; no smallest containing sphere")
 
@@ -352,11 +387,11 @@ def _circumsphere(config: Configuration, tol: float, diam: float | None = None) 
     # means residual <= tol * diameter.
     if residual > tol * bound:
         if diam is None:
-            diam = diameter(config)
+            diam = _diameter(pts, far_sq=far_sq)
         if residual > tol * diam:
             raise NotSpherical(
                 f"equidistance residual {residual:.3e} exceeds {tol:.1e} * diameter")
-    return Sphere(center=center, radius=radius, carrier=basis, residual=residual)
+    return Sphere(center=center, radius=radius, carrier=basis, residual=residual), diam
 
 
 def circumradius(config: Configuration) -> float:

@@ -61,16 +61,21 @@ ROUNDING_SLACK = 1e-12
 # stop once the mean complementarity is below _IPM_GAP and the dual residual
 # below _IPM_RESIDUAL times the largest multiplier, or after _IPM_PATIENCE
 # iterations that do not improve on the best once it is within
-# _IPM_STALL_MERIT of those targets.  _IPM_STEP is the fraction of the step
-# to the boundary taken; a solve with one common step length takes
-# _IPM_TAIL_STEP once the mean complementarity is below _IPM_TAIL_GAP.  The
-# KKT finish takes _IPM_FINISH_STEPS Newton steps and accepts constraint
-# values up to _IPM_FINISH_SLACK.
+# _IPM_STALL_MERIT of those targets.  A solve with one common step length
+# also stops, to be repeated with separate lengths, when it is still
+# farther than that and its dual length was shorter than its primal length
+# and than _IPM_BLOCKED_STEP on _IPM_BLOCKED iterations.  _IPM_STEP is the
+# fraction of the step to the boundary taken; a solve with one common step
+# length takes _IPM_TAIL_STEP once the mean complementarity is below
+# _IPM_TAIL_GAP.  The KKT finish takes _IPM_FINISH_STEPS Newton steps and
+# accepts constraint values up to _IPM_FINISH_SLACK.
 _IPM_MAX_ITERATIONS = 60
 _IPM_GAP = 1e-17
 _IPM_RESIDUAL = 1e-13
 _IPM_STALL_MERIT = 1e6
 _IPM_PATIENCE = 3
+_IPM_BLOCKED = 5
+_IPM_BLOCKED_STEP = 0.2
 _IPM_STEP = 0.99
 _IPM_TAIL_GAP = 1e-10
 _IPM_TAIL_STEP = 1.0 - 1e-4
@@ -330,12 +335,14 @@ def _interior_point(a: np.ndarray, radius: float, y0: np.ndarray, separate: bool
     _IPM_TAIL_STEP of the way once the mean complementarity is below
     _IPM_TAIL_GAP, so the last iterations cut the gap 10^4-fold, not
     100-fold.  The paraboloid's slack is updated exactly, quadratic term
-    included.  When the iterations stall short of
-    _IPM_GAP and _IPM_RESIDUAL, the KKT equations of the constraints whose
-    multiplier exceeds their slack at the best iterate are solved by Newton's
-    method; that point replaces the iterate if it is feasible with
-    nonnegative multipliers.  Returns y, lam, mu, nu, the Newton systems
-    solved, and the stage that converged, or None.
+    included.  A common-length solve far from its targets whose dual
+    length keeps binding stops early for that repeat (_IPM_BLOCKED).  When
+    the iterations stall short of _IPM_GAP and _IPM_RESIDUAL, the KKT
+    equations of the constraints whose multiplier exceeds their slack at
+    the best iterate are solved by Newton's method; that point replaces the
+    iterate if it is feasible with nonnegative multipliers.  Returns y, lam,
+    mu, nu, the Newton systems solved, and the stage that converged, or
+    None.
     """
     n, m = a.shape
     sq = np.einsum("ij,ij->i", a, a)
@@ -383,11 +390,9 @@ def _interior_point(a: np.ndarray, radius: float, y0: np.ndarray, separate: bool
         if root > 0.0:
             primal_len = min(primal_len, 2.0 * s[-1] / root)
         dual_len = 1.0 / max(1.0, float(-(dz / z).min()))
-        if not separate:
-            primal_len = dual_len = min(primal_len, dual_len)
         return primal_len, dual_len, curve
 
-    best, since, stage, systems = (math.inf, x, z, s), 0, None, 0
+    best, since, stage, systems, blocked = (math.inf, x, z, s), 0, None, 0, 0
     for _ in range(_IPM_MAX_ITERATIONS):
         jac[2 * n, :m] = 2.0 * x[:m]
         dual = cost + jac.T @ z
@@ -418,6 +423,8 @@ def _interior_point(a: np.ndarray, radius: float, y0: np.ndarray, separate: bool
         ds = -primal - jac @ dx
         dz = -z - ratio * ds
         primal_len, dual_len, _ = lengths(dx, ds, dz)
+        if not separate:
+            primal_len = dual_len = min(primal_len, dual_len)
         predicted = float((s + primal_len * ds) @ (z + dual_len * dz)) / size
         # The corrector's centring is s*z + ds*dz - sigma*gap, with
         # sigma = (predicted/gap)^3: the predictor's right-hand side plus
@@ -430,6 +437,12 @@ def _interior_point(a: np.ndarray, radius: float, y0: np.ndarray, separate: bool
         dz = -z - shift - ratio * ds
         step = _IPM_STEP if separate or gap >= _IPM_TAIL_GAP else _IPM_TAIL_STEP
         primal_len, dual_len, curve = lengths(dx, ds, dz)
+        if not separate:
+            if best[0] > _IPM_STALL_MERIT and dual_len < min(primal_len, _IPM_BLOCKED_STEP):
+                blocked += 1
+                if blocked >= _IPM_BLOCKED:
+                    break
+            primal_len = dual_len = min(primal_len, dual_len)
         primal_len, dual_len = min(1.0, step * primal_len), min(1.0, step * dual_len)
         if not primal_len > 0.0:
             break

@@ -46,12 +46,18 @@ def brute_force_meb(points) -> tuple[float, np.ndarray]:
     return best
 
 
-def welzl_loop(points, seed: int, slack: float) -> tuple[np.ndarray, float]:
+def welzl_loop(points, seed: int, slack: float,
+               sin2: float = 1e-2) -> tuple[np.ndarray, float]:
     """Welzl's move-to-front recursion, one point at a time over a Python list.
 
     The reference for min_enclosing_ball's vectorised scan: the same seeded
     order, support balls and containment test, with the move-to-front done
-    by list.insert/pop.  Returns the center and the support ball's radius.
+    by list.insert/pop.  Its support balls mirror the library's formula on
+    purpose, so the two agree bit for bit: the Gram system G of the
+    support, solved with its inverse when every (G^-1)_kk G_kk is at most
+    1 / sin2, else by least squares (brute_force_meb stays on least squares
+    as the independent check).  Returns the center and the support ball's
+    radius.
     """
     pts = np.asarray(points, dtype=float)
     dim = pts.shape[1]
@@ -65,7 +71,17 @@ def welzl_loop(points, seed: int, slack: float) -> tuple[np.ndarray, float]:
         else:
             rel = chosen[1:] - chosen[0]
             rhs = 0.5 * np.einsum("ij,ij->i", rel, rel)
-            center = chosen[0] + np.linalg.lstsq(rel, rhs, rcond=None)[0]
+            gram = rel @ rel.T
+            try:
+                inverse = np.linalg.inv(gram)
+                direct = all(0.0 < inverse[i, i] * gram[i, i] <= 1.0 / sin2
+                             for i in range(len(gram)))
+            except np.linalg.LinAlgError:
+                direct = False
+            if direct:
+                center = chosen[0] + (inverse @ rhs) @ rel
+            else:
+                center = chosen[0] + np.linalg.lstsq(rel, rhs, rcond=None)[0]
         return center, float(np.max(np.linalg.norm(chosen - center, axis=1)))
 
     def mtf(order, support):

@@ -1,11 +1,14 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import diamramsey
 from diamramsey import affine_dimension, cli, diameter, jung_bound, regular_simplex
 from diamramsey.formats import colored_to_dict, load_configuration, save_configuration
 from diamramsey.coloring import ColoredConfiguration
@@ -370,9 +373,13 @@ class TestDeterminism:
 
 
 def test_module_entry_point():
+    # The child gets the package's directory on PYTHONPATH, so the test
+    # runs under plain `python -m pytest` as well as with pyproject's
+    # pythonpath.
+    src = str(Path(diamramsey.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-m", "diamramsey.cli", "triangle", "--alpha", "150"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["outputs"]["status"] == "NotDiameterRamsey"

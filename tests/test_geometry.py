@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import diamramsey.geometry
 from diamramsey import (
     Configuration,
+    circumsphere,
     DomainError,
     NonOrthogonal,
     RigidMotion,
@@ -22,6 +23,7 @@ from diamramsey import (
     random_motion,
     regular_simplex,
 )
+from diamramsey.geometry import _diameter, _far_pair_sq
 from oracles import configurations, dist_matrix, pairwise_search_plan
 
 UNIT_SQUARE = Configuration.from_points([[0, 0], [1, 0], [1, 1], [0, 1]])
@@ -227,6 +229,28 @@ class TestDiameter:
         # last bit differently from the oracle's plain sum.
         oracle = float(np.max(dist_matrix(config.points)))
         assert abs(value - oracle) <= 4 * np.finfo(float).eps * oracle
+
+    @given(clouds(), st.sampled_from(["random", "far", "circumcenter"]),
+           st.sampled_from([1, 7, 1 << 20]), st.booleans(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=150)
+    def test_screened_about_any_centre(self, config, where, block, walk_from_first, seed):
+        # The prune and window proofs use nothing of the centre but the
+        # rounding of p - c: screened about a random point near the cloud,
+        # one 1e6 extents away, or its circumcenter (far off for a cap),
+        # the value is still distance_matrix's maximum.
+        pts = config.points
+        rng = np.random.default_rng(seed)
+        extent = float(np.max(np.abs(pts - pts[0])))
+        if where == "circumcenter" and extent > 0.0:
+            center = circumsphere(config, math.inf).center
+        else:
+            offset = 1e6 if where == "far" else 1.0
+            center = pts.mean(axis=0) + offset * (extent or 1.0) * rng.normal(size=config.dim)
+        far_sq = _far_pair_sq(pts, 0) if walk_from_first else None
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(diamramsey.geometry, "_DIAMETER_BLOCK", block)
+            value = _diameter(pts, center, far_sq)
+        assert value == float(np.max(distance_matrix(config)))
 
     @pytest.mark.parametrize("seed", [451, 878, 1247, 2987])
     def test_antipodal_near_ties(self, seed, monkeypatch):

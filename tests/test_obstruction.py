@@ -15,11 +15,27 @@ from diamramsey import (
     almost_regular_simplex,
     classify_triangle,
     conjecture_classification,
+    diameter,
     obstruction_verdict,
     obtuse_triangle,
     regular_simplex,
     triangle_circumradius,
 )
+
+
+def _sphere_points(n: int, dim: int, cap_deg: float | None) -> Configuration:
+    """n seeded points of a unit sphere in R^dim centred off the origin.
+
+    With cap_deg, the points lie within cap_deg degrees of one pole.
+    """
+    rng = np.random.default_rng([n, dim])
+    pts = rng.normal(size=(n, dim))
+    pts /= np.linalg.norm(pts, axis=1)[:, None]
+    if cap_deg is not None:
+        side = pts[:, 1:] / np.linalg.norm(pts[:, 1:], axis=1)[:, None]
+        angle = np.radians(cap_deg) * rng.random((n, 1))
+        pts = np.hstack([np.cos(angle), np.sin(angle) * side])
+    return Configuration.from_points(pts + rng.normal(size=dim))
 
 
 class TestObstructionVerdict:
@@ -31,17 +47,29 @@ class TestObstructionVerdict:
         assert verdict.margin > 0
 
     def test_computes_the_diameter_once(self, monkeypatch):
+        # Every diameter goes through geometry._diameter, the centred entry
+        # point, so counting it in each namespace that binds it counts them
+        # all: a triangle, a full sphere (screened about its circumcenter)
+        # and a 30-degree cap (about its centroid).
         calls = []
+        centred = diamramsey.geometry._diameter
 
-        def counted(config):
-            calls.append(config)
-            return diamramsey.geometry.diameter(config)
+        def counted(pts, *args):
+            calls.append(pts)
+            return centred(pts, *args)
 
-        monkeypatch.setattr(diamramsey.obstruction, "diameter", counted)
-        monkeypatch.setattr(diamramsey.spheres, "diameter", counted)
-        verdict = obstruction_verdict(obtuse_triangle(150.0, 1.0))
-        assert verdict.status is Status.NOT_DIAMETER_RAMSEY
-        assert len(calls) == 1
+        cases = [(obtuse_triangle(150.0, 1.0), Status.NOT_DIAMETER_RAMSEY),
+                 (_sphere_points(3000, 3, None), Status.UNKNOWN),
+                 (_sphere_points(2000, 5, 30.0), Status.NOT_DIAMETER_RAMSEY)]
+        for config, status in cases:
+            calls.clear()
+            with monkeypatch.context() as mp:
+                for module in (diamramsey.geometry, diamramsey.spheres, diamramsey.obstruction):
+                    mp.setattr(module, "_diameter", counted)
+                verdict = obstruction_verdict(config)
+            assert verdict.status is status
+            assert len(calls) == 1
+            assert verdict.diameter == diameter(config)
 
     def test_equilateral_unknown(self):
         verdict = obstruction_verdict(regular_simplex(2))

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import diamramsey.spheres
@@ -27,7 +27,8 @@ from diamramsey import (
     random_motion,
     regular_simplex,
 )
-from diamramsey.spheres import _circumsphere, _sq_dists, _walk, _welzl_mtf
+from diamramsey.spheres import (_GRAM_SIN2, _circumcenter, _circumsphere, _sq_dists,
+                                _support_ball, _walk, _welzl_mtf)
 from oracles import brute_force_meb, configurations, welzl_loop
 
 EQUILATERAL = regular_simplex(2)
@@ -244,9 +245,10 @@ class TestCoreSet:
 
     @pytest.mark.parametrize("seed", [7, 27, 29])
     def test_stalled_round_keeps_its_ball(self, monkeypatch, seed):
-        # On these circles translated by 1e6 radii the last round neither
-        # grows the radius nor brings the farthest point nearer: its walked
-        # ball is dropped and the one before it kept, measured to the
+        # On these circles translated by 1e6 radii, with a slack that does
+        # not cover eps * max|x| (_WELZL_ROUNDING = 0), the last round
+        # neither grows the radius nor brings the farthest point nearer: its
+        # walked ball is dropped and the one before it kept, measured to the
         # farthest of all the points.
         walks = []
         walk = diamramsey.spheres._walk
@@ -258,6 +260,7 @@ class TestCoreSet:
         rng = np.random.default_rng([seed, 21])
         pts = _unit_sphere(rng, 2000, 2) + 1e6 * rng.normal(size=2)
         monkeypatch.setattr(diamramsey.spheres, "_walk", recording)
+        monkeypatch.setattr(diamramsey.spheres, "_WELZL_ROUNDING", 0.0)
         ball = min_enclosing_ball(Configuration.from_points(pts), seed=seed)
         monkeypatch.undo()
         assert walks[-1] is not None and not np.array_equal(ball.center, walks[-1][0])
@@ -269,6 +272,31 @@ class TestCoreSet:
         rounding = 4 * np.finfo(float).eps * np.abs(pts).max()
         assert abs(ball.radius - radius) <= 1e-11 * radius + rounding
         assert ball.radius == pytest.approx(1.0, rel=1e-9)
+
+    @pytest.mark.parametrize("seed", [7, 27, 29])
+    @pytest.mark.parametrize("shift", [1e6, 1e10, 1e14])
+    def test_far_circles_end_on_their_last_walk(self, monkeypatch, seed, shift):
+        # The slack covers eps * max|x|, so the circles above, and circles
+        # moved farther, end on a clean pass: the ball is the last walk's,
+        # and its radius is the circle's up to that slack.
+        walks = []
+        walk = diamramsey.spheres._walk
+
+        def recording(*args):
+            walks.append(walk(*args))
+            return walks[-1]
+
+        rng = np.random.default_rng([seed, 21])
+        pts = _unit_sphere(rng, 2000, 2) + shift * rng.normal(size=2)
+        monkeypatch.setattr(diamramsey.spheres, "_walk", recording)
+        ball = min_enclosing_ball(Configuration.from_points(pts), seed=seed)
+        monkeypatch.undo()
+        assert np.array_equal(ball.center, walks[-1][0])
+        assert np.all(np.linalg.norm(pts - ball.center, axis=1) <= ball.radius)
+        centred = pts - pts.mean(axis=0)
+        radius = min_enclosing_ball(Configuration.from_points(centred), seed=seed).radius
+        rounding = 4 * np.finfo(float).eps * np.abs(pts).max()
+        assert abs(ball.radius - radius) <= 1e-11 * radius + rounding
 
     @pytest.mark.parametrize("seed", range(4))
     def test_witness_balls_solve_the_whole_seeded_order(self, seed):
@@ -347,6 +375,62 @@ class TestCoreSet:
         # the support lies on the boundary
         on = np.linalg.norm(pts[support] - center, axis=1)
         assert np.allclose(on, radius, rtol=1e-9, atol=1e-12)
+
+
+def _least_squares_center(chosen: np.ndarray) -> np.ndarray:
+    """The support ball's center by minimum-norm least squares."""
+    rel = chosen[1:] - chosen[0]
+    rhs = 0.5 * np.einsum("ij,ij->i", rel, rel)
+    return chosen[0] + np.linalg.lstsq(rel, rhs, rcond=None)[0]
+
+
+class TestSupportBalls:
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=200)
+    def test_gram_solve_matches_least_squares(self, seed):
+        # On supports whose rows are each far enough from the span of the
+        # others, the one Gram solve gives the least-squares center and the
+        # weights that rebuild it, with every support point on the sphere.
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(3, 9))
+        dim = int(rng.integers(k - 1, k + 2))
+        scale = 10.0 ** int(rng.integers(-6, 7))
+        chosen = scale * rng.normal(size=(k, dim)) + scale * 10.0 ** int(rng.integers(0, 4))
+        rel = chosen[1:] - chosen[0]
+        gram = rel @ rel.T
+        spread = np.diag(np.linalg.inv(gram)) * np.diag(gram)
+        assume(spread.min() > 0.0 and spread.max() <= 1.0 / _GRAM_SIN2)
+        center, weights = _circumcenter(chosen)
+        want = _least_squares_center(chosen)
+        radius = float(np.linalg.norm(chosen[0] - want))
+        rounding = 8 * np.finfo(float).eps * np.abs(chosen).max()
+        assert np.abs(center - want).max() <= 1e-12 * radius + rounding
+        assert abs(weights.sum() - 1.0) <= 1e-12 * np.abs(weights).max()
+        assert np.abs(weights @ chosen - center).max() <= 1e-11 * radius + rounding
+        dists = np.linalg.norm(chosen - center, axis=1)
+        assert dists.max() - dists.min() <= 1e-11 * radius + rounding
+
+    @pytest.mark.parametrize("case", ["repeated", "collinear", "coplanar"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_degenerate_supports_fall_back(self, case, seed):
+        # A repeated point, a collinear triple or four coplanar points in
+        # R^3 have a row in the span of the others; their center is the
+        # least-squares one, bit for bit, and the ball holds the support.
+        rng = np.random.default_rng([seed, 3])
+        if case == "repeated":
+            a, b = rng.normal(size=(2, 3))
+            chosen = np.array([a, b, a])
+        elif case == "collinear":
+            chosen = rng.normal(size=3) + np.outer(rng.normal(size=3), rng.normal(size=3))
+        else:
+            plane = rng.normal(size=(2, 3))
+            chosen = rng.normal(size=3) + rng.normal(size=(4, 2)) @ plane
+        center, weights = _circumcenter(chosen)
+        assert np.array_equal(center, _least_squares_center(chosen))
+        assert np.all(np.isfinite(weights))
+        ball_center, radius = _support_ball(chosen, tuple(range(len(chosen))))
+        assert np.array_equal(ball_center, center)
+        assert np.all(np.linalg.norm(chosen - center, axis=1) <= radius)
 
 
 class TestWalkedWholeSets:
@@ -442,10 +526,11 @@ class TestCircumsphere:
     def test_sphere_decided_without_the_diameter(self, monkeypatch):
         pts = np.random.default_rng(0).normal(size=(3000, 3))
         config = Configuration.from_points(pts / np.linalg.norm(pts, axis=1)[:, None])
-        want = _circumsphere(config, 1e-9, diameter(config))
+        want, _ = _circumsphere(config, 1e-9, diameter(config) ** 2)
         calls = []
-        monkeypatch.setattr(diamramsey.spheres, "diameter",
-                            lambda c: calls.append(c) or diameter(c))
+        centred = diamramsey.spheres._diameter
+        monkeypatch.setattr(diamramsey.spheres, "_diameter",
+                            lambda *args, **kwargs: calls.append(args) or centred(*args, **kwargs))
         sphere = circumsphere(config)
         assert calls == []
         assert np.array_equal(sphere.center, want.center)
@@ -462,7 +547,7 @@ class TestCircumsphere:
                          [[0.0, 1.0 + 1e-6]]])
         config = Configuration.from_points(pts)
         diam = diameter(config)
-        residual = _circumsphere(config, math.inf, diam).residual
+        residual = _circumsphere(config, math.inf, diam ** 2)[0].residual
         monkeypatch.setattr(diamramsey.spheres, "_far_pair_sq",
                             lambda pts, start: (diam / 2) ** 2)
         sphere = circumsphere(config, 1.5 * residual / diam)

@@ -32,7 +32,8 @@ from diamramsey import (
     min_enclosing_ball,
     obstruction_verdict,
 )
-from diamramsey.spread import ROUNDING_SLACK, _CHUNK, _feasible_batches, _prepare
+from diamramsey.spread import (ROUNDING_SLACK, _CHUNK, _IPM_MAX_ITERATIONS, _feasible_batches,
+                               _prepare)
 from oracles import (configurations, explicit_copy_norms, hull_coordinates, ks_statistic,
                      planar_spread_min, rotated_copy_spreads, slsqp_levels)
 
@@ -223,7 +224,10 @@ class TestDiagnostics:
     def test_common_step_stall_is_repeated_with_separate_steps(self):
         # Three points in the plane at 1.1 times their enclosing radius,
         # one of the 1200 programs of TestEnclosingRadius's sweep on which
-        # the common step length stalls for all its iterations.
+        # the common step length stalls far from its targets, its dual
+        # length binding.  The stall is cut short: the pass solves fewer
+        # Newton systems than the common-step solve's iteration cap alone
+        # (it solved 81 when that solve ran to the cap).
         rng = np.random.default_rng(0)
         for _ in range(50):
             n, dim = int(rng.integers(2, 7)), int(rng.integers(2, 5))
@@ -233,6 +237,7 @@ class TestDiagnostics:
         estimate = estimate_c(SpreadProblem(target=config, radius=radius))
         assert [solve["stage"] for solve in estimate.diagnostics["passes"]] \
             == ["separate_steps"]
+        assert estimate.diagnostics["passes"][0]["iterations"] < _IPM_MAX_ITERATIONS
         assert 0.0 < estimate.c_lower <= estimate.c_estimate
         assert estimate.c_estimate - estimate.c_lower <= 1e-12 * radius
 
