@@ -4,8 +4,9 @@ Each run prints one JSON report to stdout (command, echoed inputs, outputs,
 seed, timing, version).  All randomness flows from --seed, defaulting to 0,
 never wall-clock, so reruns reproduce the numeric outputs.  Domain errors
 exit 1 with machine-readable JSON on stderr and a one-line summary on
-stdout; usage errors, among them a float flag that is nan or infinite and
-a negative --tol, --seed, --samples or --oracle-samples, exit 2.
+stdout; usage errors, among them a float flag that is nan or infinite, a
+negative --tol, --seed, --samples or --oracle-samples and a --restarts
+below 1, exit 2.
 """
 
 from __future__ import annotations
@@ -55,6 +56,14 @@ def _count(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"{text!r} is negative")
+    return value
+
+
+def _positive(text: str) -> int:
+    """argparse type for --restarts: an integer, one or more."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is below 1")
     return value
 
 
@@ -213,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="certified minimal spread of congruent copies in the r-ball")
     add_input(p)
     p.add_argument("--radius", type=_finite, required=True)
-    p.add_argument("--restarts", type=int, default=64,
+    p.add_argument("--restarts", type=_positive, default=64,
                    help="cap on warm-started solve passes")
     p.add_argument("--oracle-samples", type=_count, default=0,
                    help="cross-check sample count (0 disables)")

@@ -1,19 +1,19 @@
 """Enclosing balls and circumspheres.
 
-The minimum enclosing ball starts from one of the coordinate extremes,
-picked by a seeded shuffle, and grows one farthest-point pivot at a time
-(Gartner 1999) until one vectorised pass finds no point outside.  Each
-round walks to the ball of the current support and the pivot (Fischer,
-Gartner & Kutz 2003).  A set whose extremes are all of it, such as every
-simplex, is walked to in one go from its centroid.  Welzl's move-to-front
-recursion (Welzl 1991) solves only what a walk leaves unended.  Each
-support's center and barycentric weights come from one solve of its small
-Gram system; only a near-degenerate support takes least squares.  A ball
-that stalls under rounding is kept, with the radius measured to the
-farthest of all the points, so it still holds every point.  The
-circumsphere is solved inside the affine hull of the points, which is
-what makes "smallest containing sphere" well defined for
-lower-dimensional sets (an off-hull center can only enlarge the radius).
+The minimum enclosing ball is walked to (Fischer, Gartner & Kutz 2003).  A
+set whose coordinate extremes are all of it, such as every simplex, is
+walked to in one go from its centroid.  Any other set starts from one of
+its extremes, picked by a seeded shuffle, and grows one farthest-point
+pivot at a time (Gartner 1999) until one vectorised pass finds no point
+outside; each round walks to the ball of the current support and the
+pivot.  Each support's center and barycentric weights come from one solve
+of its small Gram system; only a near-degenerate support takes least
+squares.  A round that stalls under rounding, or whose walk does not end,
+keeps its center, with the radius measured to the farthest of all the
+points, so the ball still holds every point.  The circumsphere is solved
+inside the affine hull of the points, which is what makes "smallest
+containing sphere" well defined for lower-dimensional sets (an off-hull
+center can only enlarge the radius).
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ import numpy as np
 
 from .errors import Degenerate, DomainError, NotSimplex, NotSpherical, _check_tolerance
 from .geometry import (DEFAULT_TOL, Configuration, _diameter, _far_pair_sq, _freeze,
-                       _hull_basis, affine_dimension, diameter)
+                       _hull_basis, _integer, affine_dimension, diameter)
 
-# Containment slack inside Welzl's recursion: _WELZL_SLACK times the set's
+# Containment slack of the pivot rounds: _WELZL_SLACK times the set's
 # extent (its largest coordinate offset from the first point) plus
 # _WELZL_ROUNDING times eps * max|x|, the rounding of a center among
 # coordinates that large.  The returned radius is the farthest point's
@@ -42,11 +42,6 @@ _COLUMN_ROWS = 256
 # their Gram matrix G: the diagonally scaled G of m rows then has condition
 # number at most m^2 / _GRAM_SIN2.
 _GRAM_SIN2 = 1e-2
-
-# Steps of one _walk before its pivot round, or its whole-set ball, falls
-# back to move-to-front.
-_WALK_STEPS = 64
-
 
 @dataclass(frozen=True, eq=False)
 class Ball:
@@ -107,8 +102,7 @@ def _sq_dists(pts: np.ndarray, center: np.ndarray) -> np.ndarray:
     On many rows that sum is the faster one: numpy's broadcasting and
     reduce step through rows of a few entries one at a time (1.9 ms
     against 0.15 ms for 50000 points in R^2).  From eight terms numpy sums
-    in pairs, so wide rows, and the few rows inside Welzl's recursion, take
-    the reduce.
+    in pairs, so wide rows, and the few rows of a walk, take the reduce.
     """
     n, d = pts.shape
     if n < _COLUMN_ROWS or d >= 8:
@@ -121,20 +115,6 @@ def _sq_dists(pts: np.ndarray, center: np.ndarray) -> np.ndarray:
         term *= term
         sq += term
     return sq
-
-
-def _support_ball(pts: np.ndarray, support: tuple[int, ...]):
-    """Smallest ball with all of `support` on its boundary (center in their hull).
-
-    Returns (center, radius); (None, -1.0) for an empty support set.
-    """
-    if not support:
-        return None, -1.0
-    if len(support) == 1:
-        return pts[support[0]], 0.0
-    chosen = pts[list(support)]
-    center, _ = _circumcenter(chosen)
-    return center, float(np.sqrt(_sq_dists(chosen, center).max()))
 
 
 def _circumcenter(chosen: np.ndarray):
@@ -168,39 +148,6 @@ def _circumcenter(chosen: np.ndarray):
     return base + sol, np.append(1.0 - beta.sum(), beta)
 
 
-def _welzl_mtf(pts: np.ndarray, order: np.ndarray, support: tuple[int, ...],
-               dim: int, slack: float):
-    """Welzl's move-to-front recursion over `order`, reordered in place.
-
-    After each ball change one vectorised pass over the rest of the order
-    finds the next point outside the ball by more than `slack`.  A ball
-    change at the front of the order, or one that fills the support to
-    dim+1 points, needs no recursion: the ball is that support's ball.
-    """
-    center, radius = _support_ball(pts, support)
-    full = len(support) == dim
-    ordered = pts[order]  # the move-to-front only reorders the scanned prefix
-    i = 0
-    while i < len(order):
-        if center is not None:
-            beyond = _sq_dists(ordered[i:], center) > (radius + slack) ** 2
-            k = int(beyond.argmax())
-            if not beyond[k]:
-                break
-            i += k
-        j = int(order[i])
-        if full or i == 0:
-            # No move-to-front either: it is a no-op at i == 0, and no
-            # recursion reads this level's order once the support is full.
-            center, radius = _support_ball(pts, support + (j,))
-        else:
-            center, radius = _welzl_mtf(pts, order[:i].copy(), support + (j,), dim, slack)
-            order[1:i + 1] = order[:i]
-            order[0] = j
-        i += 1
-    return center, radius
-
-
 def _walk(pts: np.ndarray, center: np.ndarray, pivot: int):
     """The smallest ball of a few points, walked to from `center`.
 
@@ -212,10 +159,13 @@ def _walk(pts: np.ndarray, center: np.ndarray, pivot: int):
     another point reaches the boundary and joins T, or the circumcenter is
     reached.  There, if the center has a negative barycentric coordinate,
     that point leaves T; otherwise the ball is the smallest.  Returns the
-    center and T, or None if _WALK_STEPS steps do not end the walk.
+    center and T, or None if four steps per point do not end the walk: a
+    walk that cycles under rounding.  Seeded walks over clouds, spheres and
+    repeated sets in R^2-R^8, moved up to 1e10 from the origin, and over
+    simplices in R^2-R^100 took at most one step per point.
     """
     support = [pivot]
-    for _ in range(_WALK_STEPS):
+    for _ in range(4 * len(pts)):
         target, weights = _circumcenter(pts[support])
         step = target - center
         anchor = pts[support[0]]
@@ -240,26 +190,28 @@ def _walk(pts: np.ndarray, center: np.ndarray, pivot: int):
     return None
 
 
-def _core_ball(pts: np.ndarray, core: np.ndarray, order: np.ndarray,
-               dim: int, slack: float):
-    """Welzl's ball of a core subset, grown by farthest-point pivots.
+def _core_ball(pts: np.ndarray, core: np.ndarray, start: np.ndarray, slack: float):
+    """The smallest ball of a core subset, grown by farthest-point pivots.
 
-    `order` is the move-to-front order over `core` (positions into it).
-    After Welzl's solve of the core, each round one vectorised pass over
-    all points finds the farthest from the current ball; a point beyond
-    radius + slack is a pivot, and the ball of the support and the pivot,
-    by Welzl's lemma the ball with the pivot on its boundary, is walked to
-    with _walk (move-to-front over those few points if the walk does not
-    end).  Its support is the next round's.  Returns the center and the
-    squared distances of all points to it.  Rounding beyond the slack can
-    stall the rounds: the pivot is already in the support, or a round
-    neither grows the radius nor brings the farthest point nearer.  Then
-    the current center is returned; its squared distances include the
-    pivot.  In exact arithmetic each round grows the radius; at most n
-    rounds run.
+    The core is walked to from `start` with its farthest point as the
+    pivot (_walk).  Then each round one vectorised pass over all points
+    finds the farthest from the current ball; a point beyond radius + slack
+    is a pivot, and the ball of the support and the pivot, by Welzl's
+    lemma the ball with the pivot on its boundary, is walked to from the
+    current center.  Its support is the next round's core.  Returns the
+    center and the squared distances of all points to it.  A round stalls
+    when its walk does not end, or when rounding beyond the slack makes
+    the pivot one of the support or the round neither grows the radius nor
+    brings the farthest point nearer.  Then the current center is returned
+    (`start` if the core's own walk does not end); its squared distances
+    include every point.  In exact arithmetic each round grows the radius;
+    at most n rounds run.
     """
-    center, radius = _welzl_mtf(pts[core], order, (), dim, slack)
+    core_pts = pts[core]
+    walked = _walk(core_pts, start, int(_sq_dists(core_pts, start).argmax()))
+    center = start if walked is None else walked[0]
     sq = _sq_dists(pts, center)
+    radius = float(np.sqrt(sq[core].max()))
     for _ in range(len(pts)):
         far = int(sq.argmax())
         if sq[far] <= (radius + slack) ** 2 or far in core:
@@ -267,12 +219,9 @@ def _core_ball(pts: np.ndarray, core: np.ndarray, order: np.ndarray,
         ball_pts = pts[np.append(core, far)]
         walked = _walk(ball_pts, center, len(core))
         if walked is None:
-            grown, grown_radius = _welzl_mtf(ball_pts, np.arange(len(core)), (len(core),),
-                                             dim, slack)
-            support = np.arange(len(core) + 1)
-        else:
-            grown, support = walked
-            grown_radius = float(np.sqrt(_sq_dists(ball_pts, grown).max()))
+            break
+        grown, support = walked
+        grown_radius = float(np.sqrt(_sq_dists(ball_pts, grown).max()))
         grown_sq = _sq_dists(pts, grown)
         if not (grown_radius > radius or grown_sq.max() < sq[far]):
             break
@@ -284,21 +233,23 @@ def _core_ball(pts: np.ndarray, core: np.ndarray, order: np.ndarray,
 def min_enclosing_ball(config: Configuration, seed: int = 0) -> Ball:
     """Smallest closed ball containing the configuration.
 
-    The ball grows from one point that attains a coordinate's minimum or
-    maximum, the first of them in an order shuffled by `seed`.  Each round
-    one vectorised pass over all points finds the farthest from the
-    current ball; a point beyond the containment slack (_WELZL_SLACK,
-    _WELZL_ROUNDING) is a pivot, and _core_ball walks to the ball of the
-    current support and the pivot.  The ball is determined by a support
-    set of at most dim+1 boundary points.  A set whose extremes are all of
-    it (every witness the library builds) is walked to from its centroid
-    with the farthest point as the pivot (_whole_ball); for such a set
-    `seed` only orders the move-to-front fallback of a walk that does not
-    end.  If the pivot is already in the support, or a round
-    neither grows the radius nor brings the farthest point nearer, the
-    last center is kept.  Either way the radius is the farthest point's
+    The ball is walked to from a core of the points that attain a
+    coordinate's minimum or maximum.  A set whose extremes are all of it
+    (every witness the library builds) is its own core, walked to from its
+    centroid; `seed` has no effect on it.  Otherwise the core is one
+    extreme, the first in an order shuffled by `seed`, and _core_ball
+    grows it: each round one vectorised pass over all points finds the
+    farthest from the current ball; a point beyond the containment slack
+    (_WELZL_SLACK, _WELZL_ROUNDING) is a pivot, and the round walks to the
+    ball of the current support and the pivot.  The ball is determined by
+    a support set of at most dim+1 boundary points.  A round that stalls
+    keeps the last center.  Either way the radius is the farthest point's
     distance from the center, so every point lies inside with no slack.
+    A seed that is not a nonnegative integer raises DomainError.
     """
+    seed = _integer(seed, "seed")
+    if seed < 0:
+        raise DomainError(f"seed must be nonnegative, got {seed}")
     pts = config.points
     lowest, highest = pts.argmin(axis=0), pts.argmax(axis=0)
     axes = np.arange(config.dim)
@@ -312,33 +263,12 @@ def min_enclosing_ball(config: Configuration, seed: int = 0) -> Ball:
     extremes[lowest] = extremes[highest] = True
     core = np.flatnonzero(extremes)
     if len(core) == len(pts):
-        center = _whole_ball(pts, seed, config.dim, slack)
-        sq = _sq_dists(pts, center)
+        start = pts.mean(axis=0)
     else:
-        # Grow from one extreme.  Starting from move-to-front over all
-        # 2*dim of them solves about five times as many support balls on
-        # 5000 Gaussian points in R^6 (159 against 30, medians of 88
-        # calls), and how many varies several-fold with the seed.
-        first = core[np.random.default_rng(seed).permutation(len(core))[:1]]
-        center, sq = _core_ball(pts, first, np.zeros(1, dtype=int), config.dim, slack)
+        core = core[np.random.default_rng(seed).permutation(len(core))[:1]]
+        start = pts[core[0]]
+    center, sq = _core_ball(pts, core, start, slack)
     return Ball(center=center, radius=float(np.sqrt(sq.max())))
-
-
-def _whole_ball(pts: np.ndarray, seed: int, dim: int, slack: float) -> np.ndarray:
-    """Center of the smallest ball of a set whose coordinate extremes are all of it.
-
-    Walked to from the centroid, with the farthest point as the pivot.  If
-    the walk does not end, Welzl's move-to-front recursion over a seeded
-    shuffle of the set solves it.  On a simplex in R^d move-to-front
-    solves up to 2^(d+1) support balls and the walk about d: on the
-    regular simplex in R^8, 28 ms against 0.7 ms on a 2-vCPU Xeon.
-    """
-    start = pts.mean(axis=0)
-    walked = _walk(pts, start, int(_sq_dists(pts, start).argmax()))
-    if walked is not None:
-        return walked[0]
-    order = np.random.default_rng(seed).permutation(len(pts))
-    return _welzl_mtf(pts, order, (), dim, slack)[0]
 
 
 def circumsphere(config: Configuration, tol: float = DEFAULT_TOL) -> Sphere:
@@ -429,17 +359,14 @@ def circumcenter_in_hull(config: Configuration, tol: float = DEFAULT_TOL) -> boo
     """Whether the circumcenter lies in the simplex's convex hull.
 
     Requires a nondegenerate simplex (|C| = affine dimension + 1).  The
-    circumcenter's barycentric coordinates are solved from the affine
-    system; a face case (coordinate 0) counts as contained via -tol.
+    circumcenter's barycentric coordinates come with it from one solve of
+    the vertices' Gram system (_circumcenter); a face case (coordinate 0)
+    counts as contained via -tol.
     """
     _check_tolerance(tol)
     m = affine_dimension(config)
     if len(config) != m + 1 or m == 0:
         raise NotSimplex(
             f"{len(config)} points of affine dimension {m} do not form a simplex")
-    sphere = circumsphere(config)
-    pts = config.points
-    system = np.vstack([pts.T, np.ones(len(config))])
-    target = np.concatenate([sphere.center, [1.0]])
-    bary, *_ = np.linalg.lstsq(system, target, rcond=None)
+    _, bary = _circumcenter(config.points)
     return bool(np.min(bary) >= -tol)

@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import (DomainError, EmptySample, Infeasible, NonConvergence, _check_positive,
                      _check_tolerance)
-from .geometry import DEFAULT_TOL, Configuration, RigidMotion, _hull_basis, diameter
+from .geometry import DEFAULT_TOL, Configuration, RigidMotion, _hull_basis, _integer, diameter
 from .spheres import Ball, min_enclosing_ball
 
 # Relative feasibility slack: a copy fits when the enclosing-ball radius is
@@ -182,7 +182,7 @@ def _hull_frame(target: Configuration, scale: float):
 
     Returns (a, basis, ball): basis holds the m orthonormal rows spanning
     the affine hull (one SVD, geometry._hull_basis), ball is the enclosing
-    ball of the scaled coordinates, found by Welzl in m dimensions, and
+    ball of the scaled coordinates, walked to in m dimensions, and
     point i is points[0] + scale * (a[i] + ball.center) @ basis up to its
     component off the hull, which the cutoff DEFAULT_TOL drops.
     """
@@ -547,7 +547,9 @@ def estimate_c(problem: SpreadProblem, restarts: int = 64, seed: int = 0,
     height off the hull on one appended axis (see SpreadEstimate).
     With oracle_samples > 0, a sampling-oracle scan seeded by `seed` fills
     oracle_value; a sampled spread below c_lower raises NonConvergence.
+    A `restarts` that is not an integer of at least 1 raises DomainError.
     """
+    restarts = _integer(restarts, "restarts")
     if restarts < 1:
         raise DomainError("need at least one restart")
     _check_tolerance(tolerance)

@@ -1,7 +1,9 @@
 """Independent reference implementations used only by the tests.
 
 These deliberately avoid the library's code paths: the enclosing ball is
-found by enumerating candidate support subsets, is_congruent's pruning by
+found by enumerating candidate support subsets, and by Welzl's
+move-to-front recursion in place of the library's walks (only the support
+balls are shared), is_congruent's pruning by
 comparing sorted rows one pair at a time, monochromatic copies by
 full subset-and-permutation enumeration, the minimal spread of a planar
 target by a complete 2-d grid search with closed-form plane height, the
@@ -15,6 +17,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from diamramsey import Configuration
+from diamramsey.spheres import _circumcenter, _sq_dists
 
 
 def dist_matrix(points: np.ndarray) -> np.ndarray:
@@ -46,13 +49,62 @@ def brute_force_meb(points) -> tuple[float, np.ndarray]:
     return best
 
 
+def welzl_mtf(pts: np.ndarray, order: np.ndarray, support: tuple[int, ...],
+              dim: int, slack: float):
+    """Welzl's move-to-front recursion (Welzl 1991) over `order`, reordered in place.
+
+    The reference ball for min_enclosing_ball's walks, with the library's
+    support balls (spheres._circumcenter), so that on a set with one
+    smallest ball the two agree up to rounding.  After each ball change one
+    vectorised pass over the rest of the order finds the next point
+    outside the ball by more than `slack`.  A ball change at the front of
+    the order, or one that fills the support to dim+1 points, needs no
+    recursion: the ball is that support's ball.  Returns the center and
+    the support ball's radius; (None, -1.0) for an empty order and support.
+    On a simplex in R^d it solves up to 2^(d+1) support balls.
+    """
+    center, radius = _support_ball(pts, support)
+    full = len(support) == dim
+    ordered = pts[order]  # the move-to-front only reorders the scanned prefix
+    i = 0
+    while i < len(order):
+        if center is not None:
+            beyond = _sq_dists(ordered[i:], center) > (radius + slack) ** 2
+            k = int(beyond.argmax())
+            if not beyond[k]:
+                break
+            i += k
+        j = int(order[i])
+        if full or i == 0:
+            # No move-to-front either: it is a no-op at i == 0, and no
+            # recursion reads this level's order once the support is full.
+            center, radius = _support_ball(pts, support + (j,))
+        else:
+            center, radius = welzl_mtf(pts, order[:i].copy(), support + (j,), dim, slack)
+            order[1:i + 1] = order[:i]
+            order[0] = j
+        i += 1
+    return center, radius
+
+
+def _support_ball(pts: np.ndarray, support: tuple[int, ...]):
+    """Smallest ball with all of `support` on its boundary, center in their hull."""
+    if not support:
+        return None, -1.0
+    if len(support) == 1:
+        return pts[support[0]], 0.0
+    chosen = pts[list(support)]
+    center, _ = _circumcenter(chosen)
+    return center, float(np.sqrt(_sq_dists(chosen, center).max()))
+
+
 def welzl_loop(points, seed: int, slack: float,
                sin2: float = 1e-2) -> tuple[np.ndarray, float]:
     """Welzl's move-to-front recursion, one point at a time over a Python list.
 
-    The reference for min_enclosing_ball's vectorised scan: the same seeded
-    order, support balls and containment test, with the move-to-front done
-    by list.insert/pop.  Its support balls mirror the library's formula on
+    The reference for welzl_mtf's vectorised scan: the same seeded order,
+    support balls and containment test, with the move-to-front done by
+    list.insert/pop.  Its support balls mirror the library's formula on
     purpose, so the two agree bit for bit: the Gram system G of the
     support, solved with its inverse when every (G^-1)_kk G_kk is at most
     1 / sin2, else by least squares (brute_force_meb stays on least squares

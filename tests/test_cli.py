@@ -346,6 +346,8 @@ class TestBadNumbers:
         ("falsify", "--input", "{tri}", "--radius", "0.95", "--shell", "0.005",
          "--samples", "-5"),
         ("estimate-c", "--input", "{tri}", "--radius", "0.95", "--oracle-samples", "-5"),
+        ("estimate-c", "--input", "{tri}", "--radius", "0.95", "--restarts", "0"),
+        ("estimate-c", "--input", "{tri}", "--radius", "0.95", "--restarts", "-3"),
     ])
     def test_negative_counts_are_usage_errors(self, capsys, tri150, args):
         code, _, _ = run_cli(capsys, *(arg.format(tri=tri150) for arg in args))

@@ -27,9 +27,8 @@ from diamramsey import (
     random_motion,
     regular_simplex,
 )
-from diamramsey.spheres import (_GRAM_SIN2, _circumcenter, _circumsphere, _sq_dists,
-                                _support_ball, _walk, _welzl_mtf)
-from oracles import brute_force_meb, configurations, welzl_loop
+from diamramsey.spheres import _GRAM_SIN2, _circumcenter, _circumsphere, _sq_dists, _walk
+from oracles import brute_force_meb, configurations, welzl_loop, welzl_mtf
 
 EQUILATERAL = regular_simplex(2)
 OBTUSE_150 = obtuse_triangle(150.0, 1.0)
@@ -110,14 +109,25 @@ class TestMinEnclosingBall:
         pts = rng.normal(size=(int(rng.integers(1, 400)), int(rng.integers(1, 5))))
         n, dim = pts.shape
         slack = 1e-12 * np.abs(pts - pts[0]).max()
-        center, _ = _welzl_mtf(pts, np.random.default_rng(seed).permutation(n), (), dim, slack)
+        center, _ = welzl_mtf(pts, np.random.default_rng(seed).permutation(n), (), dim, slack)
         loop_center, _ = welzl_loop(pts, seed, slack)
         assert np.array_equal(center, loop_center)
-        # the public function solves a core, not the whole seeded order
+        # the public function walks from a core, not over the whole seeded order
         radius = np.max(np.linalg.norm(pts - center, axis=1))
         ball = min_enclosing_ball(Configuration.from_points(pts), seed=seed)
         assert abs(ball.radius - radius) <= 1e-12 * radius
         assert np.abs(ball.center - center).max() <= 1e-12 * radius
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, 2.0, True, np.int64(-2), "3"])
+    def test_rejects_a_seed_that_is_not_a_nonnegative_integer(self, seed):
+        # on a cloud the seed shuffles the extremes; on a set that is all
+        # extremes it has no effect, and is checked all the same
+        cloud = Configuration.from_points(np.random.default_rng(0).normal(size=(200, 3)))
+        for config in (cloud, obtuse_triangle(150.0)):
+            with pytest.raises(DomainError):
+                min_enclosing_ball(config, seed=seed)
+            ball = min_enclosing_ball(config, seed=np.int64(3))
+            assert np.array_equal(ball.center, min_enclosing_ball(config, seed=3).center)
 
     @pytest.mark.parametrize("seed", range(30))
     def test_matches_brute_force(self, seed):
@@ -175,7 +185,7 @@ class TestCoreSet:
         assert np.all(np.linalg.norm(moved - ball.center, axis=1) <= ball.radius)
         m, dim = moved.shape
         slack = 1e-12 * np.abs(moved - moved[0]).max()
-        center, _ = _welzl_mtf(moved, np.random.default_rng(n).permutation(m), (), dim, slack)
+        center, _ = welzl_mtf(moved, np.random.default_rng(n).permutation(m), (), dim, slack)
         radius = np.linalg.norm(moved - center, axis=1).max()
         # Two support sets give centres that differ by the rounding of the
         # coordinates, eps * max|x|, which a far translation makes dominant.
@@ -185,24 +195,24 @@ class TestCoreSet:
             assert ball.radius == pytest.approx(scale * brute_force_meb(base)[0], rel=1e-9)
 
     def test_core_stays_small(self, monkeypatch):
-        # Welzl over the whole cloud would see all 50000 points; the
-        # pivot-grown core needs a few.
+        # Welzl over the whole cloud would see all 50000 points; each walk
+        # of the pivot-grown core sees at most the support and the pivot.
         sizes = []
-        welzl = diamramsey.spheres._welzl_mtf
+        walk = diamramsey.spheres._walk
 
         def recording(pts, *args):
             sizes.append(len(pts))
-            return welzl(pts, *args)
+            return walk(pts, *args)
 
-        monkeypatch.setattr(diamramsey.spheres, "_welzl_mtf", recording)
+        monkeypatch.setattr(diamramsey.spheres, "_walk", recording)
         pts = np.random.default_rng(4).normal(size=(50000, 2))
         ball = min_enclosing_ball(Configuration.from_points(pts), seed=4)
         assert np.all(np.linalg.norm(pts - ball.center, axis=1) <= ball.radius)
-        assert 0 < max(sizes) <= 64
+        assert sizes[0] == 1 and max(sizes) <= pts.shape[1] + 2
 
     @pytest.mark.parametrize("case", ["translated", "noisy", "stalls", "gaussian"])
     def test_stalled_core_returns_its_ball(self, monkeypatch, case):
-        # Rounding beyond Welzl's slack decides containment on all four
+        # Rounding beyond the containment slack decides containment on all four
         # clouds.  With walked rounds each ends in a clean pass: on the S^3
         # translated by 1e6 and the Gaussian cloud translated by 1e10
         # extents one round grows no radius but brings the farthest point
@@ -210,11 +220,11 @@ class TestCoreSet:
         # radius did not grow would leave a ball 2.8e-4 too wide.
         # test_stalled_round_keeps_its_ball covers a round that stalls.
         sizes = []
-        welzl = diamramsey.spheres._welzl_mtf
+        walk = diamramsey.spheres._walk
 
         def recording(pts, *args):
             sizes.append(len(pts))
-            return welzl(pts, *args)
+            return walk(pts, *args)
 
         seed = 0
         if case == "noisy":
@@ -228,14 +238,14 @@ class TestCoreSet:
             rng = np.random.default_rng(6 if case == "translated" else 7)
             dim = 3 if case == "translated" else 4
             pts = _unit_sphere(rng, 2000, dim) + 1e6 * rng.normal(size=dim)
-        monkeypatch.setattr(diamramsey.spheres, "_welzl_mtf", recording)
+        monkeypatch.setattr(diamramsey.spheres, "_walk", recording)
         ball = min_enclosing_ball(Configuration.from_points(pts), seed=seed)
         monkeypatch.undo()
-        assert 0 < max(sizes) <= 64
-        assert np.all(np.linalg.norm(pts - ball.center, axis=1) <= ball.radius)
         n, dim = pts.shape
+        assert sizes[0] == 1 and max(sizes) <= dim + 2
+        assert np.all(np.linalg.norm(pts - ball.center, axis=1) <= ball.radius)
         slack = 1e-12 * np.abs(pts - pts[0]).max()
-        center, _ = _welzl_mtf(pts, np.random.default_rng(0).permutation(n), (), dim, slack)
+        center, _ = welzl_mtf(pts, np.random.default_rng(0).permutation(n), (), dim, slack)
         radius = np.linalg.norm(pts - center, axis=1).max()
         # the far translation adds the coordinates' rounding, as above
         rounding = 4 * np.finfo(float).eps * np.abs(pts).max()
@@ -266,8 +276,8 @@ class TestCoreSet:
         assert walks[-1] is not None and not np.array_equal(ball.center, walks[-1][0])
         assert np.all(np.linalg.norm(pts - ball.center, axis=1) <= ball.radius)
         slack = 1e-12 * np.abs(pts - pts[0]).max()
-        center, _ = _welzl_mtf(pts, np.random.default_rng(0).permutation(len(pts)), (), 2,
-                               slack)
+        center, _ = welzl_mtf(pts, np.random.default_rng(0).permutation(len(pts)), (), 2,
+                              slack)
         radius = np.linalg.norm(pts - center, axis=1).max()
         rounding = 4 * np.finfo(float).eps * np.abs(pts).max()
         assert abs(ball.radius - radius) <= 1e-11 * radius + rounding
@@ -312,55 +322,52 @@ class TestCoreSet:
                 assert np.all(np.linalg.norm(pts - ball.center, axis=1) <= ball.radius)
                 slack = 1e-12 * np.abs(pts - pts[0]).max()
                 order = np.random.default_rng(seed).permutation(len(pts))
-                center, _ = _welzl_mtf(pts, order, (), dim, slack)
+                center, _ = welzl_mtf(pts, order, (), dim, slack)
                 radius = np.linalg.norm(pts - center, axis=1).max()
                 rounding = 4 * np.finfo(float).eps * np.abs(pts).max()
                 assert abs(ball.radius - radius) <= 1e-12 * radius + rounding
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_unended_walk_solves_the_whole_seeded_order(self, monkeypatch, seed):
-        # A whole-set walk that does not end leaves the ball to Welzl's
-        # move-to-front over the seeded shuffle, bit for bit.
-        monkeypatch.setattr(diamramsey.spheres, "_WALK_STEPS", 0)
-        for config in (OBTUSE_150, almost_regular_simplex(4, 0.01)):
-            pts = config.points
-            ball = min_enclosing_ball(config, seed=seed)
-            slack = 1e-12 * np.abs(pts - pts[0]).max()
-            order = np.random.default_rng(seed).permutation(len(pts))
-            center, _ = _welzl_mtf(pts, order, (), config.dim, slack)
-            assert np.array_equal(ball.center, center)
-
     def test_rounds_walk_from_one_extreme(self, monkeypatch):
-        # Move-to-front runs once, on the one coordinate extreme the seed
-        # picks; every pivot round is walked to.
+        # The first walk is of the one coordinate extreme the seed picks;
+        # every pivot round after it walks the support and the pivot.
         calls = []
-        welzl = diamramsey.spheres._welzl_mtf
+        walk = diamramsey.spheres._walk
 
         def recording(pts, *args):
             calls.append(pts.copy())
-            return welzl(pts, *args)
+            return walk(pts, *args)
 
-        monkeypatch.setattr(diamramsey.spheres, "_welzl_mtf", recording)
+        monkeypatch.setattr(diamramsey.spheres, "_walk", recording)
         pts = np.random.default_rng(9).normal(size=(5000, 6))
         extremes = pts[np.union1d(pts.argmin(axis=0), pts.argmax(axis=0))]
         for seed in range(4):
             calls.clear()
             ball = min_enclosing_ball(Configuration.from_points(pts), seed=seed)
-            assert len(calls) == 1 and len(calls[0]) == 1
-            assert (extremes == calls[0][0]).all(axis=1).any()
+            assert len(calls[0]) == 1 and (extremes == calls[0][0]).all(axis=1).any()
+            assert len(calls) > 1 and max(len(c) for c in calls) <= pts.shape[1] + 2
             assert np.all(np.linalg.norm(pts - ball.center, axis=1) <= ball.radius)
 
-    @pytest.mark.parametrize("kind", CLOUDS)
-    def test_rounds_fall_back_to_move_to_front(self, monkeypatch, kind):
-        # A walk that does not end leaves the round to move-to-front over
-        # the support and the pivot; the ball is the same.
-        rng = np.random.default_rng([CLOUDS.index(kind), 5])
-        pts, _ = _cloud(kind, 3000, rng)
-        walked = min_enclosing_ball(Configuration.from_points(pts), seed=2)
-        monkeypatch.setattr(diamramsey.spheres, "_WALK_STEPS", 0)
-        ball = min_enclosing_ball(Configuration.from_points(pts), seed=2)
-        assert np.all(np.linalg.norm(pts - ball.center, axis=1) <= ball.radius)
-        assert abs(ball.radius - walked.radius) <= 1e-12 * walked.radius
+    @pytest.mark.parametrize("kind", CLOUDS + ["witnesses"])
+    def test_unended_walk_keeps_every_point(self, monkeypatch, kind):
+        # A walk that does not end stalls its round: the center it started
+        # from is kept, the centroid of a set that is all extremes or the
+        # seeded extreme of a cloud, with the radius measured to the
+        # farthest point, so the ball still holds every point.
+        monkeypatch.setattr(diamramsey.spheres, "_walk", lambda *args: None)
+        if kind == "witnesses":
+            sets = [OBTUSE_150.points, almost_regular_simplex(4, 0.01).points]
+        else:
+            sets = [_cloud(kind, 3000, np.random.default_rng([CLOUDS.index(kind), 5]))[0]]
+        for pts in sets:
+            extremes = np.union1d(pts.argmin(axis=0), pts.argmax(axis=0))
+            for seed in range(4):
+                ball = min_enclosing_ball(Configuration.from_points(pts), seed=seed)
+                assert np.all(np.linalg.norm(pts - ball.center, axis=1) <= ball.radius)
+                assert ball.radius == np.linalg.norm(pts - ball.center, axis=1).max()
+                if len(extremes) == len(pts):
+                    assert np.array_equal(ball.center, pts.mean(axis=0))
+                else:
+                    assert (pts[extremes] == ball.center).all(axis=1).any()
 
     @pytest.mark.parametrize("seed", range(40))
     def test_walk_reaches_the_smallest_ball(self, seed):
@@ -415,7 +422,7 @@ class TestSupportBalls:
     def test_degenerate_supports_fall_back(self, case, seed):
         # A repeated point, a collinear triple or four coplanar points in
         # R^3 have a row in the span of the others; their center is the
-        # least-squares one, bit for bit, and the ball holds the support.
+        # least-squares one, bit for bit, with finite weights summing to 1.
         rng = np.random.default_rng([seed, 3])
         if case == "repeated":
             a, b = rng.normal(size=(2, 3))
@@ -428,9 +435,7 @@ class TestSupportBalls:
         center, weights = _circumcenter(chosen)
         assert np.array_equal(center, _least_squares_center(chosen))
         assert np.all(np.isfinite(weights))
-        ball_center, radius = _support_ball(chosen, tuple(range(len(chosen))))
-        assert np.array_equal(ball_center, center)
-        assert np.all(np.linalg.norm(chosen - center, axis=1) <= radius)
+        assert abs(weights.sum() - 1.0) <= 1e-12 * np.abs(weights).max()
 
 
 class TestWalkedWholeSets:
@@ -453,20 +458,50 @@ class TestWalkedWholeSets:
 
     def test_simplices_need_no_move_to_front(self, monkeypatch):
         # Move-to-front over a simplex in R^d solves up to 2^(d+1) support
-        # balls; the walk adds one point a step.
+        # balls; one walk of the whole set ends it, about one point a step.
         calls = []
-        welzl = diamramsey.spheres._welzl_mtf
+        walk = diamramsey.spheres._walk
 
         def recording(pts, *args):
             calls.append(len(pts))
-            return welzl(pts, *args)
+            return walk(pts, *args)
 
-        monkeypatch.setattr(diamramsey.spheres, "_welzl_mtf", recording)
+        monkeypatch.setattr(diamramsey.spheres, "_walk", recording)
         for dim in range(2, 9):
             for config in (regular_simplex(dim), almost_regular_simplex(dim, 1e-6)):
                 for seed in range(3):
+                    calls.clear()
                     min_enclosing_ball(config, seed=seed)
-        assert calls == []
+                    assert calls == [dim + 1]
+
+    @pytest.mark.parametrize("dim", [64, 100])
+    def test_high_dimensional_regular_simplex_radius(self, dim):
+        # One walk of dim + 1 steps; move-to-front over the whole set would
+        # solve up to 2^(dim+1) support balls.
+        config = regular_simplex(dim)
+        want = math.sqrt(dim / (2 * dim + 2)) * diameter(config)
+        ball = min_enclosing_ball(config)
+        assert ball.radius == pytest.approx(want, rel=1e-13)
+        assert np.all(np.linalg.norm(config.points - ball.center, axis=1) <= ball.radius)
+
+    def test_high_dimensional_almost_regular_simplex(self):
+        # Too many support subsets for brute_force_meb: the ball lies
+        # between half the diameter and Jung's radius, below the
+        # circumradius, and its center is in the convex hull of the points
+        # on its boundary, which makes it the smallest.
+        from scipy.optimize import nnls
+
+        config = almost_regular_simplex(70, 1e-3)
+        pts = config.points
+        ball = min_enclosing_ball(config)
+        dists = np.linalg.norm(pts - ball.center, axis=1)
+        assert np.all(dists <= ball.radius)
+        assert diameter(config) / 2 <= ball.radius <= jung_bound(config)
+        assert ball.radius < circumradius(config)
+        on = pts[dists >= ball.radius * (1 - 1e-9)]
+        weights, residual = nnls(np.vstack([on.T, np.ones(len(on))]),
+                                 np.append(ball.center, 1.0))
+        assert residual <= 1e-9 * ball.radius
 
     @pytest.mark.parametrize("seed", range(24))
     @pytest.mark.parametrize("move", ["none", "far"])
@@ -480,7 +515,7 @@ class TestWalkedWholeSets:
         assert np.all(np.linalg.norm(pts - ball.center, axis=1) <= ball.radius)
         n = len(pts)
         slack = 1e-12 * np.abs(pts - pts[0]).max()
-        center, _ = _welzl_mtf(pts, np.random.default_rng(seed).permutation(n), (), dim, slack)
+        center, _ = welzl_mtf(pts, np.random.default_rng(seed).permutation(n), (), dim, slack)
         radius = np.linalg.norm(pts - center, axis=1).max()
         rounding = 4 * np.finfo(float).eps * np.abs(pts).max()
         assert abs(ball.radius - radius) <= 1e-11 * radius + rounding

@@ -112,6 +112,11 @@ class TestEstimateC:
         assert estimate.c_estimate is None
         assert estimate.best_motion is None
 
+    @pytest.mark.parametrize("restarts", [0, -1, 2.0, True, "3"])
+    def test_restarts_must_be_a_positive_integer(self, restarts):
+        with pytest.raises(DomainError):
+            estimate_c(SpreadProblem(target=OBTUSE_150, radius=0.95), restarts=restarts)
+
     def test_matches_independent_grid_oracle(self):
         problem = SpreadProblem(target=OBTUSE_150, radius=0.95)
         estimate = estimate_c(problem, restarts=24, seed=0)
@@ -255,6 +260,19 @@ class TestCertifiedBracket:
         problem = SpreadProblem(target=almost_regular_simplex(dim, 0.01),
                                 radius=radius)
         estimate = estimate_c(problem, restarts=2)
+        assert 0.0 < estimate.c_lower <= estimate.c_estimate
+        assert estimate.c_estimate <= estimate.c_lower + 1e-9 * radius
+        assert estimate.max_norm <= radius * (1.0 + 1e-12)
+
+    def test_almost_regular_simplex_in_r70(self):
+        # Its enclosing ball is walked to in the solver's hull frame; a
+        # radius between the enclosing radius and the circumradius leaves a
+        # positive spread.
+        target = almost_regular_simplex(70, 1e-3)
+        radius = 0.5 * (min_enclosing_ball(target).radius
+                        + obstruction_verdict(target).circumradius)
+        estimate = estimate_c(SpreadProblem(target=target, radius=radius), restarts=2)
+        assert estimate.feasible
         assert 0.0 < estimate.c_lower <= estimate.c_estimate
         assert estimate.c_estimate <= estimate.c_lower + 1e-9 * radius
         assert estimate.max_norm <= radius * (1.0 + 1e-12)
