@@ -347,27 +347,32 @@ class TestCoreSet:
             assert len(calls) > 1 and max(len(c) for c in calls) <= pts.shape[1] + 2
             assert np.all(np.linalg.norm(pts - ball.center, axis=1) <= ball.radius)
 
-    @pytest.mark.parametrize("kind", CLOUDS + ["witnesses"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_unended_walk_solves_the_whole_seeded_order(self, monkeypatch, seed):
+        # A whole-set walk that does not end keeps the centroid it started
+        # from, whatever the seed, with the radius measured to the farthest
+        # point, so the ball still holds every point.
+        monkeypatch.setattr(diamramsey.spheres, "_walk", lambda *args: None)
+        for config in (OBTUSE_150, almost_regular_simplex(4, 0.01)):
+            pts = config.points
+            ball = min_enclosing_ball(config, seed=seed)
+            assert np.array_equal(ball.center, pts.mean(axis=0))
+            assert ball.radius == np.linalg.norm(pts - ball.center, axis=1).max()
+            assert np.all(np.linalg.norm(pts - ball.center, axis=1) <= ball.radius)
+
+    @pytest.mark.parametrize("kind", CLOUDS)
     def test_unended_walk_keeps_every_point(self, monkeypatch, kind):
         # A walk that does not end stalls its round: the center it started
-        # from is kept, the centroid of a set that is all extremes or the
-        # seeded extreme of a cloud, with the radius measured to the
-        # farthest point, so the ball still holds every point.
+        # from is kept, the seeded extreme of a cloud, with the radius
+        # measured to the farthest point, so the ball still holds every point.
         monkeypatch.setattr(diamramsey.spheres, "_walk", lambda *args: None)
-        if kind == "witnesses":
-            sets = [OBTUSE_150.points, almost_regular_simplex(4, 0.01).points]
-        else:
-            sets = [_cloud(kind, 3000, np.random.default_rng([CLOUDS.index(kind), 5]))[0]]
-        for pts in sets:
-            extremes = np.union1d(pts.argmin(axis=0), pts.argmax(axis=0))
-            for seed in range(4):
-                ball = min_enclosing_ball(Configuration.from_points(pts), seed=seed)
-                assert np.all(np.linalg.norm(pts - ball.center, axis=1) <= ball.radius)
-                assert ball.radius == np.linalg.norm(pts - ball.center, axis=1).max()
-                if len(extremes) == len(pts):
-                    assert np.array_equal(ball.center, pts.mean(axis=0))
-                else:
-                    assert (pts[extremes] == ball.center).all(axis=1).any()
+        pts = _cloud(kind, 3000, np.random.default_rng([CLOUDS.index(kind), 5]))[0]
+        extremes = np.union1d(pts.argmin(axis=0), pts.argmax(axis=0))
+        for seed in range(4):
+            ball = min_enclosing_ball(Configuration.from_points(pts), seed=seed)
+            assert np.all(np.linalg.norm(pts - ball.center, axis=1) <= ball.radius)
+            assert ball.radius == np.linalg.norm(pts - ball.center, axis=1).max()
+            assert (pts[extremes] == ball.center).all(axis=1).any()
 
     @pytest.mark.parametrize("seed", range(40))
     def test_walk_reaches_the_smallest_ball(self, seed):
