@@ -1,19 +1,20 @@
 """Enclosing balls and circumspheres.
 
 The minimum enclosing ball is walked to (Fischer, Gartner & Kutz 2003).  A
-set whose coordinate extremes are all of it, such as every simplex, is
-walked to in one go from its centroid.  Any other set starts from one of
-its extremes, picked by a seeded shuffle, and grows one farthest-point
-pivot at a time (Gartner 1999) until one vectorised pass finds no point
-outside; each round walks to the ball of the current support and the
-pivot.  Each support's center and barycentric weights come from one solve
-of its small Gram system; only a near-degenerate support takes least
-squares.  A round that stalls under rounding, or whose walk does not end,
-keeps its center, with the radius measured to the farthest of all the
-points, so the ball still holds every point.  The circumsphere is solved
-inside the affine hull of the points, which is what makes "smallest
-containing sphere" well defined for lower-dimensional sets (an off-hull
-center can only enlarge the radius).
+set whose coordinate extremes are all of it, or of at most dim + 1 points,
+such as every simplex in any coordinates, is walked to in one go from its
+centroid.  Any other set starts from one of its extremes, picked by a
+seeded shuffle, and grows one farthest-point pivot at a time (Gartner
+1999) until one vectorised pass finds no point outside; each round walks
+to the ball of the current support and the pivot.  Each support's center
+and barycentric weights come from one solve of its small Gram system;
+only a near-degenerate support takes least squares.  A round that stalls
+under rounding, or whose walk does not end, keeps its center, with the
+radius measured to the farthest of all the points, so the ball still
+holds every point.  The circumsphere is solved inside the affine hull of
+the points, which is what makes "smallest containing sphere" well
+defined for lower-dimensional sets (an off-hull center can only enlarge
+the radius).
 """
 
 from __future__ import annotations
@@ -235,13 +236,14 @@ def min_enclosing_ball(config: Configuration, seed: int = 0) -> Ball:
 
     The ball is walked to from a core of the points that attain a
     coordinate's minimum or maximum.  A set whose extremes are all of it
-    (every witness the library builds) is its own core, walked to from its
-    centroid; `seed` has no effect on it.  Otherwise the core is one
-    extreme, the first in an order shuffled by `seed`, and _core_ball
-    grows it: each round one vectorised pass over all points finds the
-    farthest from the current ball; a point beyond the containment slack
-    (_WELZL_SLACK, _WELZL_ROUNDING) is a pivot, and the round walks to the
-    ball of the current support and the pivot.  The ball is determined by
+    (every witness the library builds), or of at most dim + 1 points (a
+    simplex in hull coordinates need not be all extremes), is its own
+    core, walked to from its centroid; `seed` has no effect on it.
+    Otherwise the core is one extreme, the first in an order shuffled by
+    `seed`, and _core_ball grows it: each round one vectorised pass over
+    all points finds the farthest from the current ball; a point beyond
+    the containment slack (_WELZL_SLACK, _WELZL_ROUNDING) is a pivot, and
+    the round walks to the ball of the current support and the pivot.  The ball is determined by
     a support set of at most dim+1 boundary points.  A round that stalls
     keeps the last center.  Either way the radius is the farthest point's
     distance from the center, so every point lies inside with no slack.
@@ -262,8 +264,8 @@ def min_enclosing_ball(config: Configuration, seed: int = 0) -> Ball:
     extremes = np.zeros(len(config), dtype=bool)
     extremes[lowest] = extremes[highest] = True
     core = np.flatnonzero(extremes)
-    if len(core) == len(pts):
-        start = pts.mean(axis=0)
+    if len(core) == len(pts) or len(pts) <= config.dim + 1:
+        core, start = np.arange(len(pts)), pts.mean(axis=0)
     else:
         core = core[np.random.default_rng(seed).permutation(len(core))[:1]]
         start = pts[core[0]]

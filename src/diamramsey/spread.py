@@ -12,9 +12,12 @@ c(A, r) > 0.  Two independent ways to get at it:
   c = r - sqrt(r^2 - t*), where t* is the least max_i f_i(y) - min_j f_j(y),
   f_i(y) = |a_i|^2 - 2<a_i, y>, over the y with every |a_i - y| <= r: a
   convex program in m + 2 variables (y and two levels).  Its n ball
-  constraints collapse into one paraboloid, and a numpy primal-dual
-  interior-point method solves it (see _solve_levels).  c_lower comes from
-  the Lagrangian dual at the solver's own multipliers (see _dual_bound).
+  constraints collapse into one paraboloid.  Each pass first solves the
+  KKT equations of the active set guessed at its start (_active_set: two
+  small linear solves) and keeps that point when its bracket closes;
+  otherwise a numpy primal-dual interior-point method solves it (see
+  _solve_levels).  c_lower comes from the Lagrangian dual at the solver's
+  own multipliers (see _dual_bound).
 * sample_spread_oracle: the minimum spread over a reproducible stream of
   random feasible copies, an upper bound.  A copy is the target centered at
   its enclosing-ball center, b_i, translated by g*t: t is drawn uniformly in
@@ -121,10 +124,15 @@ class SpreadEstimate:
     certified lower bound.
     best_restart is the index of the solve pass whose placement is returned;
     restarts is the cap on passes.  diagnostics holds "passes", one entry
-    per pass run: "iterations", the Newton systems it solved, and "stage",
-    the stage that converged ("interior_point", "separate_steps" or
-    "kkt_finish"; None if none did).  It is deterministic and holds no
-    timings.  The solve's outputs are None when no copy fits.
+    per pass run: "iterations", the linear systems it solved (1 for an
+    active-set pass, else the interior point's Newton systems); "stage",
+    the stage that converged ("active_set", "interior_point",
+    "separate_steps" or "kkt_finish"; None if none did); and "nu", the
+    paraboloid multiplier with the lower multipliers scaled to sum to 1
+    (None if they sum to 0).  An "active_set" pass also gives "upper" and
+    "lower", the indices of the points on the upper and the lower level.
+    It is deterministic and holds no timings.  The solve's outputs are None
+    when no copy fits.
     """
 
     c_estimate: float | None
@@ -290,6 +298,66 @@ def sample_spread_oracle(problem: SpreadProblem, n_samples: int,
 # The convex reduction and its certified dual bound
 # ---------------------------------------------------------------------------
 
+def _active_set(a: np.ndarray, radius: float, y0: np.ndarray):
+    """The reduced program solved on the active set guessed at y0, or None.
+
+    Same arguments and returns as _solve_levels; the diagnostics count the
+    solve as one system ("iterations") and give the stage "active_set" and
+    the indices of the "upper" and "lower" rows.  The guess takes the m
+    rows with the highest levels f_k(y0) as upper, the row with the lowest
+    as lower, and the paraboloid as active: the optimum of each of the
+    library's witnesses has that active set.  Equal upper levels put y
+    on the line of points equidistant from the upper points, found by
+    elimination in one solve; the paraboloid puts them at distance r, a
+    quadratic along the line, whose root with the smaller u - l is the
+    point.  The multipliers solve the m + 2 stationarity equations of the
+    active rows.  Returns None for coincident points, on a singular
+    system, a negative discriminant or a negative multiplier; the caller
+    accepts the point only if its certified bracket closes.
+    """
+    n, m = a.shape
+    if m == 0:
+        return None
+    sq = np.einsum("ij,ij->i", a, a)
+    levels = (sq - 2.0 * a @ y0).tolist()
+    order = sorted(range(n), key=levels.__getitem__)
+    upper, lower = sorted(order[n - m:]), order[0]
+    base = a[upper[0]]
+    # The line p + s*d: 2<a_k - a_0, y> = |a_k|^2 - |a_0|^2 for the other
+    # upper points k, with <a_j - a_0, p> = 0 and <a_j - a_0, d> = 1.
+    rhs = np.zeros((m, 2))
+    rhs[:m - 1, 0], rhs[m - 1, 1] = sq[upper[1:]] - sq[upper[0]], 1.0
+    try:
+        p, d = np.linalg.solve(np.vstack([2.0 * (a[upper[1:]] - base), a[lower] - base]),
+                               rhs).T
+    except np.linalg.LinAlgError:
+        return None
+    # |y - a_0|^2 = r^2 is qa s^2 + qb s + qc = 0; u - l = f_0(y) - f_j(y)
+    # grows as 2s along the line, so the smaller root is the point.
+    off = p - base
+    qa, qb = float(d @ d), 2.0 * float(d @ off)
+    disc = qb * qb - 4.0 * qa * (float(off @ off) - radius * radius)
+    if not disc >= 0.0:
+        return None
+    y = p + (-qb - math.sqrt(disc)) / (2.0 * qa) * d
+    # Rows of the active constraints' gradients in (y, u, l): upper levels,
+    # the lower level, then the paraboloid.
+    kkt = np.zeros((m + 2, m + 2))
+    kkt[:m, :m], kkt[:m, m] = -2.0 * a[upper], -1.0
+    kkt[m, :m], kkt[m, m + 1] = 2.0 * a[lower], 1.0
+    kkt[m + 1, :m], kkt[m + 1, m] = 2.0 * y, 1.0
+    try:
+        z = np.linalg.solve(kkt.T, np.concatenate([np.zeros(m), [-1.0, 1.0]]))
+    except np.linalg.LinAlgError:
+        return None
+    if not z.min() >= 0.0:
+        return None
+    lam, mu = np.zeros(n), np.zeros(n)
+    lam[upper], mu[lower] = z[:m], z[m]
+    diagnostics = {"iterations": 1, "stage": "active_set", "upper": upper, "lower": [lower]}
+    return y, lam, mu, float(z[m + 1]), diagnostics
+
+
 def _solve_levels(a: np.ndarray, radius: float, y0: np.ndarray):
     """The reduced program's optimal y, its multipliers (lam, mu, nu), and diagnostics.
 
@@ -308,6 +376,8 @@ def _solve_levels(a: np.ndarray, radius: float, y0: np.ndarray):
     Newton systems solved ("iterations", both solves and the KKT finish
     counted) and the stage that converged: "interior_point",
     "separate_steps" (the repeated solve) or "kkt_finish"; None if none did.
+    estimate_c calls it only for a pass whose active-set guess
+    (_active_set) was declined; that pass's stage is never "active_set".
     """
     *solve, systems, stage = _interior_point(a, radius, y0, separate=False)
     if stage is None:
@@ -538,9 +608,12 @@ def estimate_c(problem: SpreadProblem, restarts: int = 64, seed: int = 0,
     Solves the convex reduction (module docstring) on the target scaled to
     unit diameter, so every slack is relative and c(sA, sr) = s c(A, r).
     The first pass starts at the enclosing-ball center; each further pass
-    starts halfway between it and the last pass's point, up to `restarts`
-    passes, until c_estimate - c_lower <= tolerance * radius, or until a
-    pass tightens neither side.
+    starts at the last pass's point, up to `restarts` passes, until
+    c_estimate - c_lower <= tolerance * radius, or until a pass tightens
+    neither side.  A pass keeps its active-set point (_active_set) when that
+    point's own bracket is within tolerance * radius; otherwise it runs the
+    interior point, which starts halfway between the center and the pass's
+    start.
     The target fits iff its farthest point from its enclosing-ball center
     is at most radius * (1 + FEASIBILITY_SLACK) away.  The solve runs in
     the target's m hull coordinates, from one SVD; the placement puts the
@@ -580,22 +653,36 @@ def estimate_c(problem: SpreadProblem, restarts: int = 64, seed: int = 0,
                          scale * math.sqrt(max(radius * radius - top, 0.0)))
 
     placed = np.hstack([target.points, np.zeros((len(target), 1))])
-    y = np.zeros(len(basis))
-    best, c_lower, passes = None, 0.0, []
-    for index in range(restarts):
-        y, lam, mu, nu, diagnostics = _solve_levels(a, radius, y)
-        passes.append(diagnostics)
+
+    def measured(y, lam, mu, nu):
+        """The placement's spread, its largest norm, its origin and the dual c_lower."""
         origin = origin_of(y)
         norms = np.linalg.norm(placed - origin, axis=1)
-        value = float(norms.max() - norms.min())
         t = max(_dual_bound(a, radius, y, lam, mu, nu)
                 - ROUNDING_SLACK * radius * radius, 0.0)
         lower = scale * t / (radius + math.sqrt(max(radius * radius - t, 0.0)))
+        return float(norms.max() - norms.min()), float(norms.max()), origin, lower
+
+    y = np.zeros(len(basis))
+    best, c_lower, passes = None, 0.0, []
+    for index in range(restarts):
+        solve = _active_set(a, radius, y)
+        if solve is not None:
+            value, top, origin, lower = measured(*solve[:4])
+            if value - lower > tolerance * problem.radius:
+                solve = None
+        if solve is None:
+            solve = _solve_levels(a, radius, y)
+            value, top, origin, lower = measured(*solve[:4])
+        y, _, mu, nu, diagnostics = solve
+        total = float(mu.sum())
+        diagnostics["nu"] = nu / total if total > 0.0 else None
+        passes.append(diagnostics)
         if best is not None and value >= best[0] and lower <= c_lower:
             break  # a pass that tightens neither side ends the search
         c_lower = max(c_lower, lower)
         if best is None or value < best[0]:
-            best = (value, float(norms.max()), origin, index)
+            best = (value, top, origin, index)
         if best[0] - c_lower <= tolerance * problem.radius:
             break
 

@@ -98,7 +98,7 @@ class TestSubcommands:
         assert report["outputs"]["feasible"] is True
         assert report["outputs"]["c_estimate"] > 1e-3
         passes = report["outputs"]["diagnostics"]["passes"]
-        assert passes and all(solve["stage"] == "interior_point" for solve in passes)
+        assert passes and all(solve["stage"] == "active_set" for solve in passes)
 
     def test_oracle(self, capsys, tri150):
         code, report, _ = run_cli(capsys, "oracle", "--input", tri150,

@@ -27,6 +27,7 @@ from diamramsey import (
     random_motion,
     regular_simplex,
 )
+from diamramsey.geometry import DEFAULT_TOL, _hull_basis
 from diamramsey.spheres import _GRAM_SIN2, _circumcenter, _circumsphere, _sq_dists, _walk
 from oracles import brute_force_meb, configurations, welzl_loop, welzl_mtf
 
@@ -478,6 +479,30 @@ class TestWalkedWholeSets:
                     calls.clear()
                     min_enclosing_ball(config, seed=seed)
                     assert calls == [dim + 1]
+
+    @pytest.mark.parametrize("dim", [8, 32, 70])
+    def test_simplices_in_hull_coordinates_are_one_walk(self, dim, monkeypatch):
+        # In the spread solve's hull coordinates some vertices are no
+        # coordinate extreme, but a set of at most dim + 1 points is still
+        # walked from its centroid in one go, to the radius of the ambient
+        # ball.
+        config = almost_regular_simplex(dim, 1e-3)
+        basis = _hull_basis(config.points, DEFAULT_TOL)
+        coords = Configuration(dim=dim, points=(config.points - config.points[0]) @ basis.T)
+        pts = coords.points
+        extremes = set(pts.argmin(axis=0)) | set(pts.argmax(axis=0))
+        assert len(extremes) < dim + 1
+        calls = []
+        walk = diamramsey.spheres._walk
+
+        def recording(pts, *args):
+            calls.append(len(pts))
+            return walk(pts, *args)
+
+        monkeypatch.setattr(diamramsey.spheres, "_walk", recording)
+        ball = min_enclosing_ball(coords)
+        assert calls == [dim + 1]
+        assert ball.radius == pytest.approx(min_enclosing_ball(config).radius, rel=1e-13)
 
     @pytest.mark.parametrize("dim", [64, 100])
     def test_high_dimensional_regular_simplex_radius(self, dim):

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -19,6 +20,7 @@ from diamramsey import (
     NonConvergence,
     affine_dimension,
     apply_motion,
+    diameter,
     embedding_feasible,
     estimate_c,
     falsify_coloring,
@@ -32,13 +34,17 @@ from diamramsey import (
     min_enclosing_ball,
     obstruction_verdict,
 )
-from diamramsey.spread import (ROUNDING_SLACK, _CHUNK, _IPM_MAX_ITERATIONS, _feasible_batches,
-                               _prepare)
+from diamramsey.spread import (ROUNDING_SLACK, _CHUNK, _IPM_MAX_ITERATIONS, _active_set,
+                               _feasible_batches, _prepare)
 from oracles import (configurations, explicit_copy_norms, hull_coordinates, ks_statistic,
                      planar_spread_min, rotated_copy_spreads, slsqp_levels)
 
 OBTUSE_150 = obtuse_triangle(150.0, 1.0)
 EQUILATERAL = regular_simplex(2)
+DIAGNOSED_WITNESSES = [
+    (OBTUSE_150, 0.95), (OBTUSE_150, 0.75), (almost_regular_simplex(3, 0.01), 0.707),
+    (almost_regular_simplex(4, 0.01), 0.6633), (almost_regular_simplex(8, 1e-6), 0.7)]
+spread_module = importlib.import_module("diamramsey.spread")
 
 
 def sampler_witnesses():
@@ -197,7 +203,7 @@ class TestEstimateC:
 
 
 class TestDiagnostics:
-    STAGES = {"interior_point", "separate_steps", "kkt_finish"}
+    STAGES = {"active_set", "interior_point", "separate_steps", "kkt_finish"}
 
     def test_one_entry_per_pass(self):
         problem = SpreadProblem(target=OBTUSE_150, radius=0.95)
@@ -207,6 +213,7 @@ class TestDiagnostics:
         for solve in passes:
             assert isinstance(solve["iterations"], int) and solve["iterations"] > 0
             assert solve["stage"] in self.STAGES
+            assert isinstance(solve["nu"], float) and solve["nu"] >= 0.0
         assert estimate_c(problem, restarts=3).diagnostics == estimate.diagnostics
 
     def test_reaches_the_report(self):
@@ -217,34 +224,123 @@ class TestDiagnostics:
         infeasible = estimate_c(SpreadProblem(target=EQUILATERAL, radius=0.4))
         assert infeasible.diagnostics is None and infeasible.to_dict()["diagnostics"] is None
 
-    @pytest.mark.parametrize("target, radius", [
-        (OBTUSE_150, 0.95), (OBTUSE_150, 0.75), (almost_regular_simplex(3, 0.01), 0.707),
-        (almost_regular_simplex(4, 0.01), 0.6633), (almost_regular_simplex(8, 1e-6), 0.7)])
-    def test_witnesses_converge_in_the_interior_point(self, target, radius):
+    @pytest.mark.parametrize("target, radius", DIAGNOSED_WITNESSES)
+    def test_witnesses_are_solved_on_their_active_set(self, target, radius):
+        # Every point but one on the upper level, that one on the lower
+        # level, and the paraboloid active: one active-set solve.
+        estimate = estimate_c(SpreadProblem(target=target, radius=radius), restarts=2)
+        passes = estimate.diagnostics["passes"]
+        assert [solve["stage"] for solve in passes] == ["active_set"]
+        assert passes[0]["iterations"] == 1
+        m = affine_dimension(target)
+        upper, lower = passes[0]["upper"], passes[0]["lower"]
+        assert all(type(k) is int for k in upper + lower)
+        assert len(upper) == m and len(lower) == 1
+        assert sorted(upper + lower) == list(range(len(target)))
+
+    @pytest.mark.parametrize("target, radius", DIAGNOSED_WITNESSES)
+    def test_witnesses_converge_in_the_interior_point(self, target, radius, monkeypatch):
+        # The same witnesses with every active-set guess declined.
+        monkeypatch.setattr(spread_module, "_active_set", lambda a, radius, y0: None)
         estimate = estimate_c(SpreadProblem(target=target, radius=radius), restarts=2)
         assert [solve["stage"] for solve in estimate.diagnostics["passes"]] \
             == ["interior_point"]
         assert estimate.diagnostics["passes"][0]["iterations"] <= 14
 
-    def test_common_step_stall_is_repeated_with_separate_steps(self):
+    def test_common_step_stall_is_repeated_with_separate_steps(self, monkeypatch):
         # Three points in the plane at 1.1 times their enclosing radius,
         # one of the 1200 programs of TestEnclosingRadius's sweep on which
         # the common step length stalls far from its targets, its dual
-        # length binding.  The stall is cut short: the pass solves fewer
-        # Newton systems than the common-step solve's iteration cap alone
-        # (it solved 81 when that solve ran to the cap).
+        # length binding.  The active set solves it; on the fallback the
+        # stall is cut short: the pass solves fewer Newton systems than the
+        # common-step solve's iteration cap alone (it solved 81 when that
+        # solve ran to the cap).
         rng = np.random.default_rng(0)
         for _ in range(50):
             n, dim = int(rng.integers(2, 7)), int(rng.integers(2, 5))
             points = rng.standard_normal((n, dim))
         config = Configuration.from_points(points)
         radius = 1.1 * min_enclosing_ball(config).radius
-        estimate = estimate_c(SpreadProblem(target=config, radius=radius))
+        problem = SpreadProblem(target=config, radius=radius)
+        solved = estimate_c(problem)
+        assert [solve["stage"] for solve in solved.diagnostics["passes"]] == ["active_set"]
+        monkeypatch.setattr(spread_module, "_active_set", lambda a, radius, y0: None)
+        estimate = estimate_c(problem)
         assert [solve["stage"] for solve in estimate.diagnostics["passes"]] \
             == ["separate_steps"]
         assert estimate.diagnostics["passes"][0]["iterations"] < _IPM_MAX_ITERATIONS
         assert 0.0 < estimate.c_lower <= estimate.c_estimate
         assert estimate.c_estimate - estimate.c_lower <= 1e-12 * radius
+        assert solved.c_estimate == pytest.approx(estimate.c_estimate, rel=1e-13)
+        assert solved.c_lower == pytest.approx(estimate.c_lower, rel=1e-13)
+
+
+def _almost_regular_r70():
+    target = almost_regular_simplex(70, 1e-3)
+    return target, 0.5 * (min_enclosing_ball(target).radius
+                          + obstruction_verdict(target).circumradius)
+
+
+class TestActiveSet:
+    @pytest.mark.parametrize("target, radius, stage", [
+        (target, radius, "interior_point")
+        for target, radius in sampler_witnesses() + [(OBTUSE_150, 0.55), (OBTUSE_150, 0.65)]]
+        + [(*_almost_regular_r70(), "kkt_finish")])
+    def test_forced_fallback_agrees(self, target, radius, stage, monkeypatch):
+        # The benchmark's seven cases, the rest of the triangle ladder and
+        # R^70: one active-set pass, and the fallback, forced by declining
+        # every guess, agrees with it.  On R^70 the fallback ends in the KKT
+        # finish.
+        problem = SpreadProblem(target=target, radius=radius)
+        solved = estimate_c(problem, restarts=2)
+        assert [solve["stage"] for solve in solved.diagnostics["passes"]] == ["active_set"]
+        monkeypatch.setattr(spread_module, "_active_set", lambda a, radius, y0: None)
+        fallback = estimate_c(problem, restarts=2)
+        assert [solve["stage"] for solve in fallback.diagnostics["passes"]] == [stage]
+        assert solved.c_estimate == pytest.approx(fallback.c_estimate, rel=1e-13)
+        assert solved.c_lower == pytest.approx(fallback.c_lower, rel=1e-13)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    def test_nu_tends_to_sqrt_m_minus_one(self, d):
+        # At r^2 = rho_c - 1e-5 on a unit-diameter almost-regular simplex
+        # the paraboloid multiplier, with sum(mu) = 1, is near sqrt(m) - 1.
+        target = almost_regular_simplex(d, 1e-6)
+        assert diameter(target) == pytest.approx(1.0, rel=1e-15)
+        circumradius = obstruction_verdict(target).circumradius
+        radius = np.sqrt(circumradius ** 2 - 1e-5)
+        estimate = estimate_c(SpreadProblem(target=target, radius=radius))
+        (solve,) = estimate.diagnostics["passes"]
+        assert solve["stage"] == "active_set"
+        assert solve["nu"] == pytest.approx(np.sqrt(d) - 1.0, abs=1e-3)
+
+    def test_declines_above_the_circumradius(self):
+        # t* = 0 there: the paraboloid is not active at the optimum, and
+        # the guessed point's bracket does not close.
+        estimate = estimate_c(SpreadProblem(target=OBTUSE_150, radius=1.05))
+        assert [solve["stage"] for solve in estimate.diagnostics["passes"]] \
+            == ["interior_point"]
+        assert estimate.c_lower == 0.0
+
+    def test_declines_at_the_enclosing_radius(self):
+        # nu ~ 2e5 there, and the dual bound's rounding allowance alone is
+        # wider than the tolerance.
+        estimate = estimate_c(SpreadProblem(target=OBTUSE_150, radius=0.5))
+        passes = estimate.diagnostics["passes"]
+        assert "active_set" not in {solve["stage"] for solve in passes}
+        assert min(solve["nu"] for solve in passes) > 1e5
+        assert estimate.c_lower <= estimate.c_estimate
+
+    def test_degenerate_guesses_return_none(self):
+        # A face of circumradius 5.05 > r as the guessed upper rows: a
+        # negative discriminant.
+        face = np.array([[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.1, 0.0],
+                         [0.0, 0.0, 1.0]])
+        assert _active_set(face, 1.01, np.array([0.0, 0.0, 0.5])) is None
+        # Coincident points, m = 0: there is no y to solve for.
+        assert _active_set(np.zeros((3, 0)), 1.0, np.zeros(0)) is None
+        # A repeated point as both upper rows: a singular system.
+        repeated = np.array([[0.5, 0.5], [0.5, 0.5], [-0.5, 0.0], [0.0, -0.3]])
+        assert _active_set(repeated, 0.75, np.zeros(2)) is None
 
 
 class TestCertifiedBracket:
@@ -468,6 +564,7 @@ class TestEnclosingRadius:
             stages |= {solve["stage"] for solve in estimate.diagnostics["passes"]}
         assert widest < self.SLSQP_WIDEST
         assert None not in stages
+        assert {"active_set", "interior_point", "kkt_finish"} <= stages
 
 
 class TestSampleSpreadOracle:
