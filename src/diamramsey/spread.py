@@ -34,7 +34,9 @@ c(A, r) > 0.  Two independent ways to get at it:
 
 Both work in the target's hull coordinates, from one SVD (_hull_frame):
 the solve in the m coordinates of aff(A), the samplers in R^(m+1), with a
-zero coordinate appended for the height off the hull.  No ambient
+zero coordinate appended for the height off the hull.  The solve keeps each
+target's frame (_target_frame), so the SVD, the enclosing ball and the
+diameter run once per target, not once per call.  No ambient
 dimension is an input: a copy in any R^n lies in the span of its points
 and the origin, of dimension at most m + 1.
 """
@@ -42,6 +44,7 @@ and the origin, of dimension at most m + 1.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +88,10 @@ _IPM_TAIL_STEP = 1.0 - 1e-4
 _IPM_FINISH_STEPS = 6
 _IPM_FINISH_SLACK = 1e-16
 _CHUNK = 1 << 16
+# Each target's frame (_target_frame), from its first estimate_c call on.
+# Configuration compares by identity, so the key is the object itself, and
+# the entry goes when the target is freed.
+_FRAMES = weakref.WeakKeyDictionary()
 
 
 def spread(config: Configuration) -> float:
@@ -202,6 +209,27 @@ def _hull_frame(target: Configuration, scale: float):
     else:
         ball = min_enclosing_ball(Configuration(dim=len(basis), points=coords))
     return coords - ball.center, basis, ball
+
+
+def _target_frame(target: Configuration):
+    """(diam, a, basis, ball, placed): what estimate_c needs that r does not change.
+
+    diam is diameter(target); (a, basis, ball) is _hull_frame at scale diam,
+    or at scale 1 for coincident points, whose frame has no coordinates;
+    placed is the target's points with one zero coordinate appended.  It is
+    computed on the target's first call and kept in _FRAMES, with its
+    arrays read-only.  Threads that miss at once each compute the same
+    frame, and the last one stored is kept.
+    """
+    frame = _FRAMES.get(target)
+    if frame is None:
+        diam = diameter(target)
+        a, basis, ball = _hull_frame(target, diam or 1.0)
+        placed = np.hstack([target.points, np.zeros((len(target), 1))])
+        for array in (a, basis, placed):
+            array.flags.writeable = False
+        frame = _FRAMES[target] = (diam, a, basis, ball, placed)
+    return frame
 
 
 # ---------------------------------------------------------------------------
@@ -616,8 +644,9 @@ def estimate_c(problem: SpreadProblem, restarts: int = 64, seed: int = 0,
     start.
     The target fits iff its farthest point from its enclosing-ball center
     is at most radius * (1 + FEASIBILITY_SLACK) away.  The solve runs in
-    the target's m hull coordinates, from one SVD; the placement puts the
-    height off the hull on one appended axis (see SpreadEstimate).
+    the target's m hull coordinates, from one SVD per target, made on its
+    first call and reused by the later ones (_target_frame); the placement
+    puts the height off the hull on one appended axis (see SpreadEstimate).
     With oracle_samples > 0, a sampling-oracle scan seeded by `seed` fills
     oracle_value; a sampled spread below c_lower raises NonConvergence.
     A `restarts` that is not an integer of at least 1 raises DomainError.
@@ -629,9 +658,9 @@ def estimate_c(problem: SpreadProblem, restarts: int = 64, seed: int = 0,
     target = problem.target
     report = dict(restarts=restarts, seed=seed, radius=problem.radius,
                   ambient_dim=target.dim + 1, tolerance=tolerance)
-    scale = diameter(target) or problem.radius
+    diam, a, basis, ball, placed = _target_frame(target)
+    scale = diam or problem.radius
     radius = problem.radius / scale
-    a, basis, ball = _hull_frame(target, scale)
     reach = ball.radius
     if not _fits(reach, radius):
         return SpreadEstimate(c_estimate=None, best_motion=None,
@@ -651,8 +680,6 @@ def estimate_c(problem: SpreadProblem, restarts: int = 64, seed: int = 0,
             top = float(np.max(np.einsum("ij,ij->i", a - y, a - y)))
         return np.append(target.points[0] + scale * ((ball.center + y) @ basis),
                          scale * math.sqrt(max(radius * radius - top, 0.0)))
-
-    placed = np.hstack([target.points, np.zeros((len(target), 1))])
 
     def measured(y, lam, mu, nu):
         """The placement's spread, its largest norm, its origin and the dual c_lower."""

@@ -1,9 +1,13 @@
+import gc
 import importlib
 import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -176,19 +180,28 @@ class TestEstimateC:
         assert estimate.c_lower == pytest.approx(base.c_lower, abs=1e-9 * radius)
 
     def test_one_svd(self, monkeypatch):
-        # SpreadProblem decomposes nothing; estimate_c decomposes the hull once
-        calls = []
-        svd = np.linalg.svd
+        # SpreadProblem decomposes nothing; estimate_c decomposes the hull
+        # once per target, and a later call on the same target, at another
+        # radius, runs no SVD, enclosing ball or diameter again
+        calls = {"svd": 0, "min_enclosing_ball": 0, "diameter": 0}
 
-        def counted(*args, **kwargs):
-            calls.append(args[0].shape)
-            return svd(*args, **kwargs)
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+            return wrapper
 
-        monkeypatch.setattr(np.linalg, "svd", counted)
-        problem = SpreadProblem(target=almost_regular_simplex(4, 0.01), radius=0.707)
-        assert len(calls) == 0
+        monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+        for name in ("min_enclosing_ball", "diameter"):
+            monkeypatch.setattr(spread_module, name,
+                                counted(name, getattr(spread_module, name)))
+        target = almost_regular_simplex(4, 0.01)
+        problem = SpreadProblem(target=target, radius=0.707)
+        assert sum(calls.values()) == 0
         estimate_c(problem)
-        assert len(calls) == 1
+        assert calls == {"svd": 1, "min_enclosing_ball": 1, "diameter": 1}
+        estimate_c(SpreadProblem(target=target, radius=0.6633))
+        assert calls == {"svd": 1, "min_enclosing_ball": 1, "diameter": 1}
 
     def test_serializes(self):
         import json
@@ -200,6 +213,85 @@ class TestEstimateC:
         assert len(payload["best_motion"]["rotation"]) == 3
         assert payload["c_lower"] == estimate.c_lower
         assert "penalty_schedule" not in payload
+
+
+def _fresh(config: Configuration) -> Configuration:
+    """The same points in a new Configuration, whose frame is not yet kept."""
+    return Configuration(dim=config.dim, points=config.points)
+
+
+def _enclosing_radius_sets():
+    """TestEnclosingRadius's 300 seeded sets."""
+    rng = np.random.default_rng(0)
+    sets = []
+    for _ in range(300):
+        n, dim = int(rng.integers(2, 7)), int(rng.integers(2, 5))
+        sets.append(Configuration.from_points(rng.standard_normal((n, dim))))
+    return sets
+
+
+class TestFrameReuse:
+    """estimate_c keeps each target's frame and reports what a cold call does."""
+
+    @staticmethod
+    def _warm_equals_cold(target, radii):
+        # One target solved at every radius in turn, so each call after the
+        # first finds its frame kept, then at the first radius again: each
+        # report equals that of a new Configuration with the same points.
+        warm = _fresh(target)
+        for radius in list(radii) + [radii[0]]:
+            report = estimate_c(SpreadProblem(target=warm, radius=radius)).to_dict()
+            assert warm in spread_module._FRAMES
+            cold = estimate_c(SpreadProblem(target=_fresh(target), radius=radius))
+            assert report == cold.to_dict()
+
+    def test_witnesses_and_triangle_ladder(self):
+        cases = sampler_witnesses() + [(OBTUSE_150, r) for r in (0.55, 0.65)]
+        for target in {id(target): target for target, _ in cases}.values():
+            self._warm_equals_cold(target, [r for t, r in cases if t is target])
+
+    def test_enclosing_radius_sets(self):
+        # Every fifth set, at the factors of TestEnclosingRadius's
+        # just-above sweep.
+        for config in _enclosing_radius_sets()[::5]:
+            radius = min_enclosing_ball(config).radius
+            self._warm_equals_cold(config, [radius * f for f in (1.0 + 1e-9, 1.001, 1.1)])
+
+    def test_frame_is_read_only(self):
+        target = _fresh(OBTUSE_150)
+        estimate_c(SpreadProblem(target=target, radius=0.95))
+        diam, a, basis, ball, placed = spread_module._FRAMES[target]
+        assert diam == diameter(target)
+        for array in (a, basis, ball.center, placed):
+            assert not array.flags.writeable
+
+    def test_freed_target_leaves_the_map(self):
+        target = _fresh(OBTUSE_150)
+        estimate_c(SpreadProblem(target=target, radius=0.95))
+        size = len(spread_module._FRAMES)
+        alive = weakref.ref(target)
+        del target
+        gc.collect()
+        assert alive() is None
+        assert len(spread_module._FRAMES) < size
+
+    def test_threads_share_a_cold_target(self):
+        # Configurations are safe to share across threads: four threads
+        # that start together on one cold target report what serial calls do.
+        radii = [0.707, 0.69, 0.68, 0.6633]
+        for _ in range(5):
+            target = almost_regular_simplex(4, 0.01)
+            start = threading.Barrier(len(radii))
+
+            def solve(radius):
+                start.wait(timeout=60)
+                return estimate_c(SpreadProblem(target=target, radius=radius)).to_dict()
+
+            with ThreadPoolExecutor(max_workers=len(radii)) as pool:
+                threaded = list(pool.map(solve, radii))
+            serial = [estimate_c(SpreadProblem(target=_fresh(target), radius=r)).to_dict()
+                      for r in radii]
+            assert threaded == serial
 
 
 class TestDiagnostics:
