@@ -14,8 +14,8 @@ c(A, r) > 0.  Two independent ways to get at it:
   convex program in m + 2 variables (y and two levels).  Its n ball
   constraints collapse into one paraboloid.  Each pass first solves the
   KKT equations of the active set guessed at its start (_active_set: two
-  small linear solves) and keeps that point when its bracket closes;
-  otherwise a numpy primal-dual interior-point method solves it (see
+  small linear solves) and keeps that point when its bracket closes on
+  a positive lower bound; otherwise a numpy primal-dual interior-point method solves it (see
   _solve_levels).  c_lower comes from the Lagrangian dual at the solver's
   own multipliers (see _dual_bound).
 * sample_spread_oracle: the minimum spread over a reproducible stream of
@@ -341,7 +341,8 @@ def _active_set(a: np.ndarray, radius: float, y0: np.ndarray):
     point.  The multipliers solve the m + 2 stationarity equations of the
     active rows.  Returns None for coincident points, on a singular
     system, a negative discriminant or a negative multiplier; the caller
-    accepts the point only if its certified bracket closes.
+    accepts the point only if its certified bracket closes on a positive
+    lower bound.
     """
     n, m = a.shape
     if m == 0:
@@ -639,9 +640,9 @@ def estimate_c(problem: SpreadProblem, restarts: int = 64, seed: int = 0,
     starts at the last pass's point, up to `restarts` passes, until
     c_estimate - c_lower <= tolerance * radius, or until a pass tightens
     neither side.  A pass keeps its active-set point (_active_set) when that
-    point's own bracket is within tolerance * radius; otherwise it runs the
-    interior point, which starts halfway between the center and the pass's
-    start.
+    point's own bracket is within tolerance * radius and its own lower
+    bound is positive; otherwise it runs the interior point, which starts
+    halfway between the center and the pass's start.
     The target fits iff its farthest point from its enclosing-ball center
     is at most radius * (1 + FEASIBILITY_SLACK) away.  The solve runs in
     the target's m hull coordinates, from one SVD per target, made on its
@@ -696,7 +697,7 @@ def estimate_c(problem: SpreadProblem, restarts: int = 64, seed: int = 0,
         solve = _active_set(a, radius, y)
         if solve is not None:
             value, top, origin, lower = measured(*solve[:4])
-            if value - lower > tolerance * problem.radius:
+            if value - lower > tolerance * problem.radius or not lower > 0.0:
                 solve = None
         if solve is None:
             solve = _solve_levels(a, radius, y)

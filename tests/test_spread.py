@@ -627,15 +627,14 @@ class TestEnclosingRadius:
     SLSQP_WIDEST = 7.48e-7
 
     def test_ordered_bracket_no_wider_than_slsqp(self):
-        rng = np.random.default_rng(0)
         widest = 0.0
-        for _ in range(300):
-            n, dim = int(rng.integers(2, 7)), int(rng.integers(2, 5))
-            config = Configuration.from_points(rng.standard_normal((n, dim)))
+        for config in _enclosing_radius_sets():
             radius = min_enclosing_ball(config).radius
             estimate = estimate_c(SpreadProblem(target=config, radius=radius))
             assert estimate.feasible
             assert estimate.c_lower <= estimate.c_estimate
+            # a pass that certifies nothing is not kept at tolerance width
+            assert estimate.c_lower > 0.0 or estimate.c_estimate <= 1e-12 * radius
             assert estimate.max_norm <= radius * (1.0 + 2e-9)
             widest = max(widest, (estimate.c_estimate - estimate.c_lower) / radius)
         assert widest <= self.SLSQP_WIDEST
@@ -644,14 +643,12 @@ class TestEnclosingRadius:
     def test_ordered_bracket_just_above(self, factor):
         # The same sets just above the enclosing radius, where near-degenerate
         # programs leave the solve to its separate-step repeat or the KKT finish.
-        rng = np.random.default_rng(0)
         widest, stages = 0.0, set()
-        for _ in range(300):
-            n, dim = int(rng.integers(2, 7)), int(rng.integers(2, 5))
-            config = Configuration.from_points(rng.standard_normal((n, dim)))
+        for config in _enclosing_radius_sets():
             radius = min_enclosing_ball(config).radius * factor
             estimate = estimate_c(SpreadProblem(target=config, radius=radius))
             assert estimate.c_lower <= estimate.c_estimate
+            assert estimate.c_lower > 0.0 or estimate.c_estimate <= 1e-12 * radius
             widest = max(widest, (estimate.c_estimate - estimate.c_lower) / radius)
             stages |= {solve["stage"] for solve in estimate.diagnostics["passes"]}
         assert widest < self.SLSQP_WIDEST
