@@ -134,9 +134,10 @@ class SpreadEstimate:
     per pass run: "iterations", the linear systems it solved (1 for an
     active-set pass, else the interior point's Newton systems); "stage",
     the stage that converged ("active_set", "interior_point",
-    "separate_steps" or "kkt_finish"; None if none did); and "nu", the
+    "separate_steps" or "kkt_finish"; None if none did); "nu", the
     paraboloid multiplier with the lower multipliers scaled to sum to 1
-    (None if they sum to 0).  An "active_set" pass also gives "upper" and
+    (None if they sum to 0); and "bracket", the pass's own spread less its
+    own lower bound, over the radius.  An "active_set" pass also gives "upper" and
     "lower", the indices of the points on the upper and the lower level.
     It is deterministic and holds no timings.  The solve's outputs are None
     when no copy fits.
@@ -705,6 +706,7 @@ def estimate_c(problem: SpreadProblem, restarts: int = 64, seed: int = 0,
         y, _, mu, nu, diagnostics = solve
         total = float(mu.sum())
         diagnostics["nu"] = nu / total if total > 0.0 else None
+        diagnostics["bracket"] = (value - lower) / problem.radius
         passes.append(diagnostics)
         if best is not None and value >= best[0] and lower <= c_lower:
             break  # a pass that tightens neither side ends the search

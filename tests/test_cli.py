@@ -99,6 +99,8 @@ class TestSubcommands:
         assert report["outputs"]["c_estimate"] > 1e-3
         passes = report["outputs"]["diagnostics"]["passes"]
         assert passes and all(solve["stage"] == "active_set" for solve in passes)
+        width = report["outputs"]["c_estimate"] - report["outputs"]["c_lower"]
+        assert 0.0 <= width / 0.95 <= min(solve["bracket"] for solve in passes) <= 1e-9
 
     def test_oracle(self, capsys, tri150):
         code, report, _ = run_cli(capsys, "oracle", "--input", tri150,

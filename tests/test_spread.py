@@ -306,6 +306,11 @@ class TestDiagnostics:
             assert isinstance(solve["iterations"], int) and solve["iterations"] > 0
             assert solve["stage"] in self.STAGES
             assert isinstance(solve["nu"], float) and solve["nu"] >= 0.0
+            assert isinstance(solve["bracket"], float) and solve["bracket"] >= 0.0
+        # no pass closes more than the report, whose sides are the best passes'
+        width = (estimate.c_estimate - estimate.c_lower) / problem.radius
+        assert min(solve["bracket"] for solve in passes) >= width
+        assert len(passes) > 1 or passes[0]["bracket"] == width
         assert estimate_c(problem, restarts=3).diagnostics == estimate.diagnostics
 
     def test_reaches_the_report(self):
