@@ -14,10 +14,10 @@ c(A, r) > 0.  Two independent ways to get at it:
   convex program in m + 2 variables (y and two levels).  Its n ball
   constraints collapse into one paraboloid.  Each pass first solves the
   KKT equations of the active set guessed at its start (_active_set: two
-  small linear solves) and keeps that point when its bracket closes on
-  a positive lower bound; otherwise a numpy primal-dual interior-point method solves it (see
-  _solve_levels).  c_lower comes from the Lagrangian dual at the solver's
-  own multipliers (see _dual_bound).
+  small linear solves) and keeps that point when its bracket closes on a
+  positive lower bound; otherwise a numpy primal-dual interior-point
+  method solves it (see _solve_levels).  c_lower comes from the Lagrangian
+  dual at the solver's own multipliers (see _dual_bound).
 * sample_spread_oracle: the minimum spread over a reproducible stream of
   random feasible copies, an upper bound.  A copy is the target centered at
   its enclosing-ball center, b_i, translated by g*t: t is drawn uniformly in
@@ -34,9 +34,9 @@ c(A, r) > 0.  Two independent ways to get at it:
 
 Both work in the target's hull coordinates, from one SVD (_hull_frame):
 the solve in the m coordinates of aff(A), the samplers in R^(m+1), with a
-zero coordinate appended for the height off the hull.  The solve keeps each
-target's frame (_target_frame), so the SVD, the enclosing ball and the
-diameter run once per target, not once per call.  No ambient
+zero coordinate appended for the height off the hull.  The solve keeps
+each target's frame (_target_frame), so the SVD, the enclosing ball and
+the diameter run once per target, not once per call.  No ambient
 dimension is an input: a copy in any R^n lies in the span of its points
 and the origin, of dimension at most m + 1.
 """
@@ -137,10 +137,10 @@ class SpreadEstimate:
     "separate_steps" or "kkt_finish"; None if none did); "nu", the
     paraboloid multiplier with the lower multipliers scaled to sum to 1
     (None if they sum to 0); and "bracket", the pass's own spread less its
-    own lower bound, over the radius.  An "active_set" pass also gives "upper" and
-    "lower", the indices of the points on the upper and the lower level.
-    It is deterministic and holds no timings.  The solve's outputs are None
-    when no copy fits.
+    own lower bound, over the radius.  An "active_set" pass also gives
+    "upper" and "lower", the indices of the points on the upper and the
+    lower level.  It is deterministic and holds no timings.  The solve's
+    outputs are None when no copy fits.
     """
 
     c_estimate: float | None

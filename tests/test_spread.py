@@ -277,21 +277,27 @@ class TestFrameReuse:
 
     def test_threads_share_a_cold_target(self):
         # Configurations are safe to share across threads: four threads
-        # that start together on one cold target report what serial calls do.
+        # that start together on one cold target, switching often, report
+        # what serial calls do.
         radii = [0.707, 0.69, 0.68, 0.6633]
-        for _ in range(5):
-            target = almost_regular_simplex(4, 0.01)
-            start = threading.Barrier(len(radii))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                target = almost_regular_simplex(4, 0.01)
+                start = threading.Barrier(len(radii))
 
-            def solve(radius):
-                start.wait(timeout=60)
-                return estimate_c(SpreadProblem(target=target, radius=radius)).to_dict()
+                def solve(radius):
+                    start.wait(timeout=60)
+                    return estimate_c(SpreadProblem(target=target, radius=radius)).to_dict()
 
-            with ThreadPoolExecutor(max_workers=len(radii)) as pool:
-                threaded = list(pool.map(solve, radii))
-            serial = [estimate_c(SpreadProblem(target=_fresh(target), radius=r)).to_dict()
-                      for r in radii]
-            assert threaded == serial
+                with ThreadPoolExecutor(max_workers=len(radii)) as pool:
+                    threaded = list(pool.map(solve, radii, timeout=60))
+                serial = [estimate_c(SpreadProblem(target=_fresh(target), radius=r)).to_dict()
+                          for r in radii]
+                assert threaded == serial
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestDiagnostics:
