@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded, DomainError, _check_positive, _check_tolerance
-from .geometry import Configuration, _integer, _match, distance_matrix
+from .geometry import Configuration, _integer, _match, _seed, distance_matrix
 from .spread import SpreadProblem, _feasible_batches, _prepare
 
 FINDER_BUDGET = 20
@@ -131,15 +131,21 @@ def falsify_coloring(target: Configuration, r: float, c: float,
     """Sample congruent copies of the target in B(0, r); count monochromatic ones.
 
     Uses the same feasible-copy sampler as the spread oracle, so reports are
-    reproducible from the seed.  n_samples = 0 yields a vacuous report.
+    reproducible from the seed.  n_samples = 0 yields a vacuous report; a
+    count that is not a nonnegative integer, or a seed that is not, raises
+    DomainError.
 
     A shrunk copy's farthest point lies on |x| = r.  When r/c is an integer
     that sphere is a shell boundary, so whether the point shares a shell
     with the rest of the copy comes down to the last bit of its norm.
     """
+    n_samples = _integer(n_samples, "sample count")
+    if n_samples < 0:
+        raise DomainError(f"sample count must be nonnegative, got {n_samples}")
+    seed = _seed(seed)
     k = num_colors(r, c)
     centered = _prepare(SpreadProblem(target=target, radius=r))
-    if n_samples <= 0:
+    if n_samples == 0:
         return FalsifyReport(radius=r, shell_width=c, num_colors=k,
                              n_samples=0, seed=seed, monochromatic_count=0,
                              min_spread=None, min_color_span=None, vacuous=True)

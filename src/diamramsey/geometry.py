@@ -56,6 +56,14 @@ def _integer(value, what: str) -> int:
     raise DomainError(f"{what} must be an integer, got {value!r}")
 
 
+def _seed(value) -> int:
+    """value as a plain int seed, or DomainError if it is not a nonnegative integer."""
+    seed = _integer(value, "seed")
+    if seed < 0:
+        raise DomainError(f"seed must be nonnegative, got {seed}")
+    return seed
+
+
 @dataclass(frozen=True, eq=False)
 class Configuration:
     """An ordered, nonempty point set in R^dim."""
@@ -379,9 +387,20 @@ def apply_motion(config: Configuration, motion: RigidMotion,
 
 
 def affine_dimension(config: Configuration, tol: float = DEFAULT_TOL) -> int:
-    """Rank of the span of p_i - p_1, with a relative singular value cutoff."""
+    """Rank of the span of p_i - p_1, with a relative singular value cutoff.
+
+    Only the singular values are computed: the rank needs no basis.
+    """
     _check_tolerance(tol)
-    return len(_hull_basis(config.points, tol))
+    pts = config.points
+    if len(pts) == 1:
+        return 0
+    return _rank(np.linalg.svd(pts[1:] - pts[0], compute_uv=False), tol)
+
+
+def _rank(svals: np.ndarray, tol: float) -> int:
+    """How many of the descending singular values exceed tol times the largest."""
+    return int(np.sum(svals > tol * svals[0]))
 
 
 def _hull_basis(points: np.ndarray, tol: float) -> np.ndarray:
@@ -389,13 +408,15 @@ def _hull_basis(points: np.ndarray, tol: float) -> np.ndarray:
 
     The rows are the right singular vectors whose singular value exceeds
     tol times the largest, so m is the affine dimension at that cutoff; a
-    single point or coincident points give m = 0.  This is the package's
-    only SVD: every caller that needs the affine hull goes through it.
+    single point or coincident points give m = 0.  It and affine_dimension
+    hold the package's only SVDs: every caller that needs the affine hull's
+    basis goes through it, and affine_dimension, which needs only its
+    dimension, takes the singular values alone.
     """
     if len(points) == 1:
         return np.zeros((0, points.shape[1]))
     _, svals, vt = np.linalg.svd(points[1:] - points[0], full_matrices=False)
-    return vt[:int(np.sum(svals > tol * svals[0]))]
+    return vt[:_rank(svals, tol)]
 
 
 def _match(dist_a: np.ndarray, dist_b: np.ndarray, order, candidates,

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import Degenerate, DomainError, NotSimplex, NotSpherical, _check_tolerance
 from .geometry import (DEFAULT_TOL, Configuration, _diameter, _far_pair_sq, _freeze,
-                       _hull_basis, _integer, affine_dimension, diameter)
+                       _hull_basis, _seed, affine_dimension, diameter)
 
 # Containment slack of the pivot rounds: _WELZL_SLACK times the set's
 # extent (its largest coordinate offset from the first point) plus
@@ -249,9 +249,7 @@ def min_enclosing_ball(config: Configuration, seed: int = 0) -> Ball:
     distance from the center, so every point lies inside with no slack.
     A seed that is not a nonnegative integer raises DomainError.
     """
-    seed = _integer(seed, "seed")
-    if seed < 0:
-        raise DomainError(f"seed must be nonnegative, got {seed}")
+    seed = _seed(seed)
     pts = config.points
     lowest, highest = pts.argmin(axis=0), pts.argmax(axis=0)
     axes = np.arange(config.dim)

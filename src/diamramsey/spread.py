@@ -35,10 +35,12 @@ c(A, r) > 0.  Two independent ways to get at it:
 Both work in the target's hull coordinates, from one SVD (_hull_frame):
 the solve in the m coordinates of aff(A), the samplers in R^(m+1), with a
 zero coordinate appended for the height off the hull.  The solve keeps
-each target's frame (_target_frame), so the SVD, the enclosing ball and
-the diameter run once per target, not once per call.  No ambient
-dimension is an input: a copy in any R^n lies in the span of its points
-and the origin, of dimension at most m + 1.
+each target's frame (_target_frame), so the SVD, the enclosing ball, the
+diameter and the squared norms |a_k|^2 are computed once per target, not
+once per call; each pass measures the |a_k - y|^2 at its solution once,
+for both its placement and its dual bound.  No ambient dimension is an
+input: a copy in any R^n lies in the span of its points and the origin,
+of dimension at most m + 1.
 """
 
 from __future__ import annotations
@@ -51,7 +53,8 @@ import numpy as np
 
 from .errors import (DomainError, EmptySample, Infeasible, NonConvergence, _check_positive,
                      _check_tolerance)
-from .geometry import DEFAULT_TOL, Configuration, RigidMotion, _hull_basis, _integer, diameter
+from .geometry import (DEFAULT_TOL, Configuration, RigidMotion, _hull_basis, _integer, _seed,
+                       diameter)
 from .spheres import Ball, min_enclosing_ball
 
 # Relative feasibility slack: a copy fits when the enclosing-ball radius is
@@ -88,6 +91,7 @@ _IPM_TAIL_STEP = 1.0 - 1e-4
 _IPM_FINISH_STEPS = 6
 _IPM_FINISH_SLACK = 1e-16
 _CHUNK = 1 << 16
+_EPS = np.finfo(float).eps
 # Each target's frame (_target_frame), from its first estimate_c call on.
 # Configuration compares by identity, so the key is the object itself, and
 # the entry goes when the target is freed.
@@ -136,8 +140,9 @@ class SpreadEstimate:
     the stage that converged ("active_set", "interior_point",
     "separate_steps" or "kkt_finish"; None if none did); "nu", the
     paraboloid multiplier with the lower multipliers scaled to sum to 1
-    (None if they sum to 0); and "bracket", the pass's own spread less its
-    own lower bound, over the radius.  An "active_set" pass also gives
+    (None if they sum to 0); "bracket", the pass's own spread less its own
+    lower bound, over the radius; and "height", the height off the hull of
+    the pass's placement, over the radius.  An "active_set" pass also gives
     "upper" and "lower", the indices of the points on the upper and the
     lower level.  It is deterministic and holds no timings.  The solve's
     outputs are None when no copy fits.
@@ -213,23 +218,25 @@ def _hull_frame(target: Configuration, scale: float):
 
 
 def _target_frame(target: Configuration):
-    """(diam, a, basis, ball, placed): what estimate_c needs that r does not change.
+    """(diam, a, sq, basis, ball, placed): what estimate_c needs that r does not change.
 
     diam is diameter(target); (a, basis, ball) is _hull_frame at scale diam,
     or at scale 1 for coincident points, whose frame has no coordinates;
-    placed is the target's points with one zero coordinate appended.  It is
-    computed on the target's first call and kept in _FRAMES, with its
-    arrays read-only.  Threads that miss at once each compute the same
-    frame, and the last one stored is kept.
+    sq holds the squared norms |a_k|^2 that every pass reads; placed is the
+    target's points with one zero coordinate appended.  It is computed on
+    the target's first call and kept in _FRAMES, with its arrays read-only.
+    Threads that miss at once each compute the same frame, and the last one
+    stored is kept.
     """
     frame = _FRAMES.get(target)
     if frame is None:
         diam = diameter(target)
         a, basis, ball = _hull_frame(target, diam or 1.0)
+        sq = np.einsum("ij,ij->i", a, a)
         placed = np.hstack([target.points, np.zeros((len(target), 1))])
-        for array in (a, basis, placed):
+        for array in (a, sq, basis, placed):
             array.flags.writeable = False
-        frame = _FRAMES[target] = (diam, a, basis, ball, placed)
+        frame = _FRAMES[target] = (diam, a, sq, basis, ball, placed)
     return frame
 
 
@@ -312,8 +319,12 @@ def sample_spread_oracle(problem: SpreadProblem, n_samples: int,
     """Minimum spread over n_samples random feasible copies.
 
     Always an upper bound on the true minimum; approaches 0 as the sample
-    count grows whenever radius >= circumradius(target).
+    count grows whenever radius >= circumradius(target).  A count that is
+    not an integer or a seed that is not a nonnegative integer raises
+    DomainError; a count of zero or less raises EmptySample.
     """
+    n_samples = _integer(n_samples, "sample count")
+    seed = _seed(seed)
     if n_samples <= 0:
         raise EmptySample("oracle needs a positive sample count")
     best = math.inf
@@ -327,7 +338,7 @@ def sample_spread_oracle(problem: SpreadProblem, n_samples: int,
 # The convex reduction and its certified dual bound
 # ---------------------------------------------------------------------------
 
-def _active_set(a: np.ndarray, radius: float, y0: np.ndarray):
+def _active_set(a: np.ndarray, sq: np.ndarray, radius: float, y0: np.ndarray):
     """The reduced program solved on the active set guessed at y0, or None.
 
     Same arguments and returns as _solve_levels; the diagnostics count the
@@ -348,18 +359,19 @@ def _active_set(a: np.ndarray, radius: float, y0: np.ndarray):
     n, m = a.shape
     if m == 0:
         return None
-    sq = np.einsum("ij,ij->i", a, a)
     levels = (sq - 2.0 * a @ y0).tolist()
     order = sorted(range(n), key=levels.__getitem__)
     upper, lower = sorted(order[n - m:]), order[0]
-    base = a[upper[0]]
+    rows = a[upper + [lower]]
+    base = rows[0]
     # The line p + s*d: 2<a_k - a_0, y> = |a_k|^2 - |a_0|^2 for the other
     # upper points k, with <a_j - a_0, p> = 0 and <a_j - a_0, d> = 1.
+    system = rows[1:] - base
+    system[:m - 1] *= 2.0
     rhs = np.zeros((m, 2))
     rhs[:m - 1, 0], rhs[m - 1, 1] = sq[upper[1:]] - sq[upper[0]], 1.0
     try:
-        p, d = np.linalg.solve(np.vstack([2.0 * (a[upper[1:]] - base), a[lower] - base]),
-                               rhs).T
+        p, d = np.linalg.solve(system, rhs).T
     except np.linalg.LinAlgError:
         return None
     # |y - a_0|^2 = r^2 is qa s^2 + qb s + qc = 0; u - l = f_0(y) - f_j(y)
@@ -373,11 +385,14 @@ def _active_set(a: np.ndarray, radius: float, y0: np.ndarray):
     # Rows of the active constraints' gradients in (y, u, l): upper levels,
     # the lower level, then the paraboloid.
     kkt = np.zeros((m + 2, m + 2))
-    kkt[:m, :m], kkt[:m, m] = -2.0 * a[upper], -1.0
-    kkt[m, :m], kkt[m, m + 1] = 2.0 * a[lower], 1.0
+    kkt[:m, :m], kkt[:m, m] = -2.0 * rows[:m], -1.0
+    kkt[m, :m], kkt[m, m + 1] = 2.0 * rows[m], 1.0
     kkt[m + 1, :m], kkt[m + 1, m] = 2.0 * y, 1.0
+    # Stationarity: the gradients weighted by z cancel the cost's, (0, 1, -1).
+    pull = np.zeros(m + 2)
+    pull[m], pull[m + 1] = -1.0, 1.0
     try:
-        z = np.linalg.solve(kkt.T, np.concatenate([np.zeros(m), [-1.0, 1.0]]))
+        z = np.linalg.solve(kkt.T, pull)
     except np.linalg.LinAlgError:
         return None
     if not z.min() >= 0.0:
@@ -388,13 +403,14 @@ def _active_set(a: np.ndarray, radius: float, y0: np.ndarray):
     return y, lam, mu, float(z[m + 1]), diagnostics
 
 
-def _solve_levels(a: np.ndarray, radius: float, y0: np.ndarray):
+def _solve_levels(a: np.ndarray, sq: np.ndarray, radius: float, y0: np.ndarray):
     """The reduced program's optimal y, its multipliers (lam, mu, nu), and diagnostics.
 
     a holds the target's coordinates in its affine hull, centered at its
-    enclosing-ball center, and radius exceeds their largest norm.  The n ball
-    constraints |a_k - y|^2 <= r^2 collapse into one: |a_k - y|^2 = f_k(y) +
-    |y|^2 and u >= max f_k, so they are exactly u + |y|^2 <= r^2.  That
+    enclosing-ball center, sq their squared norms, and radius exceeds their
+    largest norm.  The n ball constraints |a_k - y|^2 <= r^2 collapse into
+    one: |a_k - y|^2 = f_k(y) + |y|^2 and u >= max f_k, so they are exactly
+    u + |y|^2 <= r^2.  That
     leaves min u - l over 2n linear constraints, l <= f_k(y) <= u, and one
     paraboloid, in m + 2 variables, solved by a primal-dual interior-point
     method (_interior_point).  Its steps take one common length for the
@@ -409,16 +425,17 @@ def _solve_levels(a: np.ndarray, radius: float, y0: np.ndarray):
     estimate_c calls it only for a pass whose active-set guess
     (_active_set) was declined; that pass's stage is never "active_set".
     """
-    *solve, systems, stage = _interior_point(a, radius, y0, separate=False)
+    *solve, systems, stage = _interior_point(a, sq, radius, y0, separate=False)
     if stage is None:
-        *retry, more, stage = _interior_point(a, radius, y0, separate=True)
+        *retry, more, stage = _interior_point(a, sq, radius, y0, separate=True)
         systems += more
         if stage is not None:
             solve = retry
     return (*solve, {"iterations": systems, "stage": stage})
 
 
-def _interior_point(a: np.ndarray, radius: float, y0: np.ndarray, separate: bool):
+def _interior_point(a: np.ndarray, sq: np.ndarray, radius: float, y0: np.ndarray,
+                    separate: bool):
     """Mehrotra predictor-corrector on the collapsed program, then a KKT finish.
 
     Levels are measured from R^2 = max |a_k|^2, so the paraboloid reads
@@ -445,7 +462,6 @@ def _interior_point(a: np.ndarray, radius: float, y0: np.ndarray, separate: bool
     None.
     """
     n, m = a.shape
-    sq = np.einsum("ij,ij->i", a, a)
     reach2 = float(sq.max())
     reach = math.sqrt(reach2)
     excess = sq - reach2
@@ -588,11 +604,12 @@ def _kkt_finish(jac, values, cost, m, x, z, active):
     return x, full
 
 
-def _dual_bound(a: np.ndarray, radius: float, y: np.ndarray, lam: np.ndarray,
-                mu: np.ndarray, nu: float) -> float:
+def _dual_bound(a: np.ndarray, sq: np.ndarray, dist2: np.ndarray, radius: float,
+                lam: np.ndarray, mu: np.ndarray, nu: float) -> float:
     """Lower bound on t* from the solver's multipliers, less its own rounding.
 
-    The collapsed program's multipliers map back to one per original
+    sq holds the |a_k|^2, dist2 the |a_k - y|^2 at the solver's y.  The
+    collapsed program's multipliers map back to one per original
     constraint: lam' = lam / sum(lam), mu' = mu / sum(mu), nu_k = nu lam'_k.
     For any lam', mu' >= 0 each summing to 1 and nu_k >= 0, every feasible z
     has t(z) >= sum lam'_i f_i(z) - sum mu'_j f_j(z)
@@ -603,31 +620,32 @@ def _dual_bound(a: np.ndarray, radius: float, y: np.ndarray, lam: np.ndarray,
     nu near the enclosing radius.
     """
     n, m = a.shape
-    if lam.sum() <= 0.0 or mu.sum() <= 0.0:
+    lam_sum, mu_sum = lam.sum(), mu.sum()
+    if lam_sum <= 0.0 or mu_sum <= 0.0:
         return 0.0  # t* >= 0 always
-    lam = lam / lam.sum()
-    mu = mu / mu.sum()
+    lam = lam / lam_sum
+    mu = mu / mu_sum
     nu = nu * lam
-    sq = np.einsum("ij,ij->i", a, a)
+    net = lam - mu
     r2 = radius * radius
-    dist2 = np.einsum("ij,ij->i", a - y, a - y)
     # The Lagrangian is alpha |z|^2 - 2 <w, z> + const.  Over the ball of
     # radius r around the point farthest from y, which holds every feasible
     # z, it is least at the point of the ball nearest w / alpha, or, when no
     # ball constraint carries weight, at the point farthest along w.
-    w = (lam - mu + nu) @ a
+    w = (net + nu) @ a
     alpha = nu.sum()
-    anchor = a[int(np.argmax(dist2))]
+    anchor = a[int(dist2.argmax())]
     if alpha > 0.0:
         offset = w / alpha - anchor
-        z = anchor + offset * (radius / max(float(np.linalg.norm(offset)), radius))
+        z = anchor + offset * (radius / max(math.sqrt(offset @ offset), radius))
     else:
-        z = anchor + w * (radius / max(float(np.linalg.norm(w)), np.finfo(float).tiny))
+        z = anchor + w * (radius / max(math.sqrt(w @ w), np.finfo(float).tiny))
     cross = 2.0 * a @ z
-    ball = np.einsum("ij,ij->i", a - z, a - z)
-    magnitude = np.abs(lam - mu) @ (sq + np.abs(cross)) + nu @ (ball + r2)
-    value = (lam - mu) @ (sq - cross) + nu @ (ball - r2)
-    return float(value - (n + m + 4) * np.finfo(float).eps * magnitude)
+    gap = a - z
+    ball = np.einsum("ij,ij->i", gap, gap)
+    magnitude = np.abs(net) @ (sq + np.abs(cross)) + nu @ (ball + r2)
+    value = net @ (sq - cross) + nu @ (ball - r2)
+    return float(value - (n + m + 4) * _EPS * magnitude)
 
 
 def estimate_c(problem: SpreadProblem, restarts: int = 64, seed: int = 0,
@@ -651,16 +669,20 @@ def estimate_c(problem: SpreadProblem, restarts: int = 64, seed: int = 0,
     puts the height off the hull on one appended axis (see SpreadEstimate).
     With oracle_samples > 0, a sampling-oracle scan seeded by `seed` fills
     oracle_value; a sampled spread below c_lower raises NonConvergence.
-    A `restarts` that is not an integer of at least 1 raises DomainError.
+    A `restarts` that is not an integer of at least 1, an `oracle_samples`
+    that is not an integer or a `seed` that is not a nonnegative integer
+    raises DomainError.
     """
     restarts = _integer(restarts, "restarts")
     if restarts < 1:
         raise DomainError("need at least one restart")
+    oracle_samples = _integer(oracle_samples, "oracle sample count")
+    seed = _seed(seed)
     _check_tolerance(tolerance)
     target = problem.target
     report = dict(restarts=restarts, seed=seed, radius=problem.radius,
                   ambient_dim=target.dim + 1, tolerance=tolerance)
-    diam, a, basis, ball, placed = _target_frame(target)
+    diam, a, sq, basis, ball, placed = _target_frame(target)
     scale = diam or problem.radius
     radius = problem.radius / scale
     reach = ball.radius
@@ -671,42 +693,52 @@ def estimate_c(problem: SpreadProblem, restarts: int = 64, seed: int = 0,
     # the center is strictly feasible.  c only falls as the radius grows, so
     # c_lower still bounds c(A, r) from below.
     radius = max(radius, reach * (1.0 + ROUNDING_SLACK))
+    r2 = radius * radius
 
-    def origin_of(y):
-        top = float(np.max(np.einsum("ij,ij->i", a - y, a - y)))
-        if top > radius * radius:
+    def origin_of(y, dist2):
+        """The placement's origin for the solver's y, whose |a_k - y|^2 are dist2."""
+        top = float(dist2.max())
+        if top > r2:
             # Pull y toward the center: max_i |a_i - y|^2 is convex along
             # the segment, so it is at most r^2 where the chord from reach^2
             # to top reaches r^2.
-            y = y * ((radius * radius - reach * reach) / (top - reach * reach))
-            top = float(np.max(np.einsum("ij,ij->i", a - y, a - y)))
-        return np.append(target.points[0] + scale * ((ball.center + y) @ basis),
-                         scale * math.sqrt(max(radius * radius - top, 0.0)))
+            y = y * ((r2 - reach * reach) / (top - reach * reach))
+            gap = a - y
+            top = float(np.einsum("ij,ij->i", gap, gap).max())
+        origin = np.empty(target.dim + 1)
+        origin[:-1] = target.points[0] + scale * ((ball.center + y) @ basis)
+        origin[-1] = scale * math.sqrt(max(r2 - top, 0.0))
+        return origin
 
     def measured(y, lam, mu, nu):
         """The placement's spread, its largest norm, its origin and the dual c_lower."""
-        origin = origin_of(y)
-        norms = np.linalg.norm(placed - origin, axis=1)
-        t = max(_dual_bound(a, radius, y, lam, mu, nu)
-                - ROUNDING_SLACK * radius * radius, 0.0)
-        lower = scale * t / (radius + math.sqrt(max(radius * radius - t, 0.0)))
-        return float(norms.max() - norms.min()), float(norms.max()), origin, lower
+        gap = a - y
+        dist2 = np.einsum("ij,ij->i", gap, gap)
+        origin = origin_of(y, dist2)
+        # The row sums np.linalg.norm(..., axis=1) takes, without its checks.
+        offsets = placed - origin
+        norms = np.sqrt((offsets * offsets).sum(axis=1))
+        top = norms.max()
+        t = max(_dual_bound(a, sq, dist2, radius, lam, mu, nu) - ROUNDING_SLACK * r2, 0.0)
+        lower = scale * t / (radius + math.sqrt(max(r2 - t, 0.0)))
+        return float(top - norms.min()), float(top), origin, lower
 
     y = np.zeros(len(basis))
     best, c_lower, passes = None, 0.0, []
     for index in range(restarts):
-        solve = _active_set(a, radius, y)
+        solve = _active_set(a, sq, radius, y)
         if solve is not None:
             value, top, origin, lower = measured(*solve[:4])
             if value - lower > tolerance * problem.radius or not lower > 0.0:
                 solve = None
         if solve is None:
-            solve = _solve_levels(a, radius, y)
+            solve = _solve_levels(a, sq, radius, y)
             value, top, origin, lower = measured(*solve[:4])
         y, _, mu, nu, diagnostics = solve
         total = float(mu.sum())
         diagnostics["nu"] = nu / total if total > 0.0 else None
         diagnostics["bracket"] = (value - lower) / problem.radius
+        diagnostics["height"] = float(origin[-1]) / problem.radius
         passes.append(diagnostics)
         if best is not None and value >= best[0] and lower <= c_lower:
             break  # a pass that tightens neither side ends the search

@@ -55,16 +55,15 @@ class TestSubcommands:
     def test_jung_computes_each_input_once(self, capsys, tri150, monkeypatch):
         # One diameter and one hull SVD, and the library's values bit for bit.
         calls = {"diameter": 0, "svd": 0}
-        geometry = sys.modules["diamramsey.geometry"]
 
         def counted(name, fn):
-            def wrapper(*args):
+            def wrapper(*args, **kwargs):
                 calls[name] += 1
-                return fn(*args)
+                return fn(*args, **kwargs)
             return wrapper
 
         monkeypatch.setattr(cli, "diameter", counted("diameter", cli.diameter))
-        monkeypatch.setattr(geometry, "_hull_basis", counted("svd", geometry._hull_basis))
+        monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
         code, report, _ = run_cli(capsys, "jung", "--input", tri150)
         assert code == 0 and calls == {"diameter": 1, "svd": 1}
         monkeypatch.undo()
@@ -101,6 +100,8 @@ class TestSubcommands:
         assert passes and all(solve["stage"] == "active_set" for solve in passes)
         width = report["outputs"]["c_estimate"] - report["outputs"]["c_lower"]
         assert 0.0 <= width / 0.95 <= min(solve["bracket"] for solve in passes) <= 1e-9
+        # the paraboloid binds below the circumradius: the copy lies in the hull's plane
+        assert all(0.0 <= solve["height"] <= 1e-6 for solve in passes)
 
     def test_oracle(self, capsys, tri150):
         code, report, _ = run_cli(capsys, "oracle", "--input", tri150,

@@ -176,6 +176,14 @@ class TestFalsifyColoring:
         with pytest.raises(Infeasible):
             falsify_coloring(pair, r=0.4, c=0.01, n_samples=10)
 
+    @pytest.mark.parametrize("n_samples, seed", [
+        (2.5, 0), (True, 0), ("10", 0), (None, 0), (-1, 0), (10, 1.5), (10, "a"),
+        (10, -1), (10, True), (10, None)])
+    def test_bad_count_or_seed_is_domain_error(self, n_samples, seed):
+        with pytest.raises(DomainError):
+            falsify_coloring(regular_simplex(2), r=0.6, c=0.01, n_samples=n_samples,
+                             seed=seed)
+
     def test_deterministic(self):
         a = falsify_coloring(regular_simplex(2), r=0.6, c=0.01,
                              n_samples=5000, seed=9)

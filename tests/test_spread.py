@@ -1,6 +1,7 @@
 import gc
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -49,6 +50,9 @@ DIAGNOSED_WITNESSES = [
     (OBTUSE_150, 0.95), (OBTUSE_150, 0.75), (almost_regular_simplex(3, 0.01), 0.707),
     (almost_regular_simplex(4, 0.01), 0.6633), (almost_regular_simplex(8, 1e-6), 0.7)]
 spread_module = importlib.import_module("diamramsey.spread")
+# (sample count, seed) pairs of which one is not a count or not a seed.
+BAD_COUNTS_AND_SEEDS = [(2.5, 0), (True, 0), ("10", 0), (None, 0), (10, 1.5), (10, "a"),
+                        (10, -1), (10, True), (10, None)]
 
 
 def sampler_witnesses():
@@ -203,6 +207,12 @@ class TestEstimateC:
         estimate_c(SpreadProblem(target=target, radius=0.6633))
         assert calls == {"svd": 1, "min_enclosing_ball": 1, "diameter": 1}
 
+    @pytest.mark.parametrize("oracle_samples, seed", BAD_COUNTS_AND_SEEDS)
+    def test_bad_oracle_count_or_seed_is_domain_error(self, oracle_samples, seed):
+        with pytest.raises(DomainError):
+            estimate_c(SpreadProblem(target=OBTUSE_150, radius=0.95),
+                       seed=seed, oracle_samples=oracle_samples)
+
     def test_serializes(self):
         import json
         problem = SpreadProblem(target=EQUILATERAL, radius=0.6)
@@ -218,6 +228,11 @@ class TestEstimateC:
 def _fresh(config: Configuration) -> Configuration:
     """The same points in a new Configuration, whose frame is not yet kept."""
     return Configuration(dim=config.dim, points=config.points)
+
+
+def _squares(a: np.ndarray) -> np.ndarray:
+    """The squared row norms |a_k|^2 that the frame keeps and _active_set takes."""
+    return np.einsum("ij,ij->i", a, a)
 
 
 def _enclosing_radius_sets():
@@ -260,9 +275,10 @@ class TestFrameReuse:
     def test_frame_is_read_only(self):
         target = _fresh(OBTUSE_150)
         estimate_c(SpreadProblem(target=target, radius=0.95))
-        diam, a, basis, ball, placed = spread_module._FRAMES[target]
+        diam, a, sq, basis, ball, placed = spread_module._FRAMES[target]
         assert diam == diameter(target)
-        for array in (a, basis, ball.center, placed):
+        assert np.array_equal(sq, _squares(a))
+        for array in (a, sq, basis, ball.center, placed):
             assert not array.flags.writeable
 
     def test_freed_target_leaves_the_map(self):
@@ -300,6 +316,38 @@ class TestFrameReuse:
             sys.setswitchinterval(interval)
 
 
+class TestPinnedWitnesses:
+    """The benchmark's seven cases keep their recorded values and active sets."""
+
+    # c_estimate, c_lower and max_norm as float.hex, then upper and lower.
+    PINNED = [
+        ("0x1.0e5bbe36b61c0p-7", "0x1.0e5bbe36728d4p-7", "0x1.e666666666666p-1", [0, 1], [2]),
+        ("0x1.d538e14ab67e0p-6", "0x1.d538e14a97797p-6", "0x1.b333333333333p-1", [0, 1], [2]),
+        ("0x1.d3034cc058040p-5", "0x1.d3034cc049b2cp-5", "0x1.8000000000001p-1", [0, 1], [2]),
+        ("0x1.4ef7768ba2380p-8", "0x1.4ef7768b3d489p-8", "0x1.69fbe76c8b439p-1",
+         [0, 1, 2], [3]),
+        ("0x1.00c5ffafbe2a0p-4", "0x1.00c5ffafb7d13p-4", "0x1.4a9f4ae73ce48p-1",
+         [0, 1, 2], [3]),
+        ("0x1.c6dff36db5580p-8", "0x1.c6dff36d4fca0p-8", "0x1.69fbe76c8b439p-1",
+         [0, 1, 2, 3], [4]),
+        ("0x1.f9f54fee34990p-5", "0x1.f9f54fee27906p-5", "0x1.5396815b04551p-1",
+         [0, 1, 2, 3], [4]),
+    ]
+
+    @pytest.mark.parametrize("case, pinned", list(zip(sampler_witnesses(), PINNED)))
+    def test_values_within_four_ulp(self, case, pinned):
+        target, radius = case
+        *values, upper, lower = pinned
+        estimate = estimate_c(SpreadProblem(target=target, radius=radius))
+        for value, recorded in zip((estimate.c_estimate, estimate.c_lower, estimate.max_norm),
+                                   values):
+            expected = float.fromhex(recorded)
+            assert abs(value - expected) <= 4 * math.ulp(expected)
+        (solve,) = estimate.diagnostics["passes"]
+        assert solve["stage"] == "active_set"
+        assert (solve["upper"], solve["lower"]) == (upper, lower)
+
+
 class TestDiagnostics:
     STAGES = {"active_set", "interior_point", "separate_steps", "kkt_finish"}
 
@@ -313,11 +361,25 @@ class TestDiagnostics:
             assert solve["stage"] in self.STAGES
             assert isinstance(solve["nu"], float) and solve["nu"] >= 0.0
             assert isinstance(solve["bracket"], float) and solve["bracket"] >= 0.0
+            assert isinstance(solve["height"], float) and 0.0 <= solve["height"] <= 1.0
         # no pass closes more than the report, whose sides are the best passes'
         width = (estimate.c_estimate - estimate.c_lower) / problem.radius
         assert min(solve["bracket"] for solve in passes) >= width
         assert len(passes) > 1 or passes[0]["bracket"] == width
         assert estimate_c(problem, restarts=3).diagnostics == estimate.diagnostics
+
+    @pytest.mark.parametrize("target, radius", sampler_witnesses() + [
+        (OBTUSE_150, 0.55), (OBTUSE_150, 0.65), (OBTUSE_150, 1.05), (EQUILATERAL, 0.6)])
+    def test_height_lifts_the_farthest_point_onto_the_sphere(self, target, radius):
+        # A pass that does not pull y places its farthest point on the
+        # r-sphere: height^2 + max |a_i - y|^2 scale^2 / r^2 = 1, where
+        # scale * y is the origin's foot on the hull.
+        estimate = estimate_c(SpreadProblem(target=target, radius=radius))
+        solve = estimate.diagnostics["passes"][estimate.best_restart]
+        origin = -estimate.best_motion.translation
+        assert solve["height"] == origin[-1] / radius
+        reach2 = float(np.max(np.sum((target.points - origin[:-1]) ** 2, axis=1)))
+        assert solve["height"] ** 2 + reach2 / radius ** 2 == pytest.approx(1.0, abs=1e-12)
 
     def test_reaches_the_report(self):
         import json
@@ -344,7 +406,7 @@ class TestDiagnostics:
     @pytest.mark.parametrize("target, radius", DIAGNOSED_WITNESSES)
     def test_witnesses_converge_in_the_interior_point(self, target, radius, monkeypatch):
         # The same witnesses with every active-set guess declined.
-        monkeypatch.setattr(spread_module, "_active_set", lambda a, radius, y0: None)
+        monkeypatch.setattr(spread_module, "_active_set", lambda a, sq, radius, y0: None)
         estimate = estimate_c(SpreadProblem(target=target, radius=radius), restarts=2)
         assert [solve["stage"] for solve in estimate.diagnostics["passes"]] \
             == ["interior_point"]
@@ -367,7 +429,7 @@ class TestDiagnostics:
         problem = SpreadProblem(target=config, radius=radius)
         solved = estimate_c(problem)
         assert [solve["stage"] for solve in solved.diagnostics["passes"]] == ["active_set"]
-        monkeypatch.setattr(spread_module, "_active_set", lambda a, radius, y0: None)
+        monkeypatch.setattr(spread_module, "_active_set", lambda a, sq, radius, y0: None)
         estimate = estimate_c(problem)
         assert [solve["stage"] for solve in estimate.diagnostics["passes"]] \
             == ["separate_steps"]
@@ -397,7 +459,7 @@ class TestActiveSet:
         problem = SpreadProblem(target=target, radius=radius)
         solved = estimate_c(problem, restarts=2)
         assert [solve["stage"] for solve in solved.diagnostics["passes"]] == ["active_set"]
-        monkeypatch.setattr(spread_module, "_active_set", lambda a, radius, y0: None)
+        monkeypatch.setattr(spread_module, "_active_set", lambda a, sq, radius, y0: None)
         fallback = estimate_c(problem, restarts=2)
         assert [solve["stage"] for solve in fallback.diagnostics["passes"]] == [stage]
         assert solved.c_estimate == pytest.approx(fallback.c_estimate, rel=1e-13)
@@ -438,12 +500,12 @@ class TestActiveSet:
         # negative discriminant.
         face = np.array([[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.1, 0.0],
                          [0.0, 0.0, 1.0]])
-        assert _active_set(face, 1.01, np.array([0.0, 0.0, 0.5])) is None
+        assert _active_set(face, _squares(face), 1.01, np.array([0.0, 0.0, 0.5])) is None
         # Coincident points, m = 0: there is no y to solve for.
-        assert _active_set(np.zeros((3, 0)), 1.0, np.zeros(0)) is None
+        assert _active_set(np.zeros((3, 0)), np.zeros(3), 1.0, np.zeros(0)) is None
         # A repeated point as both upper rows: a singular system.
         repeated = np.array([[0.5, 0.5], [0.5, 0.5], [-0.5, 0.0], [0.0, -0.3]])
-        assert _active_set(repeated, 0.75, np.zeros(2)) is None
+        assert _active_set(repeated, _squares(repeated), 0.75, np.zeros(2)) is None
 
 
 class TestCertifiedBracket:
@@ -684,6 +746,12 @@ class TestSampleSpreadOracle:
         problem = SpreadProblem(target=OBTUSE_150, radius=0.95)
         with pytest.raises(EmptySample):
             sample_spread_oracle(problem, 0, seed=0)
+
+    @pytest.mark.parametrize("n_samples, seed", BAD_COUNTS_AND_SEEDS)
+    def test_bad_count_or_seed_is_domain_error(self, n_samples, seed):
+        problem = SpreadProblem(target=OBTUSE_150, radius=0.95)
+        with pytest.raises(DomainError):
+            sample_spread_oracle(problem, n_samples, seed=seed)
 
     def test_infeasible_raises(self):
         pair = Configuration.from_points([[0.0, 0.0], [1.0, 0.0]])

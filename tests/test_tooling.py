@@ -27,7 +27,8 @@ def test_package_imports_no_scipy():
 
 
 def test_svd_only_in_geometry():
-    # geometry._hull_basis is the one place the affine hull is decomposed
+    # geometry is the one module that decomposes the affine hull: _hull_basis
+    # for its basis, affine_dimension for its dimension alone
     offenders = []
     for module in sorted(PACKAGE.rglob("*.py")):
         if module.name == "geometry.py":
