@@ -144,7 +144,7 @@ def falsify_coloring(target: Configuration, r: float, c: float,
         raise DomainError(f"sample count must be nonnegative, got {n_samples}")
     seed = _seed(seed)
     k = num_colors(r, c)
-    centered = _prepare(SpreadProblem(target=target, radius=r))
+    centered, radius, scale = _prepare(SpreadProblem(target=target, radius=r))
     if n_samples == 0:
         return FalsifyReport(radius=r, shell_width=c, num_colors=k,
                              n_samples=0, seed=seed, monochromatic_count=0,
@@ -152,16 +152,18 @@ def falsify_coloring(target: Configuration, r: float, c: float,
     mono = 0
     min_spread = math.inf
     min_span = math.inf
-    for top, bottom in _feasible_batches(centered, r, n_samples, seed):
+    # The copies are sampled over scale (spread._prepare), so the shells are too.
+    width = c / scale
+    for top, bottom in _feasible_batches(centered, radius, n_samples, seed):
         # floor(|x| / c) is monotone in |x|, so a copy's extreme shells are
         # those of its extreme norms
-        spans = np.floor(top / c) - np.floor(bottom / c)
+        spans = np.floor(top / width) - np.floor(bottom / width)
         mono += int(np.count_nonzero(spans == 0.0))
         min_spread = min(min_spread, float((top - bottom).min()))
         min_span = min(min_span, int(spans.min()))
     return FalsifyReport(radius=r, shell_width=c, num_colors=k,
                          n_samples=n_samples, seed=seed,
-                         monochromatic_count=mono, min_spread=min_spread,
+                         monochromatic_count=mono, min_spread=min_spread * scale,
                          min_color_span=min_span, vacuous=False)
 
 

@@ -13,11 +13,13 @@ c(A, r) > 0.  Two independent ways to get at it:
   f_i(y) = |a_i|^2 - 2<a_i, y>, over the y with every |a_i - y| <= r: a
   convex program in m + 2 variables (y and two levels).  Its n ball
   constraints collapse into one paraboloid.  Each pass first solves the
-  KKT equations of the active set guessed at its start (_active_set: two
-  small linear solves) and keeps that point when its bracket closes on a
-  positive lower bound; otherwise a numpy primal-dual interior-point
-  method solves it (see _solve_levels).  c_lower comes from the Lagrangian
-  dual at the solver's own multipliers (see _dual_bound).
+  KKT equations of the active set guessed at its start (_guess, then
+  _active_set: two small linear solves; the first pass starts at y = 0,
+  where the guess and its line solve belong to the target, so it solves
+  only the multipliers' system) and keeps that point when its bracket
+  closes on a positive lower bound; otherwise a numpy primal-dual
+  interior-point method solves it (see _solve_levels).  c_lower comes from
+  the Lagrangian dual at the solver's own multipliers (see _dual_bound).
 * sample_spread_oracle: the minimum spread over a reproducible stream of
   random feasible copies, an upper bound.  A copy is the target centered at
   its enclosing-ball center, b_i, translated by g*t: t is drawn uniformly in
@@ -30,17 +32,20 @@ c(A, r) > 0.  Two independent ways to get at it:
   and shell indices have the same distribution with R left out.  No copy is
   built either: each point's squared norm comes from the dot products the
   shrink already needs, and only each copy's largest and smallest norm are
-  kept, which is all a spread or a shell colouring reads.
+  kept, which is all a spread or a shell colouring reads.  The samplers
+  work on the target over a power of two near its extent (_prepare), so
+  their quartic arithmetic holds at any scale the floats do.
 
 Both work in the target's hull coordinates, from one SVD (_hull_frame):
 the solve in the m coordinates of aff(A), the samplers in R^(m+1), with a
 zero coordinate appended for the height off the hull.  The solve keeps
 each target's frame (_target_frame), so the SVD, the enclosing ball, the
-diameter and the squared norms |a_k|^2 are computed once per target, not
-once per call; each pass measures the |a_k - y|^2 at its solution once,
-for both its placement and its dual bound.  No ambient dimension is an
-input: a copy in any R^n lies in the span of its points and the origin,
-of dimension at most m + 1.
+diameter, the squared norms |a_k|^2 and the first pass's active-set guess
+are computed once per target, not once per call: every call's first pass
+starts at y = 0, where the guess depends on the target alone.  Each pass
+measures the |a_k - y|^2 at its solution once, for both its placement and
+its dual bound.  No ambient dimension is an input: a copy in any R^n lies
+in the span of its points and the origin, of dimension at most m + 1.
 """
 
 from __future__ import annotations
@@ -218,25 +223,40 @@ def _hull_frame(target: Configuration, scale: float):
 
 
 def _target_frame(target: Configuration):
-    """(diam, a, sq, basis, ball, placed): what estimate_c needs that r does not change.
+    """(diam, a, sq, basis, ball, placed, guess): what estimate_c needs that r does not change.
 
     diam is diameter(target); (a, basis, ball) is _hull_frame at scale diam,
     or at scale 1 for coincident points, whose frame has no coordinates;
     sq holds the squared norms |a_k|^2 that every pass reads; placed is the
-    target's points with one zero coordinate appended.  It is computed on
-    the target's first call and kept in _FRAMES, with its arrays read-only.
-    Threads that miss at once each compute the same frame, and the last one
-    stored is kept.
+    target's points with one zero coordinate appended.  guess is _guess at
+    y0 = 0, where every call's first pass starts: the levels there are sq,
+    so that pass's guessed active set, its line and the radius-free rows of
+    its KKT system belong to the target, and a later call's first pass
+    solves only what the radius changes.  It is computed on the target's
+    first call and kept in _FRAMES, with its arrays, the guess's included,
+    read-only.  Threads that miss at once each compute the same frame, and
+    the last one stored is kept.  Raises DomainError when the diameter
+    overflows, or underflows to 0 on points that are not all equal, since
+    no frame at unit diameter exists in floats then.
     """
     frame = _FRAMES.get(target)
     if frame is None:
         diam = diameter(target)
+        if math.isinf(diam):
+            raise DomainError("target's diameter overflows; rescale its points")
+        if diam == 0.0 and (target.points != target.points[0]).any():
+            raise DomainError("target's diameter underflows to 0; rescale its points")
         a, basis, ball = _hull_frame(target, diam or 1.0)
         sq = np.einsum("ij,ij->i", a, a)
         placed = np.hstack([target.points, np.zeros((len(target), 1))])
-        for array in (a, sq, basis, placed):
+        guess = _guess(a, sq, np.zeros(len(basis)))
+        arrays = [a, sq, basis, placed]
+        if guess is not None:
+            upper, _, p, d, _, kkt = guess
+            arrays += [upper, p, d, kkt]
+        for array in arrays:
             array.flags.writeable = False
-        frame = _FRAMES[target] = (diam, a, sq, basis, ball, placed)
+        frame = _FRAMES[target] = (diam, a, sq, basis, ball, placed, guess)
     return frame
 
 
@@ -300,18 +320,32 @@ def _feasible_batches(centered: np.ndarray, radius: float, n_samples: int,
         yield top, bottom
 
 
-def _prepare(problem: SpreadProblem) -> np.ndarray:
-    """The target in R^(m+1): hull coordinates centered at the enclosing-ball
-    center, with one zero coordinate appended for the height off the hull.
+def _prepare(problem: SpreadProblem):
+    """(centered, radius, scale): the target in R^(m+1) and the radius, over scale.
 
-    Raises Infeasible, before any sampling, when the enclosing radius exceeds
-    r * (1 + FEASIBILITY_SLACK).
+    centered holds the hull coordinates centered at the enclosing-ball
+    center, with one zero coordinate appended for the height off the hull.
+    scale is the power of two 2^(k-1) that brings the largest coordinate
+    offset from the first point into [1, 2), k its frexp exponent (as
+    geometry._screened_rows scales): _feasible_batches squares dot
+    products, so its arithmetic is quartic in length and, at the target's
+    own scale, leaves the float range beyond about 1e+-77.  Scaling by a
+    power of two is exact, so a spread sampled over scale, times scale, has
+    the bits of one sampled unscaled wherever that stays in range.  Raises Infeasible, before any sampling,
+    when the enclosing radius exceeds r * (1 + FEASIBILITY_SLACK), and
+    DomainError when the radius over scale overflows when squared.
     """
-    a, _, ball = _hull_frame(problem.target, 1.0)
-    if not _fits(ball.radius, problem.radius):
+    pts = problem.target.points
+    scale = math.ldexp(1.0, int(np.frexp(np.abs(pts - pts[0]).max())[1]) - 1)
+    radius = problem.radius / scale
+    if not math.isfinite(radius * radius):
+        raise DomainError(f"radius {problem.radius!r} over the target's size "
+                          f"{scale!r} overflows when squared")
+    a, _, ball = _hull_frame(problem.target, scale)
+    if not _fits(ball.radius, radius):
         raise Infeasible(
             f"enclosing-ball radius exceeds {problem.radius}; no copy fits")
-    return np.hstack([a, np.zeros((len(a), 1))])
+    return np.hstack([a, np.zeros((len(a), 1))]), radius, scale
 
 
 def sample_spread_oracle(problem: SpreadProblem, n_samples: int,
@@ -319,42 +353,42 @@ def sample_spread_oracle(problem: SpreadProblem, n_samples: int,
     """Minimum spread over n_samples random feasible copies.
 
     Always an upper bound on the true minimum; approaches 0 as the sample
-    count grows whenever radius >= circumradius(target).  A count that is
-    not an integer or a seed that is not a nonnegative integer raises
-    DomainError; a count of zero or less raises EmptySample.
+    count grows whenever radius >= circumradius(target).  It samples the
+    target over a power of two (_prepare), so any scale whose squared
+    radius over that power is finite gives the unit-scale value times the
+    scale.  A count that is not an integer or a seed that is not a
+    nonnegative integer raises DomainError; a count of zero or less raises
+    EmptySample.
     """
     n_samples = _integer(n_samples, "sample count")
     seed = _seed(seed)
     if n_samples <= 0:
         raise EmptySample("oracle needs a positive sample count")
+    centered, radius, scale = _prepare(problem)
     best = math.inf
-    for top, bottom in _feasible_batches(_prepare(problem), problem.radius,
-                                         n_samples, seed):
+    for top, bottom in _feasible_batches(centered, radius, n_samples, seed):
         best = min(best, float((top - bottom).min()))
-    return best
+    return best * scale
 
 
 # ---------------------------------------------------------------------------
 # The convex reduction and its certified dual bound
 # ---------------------------------------------------------------------------
 
-def _active_set(a: np.ndarray, sq: np.ndarray, radius: float, y0: np.ndarray):
-    """The reduced program solved on the active set guessed at y0, or None.
+def _guess(a: np.ndarray, sq: np.ndarray, y0: np.ndarray):
+    """The active set guessed at y0 and the radius-free part of its solve, or None.
 
-    Same arguments and returns as _solve_levels; the diagnostics count the
-    solve as one system ("iterations") and give the stage "active_set" and
-    the indices of the "upper" and "lower" rows.  The guess takes the m
-    rows with the highest levels f_k(y0) as upper, the row with the lowest
-    as lower, and the paraboloid as active: the optimum of each of the
-    library's witnesses has that active set.  Equal upper levels put y
-    on the line of points equidistant from the upper points, found by
-    elimination in one solve; the paraboloid puts them at distance r, a
-    quadratic along the line, whose root with the smaller u - l is the
-    point.  The multipliers solve the m + 2 stationarity equations of the
-    active rows.  Returns None for coincident points, on a singular
-    system, a negative discriminant or a negative multiplier; the caller
-    accepts the point only if its certified bracket closes on a positive
-    lower bound.
+    Returns (upper, lower, p, d, (qa, qb, qc), kkt) for _active_set.  The
+    guess takes the m rows with the highest levels f_k(y0) as upper (the
+    index array upper, ascending), the row with the lowest as lower, and
+    the paraboloid as active: the optimum of each of the library's
+    witnesses has that active set.  Equal upper levels put y on the line
+    p + s*d of points equidistant from the upper points, found by
+    elimination in one solve; |y - a_upper[0]|^2 is qa s^2 + qb s + qc
+    along it.  kkt holds the active constraints' gradients in (y, u, l),
+    one row each: the upper levels, the lower level, then the paraboloid,
+    whose y part, 2y, is left 0.  sq holds the |a_k|^2.  Returns None for
+    coincident points (m = 0) or a singular line system.
     """
     n, m = a.shape
     if m == 0:
@@ -374,20 +408,40 @@ def _active_set(a: np.ndarray, sq: np.ndarray, radius: float, y0: np.ndarray):
         p, d = np.linalg.solve(system, rhs).T
     except np.linalg.LinAlgError:
         return None
-    # |y - a_0|^2 = r^2 is qa s^2 + qb s + qc = 0; u - l = f_0(y) - f_j(y)
-    # grows as 2s along the line, so the smaller root is the point.
     off = p - base
-    qa, qb = float(d @ d), 2.0 * float(d @ off)
-    disc = qb * qb - 4.0 * qa * (float(off @ off) - radius * radius)
-    if not disc >= 0.0:
-        return None
-    y = p + (-qb - math.sqrt(disc)) / (2.0 * qa) * d
-    # Rows of the active constraints' gradients in (y, u, l): upper levels,
-    # the lower level, then the paraboloid.
     kkt = np.zeros((m + 2, m + 2))
     kkt[:m, :m], kkt[:m, m] = -2.0 * rows[:m], -1.0
     kkt[m, :m], kkt[m, m + 1] = 2.0 * rows[m], 1.0
-    kkt[m + 1, :m], kkt[m + 1, m] = 2.0 * y, 1.0
+    kkt[m + 1, m] = 1.0
+    return (np.array(upper), lower, p, d,
+            (float(d @ d), 2.0 * float(d @ off), float(off @ off)), kkt)
+
+
+def _active_set(a: np.ndarray, radius: float, guess):
+    """The reduced program solved on a guessed active set (_guess), or None.
+
+    Same returns as _solve_levels; the diagnostics count the solve as one
+    system ("iterations") and give the stage "active_set" and the indices
+    of the "upper" and "lower" rows.  The paraboloid puts y at distance r
+    from the upper points, a quadratic along the guess's line, whose root
+    with the smaller u - l is the point.  The multipliers solve the m + 2
+    stationarity equations of the active rows.  Returns None when there is
+    no guess, on a negative discriminant, a singular system or a negative
+    multiplier; the caller accepts the point only if its certified bracket
+    closes on a positive lower bound.
+    """
+    if guess is None:
+        return None
+    upper, lower, p, d, (qa, qb, qc), kkt = guess
+    # |y - a_0|^2 = r^2 is qa s^2 + qb s + qc = r^2; u - l = f_0(y) - f_j(y)
+    # grows as 2s along the line, so the smaller root is the point.
+    disc = qb * qb - 4.0 * qa * (qc - radius * radius)
+    if not disc >= 0.0:
+        return None
+    y = p + (-qb - math.sqrt(disc)) / (2.0 * qa) * d
+    m = len(y)
+    kkt = kkt.copy()
+    kkt[m + 1, :m] = 2.0 * y
     # Stationarity: the gradients weighted by z cancel the cost's, (0, 1, -1).
     pull = np.zeros(m + 2)
     pull[m], pull[m + 1] = -1.0, 1.0
@@ -397,9 +451,10 @@ def _active_set(a: np.ndarray, sq: np.ndarray, radius: float, y0: np.ndarray):
         return None
     if not z.min() >= 0.0:
         return None
-    lam, mu = np.zeros(n), np.zeros(n)
+    lam, mu = np.zeros(len(a)), np.zeros(len(a))
     lam[upper], mu[lower] = z[:m], z[m]
-    diagnostics = {"iterations": 1, "stage": "active_set", "upper": upper, "lower": [lower]}
+    diagnostics = {"iterations": 1, "stage": "active_set", "upper": upper.tolist(),
+                   "lower": [lower]}
     return y, lam, mu, float(z[m + 1]), diagnostics
 
 
@@ -665,13 +720,17 @@ def estimate_c(problem: SpreadProblem, restarts: int = 64, seed: int = 0,
     The target fits iff its farthest point from its enclosing-ball center
     is at most radius * (1 + FEASIBILITY_SLACK) away.  The solve runs in
     the target's m hull coordinates, from one SVD per target, made on its
-    first call and reused by the later ones (_target_frame); the placement
-    puts the height off the hull on one appended axis (see SpreadEstimate).
+    first call and reused by the later ones (_target_frame), as is the
+    first pass's active-set guess, which belongs to the target; the
+    placement puts the height off the hull on one appended axis (see
+    SpreadEstimate).
     With oracle_samples > 0, a sampling-oracle scan seeded by `seed` fills
     oracle_value; a sampled spread below c_lower raises NonConvergence.
     A `restarts` that is not an integer of at least 1, an `oracle_samples`
     that is not an integer or a `seed` that is not a nonnegative integer
-    raises DomainError.
+    raises DomainError, as do a target whose diameter overflows or
+    underflows to 0 and a radius whose square over the diameter overflows,
+    before any arithmetic that would leave the float range.
     """
     restarts = _integer(restarts, "restarts")
     if restarts < 1:
@@ -682,9 +741,12 @@ def estimate_c(problem: SpreadProblem, restarts: int = 64, seed: int = 0,
     target = problem.target
     report = dict(restarts=restarts, seed=seed, radius=problem.radius,
                   ambient_dim=target.dim + 1, tolerance=tolerance)
-    diam, a, sq, basis, ball, placed = _target_frame(target)
+    diam, a, sq, basis, ball, placed, guess = _target_frame(target)
     scale = diam or problem.radius
     radius = problem.radius / scale
+    if not math.isfinite(radius * radius):
+        raise DomainError(f"radius {problem.radius!r} over the target's diameter "
+                          f"{diam!r} overflows when squared")
     reach = ball.radius
     if not _fits(reach, radius):
         return SpreadEstimate(c_estimate=None, best_motion=None,
@@ -726,7 +788,9 @@ def estimate_c(problem: SpreadProblem, restarts: int = 64, seed: int = 0,
     y = np.zeros(len(basis))
     best, c_lower, passes = None, 0.0, []
     for index in range(restarts):
-        solve = _active_set(a, sq, radius, y)
+        if index:  # the frame holds the first pass's guess, at y = 0
+            guess = _guess(a, sq, y)
+        solve = _active_set(a, radius, guess)
         if solve is not None:
             value, top, origin, lower = measured(*solve[:4])
             if value - lower > tolerance * problem.radius or not lower > 0.0:

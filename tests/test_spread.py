@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -40,7 +41,7 @@ from diamramsey import (
     obstruction_verdict,
 )
 from diamramsey.spread import (ROUNDING_SLACK, _CHUNK, _IPM_MAX_ITERATIONS, _active_set,
-                               _feasible_batches, _prepare)
+                               _feasible_batches, _guess, _prepare)
 from oracles import (configurations, explicit_copy_norms, hull_coordinates, ks_statistic,
                      planar_spread_min, rotated_copy_spreads, slsqp_levels)
 
@@ -275,11 +276,33 @@ class TestFrameReuse:
     def test_frame_is_read_only(self):
         target = _fresh(OBTUSE_150)
         estimate_c(SpreadProblem(target=target, radius=0.95))
-        diam, a, sq, basis, ball, placed = spread_module._FRAMES[target]
+        diam, a, sq, basis, ball, placed, guess = spread_module._FRAMES[target]
         assert diam == diameter(target)
         assert np.array_equal(sq, _squares(a))
-        for array in (a, sq, basis, ball.center, placed):
+        upper, _, p, d, _, kkt = guess
+        for array in (a, sq, basis, ball.center, placed, upper, p, d, kkt):
             assert not array.flags.writeable
+
+    def test_warm_first_pass_solves_once(self, monkeypatch):
+        # A cold call solves the first pass's line system for the frame and
+        # its multiplier system in the pass; a warm call, at another
+        # radius, only the multiplier system.
+        calls = []
+        original = np.linalg.solve
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        target = _fresh(OBTUSE_150)
+        cold = estimate_c(SpreadProblem(target=target, radius=0.95))
+        assert len(calls) == 2
+        warm = estimate_c(SpreadProblem(target=target, radius=0.85))
+        assert len(calls) == 3
+        for estimate in (cold, warm):
+            assert [solve["stage"] for solve in estimate.diagnostics["passes"]] \
+                == ["active_set"]
 
     def test_freed_target_leaves_the_map(self):
         target = _fresh(OBTUSE_150)
@@ -406,7 +429,7 @@ class TestDiagnostics:
     @pytest.mark.parametrize("target, radius", DIAGNOSED_WITNESSES)
     def test_witnesses_converge_in_the_interior_point(self, target, radius, monkeypatch):
         # The same witnesses with every active-set guess declined.
-        monkeypatch.setattr(spread_module, "_active_set", lambda a, sq, radius, y0: None)
+        monkeypatch.setattr(spread_module, "_active_set", lambda a, radius, guess: None)
         estimate = estimate_c(SpreadProblem(target=target, radius=radius), restarts=2)
         assert [solve["stage"] for solve in estimate.diagnostics["passes"]] \
             == ["interior_point"]
@@ -429,7 +452,7 @@ class TestDiagnostics:
         problem = SpreadProblem(target=config, radius=radius)
         solved = estimate_c(problem)
         assert [solve["stage"] for solve in solved.diagnostics["passes"]] == ["active_set"]
-        monkeypatch.setattr(spread_module, "_active_set", lambda a, sq, radius, y0: None)
+        monkeypatch.setattr(spread_module, "_active_set", lambda a, radius, guess: None)
         estimate = estimate_c(problem)
         assert [solve["stage"] for solve in estimate.diagnostics["passes"]] \
             == ["separate_steps"]
@@ -438,6 +461,22 @@ class TestDiagnostics:
         assert estimate.c_estimate - estimate.c_lower <= 1e-12 * radius
         assert solved.c_estimate == pytest.approx(estimate.c_estimate, rel=1e-13)
         assert solved.c_lower == pytest.approx(estimate.c_lower, rel=1e-13)
+
+
+# Four points in the plane, one of them twice.
+REPEATED = np.array([[0.5, 0.5], [0.5, 0.5], [-0.5, 0.0], [0.0, -0.3]])
+SEGMENT = Configuration.from_points([[0.0, 0.0], [1.0, 0.0]])
+
+
+def _same(first, second) -> bool:
+    """Equal bit for bit: arrays, floats and ints in nested tuples and dicts."""
+    if isinstance(first, np.ndarray):
+        return first.dtype == second.dtype and np.array_equal(first, second)
+    if isinstance(first, (tuple, list)):
+        return len(first) == len(second) and all(map(_same, first, second))
+    if isinstance(first, dict):
+        return first.keys() == second.keys() and all(_same(first[k], second[k]) for k in first)
+    return type(first) is type(second) and first == second
 
 
 def _almost_regular_r70():
@@ -459,7 +498,7 @@ class TestActiveSet:
         problem = SpreadProblem(target=target, radius=radius)
         solved = estimate_c(problem, restarts=2)
         assert [solve["stage"] for solve in solved.diagnostics["passes"]] == ["active_set"]
-        monkeypatch.setattr(spread_module, "_active_set", lambda a, sq, radius, y0: None)
+        monkeypatch.setattr(spread_module, "_active_set", lambda a, radius, guess: None)
         fallback = estimate_c(problem, restarts=2)
         assert [solve["stage"] for solve in fallback.diagnostics["passes"]] == [stage]
         assert solved.c_estimate == pytest.approx(fallback.c_estimate, rel=1e-13)
@@ -500,12 +539,43 @@ class TestActiveSet:
         # negative discriminant.
         face = np.array([[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.1, 0.0],
                          [0.0, 0.0, 1.0]])
-        assert _active_set(face, _squares(face), 1.01, np.array([0.0, 0.0, 0.5])) is None
+        guess = _guess(face, _squares(face), np.array([0.0, 0.0, 0.5]))
+        assert guess is not None and _active_set(face, 1.01, guess) is None
         # Coincident points, m = 0: there is no y to solve for.
-        assert _active_set(np.zeros((3, 0)), np.zeros(3), 1.0, np.zeros(0)) is None
+        assert _guess(np.zeros((3, 0)), np.zeros(3), np.zeros(0)) is None
+        assert _active_set(np.zeros((3, 0)), 1.0, None) is None
         # A repeated point as both upper rows: a singular system.
-        repeated = np.array([[0.5, 0.5], [0.5, 0.5], [-0.5, 0.0], [0.0, -0.3]])
-        assert _active_set(repeated, _squares(repeated), 0.75, np.zeros(2)) is None
+        assert _guess(REPEATED, _squares(REPEATED), np.zeros(2)) is None
+
+    @pytest.mark.parametrize("target, radius", sampler_witnesses() + [
+        (EQUILATERAL, 0.6), (regular_simplex(3), 0.7), (SEGMENT, 0.5 * (1.0 + 1e-9)),
+        (SEGMENT, 0.6)])
+    def test_frame_guess_is_the_guess_at_zero(self, target, radius):
+        # The frame keeps the guess a pass from y = 0 builds, and it solves
+        # to the same bits.  The regular simplices' |a_k|^2 all tie, so
+        # their guess rests on the order of equal levels; the segment has
+        # m = 1.
+        target = _fresh(target)
+        estimate_c(SpreadProblem(target=target, radius=radius))
+        diam, a, sq, _, ball, _, kept = spread_module._FRAMES[target]
+        built = _guess(a, sq, np.zeros(a.shape[1]))
+        assert _same(kept, built)
+        scaled = max(radius / diam, ball.radius * (1.0 + ROUNDING_SLACK))
+        assert _same(_active_set(a, scaled, kept), _active_set(a, scaled, built))
+
+    @pytest.mark.parametrize("points", [
+        [[1.0, 2.0]] * 3, REPEATED.tolist(),
+        [[-1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 0.5]]])
+    def test_without_a_guess_the_interior_point_solves(self, points):
+        # Coincident points (no guess), the repeated-point set above, and
+        # a set whose frame guesses its repeated point as both upper rows
+        # (a singular line system) end in the interior point.
+        config = Configuration.from_points(points)
+        radius = 1.2 * min_enclosing_ball(config).radius or 1.0
+        estimate = estimate_c(SpreadProblem(target=config, radius=radius))
+        assert [solve["stage"] for solve in estimate.diagnostics["passes"]] \
+            == ["interior_point"]
+        assert 0.0 <= estimate.c_lower <= estimate.c_estimate
 
 
 class TestCertifiedBracket:
@@ -618,6 +688,53 @@ class TestScaleInvariance:
             sample_spread_oracle(SpreadProblem(target=target, radius=0.3 * scale), 2000)
         with pytest.raises(Infeasible):
             falsify_coloring(target, 0.3 * scale, 0.1 * scale, 2000)
+
+    @staticmethod
+    def _sampled(scale):
+        # The 150-degree triangle's oracle and shell counts, at r = 0.95 and
+        # width 0.033 times scale, without a RuntimeWarning.
+        target = Configuration(dim=2, points=OBTUSE_150.points * scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            oracle = sample_spread_oracle(
+                SpreadProblem(target=target, radius=0.95 * scale), 20000, seed=3)
+            report = falsify_coloring(target, 0.95 * scale, 0.033 * scale, 20000, seed=3)
+        return oracle, report
+
+    @pytest.mark.parametrize("scale", [2.0 ** 300, 2.0 ** -300])
+    def test_samplers_keep_their_bits_at_powers_of_two(self, scale):
+        oracle, report = self._sampled(scale)
+        unit_oracle, unit_report = self._sampled(1.0)
+        assert oracle == scale * unit_oracle
+        assert report.min_spread == scale * unit_report.min_spread
+        assert report.monochromatic_count == unit_report.monochromatic_count > 0
+
+    @pytest.mark.parametrize("scale", [1e100, 1e-100, 1e200, 1e-200])
+    def test_samplers_at_any_scale(self, scale):
+        # Squared dot products at the target's own scale left the float
+        # range beyond about 1e+-77: at 1e80 the oracle fell below c(A, r),
+        # and at 1e-100 no copy was monochromatic.
+        oracle, report = self._sampled(scale)
+        unit_oracle, unit_report = self._sampled(1.0)
+        assert oracle == pytest.approx(scale * unit_oracle, rel=1e-12)
+        assert report.min_spread == pytest.approx(scale * unit_report.min_spread, rel=1e-12)
+        assert report.monochromatic_count == unit_report.monochromatic_count
+
+    @pytest.mark.parametrize("scale, factor, cause", [
+        (1e-200, 0.95, "diameter underflows"), (1e155, 0.95, "diameter overflows"),
+        (1.0, 1e300, "overflows when squared")])
+    def test_out_of_range_is_domain_error(self, scale, factor, cause):
+        # At 1e-200 the diameter underflows to 0 and the target was solved
+        # as coincident points (c = 0); at 1e155 and at r = 1e300 the solve
+        # overflowed.
+        target = Configuration(dim=2, points=OBTUSE_150.points * scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError, match=cause):
+                estimate_c(SpreadProblem(target=target, radius=factor * scale))
+            if factor > 1.0:
+                with pytest.raises(DomainError, match=cause):
+                    sample_spread_oracle(SpreadProblem(target=target, radius=factor), 10)
 
 
 def _modules_after(code: str, package: str = "scipy") -> str:
@@ -776,11 +893,11 @@ class TestSampleSpreadOracle:
         (almost_regular_simplex(3, 0.01), 0.6457),
         (almost_regular_simplex(4, 0.01), 0.707)])
     def test_every_copy_inside_the_ball(self, target, radius):
-        problem = SpreadProblem(target=target, radius=radius)
-        for top, bottom in _feasible_batches(_prepare(problem), radius, 20000, 3):
+        centered, scaled, _ = _prepare(SpreadProblem(target=target, radius=radius))
+        for top, bottom in _feasible_batches(centered, scaled, 20000, 3):
             assert top.shape == bottom.shape == (20000,)
             assert np.all(bottom <= top)
-            assert top.max() <= radius * (1.0 + 1e-12)
+            assert top.max() <= scaled * (1.0 + 1e-12)
 
     @pytest.mark.parametrize("target, radius", [
         (OBTUSE_150, 0.95), (almost_regular_simplex(4, 0.01), 0.707)])
@@ -788,10 +905,9 @@ class TestSampleSpreadOracle:
         # A Haar rotation before the translation cannot change the spread
         # distribution; dropping the 1/dim power on the radii moves this
         # statistic to 0.11 and 0.06 on these two cases.
-        problem = SpreadProblem(target=target, radius=radius)
-        spreads = np.concatenate([
-            top - bottom
-            for top, bottom in _feasible_batches(_prepare(problem), radius, 20000, 0)])
+        centered, scaled, scale = _prepare(SpreadProblem(target=target, radius=radius))
+        spreads = scale * np.concatenate([
+            top - bottom for top, bottom in _feasible_batches(centered, scaled, 20000, 0)])
         reference = rotated_copy_spreads(target.points, radius,
                                          affine_dimension(target) + 1, 20000, seed=0)
         assert ks_statistic(spreads, reference) <= 0.03
@@ -801,11 +917,11 @@ class TestSampleSpreadOracle:
     def test_extremes_match_explicit_copies(self, target, radius):
         # the fused kernel's extreme squared norms against the same seeded
         # copies built point by point
-        centered = _prepare(SpreadProblem(target=target, radius=radius))
-        bound = 8.0 * np.finfo(float).eps * radius * radius
+        centered, scaled, _ = _prepare(SpreadProblem(target=target, radius=radius))
+        bound = 8.0 * np.finfo(float).eps * scaled * scaled
         for (top, bottom), norms in zip(
-                _feasible_batches(centered, radius, 2 * _CHUNK, 5),
-                explicit_copy_norms(centered, radius, 2 * _CHUNK, 5), strict=True):
+                _feasible_batches(centered, scaled, 2 * _CHUNK, 5),
+                explicit_copy_norms(centered, scaled, 2 * _CHUNK, 5), strict=True):
             assert np.abs(top ** 2 - norms.max(axis=0) ** 2).max() <= bound
             assert np.abs(bottom ** 2 - norms.min(axis=0) ** 2).max() <= bound
 
@@ -814,11 +930,11 @@ class TestSampleSpreadOracle:
     def test_monochromatic_count_matches_explicit_copies(self, target, radius, width):
         # r/c is not an integer, so no shrunk copy's farthest point, which
         # lies on |x| = r, sits on a shell boundary
-        centered = _prepare(SpreadProblem(target=target, radius=radius))
+        centered, scaled, scale = _prepare(SpreadProblem(target=target, radius=radius))
         expected = sum(
-            int(np.count_nonzero(np.floor(norms.max(axis=0) / width)
-                                 == np.floor(norms.min(axis=0) / width)))
-            for norms in explicit_copy_norms(centered, radius, 2 * _CHUNK, 2))
+            int(np.count_nonzero(np.floor(norms.max(axis=0) / (width / scale))
+                                 == np.floor(norms.min(axis=0) / (width / scale))))
+            for norms in explicit_copy_norms(centered, scaled, 2 * _CHUNK, 2))
         report = falsify_coloring(target, radius, width, 2 * _CHUNK, seed=2)
         assert report.monochromatic_count == expected > 0
 
