@@ -31,7 +31,6 @@ from .errors import (
     GeometryError,
     Infeasible,
     NonConvergence,
-    NonOrthogonal,
     NotSimplex,
     NotSpherical,
 )
@@ -39,11 +38,9 @@ from .geometry import (
     Configuration,
     RigidMotion,
     affine_dimension,
-    apply_motion,
     diameter,
     distance_matrix,
     is_congruent,
-    random_motion,
 )
 from .obstruction import (
     ConjectureLabel,
@@ -70,7 +67,6 @@ from .spread import (
     embedding_feasible,
     estimate_c,
     sample_spread_oracle,
-    spread,
 )
 
 __version__ = "0.1.0"
@@ -88,7 +84,6 @@ __all__ = [
     "GeometryError",
     "Infeasible",
     "NonConvergence",
-    "NonOrthogonal",
     "NotSimplex",
     "NotSpherical",
     "RigidMotion",
@@ -101,7 +96,6 @@ __all__ = [
     "affine_dimension",
     "almost_regular_measure",
     "almost_regular_simplex",
-    "apply_motion",
     "circumcenter_in_hull",
     "circumradius",
     "circumsphere",
@@ -121,11 +115,9 @@ __all__ = [
     "num_colors",
     "obstruction_verdict",
     "obtuse_triangle",
-    "random_motion",
     "regular_simplex",
     "sample_spread_oracle",
     "shell_color",
-    "spread",
     "triangle_circumradius",
     "__version__",
 ]

@@ -35,10 +35,6 @@ def _check_tolerance(value: float) -> None:
         raise DomainError(f"tolerance must be nonnegative, got {value}")
 
 
-class NonOrthogonal(GeometryError):
-    """A rigid motion's rotation matrix fails the orthogonality tolerance."""
-
-
 class NotSpherical(GeometryError):
     """The point set does not lie on any common sphere."""
 

@@ -1,4 +1,4 @@
-"""Finite point configurations, rigid motions, and congruence testing.
+"""Finite point configurations, congruence testing, and rigid-motion records.
 
 A configuration is an ordered finite point set in R^dim.  All predicates in
 this module depend only on pairwise Euclidean distances, so they are
@@ -13,12 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NonOrthogonal, _check_tolerance
+from .errors import DomainError, _check_tolerance
 
 DEFAULT_TOL = 1e-9
-
-# Orthogonality defect allowed on rotation matrices, max-norm of R^T R - I.
-ORTHOGONALITY_TOL = 1e-9
 
 # Float64 entries per block of diameter's recompute; a block holds this
 # many // (n * dim) rows.
@@ -109,10 +106,10 @@ class Configuration:
 
 @dataclass(frozen=True, eq=False)
 class RigidMotion:
-    """An isometry x -> rotation @ x + translation.
+    """An isometry x -> rotation @ x + translation, as a frozen record.
 
-    The rotation matrix may be orientation reversing; orthogonality is only
-    enforced (within ORTHOGONALITY_TOL) when the motion is applied.
+    estimate_c reports its placement as one (SpreadEstimate.best_motion);
+    nothing here checks that the rotation is orthogonal.
     """
 
     rotation: np.ndarray
@@ -129,33 +126,6 @@ class RigidMotion:
             raise DomainError("rigid motion entries must be finite")
         object.__setattr__(self, "rotation", _freeze(rot))
         object.__setattr__(self, "translation", _freeze(tr))
-
-    @property
-    def dim(self) -> int:
-        return self.rotation.shape[0]
-
-    def orthogonality_defect(self) -> float:
-        eye = np.eye(self.dim)
-        return float(np.max(np.abs(self.rotation.T @ self.rotation - eye)))
-
-    def is_orthogonal(self, tol: float = ORTHOGONALITY_TOL) -> bool:
-        _check_tolerance(tol)
-        return self.orthogonality_defect() <= tol
-
-    @classmethod
-    def identity(cls, dim: int) -> "RigidMotion":
-        return cls(rotation=np.eye(dim), translation=np.zeros(dim))
-
-    def inverse(self) -> "RigidMotion":
-        rt = self.rotation.T
-        return RigidMotion(rotation=rt, translation=-(rt @ self.translation))
-
-    def compose(self, other: "RigidMotion") -> "RigidMotion":
-        """The motion applying `other` first, then self."""
-        return RigidMotion(
-            rotation=self.rotation @ other.rotation,
-            translation=self.rotation @ other.translation + self.translation,
-        )
 
 
 def diameter(config: Configuration) -> float:
@@ -369,23 +339,6 @@ def distance_matrix(config: Configuration) -> np.ndarray:
     return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 
 
-def apply_motion(config: Configuration, motion: RigidMotion,
-                 tol: float = ORTHOGONALITY_TOL) -> Configuration:
-    """Map every point to rotation @ p + translation.
-
-    Raises NonOrthogonal if the rotation fails the orthogonality tolerance,
-    and DomainError on a dimension mismatch.
-    """
-    if motion.dim != config.dim:
-        raise DomainError(
-            f"motion acts on R^{motion.dim} but configuration lives in R^{config.dim}")
-    if not motion.is_orthogonal(tol):
-        raise NonOrthogonal(
-            f"rotation deviates from orthogonality by {motion.orthogonality_defect():.3e}")
-    pts = config.points @ motion.rotation.T + motion.translation
-    return Configuration(dim=config.dim, points=pts)
-
-
 def affine_dimension(config: Configuration, tol: float = DEFAULT_TOL) -> int:
     """Rank of the span of p_i - p_1, with a relative singular value cutoff.
 
@@ -498,28 +451,3 @@ def _search_plan(dist_a: np.ndarray, dist_b: np.ndarray, tol: float):
     distinct = (np.diff(sorted_a, axis=1) > tol).sum(axis=1)
     order = sorted(range(n), key=lambda i: -int(distinct[i]))
     return order, [np.flatnonzero(row).tolist() for row in compatible]
-
-
-def random_motion(dim: int, seed=0, translation_scale: float = 1.0) -> RigidMotion:
-    """Seeded random rigid motion: Haar-ish orthogonal rotation + normal shift.
-
-    The rotation is obtained by orthonormalizing a matrix of independent
-    standard normals (QR with sign correction, Haar on O(dim)), then its
-    determinant sign is set uniformly at random, so reflections occur half
-    the time.  Deterministic given the seed.
-    """
-    if dim < 1:
-        raise DomainError("dimension must be positive")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    gauss = rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(gauss)
-    signs = np.sign(np.diag(r))
-    signs[signs == 0] = 1.0
-    q = q * signs
-    want_reflection = bool(rng.integers(0, 2))
-    has_reflection = np.linalg.det(q) < 0
-    if want_reflection != has_reflection:
-        q = q.copy()
-        q[:, 0] *= -1.0
-    translation = translation_scale * rng.standard_normal(dim)
-    return RigidMotion(rotation=q, translation=translation)

@@ -18,7 +18,7 @@ c(A, r) > 0.  Two independent ways to get at it:
   where the guess and its line solve belong to the target, so it solves
   only the multipliers' system) and keeps that point when its bracket
   closes on a positive lower bound; otherwise a numpy primal-dual
-  interior-point method solves it (see _solve_levels).  c_lower comes from
+  interior-point method solves it (see _interior_point).  c_lower comes from
   the Lagrangian dual at the solver's own multipliers (see _dual_bound).
 * sample_spread_oracle: the minimum spread over a reproducible stream of
   random feasible copies, an upper bound.  A copy is the target centered at
@@ -75,21 +75,16 @@ ROUNDING_SLACK = 1e-12
 # stop once the mean complementarity is below _IPM_GAP and the dual residual
 # below _IPM_RESIDUAL times the largest multiplier, or after _IPM_PATIENCE
 # iterations that do not improve on the best once it is within
-# _IPM_STALL_MERIT of those targets.  A solve with one common step length
-# also stops, to be repeated with separate lengths, when it is still
-# farther than that and its dual length was shorter than its primal length
-# and than _IPM_BLOCKED_STEP on _IPM_BLOCKED iterations.  _IPM_STEP is the
-# fraction of the step to the boundary taken; a solve with one common step
-# length takes _IPM_TAIL_STEP once the mean complementarity is below
-# _IPM_TAIL_GAP.  The KKT finish takes _IPM_FINISH_STEPS Newton steps and
+# _IPM_STALL_MERIT of those targets.  _IPM_STEP is the fraction of the
+# step to the boundary taken; a solve with one common step length takes
+# _IPM_TAIL_STEP once the mean complementarity is below _IPM_TAIL_GAP.
+# The KKT finish takes _IPM_FINISH_STEPS Newton steps and
 # accepts constraint values up to _IPM_FINISH_SLACK.
 _IPM_MAX_ITERATIONS = 60
 _IPM_GAP = 1e-17
 _IPM_RESIDUAL = 1e-13
 _IPM_STALL_MERIT = 1e6
 _IPM_PATIENCE = 3
-_IPM_BLOCKED = 5
-_IPM_BLOCKED_STEP = 0.2
 _IPM_STEP = 0.99
 _IPM_TAIL_GAP = 1e-10
 _IPM_TAIL_STEP = 1.0 - 1e-4
@@ -105,11 +100,7 @@ _FRAMES = weakref.WeakKeyDictionary()
 
 def spread(config: Configuration) -> float:
     """Max point norm minus min point norm; 0 iff the set sits on an origin sphere."""
-    return _spread_of(config.points)
-
-
-def _spread_of(points: np.ndarray) -> float:
-    norms = np.linalg.norm(points, axis=1)
+    norms = np.linalg.norm(config.points, axis=1)
     return float(norms.max() - norms.min())
 
 
@@ -420,7 +411,7 @@ def _guess(a: np.ndarray, sq: np.ndarray, y0: np.ndarray):
 def _active_set(a: np.ndarray, radius: float, guess):
     """The reduced program solved on a guessed active set (_guess), or None.
 
-    Same returns as _solve_levels; the diagnostics count the solve as one
+    Same returns as _interior_point; the diagnostics count the solve as one
     system ("iterations") and give the stage "active_set" and the indices
     of the "upper" and "lower" rows.  The paraboloid puts y at distance r
     from the upper points, a quadratic along the guess's line, whose root
@@ -458,40 +449,17 @@ def _active_set(a: np.ndarray, radius: float, guess):
     return y, lam, mu, float(z[m + 1]), diagnostics
 
 
-def _solve_levels(a: np.ndarray, sq: np.ndarray, radius: float, y0: np.ndarray):
+def _interior_point(a: np.ndarray, sq: np.ndarray, radius: float, y0: np.ndarray):
     """The reduced program's optimal y, its multipliers (lam, mu, nu), and diagnostics.
 
     a holds the target's coordinates in its affine hull, centered at its
     enclosing-ball center, sq their squared norms, and radius exceeds their
     largest norm.  The n ball constraints |a_k - y|^2 <= r^2 collapse into
     one: |a_k - y|^2 = f_k(y) + |y|^2 and u >= max f_k, so they are exactly
-    u + |y|^2 <= r^2.  That
-    leaves min u - l over 2n linear constraints, l <= f_k(y) <= u, and one
-    paraboloid, in m + 2 variables, solved by a primal-dual interior-point
-    method (_interior_point).  Its steps take one common length for the
-    primal and the dual: the paraboloid's curvature ties the dual residual
-    to the primal step.  A solve that does not converge, on the rare
-    degenerate program where that common length stalls, is repeated with
-    separate primal and dual lengths.  lam and mu weight the upper and
-    lower level constraints, nu the paraboloid.  The diagnostics are the
-    Newton systems solved ("iterations", both solves and the KKT finish
-    counted) and the stage that converged: "interior_point",
-    "separate_steps" (the repeated solve) or "kkt_finish"; None if none did.
-    estimate_c calls it only for a pass whose active-set guess
-    (_active_set) was declined; that pass's stage is never "active_set".
-    """
-    *solve, systems, stage = _interior_point(a, sq, radius, y0, separate=False)
-    if stage is None:
-        *retry, more, stage = _interior_point(a, sq, radius, y0, separate=True)
-        systems += more
-        if stage is not None:
-            solve = retry
-    return (*solve, {"iterations": systems, "stage": stage})
-
-
-def _interior_point(a: np.ndarray, sq: np.ndarray, radius: float, y0: np.ndarray,
-                    separate: bool):
-    """Mehrotra predictor-corrector on the collapsed program, then a KKT finish.
+    u + |y|^2 <= r^2.  That leaves min u - l over 2n linear constraints,
+    l <= f_k(y) <= u, and one paraboloid, in m + 2 variables, solved by
+    Mehrotra's primal-dual predictor-corrector method.  lam and mu weight
+    the upper and lower level constraints, nu the paraboloid.
 
     Levels are measured from R^2 = max |a_k|^2, so the paraboloid reads
     v + |y|^2 <= delta = r^2 - R^2 with v = u - R^2, and its slack keeps
@@ -503,18 +471,24 @@ def _interior_point(a: np.ndarray, sq: np.ndarray, radius: float, y0: np.ndarray
     complementarity.  Each iteration inverts one Newton system and applies
     it twice: the predictor, then the corrector, whose right-hand side is
     the predictor's plus the shift of its centring.  Each step goes
-    _IPM_STEP of the way to the boundary; with one common length it goes
-    _IPM_TAIL_STEP of the way once the mean complementarity is below
-    _IPM_TAIL_GAP, so the last iterations cut the gap 10^4-fold, not
-    100-fold.  The paraboloid's slack is updated exactly, quadratic term
-    included.  A common-length solve far from its targets whose dual
-    length keeps binding stops early for that repeat (_IPM_BLOCKED).  When
-    the iterations stall short of _IPM_GAP and _IPM_RESIDUAL, the KKT
-    equations of the constraints whose multiplier exceeds their slack at
-    the best iterate are solved by Newton's method; that point replaces the
-    iterate if it is feasible with nonnegative multipliers.  Returns y, lam,
-    mu, nu, the Newton systems solved, and the stage that converged, or
-    None.
+    _IPM_STEP of the way to the boundary.  The steps first take one common
+    length for the primal and the dual, since the paraboloid's curvature
+    ties the dual residual to the primal step, and go _IPM_TAIL_STEP of the
+    way once the mean complementarity is below _IPM_TAIL_GAP, so the last
+    iterations cut the gap 10^4-fold, not 100-fold.  The paraboloid's slack
+    is updated exactly, quadratic term included.  When the iterations stall
+    short of _IPM_GAP and _IPM_RESIDUAL, the KKT equations of the
+    constraints whose multiplier exceeds their slack at the best iterate are
+    solved by Newton's method; that point replaces the iterate if it is
+    feasible with nonnegative multipliers.  A solve that still does not
+    converge, on the rare degenerate program where the common length
+    stalls, is repeated from the same start with separate primal and dual
+    lengths, and its point is kept if it converges.  The diagnostics are
+    the Newton systems solved ("iterations", both solves and their KKT
+    finishes counted) and the stage that converged: "interior_point",
+    "separate_steps" (the repeated solve) or "kkt_finish"; None if none
+    did.  estimate_c calls it only for a pass whose active-set guess
+    (_active_set) was declined; that pass's stage is never "active_set".
     """
     n, m = a.shape
     reach2 = float(sq.max())
@@ -563,71 +537,74 @@ def _interior_point(a: np.ndarray, sq: np.ndarray, radius: float, y0: np.ndarray
         dual_len = 1.0 / max(1.0, float(-(dz / z).min()))
         return primal_len, dual_len, curve
 
-    best, since, stage, systems, blocked = (math.inf, x, z, s), 0, None, 0, 0
-    for _ in range(_IPM_MAX_ITERATIONS):
-        jac[2 * n, :m] = 2.0 * x[:m]
-        dual = cost + jac.T @ z
-        primal = values(x) + s
-        gap = float(s @ z) / size
-        merit = max(gap / _IPM_GAP,
-                    float(np.abs(dual).max()) / (_IPM_RESIDUAL * (1.0 + z.max())))
-        if merit < best[0]:
-            best, since = (merit, x, z, s), 0
-        elif best[0] <= _IPM_STALL_MERIT:
-            since += 1
-            if since >= _IPM_PATIENCE:
-                break
-        if merit <= 1.0:
-            stage = "separate_steps" if separate else "interior_point"
-            break
-        ratio = z / s
-        hess = (jac.T * ratio) @ jac
-        hess[diag, diag] += 2.0 * z[-1]
-        try:
-            inverse = np.linalg.inv(hess)
-        except np.linalg.LinAlgError:
-            break
-        systems += 1
-        # The predictor's centring is s*z, so (z*primal - s*z)/s = ratio*primal - z.
-        predictor = -dual - jac.T @ (ratio * primal - z)
-        dx = inverse @ predictor
-        ds = -primal - jac @ dx
-        dz = -z - ratio * ds
-        primal_len, dual_len, _ = lengths(dx, ds, dz)
-        if not separate:
-            primal_len = dual_len = min(primal_len, dual_len)
-        predicted = float((s + primal_len * ds) @ (z + dual_len * dz)) / size
-        # The corrector's centring is s*z + ds*dz - sigma*gap, with
-        # sigma = (predicted/gap)^3: the predictor's right-hand side plus
-        # jac^T (shift / s), shift = ds*dz - sigma*gap.
-        shift = ds * dz
-        shift -= (predicted / gap) ** 3 * gap
-        shift /= s
-        dx = inverse @ (predictor + jac.T @ shift)
-        ds = -primal - jac @ dx
-        dz = -z - shift - ratio * ds
-        step = _IPM_STEP if separate or gap >= _IPM_TAIL_GAP else _IPM_TAIL_STEP
-        primal_len, dual_len, curve = lengths(dx, ds, dz)
-        if not separate:
-            if best[0] > _IPM_STALL_MERIT and dual_len < min(primal_len, _IPM_BLOCKED_STEP):
-                blocked += 1
-                if blocked >= _IPM_BLOCKED:
+    start, systems, solve = (x, z, s), 0, None
+    for separate in (False, True):
+        x, z, s = start
+        best, since, stage = (math.inf, x, z, s), 0, None
+        for _ in range(_IPM_MAX_ITERATIONS):
+            jac[2 * n, :m] = 2.0 * x[:m]
+            dual = cost + jac.T @ z
+            primal = values(x) + s
+            gap = float(s @ z) / size
+            merit = max(gap / _IPM_GAP,
+                        float(np.abs(dual).max()) / (_IPM_RESIDUAL * (1.0 + z.max())))
+            if merit < best[0]:
+                best, since = (merit, x, z, s), 0
+            elif best[0] <= _IPM_STALL_MERIT:
+                since += 1
+                if since >= _IPM_PATIENCE:
                     break
-            primal_len = dual_len = min(primal_len, dual_len)
-        primal_len, dual_len = min(1.0, step * primal_len), min(1.0, step * dual_len)
-        if not primal_len > 0.0:
-            break
-        paraboloid = s[-1] + primal_len * ds[-1] - primal_len ** 2 * curve
-        x, z, s = x + primal_len * dx, z + dual_len * dz, s + primal_len * ds
-        s[-1] = paraboloid
+            if merit <= 1.0:
+                stage = "separate_steps" if separate else "interior_point"
+                break
+            ratio = z / s
+            hess = (jac.T * ratio) @ jac
+            hess[diag, diag] += 2.0 * z[-1]
+            try:
+                inverse = np.linalg.inv(hess)
+            except np.linalg.LinAlgError:
+                break
+            systems += 1
+            # The predictor's centring is s*z, so (z*primal - s*z)/s = ratio*primal - z.
+            predictor = -dual - jac.T @ (ratio * primal - z)
+            dx = inverse @ predictor
+            ds = -primal - jac @ dx
+            dz = -z - ratio * ds
+            primal_len, dual_len, _ = lengths(dx, ds, dz)
+            if not separate:
+                primal_len = dual_len = min(primal_len, dual_len)
+            predicted = float((s + primal_len * ds) @ (z + dual_len * dz)) / size
+            # The corrector's centring is s*z + ds*dz - sigma*gap, with
+            # sigma = (predicted/gap)^3: the predictor's right-hand side plus
+            # jac^T (shift / s), shift = ds*dz - sigma*gap.
+            shift = ds * dz
+            shift -= (predicted / gap) ** 3 * gap
+            shift /= s
+            dx = inverse @ (predictor + jac.T @ shift)
+            ds = -primal - jac @ dx
+            dz = -z - shift - ratio * ds
+            step = _IPM_STEP if separate or gap >= _IPM_TAIL_GAP else _IPM_TAIL_STEP
+            primal_len, dual_len, curve = lengths(dx, ds, dz)
+            if not separate:
+                primal_len = dual_len = min(primal_len, dual_len)
+            primal_len, dual_len = min(1.0, step * primal_len), min(1.0, step * dual_len)
+            if not primal_len > 0.0:
+                break
+            paraboloid = s[-1] + primal_len * ds[-1] - primal_len ** 2 * curve
+            x, z, s = x + primal_len * dx, z + dual_len * dz, s + primal_len * ds
+            s[-1] = paraboloid
 
-    _, x, z, s = best
-    if stage is None:
-        systems += _IPM_FINISH_STEPS
-        finish = _kkt_finish(jac, values, cost, m, x, z, z > s)
-        if finish is not None:
-            (x, z), stage = finish, "kkt_finish"
-    return x[:m], z[:n], z[n:2 * n], float(z[-1]), systems, stage
+        _, x, z, s = best
+        if stage is None:
+            systems += _IPM_FINISH_STEPS
+            finish = _kkt_finish(jac, values, cost, m, x, z, z > s)
+            if finish is not None:
+                (x, z), stage = finish, "kkt_finish"
+        if solve is None or stage is not None:
+            solve = x[:m], z[:n], z[n:2 * n], float(z[-1])
+        if stage is not None:
+            break
+    return (*solve, {"iterations": systems, "stage": stage})
 
 
 def _kkt_finish(jac, values, cost, m, x, z, active):
@@ -796,7 +773,7 @@ def estimate_c(problem: SpreadProblem, restarts: int = 64, seed: int = 0,
             if value - lower > tolerance * problem.radius or not lower > 0.0:
                 solve = None
         if solve is None:
-            solve = _solve_levels(a, sq, radius, y)
+            solve = _interior_point(a, sq, radius, y)
             value, top, origin, lower = measured(*solve[:4])
         y, _, mu, nu, diagnostics = solve
         total = float(mu.sum())

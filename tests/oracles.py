@@ -8,7 +8,9 @@ comparing sorted rows one pair at a time, monochromatic copies by
 full subset-and-permutation enumeration, the minimal spread of a planar
 target by a complete 2-d grid search with closed-form plane height, the
 spread solve's reduced program by SLSQP (scipy, imported where it is used),
-and the sampler's copies by building each one point by point.
+and the sampler's copies by building each one point by point.  The
+invariance tests' seeded rigid motions live here too (random_motion,
+apply_motion): the library only reports a placement.
 """
 
 import itertools
@@ -16,13 +18,37 @@ import itertools
 import numpy as np
 from hypothesis import strategies as st
 
-from diamramsey import Configuration
+from diamramsey import Configuration, RigidMotion
 from diamramsey.spheres import _circumcenter, _sq_dists
 
 
 def dist_matrix(points: np.ndarray) -> np.ndarray:
     diff = points[:, None, :] - points[None, :, :]
     return np.sqrt((diff ** 2).sum(axis=-1))
+
+
+def random_motion(dim: int, seed=0, translation_scale: float = 1.0) -> RigidMotion:
+    """Seeded random rigid motion: Haar orthogonal rotation + normal shift.
+
+    The rotation orthonormalizes a matrix of independent standard normals
+    (QR with sign correction, Haar on O(dim)), then its determinant sign is
+    set uniformly at random, so reflections occur half the time.
+    """
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
+    signs = np.sign(np.diag(r))
+    signs[signs == 0] = 1.0
+    q = q * signs
+    if bool(rng.integers(0, 2)) != (np.linalg.det(q) < 0):
+        q[:, 0] *= -1.0
+    translation = translation_scale * rng.standard_normal(dim)
+    return RigidMotion(rotation=q, translation=translation)
+
+
+def apply_motion(config: Configuration, motion: RigidMotion) -> Configuration:
+    """Map every point to rotation @ p + translation."""
+    pts = config.points @ motion.rotation.T + motion.translation
+    return Configuration(dim=config.dim, points=pts)
 
 
 def brute_force_meb(points) -> tuple[float, np.ndarray]:

@@ -7,8 +7,6 @@ COLORED = dr.ColoredConfiguration(configuration=TRI, colors=(0, 0, 0))
 
 # Every public callable that takes a tolerance, called with tol=value.
 CALLS = {
-    "is_orthogonal": lambda tol: dr.RigidMotion.identity(2).is_orthogonal(tol),
-    "apply_motion": lambda tol: dr.apply_motion(TRI, dr.RigidMotion.identity(2), tol),
     "affine_dimension": lambda tol: dr.affine_dimension(TRI, tol),
     "is_congruent": lambda tol: dr.is_congruent(TRI, TRI, tol),
     "Ball.contains": lambda tol: dr.min_enclosing_ball(TRI).contains([0.5, 0.0], tol),

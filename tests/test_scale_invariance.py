@@ -13,7 +13,6 @@ from diamramsey import (
     Configuration,
     SpreadProblem,
     almost_regular_simplex,
-    apply_motion,
     circumradius,
     diameter,
     estimate_c,
@@ -21,8 +20,8 @@ from diamramsey import (
     min_enclosing_ball,
     obstruction_verdict,
     obtuse_triangle,
-    random_motion,
 )
+from oracles import apply_motion, random_motion
 
 WITNESSES = {
     "obtuse 150": obtuse_triangle(150.0),

@@ -15,7 +15,6 @@ from diamramsey import (
     NotSpherical,
     affine_dimension,
     almost_regular_simplex,
-    apply_motion,
     circumcenter_in_hull,
     circumradius,
     circumsphere,
@@ -24,12 +23,12 @@ from diamramsey import (
     jung_bound,
     min_enclosing_ball,
     obtuse_triangle,
-    random_motion,
     regular_simplex,
 )
 from diamramsey.geometry import DEFAULT_TOL, _hull_basis
 from diamramsey.spheres import _GRAM_SIN2, _circumcenter, _circumsphere, _sq_dists, _walk
-from oracles import brute_force_meb, configurations, welzl_loop, welzl_mtf
+from oracles import (apply_motion, brute_force_meb, configurations, random_motion,
+                     welzl_loop, welzl_mtf)
 
 EQUILATERAL = regular_simplex(2)
 OBTUSE_150 = obtuse_triangle(150.0, 1.0)

@@ -25,25 +25,23 @@ from diamramsey import (
     Infeasible,
     NonConvergence,
     affine_dimension,
-    apply_motion,
     diameter,
     embedding_feasible,
     estimate_c,
     falsify_coloring,
     obtuse_triangle,
-    random_motion,
     regular_simplex,
     sample_spread_oracle,
-    spread,
     SpreadProblem,
     almost_regular_simplex,
     min_enclosing_ball,
     obstruction_verdict,
 )
-from diamramsey.spread import (ROUNDING_SLACK, _CHUNK, _IPM_MAX_ITERATIONS, _active_set,
-                               _feasible_batches, _guess, _prepare)
-from oracles import (configurations, explicit_copy_norms, hull_coordinates, ks_statistic,
-                     planar_spread_min, rotated_copy_spreads, slsqp_levels)
+from diamramsey.spread import (ROUNDING_SLACK, _CHUNK, _active_set, _feasible_batches, _guess,
+                               _prepare, spread)
+from oracles import (apply_motion, configurations, explicit_copy_norms, hull_coordinates,
+                     ks_statistic, planar_spread_min, random_motion, rotated_copy_spreads,
+                     slsqp_levels)
 
 OBTUSE_150 = obtuse_triangle(150.0, 1.0)
 EQUILATERAL = regular_simplex(2)
@@ -440,9 +438,9 @@ class TestDiagnostics:
         # one of the 1200 programs of TestEnclosingRadius's sweep on which
         # the common step length stalls far from its targets, its dual
         # length binding.  The active set solves it; on the fallback the
-        # stall is cut short: the pass solves fewer Newton systems than the
-        # common-step solve's iteration cap alone (it solved 81 when that
-        # solve ran to the cap).
+        # common-step solve runs to its iteration cap, its KKT finish is
+        # declined, and the separate-step repeat converges: 81 Newton
+        # systems in all.
         rng = np.random.default_rng(0)
         for _ in range(50):
             n, dim = int(rng.integers(2, 7)), int(rng.integers(2, 5))
@@ -456,7 +454,6 @@ class TestDiagnostics:
         estimate = estimate_c(problem)
         assert [solve["stage"] for solve in estimate.diagnostics["passes"]] \
             == ["separate_steps"]
-        assert estimate.diagnostics["passes"][0]["iterations"] < _IPM_MAX_ITERATIONS
         assert 0.0 < estimate.c_lower <= estimate.c_estimate
         assert estimate.c_estimate - estimate.c_lower <= 1e-12 * radius
         assert solved.c_estimate == pytest.approx(estimate.c_estimate, rel=1e-13)
@@ -812,8 +809,9 @@ class TestAgainstSlsqp:
 class TestEnclosingRadius:
     # Widest c_estimate - c_lower, relative to r, that the SLSQP solver left
     # on these 300 configurations, where it stopped on its iteration cap and
-    # took up to 11 s a call.  Without the common-step retry or the KKT
-    # finish two of them come out at 8.4e-7 and 8.9e-6.
+    # took up to 11 s a call.  The solve's widest at r = R is 2.3e-9, with
+    # or without the interior point's separate-step repeat and KKT finish:
+    # those decide only whether a pass ends on a converged stage.
     SLSQP_WIDEST = 7.48e-7
 
     def test_ordered_bracket_no_wider_than_slsqp(self):
@@ -831,8 +829,10 @@ class TestEnclosingRadius:
 
     @pytest.mark.parametrize("factor", [1.0 + 1e-9, 1.001, 1.1])
     def test_ordered_bracket_just_above(self, factor):
-        # The same sets just above the enclosing radius, where near-degenerate
-        # programs leave the solve to its separate-step repeat or the KKT finish.
+        # The same sets just above the enclosing radius.  The interior point
+        # ends 70, 65 and 23 passes in its KKT finish at these factors and,
+        # at 1.1, one in its separate-step repeat, without which three
+        # passes there end with stage None.
         widest, stages = 0.0, set()
         for config in _enclosing_radius_sets():
             radius = min_enclosing_ball(config).radius * factor

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -61,6 +62,33 @@ def test_no_unused_imports():
                     f"{module.name}:{node.lineno} {alias.name}" for alias in node.names
                     if (alias.asname or alias.name.split(".")[0]) not in used]
     assert offenders == []
+
+
+def test_no_unread_constants():
+    # a module-level NAME or _NAME constant must be read in its own module
+    offenders = []
+    for module in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(module.read_text(), str(module))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else (
+                [node.target] if isinstance(node, ast.AnnAssign) else [])
+            offenders += [f"{module.name}:{node.lineno} {t.id}" for t in targets
+                          if isinstance(t, ast.Name) and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", t.id)
+                          and t.id not in read]
+    assert offenders == []
+
+
+def test_package_attributes_are_its_modules():
+    # a package name that shadows a module makes `import diamramsey.x as m`
+    # bind the object, not the module
+    names = sorted(module.stem for module in PACKAGE.glob("*.py")
+                   if module.stem != "__init__")
+    for name in names:
+        importlib.import_module("diamramsey." + name)
+    assert [name for name in names
+            if getattr(diamramsey, name) is not sys.modules["diamramsey." + name]] == []
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib needs Python 3.11")
