@@ -8,6 +8,7 @@ after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -153,17 +154,47 @@ def _diameter(pts: np.ndarray, center: np.ndarray | None = None,
     """diameter() of the rows of pts, screened about `center` (default the centroid).
 
     `far_sq`, a realised squared distance of pts, replaces the walk from the
-    point farthest from the centre.  Neither changes the value.
+    point farthest from the centre.  Neither changes the value.  The screen
+    and the recompute run on the points over one power of two 2^k, k the
+    frexp exponent of the largest coordinate of the centred points, and the
+    result is scaled back.  Scaling by 2^k is exact, so the value keeps
+    distance_matrix's bits wherever its squares neither overflow nor
+    underflow, and stays right across the float range where they do.  A
+    set small enough for one block is scaled only when its largest square
+    leaves the range in which _usable_sq trusts it.
     """
     n, d = pts.shape
     rows = max(1, _DIAMETER_BLOCK // (n * d))
-    candidates = (np.arange(n) if rows >= n
-                  else _screened_rows(pts, min(rows, _SCREEN_ROWS), center, far_sq))
+    if rows >= n:
+        # A set small enough for one block is recomputed whole, first at its
+        # own scale: a largest square in range is already the value.
+        with np.errstate(over="ignore"):
+            best = float(np.max(_row_sq_dists(pts, np.arange(n))))
+        if _usable_sq(best):
+            return float(np.sqrt(best))
+    if center is None:
+        # One product, ten times faster than numpy's mean down the rows,
+        # and each term is at most max|p|, so the sum cannot overflow.
+        center = np.full(n, 1.0 / n) @ pts
+    x = pts - center
+    peak = float(np.max(np.abs(x)))
+    if peak == 0.0:
+        return 0.0  # all points coincide
+    # Points more than 2^960 times as far from the origin as from the
+    # centre take a larger k, so that none overflows.
+    k = int(np.frexp(max(peak, math.ldexp(float(np.max(np.abs(center))), -960)))[1])
+    pts = np.ldexp(pts, -k)
+    if rows < n:
+        if far_sq is not None:
+            far_sq = math.ldexp(_usable_sq(far_sq), -2 * k)
+        candidates = _screened_rows(pts, np.ldexp(x, -k, out=x), min(rows, _SCREEN_ROWS), far_sq)
+    else:
+        candidates = np.arange(n)
     best = 0.0
     for start in range(0, len(candidates), rows):
         best = max(best, float(np.max(_row_sq_dists(pts, candidates[start:start + rows]))))
     # The rounded sqrt is monotone, so this is distance_matrix's maximum.
-    return float(np.sqrt(best))
+    return math.ldexp(float(np.sqrt(best)), k)
 
 
 def _row_sq_dists(pts: np.ndarray, rows) -> np.ndarray:
@@ -190,15 +221,16 @@ def _far_pair_sq(pts: np.ndarray, start: int) -> float:
     return best
 
 
-def _screened_rows(pts: np.ndarray, rows: int, center: np.ndarray | None = None,
+def _screened_rows(pts: np.ndarray, x: np.ndarray, rows: int,
                    far_sq: float | None = None) -> np.ndarray:
     """The rows of pts that may hold the largest distance.
 
-    The points are centred, on `center` or else their centroid, and scaled
-    by a power of two.  _reaching_rows drops the rows that cannot reach a
-    realised distance L (`far_sq`, or else the walk's from the point
-    farthest from the centre), and the rest are sorted by their projection
-    p on the direction of that farthest point.  By the parallelogram law
+    x holds the points centred on some point c, then scaled by the power
+    of two that pts is scaled by (_diameter).  _reaching_rows drops the
+    rows that cannot reach a realised distance L (`far_sq`, or else the
+    walk's from the point farthest from the centre), and the rest are
+    sorted by their projection p on the direction of that farthest point.
+    By the parallelogram law
     |x_i - x_j|^2 = 2|x_i|^2 + 2|x_j|^2 - |x_i + x_j|^2, and
     |x_i + x_j| >= |p_i + p_j|, so row i reaches L only against the rows
     with |p_i + p_j| <= w_i = sqrt(2|x_i|^2 + 2R^2 - L^2), R = max|x|; after
@@ -213,24 +245,10 @@ def _screened_rows(pts: np.ndarray, rows: int, center: np.ndarray | None = None,
     """
     d = pts.shape[1]
     eps = np.finfo(float).eps
-    x = pts - (pts.mean(axis=0) if center is None else center)
-    peak = float(np.max(np.abs(x)))
-    if peak == 0.0:
-        return np.arange(1)  # all points coincide
-    scale = int(np.frexp(peak)[1])
-    x = np.ldexp(x, -scale)
     sq = np.einsum("ij,ij->i", x, x)
     top = int(sq.argmax())
     if far_sq is None:
-        far_sq = _far_pair_sq(pts, top)
-    # Scaling by 4^-scale is exact, and L^2 >= 2^-970 (eps L^2 >= tiny)
-    # keeps the squares that underflow in distance_matrix's entries within
-    # u L^2 in all (u = eps/2).  Outside that range, or at L^2 = inf, L says
-    # nothing, and L^2 = 0 keeps every row and every pair.
-    if np.finfo(float).tiny <= eps * far_sq < np.inf:
-        far_sq = float(np.ldexp(far_sq, -2 * scale))
-    else:
-        far_sq = 0.0
+        far_sq = _usable_sq(_far_pair_sq(pts, top))
     kept = _reaching_rows(sq, far_sq, d)
     proj = x[kept] @ (x[top] / np.sqrt(sq[top]))
     order = np.argsort(proj)
@@ -285,6 +303,18 @@ def _screened_rows(pts: np.ndarray, rows: int, center: np.ndarray | None = None,
     # every screened pair (k, l), so row i is kept.
     bound = (4 * d + 16) * eps * r_sq
     return kept[screen >= screen.max() - 2.0 * bound]
+
+
+def _usable_sq(far_sq: float) -> float:
+    """A realised squared distance L^2 as the screen may use it: 0 out of range.
+
+    L^2 >= 2^-970 (eps L^2 >= tiny) keeps the squares that underflow in
+    distance_matrix's entries within u L^2 in all (u = eps/2).  Outside
+    that range, or at L^2 = inf, L says nothing, and L^2 = 0 keeps every
+    row and every pair.
+    """
+    eps = np.finfo(float).eps
+    return far_sq if np.finfo(float).tiny <= eps * far_sq < np.inf else 0.0
 
 
 def _gram_row_max(rows: np.ndarray, neg2xt: np.ndarray, col_sq: np.ndarray,

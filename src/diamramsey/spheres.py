@@ -1,20 +1,23 @@
 """Enclosing balls and circumspheres.
 
-The minimum enclosing ball is walked to (Fischer, Gartner & Kutz 2003).  A
-set whose coordinate extremes are all of it, or of at most dim + 1 points,
-such as every simplex in any coordinates, is walked to in one go from its
-centroid.  Any other set starts from one of its extremes, picked by a
-seeded shuffle, and grows one farthest-point pivot at a time (Gartner
-1999) until one vectorised pass finds no point outside; each round walks
-to the ball of the current support and the pivot.  Each support's center
-and barycentric weights come from one solve of its small Gram system;
-only a near-degenerate support takes least squares.  A round that stalls
-under rounding, or whose walk does not end, keeps its center, with the
-radius measured to the farthest of all the points, so the ball still
-holds every point.  The circumsphere is solved inside the affine hull of
-the points, which is what makes "smallest containing sphere" well
-defined for lower-dimensional sets (an off-hull center can only enlarge
-the radius).
+The minimum enclosing ball is walked to (Fischer, Gartner & Kutz 2003) from
+the centroid of a core of the points, then grown one farthest-point pivot
+at a time (Gartner 1999) until one vectorised pass finds no point outside;
+each round walks to the ball of the current support and the pivot.  A set
+whose coordinate extremes are all of it, or of at most dim + 1 points, such
+as every simplex in any coordinates, is its own core.  Any other set's core
+is its distinct coordinate extremes and the 2(dim + 1) points farthest from
+the center of its bounding box, which on Gaussian clouds leaves a round or
+two at most.  Each support's center and barycentric weights come from one
+solve of its small Gram system; only a near-degenerate support takes least
+squares.  A round that stalls under rounding, or whose walk does not end,
+keeps its center, with the radius measured to the farthest of all the
+points, so the ball still holds every point; then the ball is grown again
+from one extreme, picked by a seeded shuffle, and the smaller of the two
+is kept.  The seed has no other effect.  The circumsphere is solved inside
+the affine hull of the points, which is what makes "smallest containing
+sphere" well defined for lower-dimensional sets (an off-hull center can
+only enlarge the radius).
 """
 
 from __future__ import annotations
@@ -43,6 +46,10 @@ _COLUMN_ROWS = 256
 # their Gram matrix G: the diagonally scaled G of m rows then has condition
 # number at most m^2 / _GRAM_SIN2.
 _GRAM_SIN2 = 1e-2
+
+# A cloud's core holds _FAR_CORE * (dim + 1) points farthest from the
+# center of its bounding box, besides its coordinate extremes.
+_FAR_CORE = 2
 
 @dataclass(frozen=True, eq=False)
 class Ball:
@@ -160,12 +167,15 @@ def _walk(pts: np.ndarray, center: np.ndarray, pivot: int):
     another point reaches the boundary and joins T, or the circumcenter is
     reached.  There, if the center has a negative barycentric coordinate,
     that point leaves T; otherwise the ball is the smallest.  Returns the
-    center and T, or None if four steps per point do not end the walk: a
-    walk that cycles under rounding.  Seeded walks over clouds, spheres and
-    repeated sets in R^2-R^8, moved up to 1e10 from the origin, and over
-    simplices in R^2-R^100 took at most one step per point.
+    center and T, or None if the walk cycles: a point is about to leave a
+    support T that has left a point before, or four steps per point do not
+    end the walk.  Co-spherical points can cycle under rounding, as they
+    join and leave T at steps of length about 0.  Seeded walks over clouds,
+    spheres and repeated sets in R^2-R^8, moved up to 1e10 from the origin,
+    and over simplices in R^2-R^100 took at most one step per point.
     """
     support = [pivot]
+    left = set()  # the supports a point has left
     for _ in range(4 * len(pts)):
         target, weights = _circumcenter(pts[support])
         step = target - center
@@ -187,6 +197,9 @@ def _walk(pts: np.ndarray, center: np.ndarray, pivot: int):
         k = int(weights.argmin())
         if weights[k] >= 0.0:
             return center, support
+        if frozenset(support) in left:
+            return None
+        left.add(frozenset(support))
         del support[k]
     return None
 
@@ -200,22 +213,27 @@ def _core_ball(pts: np.ndarray, core: np.ndarray, start: np.ndarray, slack: floa
     is a pivot, and the ball of the support and the pivot, by Welzl's
     lemma the ball with the pivot on its boundary, is walked to from the
     current center.  Its support is the next round's core.  Returns the
-    center and the squared distances of all points to it.  A round stalls
-    when its walk does not end, or when rounding beyond the slack makes
-    the pivot one of the support or the round neither grows the radius nor
-    brings the farthest point nearer.  Then the current center is returned
-    (`start` if the core's own walk does not end); its squared distances
-    include every point.  In exact arithmetic each round grows the radius;
-    at most n rounds run.
+    center, the squared distances of all points to it, and whether the
+    last pass found no pivot.  A round stalls when its walk does not end,
+    or when rounding beyond the slack makes the pivot one of the support
+    or the round neither grows the radius nor brings the farthest point
+    nearer.  Then the current center is returned (`start` if the core's
+    own walk does not end); its squared distances include every point.
+    In exact arithmetic each round grows the radius; at most n rounds run.
     """
     core_pts = pts[core]
     walked = _walk(core_pts, start, int(_sq_dists(core_pts, start).argmax()))
     center = start if walked is None else walked[0]
     sq = _sq_dists(pts, center)
+    if walked is None:
+        return center, sq, False
     radius = float(np.sqrt(sq[core].max()))
+    core = core[walked[1]]
     for _ in range(len(pts)):
         far = int(sq.argmax())
-        if sq[far] <= (radius + slack) ** 2 or far in core:
+        if sq[far] <= (radius + slack) ** 2:
+            return center, sq, True
+        if far in core:
             break
         ball_pts = pts[np.append(core, far)]
         walked = _walk(ball_pts, center, len(core))
@@ -228,46 +246,70 @@ def _core_ball(pts: np.ndarray, core: np.ndarray, start: np.ndarray, slack: floa
             break
         center, radius, sq = grown, grown_radius, grown_sq
         core = np.append(core, far)[support]
-    return center, sq
+    return center, sq, False
+
+
+def _distinct(pts: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The rows whose points differ from every earlier row's, in order.
+
+    A repeated point in a support makes its Gram system singular, which
+    sends _circumcenter to least squares.
+    """
+    order = np.lexsort(pts[rows].T)  # stable: equal points keep their order
+    ranked = pts[rows[order]]
+    repeat = np.zeros(len(rows), dtype=bool)
+    repeat[order[1:]] = (ranked[1:] == ranked[:-1]).all(axis=1)
+    return rows[~repeat]
 
 
 def min_enclosing_ball(config: Configuration, seed: int = 0) -> Ball:
     """Smallest closed ball containing the configuration.
 
-    The ball is walked to from a core of the points that attain a
-    coordinate's minimum or maximum.  A set whose extremes are all of it
-    (every witness the library builds), or of at most dim + 1 points (a
-    simplex in hull coordinates need not be all extremes), is its own
-    core, walked to from its centroid; `seed` has no effect on it.
-    Otherwise the core is one extreme, the first in an order shuffled by
-    `seed`, and _core_ball grows it: each round one vectorised pass over
-    all points finds the farthest from the current ball; a point beyond
-    the containment slack (_WELZL_SLACK, _WELZL_ROUNDING) is a pivot, and
-    the round walks to the ball of the current support and the pivot.  The ball is determined by
-    a support set of at most dim+1 boundary points.  A round that stalls
-    keeps the last center.  Either way the radius is the farthest point's
-    distance from the center, so every point lies inside with no slack.
-    A seed that is not a nonnegative integer raises DomainError.
+    The ball of a core of the points is walked to from the core's
+    centroid, then grown by farthest-point pivot rounds (_core_ball): each
+    round one vectorised pass over all points finds the farthest from the
+    current ball; a point beyond the containment slack (_WELZL_SLACK,
+    _WELZL_ROUNDING) is a pivot, and the round walks to the ball of the
+    current support and the pivot.  A set whose coordinate extremes are
+    all of it (every witness the library builds), or of at most dim + 1
+    points (a simplex in hull coordinates need not be all extremes), is
+    its own core.  Any other set's core is its distinct points among those
+    that attain a coordinate's minimum or maximum and the 2(dim + 1)
+    farthest from the center of its bounding box.  If the core's walk does
+    not end or a round stalls, keeping the last center, the ball is grown
+    again from one extreme, the first in an order shuffled by `seed`, and
+    the smaller of the two balls is kept; `seed` has no other effect.
+    Either way the radius is the farthest point's distance from the
+    center, so every point lies inside with no slack.  A seed that is not
+    a nonnegative integer raises DomainError.
     """
     seed = _seed(seed)
     pts = config.points
+    n, dim = pts.shape
     lowest, highest = pts.argmin(axis=0), pts.argmax(axis=0)
-    axes = np.arange(config.dim)
+    axes = np.arange(dim)
     low, high = pts[lowest, axes], pts[highest, axes]
     # Rounding is monotone, so the largest |p - p_0| of a coordinate is
     # attained at its minimum or maximum.
     extent = float(np.maximum(high - pts[0], pts[0] - low).max())
     peak = float(np.maximum(high, -low).max())
     slack = _WELZL_SLACK * extent + _WELZL_ROUNDING * np.finfo(float).eps * peak
-    extremes = np.zeros(len(config), dtype=bool)
+    extremes = np.zeros(n, dtype=bool)
     extremes[lowest] = extremes[highest] = True
-    core = np.flatnonzero(extremes)
-    if len(core) == len(pts) or len(pts) <= config.dim + 1:
-        core, start = np.arange(len(pts)), pts.mean(axis=0)
+    if extremes.all() or n <= dim + 1:
+        core = np.arange(n)
     else:
-        core = core[np.random.default_rng(seed).permutation(len(core))[:1]]
-        start = pts[core[0]]
-    center, sq = _core_ball(pts, core, start, slack)
+        chosen = extremes.copy()
+        near = max(n - _FAR_CORE * (dim + 1), 0)
+        chosen[np.argpartition(_sq_dists(pts, 0.5 * (low + high)), near)[near:]] = True
+        core = _distinct(pts, np.flatnonzero(chosen))
+    center, sq, clean = _core_ball(pts, core, pts[core].mean(axis=0), slack)
+    if not clean:
+        first = np.flatnonzero(extremes)
+        first = first[np.random.default_rng(seed).permutation(len(first))[:1]]
+        grown, grown_sq, _ = _core_ball(pts, first, pts[first[0]], slack)
+        if grown_sq.max() < sq.max():
+            center, sq = grown, grown_sq
     return Ball(center=center, radius=float(np.sqrt(sq.max())))
 
 

@@ -226,17 +226,18 @@ def _target_frame(target: Configuration):
     solves only what the radius changes.  It is computed on the target's
     first call and kept in _FRAMES, with its arrays, the guess's included,
     read-only.  Threads that miss at once each compute the same frame, and
-    the last one stored is kept.  Raises DomainError when the diameter
-    overflows, or underflows to 0 on points that are not all equal, since
-    no frame at unit diameter exists in floats then.
+    the last one stored is kept.  Raises DomainError when the diameter's
+    square overflows, or underflows to 0 on points that are not all equal:
+    the placement's norms are measured at the target's own scale.
     """
     frame = _FRAMES.get(target)
     if frame is None:
         diam = diameter(target)
-        if math.isinf(diam):
-            raise DomainError("target's diameter overflows; rescale its points")
-        if diam == 0.0 and (target.points != target.points[0]).any():
-            raise DomainError("target's diameter underflows to 0; rescale its points")
+        if math.isinf(diam * diam):
+            raise DomainError("target's squared diameter overflows; rescale its points")
+        if diam * diam == 0.0 and (target.points != target.points[0]).any():
+            raise DomainError("target's squared diameter underflows to 0; "
+                              "rescale its points")
         a, basis, ball = _hull_frame(target, diam or 1.0)
         sq = np.einsum("ij,ij->i", a, a)
         placed = np.hstack([target.points, np.zeros((len(target), 1))])
@@ -317,10 +318,10 @@ def _prepare(problem: SpreadProblem):
     centered holds the hull coordinates centered at the enclosing-ball
     center, with one zero coordinate appended for the height off the hull.
     scale is the power of two 2^(k-1) that brings the largest coordinate
-    offset from the first point into [1, 2), k its frexp exponent (as
-    geometry._screened_rows scales): _feasible_batches squares dot
-    products, so its arithmetic is quartic in length and, at the target's
-    own scale, leaves the float range beyond about 1e+-77.  Scaling by a
+    offset from the first point into [1, 2), k its frexp exponent:
+    _feasible_batches squares dot products, so its arithmetic is quartic
+    in length and, at the target's own scale, leaves the float range beyond
+    about 1e+-77.  Scaling by a
     power of two is exact, so a spread sampled over scale, times scale, has
     the bits of one sampled unscaled wherever that stays in range.  Raises Infeasible, before any sampling,
     when the enclosing radius exceeds r * (1 + FEASIBILITY_SLACK), and
@@ -705,7 +706,7 @@ def estimate_c(problem: SpreadProblem, restarts: int = 64, seed: int = 0,
     oracle_value; a sampled spread below c_lower raises NonConvergence.
     A `restarts` that is not an integer of at least 1, an `oracle_samples`
     that is not an integer or a `seed` that is not a nonnegative integer
-    raises DomainError, as do a target whose diameter overflows or
+    raises DomainError, as do a target whose squared diameter overflows or
     underflows to 0 and a radius whose square over the diameter overflows,
     before any arithmetic that would leave the float range.
     """

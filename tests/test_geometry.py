@@ -17,6 +17,7 @@ from diamramsey import (
     diameter,
     distance_matrix,
     is_congruent,
+    jung_bound,
     obtuse_triangle,
     regular_simplex,
 )
@@ -328,6 +329,29 @@ class TestDiameter:
         finally:
             tracemalloc.stop()
         assert peak <= 64e6
+
+    @pytest.mark.parametrize("exponent", [-1000, -600, -540, -520, 520, 600, 1000])
+    @pytest.mark.parametrize("block", [1, 1 << 20])
+    def test_powers_of_two_keep_the_bits(self, exponent, block, monkeypatch):
+        # The screen and the recompute run over one power of two near the
+        # extent, so a set scaled by 2^k, even where its squares overflow or
+        # underflow, gives exactly 2^k times the unscaled diameter.
+        monkeypatch.setattr(diamramsey.geometry, "_DIAMETER_BLOCK", block)
+        for pts in (obtuse_triangle(150.0).points,
+                    np.random.default_rng(0).normal(size=(300, 3)),
+                    unit_sphere(300, 3, 1) + 1e6):
+            want = math.ldexp(diameter(Configuration.from_points(pts)), exponent)
+            scaled = Configuration.from_points(np.ldexp(pts, exponent))
+            assert diameter(scaled) == want
+
+    @pytest.mark.parametrize("exponent", [-300, -175, -161, -150, 150, 155, 300])
+    def test_right_across_the_float_range(self, exponent):
+        # 10^-175 gave 0, 10^-161 a value 0.6% low and 10^155 inf, from
+        # squares that underflow or overflow at the input's own scale.
+        s = 10.0 ** exponent
+        config = Configuration.from_points(obtuse_triangle(150.0).points * s)
+        assert diameter(config) == pytest.approx(s, rel=1e-15, abs=0.0)
+        assert jung_bound(config) == pytest.approx(s / math.sqrt(3.0), rel=1e-15, abs=0.0)
 
 
 def spy_on_prune(monkeypatch) -> list:

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -163,6 +164,42 @@ def _cloud(kind: str, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
     return pts, pts
 
 
+def _core_rows(pts: np.ndarray) -> np.ndarray:
+    """A cloud's core, for clouds without ties: its coordinate extremes and
+    the 2(dim + 1) points farthest from the centre of its bounding box."""
+    box = 0.5 * (pts.min(axis=0) + pts.max(axis=0))
+    far = np.argsort(np.linalg.norm(pts - box, axis=1))[-2 * (pts.shape[1] + 1):]
+    return np.union1d(np.union1d(pts.argmin(axis=0), pts.argmax(axis=0)), far)
+
+
+def _co_spherical_extremes(rng, dim: int) -> np.ndarray:
+    """The 2 dim points +-e_i + 0.3 N(0, 1), projected onto the unit sphere
+    and translated by N(0, 1)^dim."""
+    pts = np.vstack([np.eye(dim), -np.eye(dim)]) + 0.3 * rng.normal(size=(2 * dim, dim))
+    return pts / np.linalg.norm(pts, axis=1)[:, None] + rng.normal(size=dim)
+
+
+@st.composite
+def relabelled_sets(draw):
+    """A point set and a permutation of it: Gaussian clouds, points on a
+    sphere, clouds of repeated points and the co-spherical sets whose points
+    are all coordinate extremes, moved off the origin."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["normal", "sphere", "repeated", "co-spherical"]))
+    dim = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 200))
+    if kind == "co-spherical":
+        pts = _co_spherical_extremes(rng, max(dim, 2))
+    elif kind == "sphere":
+        pts = _unit_sphere(rng, n, dim) + rng.normal(size=dim)
+    elif kind == "repeated":
+        base = rng.normal(size=(draw(st.integers(1, 8)), dim))
+        pts = base[rng.integers(0, len(base), n)] + rng.normal(size=dim)
+    else:
+        pts = rng.normal(size=(n, dim)) + rng.normal(size=dim)
+    return pts, rng.permutation(len(pts))
+
+
 CLOUDS = ["gaussian", "sphere", "cap30", "repeated", "collinear", "coplanar"]
 MOVES = ["none", "translate", "scale1e9", "scale1e-9"]
 
@@ -195,8 +232,10 @@ class TestCoreSet:
             assert ball.radius == pytest.approx(scale * brute_force_meb(base)[0], rel=1e-9)
 
     def test_core_stays_small(self, monkeypatch):
-        # Welzl over the whole cloud would see all 50000 points; each walk
-        # of the pivot-grown core sees at most the support and the pivot.
+        # Welzl over the whole cloud would see all 50000 points.  The first
+        # walk sees the core, at most 2 dim extremes and 2(dim + 1) points
+        # far from the bounding box's centre; each pivot round after it sees
+        # at most the support and the pivot.
         sizes = []
         walk = diamramsey.spheres._walk
 
@@ -208,16 +247,18 @@ class TestCoreSet:
         pts = np.random.default_rng(4).normal(size=(50000, 2))
         ball = min_enclosing_ball(Configuration.from_points(pts), seed=4)
         assert np.all(np.linalg.norm(pts - ball.center, axis=1) <= ball.radius)
-        assert sizes[0] == 1 and max(sizes) <= pts.shape[1] + 2
+        assert sizes[0] == len(_core_rows(pts)) <= 4 * pts.shape[1] + 2
+        assert max(sizes[1:], default=0) <= pts.shape[1] + 2
 
     @pytest.mark.parametrize("case", ["translated", "noisy", "stalls", "gaussian"])
     def test_stalled_core_returns_its_ball(self, monkeypatch, case):
         # Rounding beyond the containment slack decides containment on all four
-        # clouds.  With walked rounds each ends in a clean pass: on the S^3
-        # translated by 1e6 and the Gaussian cloud translated by 1e10
-        # extents one round grows no radius but brings the farthest point
-        # nearer.  On the Gaussian cloud, stopping at the first round whose
-        # radius did not grow would leave a ball 2.8e-4 too wide.
+        # clouds.  Each ends in a clean pass: the spheres translated by 1e6
+        # right after the core's walk, the noisy sphere and the Gaussian
+        # cloud translated by 1e10 extents after a few rounds.  On the
+        # Gaussian cloud one round grows no radius but brings the farthest
+        # point nearer; stopping at the first round whose radius did not
+        # grow would leave a ball 2.8e-4 too wide.
         # test_stalled_round_keeps_its_ball covers a round that stalls.
         sizes = []
         walk = diamramsey.spheres._walk
@@ -242,7 +283,7 @@ class TestCoreSet:
         ball = min_enclosing_ball(Configuration.from_points(pts), seed=seed)
         monkeypatch.undo()
         n, dim = pts.shape
-        assert sizes[0] == 1 and max(sizes) <= dim + 2
+        assert sizes[0] == len(_core_rows(pts)) and max(sizes[1:], default=0) <= dim + 2
         assert np.all(np.linalg.norm(pts - ball.center, axis=1) <= ball.radius)
         slack = 1e-12 * np.abs(pts - pts[0]).max()
         center, _ = welzl_mtf(pts, np.random.default_rng(0).permutation(n), (), dim, slack)
@@ -253,13 +294,15 @@ class TestCoreSet:
         if case != "gaussian":
             assert ball.radius == pytest.approx(1.0, rel=1e-9)
 
-    @pytest.mark.parametrize("seed", [7, 27, 29])
+    @pytest.mark.parametrize("seed", [45, 49, 61, 68])
     def test_stalled_round_keeps_its_ball(self, monkeypatch, seed):
         # On these circles translated by 1e6 radii, with a slack that does
-        # not cover eps * max|x| (_WELZL_ROUNDING = 0), the last round
-        # neither grows the radius nor brings the farthest point nearer: its
-        # walked ball is dropped and the one before it kept, measured to the
-        # farthest of all the points.
+        # not cover eps * max|x| (_WELZL_ROUNDING = 0), the core's walk does
+        # not end (45, 61) or a later round stalls (49, 68), and the ball is
+        # grown again from one extreme.  Its last round neither grows the
+        # radius nor brings the farthest point nearer: that walked ball is
+        # dropped and the smaller of the two kept balls returned, measured
+        # to the farthest of all the points.
         walks = []
         walk = diamramsey.spheres._walk
 
@@ -327,31 +370,40 @@ class TestCoreSet:
                 rounding = 4 * np.finfo(float).eps * np.abs(pts).max()
                 assert abs(ball.radius - radius) <= 1e-12 * radius + rounding
 
-    def test_rounds_walk_from_one_extreme(self, monkeypatch):
-        # The first walk is of the one coordinate extreme the seed picks;
-        # every pivot round after it walks the support and the pivot.
+    def test_rounds_walk_from_the_core(self, monkeypatch):
+        # The first walk is of the core, from its centroid; every pivot
+        # round after it walks the support and the pivot.  The seed picks
+        # only the extreme that a stalled ball is grown from again, so on a
+        # cloud whose rounds end in a clean pass it changes nothing.
         calls = []
         walk = diamramsey.spheres._walk
 
-        def recording(pts, *args):
-            calls.append(pts.copy())
-            return walk(pts, *args)
+        def recording(pts, center, pivot):
+            calls.append((pts.copy(), center.copy()))
+            return walk(pts, center, pivot)
 
         monkeypatch.setattr(diamramsey.spheres, "_walk", recording)
-        pts = np.random.default_rng(9).normal(size=(5000, 6))
-        extremes = pts[np.union1d(pts.argmin(axis=0), pts.argmax(axis=0))]
+        pts = np.random.default_rng(17).normal(size=(5000, 6))
+        core = pts[_core_rows(pts)]
+        balls = []
         for seed in range(4):
             calls.clear()
-            ball = min_enclosing_ball(Configuration.from_points(pts), seed=seed)
-            assert len(calls[0]) == 1 and (extremes == calls[0][0]).all(axis=1).any()
-            assert len(calls) > 1 and max(len(c) for c in calls) <= pts.shape[1] + 2
-            assert np.all(np.linalg.norm(pts - ball.center, axis=1) <= ball.radius)
+            balls.append(min_enclosing_ball(Configuration.from_points(pts), seed=seed))
+            assert np.array_equal(calls[0][0], core)
+            assert np.array_equal(calls[0][1], core.mean(axis=0))
+            assert len(calls) > 1 and max(len(c) for c, _ in calls[1:]) <= pts.shape[1] + 2
+            assert np.all(np.linalg.norm(pts - balls[-1].center, axis=1) <= balls[-1].radius)
+        for ball in balls[1:]:
+            assert np.array_equal(ball.center, balls[0].center)
+            assert ball.radius == balls[0].radius
 
     @pytest.mark.parametrize("seed", range(4))
     def test_unended_walk_solves_the_whole_seeded_order(self, monkeypatch, seed):
-        # A whole-set walk that does not end keeps the centroid it started
-        # from, whatever the seed, with the radius measured to the farthest
-        # point, so the ball still holds every point.
+        # A whole-set walk that does not end sends the ball to the growth
+        # from one extreme, whose walk does not end either.  The ball about
+        # the centroid the first walk started from is the smaller, whatever
+        # the seed, with the radius measured to the farthest point, so it
+        # still holds every point.
         monkeypatch.setattr(diamramsey.spheres, "_walk", lambda *args: None)
         for config in (OBTUSE_150, almost_regular_simplex(4, 0.01)):
             pts = config.points
@@ -363,16 +415,101 @@ class TestCoreSet:
     @pytest.mark.parametrize("kind", CLOUDS)
     def test_unended_walk_keeps_every_point(self, monkeypatch, kind):
         # A walk that does not end stalls its round: the center it started
-        # from is kept, the seeded extreme of a cloud, with the radius
-        # measured to the farthest point, so the ball still holds every point.
+        # from is kept, the core's centroid, and then the seeded extreme the
+        # ball is grown from again.  The smaller of the two balls is
+        # returned, with the radius measured to the farthest point, so it
+        # still holds every point.
         monkeypatch.setattr(diamramsey.spheres, "_walk", lambda *args: None)
         pts = _cloud(kind, 3000, np.random.default_rng([CLOUDS.index(kind), 5]))[0]
         extremes = np.union1d(pts.argmin(axis=0), pts.argmax(axis=0))
+        # the core's distinct points, in some order: its centroid to rounding
+        centroid = np.unique(pts[_core_rows(pts)], axis=0).mean(axis=0)
         for seed in range(4):
             ball = min_enclosing_ball(Configuration.from_points(pts), seed=seed)
+            reach = np.linalg.norm(pts - ball.center, axis=1)
+            assert np.all(reach <= ball.radius)
+            assert ball.radius == reach.max()
+            at_centroid = np.abs(ball.center - centroid).max() <= 1e-12 * np.abs(pts).max()
+            at_extreme = (pts[extremes] == ball.center).all(axis=1).any()
+            assert at_centroid or at_extreme
+            if at_extreme:
+                assert ball.radius <= np.linalg.norm(pts - centroid, axis=1).max()
+
+    def test_co_spherical_extremes_match_brute_force(self):
+        # Sets whose points are all coordinate extremes are their own core.
+        # On these co-spherical ones the whole set's walk from its centroid
+        # cycles under rounding and does not end; keeping the centroid gave
+        # balls up to 27.9% too large.  Grown again from one extreme, each
+        # is the smallest ball.
+        rng = np.random.default_rng(0)
+        unended = []
+        for _ in range(2000):
+            pts = _co_spherical_extremes(rng, int(rng.integers(2, 6)))
+            n, dim = pts.shape
+            if len(np.union1d(pts.argmin(axis=0), pts.argmax(axis=0))) < n:
+                continue
+            start = pts.mean(axis=0)
+            if _walk(pts, start, int(_sq_dists(pts, start).argmax())) is None:
+                unended.append(pts)
+        assert len(unended) >= 87
+        for pts in unended:
+            ball = min_enclosing_ball(Configuration.from_points(pts))
             assert np.all(np.linalg.norm(pts - ball.center, axis=1) <= ball.radius)
-            assert ball.radius == np.linalg.norm(pts - ball.center, axis=1).max()
-            assert (pts[extremes] == ball.center).all(axis=1).any()
+            assert ball.radius == pytest.approx(brute_force_meb(pts)[0], rel=1e-9)
+
+    @given(relabelled_sets(), st.integers(0, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_relabelling_keeps_the_ball(self, case, seed):
+        # The order of the points, and the seed, change the ball by rounding
+        # at most.
+        pts, order = case
+        ball = min_enclosing_ball(Configuration.from_points(pts))
+        relabelled = min_enclosing_ball(Configuration.from_points(pts[order]), seed=seed)
+        for found in (ball, relabelled):
+            assert np.all(np.linalg.norm(pts - found.center, axis=1) <= found.radius)
+        assert abs(relabelled.radius - ball.radius) <= 1e-12 * ball.radius
+        if len(pts) <= 10:
+            assert ball.radius == pytest.approx(brute_force_meb(pts)[0], rel=1e-9)
+
+    def test_fallback_is_bounded(self, monkeypatch):
+        # On spheres translated by 1e6 radii some cores' walks cycle under
+        # rounding and the ball is grown again from one extreme; a repeated
+        # cloud's core holds copies of a few points.  Neither may loop: no
+        # call solves more than 32 support balls (a walk over a 14-point
+        # core at four steps a point would solve 56), and the 40 calls take
+        # well under a second.
+        clouds = []
+        for seed in range(20):
+            rng = np.random.default_rng([seed, 77])
+            sphere = _cloud("sphere", 3000, rng)[0]
+            clouds.append(sphere + 1e6 * np.ptp(sphere, axis=0).max() * rng.normal(size=3))
+            clouds.append(_cloud("repeated", 3000, rng)[0])
+        configs = [Configuration.from_points(pts) for pts in clouds]
+        start = time.perf_counter()
+        for seed, config in enumerate(configs):
+            min_enclosing_ball(config, seed=seed)
+        elapsed = time.perf_counter() - start
+        solves, walks = [], []
+        circumcenter, walk = diamramsey.spheres._circumcenter, diamramsey.spheres._walk
+
+        def counting(chosen):
+            solves[-1] += 1
+            return circumcenter(chosen)
+
+        def recording(pts, *args):
+            walks.append(len(pts))
+            return walk(pts, *args)
+
+        monkeypatch.setattr(diamramsey.spheres, "_circumcenter", counting)
+        monkeypatch.setattr(diamramsey.spheres, "_walk", recording)
+        for seed, config in enumerate(configs):
+            solves.append(0)
+            ball = min_enclosing_ball(config, seed=seed)
+            reach = np.linalg.norm(config.points - ball.center, axis=1)
+            assert np.all(reach <= ball.radius)
+        assert 1 in walks  # some ball was grown again from one extreme
+        assert max(solves) <= 32
+        assert elapsed < 1.0
 
     @pytest.mark.parametrize("seed", range(40))
     def test_walk_reaches_the_smallest_ball(self, seed):
