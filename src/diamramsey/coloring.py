@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, DomainError, _check_positive, _check_tolerance
 from .geometry import Configuration, _integer, _match, _seed, distance_matrix
-from .spread import SpreadProblem, _feasible_batches, _prepare
+from .spread import SpreadProblem, _prepare, _summarize_chunks
 
 FINDER_BUDGET = 20
 
@@ -149,18 +149,19 @@ def falsify_coloring(target: Configuration, r: float, c: float,
         return FalsifyReport(radius=r, shell_width=c, num_colors=k,
                              n_samples=0, seed=seed, monochromatic_count=0,
                              min_spread=None, min_color_span=None, vacuous=True)
-    mono = 0
-    min_spread = math.inf
-    min_span = math.inf
     # The copies are sampled over scale (spread._prepare), so the shells are too.
     width = c / scale
-    for top, bottom in _feasible_batches(centered, radius, n_samples, seed):
+
+    def summary(top, bottom):
         # floor(|x| / c) is monotone in |x|, so a copy's extreme shells are
         # those of its extreme norms
         spans = np.floor(top / width) - np.floor(bottom / width)
-        mono += int(np.count_nonzero(spans == 0.0))
-        min_spread = min(min_spread, float((top - bottom).min()))
-        min_span = min(min_span, int(spans.min()))
+        return (int(np.count_nonzero(spans == 0.0)), float((top - bottom).min()),
+                int(spans.min()))
+
+    counts, spreads, span_mins = zip(*_summarize_chunks(centered, radius, n_samples,
+                                                        seed, summary))
+    mono, min_spread, min_span = sum(counts), min(spreads), min(span_mins)
     return FalsifyReport(radius=r, shell_width=c, num_colors=k,
                          n_samples=n_samples, seed=seed,
                          monochromatic_count=mono, min_spread=min_spread * scale,

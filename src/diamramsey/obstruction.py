@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .errors import DomainError, _check_positive, _check_tolerance
 from .geometry import DEFAULT_TOL, Configuration, _diameter, _far_pair_sq
 from .spheres import _circumsphere, _sq_dists, circumcenter_in_hull
@@ -74,7 +76,7 @@ def obstruction_verdict(config: Configuration, tol: float = DEFAULT_TOL) -> Verd
     """
     _check_tolerance(tol)
     pts = config.points
-    centroid = pts.mean(axis=0)
+    centroid = np.full(len(pts), 1.0 / len(pts)) @ pts
     sq = _sq_dists(pts, centroid)
     far_sq = _far_pair_sq(pts, int(sq.argmax()))
     sphere, diam = _circumsphere(config, tol, far_sq)

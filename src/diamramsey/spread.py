@@ -32,9 +32,13 @@ c(A, r) > 0.  Two independent ways to get at it:
   and shell indices have the same distribution with R left out.  No copy is
   built either: each point's squared norm comes from the dot products the
   shrink already needs, and only each copy's largest and smallest norm are
-  kept, which is all a spread or a shell colouring reads.  The samplers
-  work on the target over a power of two near its extent (_prepare), so
-  their quartic arithmetic holds at any scale the floats do.
+  kept, which is all a spread or a shell colouring reads.  The copies come
+  in seeded chunks of _CHUNK, run on one thread per CPU (_summarize_chunks);
+  each chunk is reduced to a summary in its thread, and the summaries
+  combine by min and sum, so a seeded result does not depend on the
+  thread count.  The samplers work on the target over a power of two near
+  its extent (_prepare), so their quartic arithmetic holds at any scale
+  the floats do.
 
 Both work in the target's hull coordinates, from one SVD (_hull_frame):
 the solve in the m coordinates of aff(A), the samplers in R^(m+1), with a
@@ -51,6 +55,8 @@ in the span of its points and the origin, of dimension at most m + 1.
 from __future__ import annotations
 
 import math
+import os
+import threading
 import weakref
 from dataclasses import dataclass
 
@@ -90,7 +96,7 @@ _IPM_TAIL_GAP = 1e-10
 _IPM_TAIL_STEP = 1.0 - 1e-4
 _IPM_FINISH_STEPS = 6
 _IPM_FINISH_SLACK = 1e-16
-_CHUNK = 1 << 16
+_CHUNK = 1 << 14
 _EPS = np.finfo(float).eps
 # Each target's frame (_target_frame), from its first estimate_c call on.
 # Configuration compares by identity, so the key is the object itself, and
@@ -277,24 +283,43 @@ def _shrink_factors(offsets: np.ndarray, dots: np.ndarray,
     return np.minimum(factors, 1.0)
 
 
-def _feasible_batches(centered: np.ndarray, radius: float, n_samples: int,
-                      seed: int):
-    """Yield (top, bottom) per chunk: each copy's largest and smallest point norm.
+def _cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
-    Copy j is centered + g_j*t_j, with t_j uniform in B(0, radius) and g_j
-    its shrink factor; top and bottom have shape (count,).  No copy is
-    built: point i's squared norm is |b_i|^2 + g*(2<b_i, t> + g*|t|^2),
-    formed in place in the shrink's own dot products, and only the extremes
-    of the squared norms are square-rooted (the smallest clamped at 0
-    against rounding).  Chunks are seeded independently via spawn keys, so
-    the stream is deterministic and may be partitioned across workers by
-    chunk index.
+
+def _summarize_chunks(centered: np.ndarray, radius: float, n_samples: int,
+                      seed: int, summary) -> list:
+    """summary(top, bottom) of each chunk of copies, in chunk order.
+
+    top and bottom hold each copy's largest and smallest point norm, shape
+    (count,) with count <= _CHUNK.  Copy j is centered + g_j*t_j, with t_j
+    uniform in B(0, radius) and g_j its shrink factor.  No copy is built:
+    point i's squared norm is |b_i|^2 + g*(2<b_i, t> + g*|t|^2), formed in
+    place in the shrink's own dot products, and only the extremes of the
+    squared norms are square-rooted (the smallest clamped at 0 against
+    rounding).  Chunk k is seeded by SeedSequence(seed, spawn_key=(k,)), so
+    its copies do not depend on which thread draws them.  The chunks run on
+    one thread per CPU (_cpus), at most one per chunk; the calling thread
+    is one of them, and worker w takes chunks w, w + workers, ....  numpy
+    releases the GIL in the draws, the product and the ufuncs, and only the
+    summaries outlive a chunk, so memory holds one chunk per worker.  Every
+    thread is joined before this returns.  A worker stops at its first
+    failing chunk, so each worker's lowest failing chunk runs, and the
+    exception of the lowest-numbered one is raised.
     """
     dim = centered.shape[1]
     squares = np.einsum("kd,kd->k", centered, centered)
     gaps = np.minimum(squares - radius * radius, 0.0)
     n_chunks = (n_samples + _CHUNK - 1) // _CHUNK
-    for chunk in range(n_chunks):
+    workers = min(_cpus(), n_chunks)
+    results = [None] * n_chunks
+    errors = []
+
+    def extremes(chunk):
         count = min(_CHUNK, n_samples - chunk * _CHUNK)
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk,)))
         t = rng.standard_normal((dim, count))
@@ -309,7 +334,27 @@ def _feasible_batches(centered: np.ndarray, radius: float, n_samples: int,
         dots += squares[:, None]
         top = np.sqrt(dots.max(axis=0))
         bottom = np.sqrt(np.maximum(dots.min(axis=0), 0.0))
-        yield top, bottom
+        return top, bottom
+
+    def work(first):
+        for chunk in range(first, n_chunks, workers):
+            try:
+                results[chunk] = summary(*extremes(chunk))
+            except BaseException as error:  # raised by the caller after the join
+                errors.append((chunk, error))
+                return
+
+    threads = [threading.Thread(target=work, args=(first,)) for first in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    try:
+        work(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise min(errors, key=lambda entry: entry[0])[1]
+    return results
 
 
 def _prepare(problem: SpreadProblem):
@@ -319,7 +364,7 @@ def _prepare(problem: SpreadProblem):
     center, with one zero coordinate appended for the height off the hull.
     scale is the power of two 2^(k-1) that brings the largest coordinate
     offset from the first point into [1, 2), k its frexp exponent:
-    _feasible_batches squares dot products, so its arithmetic is quartic
+    _summarize_chunks squares dot products, so its arithmetic is quartic
     in length and, at the target's own scale, leaves the float range beyond
     about 1e+-77.  Scaling by a
     power of two is exact, so a spread sampled over scale, times scale, has
@@ -357,10 +402,9 @@ def sample_spread_oracle(problem: SpreadProblem, n_samples: int,
     if n_samples <= 0:
         raise EmptySample("oracle needs a positive sample count")
     centered, radius, scale = _prepare(problem)
-    best = math.inf
-    for top, bottom in _feasible_batches(centered, radius, n_samples, seed):
-        best = min(best, float((top - bottom).min()))
-    return best * scale
+    least = _summarize_chunks(centered, radius, n_samples, seed,
+                              lambda top, bottom: float((top - bottom).min()))
+    return min(least) * scale
 
 
 # ---------------------------------------------------------------------------

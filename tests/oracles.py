@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from diamramsey import Configuration, RigidMotion
 from diamramsey.spheres import _circumcenter, _sq_dists
+from diamramsey.spread import _CHUNK
 
 
 def dist_matrix(points: np.ndarray) -> np.ndarray:
@@ -344,9 +345,6 @@ def _explicit_shrink_factors(offsets, dots, gaps):
     return np.minimum(factors, 1.0)
 
 
-_EXPLICIT_CHUNK = 1 << 16
-
-
 def explicit_copy_norms(centered, radius, n_samples, seed):
     """Yield the point norms of the sampler's copies, (k, count) per chunk.
 
@@ -357,9 +355,9 @@ def explicit_copy_norms(centered, radius, n_samples, seed):
     dim = centered.shape[1]
     gaps = np.minimum(np.einsum("kd,kd->k", centered, centered)
                       - radius * radius, 0.0)
-    n_chunks = (n_samples + _EXPLICIT_CHUNK - 1) // _EXPLICIT_CHUNK
+    n_chunks = (n_samples + _CHUNK - 1) // _CHUNK
     for chunk in range(n_chunks):
-        count = min(_EXPLICIT_CHUNK, n_samples - chunk * _EXPLICIT_CHUNK)
+        count = min(_CHUNK, n_samples - chunk * _CHUNK)
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk,)))
         t = rng.standard_normal((dim, count))
         radii = radius * rng.random(count) ** (1.0 / dim)

@@ -22,7 +22,6 @@ from diamramsey import (
     regular_simplex,
     shell_color,
 )
-from diamramsey.spread import _CHUNK
 from oracles import naive_monochromatic_search
 
 UNIT_SQUARE = Configuration.from_points([[0, 0], [1, 0], [1, 1], [0, 1]])
@@ -153,16 +152,19 @@ class TestFalsifyColoring:
         assert report.min_spread >= 0.02
         assert report.num_colors == num_colors(0.85, 0.02)
 
-    def test_peak_allocation(self):
+    def test_peak_allocation(self, monkeypatch):
+        # the benchmark's sample count, several chunks per worker; memory
+        # holds one chunk per worker, so the bound is set for two workers
+        monkeypatch.setattr("diamramsey.spread._cpus", lambda: 2)
         target = almost_regular_simplex(4, 0.01)
         falsify_coloring(target, r=0.707, c=0.01, n_samples=100)
         tracemalloc.start()
         try:
-            falsify_coloring(target, r=0.707, c=0.01, n_samples=2 * _CHUNK)
+            falsify_coloring(target, r=0.707, c=0.01, n_samples=2 * 65536)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 20 * 2 ** 20
+        assert peak <= 8 * 2 ** 20
 
     def test_vacuous_report(self):
         report = falsify_coloring(regular_simplex(2), r=0.6, c=0.01,

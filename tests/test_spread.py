@@ -37,8 +37,8 @@ from diamramsey import (
     min_enclosing_ball,
     obstruction_verdict,
 )
-from diamramsey.spread import (ROUNDING_SLACK, _CHUNK, _active_set, _feasible_batches, _guess,
-                               _prepare, spread)
+from diamramsey.spread import (ROUNDING_SLACK, _CHUNK, _active_set, _guess, _prepare,
+                               _summarize_chunks, spread)
 from oracles import (apply_motion, configurations, explicit_copy_norms, hull_coordinates,
                      ks_statistic, planar_spread_min, random_motion, rotated_copy_spreads,
                      slsqp_levels)
@@ -760,6 +760,11 @@ class TestLazyImport:
         code = _cli_code(tmp_path, "estimate-c", "--radius", "0.95")
         assert _modules_after(code) == "[]"
 
+    def test_cli_loads_no_concurrent(self):
+        # the samplers' threads come from threading, which numpy imports;
+        # concurrent.futures would add its import to every CLI process
+        assert _modules_after("import diamramsey.cli", "concurrent") == "[]"
+
     @pytest.mark.parametrize("args", [("meb",), ("estimate-c", "--radius", "0.95")])
     def test_cli_loads_no_numpy_ma(self, tmp_path, args):
         # np.unique's first call imports numpy.ma, a cost every fresh CLI
@@ -894,8 +899,11 @@ class TestSampleSpreadOracle:
         (almost_regular_simplex(4, 0.01), 0.707)])
     def test_every_copy_inside_the_ball(self, target, radius):
         centered, scaled, _ = _prepare(SpreadProblem(target=target, radius=radius))
-        for top, bottom in _feasible_batches(centered, scaled, 20000, 3):
-            assert top.shape == bottom.shape == (20000,)
+        chunks = _summarize_chunks(centered, scaled, 20000, 3, lambda *pair: pair)
+        assert sum(len(top) for top, _ in chunks) == 20000
+        for top, bottom in chunks:
+            assert top.shape == bottom.shape
+            assert len(top) <= _CHUNK
             assert np.all(bottom <= top)
             assert top.max() <= scaled * (1.0 + 1e-12)
 
@@ -906,8 +914,8 @@ class TestSampleSpreadOracle:
         # distribution; dropping the 1/dim power on the radii moves this
         # statistic to 0.11 and 0.06 on these two cases.
         centered, scaled, scale = _prepare(SpreadProblem(target=target, radius=radius))
-        spreads = scale * np.concatenate([
-            top - bottom for top, bottom in _feasible_batches(centered, scaled, 20000, 0)])
+        spreads = scale * np.concatenate(
+            _summarize_chunks(centered, scaled, 20000, 0, np.subtract))
         reference = rotated_copy_spreads(target.points, radius,
                                          affine_dimension(target) + 1, 20000, seed=0)
         assert ks_statistic(spreads, reference) <= 0.03
@@ -920,7 +928,7 @@ class TestSampleSpreadOracle:
         centered, scaled, _ = _prepare(SpreadProblem(target=target, radius=radius))
         bound = 8.0 * np.finfo(float).eps * scaled * scaled
         for (top, bottom), norms in zip(
-                _feasible_batches(centered, scaled, 2 * _CHUNK, 5),
+                _summarize_chunks(centered, scaled, 2 * _CHUNK, 5, lambda *pair: pair),
                 explicit_copy_norms(centered, scaled, 2 * _CHUNK, 5), strict=True):
             assert np.abs(top ** 2 - norms.max(axis=0) ** 2).max() <= bound
             assert np.abs(bottom ** 2 - norms.min(axis=0) ** 2).max() <= bound
@@ -938,17 +946,79 @@ class TestSampleSpreadOracle:
         report = falsify_coloring(target, radius, width, 2 * _CHUNK, seed=2)
         assert report.monochromatic_count == expected > 0
 
-    def test_peak_allocation(self):
+    def test_peak_allocation(self, monkeypatch):
+        # the benchmark's sample count, several chunks per worker; memory
+        # holds one chunk per worker, so the bound is set for two workers
+        monkeypatch.setattr(spread_module, "_cpus", lambda: 2)
         problem = SpreadProblem(target=almost_regular_simplex(4, 0.01),
                                 radius=0.707)
         sample_spread_oracle(problem, 100)
         tracemalloc.start()
         try:
-            sample_spread_oracle(problem, 2 * _CHUNK)
+            sample_spread_oracle(problem, 2 * 65536)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 20 * 2 ** 20
+        assert peak <= 8 * 2 ** 20
+
+
+class TestWorkerCount:
+    """The chunks' threads change neither a result nor the thread count."""
+
+    @pytest.mark.parametrize("target, radius", sampler_witnesses())
+    def test_one_worker_gives_the_same_results(self, monkeypatch, target, radius):
+        problem = SpreadProblem(target=target, radius=radius)
+        before = threading.active_count()
+        value = sample_spread_oracle(problem, 2 * 65536, seed=3)
+        width = 4.0 * value
+        report = falsify_coloring(target, radius, width, 2 * 65536, seed=3).to_dict()
+        assert threading.active_count() == before
+        monkeypatch.setattr(spread_module, "_cpus", lambda: 1)
+        assert sample_spread_oracle(problem, 2 * 65536, seed=3) == value
+        assert falsify_coloring(target, radius, width, 2 * 65536, seed=3).to_dict() == report
+
+    def test_many_workers_switching_often(self, monkeypatch):
+        # more workers than cores, switching threads as often as the
+        # interpreter allows: each chunk's summary lands in its own slot
+        centered, scaled, _ = _prepare(SpreadProblem(target=OBTUSE_150, radius=0.95))
+        monkeypatch.setattr(spread_module, "_CHUNK", 64)
+        monkeypatch.setattr(spread_module, "_cpus", lambda: 1)
+        expected = _summarize_chunks(centered, scaled, 64 * 300 + 7, 2, np.subtract)
+        monkeypatch.setattr(spread_module, "_cpus", lambda: 16)
+        found = []
+        runner = threading.Thread(target=lambda: found.extend(
+            _summarize_chunks(centered, scaled, 64 * 300 + 7, 2, np.subtract)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner.start()
+            runner.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert len(found) == len(expected) == 301
+        assert all(np.array_equal(a, b) for a, b in zip(found, expected))
+
+    @pytest.mark.parametrize("failing", [None, 5])
+    def test_a_failing_chunk_raises_after_every_thread_ends(self, monkeypatch, failing):
+        # 3 full chunks and one of 5 copies; with two workers the short
+        # chunk is the second worker's, not the calling thread's
+        shrink = spread_module._shrink_factors
+
+        def broken(offsets, dots, gaps):
+            if failing is None or len(offsets) == failing:
+                raise ArithmeticError(len(offsets))
+            return shrink(offsets, dots, gaps)
+
+        monkeypatch.setattr(spread_module, "_cpus", lambda: 2)
+        monkeypatch.setattr(spread_module, "_shrink_factors", broken)
+        before = threading.active_count()
+        with pytest.raises(ArithmeticError) as raised:
+            sample_spread_oracle(SpreadProblem(target=OBTUSE_150, radius=0.95),
+                                 3 * _CHUNK + 5, seed=1)
+        # the lowest-numbered failing chunk's exception
+        assert raised.value.args == (_CHUNK if failing is None else failing,)
+        assert threading.active_count() == before
 
 
 class TestMonotonicity:
