@@ -180,9 +180,7 @@ def _diameter(pts: np.ndarray, center: np.ndarray | None = None,
     peak = float(np.max(np.abs(x)))
     if peak == 0.0:
         return 0.0  # all points coincide
-    # Points more than 2^960 times as far from the origin as from the
-    # centre take a larger k, so that none overflows.
-    k = int(np.frexp(max(peak, math.ldexp(float(np.max(np.abs(center))), -960)))[1])
+    k = _exponent(peak, center)
     pts = np.ldexp(pts, -k)
     if rows < n:
         if far_sq is not None:
@@ -195,6 +193,13 @@ def _diameter(pts: np.ndarray, center: np.ndarray | None = None,
         best = max(best, float(np.max(_row_sq_dists(pts, candidates[start:start + rows]))))
     # The rounded sqrt is monotone, so this is distance_matrix's maximum.
     return math.ldexp(float(np.sqrt(best)), k)
+
+
+def _exponent(peak: float, center: np.ndarray) -> int:
+    """The frexp exponent k of peak, the points' largest coordinate offset from
+    center: over 2^k their squares stay in range.  Points more than 2^960
+    times as far from the origin as from the centre take a larger k."""
+    return int(np.frexp(max(peak, math.ldexp(float(np.max(np.abs(center))), -960)))[1])
 
 
 def _row_sq_dists(pts: np.ndarray, rows) -> np.ndarray:

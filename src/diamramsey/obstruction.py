@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, _check_positive, _check_tolerance
-from .geometry import DEFAULT_TOL, Configuration, _diameter, _far_pair_sq
+from .geometry import DEFAULT_TOL, Configuration, _diameter, _exponent, _far_pair_sq
 from .spheres import _circumsphere, _sq_dists, circumcenter_in_hull
 
 SQRT2 = math.sqrt(2.0)
@@ -77,14 +77,18 @@ def obstruction_verdict(config: Configuration, tol: float = DEFAULT_TOL) -> Verd
     _check_tolerance(tol)
     pts = config.points
     centroid = np.full(len(pts), 1.0 / len(pts)) @ pts
+    # Everything runs on the points over 2^k, exactly, so no square leaves
+    # the float range, and the radius and diameter are scaled back.
+    k = _exponent(float(np.max(np.abs(pts - centroid))), centroid)
+    pts, centroid = np.ldexp(pts, -k), np.ldexp(centroid, -k)
     sq = _sq_dists(pts, centroid)
     far_sq = _far_pair_sq(pts, int(sq.argmax()))
-    sphere, diam = _circumsphere(config, tol, far_sq)
+    sphere, diam = _circumsphere(pts, tol, far_sq)
     if diam is None:
         # radius + residual bounds every distance from the circumcenter.
         nearer = (sphere.radius + sphere.residual) ** 2 < sq.max()
         diam = _diameter(pts, sphere.center if nearer else centroid, far_sq)
-    circ = sphere.radius
+    circ, diam = math.ldexp(sphere.radius, k), math.ldexp(diam, k)
     threshold = diam / SQRT2
     margin = circ - threshold
     status = Status.NOT_DIAMETER_RAMSEY if margin > tol * diam else Status.UNKNOWN

@@ -22,12 +22,13 @@ only enlarge the radius).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import Degenerate, DomainError, NotSimplex, NotSpherical, _check_tolerance
-from .geometry import (DEFAULT_TOL, Configuration, _diameter, _far_pair_sq, _freeze,
+from .geometry import (DEFAULT_TOL, Configuration, _diameter, _exponent, _far_pair_sq, _freeze,
                        _hull_basis, _seed, affine_dimension, diameter)
 
 # Containment slack of the pivot rounds: _WELZL_SLACK times the set's
@@ -322,22 +323,28 @@ def circumsphere(config: Configuration, tol: float = DEFAULT_TOL) -> Sphere:
     worst equidistance defect exceeds tol * diameter.  That test is first
     decided against a realised lower bound L <= diameter, from a short
     double-normal walk in O(n * dim); the exact diameter is computed only
-    when the residual exceeds tol * L, or when L = 0.
+    when the residual exceeds tol * L, or when L = 0.  It runs on the
+    points over a power of two, exactly, so it holds across the float range.
     """
     _check_tolerance(tol)
-    return _circumsphere(config, tol, _far_pair_sq(config.points, 0))[0]
+    pts = config.points
+    k = _exponent(float(np.max(np.abs(pts - pts[0]))), pts[0])
+    pts = np.ldexp(pts, -k)
+    sphere = _circumsphere(pts, tol, _far_pair_sq(pts, 0))[0]
+    return Sphere(center=np.ldexp(sphere.center, k), radius=math.ldexp(sphere.radius, k),
+                  carrier=sphere.carrier, residual=math.ldexp(sphere.residual, k))
 
 
-def _circumsphere(config: Configuration, tol: float, far_sq: float):
-    """circumsphere, decided on `far_sq`, a realised squared distance of the set.
+def _circumsphere(pts: np.ndarray, tol: float, far_sq: float):
+    """circumsphere of the rows of pts, decided on `far_sq`, a realised squared distance.
 
     Returns the sphere and the exact diameter if deciding needed it, else
-    None.
+    None.  Callers pass the points over the power of two _exponent gives,
+    so no square leaves the float range, and scale the sphere back.
     """
-    if len(config) < 2:
+    if len(pts) < 2:
         raise DomainError("circumsphere requires at least two points")
-    pts = config.points
-    # The square root is monotone, so bound <= diameter(config).
+    # The square root is monotone, so bound <= the diameter.
     bound = float(np.sqrt(far_sq))
     diam = None
     if bound == 0.0:

@@ -12,14 +12,17 @@ c(A, r) > 0.  Two independent ways to get at it:
   c = r - sqrt(r^2 - t*), where t* is the least max_i f_i(y) - min_j f_j(y),
   f_i(y) = |a_i|^2 - 2<a_i, y>, over the y with every |a_i - y| <= r: a
   convex program in m + 2 variables (y and two levels).  Its n ball
-  constraints collapse into one paraboloid.  Each pass first solves the
-  KKT equations of the active set guessed at its start (_guess, then
-  _active_set: two small linear solves; the first pass starts at y = 0,
-  where the guess and its line solve belong to the target, so it solves
-  only the multipliers' system) and keeps that point when its bracket
-  closes on a positive lower bound; otherwise a numpy primal-dual
-  interior-point method solves it (see _interior_point).  c_lower comes from
-  the Lagrangian dual at the solver's own multipliers (see _dual_bound).
+  constraints collapse into one paraboloid.  A primal active-set pivot
+  solves it in finitely many steps (_pivot): its first step solves the
+  KKT equations of the set guessed at the pass's start (_guess, then
+  _active_set; at y = 0 the guess belongs to the target, so a call solves
+  only the multipliers' system), which settles every witness; each further
+  step moves to the current rows' equality optimum, in closed form, or
+  adds the level that blocks it, and drops the row with the most negative
+  multiplier.  Two cases need no solve: coincident points (c = 0) and an
+  affinely independent target inside the ball with its circumsphere
+  (the circumcentre, c_lower = 0).  c_lower comes from the Lagrangian dual
+  at the pivot's multipliers (see _dual_bound).
 * sample_spread_oracle: the minimum spread over a reproducible stream of
   random feasible copies, an upper bound.  A copy is the target centered at
   its enclosing-ball center, b_i, translated by g*t: t is drawn uniformly in
@@ -43,13 +46,11 @@ c(A, r) > 0.  Two independent ways to get at it:
 Both work in the target's hull coordinates, from one SVD (_hull_frame):
 the solve in the m coordinates of aff(A), the samplers in R^(m+1), with a
 zero coordinate appended for the height off the hull.  The solve keeps
-each target's frame (_target_frame), so the SVD, the enclosing ball, the
-diameter, the squared norms |a_k|^2 and the first pass's active-set guess
-are computed once per target, not once per call: every call's first pass
-starts at y = 0, where the guess depends on the target alone.  Each pass
-measures the |a_k - y|^2 at its solution once, for both its placement and
-its dual bound.  No ambient dimension is an input: a copy in any R^n lies
-in the span of its points and the origin, of dimension at most m + 1.
+each target's frame (_target_frame), so repeated points are dropped and
+the SVD, the enclosing ball, the diameter, the squared norms |a_k|^2, the
+circumcentre and the first pass's guess are computed once per target.
+No ambient dimension is an input: a copy in any R^n lies in the span of
+its points and the origin, of dimension at most m + 1.
 """
 
 from __future__ import annotations
@@ -77,25 +78,6 @@ FEASIBILITY_SLACK = 1e-9
 # ROUNDING_SLACK past the enclosing radius; a sampled spread may undercut
 # c_lower by ROUNDING_SLACK * r before it counts as a contradiction.
 ROUNDING_SLACK = 1e-12
-# Interior-point settings, in units of the unit-diameter target: iterations
-# stop once the mean complementarity is below _IPM_GAP and the dual residual
-# below _IPM_RESIDUAL times the largest multiplier, or after _IPM_PATIENCE
-# iterations that do not improve on the best once it is within
-# _IPM_STALL_MERIT of those targets.  _IPM_STEP is the fraction of the
-# step to the boundary taken; a solve with one common step length takes
-# _IPM_TAIL_STEP once the mean complementarity is below _IPM_TAIL_GAP.
-# The KKT finish takes _IPM_FINISH_STEPS Newton steps and
-# accepts constraint values up to _IPM_FINISH_SLACK.
-_IPM_MAX_ITERATIONS = 60
-_IPM_GAP = 1e-17
-_IPM_RESIDUAL = 1e-13
-_IPM_STALL_MERIT = 1e6
-_IPM_PATIENCE = 3
-_IPM_STEP = 0.99
-_IPM_TAIL_GAP = 1e-10
-_IPM_TAIL_STEP = 1.0 - 1e-4
-_IPM_FINISH_STEPS = 6
-_IPM_FINISH_SLACK = 1e-16
 _CHUNK = 1 << 14
 _EPS = np.finfo(float).eps
 # Each target's frame (_target_frame), from its first estimate_c call on.
@@ -137,17 +119,17 @@ class SpreadEstimate:
     certified lower bound.
     best_restart is the index of the solve pass whose placement is returned;
     restarts is the cap on passes.  diagnostics holds "passes", one entry
-    per pass run: "iterations", the linear systems it solved (1 for an
-    active-set pass, else the interior point's Newton systems); "stage",
-    the stage that converged ("active_set", "interior_point",
-    "separate_steps" or "kkt_finish"; None if none did); "nu", the
+    per pass run: "iterations", the pivot's steps (0 for a closed form);
+    "stage", how the pass ended: "active_set" (the pivot reached the
+    optimum), "circumcentre" or "coincident" (a closed form), or None (the
+    pivot's step cap); "upper" and "lower", the indices of the points on
+    the upper and the lower level, each point by its first index; "nu", the
     paraboloid multiplier with the lower multipliers scaled to sum to 1
     (None if they sum to 0); "bracket", the pass's own spread less its own
     lower bound, over the radius; and "height", the height off the hull of
-    the pass's placement, over the radius.  An "active_set" pass also gives
-    "upper" and "lower", the indices of the points on the upper and the
-    lower level.  It is deterministic and holds no timings.  The solve's
-    outputs are None when no copy fits.
+    the pass's placement, over the radius, 0 when the paraboloid is active.
+    It is deterministic and holds no timings.  The solve's outputs are None
+    when no copy fits.
     """
 
     c_estimate: float | None
@@ -220,41 +202,60 @@ def _hull_frame(target: Configuration, scale: float):
 
 
 def _target_frame(target: Configuration):
-    """(diam, a, sq, basis, ball, placed, guess): what estimate_c needs that r does not change.
+    """(diam, a, sq, basis, ball, placed, keep, guess, circle): what estimate_c needs that r does not change.
 
-    diam is diameter(target); (a, basis, ball) is _hull_frame at scale diam,
-    or at scale 1 for coincident points, whose frame has no coordinates;
-    sq holds the squared norms |a_k|^2 that every pass reads; placed is the
+    keep indexes the target's distinct points, each by its first index;
+    diam is diameter(target); (a, basis, ball) is _hull_frame of the
+    distinct points at scale diam, or at scale 1 for coincident points,
+    whose frame has no coordinates; sq holds the |a_k|^2; placed is all the
     target's points with one zero coordinate appended.  guess is _guess at
-    y0 = 0, where every call's first pass starts: the levels there are sq,
-    so that pass's guessed active set, its line and the radius-free rows of
-    its KKT system belong to the target, and a later call's first pass
-    solves only what the radius changes.  It is computed on the target's
-    first call and kept in _FRAMES, with its arrays, the guess's included,
-    read-only.  Threads that miss at once each compute the same frame, and
-    the last one stored is kept.  Raises DomainError when the diameter's
-    square overflows, or underflows to 0 on points that are not all equal:
-    the placement's norms are measured at the target's own scale.
+    y0 = 0, where every call's first pass starts, so a later call's first
+    pass solves only what the radius changes.  circle is the circumcentre
+    and squared circumradius (y, rho^2) of affinely independent points,
+    else None.  The frame is made on the target's first call and kept in
+    _FRAMES, its arrays read-only; threads that miss at once each make the
+    same frame.  Raises DomainError when the diameter's square overflows,
+    or underflows to 0 on points that are not all equal.
     """
     frame = _FRAMES.get(target)
     if frame is None:
         diam = diameter(target)
         if math.isinf(diam * diam):
             raise DomainError("target's squared diameter overflows; rescale its points")
-        if diam * diam == 0.0 and (target.points != target.points[0]).any():
+        pts = target.points
+        if diam * diam == 0.0 and (pts != pts[0]).any():
             raise DomainError("target's squared diameter underflows to 0; "
                               "rescale its points")
-        a, basis, ball = _hull_frame(target, diam or 1.0)
+        # Equal points give equal bytes once -0.0 is made 0.0; a dict keeps
+        # each one's first index (np.unique would import numpy.ma).
+        first = {}
+        for i, row in enumerate(pts + 0.0):
+            first.setdefault(row.tobytes(), i)
+        keep = tuple(first.values())
+        distinct = target if len(keep) == len(pts) else Configuration(target.dim, pts[list(keep)])
+        a, basis, ball = _hull_frame(distinct, diam or 1.0)
         sq = np.einsum("ij,ij->i", a, a)
-        placed = np.hstack([target.points, np.zeros((len(target), 1))])
+        placed = np.hstack([pts, np.zeros((len(pts), 1))])
         guess = _guess(a, sq, np.zeros(len(basis)))
+        circle = None
+        if guess is not None and len(a) == len(basis) + 1:
+            # The upper points are all but the lower one, so the circumcentre
+            # is where the guess's line p + s d is as far from that one.
+            upper, lower, p, d = guess[:4]
+            gap = a[upper[0]] - a[lower]
+            s = 0.5 * (sq[upper[0]] - sq[lower]) - gap @ p
+            y = p + s / (gap @ d) * d
+            gap = a - y
+            circle = (y, float(np.einsum("ij,ij->i", gap, gap).max()))
         arrays = [a, sq, basis, placed]
         if guess is not None:
             upper, _, p, d, _, kkt = guess
             arrays += [upper, p, d, kkt]
+        if circle is not None:
+            arrays.append(circle[0])
         for array in arrays:
             array.flags.writeable = False
-        frame = _FRAMES[target] = (diam, a, sq, basis, ball, placed, guess)
+        frame = _FRAMES[target] = (diam, a, sq, basis, ball, placed, keep, guess, circle)
     return frame
 
 
@@ -445,26 +446,37 @@ def _guess(a: np.ndarray, sq: np.ndarray, y0: np.ndarray):
     except np.linalg.LinAlgError:
         return None
     off = p - base
-    kkt = np.zeros((m + 2, m + 2))
-    kkt[:m, :m], kkt[:m, m] = -2.0 * rows[:m], -1.0
-    kkt[m, :m], kkt[m, m + 1] = 2.0 * rows[m], 1.0
-    kkt[m + 1, m] = 1.0
     return (np.array(upper), lower, p, d,
-            (float(d @ d), 2.0 * float(d @ off), float(off @ off)), kkt)
+            (float(d @ d), 2.0 * float(d @ off), float(off @ off)),
+            _gradients(a, upper, [lower], np.zeros(m)))
+
+
+def _gradients(a: np.ndarray, upper, lower, y) -> np.ndarray:
+    """The rows' gradients in (y, u, l): upper levels (-2a_k, -1, 0), lower
+    levels (2a_j, 0, 1), then the paraboloid's (2y, 1, 0) unless y is None."""
+    m, k = a.shape[1], len(upper) + len(lower)
+    rows = np.zeros((k + (y is not None), m + 2))
+    rows[:len(upper), :m], rows[:len(upper), m] = -2.0 * a[upper], -1.0
+    rows[len(upper):k, :m], rows[len(upper):k, m + 1] = 2.0 * a[lower], 1.0
+    if y is not None:
+        rows[k, :m], rows[k, m] = 2.0 * y, 1.0
+    return rows
+
+
+def _pull(m: int) -> np.ndarray:
+    """The stationarity equations' right side: minus the cost's gradient (0, 1, -1)."""
+    pull = np.zeros(m + 2)
+    pull[m], pull[m + 1] = -1.0, 1.0
+    return pull
 
 
 def _active_set(a: np.ndarray, radius: float, guess):
-    """The reduced program solved on a guessed active set (_guess), or None.
+    """The pivot's first step: the guessed rows' point y and multipliers z, or None.
 
-    Same returns as _interior_point; the diagnostics count the solve as one
-    system ("iterations") and give the stage "active_set" and the indices
-    of the "upper" and "lower" rows.  The paraboloid puts y at distance r
-    from the upper points, a quadratic along the guess's line, whose root
-    with the smaller u - l is the point.  The multipliers solve the m + 2
-    stationarity equations of the active rows.  Returns None when there is
-    no guess, on a negative discriminant, a singular system or a negative
-    multiplier; the caller accepts the point only if its certified bracket
-    closes on a positive lower bound.
+    The paraboloid puts y at distance r from the upper points, a quadratic
+    along the guess's line, whose root with the smaller u - l is the point.
+    z weights the upper rows, the lower row and the paraboloid.  Returns
+    None without a guess, on a negative discriminant or a singular system.
     """
     if guess is None:
         return None
@@ -478,207 +490,169 @@ def _active_set(a: np.ndarray, radius: float, guess):
     m = len(y)
     kkt = kkt.copy()
     kkt[m + 1, :m] = 2.0 * y
-    # Stationarity: the gradients weighted by z cancel the cost's, (0, 1, -1).
-    pull = np.zeros(m + 2)
-    pull[m], pull[m + 1] = -1.0, 1.0
     try:
-        z = np.linalg.solve(kkt.T, pull)
+        return y, np.linalg.solve(kkt.T, _pull(m))
     except np.linalg.LinAlgError:
         return None
-    if not z.min() >= 0.0:
-        return None
-    lam, mu = np.zeros(len(a)), np.zeros(len(a))
-    lam[upper], mu[lower] = z[:m], z[m]
-    diagnostics = {"iterations": 1, "stage": "active_set", "upper": upper.tolist(),
-                   "lower": [lower]}
-    return y, lam, mu, float(z[m + 1]), diagnostics
 
 
-def _interior_point(a: np.ndarray, sq: np.ndarray, radius: float, y0: np.ndarray):
-    """The reduced program's optimal y, its multipliers (lam, mu, nu), and diagnostics.
+def _multipliers(a: np.ndarray, upper, lower, y) -> np.ndarray:
+    """The rows' multipliers by least squares, refined once: the dual bound
+    loses 2r times what is left of the stationarity residual."""
+    system, pull = _gradients(a, upper, lower, y).T, _pull(a.shape[1])
+    z = np.linalg.lstsq(system, pull, rcond=None)[0]
+    return z + np.linalg.lstsq(system, pull - system @ z, rcond=None)[0]
 
-    a holds the target's coordinates in its affine hull, centered at its
-    enclosing-ball center, sq their squared norms, and radius exceeds their
-    largest norm.  The n ball constraints |a_k - y|^2 <= r^2 collapse into
-    one: |a_k - y|^2 = f_k(y) + |y|^2 and u >= max f_k, so they are exactly
-    u + |y|^2 <= r^2.  That leaves min u - l over 2n linear constraints,
-    l <= f_k(y) <= u, and one paraboloid, in m + 2 variables, solved by
-    Mehrotra's primal-dual predictor-corrector method.  lam and mu weight
-    the upper and lower level constraints, nu the paraboloid.
 
-    Levels are measured from R^2 = max |a_k|^2, so the paraboloid reads
-    v + |y|^2 <= delta = r^2 - R^2 with v = u - R^2, and its slack keeps
-    full relative precision when r is within rounding of R.  The start is
-    y0/2, strictly inside, with slacks from the levels there and multipliers
-    that are dual feasible at y = 0 (lam = 1/n + nu p, mu = 1/n, where p
-    are convex weights, fitted by least squares, of the points within delta
-    of the farthest, whose weighted mean is the center), scaled to a common
-    complementarity.  Each iteration inverts one Newton system and applies
-    it twice: the predictor, then the corrector, whose right-hand side is
-    the predictor's plus the shift of its centring.  Each step goes
-    _IPM_STEP of the way to the boundary.  The steps first take one common
-    length for the primal and the dual, since the paraboloid's curvature
-    ties the dual residual to the primal step, and go _IPM_TAIL_STEP of the
-    way once the mean complementarity is below _IPM_TAIL_GAP, so the last
-    iterations cut the gap 10^4-fold, not 100-fold.  The paraboloid's slack
-    is updated exactly, quadratic term included.  When the iterations stall
-    short of _IPM_GAP and _IPM_RESIDUAL, the KKT equations of the
-    constraints whose multiplier exceeds their slack at the best iterate are
-    solved by Newton's method; that point replaces the iterate if it is
-    feasible with nonnegative multipliers.  A solve that still does not
-    converge, on the rare degenerate program where the common length
-    stalls, is repeated from the same start with separate primal and dual
-    lengths, and its point is kept if it converges.  The diagnostics are
-    the Newton systems solved ("iterations", both solves and their KKT
-    finishes counted) and the stage that converged: "interior_point",
-    "separate_steps" (the repeated solve) or "kkt_finish"; None if none
-    did.  estimate_c calls it only for a pass whose active-set guess
-    (_active_set) was declined; that pass's stage is never "active_set".
+def _refine(a: np.ndarray, r2: float, upper, lower, on_hull: bool, y: np.ndarray):
+    """y after one least-norm Newton step on the rows' equalities.
+
+    They are |a_k - y|^2 = |a_k0 - y|^2 within each level and, with the
+    paraboloid, |a_k0 - y|^2 = r^2, measured as the squared distances
+    themselves: a solve leaves them some ulps of r^2 apart, which near the
+    enclosing radius, where nu ~ 1e5, costs c about 1e-10.
+    """
+    gap = a - y
+    dist2 = np.einsum("ij,ij->i", gap, gap)
+    k0, j0 = upper[0], lower[0]
+    rows = [gap[upper[1:]] - gap[k0], gap[lower[1:]] - gap[j0]]
+    residuals = [dist2[upper[1:]] - dist2[k0], dist2[lower[1:]] - dist2[j0]]
+    if on_hull:
+        rows.append(gap[k0][None])
+        residuals.append([dist2[k0] - r2])
+    return y + np.linalg.lstsq(np.concatenate(rows), 0.5 * np.concatenate(residuals),
+                               rcond=None)[0]
+
+
+def _step(a: np.ndarray, sq: np.ndarray, r2: float, upper, lower, on_hull: bool,
+          y: np.ndarray):
+    """One pivot step from y: the new y, the key of the row it adds, on_hull.
+
+    Keys are k for upper level k, n + j for lower level j, 2n for the
+    paraboloid; the key is None when y reaches the rows' equality optimum.
+    The within-level equalities |a_k - y| = |a_k0 - y| (k0, j0 the first
+    upper and lower rows) put y on an affine set; u - l = f_k0 - f_j0
+    falls along the set by -2(a_j0 - a_k0) less its fit by the rows.  With
+    the paraboloid the optimum is where that direction meets the sphere
+    |y - a_k0| = r around the set's point nearest a_k0; without it the set
+    must be a vertex, or y walks down the direction.  A level or the
+    paraboloid that the move reaches first blocks it, ties to the lowest
+    key, and a blocked move off the sphere leaves it.
     """
     n, m = a.shape
-    reach2 = float(sq.max())
-    reach = math.sqrt(reach2)
-    excess = sq - reach2
-    delta = (radius - reach) * (radius + reach)
-    size = 2 * n + 1
-    jac = np.zeros((size, m + 2))
-    jac[:n, :m], jac[:n, m] = -2.0 * a, -1.0
-    jac[n:2 * n, :m], jac[n:2 * n, m + 1] = 2.0 * a, 1.0
-    jac[2 * n, m] = 1.0
-    rhs = np.concatenate([-excess, excess])
-    cost = np.zeros(m + 2)
-    cost[m], cost[m + 1] = 1.0, -1.0
-    diag = np.arange(m)
-
-    def values(x):
-        y = x[:m]
-        return np.concatenate([jac[:2 * n] @ x - rhs, [x[m] + y @ y - delta]])
-
-    y = 0.5 * y0
-    levels = excess - 2.0 * a @ y
-    room = 0.5 * (delta - levels.max() - y @ y)
-    x = np.concatenate([y, [levels.max() + room, levels.min() - room]])
-    s = -values(x)
-    support = excess >= -delta
-    weights = np.zeros(n)
-    weights[support] = np.linalg.lstsq(
-        np.vstack([a[support].T, np.ones(int(support.sum()))]),
-        np.concatenate([np.zeros(m), [1.0]]), rcond=None)[0]
-    weights = np.maximum(weights, 0.0)
-    weights /= weights.sum()
-    target = s[:-1].mean() / n
-    nu = target / s[-1]
-    z = np.concatenate([1.0 / n + nu * weights, np.full(n, 1.0 / n), [nu]])
-    z *= target * size / (s @ z)
-
-    def lengths(dx, ds, dz):
-        """Primal and dual step lengths to the boundary, and |dy|^2."""
-        primal_len = 1.0 / max(1.0, float(-(ds[:-1] / s[:-1]).min()))
-        # the paraboloid's exact slack s + t ds - t^2 |dy|^2 stays positive
-        curve, slope = float(dx[:m] @ dx[:m]), float(ds[-1])
-        root = math.sqrt(max(slope * slope + 4.0 * curve * s[-1], 0.0)) - slope
-        if root > 0.0:
-            primal_len = min(primal_len, 2.0 * s[-1] / root)
-        dual_len = 1.0 / max(1.0, float(-(dz / z).min()))
-        return primal_len, dual_len, curve
-
-    start, systems, solve = (x, z, s), 0, None
-    for separate in (False, True):
-        x, z, s = start
-        best, since, stage = (math.inf, x, z, s), 0, None
-        for _ in range(_IPM_MAX_ITERATIONS):
-            jac[2 * n, :m] = 2.0 * x[:m]
-            dual = cost + jac.T @ z
-            primal = values(x) + s
-            gap = float(s @ z) / size
-            merit = max(gap / _IPM_GAP,
-                        float(np.abs(dual).max()) / (_IPM_RESIDUAL * (1.0 + z.max())))
-            if merit < best[0]:
-                best, since = (merit, x, z, s), 0
-            elif best[0] <= _IPM_STALL_MERIT:
-                since += 1
-                if since >= _IPM_PATIENCE:
-                    break
-            if merit <= 1.0:
-                stage = "separate_steps" if separate else "interior_point"
-                break
-            ratio = z / s
-            hess = (jac.T * ratio) @ jac
-            hess[diag, diag] += 2.0 * z[-1]
-            try:
-                inverse = np.linalg.inv(hess)
-            except np.linalg.LinAlgError:
-                break
-            systems += 1
-            # The predictor's centring is s*z, so (z*primal - s*z)/s = ratio*primal - z.
-            predictor = -dual - jac.T @ (ratio * primal - z)
-            dx = inverse @ predictor
-            ds = -primal - jac @ dx
-            dz = -z - ratio * ds
-            primal_len, dual_len, _ = lengths(dx, ds, dz)
-            if not separate:
-                primal_len = dual_len = min(primal_len, dual_len)
-            predicted = float((s + primal_len * ds) @ (z + dual_len * dz)) / size
-            # The corrector's centring is s*z + ds*dz - sigma*gap, with
-            # sigma = (predicted/gap)^3: the predictor's right-hand side plus
-            # jac^T (shift / s), shift = ds*dz - sigma*gap.
-            shift = ds * dz
-            shift -= (predicted / gap) ** 3 * gap
-            shift /= s
-            dx = inverse @ (predictor + jac.T @ shift)
-            ds = -primal - jac @ dx
-            dz = -z - shift - ratio * ds
-            step = _IPM_STEP if separate or gap >= _IPM_TAIL_GAP else _IPM_TAIL_STEP
-            primal_len, dual_len, curve = lengths(dx, ds, dz)
-            if not separate:
-                primal_len = dual_len = min(primal_len, dual_len)
-            primal_len, dual_len = min(1.0, step * primal_len), min(1.0, step * dual_len)
-            if not primal_len > 0.0:
-                break
-            paraboloid = s[-1] + primal_len * ds[-1] - primal_len ** 2 * curve
-            x, z, s = x + primal_len * dx, z + dual_len * dz, s + primal_len * ds
-            s[-1] = paraboloid
-
-        _, x, z, s = best
-        if stage is None:
-            systems += _IPM_FINISH_STEPS
-            finish = _kkt_finish(jac, values, cost, m, x, z, z > s)
-            if finish is not None:
-                (x, z), stage = finish, "kkt_finish"
-        if solve is None or stage is not None:
-            solve = x[:m], z[:n], z[n:2 * n], float(z[-1])
-        if stage is not None:
-            break
-    return (*solve, {"iterations": systems, "stage": stage})
+    k0, j0 = upper[0], lower[0]
+    rel = a - a[k0]
+    d2 = np.einsum("ij,ij->i", rel, rel)
+    system = np.concatenate([rel[upper[1:]], rel[lower[1:]] - rel[j0]])
+    cost = 2.0 * rel[j0]
+    shift, free = np.zeros(m), cost
+    if len(system):
+        cutoff = (n + m) * _EPS
+        rhs = 0.5 * np.concatenate([d2[upper[1:]], d2[lower[1:]] - d2[j0]])
+        shift, _, rank, _ = np.linalg.lstsq(system, rhs, rcond=cutoff)
+        if rank == m:  # a vertex
+            return _refine(a, r2, upper, lower, on_hull, a[k0] + shift), None, on_hull
+        free = cost - system.T @ np.linalg.lstsq(system.T, cost, rcond=cutoff)[0]
+    norm = math.sqrt(free @ free)
+    if not norm > (n + m) * _EPS * math.sqrt(cost @ cost):
+        return y, None, on_hull  # u - l is constant on the set
+    if on_hull:
+        target = _refine(a, r2, upper, lower, True, a[k0] + shift
+                         - math.sqrt(max(r2 - shift @ shift, 0.0)) / norm * free)
+        direction = target - y
+    else:
+        direction = free / -norm
+    levels, rates = sq - 2.0 * a @ y, -2.0 * a @ direction
+    # Upper level k meets u and lower level j meets l where they block.
+    room = np.concatenate([levels[k0] - levels, levels - levels[j0]])
+    rise = np.concatenate([rates - rates[k0], rates[j0] - rates])
+    rise[upper] = rise[[n + j for j in lower]] = 0.0
+    lengths = np.full(2 * n + 1, 1.0 if on_hull else math.inf)
+    blocks = rise > 0.0
+    lengths[:-1][blocks] = np.maximum(room[blocks], 0.0) / rise[blocks]
+    if not on_hull:
+        # |a_k0 - y - t d|^2 <= r^2 holds up to the positive root in t.
+        gap = a[k0] - y
+        ease = max(r2 - gap @ gap, 0.0)
+        b = gap @ direction
+        root = math.sqrt(b * b + ease)
+        lengths[-1] = b + root if b > 0.0 else (ease / (root - b) if root > b else 0.0)
+    key = int(lengths.argmin())
+    if on_hull and not lengths[key] < 1.0:
+        return target, None, True
+    return y + lengths[key] * direction, key, key == 2 * n or (on_hull and not lengths[key] > 0.0)
 
 
-def _kkt_finish(jac, values, cost, m, x, z, active):
-    """Newton's method on the KKT equations with the active rows as equalities.
+def _pivot(a: np.ndarray, sq: np.ndarray, radius: float, guess, y0: np.ndarray):
+    """The reduced program's (y, dist2, lam, mu, nu, on_hull, diagnostics).
 
-    Returns (x, z) when the result is feasible, up to _IPM_FINISH_SLACK, with
-    nonnegative multipliers and stationarity to _IPM_RESIDUAL relative;
-    otherwise None.
+    a holds the target's distinct hull coordinates, centred at their
+    enclosing-ball centre, sq their squared norms, and radius exceeds their
+    largest norm.  |a_k - y|^2 = f_k(y) + |y|^2 and u >= max f_k, so the n
+    ball constraints are exactly the paraboloid u + |y|^2 <= r^2, which
+    leaves min u - l over 2n levels, l <= f_k(y) <= u, and the paraboloid.
+    The pivot's rows, all active at its y, are upper levels, lower levels
+    (at least one each) and maybe the paraboloid (on_hull).  Its first
+    step is the guess (_active_set), kept when no level crosses the guessed
+    ones at its point; else it starts at y0 from the highest and the lowest
+    level.  Each further step is _step; at an equality optimum the row with
+    the most negative multiplier (_multipliers) is dropped, ties to the
+    lowest key, the last upper and lower rows never; with none negative, y
+    is optimal.  It stops after 4 (n + m + 2) steps.  dist2 holds the
+    |a_k - y|^2; lam, mu and nu weight the upper and lower levels and the
+    paraboloid, clipped at 0.
     """
-    rows = int(active.sum())
-    za = z[active]
-    system = np.zeros((m + 2 + rows, m + 2 + rows))
-    for _ in range(_IPM_FINISH_STEPS):
-        jac[-1, :m] = 2.0 * x[:m]
-        part = jac[active]
-        residual = np.concatenate([cost + part.T @ za, values(x)[active]])
-        system[:m + 2, m + 2:], system[m + 2:, :m + 2] = part.T, part
-        if active[-1]:
-            system[np.arange(m), np.arange(m)] = 2.0 * za[-1]
-        step = np.linalg.lstsq(system, -residual, rcond=None)[0]
-        x, za = x + step[:m + 2], za + step[m + 2:]
-    jac[-1, :m] = 2.0 * x[:m]
-    stationarity = float(np.abs(cost + jac[active].T @ za).max())
-    if (za.min(initial=0.0) < 0.0 or values(x).max() > _IPM_FINISH_SLACK
-            or stationarity > _IPM_RESIDUAL * (1.0 + float(np.abs(za).max(initial=0.0)))):
-        return None
-    full = np.zeros_like(z)
-    full[active] = za
-    return x, full
+    n, m = a.shape
+    r2 = radius * radius
+    first = _active_set(a, radius, guess)
+    if first is not None:
+        (y, z), upper, lower = first, guess[0].tolist(), [guess[1]]
+        gap = a - y
+        dist2 = np.einsum("ij,ij->i", gap, gap)
+        # Python's own max and min: faster than numpy's on a few points.
+        z, slack, listed = z.tolist(), (n + m) * _EPS * r2, dist2.tolist()
+        if max(listed) > listed[upper[0]] + slack or min(listed) < listed[lower[0]] - slack:
+            first = None
+    if first is None:
+        y, z, dist2, levels = y0, None, None, sq - 2.0 * a @ y0
+        upper, lower = [int(levels.argmax())], [int(levels.argmin())]
+    on_hull, stage, steps = first is not None, None, 1
+    while True:
+        if z is not None:
+            value, key = min(((value, key) for value, key, free in zip(
+                z, upper + [n + j for j in lower] + [2 * n],
+                [len(upper) > 1] * len(upper) + [len(lower) > 1] * len(lower) + [on_hull])
+                if free), default=(0.0, None)) if min(z) < 0.0 else (0.0, None)
+            if not value < 0.0:
+                stage = "active_set"
+                break
+            if key < n:
+                upper.remove(key)
+            elif key < 2 * n:
+                lower.remove(key - n)
+            on_hull, z = on_hull and key < 2 * n, None
+        if steps >= 4 * (n + m + 2):
+            break
+        steps += 1
+        y, key, on_hull = _step(a, sq, r2, upper, lower, on_hull, y)
+        dist2 = None
+        if key is None:
+            z = _multipliers(a, upper, lower, y if on_hull else None).tolist()
+        elif key < n:
+            upper = sorted(upper + [key])
+        elif key < 2 * n:
+            lower = sorted(lower + [key - n])
+    if z is None:
+        z = _multipliers(a, upper, lower, y if on_hull else None).tolist()
+    if dist2 is None:
+        gap = a - y
+        dist2 = np.einsum("ij,ij->i", gap, gap)
+    weights = [0.0] * (2 * n + 1)
+    for key, value in zip(upper + [n + j for j in lower] + [2 * n], z):
+        weights[key] = max(value, 0.0)
+    lam, mu = np.array(weights[:n]), np.array(weights[n:2 * n])
+    return y, dist2, lam, mu, weights[-1], on_hull, {
+        "iterations": steps, "stage": stage, "upper": upper, "lower": lower}
 
 
 def _dual_bound(a: np.ndarray, sq: np.ndarray, dist2: np.ndarray, radius: float,
@@ -732,20 +706,15 @@ def estimate_c(problem: SpreadProblem, restarts: int = 64, seed: int = 0,
 
     Solves the convex reduction (module docstring) on the target scaled to
     unit diameter, so every slack is relative and c(sA, sr) = s c(A, r).
-    The first pass starts at the enclosing-ball center; each further pass
-    starts at the last pass's point, up to `restarts` passes, until
-    c_estimate - c_lower <= tolerance * radius, or until a pass tightens
-    neither side.  A pass keeps its active-set point (_active_set) when that
-    point's own bracket is within tolerance * radius and its own lower
-    bound is positive; otherwise it runs the interior point, which starts
-    halfway between the center and the pass's start.
-    The target fits iff its farthest point from its enclosing-ball center
-    is at most radius * (1 + FEASIBILITY_SLACK) away.  The solve runs in
-    the target's m hull coordinates, from one SVD per target, made on its
-    first call and reused by the later ones (_target_frame), as is the
-    first pass's active-set guess, which belongs to the target; the
-    placement puts the height off the hull on one appended axis (see
-    SpreadEstimate).
+    Each pass runs the pivot (_pivot) or a closed form; the first starts at
+    the enclosing-ball center and each further one at the last pass's
+    point, up to `restarts` passes, until c_estimate - c_lower <= tolerance
+    * radius, or until a pass tightens neither side.  The target fits iff
+    its farthest point from its enclosing-ball center is at most radius *
+    (1 + FEASIBILITY_SLACK) away.  The solve runs in the target's frame
+    (_target_frame), made on its first call; the placement puts the height
+    off the hull on one appended axis (see SpreadEstimate), and its norms
+    are measured over a power of two, so they hold at any scale.
     With oracle_samples > 0, a sampling-oracle scan seeded by `seed` fills
     oracle_value; a sampled spread below c_lower raises NonConvergence.
     A `restarts` that is not an integer of at least 1, an `oracle_samples`
@@ -763,7 +732,7 @@ def estimate_c(problem: SpreadProblem, restarts: int = 64, seed: int = 0,
     target = problem.target
     report = dict(restarts=restarts, seed=seed, radius=problem.radius,
                   ambient_dim=target.dim + 1, tolerance=tolerance)
-    diam, a, sq, basis, ball, placed, guess = _target_frame(target)
+    diam, a, sq, basis, ball, placed, keep, guess, circle = _target_frame(target)
     scale = diam or problem.radius
     radius = problem.radius / scale
     if not math.isfinite(radius * radius):
@@ -778,49 +747,63 @@ def estimate_c(problem: SpreadProblem, restarts: int = 64, seed: int = 0,
     # c_lower still bounds c(A, r) from below.
     radius = max(radius, reach * (1.0 + ROUNDING_SLACK))
     r2 = radius * radius
+    k = math.frexp(problem.radius)[1]
 
-    def origin_of(y, dist2):
+    def origin_of(y, dist2, on_hull):
         """The placement's origin for the solver's y, whose |a_k - y|^2 are dist2."""
         top = float(dist2.max())
         if top > r2:
-            # Pull y toward the center: max_i |a_i - y|^2 is convex along
-            # the segment, so it is at most r^2 where the chord from reach^2
-            # to top reaches r^2.
-            y = y * ((r2 - reach * reach) / (top - reach * reach))
-            gap = a - y
-            top = float(np.einsum("ij,ij->i", gap, gap).max())
+            # Pull y toward the center, just far enough: |a_k - s y|^2 is a
+            # convex quadratic in s, below r^2 at s = 0, so each point
+            # outside crosses r^2 at one root in (0, 1), and the least root
+            # puts every point inside.
+            yy, s = float(y @ y), 1.0
+            for b, room, far in zip((a @ y).tolist(), (r2 - sq).tolist(), dist2.tolist()):
+                if far > r2:
+                    root = math.sqrt(b * b + yy * room)
+                    s = min(s, (b + root) / yy if b > 0.0 else room / (root - b))
+            y = y * s
+            if not on_hull:
+                gap = a - y
+                top = float(np.einsum("ij,ij->i", gap, gap).max())
         origin = np.empty(target.dim + 1)
         origin[:-1] = target.points[0] + scale * ((ball.center + y) @ basis)
-        origin[-1] = scale * math.sqrt(max(r2 - top, 0.0))
+        # With the paraboloid active the farthest point is on the sphere:
+        # the copy lies on the hull, whatever r^2 - top rounds to.
+        origin[-1] = 0.0 if on_hull else scale * math.sqrt(max(r2 - top, 0.0))
         return origin
 
-    def measured(y, lam, mu, nu):
+    def measured(y, dist2, lam, mu, nu, on_hull):
         """The placement's spread, its largest norm, its origin and the dual c_lower."""
-        gap = a - y
-        dist2 = np.einsum("ij,ij->i", gap, gap)
-        origin = origin_of(y, dist2)
-        # The row sums np.linalg.norm(..., axis=1) takes, without its checks.
+        origin = origin_of(y, dist2, on_hull)
+        # The row sums np.linalg.norm(..., axis=1) takes, without its checks,
+        # over 2^k: every norm is at most r, so no square leaves the float
+        # range, and scaling by 2^k is exact, so in-range norms keep their bits.
         offsets = placed - origin
+        offsets *= math.ldexp(1.0, -k)
         norms = np.sqrt((offsets * offsets).sum(axis=1))
-        top = norms.max()
+        top, bottom = math.ldexp(float(norms.max()), k), math.ldexp(float(norms.min()), k)
         t = max(_dual_bound(a, sq, dist2, radius, lam, mu, nu) - ROUNDING_SLACK * r2, 0.0)
         lower = scale * t / (radius + math.sqrt(max(r2 - t, 0.0)))
-        return float(top - norms.min()), float(top), origin, lower
+        return top - bottom, top, origin, lower
 
-    y = np.zeros(len(basis))
-    best, c_lower, passes = None, 0.0, []
+    y, best, c_lower, passes = np.zeros(len(basis)), None, 0.0, []
     for index in range(restarts):
-        if index:  # the frame holds the first pass's guess, at y = 0
-            guess = _guess(a, sq, y)
-        solve = _active_set(a, radius, guess)
-        if solve is not None:
-            value, top, origin, lower = measured(*solve[:4])
-            if value - lower > tolerance * problem.radius or not lower > 0.0:
-                solve = None
-        if solve is None:
-            solve = _interior_point(a, sq, radius, y)
-            value, top, origin, lower = measured(*solve[:4])
-        y, _, mu, nu, diagnostics = solve
+        if not len(basis) or (circle is not None and circle[1] <= r2):
+            # Coincident points, or every point on a sphere inside the ball:
+            # all levels tie at y, t* = 0, and nothing is solved.
+            y, rows, zero = circle[0] if circle else y, list(range(len(a))), np.zeros(len(a))
+            solve = (y, np.einsum("ij,ij->i", a - y, a - y), zero, zero, 0.0, False, {
+                "iterations": 0, "stage": "circumcentre" if circle else "coincident",
+                "upper": rows, "lower": rows})
+        else:
+            if index:  # the frame holds the first pass's guess, at y = 0
+                guess = _guess(a, sq, y)
+            solve = _pivot(a, sq, radius, guess, y)
+        value, top, origin, lower = measured(*solve[:6])
+        y, _, _, mu, nu, _, diagnostics = solve
+        diagnostics["upper"] = [keep[i] for i in diagnostics["upper"]]
+        diagnostics["lower"] = [keep[i] for i in diagnostics["lower"]]
         total = float(mu.sum())
         diagnostics["nu"] = nu / total if total > 0.0 else None
         diagnostics["bracket"] = (value - lower) / problem.radius

@@ -7,13 +7,15 @@ balls are shared), is_congruent's pruning by
 comparing sorted rows one pair at a time, monochromatic copies by
 full subset-and-permutation enumeration, the minimal spread of a planar
 target by a complete 2-d grid search with closed-form plane height, the
-spread solve's reduced program by SLSQP (scipy, imported where it is used),
-and the sampler's copies by building each one point by point.  The
+spread solve's reduced program by SLSQP (scipy, imported where it is used)
+and by the primal-dual interior point that the library's active-set pivot
+replaced, and the sampler's copies by building each one point by point.  The
 invariance tests' seeded rigid motions live here too (random_motion,
 apply_motion): the library only reports a placement.
 """
 
 import itertools
+import math
 
 import numpy as np
 from hypothesis import strategies as st
@@ -212,8 +214,9 @@ def slsqp_levels(a, radius, y0):
     """One SLSQP pass on the spread solve's reduced program, started at y0.
 
     min u - l over (y, u, l) with l <= f_i(y) <= u, f_i(y) = |a_i|^2 -
-    2<a_i, y>, and |a_i - y| <= r for every point: the library's solver
-    before it became a numpy interior-point method.  Returns y.
+    2<a_i, y>, and |a_i - y| <= r for every point, each ball constraint on
+    its own: the library's first solver, replaced by a numpy interior point
+    (interior_point below) and that by the active-set pivot.  Returns y.
     """
     from scipy.optimize import minimize
 
@@ -242,6 +245,215 @@ def slsqp_levels(a, radius, y0):
                       method="SLSQP", constraints=constraints,
                       options={"ftol": 1e-16, "maxiter": 1000})
     return result.x[:m]
+
+
+# The interior point's settings, in units of the unit-diameter target:
+# iterations stop once the mean complementarity is below _IPM_GAP and the
+# dual residual below _IPM_RESIDUAL times the largest multiplier, or after
+# _IPM_PATIENCE iterations that do not improve on the best once it is
+# within _IPM_STALL_MERIT of those targets.  _IPM_STEP is the fraction of
+# the step to the boundary taken; a solve with one common step length
+# takes _IPM_TAIL_STEP once the mean complementarity is below
+# _IPM_TAIL_GAP.  The KKT finish takes _IPM_FINISH_STEPS Newton steps and
+# accepts constraint values up to _IPM_FINISH_SLACK.
+_IPM_MAX_ITERATIONS = 60
+_IPM_GAP = 1e-17
+_IPM_RESIDUAL = 1e-13
+_IPM_STALL_MERIT = 1e6
+_IPM_PATIENCE = 3
+_IPM_STEP = 0.99
+_IPM_TAIL_GAP = 1e-10
+_IPM_TAIL_STEP = 1.0 - 1e-4
+_IPM_FINISH_STEPS = 6
+_IPM_FINISH_SLACK = 1e-16
+
+
+def interior_point(a: np.ndarray, sq: np.ndarray, radius: float, y0: np.ndarray):
+    """The reduced program's optimal y, its multipliers (lam, mu, nu), and diagnostics.
+
+    a holds the target's coordinates in its affine hull, centered at its
+    enclosing-ball center, sq their squared norms, and radius exceeds their
+    largest norm.  The n ball constraints |a_k - y|^2 <= r^2 collapse into
+    one: |a_k - y|^2 = f_k(y) + |y|^2 and u >= max f_k, so they are exactly
+    u + |y|^2 <= r^2.  That leaves min u - l over 2n linear constraints,
+    l <= f_k(y) <= u, and one paraboloid, in m + 2 variables, solved by
+    Mehrotra's primal-dual predictor-corrector method.  lam and mu weight
+    the upper and lower level constraints, nu the paraboloid.
+
+    Levels are measured from R^2 = max |a_k|^2, so the paraboloid reads
+    v + |y|^2 <= delta = r^2 - R^2 with v = u - R^2, and its slack keeps
+    full relative precision when r is within rounding of R.  The start is
+    y0/2, strictly inside, with slacks from the levels there and multipliers
+    that are dual feasible at y = 0 (lam = 1/n + nu p, mu = 1/n, where p
+    are convex weights, fitted by least squares, of the points within delta
+    of the farthest, whose weighted mean is the center), scaled to a common
+    complementarity.  Each iteration inverts one Newton system and applies
+    it twice: the predictor, then the corrector, whose right-hand side is
+    the predictor's plus the shift of its centring.  Each step goes
+    _IPM_STEP of the way to the boundary.  The steps first take one common
+    length for the primal and the dual, since the paraboloid's curvature
+    ties the dual residual to the primal step, and go _IPM_TAIL_STEP of the
+    way once the mean complementarity is below _IPM_TAIL_GAP, so the last
+    iterations cut the gap 10^4-fold, not 100-fold.  The paraboloid's slack
+    is updated exactly, quadratic term included.  When the iterations stall
+    short of _IPM_GAP and _IPM_RESIDUAL, the KKT equations of the
+    constraints whose multiplier exceeds their slack at the best iterate are
+    solved by Newton's method; that point replaces the iterate if it is
+    feasible with nonnegative multipliers.  A solve that still does not
+    converge, on the rare degenerate program where the common length
+    stalls, is repeated from the same start with separate primal and dual
+    lengths, and its point is kept if it converges.  The diagnostics are
+    the Newton systems solved ("iterations", both solves and their KKT
+    finishes counted) and the stage that converged: "interior_point",
+    "separate_steps" (the repeated solve) or "kkt_finish"; None if none
+    did.  The library's solver until its active-set pivot replaced it, kept
+    as the pivot's reference: it takes spread._pivot's arguments but the
+    guess, and returns its results but on_hull and the rows.
+    """
+    n, m = a.shape
+    reach2 = float(sq.max())
+    reach = math.sqrt(reach2)
+    excess = sq - reach2
+    delta = (radius - reach) * (radius + reach)
+    size = 2 * n + 1
+    jac = np.zeros((size, m + 2))
+    jac[:n, :m], jac[:n, m] = -2.0 * a, -1.0
+    jac[n:2 * n, :m], jac[n:2 * n, m + 1] = 2.0 * a, 1.0
+    jac[2 * n, m] = 1.0
+    rhs = np.concatenate([-excess, excess])
+    cost = np.zeros(m + 2)
+    cost[m], cost[m + 1] = 1.0, -1.0
+    diag = np.arange(m)
+
+    def values(x):
+        y = x[:m]
+        return np.concatenate([jac[:2 * n] @ x - rhs, [x[m] + y @ y - delta]])
+
+    y = 0.5 * y0
+    levels = excess - 2.0 * a @ y
+    room = 0.5 * (delta - levels.max() - y @ y)
+    x = np.concatenate([y, [levels.max() + room, levels.min() - room]])
+    s = -values(x)
+    support = excess >= -delta
+    weights = np.zeros(n)
+    weights[support] = np.linalg.lstsq(
+        np.vstack([a[support].T, np.ones(int(support.sum()))]),
+        np.concatenate([np.zeros(m), [1.0]]), rcond=None)[0]
+    weights = np.maximum(weights, 0.0)
+    weights /= weights.sum()
+    target = s[:-1].mean() / n
+    nu = target / s[-1]
+    z = np.concatenate([1.0 / n + nu * weights, np.full(n, 1.0 / n), [nu]])
+    z *= target * size / (s @ z)
+
+    def lengths(dx, ds, dz):
+        """Primal and dual step lengths to the boundary, and |dy|^2."""
+        primal_len = 1.0 / max(1.0, float(-(ds[:-1] / s[:-1]).min()))
+        # the paraboloid's exact slack s + t ds - t^2 |dy|^2 stays positive
+        curve, slope = float(dx[:m] @ dx[:m]), float(ds[-1])
+        root = math.sqrt(max(slope * slope + 4.0 * curve * s[-1], 0.0)) - slope
+        if root > 0.0:
+            primal_len = min(primal_len, 2.0 * s[-1] / root)
+        dual_len = 1.0 / max(1.0, float(-(dz / z).min()))
+        return primal_len, dual_len, curve
+
+    start, systems, solve = (x, z, s), 0, None
+    for separate in (False, True):
+        x, z, s = start
+        best, since, stage = (math.inf, x, z, s), 0, None
+        for _ in range(_IPM_MAX_ITERATIONS):
+            jac[2 * n, :m] = 2.0 * x[:m]
+            dual = cost + jac.T @ z
+            primal = values(x) + s
+            gap = float(s @ z) / size
+            merit = max(gap / _IPM_GAP,
+                        float(np.abs(dual).max()) / (_IPM_RESIDUAL * (1.0 + z.max())))
+            if merit < best[0]:
+                best, since = (merit, x, z, s), 0
+            elif best[0] <= _IPM_STALL_MERIT:
+                since += 1
+                if since >= _IPM_PATIENCE:
+                    break
+            if merit <= 1.0:
+                stage = "separate_steps" if separate else "interior_point"
+                break
+            ratio = z / s
+            hess = (jac.T * ratio) @ jac
+            hess[diag, diag] += 2.0 * z[-1]
+            try:
+                inverse = np.linalg.inv(hess)
+            except np.linalg.LinAlgError:
+                break
+            systems += 1
+            # The predictor's centring is s*z, so (z*primal - s*z)/s = ratio*primal - z.
+            predictor = -dual - jac.T @ (ratio * primal - z)
+            dx = inverse @ predictor
+            ds = -primal - jac @ dx
+            dz = -z - ratio * ds
+            primal_len, dual_len, _ = lengths(dx, ds, dz)
+            if not separate:
+                primal_len = dual_len = min(primal_len, dual_len)
+            predicted = float((s + primal_len * ds) @ (z + dual_len * dz)) / size
+            # The corrector's centring is s*z + ds*dz - sigma*gap, with
+            # sigma = (predicted/gap)^3: the predictor's right-hand side plus
+            # jac^T (shift / s), shift = ds*dz - sigma*gap.
+            shift = ds * dz
+            shift -= (predicted / gap) ** 3 * gap
+            shift /= s
+            dx = inverse @ (predictor + jac.T @ shift)
+            ds = -primal - jac @ dx
+            dz = -z - shift - ratio * ds
+            step = _IPM_STEP if separate or gap >= _IPM_TAIL_GAP else _IPM_TAIL_STEP
+            primal_len, dual_len, curve = lengths(dx, ds, dz)
+            if not separate:
+                primal_len = dual_len = min(primal_len, dual_len)
+            primal_len, dual_len = min(1.0, step * primal_len), min(1.0, step * dual_len)
+            if not primal_len > 0.0:
+                break
+            paraboloid = s[-1] + primal_len * ds[-1] - primal_len ** 2 * curve
+            x, z, s = x + primal_len * dx, z + dual_len * dz, s + primal_len * ds
+            s[-1] = paraboloid
+
+        _, x, z, s = best
+        if stage is None:
+            systems += _IPM_FINISH_STEPS
+            finish = _kkt_finish(jac, values, cost, m, x, z, z > s)
+            if finish is not None:
+                (x, z), stage = finish, "kkt_finish"
+        if solve is None or stage is not None:
+            solve = x[:m], z[:n], z[n:2 * n], float(z[-1])
+        if stage is not None:
+            break
+    return (*solve, {"iterations": systems, "stage": stage})
+
+
+def _kkt_finish(jac, values, cost, m, x, z, active):
+    """Newton's method on the KKT equations with the active rows as equalities.
+
+    Returns (x, z) when the result is feasible, up to _IPM_FINISH_SLACK, with
+    nonnegative multipliers and stationarity to _IPM_RESIDUAL relative;
+    otherwise None.
+    """
+    rows = int(active.sum())
+    za = z[active]
+    system = np.zeros((m + 2 + rows, m + 2 + rows))
+    for _ in range(_IPM_FINISH_STEPS):
+        jac[-1, :m] = 2.0 * x[:m]
+        part = jac[active]
+        residual = np.concatenate([cost + part.T @ za, values(x)[active]])
+        system[:m + 2, m + 2:], system[m + 2:, :m + 2] = part.T, part
+        if active[-1]:
+            system[np.arange(m), np.arange(m)] = 2.0 * za[-1]
+        step = np.linalg.lstsq(system, -residual, rcond=None)[0]
+        x, za = x + step[:m + 2], za + step[m + 2:]
+    jac[-1, :m] = 2.0 * x[:m]
+    stationarity = float(np.abs(cost + jac[active].T @ za).max())
+    if (za.min(initial=0.0) < 0.0 or values(x).max() > _IPM_FINISH_SLACK
+            or stationarity > _IPM_RESIDUAL * (1.0 + float(np.abs(za).max(initial=0.0)))):
+        return None
+    full = np.zeros_like(z)
+    full[active] = za
+    return x, full
 
 
 def naive_monochromatic_search(host_points, colors, target_points, tol):

@@ -727,7 +727,7 @@ class TestCircumsphere:
     def test_sphere_decided_without_the_diameter(self, monkeypatch):
         pts = np.random.default_rng(0).normal(size=(3000, 3))
         config = Configuration.from_points(pts / np.linalg.norm(pts, axis=1)[:, None])
-        want, _ = _circumsphere(config, 1e-9, diameter(config) ** 2)
+        want, _ = _circumsphere(config.points, 1e-9, diameter(config) ** 2)
         calls = []
         centred = diamramsey.spheres._diameter
         monkeypatch.setattr(diamramsey.spheres, "_diameter",
@@ -748,7 +748,7 @@ class TestCircumsphere:
                          [[0.0, 1.0 + 1e-6]]])
         config = Configuration.from_points(pts)
         diam = diameter(config)
-        residual = _circumsphere(config, math.inf, diam ** 2)[0].residual
+        residual = _circumsphere(config.points, math.inf, diam ** 2)[0].residual
         monkeypatch.setattr(diamramsey.spheres, "_far_pair_sq",
                             lambda pts, start: (diam / 2) ** 2)
         sphere = circumsphere(config, 1.5 * residual / diam)

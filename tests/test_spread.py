@@ -11,6 +11,7 @@ import warnings
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -40,8 +41,8 @@ from diamramsey import (
 from diamramsey.spread import (ROUNDING_SLACK, _CHUNK, _active_set, _guess, _prepare,
                                _summarize_chunks, spread)
 from oracles import (apply_motion, configurations, explicit_copy_norms, hull_coordinates,
-                     ks_statistic, planar_spread_min, random_motion, rotated_copy_spreads,
-                     slsqp_levels)
+                     interior_point, ks_statistic, planar_spread_min, random_motion,
+                     rotated_copy_spreads, slsqp_levels)
 
 OBTUSE_150 = obtuse_triangle(150.0, 1.0)
 EQUILATERAL = regular_simplex(2)
@@ -244,6 +245,20 @@ def _enclosing_radius_sets():
     return sets
 
 
+def _oracle_solve(a, sq, radius, guess, y0):
+    """The oracle interior point in _pivot's place: its point and multipliers,
+    placed at the height the point leaves, with no rows to report."""
+    y, lam, mu, nu, diagnostics = interior_point(a, sq, radius, y0)
+    return (y, _squares(a - y), lam, mu, nu, False,
+            dict(diagnostics, upper=[], lower=[]))
+
+
+def _agree(first, second, rel=1e-13):
+    """Both sides of two estimates' brackets agree to rel relative."""
+    assert first.c_estimate == pytest.approx(second.c_estimate, rel=rel)
+    assert first.c_lower == pytest.approx(second.c_lower, rel=rel)
+
+
 class TestFrameReuse:
     """estimate_c keeps each target's frame and reports what a cold call does."""
 
@@ -274,11 +289,12 @@ class TestFrameReuse:
     def test_frame_is_read_only(self):
         target = _fresh(OBTUSE_150)
         estimate_c(SpreadProblem(target=target, radius=0.95))
-        diam, a, sq, basis, ball, placed, guess = spread_module._FRAMES[target]
+        diam, a, sq, basis, ball, placed, keep, guess, circle = spread_module._FRAMES[target]
         assert diam == diameter(target)
         assert np.array_equal(sq, _squares(a))
+        assert keep == (0, 1, 2)
         upper, _, p, d, _, kkt = guess
-        for array in (a, sq, basis, ball.center, placed, upper, p, d, kkt):
+        for array in (a, sq, basis, ball.center, placed, upper, p, d, kkt, circle[0]):
             assert not array.flags.writeable
 
     def test_warm_first_pass_solves_once(self, monkeypatch):
@@ -341,6 +357,9 @@ class TestPinnedWitnesses:
     """The benchmark's seven cases keep their recorded values and active sets."""
 
     # c_estimate, c_lower and max_norm as float.hex, then upper and lower.
+    # The two 4-simplex c_estimate values moved down by one ulp of the
+    # placement's norms (128 and 32 ulp of c) when the placement came down
+    # onto the hull from a rounding height of 2.25e-8 r.
     PINNED = [
         ("0x1.0e5bbe36b61c0p-7", "0x1.0e5bbe36728d4p-7", "0x1.e666666666666p-1", [0, 1], [2]),
         ("0x1.d538e14ab67e0p-6", "0x1.d538e14a97797p-6", "0x1.b333333333333p-1", [0, 1], [2]),
@@ -349,9 +368,9 @@ class TestPinnedWitnesses:
          [0, 1, 2], [3]),
         ("0x1.00c5ffafbe2a0p-4", "0x1.00c5ffafb7d13p-4", "0x1.4a9f4ae73ce48p-1",
          [0, 1, 2], [3]),
-        ("0x1.c6dff36db5580p-8", "0x1.c6dff36d4fca0p-8", "0x1.69fbe76c8b439p-1",
+        ("0x1.c6dff36db5500p-8", "0x1.c6dff36d4fca0p-8", "0x1.69fbe76c8b439p-1",
          [0, 1, 2, 3], [4]),
-        ("0x1.f9f54fee34990p-5", "0x1.f9f54fee27906p-5", "0x1.5396815b04551p-1",
+        ("0x1.f9f54fee34970p-5", "0x1.f9f54fee27906p-5", "0x1.5396815b04551p-1",
          [0, 1, 2, 3], [4]),
     ]
 
@@ -370,7 +389,7 @@ class TestPinnedWitnesses:
 
 
 class TestDiagnostics:
-    STAGES = {"active_set", "interior_point", "separate_steps", "kkt_finish"}
+    STAGES = {"active_set", "circumcentre", "coincident"}
 
     def test_one_entry_per_pass(self):
         problem = SpreadProblem(target=OBTUSE_150, radius=0.95)
@@ -423,24 +442,30 @@ class TestDiagnostics:
         assert all(type(k) is int for k in upper + lower)
         assert len(upper) == m and len(lower) == 1
         assert sorted(upper + lower) == list(range(len(target)))
+        # the paraboloid is active, so the copy sits on the hull
+        assert passes[0]["height"] == 0.0
 
     @pytest.mark.parametrize("target, radius", DIAGNOSED_WITNESSES)
     def test_witnesses_converge_in_the_interior_point(self, target, radius, monkeypatch):
-        # The same witnesses with every active-set guess declined.
-        monkeypatch.setattr(spread_module, "_active_set", lambda a, radius, guess: None)
-        estimate = estimate_c(SpreadProblem(target=target, radius=radius), restarts=2)
+        # The oracle interior point (tests/oracles.py), in the pivot's
+        # place, converges on the same witnesses and agrees with the pivot.
+        problem = SpreadProblem(target=target, radius=radius)
+        solved = estimate_c(problem, restarts=2)
+        monkeypatch.setattr(spread_module, "_pivot", _oracle_solve)
+        estimate = estimate_c(problem, restarts=2)
         assert [solve["stage"] for solve in estimate.diagnostics["passes"]] \
             == ["interior_point"]
         assert estimate.diagnostics["passes"][0]["iterations"] <= 14
+        _agree(solved, estimate)
 
     def test_common_step_stall_is_repeated_with_separate_steps(self, monkeypatch):
         # Three points in the plane at 1.1 times their enclosing radius,
         # one of the 1200 programs of TestEnclosingRadius's sweep on which
-        # the common step length stalls far from its targets, its dual
-        # length binding.  The active set solves it; on the fallback the
-        # common-step solve runs to its iteration cap, its KKT finish is
-        # declined, and the separate-step repeat converges: 81 Newton
-        # systems in all.
+        # the oracle interior point's common step length stalls far from
+        # its targets, its dual length binding: that solve runs to its
+        # iteration cap, its KKT finish is declined, and the separate-step
+        # repeat converges.  The pivot takes its guess in one step, and
+        # the two agree.
         rng = np.random.default_rng(0)
         for _ in range(50):
             n, dim = int(rng.integers(2, 7)), int(rng.integers(2, 5))
@@ -449,15 +474,15 @@ class TestDiagnostics:
         radius = 1.1 * min_enclosing_ball(config).radius
         problem = SpreadProblem(target=config, radius=radius)
         solved = estimate_c(problem)
-        assert [solve["stage"] for solve in solved.diagnostics["passes"]] == ["active_set"]
-        monkeypatch.setattr(spread_module, "_active_set", lambda a, radius, guess: None)
+        assert [(solve["stage"], solve["iterations"]) for solve in solved.diagnostics["passes"]] \
+            == [("active_set", 1)]
+        monkeypatch.setattr(spread_module, "_pivot", _oracle_solve)
         estimate = estimate_c(problem)
         assert [solve["stage"] for solve in estimate.diagnostics["passes"]] \
             == ["separate_steps"]
         assert 0.0 < estimate.c_lower <= estimate.c_estimate
         assert estimate.c_estimate - estimate.c_lower <= 1e-12 * radius
-        assert solved.c_estimate == pytest.approx(estimate.c_estimate, rel=1e-13)
-        assert solved.c_lower == pytest.approx(estimate.c_lower, rel=1e-13)
+        _agree(solved, estimate)
 
 
 # Four points in the plane, one of them twice.
@@ -489,17 +514,31 @@ class TestActiveSet:
         + [(*_almost_regular_r70(), "kkt_finish")])
     def test_forced_fallback_agrees(self, target, radius, stage, monkeypatch):
         # The benchmark's seven cases, the rest of the triangle ladder and
-        # R^70: one active-set pass, and the fallback, forced by declining
-        # every guess, agrees with it.  On R^70 the fallback ends in the KKT
-        # finish.
+        # R^70: one active-set pass.  The pivot, forced to start from a
+        # wrong first active set (the guess made far along the optimum's
+        # lower point minus an upper one, where the lower point is an upper
+        # level), walks back to the same rows and agrees with the one-step
+        # solve.  The oracle interior point agrees too; on R^70 it ends in
+        # its KKT finish.
         problem = SpreadProblem(target=target, radius=radius)
         solved = estimate_c(problem, restarts=2)
-        assert [solve["stage"] for solve in solved.diagnostics["passes"]] == ["active_set"]
-        monkeypatch.setattr(spread_module, "_active_set", lambda a, radius, guess: None)
-        fallback = estimate_c(problem, restarts=2)
-        assert [solve["stage"] for solve in fallback.diagnostics["passes"]] == [stage]
-        assert solved.c_estimate == pytest.approx(fallback.c_estimate, rel=1e-13)
-        assert solved.c_lower == pytest.approx(fallback.c_lower, rel=1e-13)
+        (first,) = solved.diagnostics["passes"]
+        assert (first["stage"], first["iterations"]) == ("active_set", 1)
+        guess = spread_module._guess
+        (wrong,), right = first["lower"], first["upper"][0]
+        monkeypatch.setattr(spread_module, "_guess",
+                            lambda a, sq, y0: guess(a, sq, y0 + 10.0 * (a[right] - a[wrong])))
+        fresh = _fresh(target)
+        walked = estimate_c(SpreadProblem(target=fresh, radius=radius), restarts=2)
+        assert wrong in spread_module._FRAMES[fresh][7][0]
+        passes = walked.diagnostics["passes"]
+        assert passes[0]["stage"] == "active_set" and passes[0]["iterations"] > 1
+        assert (passes[0]["upper"], passes[0]["lower"]) == (first["upper"], first["lower"])
+        _agree(solved, walked)
+        monkeypatch.setattr(spread_module, "_pivot", _oracle_solve)
+        oracle = estimate_c(problem, restarts=2)
+        assert [solve["stage"] for solve in oracle.diagnostics["passes"]] == [stage]
+        _agree(solved, oracle)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 8])
     def test_nu_tends_to_sqrt_m_minus_one(self, d):
@@ -515,21 +554,23 @@ class TestActiveSet:
         assert solve["nu"] == pytest.approx(np.sqrt(d) - 1.0, abs=1e-3)
 
     def test_declines_above_the_circumradius(self):
-        # t* = 0 there: the paraboloid is not active at the optimum, and
-        # the guessed point's bracket does not close.
+        # t* = 0 there: the guess is not tried, since every point is on the
+        # circumcircle, inside the ball, at the circumcentre.
         estimate = estimate_c(SpreadProblem(target=OBTUSE_150, radius=1.05))
         assert [solve["stage"] for solve in estimate.diagnostics["passes"]] \
-            == ["interior_point"]
+            == ["circumcentre"]
         assert estimate.c_lower == 0.0
 
-    def test_declines_at_the_enclosing_radius(self):
+    def test_repeats_one_pass_at_the_enclosing_radius(self):
         # nu ~ 2e5 there, and the dual bound's rounding allowance alone is
-        # wider than the tolerance.
+        # wider than the tolerance, so a second pass runs; it repeats the
+        # first, and the search ends.
         estimate = estimate_c(SpreadProblem(target=OBTUSE_150, radius=0.5))
-        passes = estimate.diagnostics["passes"]
-        assert "active_set" not in {solve["stage"] for solve in passes}
-        assert min(solve["nu"] for solve in passes) > 1e5
-        assert estimate.c_lower <= estimate.c_estimate
+        first, second = estimate.diagnostics["passes"]
+        assert first == second and first["stage"] == "active_set"
+        assert first["nu"] > 1e5
+        assert 0.0 < estimate.c_lower <= estimate.c_estimate
+        assert estimate.c_estimate - estimate.c_lower <= 2e-9 * 0.5
 
     def test_degenerate_guesses_return_none(self):
         # A face of circumradius 5.05 > r as the guessed upper rows: a
@@ -554,7 +595,7 @@ class TestActiveSet:
         # m = 1.
         target = _fresh(target)
         estimate_c(SpreadProblem(target=target, radius=radius))
-        diam, a, sq, _, ball, _, kept = spread_module._FRAMES[target]
+        diam, a, sq, _, ball, _, _, kept, _ = spread_module._FRAMES[target]
         built = _guess(a, sq, np.zeros(a.shape[1]))
         assert _same(kept, built)
         scaled = max(radius / diam, ball.radius * (1.0 + ROUNDING_SLACK))
@@ -564,15 +605,75 @@ class TestActiveSet:
         [[1.0, 2.0]] * 3, REPEATED.tolist(),
         [[-1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 0.5]]])
     def test_without_a_guess_the_interior_point_solves(self, points):
-        # Coincident points (no guess), the repeated-point set above, and
-        # a set whose frame guesses its repeated point as both upper rows
-        # (a singular line system) end in the interior point.
+        # Coincident points, the repeated-point set above, and a set whose
+        # repeated point the guess took as both upper rows had no guess, and
+        # the oracle interior point solves them on all their points.  The
+        # library keeps one copy of each point: coincident points are c = 0
+        # outright, and the other two get a guess or a closed form.
         config = Configuration.from_points(points)
         radius = 1.2 * min_enclosing_ball(config).radius or 1.0
         estimate = estimate_c(SpreadProblem(target=config, radius=radius))
-        assert [solve["stage"] for solve in estimate.diagnostics["passes"]] \
-            == ["interior_point"]
+        (solve,) = estimate.diagnostics["passes"]
+        assert (solve["stage"], solve["iterations"]) \
+            in {("coincident", 0), ("active_set", 1), ("circumcentre", 0)}
         assert 0.0 <= estimate.c_lower <= estimate.c_estimate
+        diam = diameter(config) or radius
+        a, _, ball = spread_module._hull_frame(config, diam)
+        r = max(radius / diam, ball.radius * (1.0 + ROUNDING_SLACK))
+        y, *_, oracle = interior_point(a, _squares(a), r, np.zeros(a.shape[1]))
+        assert oracle["stage"] == "interior_point"
+        levels = _squares(a) - 2.0 * a @ y
+        c = diam * (r - math.sqrt(r * r - (levels.max() - levels.min())))
+        assert estimate.c_lower - 1e-12 * radius <= c <= estimate.c_estimate + 1e-12 * radius
+
+    def test_repeated_points_are_solved_once(self):
+        # REPEATED solves as its three distinct points, to the bit, and its
+        # rows name each point by its first index.
+        distinct = Configuration.from_points(REPEATED[1:])
+        for radius in (0.6, 0.8):
+            estimate = estimate_c(SpreadProblem(target=Configuration.from_points(REPEATED),
+                                                radius=radius))
+            once = estimate_c(SpreadProblem(target=distinct, radius=radius))
+            assert (estimate.c_estimate, estimate.c_lower) == (once.c_estimate, once.c_lower)
+            (solve,), (single,) = estimate.diagnostics["passes"], once.diagnostics["passes"]
+            assert solve["upper"] == [[0, 2, 3][k] for k in single["upper"]]
+            assert solve["lower"] == [[0, 2, 3][k] for k in single["lower"]]
+
+    @pytest.mark.parametrize("target, radius", [
+        (EQUILATERAL, 0.6), (OBTUSE_150, 1.001), (regular_simplex(3), 0.7),
+        (SEGMENT, 0.6), (Configuration.from_points([[1.0, 2.0]] * 3), 0.5)])
+    def test_closed_forms(self, target, radius):
+        # An affinely independent target at r >= circumradius sits with its
+        # circumcentre under the origin, at height sqrt(r^2 - rho^2), and
+        # c_lower = 0 exactly; coincident points have c = 0.
+        estimate = estimate_c(SpreadProblem(target=target, radius=radius))
+        (solve,) = estimate.diagnostics["passes"]
+        assert estimate.c_lower == 0.0 and estimate.c_estimate <= 1e-15 * radius
+        if diameter(target) == 0.0:
+            assert solve["stage"] == "coincident"
+            return
+        assert solve["stage"] == "circumcentre"
+        rho = obstruction_verdict(target).circumradius if len(target) > 2 else 0.5
+        assert solve["height"] == pytest.approx(math.sqrt(1.0 - (rho / radius) ** 2), abs=1e-13)
+
+    def test_step_cap_ends_with_a_certified_bracket(self, monkeypatch):
+        # A pivot whose steps never reach an optimum stops at its cap,
+        # 4 (n + m + 2) steps, with stage None and a bracket that still
+        # holds c.
+        step = spread_module._step
+
+        def blocked(a, sq, r2, upper, lower, on_hull, y):
+            y, key, on_hull = step(a, sq, r2, upper, lower, on_hull, y)
+            return y, upper[0] if key is None else key, on_hull
+
+        solved = estimate_c(SpreadProblem(target=OBTUSE_150, radius=0.95))
+        monkeypatch.setattr(spread_module, "_active_set", lambda a, radius, guess: None)
+        monkeypatch.setattr(spread_module, "_step", blocked)
+        capped = estimate_c(SpreadProblem(target=OBTUSE_150, radius=0.95), restarts=1)
+        (solve,) = capped.diagnostics["passes"]
+        assert (solve["stage"], solve["iterations"]) == (None, 4 * (3 + 2 + 2))
+        assert 0.0 <= capped.c_lower <= solved.c_lower + 1e-15
+        assert capped.c_estimate >= solved.c_estimate - 1e-15
 
 
 class TestCertifiedBracket:
@@ -786,8 +887,27 @@ def _cli_code(tmp_path, command: str, *args: str) -> str:
             "    assert stop.code == 0, stop.code")
 
 
+class TestAgainstInteriorPoint:
+    """The pivot against the interior point it replaced (tests/oracles.py)."""
+
+    @given(configurations(min_points=2, max_points=6, min_dim=2, max_dim=4),
+           st.floats(1.02, 3.0))
+    @settings(max_examples=60, deadline=None)
+    def test_no_looser_than_the_interior_point(self, config, factor):
+        meb = min_enclosing_ball(config).radius
+        assume(meb > 0.0)
+        problem = SpreadProblem(target=config, radius=factor * meb)
+        estimate = estimate_c(problem)
+        with mock.patch.object(spread_module, "_pivot", _oracle_solve):
+            oracle = estimate_c(problem)
+        assert None not in {solve["stage"] for solve in estimate.diagnostics["passes"]}
+        slack = 1e-12 * problem.radius
+        assert estimate.c_estimate <= oracle.c_estimate + slack
+        assert estimate.c_lower >= oracle.c_lower - slack
+
+
 class TestAgainstSlsqp:
-    """The interior-point solve against the SLSQP program it replaced."""
+    """The spread solve against the SLSQP program the interior point replaced."""
 
     @given(configurations(min_points=2, max_points=6, min_dim=2, max_dim=4),
            st.floats(1.02, 3.0))
@@ -814,10 +934,12 @@ class TestAgainstSlsqp:
 class TestEnclosingRadius:
     # Widest c_estimate - c_lower, relative to r, that the SLSQP solver left
     # on these 300 configurations, where it stopped on its iteration cap and
-    # took up to 11 s a call.  The solve's widest at r = R is 2.3e-9, with
-    # or without the interior point's separate-step repeat and KKT finish:
-    # those decide only whether a pass ends on a converged stage.
+    # took up to 11 s a call.  The pivot's widest at r = R is 2.2e-9, set by
+    # the dual bound's rounding allowance at nu ~ 4e5.
     SLSQP_WIDEST = 7.48e-7
+    # The widest that the interior point left just above R, per factor.
+    INTERIOR_POINT_WIDEST = {1.0 + 1e-9: 7.864e-11, 1.001: 8.797e-12, 1.1: 1.208e-12,
+                             1.5: 6.806e-13, 3.0: 5.685e-13}
 
     def test_ordered_bracket_no_wider_than_slsqp(self):
         widest = 0.0
@@ -832,12 +954,12 @@ class TestEnclosingRadius:
             widest = max(widest, (estimate.c_estimate - estimate.c_lower) / radius)
         assert widest <= self.SLSQP_WIDEST
 
-    @pytest.mark.parametrize("factor", [1.0 + 1e-9, 1.001, 1.1])
+    @pytest.mark.parametrize("factor", [1.0 + 1e-9, 1.001, 1.1, 1.5, 3.0])
     def test_ordered_bracket_just_above(self, factor):
-        # The same sets just above the enclosing radius.  The interior point
-        # ends 70, 65 and 23 passes in its KKT finish at these factors and,
-        # at 1.1, one in its separate-step repeat, without which three
-        # passes there end with stage None.
+        # The same sets above the enclosing radius.  Every pass ends in a
+        # named stage (the interior point left one pass at 3R, set 79, with
+        # stage None after 45 Newton systems), one pass per call, and no
+        # factor's widest bracket is wider than the interior point's.
         widest, stages = 0.0, set()
         for config in _enclosing_radius_sets():
             radius = min_enclosing_ball(config).radius * factor
@@ -846,9 +968,9 @@ class TestEnclosingRadius:
             assert estimate.c_lower > 0.0 or estimate.c_estimate <= 1e-12 * radius
             widest = max(widest, (estimate.c_estimate - estimate.c_lower) / radius)
             stages |= {solve["stage"] for solve in estimate.diagnostics["passes"]}
-        assert widest < self.SLSQP_WIDEST
-        assert None not in stages
-        assert {"active_set", "interior_point", "kkt_finish"} <= stages
+            assert len(estimate.diagnostics["passes"]) == 1
+        assert widest <= self.INTERIOR_POINT_WIDEST[factor]
+        assert stages == {"active_set", "circumcentre"}
 
 
 class TestSampleSpreadOracle:
