@@ -11,18 +11,15 @@ c(A, r) > 0.  Two independent ways to get at it:
   falls as h grows, so the optimum takes h^2 = r^2 - max_i |a_i - y|^2, and
   c = r - sqrt(r^2 - t*), where t* is the least max_i f_i(y) - min_j f_j(y),
   f_i(y) = |a_i|^2 - 2<a_i, y>, over the y with every |a_i - y| <= r: a
-  convex program in m + 2 variables (y and two levels).  Its n ball
-  constraints collapse into one paraboloid.  A primal active-set pivot
-  solves it in finitely many steps (_pivot): its first step solves the
-  KKT equations of the set guessed at the pass's start (_guess, then
-  _active_set; at y = 0 the guess belongs to the target, so a call solves
-  only the multipliers' system), which settles every witness; each further
-  step moves to the current rows' equality optimum, in closed form, or
-  adds the level that blocks it, and drops the row with the most negative
-  multiplier.  Two cases need no solve: coincident points (c = 0) and an
-  affinely independent target inside the ball with its circumsphere
-  (the circumcentre, c_lower = 0).  c_lower comes from the Lagrangian dual
-  at the pivot's multipliers (see _dual_bound).
+  convex program in m + 2 variables (y and two levels), its n ball
+  constraints one paraboloid.  A primal active-set pivot (_pivot) solves
+  it: its first step, the KKT equations of the set guessed at the pass's
+  start (_guess, _active_set), settles every witness; each further step
+  moves to the rows' equality optimum in closed form, adds the level that
+  blocks it, or drops the most negative multiplier's row.  Coincident
+  points (c = 0) and an affinely independent target whose circumsphere
+  fits (the circumcentre, c_lower = 0) need no solve.  c_lower comes from
+  the Lagrangian dual at the pivot's multipliers (see _dual_bound).
 * sample_spread_oracle: the minimum spread over a reproducible stream of
   random feasible copies, an upper bound.  A copy is the target centered at
   its enclosing-ball center, b_i, translated by g*t: t is drawn uniformly in
@@ -202,15 +199,15 @@ def _hull_frame(target: Configuration, scale: float):
 
 
 def _target_frame(target: Configuration):
-    """(diam, a, sq, basis, ball, placed, keep, guess, circle): what estimate_c needs that r does not change.
+    """(diam, a, sq, basis, ball, placed, keep, guess, circle): estimate_c's radius-free inputs.
 
     keep indexes the target's distinct points, each by its first index;
-    diam is diameter(target); (a, basis, ball) is _hull_frame of the
-    distinct points at scale diam, or at scale 1 for coincident points,
-    whose frame has no coordinates; sq holds the |a_k|^2; placed is all the
-    target's points with one zero coordinate appended.  guess is _guess at
-    y0 = 0, where every call's first pass starts, so a later call's first
-    pass solves only what the radius changes.  circle is the circumcentre
+    diam is diameter(target); (a, basis, ball) is _hull_frame at scale
+    diam, or at scale 1 for coincident points, whose frame has no
+    coordinates, with a's rows cut to keep; sq holds the |a_k|^2; placed
+    is all the target's points with one zero coordinate appended.  guess
+    is _guess at y0 = 0, where every call's first pass starts, so a later
+    call's first pass solves only what the radius changes.  circle is the circumcentre
     and squared circumradius (y, rho^2) of affinely independent points,
     else None.  The frame is made on the target's first call and kept in
     _FRAMES, its arrays read-only; threads that miss at once each make the
@@ -232,8 +229,8 @@ def _target_frame(target: Configuration):
         for i, row in enumerate(pts + 0.0):
             first.setdefault(row.tobytes(), i)
         keep = tuple(first.values())
-        distinct = target if len(keep) == len(pts) else Configuration(target.dim, pts[list(keep)])
-        a, basis, ball = _hull_frame(distinct, diam or 1.0)
+        a, basis, ball = _hull_frame(target, diam or 1.0)
+        a = a if len(keep) == len(pts) else a[list(keep)]
         sq = np.einsum("ij,ij->i", a, a)
         placed = np.hstack([pts, np.zeros((len(pts), 1))])
         guess = _guess(a, sq, np.zeros(len(basis)))
@@ -247,12 +244,10 @@ def _target_frame(target: Configuration):
             y = p + s / (gap @ d) * d
             gap = a - y
             circle = (y, float(np.einsum("ij,ij->i", gap, gap).max()))
-        arrays = [a, sq, basis, placed]
+        arrays = [a, sq, basis, placed] + ([circle[0]] if circle else [])
         if guess is not None:
             upper, _, p, d, _, kkt = guess
             arrays += [upper, p, d, kkt]
-        if circle is not None:
-            arrays.append(circle[0])
         for array in arrays:
             array.flags.writeable = False
         frame = _FRAMES[target] = (diam, a, sq, basis, ball, placed, keep, guess, circle)
@@ -463,13 +458,6 @@ def _gradients(a: np.ndarray, upper, lower, y) -> np.ndarray:
     return rows
 
 
-def _pull(m: int) -> np.ndarray:
-    """The stationarity equations' right side: minus the cost's gradient (0, 1, -1)."""
-    pull = np.zeros(m + 2)
-    pull[m], pull[m + 1] = -1.0, 1.0
-    return pull
-
-
 def _active_set(a: np.ndarray, radius: float, guess):
     """The pivot's first step: the guessed rows' point y and multipliers z, or None.
 
@@ -488,10 +476,11 @@ def _active_set(a: np.ndarray, radius: float, guess):
         return None
     y = p + (-qb - math.sqrt(disc)) / (2.0 * qa) * d
     m = len(y)
-    kkt = kkt.copy()
-    kkt[m + 1, :m] = 2.0 * y
+    kkt, pull = kkt.copy(), np.zeros(m + 2)
+    # Stationarity: the gradients weighted by z cancel the cost's, (0, 1, -1).
+    kkt[m + 1, :m], pull[m:] = 2.0 * y, (-1.0, 1.0)
     try:
-        return y, np.linalg.solve(kkt.T, _pull(m))
+        return y, np.linalg.solve(kkt.T, pull)
     except np.linalg.LinAlgError:
         return None
 
@@ -499,19 +488,17 @@ def _active_set(a: np.ndarray, radius: float, guess):
 def _multipliers(a: np.ndarray, upper, lower, y) -> np.ndarray:
     """The rows' multipliers by least squares, refined once: the dual bound
     loses 2r times what is left of the stationarity residual."""
-    system, pull = _gradients(a, upper, lower, y).T, _pull(a.shape[1])
+    system, pull = _gradients(a, upper, lower, y).T, np.zeros(a.shape[1] + 2)
+    pull[-2:] = -1.0, 1.0
     z = np.linalg.lstsq(system, pull, rcond=None)[0]
     return z + np.linalg.lstsq(system, pull - system @ z, rcond=None)[0]
 
 
 def _refine(a: np.ndarray, r2: float, upper, lower, on_hull: bool, y: np.ndarray):
-    """y after one least-norm Newton step on the rows' equalities.
-
-    They are |a_k - y|^2 = |a_k0 - y|^2 within each level and, with the
-    paraboloid, |a_k0 - y|^2 = r^2, measured as the squared distances
-    themselves: a solve leaves them some ulps of r^2 apart, which near the
-    enclosing radius, where nu ~ 1e5, costs c about 1e-10.
-    """
+    """y after one least-norm Newton step on the rows' equalities (equal
+    |a_k - y|^2 within each level; |a_k0 - y|^2 = r^2 with the paraboloid),
+    measured as squared distances: a solve leaves them some ulps of r^2
+    apart, which near the enclosing radius (nu ~ 1e5) costs c about 1e-10."""
     gap = a - y
     dist2 = np.einsum("ij,ij->i", gap, gap)
     k0, j0 = upper[0], lower[0]
@@ -529,15 +516,13 @@ def _step(a: np.ndarray, sq: np.ndarray, r2: float, upper, lower, on_hull: bool,
     """One pivot step from y: the new y, the key of the row it adds, on_hull.
 
     Keys are k for upper level k, n + j for lower level j, 2n for the
-    paraboloid; the key is None when y reaches the rows' equality optimum.
-    The within-level equalities |a_k - y| = |a_k0 - y| (k0, j0 the first
-    upper and lower rows) put y on an affine set; u - l = f_k0 - f_j0
-    falls along the set by -2(a_j0 - a_k0) less its fit by the rows.  With
-    the paraboloid the optimum is where that direction meets the sphere
-    |y - a_k0| = r around the set's point nearest a_k0; without it the set
-    must be a vertex, or y walks down the direction.  A level or the
-    paraboloid that the move reaches first blocks it, ties to the lowest
-    key, and a blocked move off the sphere leaves it.
+    paraboloid; None when y reaches the rows' equality optimum.  The
+    within-level equalities (k0, j0 the first upper and lower rows) put y
+    on an affine set, along which u - l = f_k0 - f_j0 falls fastest against
+    2(a_j0 - a_k0) less its fit by the rows.  With the paraboloid the
+    optimum is that way on the sphere |y - a_k0| = r; without it the set is
+    a vertex, or y walks that way until a level or the paraboloid blocks
+    it (ties to the lowest key); a blocked move off the sphere leaves it.
     """
     n, m = a.shape
     k0, j0 = upper[0], lower[0]
@@ -560,6 +545,8 @@ def _step(a: np.ndarray, sq: np.ndarray, r2: float, upper, lower, on_hull: bool,
         target = _refine(a, r2, upper, lower, True, a[k0] + shift
                          - math.sqrt(max(r2 - shift @ shift, 0.0)) / norm * free)
         direction = target - y
+        if not direction @ direction > (n + m) ** 2 * _EPS * _EPS * r2:
+            return target, None, True  # y is already there: no row can block
     else:
         direction = free / -norm
     levels, rates = sq - 2.0 * a @ y, -2.0 * a @ direction
@@ -573,8 +560,7 @@ def _step(a: np.ndarray, sq: np.ndarray, r2: float, upper, lower, on_hull: bool,
     if not on_hull:
         # |a_k0 - y - t d|^2 <= r^2 holds up to the positive root in t.
         gap = a[k0] - y
-        ease = max(r2 - gap @ gap, 0.0)
-        b = gap @ direction
+        ease, b = max(r2 - gap @ gap, 0.0), gap @ direction
         root = math.sqrt(b * b + ease)
         lengths[-1] = b + root if b > 0.0 else (ease / (root - b) if root > b else 0.0)
     key = int(lengths.argmin())
@@ -593,14 +579,13 @@ def _pivot(a: np.ndarray, sq: np.ndarray, radius: float, guess, y0: np.ndarray):
     leaves min u - l over 2n levels, l <= f_k(y) <= u, and the paraboloid.
     The pivot's rows, all active at its y, are upper levels, lower levels
     (at least one each) and maybe the paraboloid (on_hull).  Its first
-    step is the guess (_active_set), kept when no level crosses the guessed
-    ones at its point; else it starts at y0 from the highest and the lowest
-    level.  Each further step is _step; at an equality optimum the row with
-    the most negative multiplier (_multipliers) is dropped, ties to the
-    lowest key, the last upper and lower rows never; with none negative, y
-    is optimal.  It stops after 4 (n + m + 2) steps.  dist2 holds the
-    |a_k - y|^2; lam, mu and nu weight the upper and lower levels and the
-    paraboloid, clipped at 0.
+    step is the guess (_active_set), kept if its rows are active at its
+    point and no level crosses them; else it starts at y0 from the highest
+    and the lowest level.  Each further step is _step; at an equality
+    optimum the most negative multiplier's row is dropped (ties to the
+    lowest key, never the last upper or lower row); with none, y is
+    optimal.  It stops after 4 (n + m + 2) steps.  dist2 holds the
+    |a_k - y|^2; lam, mu and nu, clipped at 0, weight the rows.
     """
     n, m = a.shape
     r2 = radius * radius
@@ -609,21 +594,30 @@ def _pivot(a: np.ndarray, sq: np.ndarray, radius: float, guess, y0: np.ndarray):
         (y, z), upper, lower = first, guess[0].tolist(), [guess[1]]
         gap = a - y
         dist2 = np.einsum("ij,ij->i", gap, gap)
-        # Python's own max and min: faster than numpy's on a few points.
+        # Python's max and min beat numpy's on a few points.
         z, slack, listed = z.tolist(), (n + m) * _EPS * r2, dist2.tolist()
-        if max(listed) > listed[upper[0]] + slack or min(listed) < listed[lower[0]] - slack:
+        if (max(abs(listed[k] - r2) for k in upper) > slack or max(listed) > r2 + slack
+                or min(listed) < listed[lower[0]] - slack):
             first = None
+    if first is not None and min(z) >= 0.0:  # the guess is optimal, as on every witness
+        lam, mu = np.zeros(n), np.zeros(n)
+        lam[guess[0]], mu[guess[1]] = z[:m], z[m]
+        return y, dist2, lam, mu, z[-1], True, {
+            "iterations": 1, "stage": "active_set", "upper": upper, "lower": lower}
     if first is None:
         y, z, dist2, levels = y0, None, None, sq - 2.0 * a @ y0
         upper, lower = [int(levels.argmax())], [int(levels.argmin())]
     on_hull, stage, steps = first is not None, None, 1
     while True:
         if z is not None:
+            # A multiplier within rounding of 0 stays: dropping it on a
+            # degenerate optimum would only re-add it after a null step.
+            floor = -(n + m) * _EPS * max(map(abs, z))
             value, key = min(((value, key) for value, key, free in zip(
                 z, upper + [n + j for j in lower] + [2 * n],
                 [len(upper) > 1] * len(upper) + [len(lower) > 1] * len(lower) + [on_hull])
-                if free), default=(0.0, None)) if min(z) < 0.0 else (0.0, None)
-            if not value < 0.0:
+                if free), default=(0.0, None)) if min(z) < floor else (0.0, None)
+            if not value < floor:
                 stage = "active_set"
                 break
             if key < n:
@@ -690,7 +684,10 @@ def _dual_bound(a: np.ndarray, sq: np.ndarray, dist2: np.ndarray, radius: float,
         offset = w / alpha - anchor
         z = anchor + offset * (radius / max(math.sqrt(offset @ offset), radius))
     else:
-        z = anchor + w * (radius / max(math.sqrt(w @ w), np.finfo(float).tiny))
+        # w is 0 to rounding at a vertex; with w exactly 0 every z gives
+        # the same value, and z = 0 rounds least.
+        length = math.hypot(*w)
+        z = anchor + w / length * radius if length > 0.0 else np.zeros_like(w)
     cross = 2.0 * a @ z
     gap = a - z
     ball = np.einsum("ij,ij->i", gap, gap)
@@ -753,15 +750,17 @@ def estimate_c(problem: SpreadProblem, restarts: int = 64, seed: int = 0,
         """The placement's origin for the solver's y, whose |a_k - y|^2 are dist2."""
         top = float(dist2.max())
         if top > r2:
-            # Pull y toward the center, just far enough: |a_k - s y|^2 is a
-            # convex quadratic in s, below r^2 at s = 0, so each point
-            # outside crosses r^2 at one root in (0, 1), and the least root
-            # puts every point inside.
-            yy, s = float(y @ y), 1.0
-            for b, room, far in zip((a @ y).tolist(), (r2 - sq).tolist(), dist2.tolist()):
-                if far > r2:
-                    root = math.sqrt(b * b + yy * room)
-                    s = min(s, (b + root) / yy if b > 0.0 else room / (root - b))
+            # Pull y toward the center: max_k |a_k - s y|^2 is convex in s,
+            # so the chord from reach^2 to top is safe.  Where it moves y by
+            # more than rounding, as near R, each |a_k - s y|^2 is a quadratic
+            # below r^2 at s = 0, and the least root of the points outside is.
+            s, yy = (r2 - reach * reach) / (top - reach * reach), float(y @ y)
+            if (1.0 - s) * math.sqrt(yy) > _EPS * radius:
+                s = 1.0
+                for b, room, far in zip((a @ y).tolist(), (r2 - sq).tolist(), dist2.tolist()):
+                    if far > r2:
+                        root = math.sqrt(b * b + yy * room)
+                        s = min(s, (b + root) / yy if b > 0.0 else room / (root - b))
             y = y * s
             if not on_hull:
                 gap = a - y

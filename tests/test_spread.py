@@ -656,6 +656,52 @@ class TestActiveSet:
         rho = obstruction_verdict(target).circumradius if len(target) > 2 else 0.5
         assert solve["height"] == pytest.approx(math.sqrt(1.0 - (rho / radius) ** 2), abs=1e-13)
 
+    def test_guess_off_the_sphere_is_not_kept(self, monkeypatch):
+        # Eight points in R^7, one axis squeezed to 1e-7: the guess's line
+        # is so ill-conditioned that its point misses the sphere by 43% of
+        # r^2.  The pivot walks from the centre instead and agrees with the
+        # oracle interior point.
+        rng = np.random.default_rng(58)
+        points = rng.standard_normal((8, 7))
+        points[:, 0] *= 1e-7
+        config = Configuration.from_points(points)
+        problem = SpreadProblem(target=config, radius=1.05 * min_enclosing_ball(config).radius)
+        estimate = estimate_c(problem)
+        (solve,) = estimate.diagnostics["passes"]
+        assert solve["stage"] == "active_set" and solve["iterations"] > 1
+        monkeypatch.setattr(spread_module, "_pivot", _oracle_solve)
+        _agree(estimate, estimate_c(problem), rel=1e-12)
+
+    @pytest.mark.parametrize("points", [
+        1000.0 * np.array([[-1, -1, -1, -1], [1, 1, 0, 0], [0, 0, -1, 1], [-1, 1, 1, 1],
+                           [1, -1, -1, 1], [1, 0, 0, -1]]),
+        0.4723047304763432 * np.array([
+            [1, 1, 0, -1, -1], [-1, 1, -1, 1, 0], [1, -1, -1, 0, -1], [-1, -1, -1, 0, 0],
+            [-1, -1, 0, 0, -1], [-1, -1, 1, -1, 0], [-1, 1, 1, 0, -1]])])
+    def test_degenerate_optimum_ends(self, points):
+        # Grid points at 1.05 R, where more rows are active than y has
+        # coordinates.  In R^4 one optimal row's multiplier rounds to
+        # -1e-17; dropping it only re-added it after a null step, so one
+        # within rounding of 0 stays.  In R^5 the subproblem's optimum is
+        # the point itself, where rounding made a level block a step of
+        # length 0; no row can block a step that does not move.
+        config = Configuration.from_points(points)
+        radius = 1.05 * min_enclosing_ball(config).radius
+        estimate = estimate_c(SpreadProblem(target=config, radius=radius))
+        (solve,) = estimate.diagnostics["passes"]
+        assert solve["stage"] == "active_set" and solve["iterations"] <= 8
+        assert estimate.c_estimate - estimate.c_lower <= 1e-12 * radius
+
+    def test_vertex_with_no_paraboloid_weight(self):
+        # Three collinear points far inside the ball: the optimum is a
+        # vertex with nu = 0 and w = 0 exactly, where the dual bound's
+        # z once overflowed to nan for r > 4 in unit-diameter terms.
+        config = Configuration.from_points([[-1.0], [0.0], [1.0]])
+        estimate = estimate_c(SpreadProblem(target=config, radius=10.0))
+        c = 10.0 - math.sqrt(99.0)
+        assert estimate.c_lower <= c <= estimate.c_estimate
+        assert estimate.c_estimate - estimate.c_lower <= 1e-12 * 10.0
+
     def test_step_cap_ends_with_a_certified_bracket(self, monkeypatch):
         # A pivot whose steps never reach an optimum stops at its cap,
         # 4 (n + m + 2) steps, with stage None and a bracket that still
