@@ -583,9 +583,9 @@ def _pivot(a: np.ndarray, sq: np.ndarray, radius: float, guess, y0: np.ndarray):
     point and no level crosses them; else it starts at y0 from the highest
     and the lowest level.  Each further step is _step; at an equality
     optimum the most negative multiplier's row is dropped (ties to the
-    lowest key, never the last upper or lower row); with none, y is
-    optimal.  It stops after 4 (n + m + 2) steps.  dist2 holds the
-    |a_k - y|^2; lam, mu and nu, clipped at 0, weight the rows.
+    lowest key; not the last upper or lower row, nor one within rounding
+    of 0); with none, y is optimal.  It stops after 4 (n + m + 2) steps.
+    dist2 holds the |a_k - y|^2; lam, mu and nu, clipped at 0, weight rows.
     """
     n, m = a.shape
     r2 = radius * radius
