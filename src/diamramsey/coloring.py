@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded, DomainError, _check_positive, _check_tolerance
-from .geometry import Configuration, _integer, _match, _seed, distance_matrix
+from .geometry import Configuration, _integer, _match, _norm, _seed, distance_matrix
 from .spread import SpreadProblem, _prepare, _summarize_chunks
 
 FINDER_BUDGET = 20
@@ -36,7 +36,7 @@ def _shells(length: float, c: float, what: str) -> int:
 def shell_color(point, c: float) -> int:
     """Index of the width-c shell containing the point: floor(|x| / c)."""
     _check_positive(c, "shell width")
-    return _shells(float(np.linalg.norm(np.asarray(point, dtype=float))), c, "norm")
+    return _shells(float(_norm(np.asarray(point, dtype=float))), c, "norm")
 
 
 def num_colors(r: float, c: float) -> int:
@@ -85,7 +85,7 @@ def color_configuration(config: Configuration, c: float) -> ColoredConfiguration
     64-bit integer, instead of letting the cast wrap it.
     """
     _check_positive(c, "shell width")
-    shells = np.floor(np.linalg.norm(config.points, axis=1) / c)
+    shells = np.floor(_norm(config.points, axis=1) / c)
     if not np.all(shells < 2.0 ** 63):
         raise DomainError(
             f"shell index {shells.max()} at shell width {c} exceeds the 64-bit range")

@@ -155,23 +155,12 @@ def _diameter(pts: np.ndarray, center: np.ndarray | None = None,
 
     `far_sq`, a realised squared distance of pts, replaces the walk from the
     point farthest from the centre.  Neither changes the value.  The screen
-    and the recompute run on the points over one power of two 2^k, k the
-    frexp exponent of the largest coordinate of the centred points, and the
-    result is scaled back.  Scaling by 2^k is exact, so the value keeps
-    distance_matrix's bits wherever its squares neither overflow nor
-    underflow, and stays right across the float range where they do.  A
-    set small enough for one block is scaled only when its largest square
-    leaves the range in which _usable_sq trusts it.
+    and the recompute run on the points over _scaled's power of two, from
+    the largest coordinate of the centred points, and the result is scaled
+    back.  A set small enough for one block is recomputed whole.
     """
     n, d = pts.shape
     rows = max(1, _DIAMETER_BLOCK // (n * d))
-    if rows >= n:
-        # A set small enough for one block is recomputed whole, first at its
-        # own scale: a largest square in range is already the value.
-        with np.errstate(over="ignore"):
-            best = float(np.max(_row_sq_dists(pts, np.arange(n))))
-        if _usable_sq(best):
-            return float(np.sqrt(best))
     if center is None:
         # One product, ten times faster than numpy's mean down the rows,
         # and each term is at most max|p|, so the sum cannot overflow.
@@ -180,8 +169,7 @@ def _diameter(pts: np.ndarray, center: np.ndarray | None = None,
     peak = float(np.max(np.abs(x)))
     if peak == 0.0:
         return 0.0  # all points coincide
-    k = _exponent(peak, center)
-    pts = np.ldexp(pts, -k)
+    k, pts = _scaled(pts, peak, center)
     if rows < n:
         if far_sq is not None:
             far_sq = math.ldexp(_usable_sq(far_sq), -2 * k)
@@ -195,11 +183,32 @@ def _diameter(pts: np.ndarray, center: np.ndarray | None = None,
     return math.ldexp(float(np.sqrt(best)), k)
 
 
-def _exponent(peak: float, center: np.ndarray) -> int:
-    """The frexp exponent k of peak, the points' largest coordinate offset from
-    center: over 2^k their squares stay in range.  Points more than 2^960
-    times as far from the origin as from the centre take a larger k."""
-    return int(np.frexp(max(peak, math.ldexp(float(np.max(np.abs(center))), -960)))[1])
+def _scaled(pts: np.ndarray, peak: float | None = None, center=0.0) -> tuple[int, np.ndarray]:
+    """(k, pts / 2^k), 2^k the power of two every entry that squares coordinates uses.
+
+    peak is the rows' largest coordinate offset from `center`, or near it
+    (default: from the first row).  Scaling by 2^k is exact, so an entry
+    that computes on pts / 2^k and scales back keeps its bits wherever no
+    square leaves the float range, and its result at 2^j pts is 2^j times
+    that at pts.  So k = 0, and pts is not copied, while peak and the rows
+    lie within 2^+-128 (a copy of a large cloud costs page faults); else k
+    is the frexp exponent of peak, or larger for rows 2^500 times as far
+    from the origin, such as coincident points.
+    """
+    if peak is None:
+        center = pts[0]
+        peak = float(np.max(np.abs(pts - center)))
+    far = max(peak, float(np.max(np.abs(center))))
+    if 2.0 ** -128 <= peak and far <= 2.0 ** 128:
+        return 0, pts
+    k = math.frexp(max(peak, math.ldexp(far, -500)))[1]
+    return k, np.ldexp(pts, -k)
+
+
+def _norm(x: np.ndarray, axis=None):
+    """np.linalg.norm(x, axis=axis) taken over _scaled's power of two."""
+    k, x = _scaled(x, float(np.max(np.abs(x), initial=0.0)))
+    return np.ldexp(np.linalg.norm(x, axis=axis), k)
 
 
 def _row_sq_dists(pts: np.ndarray, rows) -> np.ndarray:
@@ -368,10 +377,10 @@ def _reaching_rows(sq: np.ndarray, far_sq: float, d: int) -> np.ndarray:
 
 
 def distance_matrix(config: Configuration) -> np.ndarray:
-    """Symmetric matrix of pairwise Euclidean distances."""
-    pts = config.points
+    """Symmetric matrix of pairwise Euclidean distances, taken over _scaled's power of two."""
+    k, pts = _scaled(config.points)
     diff = pts[:, None, :] - pts[None, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    return np.ldexp(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)), k)
 
 
 def affine_dimension(config: Configuration, tol: float = DEFAULT_TOL) -> int:

@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, _check_positive, _check_tolerance
-from .geometry import DEFAULT_TOL, Configuration, _diameter, _exponent, _far_pair_sq
+from .geometry import DEFAULT_TOL, Configuration, _diameter, _far_pair_sq, _scaled
 from .spheres import _circumsphere, _sq_dists, circumcenter_in_hull
 
 SQRT2 = math.sqrt(2.0)
@@ -79,8 +79,8 @@ def obstruction_verdict(config: Configuration, tol: float = DEFAULT_TOL) -> Verd
     centroid = np.full(len(pts), 1.0 / len(pts)) @ pts
     # Everything runs on the points over 2^k, exactly, so no square leaves
     # the float range, and the radius and diameter are scaled back.
-    k = _exponent(float(np.max(np.abs(pts - centroid))), centroid)
-    pts, centroid = np.ldexp(pts, -k), np.ldexp(centroid, -k)
+    k, pts = _scaled(pts, float(np.max(np.abs(pts - centroid))), centroid)
+    centroid = np.ldexp(centroid, -k)
     sq = _sq_dists(pts, centroid)
     far_sq = _far_pair_sq(pts, int(sq.argmax()))
     sphere, diam = _circumsphere(pts, tol, far_sq)

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Degenerate, DomainError, NotSimplex, NotSpherical, _check_tolerance
-from .geometry import (DEFAULT_TOL, Configuration, _diameter, _exponent, _far_pair_sq, _freeze,
-                       _hull_basis, _seed, affine_dimension, diameter)
+from .geometry import (DEFAULT_TOL, Configuration, _diameter, _far_pair_sq, _freeze, _hull_basis,
+                       _norm, _scaled, _seed, affine_dimension, diameter)
 
 # Containment slack of the pivot rounds: _WELZL_SLACK times the set's
 # extent (its largest coordinate offset from the first point) plus
@@ -81,7 +81,7 @@ class Ball:
         if point.shape != self.center.shape:
             raise DomainError(f"point of shape {point.shape} does not match a ball "
                               f"center of dimension {len(self.center)}")
-        return float(np.linalg.norm(point - self.center)) <= self.radius * (1.0 + tol)
+        return float(_norm(point - self.center)) <= self.radius * (1.0 + tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,18 +281,21 @@ def min_enclosing_ball(config: Configuration, seed: int = 0) -> Ball:
     again from one extreme, the first in an order shuffled by `seed`, and
     the smaller of the two balls is kept; `seed` has no other effect.
     Either way the radius is the farthest point's distance from the
-    center, so every point lies inside with no slack.  A seed that is not
-    a nonnegative integer raises DomainError.
+    center, so every point lies inside with no slack, at any scale the
+    floats hold.  A seed that is not a nonnegative integer raises
+    DomainError.
     """
     seed = _seed(seed)
     pts = config.points
     n, dim = pts.shape
     lowest, highest = pts.argmin(axis=0), pts.argmax(axis=0)
     axes = np.arange(dim)
-    low, high = pts[lowest, axes], pts[highest, axes]
     # Rounding is monotone, so the largest |p - p_0| of a coordinate is
     # attained at its minimum or maximum.
-    extent = float(np.maximum(high - pts[0], pts[0] - low).max())
+    extent = float(np.maximum(pts[highest, axes] - pts[0], pts[0] - pts[lowest, axes]).max())
+    k, pts = _scaled(pts, extent, pts[0])
+    low, high = pts[lowest, axes], pts[highest, axes]
+    extent = math.ldexp(extent, -k)
     peak = float(np.maximum(high, -low).max())
     slack = _WELZL_SLACK * extent + _WELZL_ROUNDING * np.finfo(float).eps * peak
     extremes = np.zeros(n, dtype=bool)
@@ -311,7 +314,7 @@ def min_enclosing_ball(config: Configuration, seed: int = 0) -> Ball:
         grown, grown_sq, _ = _core_ball(pts, first, pts[first[0]], slack)
         if grown_sq.max() < sq.max():
             center, sq = grown, grown_sq
-    return Ball(center=center, radius=float(np.sqrt(sq.max())))
+    return Ball(center=np.ldexp(center, k), radius=math.ldexp(float(np.sqrt(sq.max())), k))
 
 
 def circumsphere(config: Configuration, tol: float = DEFAULT_TOL) -> Sphere:
@@ -327,9 +330,7 @@ def circumsphere(config: Configuration, tol: float = DEFAULT_TOL) -> Sphere:
     points over a power of two, exactly, so it holds across the float range.
     """
     _check_tolerance(tol)
-    pts = config.points
-    k = _exponent(float(np.max(np.abs(pts - pts[0]))), pts[0])
-    pts = np.ldexp(pts, -k)
+    k, pts = _scaled(config.points)
     sphere = _circumsphere(pts, tol, _far_pair_sq(pts, 0))[0]
     return Sphere(center=np.ldexp(sphere.center, k), radius=math.ldexp(sphere.radius, k),
                   carrier=sphere.carrier, residual=math.ldexp(sphere.residual, k))
@@ -339,7 +340,7 @@ def _circumsphere(pts: np.ndarray, tol: float, far_sq: float):
     """circumsphere of the rows of pts, decided on `far_sq`, a realised squared distance.
 
     Returns the sphere and the exact diameter if deciding needed it, else
-    None.  Callers pass the points over the power of two _exponent gives,
+    None.  Callers pass the points over the power of two _scaled gives,
     so no square leaves the float range, and scale the sphere back.
     """
     if len(pts) < 2:
@@ -417,5 +418,5 @@ def circumcenter_in_hull(config: Configuration, tol: float = DEFAULT_TOL) -> boo
     if len(config) != m + 1 or m == 0:
         raise NotSimplex(
             f"{len(config)} points of affine dimension {m} do not form a simplex")
-    _, bary = _circumcenter(config.points)
+    _, bary = _circumcenter(_scaled(config.points)[1])
     return bool(np.min(bary) >= -tol)

@@ -36,18 +36,17 @@ c(A, r) > 0.  Two independent ways to get at it:
   in seeded chunks of _CHUNK, run on one thread per CPU (_summarize_chunks);
   each chunk is reduced to a summary in its thread, and the summaries
   combine by min and sum, so a seeded result does not depend on the
-  thread count.  The samplers work on the target over a power of two near
-  its extent (_prepare), so their quartic arithmetic holds at any scale
-  the floats do.
+  thread count.
 
-Both work in the target's hull coordinates, from one SVD (_hull_frame):
-the solve in the m coordinates of aff(A), the samplers in R^(m+1), with a
-zero coordinate appended for the height off the hull.  The solve keeps
-each target's frame (_target_frame), so repeated points are dropped and
-the SVD, the enclosing ball, the diameter, the squared norms |a_k|^2, the
-circumcentre and the first pass's guess are computed once per target.
-No ambient dimension is an input: a copy in any R^n lies in the span of
-its points and the origin, of dimension at most m + 1.
+Both work on the target over a power of two (geometry._scaled), in its
+hull coordinates from one SVD (_hull_frame): the solve in the m
+coordinates of aff(A), the samplers in R^(m+1), with a zero coordinate
+appended for the height off the hull.  The solve keeps each target's frame
+(_target_frame), so repeated points are dropped and the SVD, the
+enclosing ball, the diameter, the squared norms |a_k|^2, the circumcentre
+and the first pass's guess are computed once per target.  No ambient
+dimension is an input: a copy in any R^n lies in the span of its points
+and the origin, of dimension at most m + 1.
 """
 
 from __future__ import annotations
@@ -62,8 +61,8 @@ import numpy as np
 
 from .errors import (DomainError, EmptySample, Infeasible, NonConvergence, _check_positive,
                      _check_tolerance)
-from .geometry import (DEFAULT_TOL, Configuration, RigidMotion, _hull_basis, _integer, _seed,
-                       diameter)
+from .geometry import (DEFAULT_TOL, Configuration, RigidMotion, _diameter, _hull_basis, _integer,
+                       _norm, _scaled, _seed)
 from .spheres import Ball, min_enclosing_ball
 
 # Relative feasibility slack: a copy fits when the enclosing-ball radius is
@@ -85,7 +84,7 @@ _FRAMES = weakref.WeakKeyDictionary()
 
 def spread(config: Configuration) -> float:
     """Max point norm minus min point norm; 0 iff the set sits on an origin sphere."""
-    norms = np.linalg.norm(config.points, axis=1)
+    norms = _norm(config.points, axis=1)
     return float(norms.max() - norms.min())
 
 
@@ -179,16 +178,15 @@ def _fits(ball_radius: float, radius: float) -> bool:
     return ball_radius <= radius * (1.0 + FEASIBILITY_SLACK)
 
 
-def _hull_frame(target: Configuration, scale: float):
-    """The target's hull coordinates over scale, centred at their enclosing ball.
+def _hull_frame(pts: np.ndarray, scale: float):
+    """The hull coordinates of the rows of pts over scale, centred at their enclosing ball.
 
     Returns (a, basis, ball): basis holds the m orthonormal rows spanning
     the affine hull (one SVD, geometry._hull_basis), ball is the enclosing
-    ball of the scaled coordinates, walked to in m dimensions, and
-    point i is points[0] + scale * (a[i] + ball.center) @ basis up to its
-    component off the hull, which the cutoff DEFAULT_TOL drops.
+    ball of the scaled coordinates, walked to in m dimensions, and row i is
+    pts[0] + scale * (a[i] + ball.center) @ basis up to its component off
+    the hull, which the cutoff DEFAULT_TOL drops.
     """
-    pts = target.points
     basis = _hull_basis(pts, DEFAULT_TOL)
     coords = (pts - pts[0]) @ basis.T / scale
     if len(basis) == 0:  # one point, or coincident points
@@ -199,37 +197,33 @@ def _hull_frame(target: Configuration, scale: float):
 
 
 def _target_frame(target: Configuration):
-    """(diam, a, sq, basis, ball, placed, keep, guess, circle): estimate_c's radius-free inputs.
+    """(k, diam, a, sq, basis, ball, placed, keep, guess, circle): the radius-free inputs.
 
     keep indexes the target's distinct points, each by its first index;
-    diam is diameter(target); (a, basis, ball) is _hull_frame at scale
-    diam, or at scale 1 for coincident points, whose frame has no
-    coordinates, with a's rows cut to keep; sq holds the |a_k|^2; placed
-    is all the target's points with one zero coordinate appended.  guess
+    diam is their diameter over 2^k (geometry._scaled); (a, basis, ball) is
+    _hull_frame of the points over 2^k at scale diam, or at scale 1 for
+    coincident points, whose frame has no coordinates, with a's rows cut to
+    keep; sq holds the |a_k|^2; placed is all the points over 2^k with one
+    zero coordinate appended.  guess
     is _guess at y0 = 0, where every call's first pass starts, so a later
-    call's first pass solves only what the radius changes.  circle is the circumcentre
-    and squared circumradius (y, rho^2) of affinely independent points,
-    else None.  The frame is made on the target's first call and kept in
-    _FRAMES, its arrays read-only; threads that miss at once each make the
-    same frame.  Raises DomainError when the diameter's square overflows,
-    or underflows to 0 on points that are not all equal.
+    call's first pass solves only what the radius changes.  circle is the
+    circumcentre and squared circumradius (y, rho^2) of affinely
+    independent points, else None.  The frame is made on the target's first
+    call and kept in _FRAMES, its arrays read-only; threads that miss at
+    once each make the same frame.
     """
     frame = _FRAMES.get(target)
     if frame is None:
-        diam = diameter(target)
-        if math.isinf(diam * diam):
-            raise DomainError("target's squared diameter overflows; rescale its points")
         pts = target.points
-        if diam * diam == 0.0 and (pts != pts[0]).any():
-            raise DomainError("target's squared diameter underflows to 0; "
-                              "rescale its points")
         # Equal points give equal bytes once -0.0 is made 0.0; a dict keeps
         # each one's first index (np.unique would import numpy.ma).
         first = {}
         for i, row in enumerate(pts + 0.0):
             first.setdefault(row.tobytes(), i)
         keep = tuple(first.values())
-        a, basis, ball = _hull_frame(target, diam or 1.0)
+        k, pts = _scaled(pts)
+        diam = _diameter(pts)
+        a, basis, ball = _hull_frame(pts, diam or 1.0)
         a = a if len(keep) == len(pts) else a[list(keep)]
         sq = np.einsum("ij,ij->i", a, a)
         placed = np.hstack([pts, np.zeros((len(pts), 1))])
@@ -250,7 +244,7 @@ def _target_frame(target: Configuration):
             arrays += [upper, p, d, kkt]
         for array in arrays:
             array.flags.writeable = False
-        frame = _FRAMES[target] = (diam, a, sq, basis, ball, placed, keep, guess, circle)
+        frame = _FRAMES[target] = (k, diam, a, sq, basis, ball, placed, keep, guess, circle)
     return frame
 
 
@@ -358,23 +352,20 @@ def _prepare(problem: SpreadProblem):
 
     centered holds the hull coordinates centered at the enclosing-ball
     center, with one zero coordinate appended for the height off the hull.
-    scale is the power of two 2^(k-1) that brings the largest coordinate
-    offset from the first point into [1, 2), k its frexp exponent:
-    _summarize_chunks squares dot products, so its arithmetic is quartic
-    in length and, at the target's own scale, leaves the float range beyond
-    about 1e+-77.  Scaling by a
-    power of two is exact, so a spread sampled over scale, times scale, has
-    the bits of one sampled unscaled wherever that stays in range.  Raises Infeasible, before any sampling,
-    when the enclosing radius exceeds r * (1 + FEASIBILITY_SLACK), and
-    DomainError when the radius over scale overflows when squared.
+    scale is geometry._scaled's power of two: _summarize_chunks squares dot
+    products, so its arithmetic is quartic in length and, at the target's
+    own scale, leaves the float range beyond about 1e+-77.  Raises
+    Infeasible, before any sampling, when the enclosing radius exceeds
+    r * (1 + FEASIBILITY_SLACK), and DomainError when the radius over scale
+    overflows when squared.
     """
-    pts = problem.target.points
-    scale = math.ldexp(1.0, int(np.frexp(np.abs(pts - pts[0]).max())[1]) - 1)
+    k, pts = _scaled(problem.target.points)
+    scale = math.ldexp(1.0, k)
     radius = problem.radius / scale
     if not math.isfinite(radius * radius):
         raise DomainError(f"radius {problem.radius!r} over the target's size "
                           f"{scale!r} overflows when squared")
-    a, _, ball = _hull_frame(problem.target, scale)
+    a, _, ball = _hull_frame(pts, 1.0)
     if not _fits(ball.radius, radius):
         raise Infeasible(
             f"enclosing-ball radius exceeds {problem.radius}; no copy fits")
@@ -389,9 +380,9 @@ def sample_spread_oracle(problem: SpreadProblem, n_samples: int,
     count grows whenever radius >= circumradius(target).  It samples the
     target over a power of two (_prepare), so any scale whose squared
     radius over that power is finite gives the unit-scale value times the
-    scale.  A count that is not an integer or a seed that is not a
-    nonnegative integer raises DomainError; a count of zero or less raises
-    EmptySample.
+    scale, bit for bit at a power of two.  A count that is not an integer
+    or a seed that is not a nonnegative integer raises DomainError; a count
+    of zero or less raises EmptySample.
     """
     n_samples = _integer(n_samples, "sample count")
     seed = _seed(seed)
@@ -701,24 +692,23 @@ def estimate_c(problem: SpreadProblem, restarts: int = 64, seed: int = 0,
                oracle_samples: int = 0) -> SpreadEstimate:
     """The minimal spread of congruent copies of the target in the r-ball.
 
-    Solves the convex reduction (module docstring) on the target scaled to
-    unit diameter, so every slack is relative and c(sA, sr) = s c(A, r).
+    Solves the convex reduction (module docstring) in the target's frame
+    (_target_frame), made on its first call: the target over a power of
+    two, scaled to unit diameter, so every slack is relative and
+    c(sA, sr) = s c(A, r), bit for bit at s = 2^j.
     Each pass runs the pivot (_pivot) or a closed form; the first starts at
     the enclosing-ball center and each further one at the last pass's
     point, up to `restarts` passes, until c_estimate - c_lower <= tolerance
     * radius, or until a pass tightens neither side.  The target fits iff
     its farthest point from its enclosing-ball center is at most radius *
-    (1 + FEASIBILITY_SLACK) away.  The solve runs in the target's frame
-    (_target_frame), made on its first call; the placement puts the height
-    off the hull on one appended axis (see SpreadEstimate), and its norms
-    are measured over a power of two, so they hold at any scale.
-    With oracle_samples > 0, a sampling-oracle scan seeded by `seed` fills
-    oracle_value; a sampled spread below c_lower raises NonConvergence.
+    (1 + FEASIBILITY_SLACK) away.  The placement puts the height off the
+    hull on one appended axis (see SpreadEstimate).  With oracle_samples >
+    0, a sampling-oracle scan seeded by `seed` fills oracle_value; a
+    sampled spread below c_lower raises NonConvergence.
     A `restarts` that is not an integer of at least 1, an `oracle_samples`
     that is not an integer or a `seed` that is not a nonnegative integer
-    raises DomainError, as do a target whose squared diameter overflows or
-    underflows to 0 and a radius whose square over the diameter overflows,
-    before any arithmetic that would leave the float range.
+    raises DomainError, as does a radius whose square over the diameter
+    overflows, before any arithmetic that would leave the float range.
     """
     restarts = _integer(restarts, "restarts")
     if restarts < 1:
@@ -729,12 +719,12 @@ def estimate_c(problem: SpreadProblem, restarts: int = 64, seed: int = 0,
     target = problem.target
     report = dict(restarts=restarts, seed=seed, radius=problem.radius,
                   ambient_dim=target.dim + 1, tolerance=tolerance)
-    diam, a, sq, basis, ball, placed, keep, guess, circle = _target_frame(target)
-    scale = diam or problem.radius
-    radius = problem.radius / scale
+    k, diam, a, sq, basis, ball, placed, keep, guess, circle = _target_frame(target)
+    scale = diam or math.ldexp(problem.radius, -k)
+    radius = math.ldexp(problem.radius, -k) / scale
     if not math.isfinite(radius * radius):
         raise DomainError(f"radius {problem.radius!r} over the target's diameter "
-                          f"{diam!r} overflows when squared")
+                          f"{math.ldexp(diam, k)!r} overflows when squared")
     reach = ball.radius
     if not _fits(reach, radius):
         return SpreadEstimate(c_estimate=None, best_motion=None,
@@ -744,7 +734,6 @@ def estimate_c(problem: SpreadProblem, restarts: int = 64, seed: int = 0,
     # c_lower still bounds c(A, r) from below.
     radius = max(radius, reach * (1.0 + ROUNDING_SLACK))
     r2 = radius * radius
-    k = math.frexp(problem.radius)[1]
 
     def origin_of(y, dist2, on_hull):
         """The placement's origin for the solver's y, whose |a_k - y|^2 are dist2."""
@@ -766,7 +755,7 @@ def estimate_c(problem: SpreadProblem, restarts: int = 64, seed: int = 0,
                 gap = a - y
                 top = float(np.einsum("ij,ij->i", gap, gap).max())
         origin = np.empty(target.dim + 1)
-        origin[:-1] = target.points[0] + scale * ((ball.center + y) @ basis)
+        origin[:-1] = placed[0, :-1] + scale * ((ball.center + y) @ basis)
         # With the paraboloid active the farthest point is on the sphere:
         # the copy lies on the hull, whatever r^2 - top rounds to.
         origin[-1] = 0.0 if on_hull else scale * math.sqrt(max(r2 - top, 0.0))
@@ -775,16 +764,13 @@ def estimate_c(problem: SpreadProblem, restarts: int = 64, seed: int = 0,
     def measured(y, dist2, lam, mu, nu, on_hull):
         """The placement's spread, its largest norm, its origin and the dual c_lower."""
         origin = origin_of(y, dist2, on_hull)
-        # The row sums np.linalg.norm(..., axis=1) takes, without its checks,
-        # over 2^k: every norm is at most r, so no square leaves the float
-        # range, and scaling by 2^k is exact, so in-range norms keep their bits.
+        # The row sums np.linalg.norm(..., axis=1) takes, without its checks.
         offsets = placed - origin
-        offsets *= math.ldexp(1.0, -k)
         norms = np.sqrt((offsets * offsets).sum(axis=1))
         top, bottom = math.ldexp(float(norms.max()), k), math.ldexp(float(norms.min()), k)
         t = max(_dual_bound(a, sq, dist2, radius, lam, mu, nu) - ROUNDING_SLACK * r2, 0.0)
-        lower = scale * t / (radius + math.sqrt(max(r2 - t, 0.0)))
-        return top - bottom, top, origin, lower
+        lower = math.ldexp(scale * t / (radius + math.sqrt(max(r2 - t, 0.0))), k)
+        return top - bottom, top, np.ldexp(origin, k), lower
 
     y, best, c_lower, passes = np.zeros(len(basis)), None, 0.0, []
     for index in range(restarts):

@@ -187,7 +187,7 @@ class TestEstimateC:
         # SpreadProblem decomposes nothing; estimate_c decomposes the hull
         # once per target, and a later call on the same target, at another
         # radius, runs no SVD, enclosing ball or diameter again
-        calls = {"svd": 0, "min_enclosing_ball": 0, "diameter": 0}
+        calls = {"svd": 0, "min_enclosing_ball": 0, "_diameter": 0}
 
         def counted(name, function):
             def wrapper(*args, **kwargs):
@@ -196,16 +196,16 @@ class TestEstimateC:
             return wrapper
 
         monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
-        for name in ("min_enclosing_ball", "diameter"):
+        for name in ("min_enclosing_ball", "_diameter"):
             monkeypatch.setattr(spread_module, name,
                                 counted(name, getattr(spread_module, name)))
         target = almost_regular_simplex(4, 0.01)
         problem = SpreadProblem(target=target, radius=0.707)
         assert sum(calls.values()) == 0
         estimate_c(problem)
-        assert calls == {"svd": 1, "min_enclosing_ball": 1, "diameter": 1}
+        assert calls == {"svd": 1, "min_enclosing_ball": 1, "_diameter": 1}
         estimate_c(SpreadProblem(target=target, radius=0.6633))
-        assert calls == {"svd": 1, "min_enclosing_ball": 1, "diameter": 1}
+        assert calls == {"svd": 1, "min_enclosing_ball": 1, "_diameter": 1}
 
     @pytest.mark.parametrize("oracle_samples, seed", BAD_COUNTS_AND_SEEDS)
     def test_bad_oracle_count_or_seed_is_domain_error(self, oracle_samples, seed):
@@ -289,8 +289,8 @@ class TestFrameReuse:
     def test_frame_is_read_only(self):
         target = _fresh(OBTUSE_150)
         estimate_c(SpreadProblem(target=target, radius=0.95))
-        diam, a, sq, basis, ball, placed, keep, guess, circle = spread_module._FRAMES[target]
-        assert diam == diameter(target)
+        k, diam, a, sq, basis, ball, placed, keep, guess, circle = spread_module._FRAMES[target]
+        assert math.ldexp(diam, k) == diameter(target)
         assert np.array_equal(sq, _squares(a))
         assert keep == (0, 1, 2)
         upper, _, p, d, _, kkt = guess
@@ -530,7 +530,7 @@ class TestActiveSet:
                             lambda a, sq, y0: guess(a, sq, y0 + 10.0 * (a[right] - a[wrong])))
         fresh = _fresh(target)
         walked = estimate_c(SpreadProblem(target=fresh, radius=radius), restarts=2)
-        assert wrong in spread_module._FRAMES[fresh][7][0]
+        assert wrong in spread_module._FRAMES[fresh][8][0]
         passes = walked.diagnostics["passes"]
         assert passes[0]["stage"] == "active_set" and passes[0]["iterations"] > 1
         assert (passes[0]["upper"], passes[0]["lower"]) == (first["upper"], first["lower"])
@@ -595,10 +595,10 @@ class TestActiveSet:
         # m = 1.
         target = _fresh(target)
         estimate_c(SpreadProblem(target=target, radius=radius))
-        diam, a, sq, _, ball, _, _, kept, _ = spread_module._FRAMES[target]
+        k, diam, a, sq, _, ball, _, _, kept, _ = spread_module._FRAMES[target]
         built = _guess(a, sq, np.zeros(a.shape[1]))
         assert _same(kept, built)
-        scaled = max(radius / diam, ball.radius * (1.0 + ROUNDING_SLACK))
+        scaled = max(math.ldexp(radius, -k) / diam, ball.radius * (1.0 + ROUNDING_SLACK))
         assert _same(_active_set(a, scaled, kept), _active_set(a, scaled, built))
 
     @pytest.mark.parametrize("points", [
@@ -618,7 +618,7 @@ class TestActiveSet:
             in {("coincident", 0), ("active_set", 1), ("circumcentre", 0)}
         assert 0.0 <= estimate.c_lower <= estimate.c_estimate
         diam = diameter(config) or radius
-        a, _, ball = spread_module._hull_frame(config, diam)
+        a, _, ball = spread_module._hull_frame(config.points, diam)
         r = max(radius / diam, ball.radius * (1.0 + ROUNDING_SLACK))
         y, *_, oracle = interior_point(a, _squares(a), r, np.zeros(a.shape[1]))
         assert oracle["stage"] == "interior_point"
@@ -833,52 +833,72 @@ class TestScaleInvariance:
         with pytest.raises(Infeasible):
             falsify_coloring(target, 0.3 * scale, 0.1 * scale, 2000)
 
+    # The 150-degree triangle at r = 0.95 and width 0.033, and the
+    # almost-regular 4-simplex at r = 0.707 and width 0.061, times scale.
+    SAMPLED = [(OBTUSE_150, 0.95, 0.033), (almost_regular_simplex(4, 0.01), 0.707, 0.061)]
+
     @staticmethod
-    def _sampled(scale):
-        # The 150-degree triangle's oracle and shell counts, at r = 0.95 and
-        # width 0.033 times scale, without a RuntimeWarning.
-        target = Configuration(dim=2, points=OBTUSE_150.points * scale)
+    def _sampled(case, scale):
+        # The oracle and shell counts, without a RuntimeWarning.
+        config, radius, width = case
+        target = Configuration(dim=config.dim, points=config.points * scale)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             oracle = sample_spread_oracle(
-                SpreadProblem(target=target, radius=0.95 * scale), 20000, seed=3)
-            report = falsify_coloring(target, 0.95 * scale, 0.033 * scale, 20000, seed=3)
+                SpreadProblem(target=target, radius=radius * scale), 20000, seed=3)
+            report = falsify_coloring(target, radius * scale, width * scale, 20000, seed=3)
         return oracle, report
 
     @pytest.mark.parametrize("scale", [2.0 ** 300, 2.0 ** -300])
     def test_samplers_keep_their_bits_at_powers_of_two(self, scale):
-        oracle, report = self._sampled(scale)
-        unit_oracle, unit_report = self._sampled(1.0)
-        assert oracle == scale * unit_oracle
-        assert report.min_spread == scale * unit_report.min_spread
-        assert report.monochromatic_count == unit_report.monochromatic_count > 0
+        # The 4-simplex's seeded copies follow its hull's SVD basis, which
+        # its repeated singular value leaves to rounding; a power of two
+        # moves the SVD's input by that power only, so the basis stays.
+        for case in self.SAMPLED:
+            oracle, report = self._sampled(case, scale)
+            unit_oracle, unit_report = self._sampled(case, 1.0)
+            assert oracle == scale * unit_oracle
+            assert report.min_spread == scale * unit_report.min_spread
+            assert report.monochromatic_count == unit_report.monochromatic_count > 0
 
     @pytest.mark.parametrize("scale", [1e100, 1e-100, 1e200, 1e-200])
     def test_samplers_at_any_scale(self, scale):
         # Squared dot products at the target's own scale left the float
         # range beyond about 1e+-77: at 1e80 the oracle fell below c(A, r),
-        # and at 1e-100 no copy was monochromatic.
-        oracle, report = self._sampled(scale)
-        unit_oracle, unit_report = self._sampled(1.0)
+        # and at 1e-100 no copy was monochromatic.  Only the triangle: the
+        # 4-simplex's hull has a repeated singular value, so the rounding
+        # of its points by 10^j can turn the SVD's basis, and its seeded
+        # copies with it.
+        oracle, report = self._sampled(self.SAMPLED[0], scale)
+        unit_oracle, unit_report = self._sampled(self.SAMPLED[0], 1.0)
         assert oracle == pytest.approx(scale * unit_oracle, rel=1e-12)
         assert report.min_spread == pytest.approx(scale * unit_report.min_spread, rel=1e-12)
         assert report.monochromatic_count == unit_report.monochromatic_count
 
-    @pytest.mark.parametrize("scale, factor, cause", [
-        (1e-200, 0.95, "diameter underflows"), (1e155, 0.95, "diameter overflows"),
-        (1.0, 1e300, "overflows when squared")])
+    @pytest.mark.parametrize("scale", [1e-200, 1e155])
+    def test_squared_diameter_out_of_range(self, scale):
+        # At 1e-200 the diameter's square underflows to 0 and at 1e155 it
+        # overflows.  Once the target was solved as coincident points
+        # (c = 0) and the solve overflowed, then both raised DomainError;
+        # over a power of two near the target's extent they solve.
+        target = Configuration(dim=2, points=OBTUSE_150.points * scale)
+        unit = estimate_c(SpreadProblem(target=OBTUSE_150, radius=0.95))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            estimate = estimate_c(SpreadProblem(target=target, radius=0.95 * scale))
+        assert estimate.c_estimate == pytest.approx(scale * unit.c_estimate, rel=1e-12)
+        assert estimate.c_lower == pytest.approx(scale * unit.c_lower, rel=1e-12)
+
+    @pytest.mark.parametrize("scale, factor, cause", [(1.0, 1e300, "overflows when squared")])
     def test_out_of_range_is_domain_error(self, scale, factor, cause):
-        # At 1e-200 the diameter underflows to 0 and the target was solved
-        # as coincident points (c = 0); at 1e155 and at r = 1e300 the solve
-        # overflowed.
+        # At r = 1e300 the solve overflowed.
         target = Configuration(dim=2, points=OBTUSE_150.points * scale)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(DomainError, match=cause):
                 estimate_c(SpreadProblem(target=target, radius=factor * scale))
-            if factor > 1.0:
-                with pytest.raises(DomainError, match=cause):
-                    sample_spread_oracle(SpreadProblem(target=target, radius=factor), 10)
+            with pytest.raises(DomainError, match=cause):
+                sample_spread_oracle(SpreadProblem(target=target, radius=factor), 10)
 
 
 def _modules_after(code: str, package: str = "scipy") -> str:

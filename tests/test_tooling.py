@@ -27,20 +27,31 @@ def test_package_imports_no_scipy():
     assert offenders == []
 
 
-def test_svd_only_in_geometry():
-    # geometry is the one module that decomposes the affine hull: _hull_basis
-    # for its basis, affine_dimension for its dimension alone
+def _uses_outside_geometry(name: str) -> list[str]:
+    """Where a module other than geometry.py reads or imports `name`."""
     offenders = []
     for module in sorted(PACKAGE.rglob("*.py")):
         if module.name == "geometry.py":
             continue
         for node in ast.walk(ast.parse(module.read_text(), str(module))):
-            if isinstance(node, ast.Attribute) and node.attr == "svd":
+            if isinstance(node, ast.Attribute) and node.attr == name:
                 offenders.append(f"{module.name}:{node.lineno}")
             elif isinstance(node, ast.ImportFrom):
                 offenders += [f"{module.name}:{node.lineno}" for alias in node.names
-                              if alias.name == "svd"]
-    assert offenders == []
+                              if alias.name == name]
+    return offenders
+
+
+def test_svd_only_in_geometry():
+    # geometry is the one module that decomposes the affine hull: _hull_basis
+    # for its basis, affine_dimension for its dimension alone
+    assert _uses_outside_geometry("svd") == []
+
+
+def test_frexp_only_in_geometry():
+    # geometry._scaled is the one place that picks the power of two an
+    # entry computes over
+    assert _uses_outside_geometry("frexp") == []
 
 
 def test_no_unused_imports():
