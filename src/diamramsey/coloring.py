@@ -144,13 +144,13 @@ def falsify_coloring(target: Configuration, r: float, c: float,
         raise DomainError(f"sample count must be nonnegative, got {n_samples}")
     seed = _seed(seed)
     k = num_colors(r, c)
-    centered, radius, scale = _prepare(SpreadProblem(target=target, radius=r))
+    centered, radius, power = _prepare(SpreadProblem(target=target, radius=r))
     if n_samples == 0:
         return FalsifyReport(radius=r, shell_width=c, num_colors=k,
                              n_samples=0, seed=seed, monochromatic_count=0,
                              min_spread=None, min_color_span=None, vacuous=True)
-    # The copies are sampled over scale (spread._prepare), so the shells are too.
-    width = c / scale
+    # The copies are sampled over 2^power (spread._prepare), so the shells are too.
+    width = math.ldexp(c, -power)
 
     def summary(top, bottom):
         # floor(|x| / c) is monotone in |x|, so a copy's extreme shells are
@@ -164,7 +164,7 @@ def falsify_coloring(target: Configuration, r: float, c: float,
     mono, min_spread, min_span = sum(counts), min(spreads), min(span_mins)
     return FalsifyReport(radius=r, shell_width=c, num_colors=k,
                          n_samples=n_samples, seed=seed,
-                         monochromatic_count=mono, min_spread=min_spread * scale,
+                         monochromatic_count=mono, min_spread=math.ldexp(min_spread, power),
                          min_color_span=min_span, vacuous=False)
 
 

@@ -183,22 +183,22 @@ def _diameter(pts: np.ndarray, center: np.ndarray | None = None,
     return math.ldexp(float(np.sqrt(best)), k)
 
 
-def _scaled(pts: np.ndarray, peak: float | None = None, center=0.0) -> tuple[int, np.ndarray]:
+def _scaled(pts: np.ndarray, peak: float | None = None, center=None) -> tuple[int, np.ndarray]:
     """(k, pts / 2^k), 2^k the power of two every entry that squares coordinates uses.
 
-    peak is the rows' largest coordinate offset from `center`, or near it
-    (default: from the first row).  Scaling by 2^k is exact, so an entry
-    that computes on pts / 2^k and scales back keeps its bits wherever no
-    square leaves the float range, and its result at 2^j pts is 2^j times
-    that at pts.  So k = 0, and pts is not copied, while peak and the rows
-    lie within 2^+-128 (a copy of a large cloud costs page faults); else k
-    is the frexp exponent of peak, or larger for rows 2^500 times as far
-    from the origin, such as coincident points.
+    peak is the rows' largest coordinate offset from `center` (the origin
+    if None), or near it (default: from the first row).  Scaling by 2^k is
+    exact, so an entry that computes on pts / 2^k and scales back keeps its
+    bits wherever no square leaves the float range, and its result at 2^j
+    pts is 2^j times that at pts.  So k = 0, and pts is not copied, while
+    peak and the rows lie within 2^+-128 (a copy of a large cloud costs
+    page faults); else k is the frexp exponent of peak, or larger for rows
+    2^500 times as far from the origin, such as coincident points.
     """
     if peak is None:
         center = pts[0]
-        peak = float(np.max(np.abs(pts - center)))
-    far = max(peak, float(np.max(np.abs(center))))
+        peak = float(np.abs(pts - center).max())
+    far = peak if center is None else max(peak, float(np.abs(center).max()))
     if 2.0 ** -128 <= peak and far <= 2.0 ** 128:
         return 0, pts
     k = math.frexp(max(peak, math.ldexp(far, -500)))[1]
@@ -207,8 +207,9 @@ def _scaled(pts: np.ndarray, peak: float | None = None, center=0.0) -> tuple[int
 
 def _norm(x: np.ndarray, axis=None):
     """np.linalg.norm(x, axis=axis) taken over _scaled's power of two."""
-    k, x = _scaled(x, float(np.max(np.abs(x), initial=0.0)))
-    return np.ldexp(np.linalg.norm(x, axis=axis), k)
+    k, x = _scaled(x, float(np.abs(x).max(initial=0.0)))
+    norms = np.linalg.norm(x, axis=axis)
+    return np.ldexp(norms, k) if k else norms
 
 
 def _row_sq_dists(pts: np.ndarray, rows) -> np.ndarray:
@@ -380,7 +381,8 @@ def distance_matrix(config: Configuration) -> np.ndarray:
     """Symmetric matrix of pairwise Euclidean distances, taken over _scaled's power of two."""
     k, pts = _scaled(config.points)
     diff = pts[:, None, :] - pts[None, :, :]
-    return np.ldexp(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)), k)
+    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    return np.ldexp(dist, k) if k else dist
 
 
 def affine_dimension(config: Configuration, tol: float = DEFAULT_TOL) -> int:

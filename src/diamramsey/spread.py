@@ -348,28 +348,31 @@ def _summarize_chunks(centered: np.ndarray, radius: float, n_samples: int,
 
 
 def _prepare(problem: SpreadProblem):
-    """(centered, radius, scale): the target in R^(m+1) and the radius, over scale.
+    """(centered, radius, k): the target in R^(m+1) and the radius, over 2^k.
 
     centered holds the hull coordinates centered at the enclosing-ball
     center, with one zero coordinate appended for the height off the hull.
-    scale is geometry._scaled's power of two: _summarize_chunks squares dot
-    products, so its arithmetic is quartic in length and, at the target's
-    own scale, leaves the float range beyond about 1e+-77.  Raises
+    2^k is geometry._scaled's power of two for the larger of r and the
+    target's extent, its largest coordinate offset from its first point:
+    _summarize_chunks squares dot products, so its arithmetic is quartic in
+    length, and every length it takes is at most about r.  Raises
     Infeasible, before any sampling, when the enclosing radius exceeds
-    r * (1 + FEASIBILITY_SLACK), and DomainError when the radius over scale
+    r * (1 + FEASIBILITY_SLACK), and DomainError when r over the extent
     overflows when squared.
     """
-    k, pts = _scaled(problem.target.points)
-    scale = math.ldexp(1.0, k)
-    radius = problem.radius / scale
-    if not math.isfinite(radius * radius):
-        raise DomainError(f"radius {problem.radius!r} over the target's size "
-                          f"{scale!r} overflows when squared")
+    pts = problem.target.points - problem.target.points[0]
+    extent = float(np.abs(pts).max())
+    ratio = problem.radius / extent if extent else 1.0
+    if not math.isfinite(ratio * ratio):
+        raise DomainError(f"radius {problem.radius!r} over the target's extent "
+                          f"{extent!r} overflows when squared")
+    k, pts = _scaled(pts, max(extent, problem.radius))
+    radius = math.ldexp(problem.radius, -k)
     a, _, ball = _hull_frame(pts, 1.0)
     if not _fits(ball.radius, radius):
         raise Infeasible(
             f"enclosing-ball radius exceeds {problem.radius}; no copy fits")
-    return np.hstack([a, np.zeros((len(a), 1))]), radius, scale
+    return np.hstack([a, np.zeros((len(a), 1))]), radius, k
 
 
 def sample_spread_oracle(problem: SpreadProblem, n_samples: int,
@@ -378,9 +381,9 @@ def sample_spread_oracle(problem: SpreadProblem, n_samples: int,
 
     Always an upper bound on the true minimum; approaches 0 as the sample
     count grows whenever radius >= circumradius(target).  It samples the
-    target over a power of two (_prepare), so any scale whose squared
-    radius over that power is finite gives the unit-scale value times the
-    scale, bit for bit at a power of two.  A count that is not an integer
+    target over a power of two (_prepare), so any scale at which r over the
+    target's extent squares to a finite number gives the unit-scale value
+    times the scale, bit for bit at a power of two.  A count that is not an integer
     or a seed that is not a nonnegative integer raises DomainError; a count
     of zero or less raises EmptySample.
     """
@@ -388,10 +391,10 @@ def sample_spread_oracle(problem: SpreadProblem, n_samples: int,
     seed = _seed(seed)
     if n_samples <= 0:
         raise EmptySample("oracle needs a positive sample count")
-    centered, radius, scale = _prepare(problem)
+    centered, radius, k = _prepare(problem)
     least = _summarize_chunks(centered, radius, n_samples, seed,
                               lambda top, bottom: float((top - bottom).min()))
-    return min(least) * scale
+    return math.ldexp(min(least), k)
 
 
 # ---------------------------------------------------------------------------
@@ -764,9 +767,7 @@ def estimate_c(problem: SpreadProblem, restarts: int = 64, seed: int = 0,
     def measured(y, dist2, lam, mu, nu, on_hull):
         """The placement's spread, its largest norm, its origin and the dual c_lower."""
         origin = origin_of(y, dist2, on_hull)
-        # The row sums np.linalg.norm(..., axis=1) takes, without its checks.
-        offsets = placed - origin
-        norms = np.sqrt((offsets * offsets).sum(axis=1))
+        norms = _norm(placed - origin, axis=1)
         top, bottom = math.ldexp(float(norms.max()), k), math.ldexp(float(norms.min()), k)
         t = max(_dual_bound(a, sq, dist2, radius, lam, mu, nu) - ROUNDING_SLACK * r2, 0.0)
         lower = math.ldexp(scale * t / (radius + math.sqrt(max(r2 - t, 0.0))), k)

@@ -164,17 +164,6 @@ def _cloud(kind: str, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
     return pts, pts
 
 
-def _power_of_two_between(got, want):
-    """The power of two s with got == s * want exactly, else None.
-
-    min_enclosing_ball walks on the points over a power of two
-    (geometry._scaled) and scales the ball back.
-    """
-    i = int(np.argmax(np.abs(want)))
-    s = float(got.flat[i] / want.flat[i])
-    return s if math.frexp(s)[0] == 0.5 and np.array_equal(got, s * want) else None
-
-
 def _core_rows(pts: np.ndarray) -> np.ndarray:
     """A cloud's core, for clouds without ties: its coordinate extremes and
     the 2(dim + 1) points farthest from the centre of its bounding box."""
@@ -355,7 +344,7 @@ class TestCoreSet:
         monkeypatch.setattr(diamramsey.spheres, "_walk", recording)
         ball = min_enclosing_ball(Configuration.from_points(pts), seed=seed)
         monkeypatch.undo()
-        assert _power_of_two_between(ball.center, walks[-1][0]) is not None
+        assert np.array_equal(ball.center, walks[-1][0])
         assert np.all(np.linalg.norm(pts - ball.center, axis=1) <= ball.radius)
         centred = pts - pts.mean(axis=0)
         radius = min_enclosing_ball(Configuration.from_points(centred), seed=seed).radius
@@ -400,9 +389,8 @@ class TestCoreSet:
         for seed in range(4):
             calls.clear()
             balls.append(min_enclosing_ball(Configuration.from_points(pts), seed=seed))
-            scale = _power_of_two_between(calls[0][0], core)
-            assert scale is not None
-            assert np.array_equal(calls[0][1], scale * core.mean(axis=0))
+            assert np.array_equal(calls[0][0], core)
+            assert np.array_equal(calls[0][1], core.mean(axis=0))
             assert len(calls) > 1 and max(len(c) for c, _ in calls[1:]) <= pts.shape[1] + 2
             assert np.all(np.linalg.norm(pts - balls[-1].center, axis=1) <= balls[-1].radius)
         for ball in balls[1:]:

@@ -833,9 +833,13 @@ class TestScaleInvariance:
         with pytest.raises(Infeasible):
             falsify_coloring(target, 0.3 * scale, 0.1 * scale, 2000)
 
-    # The 150-degree triangle at r = 0.95 and width 0.033, and the
-    # almost-regular 4-simplex at r = 0.707 and width 0.061, times scale.
-    SAMPLED = [(OBTUSE_150, 0.95, 0.033), (almost_regular_simplex(4, 0.01), 0.707, 0.061)]
+    # The 150-degree triangle at r = 0.95 and width 0.033, the
+    # almost-regular 4-simplex at r = 0.707 and width 0.061, and the
+    # triangle at r = 2^140 and width 2^138, times scale.  Sampled at its
+    # own scale 2^120, the last one's quartic terms near r^4 = 2^1040
+    # overflowed and left the copies unshrunk.
+    SAMPLED = [(OBTUSE_150, 0.95, 0.033), (almost_regular_simplex(4, 0.01), 0.707, 0.061),
+               (OBTUSE_150, 2.0 ** 140, 2.0 ** 138)]
 
     @staticmethod
     def _sampled(case, scale):
@@ -849,7 +853,7 @@ class TestScaleInvariance:
             report = falsify_coloring(target, radius * scale, width * scale, 20000, seed=3)
         return oracle, report
 
-    @pytest.mark.parametrize("scale", [2.0 ** 300, 2.0 ** -300])
+    @pytest.mark.parametrize("scale", [2.0 ** 300, 2.0 ** -300, 2.0 ** 120])
     def test_samplers_keep_their_bits_at_powers_of_two(self, scale):
         # The 4-simplex's seeded copies follow its hull's SVD basis, which
         # its repeated singular value leaves to rounding; a power of two
@@ -874,6 +878,18 @@ class TestScaleInvariance:
         assert oracle == pytest.approx(scale * unit_oracle, rel=1e-12)
         assert report.min_spread == pytest.approx(scale * unit_report.min_spread, rel=1e-12)
         assert report.monochromatic_count == unit_report.monochromatic_count
+
+    def test_large_radius_on_a_target_in_range(self):
+        # The placement's offsets, about r = 1e160, overflowed when squared
+        # at the target's own scale, and c_estimate read inf - inf = nan.
+        target = Configuration(dim=2, points=OBTUSE_150.points * 1e10)
+        unit = estimate_c(SpreadProblem(target=OBTUSE_150, radius=1e150))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            estimate = estimate_c(SpreadProblem(target=target, radius=1e160))
+        assert estimate.c_estimate == 1e10 * unit.c_estimate
+        assert estimate.c_lower == 1e10 * unit.c_lower
+        assert estimate.max_norm == pytest.approx(1e160, rel=1e-12)
 
     @pytest.mark.parametrize("scale", [1e-200, 1e155])
     def test_squared_diameter_out_of_range(self, scale):
@@ -1101,9 +1117,9 @@ class TestSampleSpreadOracle:
         # A Haar rotation before the translation cannot change the spread
         # distribution; dropping the 1/dim power on the radii moves this
         # statistic to 0.11 and 0.06 on these two cases.
-        centered, scaled, scale = _prepare(SpreadProblem(target=target, radius=radius))
-        spreads = scale * np.concatenate(
-            _summarize_chunks(centered, scaled, 20000, 0, np.subtract))
+        centered, scaled, k = _prepare(SpreadProblem(target=target, radius=radius))
+        spreads = np.ldexp(np.concatenate(
+            _summarize_chunks(centered, scaled, 20000, 0, np.subtract)), k)
         reference = rotated_copy_spreads(target.points, radius,
                                          affine_dimension(target) + 1, 20000, seed=0)
         assert ks_statistic(spreads, reference) <= 0.03
@@ -1126,10 +1142,10 @@ class TestSampleSpreadOracle:
     def test_monochromatic_count_matches_explicit_copies(self, target, radius, width):
         # r/c is not an integer, so no shrunk copy's farthest point, which
         # lies on |x| = r, sits on a shell boundary
-        centered, scaled, scale = _prepare(SpreadProblem(target=target, radius=radius))
+        centered, scaled, k = _prepare(SpreadProblem(target=target, radius=radius))
         expected = sum(
-            int(np.count_nonzero(np.floor(norms.max(axis=0) / (width / scale))
-                                 == np.floor(norms.min(axis=0) / (width / scale))))
+            int(np.count_nonzero(np.floor(norms.max(axis=0) / math.ldexp(width, -k))
+                                 == np.floor(norms.min(axis=0) / math.ldexp(width, -k))))
             for norms in explicit_copy_norms(centered, scaled, 2 * _CHUNK, 2))
         report = falsify_coloring(target, radius, width, 2 * _CHUNK, seed=2)
         assert report.monochromatic_count == expected > 0
