@@ -227,7 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle-samples", type=_count, default=0,
                    help="cross-check sample count (0 disables)")
 
-    p = add("oracle", _cmd_oracle, help="sampling lower-effort spread scan")
+    p = add("oracle", _cmd_oracle,
+            help="sampled upper bound on c(A, r): least spread of random copies")
     add_input(p)
     p.add_argument("--radius", type=_finite, required=True)
     p.add_argument("--samples", type=_count, default=100000)

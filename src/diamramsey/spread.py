@@ -29,10 +29,13 @@ c(A, r) > 0.  Two independent ways to get at it:
   live.  Translates suffice: a copy R b_i + g*t under a Haar rotation R
   independent of t has norms |b_i + g*R^T t|, its g depends on t only
   through R^T t, and R^T t is again uniform in B(0, r); so norms, spreads
-  and shell indices have the same distribution with R left out.  No copy is
-  built either: each point's squared norm comes from the dot products the
-  shrink already needs, and only each copy's largest and smallest norm are
-  kept, which is all a spread or a shell colouring reads.  The copies come
+  and shell indices have the same distribution with R left out.  The ball
+  is symmetric under t -> -t, so the draws come in antithetic pairs: each
+  t also serves the copy at -t, which has the same distribution and reuses
+  t's Gaussians, radius, normalisation, |t|^2 and negated dot products.
+  No copy is built either: each point's squared norm comes from the dot
+  products the shrink already needs, and only each copy's largest and
+  smallest norm are kept, which is all a spread or a shell colouring reads.  The copies come
   in seeded chunks of _CHUNK, run on one thread per CPU (_summarize_chunks);
   each chunk is reduced to a summary in its thread, and the summaries
   combine by min and sum, so a seeded result does not depend on the
@@ -286,8 +289,12 @@ def _summarize_chunks(centered: np.ndarray, radius: float, n_samples: int,
     """summary(top, bottom) of each chunk of copies, in chunk order.
 
     top and bottom hold each copy's largest and smallest point norm, shape
-    (count,) with count <= _CHUNK.  Copy j is centered + g_j*t_j, with t_j
-    uniform in B(0, radius) and g_j its shrink factor.  No copy is built:
+    (count,) with count <= _CHUNK.  A chunk draws half = ceil(count/2)
+    translations t_j uniform in B(0, radius); copy j < half is
+    centered + g_j*t_j and copy half + j is its antithetic partner
+    centered - g'_j*t_j, each g its own shrink factor.  The partners'
+    dot products <b_i, -t_j> are the first half's negated, written into
+    the second half of the same (k, count) buffer.  No copy is built:
     point i's squared norm is |b_i|^2 + g*(2<b_i, t> + g*|t|^2), formed in
     place in the shrink's own dot products, and only the extremes of the
     squared norms are square-rooted (the smallest clamped at 0 against
@@ -311,12 +318,17 @@ def _summarize_chunks(centered: np.ndarray, radius: float, n_samples: int,
 
     def extremes(chunk):
         count = min(_CHUNK, n_samples - chunk * _CHUNK)
+        half = (count + 1) // 2
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk,)))
-        t = rng.standard_normal((dim, count))
-        radii = radius * rng.random(count) ** (1.0 / dim)
+        t = rng.standard_normal((dim, half))
+        radii = radius * rng.random(half) ** (1.0 / dim)
         t *= radii / np.maximum(np.sqrt(np.einsum("dn,dn->n", t, t)), 1e-300)
-        offsets = np.einsum("dn,dn->n", t, t)
-        dots = centered @ t
+        offsets = np.empty(count)
+        np.einsum("dn,dn->n", t, t, out=offsets[:half])
+        offsets[half:] = offsets[:count - half]
+        dots = np.empty((len(centered), count))
+        np.matmul(centered, t, out=dots[:, :half])
+        np.negative(dots[:, :count - half], out=dots[:, half:])
         g = _shrink_factors(offsets, dots, gaps)
         dots *= 2.0
         dots += g * offsets

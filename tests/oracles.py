@@ -560,9 +560,10 @@ def _explicit_shrink_factors(offsets, dots, gaps):
 def explicit_copy_norms(centered, radius, n_samples, seed):
     """Yield the point norms of the sampler's copies, (k, count) per chunk.
 
-    The reference for the fused sampler kernel: the same seeded draws, but
-    each copy centered + g*t is built point by point and every norm is
-    taken from its coordinates; row i holds point i's norm in every copy.
+    The reference for the fused sampler kernel: the same seeded draws of
+    ceil(count/2) translations t, then the copies centered + g*t and, after
+    them, centered + g*(-t), each built point by point and every norm taken
+    from its coordinates; row i holds point i's norm in every copy.
     """
     dim = centered.shape[1]
     gaps = np.minimum(np.einsum("kd,kd->k", centered, centered)
@@ -570,10 +571,12 @@ def explicit_copy_norms(centered, radius, n_samples, seed):
     n_chunks = (n_samples + _CHUNK - 1) // _CHUNK
     for chunk in range(n_chunks):
         count = min(_CHUNK, n_samples - chunk * _CHUNK)
+        half = (count + 1) // 2
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk,)))
-        t = rng.standard_normal((dim, count))
-        radii = radius * rng.random(count) ** (1.0 / dim)
+        t = rng.standard_normal((dim, half))
+        radii = radius * rng.random(half) ** (1.0 / dim)
         t *= radii / np.maximum(np.sqrt(np.einsum("dn,dn->n", t, t)), 1e-300)
+        t = np.hstack([t, -t[:, :count - half]])
         t *= _explicit_shrink_factors(np.einsum("dn,dn->n", t, t), centered @ t, gaps)
         norms = np.empty((len(centered), count))
         for i, point in enumerate(centered):

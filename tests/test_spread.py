@@ -388,6 +388,41 @@ class TestPinnedWitnesses:
         assert (solve["upper"], solve["lower"]) == (upper, lower)
 
 
+class TestPinnedSamples:
+    """The seven cases' seeded samples: a change of the sampler's stream
+    shows here.  The values follow numpy's PCG64 stream and, for the
+    simplices, the hull basis LAPACK's SVD picks (see _prepare), so another
+    numpy or LAPACK build may need them recorded again."""
+
+    # sample_spread_oracle(..., 2 * 65536, seed=3) as float.hex, then the
+    # control width over c_estimate and falsify_coloring's monochromatic
+    # count there, at the same count and seed.
+    PINNED = [
+        ("0x1.0f4a3ea05dc80p-7", 4, 236),
+        ("0x1.d5afb3fb79080p-6", 4, 582),
+        ("0x1.d33e66bed5840p-5", 4, 1054),
+        ("0x1.50393defa7240p-7", 16, 156),
+        ("0x1.15069a31024e8p-4", 4, 983),
+        ("0x1.bb4dc0134fa40p-6", 64, 22081),
+        ("0x1.47afbd3e0e608p-4", 4, 835),
+    ]
+
+    @pytest.mark.parametrize("case, pinned, solved", list(zip(
+        sampler_witnesses(), PINNED, TestPinnedWitnesses.PINNED)))
+    def test_oracle_and_control_count(self, case, pinned, solved):
+        # 16 eps r allows for a product that rounds differently; the
+        # stream before antithetic pairs had minima 6e-4 r or more away
+        target, radius = case
+        recorded, factor, count = pinned
+        oracle = sample_spread_oracle(SpreadProblem(target=target, radius=radius),
+                                      2 * 65536, seed=3)
+        assert abs(oracle - float.fromhex(recorded)) <= 16 * np.finfo(float).eps * radius
+        width = factor * float.fromhex(solved[0])
+        report = falsify_coloring(target, radius, width, 2 * 65536, seed=3)
+        assert report.monochromatic_count == count
+        assert report.min_spread == oracle
+
+
 class TestDiagnostics:
     STAGES = {"active_set", "circumcentre", "coincident"}
 
@@ -1117,12 +1152,39 @@ class TestSampleSpreadOracle:
         # A Haar rotation before the translation cannot change the spread
         # distribution; dropping the 1/dim power on the radii moves this
         # statistic to 0.11 and 0.06 on these two cases.
+        # Each half of the antithetic pairs is a sample of its own.
         centered, scaled, k = _prepare(SpreadProblem(target=target, radius=radius))
-        spreads = np.ldexp(np.concatenate(
-            _summarize_chunks(centered, scaled, 20000, 0, np.subtract)), k)
+        chunks = _summarize_chunks(centered, scaled, 20000, 0, np.subtract)
+        halves = [np.split(spreads, [(len(spreads) + 1) // 2]) for spreads in chunks]
         reference = rotated_copy_spreads(target.points, radius,
                                          affine_dimension(target) + 1, 20000, seed=0)
-        assert ks_statistic(spreads, reference) <= 0.03
+        for spreads in (chunks, [first for first, _ in halves],
+                        [second for _, second in halves]):
+            assert ks_statistic(np.ldexp(np.concatenate(spreads), k), reference) <= 0.03
+
+    @pytest.mark.parametrize("n_samples", [1, 2, 5, _CHUNK + 1, 3 * _CHUNK + 5])
+    def test_one_copy_per_sample(self, n_samples):
+        centered, scaled, _ = _prepare(SpreadProblem(target=OBTUSE_150, radius=0.95))
+        chunks = _summarize_chunks(centered, scaled, n_samples, 1, lambda *pair: pair)
+        assert [len(top) for top, _ in chunks] == [
+            min(_CHUNK, n_samples - first) for first in range(0, n_samples, _CHUNK)]
+        assert all(len(bottom) == len(top) for top, bottom in chunks)
+
+    @pytest.mark.parametrize("target, radius", [
+        (OBTUSE_150, 0.95), (almost_regular_simplex(4, 0.01), 0.707)])
+    def test_second_half_mirrors_the_first(self, target, radius):
+        # centered - g*t is the point reflection of -centered + g*t, so
+        # copy half + j has the norms of the reflected target's explicit
+        # copy j; with +t in the second half this fails by 0.1-0.9 r^2.
+        centered, scaled, _ = _prepare(SpreadProblem(target=target, radius=radius))
+        bound = 8.0 * np.finfo(float).eps * scaled * scaled
+        for (top, bottom), norms in zip(
+                _summarize_chunks(centered, scaled, _CHUNK + 5, 4, lambda *pair: pair),
+                explicit_copy_norms(-centered, scaled, _CHUNK + 5, 4), strict=True):
+            half = (len(top) + 1) // 2
+            first = norms[:, :len(top) - half]
+            assert np.abs(top[half:] ** 2 - first.max(axis=0) ** 2).max() <= bound
+            assert np.abs(bottom[half:] ** 2 - first.min(axis=0) ** 2).max() <= bound
 
     @pytest.mark.parametrize("target, radius", sampler_witnesses() + [
         (OBTUSE_150, 0.5), (EQUILATERAL, 0.7), (OBTUSE_150, 5.0)])
