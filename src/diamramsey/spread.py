@@ -41,15 +41,14 @@ c(A, r) > 0.  Two independent ways to get at it:
   combine by min and sum, so a seeded result does not depend on the
   thread count.
 
-Both work on the target over a power of two (geometry._scaled), in its
-hull coordinates from one SVD (_hull_frame): the solve in the m
-coordinates of aff(A), the samplers in R^(m+1), with a zero coordinate
-appended for the height off the hull.  The solve keeps each target's frame
-(_target_frame), so repeated points are dropped and the SVD, the
-enclosing ball, the diameter, the squared norms |a_k|^2, the circumcentre
-and the first pass's guess are computed once per target.  No ambient
-dimension is an input: a copy in any R^n lies in the span of its points
-and the origin, of dimension at most m + 1.
+Both read one Frame per target (_target_frame), made on its first call of
+any spread entry: its distinct points over a power of two and their
+diameter, in hull coordinates from one SVD, centred at their enclosing
+ball, so both take r in the same units (_frame_radius) and agree on
+whether a copy fits.  The solve works in the m coordinates of aff(A), the
+samplers in R^(m+1), with a zero coordinate appended for the height off
+the hull.  No ambient dimension is an input: a copy in any R^n lies in the
+span of its points and the origin, of dimension at most m + 1.
 """
 
 from __future__ import annotations
@@ -79,7 +78,7 @@ FEASIBILITY_SLACK = 1e-9
 ROUNDING_SLACK = 1e-12
 _CHUNK = 1 << 14
 _EPS = np.finfo(float).eps
-# Each target's frame (_target_frame), from its first estimate_c call on.
+# Each target's frame (_target_frame), from its first call of any spread entry on.
 # Configuration compares by identity, so the key is the object itself, and
 # the entry goes when the target is freed.
 _FRAMES = weakref.WeakKeyDictionary()
@@ -181,40 +180,39 @@ def _fits(ball_radius: float, radius: float) -> bool:
     return ball_radius <= radius * (1.0 + FEASIBILITY_SLACK)
 
 
-def _hull_frame(pts: np.ndarray, scale: float):
-    """The hull coordinates of the rows of pts over scale, centred at their enclosing ball.
+@dataclass(frozen=True, eq=False)
+class Frame:
+    """A target's radius-free inputs, read by the solve and the samplers.
 
-    Returns (a, basis, ball): basis holds the m orthonormal rows spanning
-    the affine hull (one SVD, geometry._hull_basis), ball is the enclosing
-    ball of the scaled coordinates, walked to in m dimensions, and row i is
-    pts[0] + scale * (a[i] + ball.center) @ basis up to its component off
-    the hull, which the cutoff DEFAULT_TOL drops.
+    keep indexes the distinct points, each by its first index; diam is
+    their diameter over 2^k (geometry._scaled); basis holds the m
+    orthonormal rows spanning the hull, from one SVD; ball is the points'
+    enclosing ball in hull coordinates over 2^k diam (2^k for coincident
+    points), and row i of a is point keep[i] there less ball.center, so the
+    point is 2^k diam (a[i] + ball.center) @ basis from the first point, up
+    to its component off the hull, which the cutoff DEFAULT_TOL drops; sq
+    holds the |a_k|^2; placed is all the points over 2^k with one zero
+    coordinate appended.  guess is _guess at y0 = 0, where every call's
+    first pass starts, so a later call's first pass solves only what the
+    radius changes.  circle is the circumcentre and squared circumradius
+    (y, rho^2) of affinely independent points, else None.
     """
-    basis = _hull_basis(pts, DEFAULT_TOL)
-    coords = (pts - pts[0]) @ basis.T / scale
-    if len(basis) == 0:  # one point, or coincident points
-        ball = Ball(center=np.zeros(0), radius=0.0)
-    else:
-        ball = min_enclosing_ball(Configuration(dim=len(basis), points=coords))
-    return coords - ball.center, basis, ball
+
+    k: int
+    diam: float
+    a: np.ndarray
+    sq: np.ndarray
+    basis: np.ndarray
+    ball: Ball
+    placed: np.ndarray
+    keep: tuple
+    guess: tuple | None
+    circle: tuple | None
 
 
-def _target_frame(target: Configuration):
-    """(k, diam, a, sq, basis, ball, placed, keep, guess, circle): the radius-free inputs.
-
-    keep indexes the target's distinct points, each by its first index;
-    diam is their diameter over 2^k (geometry._scaled); (a, basis, ball) is
-    _hull_frame of the points over 2^k at scale diam, or at scale 1 for
-    coincident points, whose frame has no coordinates, with a's rows cut to
-    keep; sq holds the |a_k|^2; placed is all the points over 2^k with one
-    zero coordinate appended.  guess
-    is _guess at y0 = 0, where every call's first pass starts, so a later
-    call's first pass solves only what the radius changes.  circle is the
-    circumcentre and squared circumradius (y, rho^2) of affinely
-    independent points, else None.  The frame is made on the target's first
-    call and kept in _FRAMES, its arrays read-only; threads that miss at
-    once each make the same frame.
-    """
+def _target_frame(target: Configuration) -> Frame:
+    """The target's Frame, kept in _FRAMES with its arrays read-only; threads
+    that miss at once each make the same frame."""
     frame = _FRAMES.get(target)
     if frame is None:
         pts = target.points
@@ -226,8 +224,11 @@ def _target_frame(target: Configuration):
         keep = tuple(first.values())
         k, pts = _scaled(pts)
         diam = _diameter(pts)
-        a, basis, ball = _hull_frame(pts, diam or 1.0)
-        a = a if len(keep) == len(pts) else a[list(keep)]
+        basis = _hull_basis(pts, DEFAULT_TOL)
+        coords = (pts - pts[0]) @ basis.T / (diam or 1.0)
+        ball = (min_enclosing_ball(Configuration(dim=len(basis), points=coords)) if len(basis)
+                else Ball(center=np.zeros(0), radius=0.0))  # one point, or coincident points
+        a = coords[list(keep)] - ball.center
         sq = np.einsum("ij,ij->i", a, a)
         placed = np.hstack([pts, np.zeros((len(pts), 1))])
         guess = _guess(a, sq, np.zeros(len(basis)))
@@ -247,8 +248,19 @@ def _target_frame(target: Configuration):
             arrays += [upper, p, d, kkt]
         for array in arrays:
             array.flags.writeable = False
-        frame = _FRAMES[target] = (k, diam, a, sq, basis, ball, placed, keep, guess, circle)
+        frame = _FRAMES[target] = Frame(k, diam, a, sq, basis, ball, placed, keep, guess, circle)
     return frame
+
+
+def _frame_radius(frame: Frame, radius: float) -> tuple[float, float]:
+    """(unit, r over 2^k unit): unit is the diameter, or r over 2^k for coincident
+    points.  Raises DomainError when r over 2^k unit overflows when squared."""
+    unit = frame.diam or math.ldexp(radius, -frame.k)
+    scaled = math.ldexp(radius, -frame.k) / unit
+    if not math.isfinite(scaled * scaled):
+        raise DomainError(f"radius {radius!r} over the target's diameter "
+                          f"{math.ldexp(frame.diam, frame.k)!r} overflows when squared")
+    return unit, scaled
 
 
 # ---------------------------------------------------------------------------
@@ -360,31 +372,19 @@ def _summarize_chunks(centered: np.ndarray, radius: float, n_samples: int,
 
 
 def _prepare(problem: SpreadProblem):
-    """(centered, radius, k): the target in R^(m+1) and the radius, over 2^k.
-
-    centered holds the hull coordinates centered at the enclosing-ball
-    center, with one zero coordinate appended for the height off the hull.
-    2^k is geometry._scaled's power of two for the larger of r and the
-    target's extent, its largest coordinate offset from its first point:
-    _summarize_chunks squares dot products, so its arithmetic is quartic in
-    length, and every length it takes is at most about r.  Raises
-    Infeasible, before any sampling, when the enclosing radius exceeds
-    r * (1 + FEASIBILITY_SLACK), and DomainError when r over the extent
-    overflows when squared.
-    """
-    pts = problem.target.points - problem.target.points[0]
-    extent = float(np.abs(pts).max())
-    ratio = problem.radius / extent if extent else 1.0
-    if not math.isfinite(ratio * ratio):
-        raise DomainError(f"radius {problem.radius!r} over the target's extent "
-                          f"{extent!r} overflows when squared")
-    k, pts = _scaled(pts, max(extent, problem.radius))
-    radius = math.ldexp(problem.radius, -k)
-    a, _, ball = _hull_frame(pts, 1.0)
-    if not _fits(ball.radius, radius):
-        raise Infeasible(
-            f"enclosing-ball radius exceeds {problem.radius}; no copy fits")
-    return np.hstack([a, np.zeros((len(a), 1))]), radius, k
+    """(centered, radius, scale): the frame's a with a zero coordinate appended
+    for the height off the hull, and r in the frame's units (_frame_radius),
+    both over 2^j, geometry._scaled's power for r/2, since _summarize_chunks's
+    arithmetic is quartic in length.  scale = unit * 2^(k + j) takes a sampled
+    length to the target's units: the diameter at j = 0, else at most r, as r
+    over 2^j is then at least 1.  Raises Infeasible, before any sampling,
+    where estimate_c reports no fit."""
+    frame = _target_frame(problem.target)
+    unit, radius = _frame_radius(frame, problem.radius)
+    if not _fits(frame.ball.radius, radius):
+        raise Infeasible(f"enclosing-ball radius exceeds {problem.radius}; no copy fits")
+    j, centered = _scaled(np.hstack([frame.a, np.zeros((len(frame.a), 1))]), 0.5 * radius)
+    return centered, math.ldexp(radius, -j), math.ldexp(unit, frame.k + j)
 
 
 def sample_spread_oracle(problem: SpreadProblem, n_samples: int,
@@ -393,20 +393,21 @@ def sample_spread_oracle(problem: SpreadProblem, n_samples: int,
 
     Always an upper bound on the true minimum; approaches 0 as the sample
     count grows whenever radius >= circumradius(target).  It samples the
-    target over a power of two (_prepare), so any scale at which r over the
-    target's extent squares to a finite number gives the unit-scale value
-    times the scale, bit for bit at a power of two.  A count that is not an integer
-    or a seed that is not a nonnegative integer raises DomainError; a count
-    of zero or less raises EmptySample.
+    target's frame (_prepare), so any scale at which r over the target's
+    diameter squares to a finite number gives the unit-scale value times
+    the scale, bit for bit at a power of two, and it raises Infeasible
+    exactly where estimate_c reports no fit.  A count that is not an
+    integer or a seed that is not a nonnegative integer raises DomainError;
+    a count of zero or less raises EmptySample.
     """
     n_samples = _integer(n_samples, "sample count")
     seed = _seed(seed)
     if n_samples <= 0:
         raise EmptySample("oracle needs a positive sample count")
-    centered, radius, k = _prepare(problem)
+    centered, radius, scale = _prepare(problem)
     least = _summarize_chunks(centered, radius, n_samples, seed,
                               lambda top, bottom: float((top - bottom).min()))
-    return math.ldexp(min(least), k)
+    return min(least) * scale
 
 
 # ---------------------------------------------------------------------------
@@ -708,8 +709,8 @@ def estimate_c(problem: SpreadProblem, restarts: int = 64, seed: int = 0,
     """The minimal spread of congruent copies of the target in the r-ball.
 
     Solves the convex reduction (module docstring) in the target's frame
-    (_target_frame), made on its first call: the target over a power of
-    two, scaled to unit diameter, so every slack is relative and
+    (_target_frame): the target over a power of two, scaled to unit
+    diameter (_frame_radius), so every slack is relative and
     c(sA, sr) = s c(A, r), bit for bit at s = 2^j.
     Each pass runs the pivot (_pivot) or a closed form; the first starts at
     the enclosing-ball center and each further one at the last pass's
@@ -734,12 +735,10 @@ def estimate_c(problem: SpreadProblem, restarts: int = 64, seed: int = 0,
     target = problem.target
     report = dict(restarts=restarts, seed=seed, radius=problem.radius,
                   ambient_dim=target.dim + 1, tolerance=tolerance)
-    k, diam, a, sq, basis, ball, placed, keep, guess, circle = _target_frame(target)
-    scale = diam or math.ldexp(problem.radius, -k)
-    radius = math.ldexp(problem.radius, -k) / scale
-    if not math.isfinite(radius * radius):
-        raise DomainError(f"radius {problem.radius!r} over the target's diameter "
-                          f"{math.ldexp(diam, k)!r} overflows when squared")
+    frame = _target_frame(target)
+    k, a, sq, basis, ball, placed, circle = (frame.k, frame.a, frame.sq, frame.basis,
+                                             frame.ball, frame.placed, frame.circle)
+    scale, radius = _frame_radius(frame, problem.radius)
     reach = ball.radius
     if not _fits(reach, radius):
         return SpreadEstimate(c_estimate=None, best_motion=None,
@@ -795,13 +794,13 @@ def estimate_c(problem: SpreadProblem, restarts: int = 64, seed: int = 0,
                 "iterations": 0, "stage": "circumcentre" if circle else "coincident",
                 "upper": rows, "lower": rows})
         else:
-            if index:  # the frame holds the first pass's guess, at y = 0
-                guess = _guess(a, sq, y)
+            # the frame holds the first pass's guess, at y = 0
+            guess = _guess(a, sq, y) if index else frame.guess
             solve = _pivot(a, sq, radius, guess, y)
         value, top, origin, lower = measured(*solve[:6])
         y, _, _, mu, nu, _, diagnostics = solve
-        diagnostics["upper"] = [keep[i] for i in diagnostics["upper"]]
-        diagnostics["lower"] = [keep[i] for i in diagnostics["lower"]]
+        diagnostics["upper"] = [frame.keep[i] for i in diagnostics["upper"]]
+        diagnostics["lower"] = [frame.keep[i] for i in diagnostics["lower"]]
         total = float(mu.sum())
         diagnostics["nu"] = nu / total if total > 0.0 else None
         diagnostics["bracket"] = (value - lower) / problem.radius

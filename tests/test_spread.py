@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import importlib
 import json
@@ -111,6 +112,63 @@ class TestEmbeddingFeasible:
         assert embedding_feasible(SpreadProblem(target=OBTUSE_150, radius=0.5))
 
 
+def _grid_sets(count: int) -> list:
+    """Seeded sets of distinct points of {-1, 0, 1}^d, d = 2-4, d + 2 to 15
+    drawn, times a scale drawn from U(1e-3, 1e3).  Their points are often
+    co-spherical, where an enclosing-ball walk can end on a ball too large."""
+    rng = np.random.default_rng(5)
+    sets = []
+    while len(sets) < count:
+        d = int(rng.integers(2, 5))
+        drawn = rng.integers(-1, 2, size=(int(rng.integers(d + 2, 16)), d)).astype(float)
+        distinct = list({row.tobytes(): row for row in drawn}.values())
+        scale = rng.uniform(1e-3, 1e3)
+        if len(distinct) > 1:
+            sets.append(Configuration.from_points(np.array(distinct) * scale))
+    return sets
+
+
+# 11 grid points whose frame's enclosing ball, walked to in their hull
+# coordinates over their diameter, is 0.5336 of the diameter, where the
+# smallest is 0.5 (the public ball's).
+GRID_11 = Configuration.from_points(0.005549896469012534 * np.array([
+    [-1, -1, 1], [0, -1, 0], [0, 0, -1], [1, -1, -1], [-1, 1, 1], [0, -1, 1], [0, 1, -1],
+    [1, 1, -1], [0, 1, 0], [1, 1, 1], [1, 0, 0]]))
+
+
+class TestSolveAndSamplersAgree:
+    """estimate_c reports a fit exactly where neither sampler raises Infeasible.
+
+    The solve and the samplers read one enclosing ball, the frame's; which
+    answer is right is the enclosing ball's concern, not asserted here.
+    """
+
+    @staticmethod
+    def _agree(target, radius):
+        fits = estimate_c(SpreadProblem(target=target, radius=radius)).feasible
+        for sample in (lambda: sample_spread_oracle(SpreadProblem(target, radius), 4),
+                       lambda: falsify_coloring(target, radius, 0.1 * radius, 4)):
+            try:
+                sample()
+                sampled = True
+            except Infeasible:
+                sampled = False
+            assert sampled == fits, (radius, fits)
+
+    @pytest.mark.parametrize("factor", [1.0, 1.02, 1.05, 1.07, 1.1])
+    def test_co_spherical_grid(self, factor):
+        # The samplers walked their own ball at the points' extent, of 0.5
+        # diameters, and sampled where the solve found no fit.
+        self._agree(GRID_11, factor * min_enclosing_ball(GRID_11).radius)
+
+    def test_grid_sets_at_the_frame_ball(self):
+        for config in _grid_sets(300):
+            frame = spread_module._target_frame(config)
+            radius = math.ldexp(frame.ball.radius * frame.diam, frame.k)
+            for factor in (1.0 - 1e-6, 1.0 + 1e-6):
+                self._agree(config, factor * radius)
+
+
 class TestEstimateC:
     def test_zero_when_ball_contains_circumsphere(self):
         problem = SpreadProblem(target=EQUILATERAL, radius=0.6)
@@ -184,10 +242,12 @@ class TestEstimateC:
         assert estimate.c_lower == pytest.approx(base.c_lower, abs=1e-9 * radius)
 
     def test_one_svd(self, monkeypatch):
-        # SpreadProblem decomposes nothing; estimate_c decomposes the hull
-        # once per target, and a later call on the same target, at another
-        # radius, runs no SVD, enclosing ball or diameter again
+        # SpreadProblem decomposes nothing; the first spread entry called on
+        # a target makes its frame, with one SVD, enclosing ball and
+        # diameter, and no later call on the same target, by the solve or a
+        # sampler, at any radius, runs one of them again
         calls = {"svd": 0, "min_enclosing_ball": 0, "_diameter": 0}
+        once = {"svd": 1, "min_enclosing_ball": 1, "_diameter": 1}
 
         def counted(name, function):
             def wrapper(*args, **kwargs):
@@ -203,9 +263,24 @@ class TestEstimateC:
         problem = SpreadProblem(target=target, radius=0.707)
         assert sum(calls.values()) == 0
         estimate_c(problem)
-        assert calls == {"svd": 1, "min_enclosing_ball": 1, "_diameter": 1}
+        assert calls == once
         estimate_c(SpreadProblem(target=target, radius=0.6633))
-        assert calls == {"svd": 1, "min_enclosing_ball": 1, "_diameter": 1}
+        sample_spread_oracle(problem, 100)
+        falsify_coloring(target, 0.6633, 0.05, 100)
+        assert calls == once
+        # A sampler called first makes the frame that estimate_c reads.
+        for sample in (lambda fresh: sample_spread_oracle(SpreadProblem(fresh, 0.707), 100),
+                       lambda fresh: falsify_coloring(fresh, 0.707, 0.05, 100)):
+            calls.update(dict.fromkeys(calls, 0))
+            fresh = _fresh(target)
+            sample(fresh)
+            assert calls == once
+            estimate_c(SpreadProblem(target=fresh, radius=0.6633))
+            assert calls == once
+        # The cross-check samples the solve's frame; it once made its own.
+        calls.update(dict.fromkeys(calls, 0))
+        estimate_c(SpreadProblem(target=_fresh(target), radius=0.707), oracle_samples=20000)
+        assert calls == once
 
     @pytest.mark.parametrize("oracle_samples, seed", BAD_COUNTS_AND_SEEDS)
     def test_bad_oracle_count_or_seed_is_domain_error(self, oracle_samples, seed):
@@ -289,13 +364,16 @@ class TestFrameReuse:
     def test_frame_is_read_only(self):
         target = _fresh(OBTUSE_150)
         estimate_c(SpreadProblem(target=target, radius=0.95))
-        k, diam, a, sq, basis, ball, placed, keep, guess, circle = spread_module._FRAMES[target]
-        assert math.ldexp(diam, k) == diameter(target)
-        assert np.array_equal(sq, _squares(a))
-        assert keep == (0, 1, 2)
-        upper, _, p, d, _, kkt = guess
-        for array in (a, sq, basis, ball.center, placed, upper, p, d, kkt, circle[0]):
+        frame = spread_module._FRAMES[target]
+        assert math.ldexp(frame.diam, frame.k) == diameter(target)
+        assert np.array_equal(frame.sq, _squares(frame.a))
+        assert frame.keep == (0, 1, 2)
+        upper, _, p, d, _, kkt = frame.guess
+        for array in (frame.a, frame.sq, frame.basis, frame.ball.center, frame.placed,
+                      upper, p, d, kkt, frame.circle[0]):
             assert not array.flags.writeable
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            frame.a = np.zeros_like(frame.a)
 
     def test_warm_first_pass_solves_once(self, monkeypatch):
         # A cold call solves the first pass's line system for the frame and
@@ -391,8 +469,9 @@ class TestPinnedWitnesses:
 class TestPinnedSamples:
     """The seven cases' seeded samples: a change of the sampler's stream
     shows here.  The values follow numpy's PCG64 stream and, for the
-    simplices, the hull basis LAPACK's SVD picks (see _prepare), so another
-    numpy or LAPACK build may need them recorded again."""
+    simplices, the hull basis LAPACK's SVD picks for the target's frame (see
+    spread._target_frame), so another numpy or LAPACK build may need them
+    recorded again."""
 
     # sample_spread_oracle(..., 2 * 65536, seed=3) as float.hex, then the
     # control width over c_estimate and falsify_coloring's monochromatic
@@ -565,7 +644,7 @@ class TestActiveSet:
                             lambda a, sq, y0: guess(a, sq, y0 + 10.0 * (a[right] - a[wrong])))
         fresh = _fresh(target)
         walked = estimate_c(SpreadProblem(target=fresh, radius=radius), restarts=2)
-        assert wrong in spread_module._FRAMES[fresh][8][0]
+        assert wrong in spread_module._FRAMES[fresh].guess[0]
         passes = walked.diagnostics["passes"]
         assert passes[0]["stage"] == "active_set" and passes[0]["iterations"] > 1
         assert (passes[0]["upper"], passes[0]["lower"]) == (first["upper"], first["lower"])
@@ -630,10 +709,12 @@ class TestActiveSet:
         # m = 1.
         target = _fresh(target)
         estimate_c(SpreadProblem(target=target, radius=radius))
-        k, diam, a, sq, _, ball, _, _, kept, _ = spread_module._FRAMES[target]
-        built = _guess(a, sq, np.zeros(a.shape[1]))
+        frame = spread_module._FRAMES[target]
+        a, kept = frame.a, frame.guess
+        built = _guess(a, frame.sq, np.zeros(a.shape[1]))
         assert _same(kept, built)
-        scaled = max(math.ldexp(radius, -k) / diam, ball.radius * (1.0 + ROUNDING_SLACK))
+        scaled = max(math.ldexp(radius, -frame.k) / frame.diam,
+                     frame.ball.radius * (1.0 + ROUNDING_SLACK))
         assert _same(_active_set(a, scaled, kept), _active_set(a, scaled, built))
 
     @pytest.mark.parametrize("points", [
@@ -652,9 +733,12 @@ class TestActiveSet:
         assert (solve["stage"], solve["iterations"]) \
             in {("coincident", 0), ("active_set", 1), ("circumcentre", 0)}
         assert 0.0 <= estimate.c_lower <= estimate.c_estimate
+        # All the points, repeated ones too, in the frame's hull coordinates.
+        frame = spread_module._FRAMES[config]
         diam = diameter(config) or radius
-        a, _, ball = spread_module._hull_frame(config.points, diam)
-        r = max(radius / diam, ball.radius * (1.0 + ROUNDING_SLACK))
+        a = (config.points - config.points[0]) @ frame.basis.T / (frame.diam or 1.0) \
+            - frame.ball.center
+        r = max(radius / diam, frame.ball.radius * (1.0 + ROUNDING_SLACK))
         y, *_, oracle = interior_point(a, _squares(a), r, np.zeros(a.shape[1]))
         assert oracle["stage"] == "interior_point"
         levels = _squares(a) - 2.0 * a @ y
@@ -940,6 +1024,29 @@ class TestScaleInvariance:
         assert estimate.c_estimate == pytest.approx(scale * unit.c_estimate, rel=1e-12)
         assert estimate.c_lower == pytest.approx(scale * unit.c_lower, rel=1e-12)
 
+    @pytest.mark.parametrize("points, radius, accepted", [
+        ([[0.0, 0.0], [1.0, 1.0]], 1.5e154, True), ([[0.0, 0.0], [1.0, 1.0]], 2e154, False),
+        (OBTUSE_150.points * 1e200, 1.5e308, True)])
+    def test_one_radius_rule(self, points, radius, accepted):
+        # The segment has extent 1 and diameter sqrt(2); r over the diameter
+        # squares to 1.1e308 at 1.5e154 and overflows at 2e154.  The
+        # samplers measured r against the extent and refused 1.5e154, which
+        # estimate_c solved.  On the triangle times 1e200, r = 1.5e308 is
+        # 1.5e108 diameters; sampled over the power of two of r itself, the
+        # factor back to the target's units, up to 2r, overflowed.
+        target = Configuration.from_points(points)
+        entries = [lambda: estimate_c(SpreadProblem(target=target, radius=radius)),
+                   lambda: sample_spread_oracle(SpreadProblem(target, radius), 10),
+                   lambda: falsify_coloring(target, radius, 0.25 * radius, 10)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for entry in entries:
+                if accepted:
+                    entry()
+                    continue
+                with pytest.raises(DomainError, match="overflows when squared"):
+                    entry()
+
     @pytest.mark.parametrize("scale, factor, cause", [(1.0, 1e300, "overflows when squared")])
     def test_out_of_range_is_domain_error(self, scale, factor, cause):
         # At r = 1e300 the solve overflowed.
@@ -1153,14 +1260,14 @@ class TestSampleSpreadOracle:
         # distribution; dropping the 1/dim power on the radii moves this
         # statistic to 0.11 and 0.06 on these two cases.
         # Each half of the antithetic pairs is a sample of its own.
-        centered, scaled, k = _prepare(SpreadProblem(target=target, radius=radius))
+        centered, scaled, scale = _prepare(SpreadProblem(target=target, radius=radius))
         chunks = _summarize_chunks(centered, scaled, 20000, 0, np.subtract)
         halves = [np.split(spreads, [(len(spreads) + 1) // 2]) for spreads in chunks]
         reference = rotated_copy_spreads(target.points, radius,
                                          affine_dimension(target) + 1, 20000, seed=0)
         for spreads in (chunks, [first for first, _ in halves],
                         [second for _, second in halves]):
-            assert ks_statistic(np.ldexp(np.concatenate(spreads), k), reference) <= 0.03
+            assert ks_statistic(np.concatenate(spreads) * scale, reference) <= 0.03
 
     @pytest.mark.parametrize("n_samples", [1, 2, 5, _CHUNK + 1, 3 * _CHUNK + 5])
     def test_one_copy_per_sample(self, n_samples):
@@ -1204,10 +1311,10 @@ class TestSampleSpreadOracle:
     def test_monochromatic_count_matches_explicit_copies(self, target, radius, width):
         # r/c is not an integer, so no shrunk copy's farthest point, which
         # lies on |x| = r, sits on a shell boundary
-        centered, scaled, k = _prepare(SpreadProblem(target=target, radius=radius))
+        centered, scaled, scale = _prepare(SpreadProblem(target=target, radius=radius))
         expected = sum(
-            int(np.count_nonzero(np.floor(norms.max(axis=0) / math.ldexp(width, -k))
-                                 == np.floor(norms.min(axis=0) / math.ldexp(width, -k))))
+            int(np.count_nonzero(np.floor(norms.max(axis=0) / (width / scale))
+                                 == np.floor(norms.min(axis=0) / (width / scale))))
             for norms in explicit_copy_norms(centered, scaled, 2 * _CHUNK, 2))
         report = falsify_coloring(target, radius, width, 2 * _CHUNK, seed=2)
         assert report.monochromatic_count == expected > 0

@@ -54,6 +54,27 @@ def test_frexp_only_in_geometry():
     assert _uses_outside_geometry("frexp") == []
 
 
+def test_one_frame_builder_in_spread():
+    # spread._target_frame is the one place the spread entries build a
+    # target's hull basis, enclosing ball and diameter, so the solve and the
+    # samplers read the same ones; embedding_feasible keeps the public ball
+    allowed = {"_target_frame": {"_hull_basis", "min_enclosing_ball", "_diameter"},
+               "embedding_feasible": {"min_enclosing_ball"}}
+    builders = set.union(*allowed.values())
+    module = PACKAGE / "spread.py"
+    offenders = []
+    for statement in ast.parse(module.read_text(), str(module)).body:
+        if isinstance(statement, (ast.Import, ast.ImportFrom)):
+            continue
+        owner = getattr(statement, "name", None)
+        for node in ast.walk(statement):
+            name = node.id if isinstance(node, ast.Name) else (
+                node.attr if isinstance(node, ast.Attribute) else None)
+            if name in builders and name not in allowed.get(owner, ()):
+                offenders.append(f"spread.py:{node.lineno} {owner} {name}")
+    assert offenders == []
+
+
 def test_no_unused_imports():
     # a module-level import must be read somewhere in its module, or be
     # re-exported through __all__
