@@ -71,8 +71,8 @@ def _load(args):
     return load_configuration(args.input, args.format)
 
 
-def _tol(args, fallback: float = DEFAULT_TOL) -> float:
-    return fallback if args.tol is None else args.tol
+def _tol(args) -> float:
+    return DEFAULT_TOL if args.tol is None else args.tol
 
 
 def _cmd_diameter(args):

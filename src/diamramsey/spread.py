@@ -12,14 +12,15 @@ c(A, r) > 0.  Two independent ways to get at it:
   c = r - sqrt(r^2 - t*), where t* is the least max_i f_i(y) - min_j f_j(y),
   f_i(y) = |a_i|^2 - 2<a_i, y>, over the y with every |a_i - y| <= r: a
   convex program in m + 2 variables (y and two levels), its n ball
-  constraints one paraboloid.  A primal active-set pivot (_pivot) solves
-  it: its first step, the KKT equations of the set guessed at the pass's
-  start (_guess, _active_set), settles every witness; each further step
-  moves to the rows' equality optimum in closed form, adds the level that
-  blocks it, or drops the most negative multiplier's row.  Coincident
-  points (c = 0) and an affinely independent target whose circumsphere
-  fits (the circumcentre, c_lower = 0) need no solve.  c_lower comes from
-  the Lagrangian dual at the pivot's multipliers (see _dual_bound).
+  constraints one paraboloid.  _solve solves it at one squared radius:
+  coincident points (c = 0) and an affinely independent target whose
+  circumsphere fits (the circumcentre, t_lower = 0) in closed form, else
+  by a primal active-set pivot (_pivot), whose first step, the KKT
+  equations of the set guessed at the pass's start (_guess, _active_set),
+  settles every witness; each further step moves to the rows' equality
+  optimum in closed form, adds the level that blocks it, or drops the most
+  negative multiplier's row.  _solve's t_lower, the Lagrangian dual at the
+  pivot's multipliers (see _dual_bound), gives c_lower.
 * sample_spread_oracle: the minimum spread over a reproducible stream of
   random feasible copies, an upper bound.  A copy is the target centered at
   its enclosing-ball center, b_i, translated by g*t: t is drawn uniformly in
@@ -55,6 +56,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import threading
 import weakref
 from dataclasses import dataclass
@@ -117,15 +119,11 @@ class SpreadEstimate:
     certified lower bound.
     best_restart is the index of the solve pass whose placement is returned;
     restarts is the cap on passes.  diagnostics holds "passes", one entry
-    per pass run: "iterations", the pivot's steps (0 for a closed form);
-    "stage", how the pass ended: "active_set" (the pivot reached the
-    optimum), "circumcentre" or "coincident" (a closed form), or None (the
-    pivot's step cap); "upper" and "lower", the indices of the points on
-    the upper and the lower level, each point by its first index; "nu", the
-    paraboloid multiplier with the lower multipliers scaled to sum to 1
-    (None if they sum to 0); "bracket", the pass's own spread less its own
-    lower bound, over the radius; and "height", the height off the hull of
-    the pass's placement, over the radius, 0 when the paraboloid is active.
+    per pass run: its Solve's "iterations", "stage", "upper", "lower" (each
+    point by its first index) and "nu"; "bracket", the pass's own spread
+    less its own lower bound, over the radius; and "height", the height off
+    the hull of the pass's placement, over the radius, 0 when the
+    paraboloid is active.
     It is deterministic and holds no timings.  The solve's outputs are None
     when no copy fits.
     """
@@ -253,10 +251,14 @@ def _target_frame(target: Configuration) -> Frame:
 
 
 def _frame_radius(frame: Frame, radius: float) -> tuple[float, float]:
-    """(unit, r over 2^k unit): unit is the diameter, or r over 2^k for coincident
-    points.  Raises DomainError when r over 2^k unit overflows when squared."""
-    unit = frame.diam or math.ldexp(radius, -frame.k)
-    scaled = math.ldexp(radius, -frame.k) / unit
+    """(unit, r over 2^k unit): unit is the diameter, or for coincident points r
+    over 2^k, at least the least normal float (a tiny r at points far from the
+    origin).  Raises DomainError when r over 2^k unit overflows when squared."""
+    if frame.diam:
+        unit, scaled = frame.diam, math.ldexp(radius, -frame.k) / frame.diam
+    else:
+        unit = max(math.ldexp(radius, -frame.k), sys.float_info.min)
+        scaled = radius / math.ldexp(unit, frame.k)
     if not math.isfinite(scaled * scaled):
         raise DomainError(f"radius {radius!r} over the target's diameter "
                           f"{math.ldexp(frame.diam, frame.k)!r} overflows when squared")
@@ -606,11 +608,6 @@ def _pivot(a: np.ndarray, sq: np.ndarray, radius: float, guess, y0: np.ndarray):
         if (max(abs(listed[k] - r2) for k in upper) > slack or max(listed) > r2 + slack
                 or min(listed) < listed[lower[0]] - slack):
             first = None
-    if first is not None and min(z) >= 0.0:  # the guess is optimal, as on every witness
-        lam, mu = np.zeros(n), np.zeros(n)
-        lam[guess[0]], mu[guess[1]] = z[:m], z[m]
-        return y, dist2, lam, mu, z[-1], True, {
-            "iterations": 1, "stage": "active_set", "upper": upper, "lower": lower}
     if first is None:
         y, z, dist2, levels = y0, None, None, sq - 2.0 * a @ y0
         upper, lower = [int(levels.argmax())], [int(levels.argmin())]
@@ -703,6 +700,69 @@ def _dual_bound(a: np.ndarray, sq: np.ndarray, dist2: np.ndarray, radius: float,
     return float(value - (n + m + 4) * _EPS * magnitude)
 
 
+@dataclass(frozen=True, eq=False)
+class Solve:
+    """The reduced program at one squared radius r^2, in a Frame's units.
+
+    y is the point in hull coordinates, inside the ball, and dist2 holds the
+    |a_k - y|^2 there, so dist2.max() - dist2.min() bounds t* from above;
+    t_lower bounds it from below.  nu is the paraboloid multiplier with the
+    lower multipliers scaled to sum to 1 (None if they sum to 0), and
+    on_hull whether the paraboloid is active.  stage is how the solve
+    ended: "active_set" (the pivot reached the optimum), "circumcentre" or
+    "coincident" (a closed form), or None (the pivot's step cap);
+    iterations counts the pivot's steps (0 for a closed form); upper and
+    lower index the rows of a on the upper and the lower level.
+    """
+
+    y: np.ndarray
+    dist2: np.ndarray
+    t_lower: float
+    nu: float | None
+    on_hull: bool
+    stage: str | None
+    iterations: int
+    upper: list
+    lower: list
+
+
+def _solve(frame: Frame, r2: float, y0: np.ndarray | None = None) -> Solve:
+    """The reduced program at squared radius r2 in the frame's units, r2 above
+    the frame's ball radius squared, with the pivot started at y0 (None: 0,
+    from the frame's guess).  t_lower is _dual_bound at the pivot's own
+    dist2 and multipliers less ROUNDING_SLACK r^2, and 0 for a closed form."""
+    a, sq, circle = frame.a, frame.sq, frame.circle
+    n, m = a.shape
+    if not m or (circle is not None and circle[1] <= r2):
+        # Coincident points, or every point on a sphere inside the ball:
+        # all levels tie at y, t* = 0, and nothing is solved.
+        y, rows = circle[0] if circle else np.zeros(m), list(range(n))
+        return Solve(y, np.einsum("ij,ij->i", a - y, a - y), 0.0, None, False,
+                     "circumcentre" if circle else "coincident", 0, rows, rows)
+    radius = math.sqrt(r2)  # r itself: a correctly rounded sqrt of r*r gives r back
+    guess = frame.guess if y0 is None else _guess(a, sq, y0)
+    y, dist2, lam, mu, nu, on_hull, diagnostics = _pivot(
+        a, sq, radius, guess, np.zeros(m) if y0 is None else y0)
+    t_lower = max(_dual_bound(a, sq, dist2, radius, lam, mu, nu) - ROUNDING_SLACK * r2, 0.0)
+    total, top = float(mu.sum()), float(dist2.max())
+    if top > r2:
+        # Pull y toward the center: max_k |a_k - s y|^2 is convex in s, so
+        # the chord from reach^2 to top is safe.  Where it moves y by more
+        # than rounding, as near R, each |a_k - s y|^2 is a quadratic below
+        # r^2 at s = 0, and the least root of the points outside is.
+        reach2 = frame.ball.radius * frame.ball.radius
+        s, yy = (r2 - reach2) / (top - reach2), float(y @ y)
+        if (1.0 - s) * math.sqrt(yy) > _EPS * radius:
+            s = 1.0
+            for b, room, far in zip((a @ y).tolist(), (r2 - sq).tolist(), dist2.tolist()):
+                if far > r2:
+                    root = math.sqrt(b * b + yy * room)
+                    s = min(s, (b + root) / yy if b > 0.0 else room / (root - b))
+        y = y * s
+        dist2 = np.einsum("ij,ij->i", a - y, a - y)
+    return Solve(y, dist2, t_lower, nu / total if total > 0.0 else None, on_hull, **diagnostics)
+
+
 def estimate_c(problem: SpreadProblem, restarts: int = 64, seed: int = 0,
                tolerance: float = 1e-9,
                oracle_samples: int = 0) -> SpreadEstimate:
@@ -712,7 +772,8 @@ def estimate_c(problem: SpreadProblem, restarts: int = 64, seed: int = 0,
     (_target_frame): the target over a power of two, scaled to unit
     diameter (_frame_radius), so every slack is relative and
     c(sA, sr) = s c(A, r), bit for bit at s = 2^j.
-    Each pass runs the pivot (_pivot) or a closed form; the first starts at
+    Each pass is one _solve at r^2, whose point places the copy and whose
+    t_lower gives c_lower = r - sqrt(r^2 - t_lower); the first starts at
     the enclosing-ball center and each further one at the last pass's
     point, up to `restarts` passes, until c_estimate - c_lower <= tolerance
     * radius, or until a pass tightens neither side.  The target fits iff
@@ -736,10 +797,9 @@ def estimate_c(problem: SpreadProblem, restarts: int = 64, seed: int = 0,
     report = dict(restarts=restarts, seed=seed, radius=problem.radius,
                   ambient_dim=target.dim + 1, tolerance=tolerance)
     frame = _target_frame(target)
-    k, a, sq, basis, ball, placed, circle = (frame.k, frame.a, frame.sq, frame.basis,
-                                             frame.ball, frame.placed, frame.circle)
+    k, placed = frame.k, frame.placed
     scale, radius = _frame_radius(frame, problem.radius)
-    reach = ball.radius
+    reach = frame.ball.radius
     if not _fits(reach, radius):
         return SpreadEstimate(c_estimate=None, best_motion=None,
                               oracle_value=None, feasible=False, **report)
@@ -749,63 +809,25 @@ def estimate_c(problem: SpreadProblem, restarts: int = 64, seed: int = 0,
     radius = max(radius, reach * (1.0 + ROUNDING_SLACK))
     r2 = radius * radius
 
-    def origin_of(y, dist2, on_hull):
-        """The placement's origin for the solver's y, whose |a_k - y|^2 are dist2."""
-        top = float(dist2.max())
-        if top > r2:
-            # Pull y toward the center: max_k |a_k - s y|^2 is convex in s,
-            # so the chord from reach^2 to top is safe.  Where it moves y by
-            # more than rounding, as near R, each |a_k - s y|^2 is a quadratic
-            # below r^2 at s = 0, and the least root of the points outside is.
-            s, yy = (r2 - reach * reach) / (top - reach * reach), float(y @ y)
-            if (1.0 - s) * math.sqrt(yy) > _EPS * radius:
-                s = 1.0
-                for b, room, far in zip((a @ y).tolist(), (r2 - sq).tolist(), dist2.tolist()):
-                    if far > r2:
-                        root = math.sqrt(b * b + yy * room)
-                        s = min(s, (b + root) / yy if b > 0.0 else room / (root - b))
-            y = y * s
-            if not on_hull:
-                gap = a - y
-                top = float(np.einsum("ij,ij->i", gap, gap).max())
+    y, best, c_lower, passes = None, None, 0.0, []
+    for index in range(restarts):
+        solve = _solve(frame, r2, y)
+        y = solve.y
         origin = np.empty(target.dim + 1)
-        origin[:-1] = placed[0, :-1] + scale * ((ball.center + y) @ basis)
+        origin[:-1] = placed[0, :-1] + scale * ((frame.ball.center + y) @ frame.basis)
         # With the paraboloid active the farthest point is on the sphere:
-        # the copy lies on the hull, whatever r^2 - top rounds to.
-        origin[-1] = 0.0 if on_hull else scale * math.sqrt(max(r2 - top, 0.0))
-        return origin
-
-    def measured(y, dist2, lam, mu, nu, on_hull):
-        """The placement's spread, its largest norm, its origin and the dual c_lower."""
-        origin = origin_of(y, dist2, on_hull)
+        # the copy lies on the hull, whatever r^2 - max |a_k - y|^2 rounds to.
+        origin[-1] = 0.0 if solve.on_hull else scale * math.sqrt(
+            max(r2 - float(solve.dist2.max()), 0.0))
         norms = _norm(placed - origin, axis=1)
         top, bottom = math.ldexp(float(norms.max()), k), math.ldexp(float(norms.min()), k)
-        t = max(_dual_bound(a, sq, dist2, radius, lam, mu, nu) - ROUNDING_SLACK * r2, 0.0)
+        value, origin, t = top - bottom, np.ldexp(origin, k), solve.t_lower
         lower = math.ldexp(scale * t / (radius + math.sqrt(max(r2 - t, 0.0))), k)
-        return top - bottom, top, np.ldexp(origin, k), lower
-
-    y, best, c_lower, passes = np.zeros(len(basis)), None, 0.0, []
-    for index in range(restarts):
-        if not len(basis) or (circle is not None and circle[1] <= r2):
-            # Coincident points, or every point on a sphere inside the ball:
-            # all levels tie at y, t* = 0, and nothing is solved.
-            y, rows, zero = circle[0] if circle else y, list(range(len(a))), np.zeros(len(a))
-            solve = (y, np.einsum("ij,ij->i", a - y, a - y), zero, zero, 0.0, False, {
-                "iterations": 0, "stage": "circumcentre" if circle else "coincident",
-                "upper": rows, "lower": rows})
-        else:
-            # the frame holds the first pass's guess, at y = 0
-            guess = _guess(a, sq, y) if index else frame.guess
-            solve = _pivot(a, sq, radius, guess, y)
-        value, top, origin, lower = measured(*solve[:6])
-        y, _, _, mu, nu, _, diagnostics = solve
-        diagnostics["upper"] = [frame.keep[i] for i in diagnostics["upper"]]
-        diagnostics["lower"] = [frame.keep[i] for i in diagnostics["lower"]]
-        total = float(mu.sum())
-        diagnostics["nu"] = nu / total if total > 0.0 else None
-        diagnostics["bracket"] = (value - lower) / problem.radius
-        diagnostics["height"] = float(origin[-1]) / problem.radius
-        passes.append(diagnostics)
+        passes.append({"iterations": solve.iterations, "stage": solve.stage,
+                       "upper": [frame.keep[i] for i in solve.upper],
+                       "lower": [frame.keep[i] for i in solve.lower], "nu": solve.nu,
+                       "bracket": (value - lower) / problem.radius,
+                       "height": float(origin[-1]) / problem.radius})
         if best is not None and value >= best[0] and lower <= c_lower:
             break  # a pass that tightens neither side ends the search
         c_lower = max(c_lower, lower)

@@ -1026,26 +1026,32 @@ class TestScaleInvariance:
 
     @pytest.mark.parametrize("points, radius, accepted", [
         ([[0.0, 0.0], [1.0, 1.0]], 1.5e154, True), ([[0.0, 0.0], [1.0, 1.0]], 2e154, False),
-        (OBTUSE_150.points * 1e200, 1.5e308, True)])
+        (OBTUSE_150.points * 1e200, 1.5e308, True), ([[1e300, 1e300]] * 3, 1e-200, True)])
     def test_one_radius_rule(self, points, radius, accepted):
         # The segment has extent 1 and diameter sqrt(2); r over the diameter
         # squares to 1.1e308 at 1.5e154 and overflows at 2e154.  The
         # samplers measured r against the extent and refused 1.5e154, which
         # estimate_c solved.  On the triangle times 1e200, r = 1.5e308 is
         # 1.5e108 diameters; sampled over the power of two of r itself, the
-        # factor back to the target's units, up to 2r, overflowed.
+        # factor back to the target's units, up to 2r, overflowed.  The
+        # coincident points' frame is over 2^497, under which r = 1e-200
+        # underflowed to 0, and every entry divided by it.
         target = Configuration.from_points(points)
         entries = [lambda: estimate_c(SpreadProblem(target=target, radius=radius)),
                    lambda: sample_spread_oracle(SpreadProblem(target, radius), 10),
                    lambda: falsify_coloring(target, radius, 0.25 * radius, 10)]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            for entry in entries:
-                if accepted:
-                    entry()
-                    continue
-                with pytest.raises(DomainError, match="overflows when squared"):
-                    entry()
+            if not accepted:
+                for entry in entries:
+                    with pytest.raises(DomainError, match="overflows when squared"):
+                        entry()
+                return
+            estimate, least, report = [entry() for entry in entries]
+        if not np.ptp(target.points, axis=0).any():  # coincident points: c = 0
+            assert (estimate.feasible, estimate.c_estimate, estimate.c_lower) == (True, 0.0, 0.0)
+            assert least == 0.0
+            assert report.monochromatic_count == 10
 
     @pytest.mark.parametrize("scale, factor, cause", [(1.0, 1e300, "overflows when squared")])
     def test_out_of_range_is_domain_error(self, scale, factor, cause):
@@ -1392,6 +1398,35 @@ class TestWorkerCount:
         # the lowest-numbered failing chunk's exception
         assert raised.value.args == (_CHUNK if failing is None else failing,)
         assert threading.active_count() == before
+
+
+class TestSolve:
+    # _solve's bracket at a threshold rho, in the frame's squared units, is
+    # what a graded shell colouring reads.  Greedy thresholds need
+    # g(rho) = rho - T(rho) increasing, which the bracket shows: t_lower at a
+    # larger rho never exceeds t_upper, the solve's own squared spread, at a
+    # smaller one.
+    @pytest.mark.parametrize("target", [
+        obtuse_triangle(150.0, 1.0), obtuse_triangle(136.0, 1.0), almost_regular_simplex(3, 0.01),
+        almost_regular_simplex(4, 1e-3), almost_regular_simplex(8, 1e-6)],
+        ids=["tri150", "tri136", "simplex3", "simplex4", "simplex8"])
+    def test_squared_bracket_is_monotone(self, target):
+        frame = spread_module._target_frame(target)
+        reach = frame.ball.radius * (1.0 + ROUNDING_SLACK)
+        rhos = np.linspace(reach * reach, frame.circle[1], 50).tolist()
+        solves = [spread_module._solve(frame, rho) for rho in rhos]
+        lower = np.array([solve.t_lower for solve in solves])
+        upper = np.array([solve.dist2.max() - solve.dist2.min() for solve in solves])
+        assert (lower <= upper).all()
+        assert (np.maximum.accumulate(lower[::-1])[::-1] <= upper).all()
+        # estimate_c's c_lower is the same solve's t_lower, turned into c
+        for rho in rhos:
+            radius = math.ldexp(math.sqrt(rho) * frame.diam, frame.k)
+            unit, r = spread_module._frame_radius(frame, radius)
+            r = max(r, reach)
+            t = spread_module._solve(frame, r * r).t_lower
+            c_lower = math.ldexp(unit * t / (r + math.sqrt(max(r * r - t, 0.0))), frame.k)
+            assert estimate_c(SpreadProblem(target, radius), restarts=1).c_lower == c_lower
 
 
 class TestMonotonicity:

@@ -54,13 +54,11 @@ def test_frexp_only_in_geometry():
     assert _uses_outside_geometry("frexp") == []
 
 
-def test_one_frame_builder_in_spread():
-    # spread._target_frame is the one place the spread entries build a
-    # target's hull basis, enclosing ball and diameter, so the solve and the
-    # samplers read the same ones; embedding_feasible keeps the public ball
-    allowed = {"_target_frame": {"_hull_basis", "min_enclosing_ball", "_diameter"},
-               "embedding_feasible": {"min_enclosing_ball"}}
-    builders = set.union(*allowed.values())
+def _spread_offenders(allowed: dict) -> list[str]:
+    """Where spread.py reads one of allowed's names outside the functions or
+    classes that allowed gives it to, a name counting as a variable or an
+    attribute."""
+    names = set.union(*allowed.values())
     module = PACKAGE / "spread.py"
     offenders = []
     for statement in ast.parse(module.read_text(), str(module)).body:
@@ -70,9 +68,27 @@ def test_one_frame_builder_in_spread():
         for node in ast.walk(statement):
             name = node.id if isinstance(node, ast.Name) else (
                 node.attr if isinstance(node, ast.Attribute) else None)
-            if name in builders and name not in allowed.get(owner, ()):
+            if name in names and name not in allowed.get(owner, ()):
                 offenders.append(f"spread.py:{node.lineno} {owner} {name}")
-    assert offenders == []
+    return offenders
+
+
+def test_one_frame_builder_in_spread():
+    # spread._target_frame is the one place the spread entries build a
+    # target's hull basis, enclosing ball and diameter, so the solve and the
+    # samplers read the same ones; embedding_feasible keeps the public ball
+    assert _spread_offenders({"_target_frame": {"_hull_basis", "min_enclosing_ball", "_diameter"},
+                              "embedding_feasible": {"min_enclosing_ball"}}) == []
+
+
+def test_one_solve_in_spread():
+    # spread._solve is the one solve per radius: the pivot, its dual bound
+    # and the closed forms (the frame's circle) are read nowhere else, and
+    # _guess only there and where the frame keeps the first pass's guess,
+    # so no second solve path grows beside it
+    assert _spread_offenders({"_solve": {"_pivot", "_dual_bound", "_guess", "circle"},
+                              "_target_frame": {"_guess", "circle"},
+                              "Frame": {"circle"}}) == []
 
 
 def test_no_unused_imports():
