@@ -19,7 +19,8 @@ from .errors import DomainError, _check_tolerance
 DEFAULT_TOL = 1e-9
 
 # Float64 entries per block of diameter's recompute; a block holds this
-# many // (n * dim) rows.
+# many // (columns * dim) rows.  Kept rows whose pairs fit in one block are
+# screened in one Gram product.
 _DIAMETER_BLOCK = 1 << 20
 
 # Rows per block of diameter's Gram screen, at most: 32 rows against a few
@@ -134,30 +135,35 @@ def diameter(config: Configuration) -> float:
 
     Bit for bit the maximum of distance_matrix(config), without its n*n*d
     tensor.  A set whose whole tensor fits in one block is recomputed whole.
-    Otherwise _screened_rows first drops every row that cannot reach a
+    Otherwise _reaching_rows first keeps the rows K that can reach a
     realised lower bound L (|x_i - x_j| <= |x_i| + max|x| about the
-    centroid).  It screens each remaining row with the Gram form only
-    against the remaining rows whose projection p on one axis lies in its
-    window |p_i + p_j| <= sqrt(2|x_i|^2 + 2 max|x|^2 - L^2), and keeps the
-    rows whose screened maximum is near the largest; only those are
-    recomputed with distance_matrix's formula.  On Gaussian clouds the
-    prune leaves a few dozen rows.  On a sphere every row reaches L, but
-    the windows are narrow: 3000 points on the unit sphere in R^3 screen
-    about a quarter of their n*n pairs, and 4% about the sphere's own
-    centre, where obstruction_verdict screens them.
+    centroid), both rows of the largest distance among them.  The kept
+    rows are screened with the Gram form against kept rows, and only those
+    whose screened maximum is near the largest are recomputed, against K,
+    with distance_matrix's formula.  When K's pairs fit in one block, as on
+    Gaussian clouds (12-93 of 2000-3000 rows in R^3-R^6) and a 30-degree
+    cap (177 of 2000), one product screens them all.  Only when most rows
+    reach L, as on a full sphere, is each row screened within its
+    projection window |p_i + p_j| <= sqrt(2|x_i|^2 + 2 max|x|^2 - L^2):
+    3000 points on the unit sphere in R^3 screen about a quarter of their
+    n*n pairs, and 4% about the sphere's own centre, where
+    obstruction_verdict screens them.
     """
     return _diameter(config.points)
 
 
 def _diameter(pts: np.ndarray, center: np.ndarray | None = None,
               far_sq: float | None = None) -> float:
-    """diameter() of the rows of pts, screened about `center` (default the centroid).
+    """diameter() of the rows of pts, pruned about `center` (default the centroid).
 
     `far_sq`, a realised squared distance of pts, replaces the walk from the
-    point farthest from the centre.  Neither changes the value.  The screen
-    and the recompute run on the points over _scaled's power of two, from
-    the largest coordinate of the centred points, and the result is scaled
-    back.  A set small enough for one block is recomputed whole.
+    point farthest from the centre.  Neither changes the value.  The prune,
+    the screen and the recompute run on the points over _scaled's power of
+    two, from the largest coordinate of the centred points, and the result
+    is scaled back.  A set small enough for one block is recomputed whole;
+    else _reaching_rows runs once, _screened_rows screens its kept rows K
+    (in one product when len(K)^2 * dim fits in one block, else within
+    windows), and the candidates are recomputed against K alone.
     """
     n, d = pts.shape
     rows = max(1, _DIAMETER_BLOCK // (n * d))
@@ -170,15 +176,22 @@ def _diameter(pts: np.ndarray, center: np.ndarray | None = None,
     if peak == 0.0:
         return 0.0  # all points coincide
     k, pts = _scaled(pts, peak, center)
-    if rows < n:
-        if far_sq is not None:
-            far_sq = math.ldexp(_usable_sq(far_sq), -2 * k)
-        candidates = _screened_rows(pts, np.ldexp(x, -k, out=x), min(rows, _SCREEN_ROWS), far_sq)
+    if rows >= n:
+        best = float(np.max(_row_sq_dists(pts, slice(None))))
     else:
-        candidates = np.arange(n)
-    best = 0.0
-    for start in range(0, len(candidates), rows):
-        best = max(best, float(np.max(_row_sq_dists(pts, candidates[start:start + rows]))))
+        x = np.ldexp(x, -k, out=x)
+        sq = np.einsum("ij,ij->i", x, x)
+        if far_sq is None:
+            far_sq = _usable_sq(_far_pair_sq(pts, int(sq.argmax())))
+        else:
+            far_sq = math.ldexp(_usable_sq(far_sq), -2 * k)
+        kept = _reaching_rows(sq, far_sq, d)
+        cols = pts if len(kept) == n else pts[kept]  # a sphere keeps every row: no copy
+        candidates = _screened_rows(x, sq, kept, far_sq, min(rows, _SCREEN_ROWS))
+        rows = max(1, _DIAMETER_BLOCK // (len(kept) * d))
+        best = 0.0
+        for start in range(0, len(candidates), rows):
+            best = max(best, float(np.max(_row_sq_dists(cols, candidates[start:start + rows]))))
     # The rounded sqrt is monotone, so this is distance_matrix's maximum.
     return math.ldexp(float(np.sqrt(best)), k)
 
@@ -236,45 +249,76 @@ def _far_pair_sq(pts: np.ndarray, start: int) -> float:
     return best
 
 
-def _screened_rows(pts: np.ndarray, x: np.ndarray, rows: int,
-                   far_sq: float | None = None) -> np.ndarray:
-    """The rows of pts that may hold the largest distance.
+def _screened_rows(x: np.ndarray, sq: np.ndarray, kept: np.ndarray, far_sq: float,
+                   rows: int) -> np.ndarray:
+    """The positions in `kept` of the rows that may hold the largest distance.
 
     x holds the points centred on some point c, then scaled by the power
-    of two that pts is scaled by (_diameter).  _reaching_rows drops the
-    rows that cannot reach a realised distance L (`far_sq`, or else the
-    walk's from the point farthest from the centre), and the rest are
-    sorted by their projection p on the direction of that farthest point.
-    By the parallelogram law
+    of two that pts is scaled by (_diameter), and sq their squared norms.
+    `kept` holds the rows that _reaching_rows keeps for L^2 = `far_sq`, so
+    both rows of the largest distance.  Each kept row is screened with the
+    Gram form |x_i|^2 + |x_j|^2 - 2<x_i, x_j> against kept rows, and a row
+    is a candidate when its screened maximum lies within twice the rounding
+    bound B (derived below) of the largest.  When the kept pairs fit in one block
+    (len(kept)^2 * dim <= _DIAMETER_BLOCK), one product screens every pair;
+    else _windowed_screen screens each row only against its window.  The
+    proofs use nothing of the centre c but the rounding of x = p - c.
+    """
+    d = x.shape[1]
+    eps = np.finfo(float).eps
+    if len(kept) ** 2 * d <= _DIAMETER_BLOCK:
+        order = np.arange(len(kept))
+        cols, col_sq = x[kept], sq[kept]
+        screen = _gram_row_max(cols, -2.0 * cols.T, col_sq, np.empty(len(kept) ** 2)) + col_sq
+    else:
+        order, screen = _windowed_screen(x, sq, kept, far_sq, rows)
+    # The rounding bound.  Let u = eps/2 and R^2 = max_i |x_i|^2 (x centred,
+    # then scaled by a power of two, which is exact).  Against the true
+    # squared distance D_ij of the input points:
+    #   * centring rounds each coordinate of p_i - c by at most u relative,
+    #     which moves |x_i - x_j|^2 off D_ij by at most 8uR^2;
+    #   * the screen S_ij rounds |x_i|^2, |x_j|^2 and the Gram product by
+    #     d*u*R^2, d*u*R^2 and 2*d*u*R^2, and its two additions by 3uR^2 and
+    #     4uR^2;
+    #   * diameter's recompute E_ij rounds each difference by u relative (2u
+    #     once squared) and sums d products, so it is off by (d + 2)u * 4R^2.
+    # In all |S_ij - E_ij| <= (8d + 23)uR^2 < B = (4d + 16) eps R^2.  If E is
+    # largest at (i, j), then rows i and j survive the prune, j lies in i's
+    # window (the one product's holds every kept row), and i's screened
+    # maximum is at least E_ij - B >= S_kl - 2B for every screened pair
+    # (k, l), so row i is a candidate.
+    bound = (4 * d + 16) * eps * float(sq.max())
+    return order[screen >= screen.max() - 2.0 * bound]
+
+
+def _windowed_screen(x: np.ndarray, sq: np.ndarray, kept: np.ndarray, far_sq: float,
+                     rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """(order, screen): the kept rows' Gram maxima over their windows, in `order`.
+
+    The kept rows are sorted by their projection p on the direction of the
+    point farthest from the centre c.  By the parallelogram law
     |x_i - x_j|^2 = 2|x_i|^2 + 2|x_j|^2 - |x_i + x_j|^2, and
     |x_i + x_j| >= |p_i + p_j|, so row i reaches L only against the rows
     with |p_i + p_j| <= w_i = sqrt(2|x_i|^2 + 2R^2 - L^2), R = max|x|; after
     the sort those form one contiguous slice.  Each block of `rows`
-    consecutive rows is screened with the Gram form
-    |x_i|^2 + |x_j|^2 - 2<x_i, x_j> against the union of its windows, and a
-    row is kept when its screened maximum lies within twice the rounding
-    bound B (derived below) of the largest.  The proofs use nothing of the
-    centre c but the rounding of x = p - c.  3000 points of the unit sphere
-    in R^3 screen about 28% of their n*n pairs about the centroid, 4% about
-    the sphere's centre, where every |x| is the radius.
+    consecutive rows is screened against the union of its windows; a row
+    with an empty window gets -inf.  3000 points of the unit sphere in R^3
+    screen about 28% of their n*n pairs about the centroid, 4% about the
+    sphere's centre, where every |x| is the radius.
     """
-    d = pts.shape[1]
+    d = x.shape[1]
     eps = np.finfo(float).eps
-    sq = np.einsum("ij,ij->i", x, x)
     top = int(sq.argmax())
-    if far_sq is None:
-        far_sq = _usable_sq(_far_pair_sq(pts, top))
-    kept = _reaching_rows(sq, far_sq, d)
     proj = x[kept] @ (x[top] / np.sqrt(sq[top]))
     order = np.argsort(proj)
     kept, proj = kept[order], proj[order]
     cols = x[kept]
     col_sq = sq[kept]
-    r_sq = float(sq.max())
+    r_sq = float(sq[top])
     # The window's slack.  Let (a, b) be where distance_matrix's squared
     # entries E are largest, both rows kept by _reaching_rows, and
     # u = eps/2.  Exact arithmetic on the floats x_i first:
-    #   * L^2 is an entry of E, so E_ab >= L^2, and by the bound B below
+    #   * L^2 is an entry of E, so E_ab >= L^2, and by _screened_rows' bound B
     #     |x_a - x_b|^2 >= E_ab - (4d + 16)uR^2 >= L^2 - (4d + 16)uR^2;
     #   * `sq` rounds each |x_i|^2 by du relative, so with q = |p_a + p_b|
     #     (p exact on the unit axis) q^2 <= 2sq_a + 2r_sq - L^2 + (8d + 16)uR^2;
@@ -302,22 +346,7 @@ def _screened_rows(pts: np.ndarray, x: np.ndarray, rows: int,
             block = slice(start, start + rows)
             screen[block] = _gram_row_max(cols[block], neg2xt[:, lo:hi], col_sq[lo:hi], buf)
             screen[block] += col_sq[block]
-    # The rounding bound.  Let u = eps/2 and R^2 = max_i |x_i|^2 (x centred,
-    # then scaled by a power of two, which is exact).  Against the true
-    # squared distance D_ij of the input points:
-    #   * centring rounds each coordinate of p_i - c by at most u relative,
-    #     which moves |x_i - x_j|^2 off D_ij by at most 8uR^2;
-    #   * the screen S_ij rounds |x_i|^2, |x_j|^2 and the Gram product by
-    #     d*u*R^2, d*u*R^2 and 2*d*u*R^2, and its two additions by 3uR^2 and
-    #     4uR^2;
-    #   * diameter's recompute E_ij rounds each difference by u relative (2u
-    #     once squared) and sums d products, so it is off by (d + 2)u * 4R^2.
-    # In all |S_ij - E_ij| <= (8d + 23)uR^2 < B = (4d + 16) eps R^2.  If E is
-    # largest at (i, j), then rows i and j survive the prune, j lies in i's
-    # window, and i's screened maximum is at least E_ij - B >= S_kl - 2B for
-    # every screened pair (k, l), so row i is kept.
-    bound = (4 * d + 16) * eps * r_sq
-    return kept[screen >= screen.max() - 2.0 * bound]
+    return order, screen
 
 
 def _usable_sq(far_sq: float) -> float:
@@ -380,8 +409,7 @@ def _reaching_rows(sq: np.ndarray, far_sq: float, d: int) -> np.ndarray:
 def distance_matrix(config: Configuration) -> np.ndarray:
     """Symmetric matrix of pairwise Euclidean distances, taken over _scaled's power of two."""
     k, pts = _scaled(config.points)
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    dist = np.sqrt(_row_sq_dists(pts, slice(None)))
     return np.ldexp(dist, k) if k else dist
 
 

@@ -815,13 +815,21 @@ def estimate_c(problem: SpreadProblem, restarts: int = 64, seed: int = 0,
         y = solve.y
         origin = np.empty(target.dim + 1)
         origin[:-1] = placed[0, :-1] + scale * ((frame.ball.center + y) @ frame.basis)
-        # With the paraboloid active the farthest point is on the sphere:
-        # the copy lies on the hull, whatever r^2 - max |a_k - y|^2 rounds to.
-        origin[-1] = 0.0 if solve.on_hull else scale * math.sqrt(
-            max(r2 - float(solve.dist2.max()), 0.0))
-        norms = _norm(placed - origin, axis=1)
-        top, bottom = math.ldexp(float(norms.max()), k), math.ldexp(float(norms.min()), k)
-        value, origin, t = top - bottom, np.ldexp(origin, k), solve.t_lower
+        if frame.diam:
+            # With the paraboloid active the farthest point is on the sphere:
+            # the copy lies on the hull, whatever r^2 - max |a_k - y|^2 rounds to.
+            origin[-1] = 0.0 if solve.on_hull else scale * math.sqrt(
+                max(r2 - float(solve.dist2.max()), 0.0))
+            norms = _norm(placed - origin, axis=1)
+            top, bottom = math.ldexp(float(norms.max()), k), math.ldexp(float(norms.min()), k)
+            origin = np.ldexp(origin, k)
+        else:
+            # Coincident points: the copy is one point at height r over them.
+            # r / 2^k can be subnormal, so the height is placed in the input's
+            # units, where 2^k unit times r over 2^k unit is r itself.
+            top = bottom = math.ldexp(scale, k) * radius
+            origin = np.append(np.ldexp(origin[:-1], k), top)
+        value, t = top - bottom, solve.t_lower
         lower = math.ldexp(scale * t / (radius + math.sqrt(max(r2 - t, 0.0))), k)
         passes.append({"iterations": solve.iterations, "stage": solve.stage,
                        "upper": [frame.keep[i] for i in solve.upper],

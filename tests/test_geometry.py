@@ -216,21 +216,24 @@ class TestDiameter:
     @example(Configuration.from_points([[1e6, -2.0, 3.5]]), 1 << 20)
     @example(Configuration.from_points([[0.0], [-1e-9]]), 1 << 20)
     @example(Configuration.from_points([[1.0, 2.0], [1.0, 2.0]]), 1)
+    @example(Configuration.from_points(np.random.default_rng(0).normal(size=(300, 3))), 1)
     @settings(max_examples=150)
     def test_equals_full_distance_matrix(self, config, block):
         # Bit for bit the maximum of distance_matrix, also when the screen
-        # and the recompute run in blocks of a single row.
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(diamramsey.geometry, "_DIAMETER_BLOCK", block)
-            value = diameter(config)
-        assert value == float(np.max(distance_matrix(config)))
+        # and the recompute run in blocks of a single row, and on the kept
+        # pairs' path.
+        want = float(np.max(distance_matrix(config)))
+        for value in values_on_each_path(lambda: diameter(config), config.points, block):
+            assert value == want
         # distance_matrix sums its squares with einsum, which may round the
         # last bit differently from the oracle's plain sum.
         oracle = float(np.max(dist_matrix(config.points)))
-        assert abs(value - oracle) <= 4 * np.finfo(float).eps * oracle
+        assert abs(want - oracle) <= 4 * np.finfo(float).eps * oracle
 
     @given(clouds(), st.sampled_from(["random", "far", "circumcenter"]),
            st.sampled_from([1, 7, 1 << 20]), st.booleans(), st.integers(0, 2**32 - 1))
+    @example(Configuration.from_points(np.random.default_rng(0).normal(size=(300, 3))),
+             "random", 1, False, 0)
     @settings(max_examples=150)
     def test_screened_about_any_centre(self, config, where, block, walk_from_first, seed):
         # The prune and window proofs use nothing of the centre but the
@@ -246,10 +249,9 @@ class TestDiameter:
             offset = 1e6 if where == "far" else 1.0
             center = pts.mean(axis=0) + offset * (extent or 1.0) * rng.normal(size=config.dim)
         far_sq = _far_pair_sq(pts, 0) if walk_from_first else None
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(diamramsey.geometry, "_DIAMETER_BLOCK", block)
-            value = _diameter(pts, center, far_sq)
-        assert value == float(np.max(distance_matrix(config)))
+        want = float(np.max(distance_matrix(config)))
+        for value in values_on_each_path(lambda: _diameter(pts, center, far_sq), pts, block):
+            assert value == want
 
     @pytest.mark.parametrize("seed", [451, 878, 1247, 2987])
     def test_antipodal_near_ties(self, seed, monkeypatch):
@@ -297,14 +299,18 @@ class TestDiameter:
         assert sorted(cols for _, cols in blocks) == [1, 1] + [circle] * circle
 
     def test_prune_keeps_few_rows_of_a_cloud(self, monkeypatch):
-        # The windows screen no more than the kept rows against all n.
+        # One prune, then one product over the kept pairs, with no windows,
+        # and past the walk's rows no recompute against all n.
         kept = spy_on_prune(monkeypatch)
         blocks = spy_on_screen(monkeypatch)
+        entries = spy_on_entries(monkeypatch)
         config = Configuration.from_points(
             np.random.default_rng(0).normal(size=(3000, 3)))
         value = diameter(config)
         assert len(kept) == 1 and len(kept[0]) <= 64
-        assert sum(rows * cols for rows, cols in blocks) <= len(kept[0]) * 3000
+        k = len(kept[0])
+        assert blocks == [(k, k)]
+        assert {cols for rows, cols in entries if rows > 1 or cols != 3000} == {k}
         assert value == reference_diameter(config)
 
     def test_prune_keeps_every_row_of_a_sphere(self, monkeypatch):
@@ -355,7 +361,7 @@ class TestDiameter:
 
 
 def spy_on_prune(monkeypatch) -> list:
-    """Record the rows that each diameter call passes to the Gram screen."""
+    """Record the rows that each diameter call keeps after the prune."""
     kept = []
     prune = diamramsey.geometry._reaching_rows
 
@@ -378,6 +384,65 @@ def spy_on_screen(monkeypatch) -> list:
 
     monkeypatch.setattr(diamramsey.geometry, "_gram_row_max", recording)
     return blocks
+
+
+def spy_on_entries(monkeypatch) -> list:
+    """Record the (rows, columns) shape of each block of pairwise entries."""
+    shapes = []
+    entries = diamramsey.geometry._row_sq_dists
+
+    def recording(pts, rows):
+        out = entries(pts, rows)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(diamramsey.geometry, "_row_sq_dists", recording)
+    return shapes
+
+
+def values_on_each_path(call, pts, block) -> list:
+    """call()'s diameter with _DIAMETER_BLOCK at `block`, then on the kept pairs' path.
+
+    Where the prune keeps K rows of n (learnt from a one-row block if
+    `block` holds the whole set), a block of len(K)^2 * dim holds the kept
+    pairs but not the whole set, so both paths run on every such example.
+    """
+    value, kept = value_on_path(call, pts, block)
+    values = [value]
+    if kept is None and pts.size * len(pts) <= block:
+        value, kept = value_on_path(call, pts, 1)
+        values.append(value)
+    if kept is not None and kept < len(pts):
+        value, _ = value_on_path(call, pts, kept * kept * pts.shape[1])
+        values.append(value)
+    return values
+
+
+def value_on_path(call, pts, block) -> tuple:
+    """(call()'s diameter, the prune's kept row count or None) at `block`.
+
+    Asserts the path with the spies: no prune where the whole set fits in
+    one block (or the points coincide), else one prune, then one Gram block
+    of the kept rows against themselves where their pairs fit in a block,
+    or else blocks of at most _SCREEN_ROWS rows against their windows.
+    """
+    n, d = pts.shape
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(diamramsey.geometry, "_DIAMETER_BLOCK", block)
+        kept, blocks = spy_on_prune(mp), spy_on_screen(mp)
+        value = call()
+    rows = max(1, block // (n * d))
+    if rows >= n or not kept:
+        assert kept == [] and blocks == []
+        assert rows >= n or value == 0.0
+        return value, None
+    assert len(kept) == 1
+    k = len(kept[0])
+    if k * k * d <= block:
+        assert blocks == [(k, k)]
+    else:
+        assert blocks and max(r for r, _ in blocks) <= min(rows, diamramsey.geometry._SCREEN_ROWS)
+    return value, k
 
 
 def reference_diameter(config) -> float:

@@ -1053,6 +1053,20 @@ class TestScaleInvariance:
             assert least == 0.0
             assert report.monochromatic_count == 10
 
+    @pytest.mark.parametrize("exponent", range(-175, -159))
+    def test_coincident_placement_stays_in_the_ball(self, exponent):
+        # The frame of [[1e300, 1e300]] * 3 is over 2^497, under which these
+        # radii are subnormal: the height r placed over 2^497 lost its low
+        # bits, and max_norm read 1.0000792 r at 1e-170 and 0 at 1e-175.  Now
+        # the copy sits at height r exactly, on the ball's sphere.
+        radius = 10.0 ** exponent
+        target = Configuration.from_points([[1e300, 1e300]] * 3)
+        estimate = estimate_c(SpreadProblem(target=target, radius=radius))
+        assert (estimate.c_estimate, estimate.c_lower) == (0.0, 0.0)
+        assert estimate.max_norm == radius
+        copy = target.points @ estimate.best_motion.rotation[:2] + estimate.best_motion.translation
+        assert np.all(np.linalg.norm(copy, axis=1) <= radius)
+
     @pytest.mark.parametrize("scale, factor, cause", [(1.0, 1e300, "overflows when squared")])
     def test_out_of_range_is_domain_error(self, scale, factor, cause):
         # At r = 1e300 the solve overflowed.

@@ -54,6 +54,21 @@ def test_frexp_only_in_geometry():
     assert _uses_outside_geometry("frexp") == []
 
 
+def test_one_pairwise_entry_formula():
+    # geometry._row_sq_dists is the one place that squares and sums two
+    # rows' differences: distance_matrix, diameter's recompute and the
+    # double-normal walk all read their entries from it
+    found = []
+    for module in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(module.read_text(), str(module))
+        functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and node.value == "ijk,ijk->ij":
+                owners = [f.name for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+                found.append(f"{module.name}:{owners[-1] if owners else '<module>'}")
+    assert found == ["geometry.py:_row_sq_dists"]
+
+
 def _spread_offenders(allowed: dict) -> list[str]:
     """Where spread.py reads one of allowed's names outside the functions or
     classes that allowed gives it to, a name counting as a variable or an
