@@ -28,7 +28,7 @@ from .formats import (
     load_colored,
     load_configuration,
 )
-from .geometry import DEFAULT_TOL, affine_dimension, diameter
+from .geometry import DEFAULT_TOL, _as_json, affine_dimension, diameter
 from .obstruction import (ConjectureLabel, classify_triangle, conjecture_classification,
                           obstruction_verdict)
 from .spheres import _jung_radius, circumsphere, min_enclosing_ball
@@ -83,19 +83,12 @@ def _cmd_diameter(args):
 
 def _cmd_meb(args):
     config = _load(args)
-    ball = min_enclosing_ball(config, seed=args.seed)
-    return {"center": ball.center.tolist(), "radius": ball.radius}, None, None
+    return _as_json(min_enclosing_ball(config, seed=args.seed)), None, None
 
 
 def _cmd_circumsphere(args):
     config = _load(args)
-    sphere = circumsphere(config, tol=_tol(args))
-    return {
-        "center": sphere.center.tolist(),
-        "radius": sphere.radius,
-        "residual": sphere.residual,
-        "carrier": sphere.carrier.tolist(),
-    }, None, None
+    return _as_json(circumsphere(config, tol=_tol(args))), None, None
 
 
 def _cmd_jung(args):

@@ -13,24 +13,27 @@ copy's shell indices unchanged (see the spread module).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BudgetExceeded, DomainError, _check_positive, _check_tolerance
-from .geometry import Configuration, _integer, _match, _norm, _seed, distance_matrix
+from .geometry import Configuration, _as_json, _integer, _match, _norm, _seed, distance_matrix
 from .spread import SpreadProblem, _prepare, _summarize_chunks
 
 FINDER_BUDGET = 20
 
 
-def _shells(length: float, c: float, what: str) -> int:
-    """floor(length / c); DomainError when the quotient overflows to inf."""
-    quotient = length / c
-    if not math.isfinite(quotient):
-        raise DomainError(f"{what} {length} over shell width {c} overflows")
-    return int(math.floor(quotient))
+def _shells(lengths, c: float, what: str):
+    """floor(lengths / c) as exact ints: one for a number, a tuple for an array.
+
+    DomainError when a quotient overflows to inf.
+    """
+    with np.errstate(over="ignore"):
+        quotients = np.floor(np.divide(lengths, c))
+    if not np.all(np.isfinite(quotients)):
+        raise DomainError(f"{what} {float(np.max(lengths))} over shell width {c} overflows")
+    return int(quotients) if quotients.ndim == 0 else tuple(map(int, quotients.tolist()))
 
 
 def shell_color(point, c: float) -> int:
@@ -79,17 +82,12 @@ class ColoredConfiguration:
 
 
 def color_configuration(config: Configuration, c: float) -> ColoredConfiguration:
-    """Apply the shell colouring pointwise.
+    """Apply the shell colouring pointwise, each colour floor(|x| / c) an exact int.
 
-    Raises DomainError when a colour floor(|x| / c) does not fit in a
-    64-bit integer, instead of letting the cast wrap it.
+    Raises DomainError where a quotient |x| / c overflows to inf.
     """
     _check_positive(c, "shell width")
-    shells = np.floor(_norm(config.points, axis=1) / c)
-    if not np.all(shells < 2.0 ** 63):
-        raise DomainError(
-            f"shell index {shells.max()} at shell width {c} exceeds the 64-bit range")
-    colors = tuple(int(v) for v in shells.astype(np.int64))
+    colors = _shells(_norm(config.points, axis=1), c, "norm")
     return ColoredConfiguration(configuration=config, colors=colors)
 
 
@@ -112,18 +110,7 @@ class FalsifyReport:
     min_color_span: int | None
     vacuous: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "radius": self.radius,
-            "shell_width": self.shell_width,
-            "num_colors": self.num_colors,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "monochromatic_count": self.monochromatic_count,
-            "min_spread": self.min_spread,
-            "min_color_span": self.min_color_span,
-            "vacuous": self.vacuous,
-        }
+    to_dict = _as_json
 
 
 def falsify_coloring(target: Configuration, r: float, c: float,

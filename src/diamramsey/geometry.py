@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
+from enum import Enum
 
 import numpy as np
 
@@ -38,6 +39,17 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     arr = np.array(arr, dtype=float)
     arr.flags.writeable = False
     return arr
+
+
+def _as_json(record):
+    """A result record as its JSON report: its dataclass fields, in declaration
+    order, with arrays as nested lists, enums as their values and nested
+    records as dicts, so each record's report order is its field order."""
+    if is_dataclass(record):
+        return {field.name: _as_json(getattr(record, field.name)) for field in fields(record)}
+    if isinstance(record, np.ndarray):
+        return record.tolist()
+    return record.value if isinstance(record, Enum) else record
 
 
 def _integer(value, what: str) -> int:

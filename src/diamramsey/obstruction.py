@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, _check_positive, _check_tolerance
-from .geometry import DEFAULT_TOL, Configuration, _diameter, _far_pair_sq, _scaled
+from .geometry import DEFAULT_TOL, Configuration, _as_json, _diameter, _far_pair_sq, _scaled
 from .spheres import _circumsphere, _sq_dists, circumcenter_in_hull
 
 SQRT2 = math.sqrt(2.0)
@@ -51,14 +51,7 @@ class Verdict:
     threshold: float
     margin: float
 
-    def to_dict(self) -> dict:
-        return {
-            "status": self.status.value,
-            "circumradius": self.circumradius,
-            "diameter": self.diameter,
-            "threshold": self.threshold,
-            "margin": self.margin,
-        }
+    to_dict = _as_json
 
 
 def obstruction_verdict(config: Configuration, tol: float = DEFAULT_TOL) -> Verdict:

@@ -84,19 +84,20 @@ class Ball:
         return float(_norm(point - self.center)) <= self.radius * (1.0 + tol)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, kw_only=True)
 class Sphere:
     """A sphere through a point set, solved within its affine hull.
 
-    `carrier` holds an orthonormal basis (rows) of the hull's direction
-    space, recording the subspace in which the center was solved;
-    `residual` is the worst equidistance defect over the points.
+    `residual` is the worst equidistance defect over the points; `carrier`
+    holds an orthonormal basis (rows) of the hull's direction space,
+    recording the subspace in which the center was solved.  Field order is
+    report order (geometry._as_json).
     """
 
     center: np.ndarray
     radius: float
-    carrier: np.ndarray
     residual: float = 0.0
+    carrier: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "center", _freeze(np.asarray(self.center, dtype=float)))

@@ -65,8 +65,8 @@ import numpy as np
 
 from .errors import (DomainError, EmptySample, Infeasible, NonConvergence, _check_positive,
                      _check_tolerance)
-from .geometry import (DEFAULT_TOL, Configuration, RigidMotion, _diameter, _hull_basis, _integer,
-                       _norm, _scaled, _seed)
+from .geometry import (DEFAULT_TOL, Configuration, RigidMotion, _as_json, _diameter, _hull_basis,
+                       _integer, _norm, _scaled, _seed)
 from .spheres import Ball, min_enclosing_ball
 
 # Relative feasibility slack: a copy fits when the enclosing-ball radius is
@@ -108,7 +108,7 @@ class SpreadProblem:
         _check_positive(self.radius, "ball radius")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, kw_only=True)
 class SpreadEstimate:
     """Certified bracket c_lower <= c(A, r) <= c_estimate, with its placement.
 
@@ -125,45 +125,24 @@ class SpreadEstimate:
     the hull of the pass's placement, over the radius, 0 when the
     paraboloid is active.
     It is deterministic and holds no timings.  The solve's outputs are None
-    when no copy fits.
+    when no copy fits.  Field order is report order (to_dict).
     """
 
-    c_estimate: float | None
-    best_motion: RigidMotion | None
-    restarts: int
-    oracle_value: float | None
     feasible: bool
+    c_estimate: float | None
+    c_lower: float | None = None
+    oracle_value: float | None
+    restarts: int
     seed: int
     radius: float
     ambient_dim: int
     tolerance: float
-    c_lower: float | None = None
     best_restart: int | None = None
     max_norm: float | None = None
+    best_motion: RigidMotion | None
     diagnostics: dict | None = None
 
-    def to_dict(self) -> dict:
-        motion = None
-        if self.best_motion is not None:
-            motion = {
-                "rotation": self.best_motion.rotation.tolist(),
-                "translation": self.best_motion.translation.tolist(),
-            }
-        return {
-            "feasible": self.feasible,
-            "c_estimate": self.c_estimate,
-            "c_lower": self.c_lower,
-            "oracle_value": self.oracle_value,
-            "restarts": self.restarts,
-            "seed": self.seed,
-            "radius": self.radius,
-            "ambient_dim": self.ambient_dim,
-            "tolerance": self.tolerance,
-            "best_restart": self.best_restart,
-            "max_norm": self.max_norm,
-            "best_motion": motion,
-            "diagnostics": self.diagnostics,
-        }
+    to_dict = _as_json
 
 
 def embedding_feasible(problem: SpreadProblem) -> bool:
@@ -182,18 +161,18 @@ def _fits(ball_radius: float, radius: float) -> bool:
 class Frame:
     """A target's radius-free inputs, read by the solve and the samplers.
 
-    keep indexes the distinct points, each by its first index; diam is
-    their diameter over 2^k (geometry._scaled); basis holds the m
-    orthonormal rows spanning the hull, from one SVD; ball is the points'
-    enclosing ball in hull coordinates over 2^k diam (2^k for coincident
-    points), and row i of a is point keep[i] there less ball.center, so the
-    point is 2^k diam (a[i] + ball.center) @ basis from the first point, up
-    to its component off the hull, which the cutoff DEFAULT_TOL drops; sq
-    holds the |a_k|^2; placed is all the points over 2^k with one zero
-    coordinate appended.  guess is _guess at y0 = 0, where every call's
-    first pass starts, so a later call's first pass solves only what the
-    radius changes.  circle is the circumcentre and squared circumradius
-    (y, rho^2) of affinely independent points, else None.
+    keep indexes the distinct points, each by its first index; diam is their
+    diameter over 2^k (geometry._scaled; k = 0 for coincident points); basis
+    holds the m orthonormal rows spanning the hull, from one SVD; ball is
+    the points' enclosing ball in hull coordinates over 2^k diam (2^k for
+    coincident points), and row i of a is point keep[i] there less
+    ball.center, so the point is 2^k diam (a[i] + ball.center) @ basis from
+    the first point, up to its component off the hull, which the cutoff
+    DEFAULT_TOL drops; sq holds the |a_k|^2; placed is all the points over
+    2^k with one zero coordinate appended.  guess is _guess at y0 = 0, where
+    every call's first pass starts, so a later call's first pass solves only
+    what the radius changes.  circle is the circumcentre and squared
+    circumradius (y, rho^2) of affinely independent points, else None.
     """
 
     k: int
@@ -222,6 +201,8 @@ def _target_frame(target: Configuration) -> Frame:
         keep = tuple(first.values())
         k, pts = _scaled(pts)
         diam = _diameter(pts)
+        if not diam:  # coincident points: r is the only length, so they stay unscaled
+            k, pts = 0, target.points
         basis = _hull_basis(pts, DEFAULT_TOL)
         coords = (pts - pts[0]) @ basis.T / (diam or 1.0)
         ball = (min_enclosing_ball(Configuration(dim=len(basis), points=coords)) if len(basis)
@@ -251,14 +232,14 @@ def _target_frame(target: Configuration) -> Frame:
 
 
 def _frame_radius(frame: Frame, radius: float) -> tuple[float, float]:
-    """(unit, r over 2^k unit): unit is the diameter, or for coincident points r
-    over 2^k, at least the least normal float (a tiny r at points far from the
-    origin).  Raises DomainError when r over 2^k unit overflows when squared."""
-    if frame.diam:
-        unit, scaled = frame.diam, math.ldexp(radius, -frame.k) / frame.diam
-    else:
-        unit = max(math.ldexp(radius, -frame.k), sys.float_info.min)
-        scaled = radius / math.ldexp(unit, frame.k)
+    """(unit, r over 2^k unit): unit is the diameter, or for coincident points
+    (k = 0) r, at least the least normal float.  Raises DomainError when r
+    over 2^k unit overflows when squared."""
+    unit = frame.diam or max(radius, sys.float_info.min)
+    try:
+        scaled = math.ldexp(radius, -frame.k) / unit
+    except OverflowError:  # r over 2^k is past the float range
+        scaled = math.inf
     if not math.isfinite(scaled * scaled):
         raise DomainError(f"radius {radius!r} over the target's diameter "
                           f"{math.ldexp(frame.diam, frame.k)!r} overflows when squared")
@@ -782,15 +763,17 @@ def estimate_c(problem: SpreadProblem, restarts: int = 64, seed: int = 0,
     hull on one appended axis (see SpreadEstimate).  With oracle_samples >
     0, a sampling-oracle scan seeded by `seed` fills oracle_value; a
     sampled spread below c_lower raises NonConvergence.
-    A `restarts` that is not an integer of at least 1, an `oracle_samples`
-    that is not an integer or a `seed` that is not a nonnegative integer
-    raises DomainError, as does a radius whose square over the diameter
+    A `restarts` that is not an integer of at least 1, or an
+    `oracle_samples` or a `seed` that is not a nonnegative integer, raises
+    DomainError, as does a radius whose square over the diameter
     overflows, before any arithmetic that would leave the float range.
     """
     restarts = _integer(restarts, "restarts")
     if restarts < 1:
         raise DomainError("need at least one restart")
     oracle_samples = _integer(oracle_samples, "oracle sample count")
+    if oracle_samples < 0:
+        raise DomainError(f"oracle sample count must be nonnegative, got {oracle_samples}")
     seed = _seed(seed)
     _check_tolerance(tolerance)
     target = problem.target
@@ -825,10 +808,9 @@ def estimate_c(problem: SpreadProblem, restarts: int = 64, seed: int = 0,
             origin = np.ldexp(origin, k)
         else:
             # Coincident points: the copy is one point at height r over them.
-            # r / 2^k can be subnormal, so the height is placed in the input's
-            # units, where 2^k unit times r over 2^k unit is r itself.
-            top = bottom = math.ldexp(scale, k) * radius
-            origin = np.append(np.ldexp(origin[:-1], k), top)
+            # Their frame is unscaled (k = 0), and unit times r over unit is r.
+            top = bottom = scale * radius
+            origin = np.append(origin[:-1], top)
         value, t = top - bottom, solve.t_lower
         lower = math.ldexp(scale * t / (radius + math.sqrt(max(r2 - t, 0.0))), k)
         passes.append({"iterations": solve.iterations, "stage": solve.stage,

@@ -203,7 +203,7 @@ class TestErrors:
     @pytest.mark.parametrize("args, reason", [
         (("falsify", "--radius", "1e300", "--shell", "1e-300", "--samples", "10"),
          "overflows"),
-        (("color", "--shell", "1e-300"), "64-bit"),
+        (("color", "--shell", "1e-310"), "overflows"),
     ])
     def test_colour_count_overflow_exits_one(self, capsys, tri150, args, reason):
         code = cli.run([args[0], "--input", tri150, *args[1:]])

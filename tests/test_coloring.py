@@ -106,10 +106,14 @@ class TestColorConfiguration:
         assert len(colors) == 1
 
     def test_unrepresentable_shell_index_rejected(self):
-        # floor(|x| / c) past 2**63 used to wrap to a negative int64 colour
+        # floor(|x| / c) past 2**63 once wrapped to a negative int64 colour,
+        # then was refused; colours are exact ints now, as num_colors's count
+        # is, and only a quotient that overflows to inf is refused
         config = Configuration.from_points([[0.05], [0.15]])
-        with pytest.raises(DomainError, match="64-bit"):
-            color_configuration(config, 1e-300)
+        assert color_configuration(config, 1e-300).colors == (
+            math.floor(0.05 / 1e-300), math.floor(0.15 / 1e-300))
+        with pytest.raises(DomainError, match="overflows"):
+            color_configuration(config, 1e-310)
         c = 0.15 / 2.0 ** 62
         assert color_configuration(config, c).colors == (int(np.floor(0.05 / c)), 2 ** 62)
 

@@ -282,7 +282,7 @@ class TestEstimateC:
         estimate_c(SpreadProblem(target=_fresh(target), radius=0.707), oracle_samples=20000)
         assert calls == once
 
-    @pytest.mark.parametrize("oracle_samples, seed", BAD_COUNTS_AND_SEEDS)
+    @pytest.mark.parametrize("oracle_samples, seed", BAD_COUNTS_AND_SEEDS + [(-1, 0)])
     def test_bad_oracle_count_or_seed_is_domain_error(self, oracle_samples, seed):
         with pytest.raises(DomainError):
             estimate_c(SpreadProblem(target=OBTUSE_150, radius=0.95),
@@ -1026,16 +1026,21 @@ class TestScaleInvariance:
 
     @pytest.mark.parametrize("points, radius, accepted", [
         ([[0.0, 0.0], [1.0, 1.0]], 1.5e154, True), ([[0.0, 0.0], [1.0, 1.0]], 2e154, False),
-        (OBTUSE_150.points * 1e200, 1.5e308, True), ([[1e300, 1e300]] * 3, 1e-200, True)])
+        (OBTUSE_150.points * 1e200, 1.5e308, True), ([[1e300, 1e300]] * 3, 1e-200, True),
+        ([[0.0, 0.0], [1e-300, 0.0]], 1e300, False)] + [
+        ([[0.0, 1.0]] * 3, radius, True) for radius in (1e150, 1e160, 1e200, 1e250, 1e300)])
     def test_one_radius_rule(self, points, radius, accepted):
         # The segment has extent 1 and diameter sqrt(2); r over the diameter
         # squares to 1.1e308 at 1.5e154 and overflows at 2e154.  The
         # samplers measured r against the extent and refused 1.5e154, which
         # estimate_c solved.  On the triangle times 1e200, r = 1.5e308 is
         # 1.5e108 diameters; sampled over the power of two of r itself, the
-        # factor back to the target's units, up to 2r, overflowed.  The
-        # coincident points' frame is over 2^497, under which r = 1e-200
-        # underflowed to 0, and every entry divided by it.
+        # factor back to the target's units, up to 2r, overflowed.  Coincident
+        # points were once taken over geometry._scaled's power of two: 2^497
+        # for [[1e300, 1e300]] * 3, under which r = 1e-200 underflowed to 0,
+        # and 2^-499 for [[0, 1]] * 3, under which r from 1e160 up overflowed
+        # (OverflowError); their frame is unscaled now.  r = 1e300 over the
+        # 1e-300 segment's 2^-996 raised OverflowError too, not DomainError.
         target = Configuration.from_points(points)
         entries = [lambda: estimate_c(SpreadProblem(target=target, radius=radius)),
                    lambda: sample_spread_oracle(SpreadProblem(target, radius), 10),
@@ -1050,12 +1055,13 @@ class TestScaleInvariance:
             estimate, least, report = [entry() for entry in entries]
         if not np.ptp(target.points, axis=0).any():  # coincident points: c = 0
             assert (estimate.feasible, estimate.c_estimate, estimate.c_lower) == (True, 0.0, 0.0)
+            assert estimate.max_norm <= radius
             assert least == 0.0
             assert report.monochromatic_count == 10
 
     @pytest.mark.parametrize("exponent", range(-175, -159))
     def test_coincident_placement_stays_in_the_ball(self, exponent):
-        # The frame of [[1e300, 1e300]] * 3 is over 2^497, under which these
+        # The frame of [[1e300, 1e300]] * 3 was over 2^497, under which these
         # radii are subnormal: the height r placed over 2^497 lost its low
         # bits, and max_norm read 1.0000792 r at 1e-170 and 0 at 1e-175.  Now
         # the copy sits at height r exactly, on the ball's sphere.

@@ -1,5 +1,7 @@
 import ast
+import dataclasses
 import importlib
+import json
 import re
 import sys
 from pathlib import Path
@@ -104,6 +106,33 @@ def test_one_solve_in_spread():
     assert _spread_offenders({"_solve": {"_pivot", "_dual_bound", "_guess", "circle"},
                               "_target_frame": {"_guess", "circle"},
                               "Frame": {"circle"}}) == []
+
+
+def test_one_report_rule():
+    # geometry._as_json is the one place a result record becomes JSON: no
+    # function in the package is a hand-written to_dict, the records' public
+    # to_dict is _as_json itself, and a record's JSON is its fields in order
+    found = []
+    for module in sorted(PACKAGE.rglob("*.py")):
+        found += [f"{module.name}:{node.lineno}"
+                  for node in ast.walk(ast.parse(module.read_text(), str(module)))
+                  if isinstance(node, ast.FunctionDef) and node.name == "to_dict"]
+    assert found == []
+    from diamramsey.geometry import _as_json
+    assert [diamramsey.SpreadEstimate.to_dict, diamramsey.FalsifyReport.to_dict,
+            diamramsey.Verdict.to_dict] == [_as_json] * 3
+    triangle = diamramsey.obtuse_triangle(150.0)
+    simplex = diamramsey.almost_regular_simplex(3, 0.01)
+    records = [diamramsey.estimate_c(diamramsey.SpreadProblem(triangle, 0.95)),
+               diamramsey.estimate_c(diamramsey.SpreadProblem(triangle, 0.1)),  # no copy fits
+               diamramsey.falsify_coloring(triangle, 0.95, 0.05, 100),
+               diamramsey.falsify_coloring(triangle, 0.95, 0.05, 0),
+               diamramsey.obstruction_verdict(simplex), diamramsey.classify_triangle(150.0),
+               diamramsey.min_enclosing_ball(simplex), diamramsey.circumsphere(simplex)]
+    for record in records:
+        report = json.loads(json.dumps(_as_json(record)))
+        assert list(report) == [field.name for field in dataclasses.fields(record)]
+    assert list(records[0].to_dict()["best_motion"]) == ["rotation", "translation"]
 
 
 def test_no_unused_imports():
