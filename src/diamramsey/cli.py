@@ -23,12 +23,12 @@ from .constructions import almost_regular_simplex, obtuse_triangle, regular_simp
 from .errors import GeometryError
 from .formats import (
     colored_to_dict,
-    configuration_to_csv,
     configuration_to_dict,
     load_colored,
     load_configuration,
+    save_configuration,
 )
-from .geometry import DEFAULT_TOL, _as_json, affine_dimension, diameter
+from .geometry import DEFAULT_TOL, Configuration, _as_json, affine_dimension, diameter
 from .obstruction import (ConjectureLabel, classify_triangle, conjecture_classification,
                           obstruction_verdict)
 from .spheres import _jung_radius, circumsphere, min_enclosing_ball
@@ -78,17 +78,17 @@ def _tol(args) -> float:
 def _cmd_diameter(args):
     config = _load(args)
     return {"diameter": diameter(config), "n_points": len(config),
-            "dim": config.dim}, None, None
+            "dim": config.dim}, None
 
 
 def _cmd_meb(args):
     config = _load(args)
-    return _as_json(min_enclosing_ball(config, seed=args.seed)), None, None
+    return _as_json(min_enclosing_ball(config, seed=args.seed)), None
 
 
 def _cmd_circumsphere(args):
     config = _load(args)
-    return _as_json(circumsphere(config, tol=_tol(args))), None, None
+    return _as_json(circumsphere(config, tol=_tol(args))), None
 
 
 def _cmd_jung(args):
@@ -98,18 +98,18 @@ def _cmd_jung(args):
         "jung_bound": _jung_radius(m, diam),
         "affine_dimension": m,
         "diameter": diam,
-    }, None, None
+    }, None
 
 
 def _cmd_obstruct(args):
     config = _load(args)
     verdict = obstruction_verdict(config, tol=_tol(args))
-    return verdict.to_dict(), None, None
+    return verdict.to_dict(), None
 
 
 def _cmd_triangle(args):
     verdict = classify_triangle(args.alpha, args.side)
-    return verdict.to_dict(), None, None
+    return verdict.to_dict(), None
 
 
 def _cmd_conjecture(args):
@@ -117,7 +117,7 @@ def _cmd_conjecture(args):
     label = conjecture_classification(config, tol=_tol(args))
     return {"label": label.value,
             "circumcenter_in_hull": label is ConjectureLabel.DIAMETER_RAMSEY,
-            "conjectural": True}, None, None
+            "conjectural": True}, None
 
 
 def _cmd_estimate_c(args):
@@ -125,7 +125,7 @@ def _cmd_estimate_c(args):
     problem = SpreadProblem(target=config, radius=args.radius)
     estimate = estimate_c(problem, restarts=args.restarts, seed=args.seed,
                           tolerance=_tol(args), oracle_samples=args.oracle_samples)
-    return estimate.to_dict(), None, None
+    return estimate.to_dict(), None
 
 
 def _cmd_oracle(args):
@@ -133,7 +133,7 @@ def _cmd_oracle(args):
     problem = SpreadProblem(target=config, radius=args.radius)
     value = sample_spread_oracle(problem, args.samples, seed=args.seed)
     return {"oracle_value": value, "n_samples": args.samples,
-            "radius": args.radius}, None, None
+            "radius": args.radius}, None
 
 
 def _cmd_color(args):
@@ -142,14 +142,14 @@ def _cmd_color(args):
     artifact = colored_to_dict(colored)
     outputs = dict(artifact)
     outputs["shell_width"] = args.shell
-    return outputs, artifact, "json"
+    return outputs, artifact
 
 
 def _cmd_falsify(args):
     config = _load(args)
     report = falsify_coloring(config, r=args.radius, c=args.shell,
                               n_samples=args.samples, seed=args.seed)
-    return report.to_dict(), None, None
+    return report.to_dict(), None
 
 
 def _cmd_find_copy(args):
@@ -159,7 +159,7 @@ def _cmd_find_copy(args):
     return {
         "found": witness is not None,
         "indices": list(witness) if witness is not None else None,
-    }, None, None
+    }, None
 
 
 def _cmd_construct(args):
@@ -169,8 +169,7 @@ def _cmd_construct(args):
         config = almost_regular_simplex(args.dim, args.delta)
     else:
         config = obtuse_triangle(args.alpha, args.side)
-    artifact = configuration_to_dict(config)
-    return {"configuration": artifact}, artifact, args.format
+    return {"configuration": configuration_to_dict(config)}, config
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -269,14 +268,13 @@ def run(argv=None) -> int:
 
     start = time.perf_counter()
     try:
-        outputs, artifact, artifact_fmt = args.handler(args)
-        if args.out is not None:
-            if artifact is not None:
-                _write_artifact(artifact, args.out, artifact_fmt or "json")
-            else:
-                with open(args.out, "w", encoding="utf-8") as handle:
-                    json.dump(outputs, handle, indent=2)
-                    handle.write("\n")
+        outputs, artifact = args.handler(args)
+        if isinstance(artifact, Configuration) and args.out is not None:
+            save_configuration(artifact, args.out, args.format)
+        elif args.out is not None:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                json.dump(outputs if artifact is None else artifact, handle, indent=2)
+                handle.write("\n")
     except GeometryError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
@@ -297,18 +295,6 @@ def run(argv=None) -> int:
     }
     print(json.dumps(report, indent=2))
     return 0
-
-
-def _write_artifact(artifact: dict, path: str, fmt: str) -> None:
-    if fmt == "csv" and "points" in artifact:
-        from .formats import configuration_from_dict
-        config = configuration_from_dict(artifact)
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(configuration_to_csv(config))
-        return
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(artifact, handle, indent=2)
-        handle.write("\n")
 
 
 def main() -> None:

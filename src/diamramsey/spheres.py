@@ -3,21 +3,22 @@
 The minimum enclosing ball is walked to (Fischer, Gartner & Kutz 2003) from
 the centroid of a core of the points, then grown one farthest-point pivot
 at a time (Gartner 1999) until one vectorised pass finds no point outside;
-each round walks to the ball of the current support and the pivot.  A set
-whose coordinate extremes are all of it, or of at most dim + 1 points, such
-as every simplex in any coordinates, is its own core.  Any other set's core
-is its distinct coordinate extremes and the 2(dim + 1) points farthest from
-the center of its bounding box, which on Gaussian clouds leaves a round or
-two at most.  Each support's center and barycentric weights come from one
-solve of its small Gram system; only a near-degenerate support takes least
-squares.  A round that stalls under rounding, or whose walk does not end,
-keeps its center, with the radius measured to the farthest of all the
-points, so the ball still holds every point; then the ball is grown again
-from one extreme, picked by a seeded shuffle, and the smaller of the two
-is kept.  The seed has no other effect.  The circumsphere is solved inside
-the affine hull of the points, which is what makes "smallest containing
-sphere" well defined for lower-dimensional sets (an off-hull center can
-only enlarge the radius).
+each round walks to the ball of the current support and the pivot.  The
+core is the distinct points among the coordinate extremes and the 2(dim + 1)
+points farthest from the center of its bounding box: all the distinct
+points of a set of at most 2(dim + 1), such as every simplex in any
+coordinates, and on Gaussian clouds a core that leaves a round or two at
+most.  Each support's center and barycentric weights come from one solve of
+its small Gram system; only a near-degenerate support takes least squares.
+The walk reads rounding zeros as zeros, so co-spherical points, as on a
+grid, do not join and leave a support at steps of length about 0.  A round that stalls under rounding, or whose walk
+still does not end, keeps its center, with the radius measured to the
+farthest of all the points, so the ball still holds every point; then the
+ball is grown again from one extreme, picked by a seeded shuffle, and the
+smaller of the two is kept.  The seed has no other effect.  The
+circumsphere is solved inside the affine hull of the points, which is what
+makes "smallest containing sphere" well defined for lower-dimensional sets
+(an off-hull center can only enlarge the radius).
 """
 
 from __future__ import annotations
@@ -168,27 +169,34 @@ def _walk(pts: np.ndarray, center: np.ndarray, pivot: int):
     affine hull, which keeps T on the boundary and shrinks the ball, until
     another point reaches the boundary and joins T, or the circumcenter is
     reached.  There, if the center has a negative barycentric coordinate,
-    that point leaves T; otherwise the ball is the smallest.  Returns the
-    center and T, or None if the walk cycles: a point is about to leave a
-    support T that has left a point before, or four steps per point do not
-    end the walk.  Co-spherical points can cycle under rounding, as they
-    join and leave T at steps of length about 0.  Seeded walks over clouds,
+    that point leaves T; otherwise the ball is the smallest.  Rounding zeros
+    are zeros, with rounding (n + dim) eps: a coordinate of at least
+    -rounding * max|w| counts as nonnegative, and a step shorter than
+    rounding times the radius reaches the circumcenter with no point
+    joining, so co-spherical points do not join and leave T at steps of
+    length about 0.  Returns the center and T, or None if the walk cycles
+    (about 1 in 40 over co-spherical sets off the origin still does): a
+    point is about to leave a support T that has left a point before, or
+    four steps per point do not end the walk.  Seeded walks over clouds,
     spheres and repeated sets in R^2-R^8, moved up to 1e10 from the origin,
     and over simplices in R^2-R^100 took at most one step per point.
     """
+    n, dim = pts.shape
+    rounding = (n + dim) * np.finfo(float).eps
     support = [pivot]
     left = set()  # the supports a point has left
-    for _ in range(4 * len(pts)):
+    for _ in range(4 * n):
         target, weights = _circumcenter(pts[support])
         step = target - center
         anchor = pts[support[0]]
+        radius2 = float(np.dot(center - anchor, center - anchor))
         # Along center + s*step every point of T stays at one distance; a
         # point q reaches it at s = -(|c - q|^2 - |c - t|^2) / (2<t - q, step>).
-        excess = _sq_dists(pts, center) - float(np.dot(center - anchor, center - anchor))
+        excess = _sq_dists(pts, center) - radius2
         closing = 2.0 * ((anchor - pts) @ step)
         closing[support] = 0.0
         hits = np.flatnonzero(closing > 0.0)
-        if len(hits):
+        if len(hits) and step @ step >= rounding * rounding * radius2:
             s = -excess[hits] / closing[hits]
             k = int(s.argmin())
             if s[k] < 1.0:
@@ -197,7 +205,7 @@ def _walk(pts: np.ndarray, center: np.ndarray, pivot: int):
                 continue
         center = target
         k = int(weights.argmin())
-        if weights[k] >= 0.0:
+        if weights[k] >= -rounding * np.abs(weights).max():
             return center, support
         if frozenset(support) in left:
             return None
@@ -254,8 +262,11 @@ def _core_ball(pts: np.ndarray, core: np.ndarray, start: np.ndarray, slack: floa
 def _distinct(pts: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """The rows whose points differ from every earlier row's, in order.
 
-    A repeated point in a support makes its Gram system singular, which
-    sends _circumcenter to least squares.
+    Points are equal when their coordinates compare equal, so -0.0 is 0.0.
+    The one repeat rule: the enclosing ball's core and the spread frame's
+    kept points (spread._target_frame) both take it.  A repeated point in
+    a support makes its Gram system singular, which sends _circumcenter to
+    least squares.
     """
     order = np.lexsort(pts[rows].T)  # stable: equal points keep their order
     ranked = pts[rows[order]]
@@ -272,12 +283,12 @@ def min_enclosing_ball(config: Configuration, seed: int = 0) -> Ball:
     round one vectorised pass over all points finds the farthest from the
     current ball; a point beyond the containment slack (_WELZL_SLACK,
     _WELZL_ROUNDING) is a pivot, and the round walks to the ball of the
-    current support and the pivot.  A set whose coordinate extremes are
-    all of it (every witness the library builds), or of at most dim + 1
-    points (a simplex in hull coordinates need not be all extremes), is
-    its own core.  Any other set's core is its distinct points among those
-    that attain a coordinate's minimum or maximum and the 2(dim + 1)
-    farthest from the center of its bounding box.  If the core's walk does
+    current support and the pivot (_walk, which reads rounding zeros as
+    zeros).  The core is the distinct points (_distinct) among those that
+    attain a coordinate's minimum or maximum and the 2(dim + 1) farthest
+    from the center of its bounding box, so a set of at most 2(dim + 1)
+    points (every witness the library builds, and every simplex in hull
+    coordinates) is its own core, repeats dropped.  If the core's walk does
     not end or a round stalls, keeping the last center, the ball is grown
     again from one extreme, the first in an order shuffled by `seed`, and
     the smaller of the two balls is kept; `seed` has no other effect.
@@ -301,13 +312,10 @@ def min_enclosing_ball(config: Configuration, seed: int = 0) -> Ball:
     slack = _WELZL_SLACK * extent + _WELZL_ROUNDING * np.finfo(float).eps * peak
     extremes = np.zeros(n, dtype=bool)
     extremes[lowest] = extremes[highest] = True
-    if extremes.all() or n <= dim + 1:
-        core = np.arange(n)
-    else:
-        chosen = extremes.copy()
-        near = max(n - _FAR_CORE * (dim + 1), 0)
-        chosen[np.argpartition(_sq_dists(pts, 0.5 * (low + high)), near)[near:]] = True
-        core = _distinct(pts, np.flatnonzero(chosen))
+    chosen = extremes.copy()
+    near = max(n - _FAR_CORE * (dim + 1), 0)
+    chosen[np.argpartition(_sq_dists(pts, 0.5 * (low + high)), near)[near:]] = True
+    core = _distinct(pts, np.flatnonzero(chosen))
     center, sq, clean = _core_ball(pts, core, pts[core].mean(axis=0), slack)
     if not clean:
         first = np.flatnonzero(extremes)

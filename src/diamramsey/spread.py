@@ -45,11 +45,12 @@ c(A, r) > 0.  Two independent ways to get at it:
 Both read one Frame per target (_target_frame), made on its first call of
 any spread entry: its distinct points over a power of two and their
 diameter, in hull coordinates from one SVD, centred at their enclosing
-ball, so both take r in the same units (_frame_radius) and agree on
-whether a copy fits.  The solve works in the m coordinates of aff(A), the
-samplers in R^(m+1), with a zero coordinate appended for the height off
-the hull.  No ambient dimension is an input: a copy in any R^n lies in the
-span of its points and the origin, of dimension at most m + 1.
+ball.  Both take r in the same units (_frame_radius) and, with
+embedding_feasible, read that one ball, so all three agree on whether a
+copy fits.  The solve works in the m coordinates of aff(A), the samplers
+in R^(m+1), with a zero coordinate appended for the height off the hull.
+No ambient dimension is an input: a copy in any R^n lies in the span of
+its points and the origin, of dimension at most m + 1.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ from .errors import (DomainError, EmptySample, Infeasible, NonConvergence, _chec
                      _check_tolerance)
 from .geometry import (DEFAULT_TOL, Configuration, RigidMotion, _as_json, _diameter, _hull_basis,
                        _integer, _norm, _scaled, _seed)
-from .spheres import Ball, min_enclosing_ball
+from .spheres import Ball, _distinct, min_enclosing_ball
 
 # Relative feasibility slack: a copy fits when the enclosing-ball radius is
 # at most r * (1 + FEASIBILITY_SLACK).
@@ -148,9 +149,13 @@ class SpreadEstimate:
 def embedding_feasible(problem: SpreadProblem) -> bool:
     """A congruent copy fits in some r-ball iff the enclosing-ball radius does.
 
-    The radius may exceed r by the relative slack FEASIBILITY_SLACK.
+    The radius may exceed r by the relative slack FEASIBILITY_SLACK.  It
+    reads the target's frame (_target_frame), the enclosing ball that
+    estimate_c and the samplers read, so all three agree on every fit.  A
+    radius whose square over the diameter overflows raises DomainError.
     """
-    return _fits(min_enclosing_ball(problem.target).radius, problem.radius)
+    frame = _target_frame(problem.target)
+    return _fits(frame.ball.radius, _frame_radius(frame, problem.radius)[1])
 
 
 def _fits(ball_radius: float, radius: float) -> bool:
@@ -159,13 +164,14 @@ def _fits(ball_radius: float, radius: float) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class Frame:
-    """A target's radius-free inputs, read by the solve and the samplers.
+    """A target's radius-free inputs, read by every spread entry.
 
-    keep indexes the distinct points, each by its first index; diam is their
-    diameter over 2^k (geometry._scaled; k = 0 for coincident points); basis
-    holds the m orthonormal rows spanning the hull, from one SVD; ball is
-    the points' enclosing ball in hull coordinates over 2^k diam (2^k for
-    coincident points), and row i of a is point keep[i] there less
+    keep indexes the distinct points (spheres._distinct), each by its first
+    index; diam is their diameter over 2^k (geometry._scaled; k = 0 for
+    coincident points); basis holds the m orthonormal rows spanning the
+    hull, from one SVD; ball is the points' enclosing ball in hull
+    coordinates over 2^k diam (2^k for coincident points), the one ball
+    every fit decision reads, and row i of a is point keep[i] there less
     ball.center, so the point is 2^k diam (a[i] + ball.center) @ basis from
     the first point, up to its component off the hull, which the cutoff
     DEFAULT_TOL drops; sq holds the |a_k|^2; placed is all the points over
@@ -193,12 +199,7 @@ def _target_frame(target: Configuration) -> Frame:
     frame = _FRAMES.get(target)
     if frame is None:
         pts = target.points
-        # Equal points give equal bytes once -0.0 is made 0.0; a dict keeps
-        # each one's first index (np.unique would import numpy.ma).
-        first = {}
-        for i, row in enumerate(pts + 0.0):
-            first.setdefault(row.tobytes(), i)
-        keep = tuple(first.values())
+        keep = tuple(_distinct(pts, np.arange(len(pts))).tolist())
         k, pts = _scaled(pts)
         diam = _diameter(pts)
         if not diam:  # coincident points: r is the only length, so they stay unscaled

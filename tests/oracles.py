@@ -78,6 +78,53 @@ def brute_force_meb(points) -> tuple[float, np.ndarray]:
     return best
 
 
+# Grid sets on which an enclosing-ball walk that tested for exact zeros
+# ended on a ball too large: GRID_11, whose frame's ball (the ball of its
+# hull coordinates over its diameter) was 6.7% too large, then seven sets
+# of distinct points of {-1, 0, 1}^d times a scale, from 3000 seeded draws
+# (d in 2-4, d + 2 to 15 points): the public ball was up to 8.5% too large
+# on the first three and the frame's up to 14.1% on the other four.
+GRID_11 = 0.005549896469012534 * np.array([
+    [-1, -1, 1], [0, -1, 0], [0, 0, -1], [1, -1, -1], [-1, 1, 1], [0, -1, 1], [0, 1, -1],
+    [1, 1, -1], [0, 1, 0], [1, 1, 1], [1, 0, 0]])
+TOO_LARGE_GRID_BALLS = [GRID_11] + [scale * np.array(rows, dtype=float) for scale, rows in [
+    (336.77948793816665, [[0, 0, 1], [1, 0, 0], [1, 1, -1], [1, 1, 1], [1, 1, 0], [-1, 1, -1],
+                          [0, -1, -1], [0, -1, 1], [1, -1, 1], [1, -1, -1], [-1, 1, 1]]),
+    (892.9312268482395, [[0, 0, 0, -1], [1, -1, -1, 1], [-1, 1, -1, 1], [1, 1, 0, 1],
+                         [0, 0, -1, -1], [-1, 1, 0, 0]]),
+    (37.98232893447872, [[0, 0, 0], [1, 1, 0], [0, 1, 0], [-1, 0, 0], [-1, -1, -1], [1, -1, -1],
+                         [0, 0, -1], [-1, -1, 1], [1, -1, 1], [-1, 1, 1], [1, 1, -1]]),
+    (871.9322215280479, [[-1, 0, 1], [-1, 1, 1], [1, 1, -1], [-1, 0, 0], [1, 1, 1], [0, -1, 0],
+                         [-1, -1, 1], [1, 1, 0], [0, 1, 0], [1, 0, -1], [-1, 1, -1]]),
+    (410.2667730065998, [[0, -1, 0], [-1, 0, -1], [-1, -1, -1], [1, -1, -1], [0, 0, 0], [1, 1, 0],
+                         [1, 0, 1], [0, 1, -1], [-1, 0, 1], [-1, 1, -1], [-1, 1, 1], [-1, -1, 0],
+                         [0, 0, -1]]),
+    (758.8815562021829, [[0, -1, 0], [-1, 1, 1], [0, 0, -1], [1, -1, -1], [-1, -1, 1],
+                         [-1, -1, 0], [1, -1, 1], [-1, 0, -1], [-1, 0, 0], [-1, -1, -1]]),
+    (178.67442200085404, [[-1, -1, -1, 0], [1, 0, 1, 1], [1, -1, 0, -1], [0, 0, 1, 1], [1, 1, 0, 0],
+                          [-1, 0, 1, -1], [0, 0, 1, 0], [-1, -1, 0, 1], [0, 1, 0, -1], [1, 0, 1, 0],
+                          [1, 1, 1, 0], [-1, 1, 1, 0]])]]
+
+
+@st.composite
+def co_spherical_sets(draw):
+    """Sets with many co-spherical points, scaled, rotated and relabelled:
+    distinct points of {-1, 0, 1}^d, or points on a sphere off the origin,
+    d = 2-4, d + 2 to 10 points."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        grid = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=dim)))
+        size = draw(st.integers(dim + 2, min(10, len(grid))))
+        pts = grid[rng.choice(len(grid), size=size, replace=False)]
+    else:
+        pts = rng.normal(size=(draw(st.integers(dim + 2, 10)), dim))
+        pts = pts / np.linalg.norm(pts, axis=1)[:, None] + rng.normal(size=dim)
+    motion = random_motion(dim, seed=rng.integers(2**32), translation_scale=0.0)
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    return scale * pts[rng.permutation(len(pts))] @ motion.rotation.T
+
+
 def welzl_mtf(pts: np.ndarray, order: np.ndarray, support: tuple[int, ...],
               dim: int, slack: float):
     """Welzl's move-to-front recursion (Welzl 1991) over `order`, reordered in place.

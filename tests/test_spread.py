@@ -41,9 +41,11 @@ from diamramsey import (
 )
 from diamramsey.spread import (ROUNDING_SLACK, _CHUNK, _active_set, _guess, _prepare,
                                _summarize_chunks, spread)
-from oracles import (apply_motion, configurations, explicit_copy_norms, hull_coordinates,
-                     interior_point, ks_statistic, planar_spread_min, random_motion,
-                     rotated_copy_spreads, slsqp_levels)
+from oracles import GRID_11 as GRID_11_POINTS
+from oracles import (TOO_LARGE_GRID_BALLS, apply_motion, brute_force_meb, co_spherical_sets,
+                     configurations, explicit_copy_norms, hull_coordinates, interior_point,
+                     ks_statistic, planar_spread_min, random_motion, rotated_copy_spreads,
+                     slsqp_levels)
 
 OBTUSE_150 = obtuse_triangle(150.0, 1.0)
 EQUILATERAL = regular_simplex(2)
@@ -111,6 +113,29 @@ class TestEmbeddingFeasible:
     def test_obtuse_at_exact_meb(self):
         assert embedding_feasible(SpreadProblem(target=OBTUSE_150, radius=0.5))
 
+    @pytest.mark.parametrize("points", TOO_LARGE_GRID_BALLS)
+    def test_pinned_grid_sets_fit_from_their_radius(self, points):
+        # embedding_feasible read the public ball and estimate_c the frame's;
+        # on these sets one or the other was up to 14.1% too large, and the
+        # two disagreed from R to 1.05 R.  Both read the frame's ball now.
+        target = Configuration.from_points(points)
+        radius = brute_force_meb(points)[0]
+        frame = spread_module._target_frame(target)
+        assert math.ldexp(frame.ball.radius * frame.diam, frame.k) == pytest.approx(
+            radius, rel=1e-12)
+        for factor in (0.97, 1.0 - 1e-3, 1.0, 1.0 + 1e-3, 1.03, 1.05):
+            problem = SpreadProblem(target=target, radius=factor * radius)
+            fits = embedding_feasible(problem)
+            assert fits == (factor >= 1.0)
+            assert estimate_c(problem).feasible == fits
+
+    @given(co_spherical_sets(), st.sampled_from([1.0 - 1e-3, 1.0 + 1e-3]))
+    @settings(max_examples=60, deadline=None)
+    def test_fits_from_the_smallest_radius(self, points, factor):
+        radius = brute_force_meb(points)[0]
+        problem = SpreadProblem(target=Configuration.from_points(points), radius=factor * radius)
+        assert embedding_feasible(problem) == estimate_c(problem).feasible == (factor > 1.0)
+
 
 def _grid_sets(count: int) -> list:
     """Seeded sets of distinct points of {-1, 0, 1}^d, d = 2-4, d + 2 to 15
@@ -128,12 +153,7 @@ def _grid_sets(count: int) -> list:
     return sets
 
 
-# 11 grid points whose frame's enclosing ball, walked to in their hull
-# coordinates over their diameter, is 0.5336 of the diameter, where the
-# smallest is 0.5 (the public ball's).
-GRID_11 = Configuration.from_points(0.005549896469012534 * np.array([
-    [-1, -1, 1], [0, -1, 0], [0, 0, -1], [1, -1, -1], [-1, 1, 1], [0, -1, 1], [0, 1, -1],
-    [1, 1, -1], [0, 1, 0], [1, 1, 1], [1, 0, 0]]))
+GRID_11 = Configuration.from_points(GRID_11_POINTS)
 
 
 class TestSolveAndSamplersAgree:
@@ -360,6 +380,15 @@ class TestFrameReuse:
         for config in _enclosing_radius_sets()[::5]:
             radius = min_enclosing_ball(config).radius
             self._warm_equals_cold(config, [radius * f for f in (1.0 + 1e-9, 1.001, 1.1)])
+
+    def test_frame_keeps_the_first_of_equal_points(self):
+        # -0.0 and 0.0 are one coordinate, and the first index stands for
+        # each point, as in the enclosing ball's core (spheres._distinct)
+        target = Configuration.from_points([[1.0, -0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0],
+                                            [-0.0, 1.0], [2.0, 2.0]])
+        frame = spread_module._target_frame(target)
+        assert frame.keep == (0, 1, 5)
+        assert isinstance(frame.keep[0], int)
 
     def test_frame_is_read_only(self):
         target = _fresh(OBTUSE_150)
@@ -1041,10 +1070,13 @@ class TestScaleInvariance:
         # and 2^-499 for [[0, 1]] * 3, under which r from 1e160 up overflowed
         # (OverflowError); their frame is unscaled now.  r = 1e300 over the
         # 1e-300 segment's 2^-996 raised OverflowError too, not DomainError.
+        # embedding_feasible read its own ball and raised nothing; it reads
+        # the frame's now, and agrees with estimate_c wherever both answer.
         target = Configuration.from_points(points)
         entries = [lambda: estimate_c(SpreadProblem(target=target, radius=radius)),
                    lambda: sample_spread_oracle(SpreadProblem(target, radius), 10),
-                   lambda: falsify_coloring(target, radius, 0.25 * radius, 10)]
+                   lambda: falsify_coloring(target, radius, 0.25 * radius, 10),
+                   lambda: embedding_feasible(SpreadProblem(target, radius))]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             if not accepted:
@@ -1052,7 +1084,8 @@ class TestScaleInvariance:
                     with pytest.raises(DomainError, match="overflows when squared"):
                         entry()
                 return
-            estimate, least, report = [entry() for entry in entries]
+            estimate, least, report, fits = [entry() for entry in entries]
+        assert fits == estimate.feasible
         if not np.ptp(target.points, axis=0).any():  # coincident points: c = 0
             assert (estimate.feasible, estimate.c_estimate, estimate.c_lower) == (True, 0.0, 0.0)
             assert estimate.max_norm <= radius

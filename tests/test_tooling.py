@@ -56,19 +56,33 @@ def test_frexp_only_in_geometry():
     assert _uses_outside_geometry("frexp") == []
 
 
-def test_one_pairwise_entry_formula():
-    # geometry._row_sq_dists is the one place that squares and sums two
-    # rows' differences: distance_matrix, diameter's recompute and the
-    # double-normal walk all read their entries from it
+def _owners(matches) -> list[str]:
+    """module:function of every node in the package for which matches(node) holds."""
     found = []
     for module in sorted(PACKAGE.rglob("*.py")):
         tree = ast.parse(module.read_text(), str(module))
         functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
         for node in ast.walk(tree):
-            if isinstance(node, ast.Constant) and node.value == "ijk,ijk->ij":
+            if matches(node):
                 owners = [f.name for f in functions if f.lineno <= node.lineno <= f.end_lineno]
                 found.append(f"{module.name}:{owners[-1] if owners else '<module>'}")
-    assert found == ["geometry.py:_row_sq_dists"]
+    return found
+
+
+def test_one_pairwise_entry_formula():
+    # geometry._row_sq_dists is the one place that squares and sums two
+    # rows' differences: distance_matrix, diameter's recompute and the
+    # double-normal walk all read their entries from it
+    assert _owners(lambda node: isinstance(node, ast.Constant)
+                   and node.value == "ijk,ijk->ij") == ["geometry.py:_row_sq_dists"]
+
+
+def test_one_distinct_rows_rule():
+    # spheres._distinct is the one place that finds repeated rows: the
+    # enclosing ball's core and the spread frame's kept points both read
+    # it, so no second rule (np.unique, a dict keyed by row bytes) grows
+    assert _owners(lambda node: isinstance(node, ast.Attribute) and node.attr in {
+        "lexsort", "unique", "tobytes"}) == ["spheres.py:_distinct"]
 
 
 def _spread_offenders(allowed: dict) -> list[str]:
@@ -92,10 +106,10 @@ def _spread_offenders(allowed: dict) -> list[str]:
 
 def test_one_frame_builder_in_spread():
     # spread._target_frame is the one place the spread entries build a
-    # target's hull basis, enclosing ball and diameter, so the solve and the
-    # samplers read the same ones; embedding_feasible keeps the public ball
-    assert _spread_offenders({"_target_frame": {"_hull_basis", "min_enclosing_ball", "_diameter"},
-                              "embedding_feasible": {"min_enclosing_ball"}}) == []
+    # target's hull basis, enclosing ball, diameter and distinct points, so
+    # embedding_feasible, the solve and the samplers read the same ones
+    assert _spread_offenders({"_target_frame": {"_hull_basis", "min_enclosing_ball", "_diameter",
+                                                "_distinct"}}) == []
 
 
 def test_one_solve_in_spread():
