@@ -146,20 +146,19 @@ def diameter(config: Configuration) -> float:
     """Largest pairwise distance; 0 for a singleton.
 
     Bit for bit the maximum of distance_matrix(config), without its n*n*d
-    tensor.  A set whose whole tensor fits in one block is recomputed whole.
-    Otherwise _reaching_rows first keeps the rows K that can reach a
-    realised lower bound L (|x_i - x_j| <= |x_i| + max|x| about the
-    centroid), both rows of the largest distance among them.  The kept
-    rows are screened with the Gram form against kept rows, and only those
-    whose screened maximum is near the largest are recomputed, against K,
-    with distance_matrix's formula.  When K's pairs fit in one block, as on
-    Gaussian clouds (12-93 of 2000-3000 rows in R^3-R^6) and a 30-degree
-    cap (177 of 2000), one product screens them all.  Only when most rows
-    reach L, as on a full sphere, is each row screened within its
-    projection window |p_i + p_j| <= sqrt(2|x_i|^2 + 2 max|x|^2 - L^2):
-    3000 points on the unit sphere in R^3 screen about a quarter of their
-    n*n pairs, and 4% about the sphere's own centre, where
-    obstruction_verdict screens them.
+    tensor, by one path for every size.  _reaching_rows keeps the rows K
+    that can reach a realised lower bound L (|x_i - x_j| <= |x_i| + max|x|
+    about the centroid), both rows of the largest distance among them.  One
+    of two Gram screens of K against K picks the rows whose screened maximum
+    is near the largest, and only those are recomputed, against K, with
+    distance_matrix's formula.  When K's pairs fit in one block, as on
+    Gaussian clouds (12-93 of 2000-3000 rows in R^3-R^6), a 30-degree cap
+    (177 of 2000) and sets of up to 591 points in R^3, one product screens
+    them all.  Only when most rows reach L, as on a full sphere, is each row
+    screened within its projection window
+    |p_i + p_j| <= sqrt(2|x_i|^2 + 2 max|x|^2 - L^2): 3000 points on the
+    unit sphere in R^3 screen about a quarter of their n*n pairs, and 4%
+    about the sphere's own centre, where obstruction_verdict screens them.
     """
     return _diameter(config.points)
 
@@ -172,8 +171,8 @@ def _diameter(pts: np.ndarray, center: np.ndarray | None = None,
     point farthest from the centre.  Neither changes the value.  The prune,
     the screen and the recompute run on the points over _scaled's power of
     two, from the largest coordinate of the centred points, and the result
-    is scaled back.  A set small enough for one block is recomputed whole;
-    else _reaching_rows runs once, _screened_rows screens its kept rows K
+    is scaled back.  Every set of two or more distinct points takes the one
+    path: _reaching_rows runs once, _screened_rows screens its kept rows K
     (in one product when len(K)^2 * dim fits in one block, else within
     windows), and the candidates are recomputed against K alone.
     """
@@ -188,22 +187,19 @@ def _diameter(pts: np.ndarray, center: np.ndarray | None = None,
     if peak == 0.0:
         return 0.0  # all points coincide
     k, pts = _scaled(pts, peak, center)
-    if rows >= n:
-        best = float(np.max(_row_sq_dists(pts, slice(None))))
+    x = np.ldexp(x, -k, out=x)
+    sq = np.einsum("ij,ij->i", x, x)
+    if far_sq is None:
+        far_sq = _usable_sq(_far_pair_sq(pts, int(sq.argmax())))
     else:
-        x = np.ldexp(x, -k, out=x)
-        sq = np.einsum("ij,ij->i", x, x)
-        if far_sq is None:
-            far_sq = _usable_sq(_far_pair_sq(pts, int(sq.argmax())))
-        else:
-            far_sq = math.ldexp(_usable_sq(far_sq), -2 * k)
-        kept = _reaching_rows(sq, far_sq, d)
-        cols = pts if len(kept) == n else pts[kept]  # a sphere keeps every row: no copy
-        candidates = _screened_rows(x, sq, kept, far_sq, min(rows, _SCREEN_ROWS))
-        rows = max(1, _DIAMETER_BLOCK // (len(kept) * d))
-        best = 0.0
-        for start in range(0, len(candidates), rows):
-            best = max(best, float(np.max(_row_sq_dists(cols, candidates[start:start + rows]))))
+        far_sq = math.ldexp(_usable_sq(far_sq), -2 * k)
+    kept = _reaching_rows(sq, far_sq, d)
+    cols = pts if len(kept) == n else pts[kept]  # a sphere keeps every row: no copy
+    candidates = _screened_rows(x, sq, kept, far_sq, min(rows, _SCREEN_ROWS))
+    rows = max(1, _DIAMETER_BLOCK // (len(kept) * d))
+    best = 0.0
+    for start in range(0, len(candidates), rows):
+        best = max(best, float(np.max(_row_sq_dists(cols, candidates[start:start + rows]))))
     # The rounded sqrt is monotone, so this is distance_matrix's maximum.
     return math.ldexp(float(np.sqrt(best)), k)
 
@@ -321,10 +317,10 @@ def _windowed_screen(x: np.ndarray, sq: np.ndarray, kept: np.ndarray, far_sq: fl
     d = x.shape[1]
     eps = np.finfo(float).eps
     top = int(sq.argmax())
-    proj = x[kept] @ (x[top] / np.sqrt(sq[top]))
+    proj = (x @ (x[top] / np.sqrt(sq[top])))[kept]
     order = np.argsort(proj)
     kept, proj = kept[order], proj[order]
-    cols = x[kept]
+    cols = np.take(x, kept, axis=0)  # one gather, of the sorted rows
     col_sq = sq[kept]
     r_sq = float(sq[top])
     # The window's slack.  Let (a, b) be where distance_matrix's squared
@@ -337,13 +333,14 @@ def _windowed_screen(x: np.ndarray, sq: np.ndarray, kept: np.ndarray, far_sq: fl
     #   * the computed t = 2sq_a + (2r_sq - L^2 + s) rounds by at most
     #     2uR^2 + 2uR^2 + 4uR^2, so q^2 <= t - s + (8d + 24)uR^2.
     # Then the linear side.  The axis rounds by (d/2 + 2)u relative, so its
-    # length is within that of 1, and each computed projection P_i is off by
-    # duR more: |P_a + P_b| <= q + (3d + 4)uR.  The window w = sqrt(t)
-    # rounds down by 2uR at most, and the bounds -(w + P_a) and w - P_a by
-    # 3uR.  So b is inside a's bounds when q + (3d + 9)uR <= sqrt(t), which
-    # holds if t >= q^2 + (12d + 37)uR^2, since q <= 2R.  Both parts give
-    # s = (20d + 61)uR^2 <= (10d + 31) eps r_sq to first order.  Rows whose
-    # bound t is negative get w = 0.
+    # length is within that of 1, and each computed projection P_i, one
+    # d-term dot product whether the product runs over all rows or the kept
+    # ones, is off by duR more: |P_a + P_b| <= q + (3d + 4)uR.  The window
+    # w = sqrt(t) rounds down by 2uR at most, and the bounds -(w + P_a) and
+    # w - P_a by 3uR.  So b is inside a's bounds when q + (3d + 9)uR <=
+    # sqrt(t), which holds if t >= q^2 + (12d + 37)uR^2, since q <= 2R.  Both
+    # parts give s = (20d + 61)uR^2 <= (10d + 31) eps r_sq to first order.
+    # Rows whose bound t is negative get w = 0.
     slack = (10 * d + 31) * eps * r_sq
     half = np.sqrt(np.maximum(2.0 * col_sq + (2.0 * r_sq - far_sq + slack), 0.0))
     first = np.searchsorted(proj, -(half + proj), side="left")

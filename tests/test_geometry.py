@@ -168,6 +168,15 @@ NEAR_TIES = (
 )
 
 
+# Sets whose whole n*n*d tensor fits in one block of _DIAMETER_BLOCK: they
+# take the prune and the screen like any other set.
+MID_SIZES = (
+    [pytest.param(np.random.default_rng(0).normal(size=(n, dim)), id=f"gaussian-{n}x{dim}")
+     for n, dim in ((100, 3), (300, 3), (577, 3), (71, 70))]
+    + [pytest.param(almost_regular_simplex(70, 1e-3).points, id="almost-regular-70")]
+)
+
+
 class TestConfiguration:
     def test_rejects_empty(self):
         with pytest.raises(DomainError):
@@ -258,7 +267,7 @@ class TestDiameter:
         # Antipodal pairs on a sphere: every row's maximum ties within
         # rounding, and for these seeds the row with the largest screened
         # value is not the row of the largest distance, so recomputing only
-        # that row comes out one bit low.  One-row blocks force the screen.
+        # that row comes out one bit low.  One-row blocks force the windows.
         monkeypatch.setattr(diamramsey.geometry, "_DIAMETER_BLOCK", 1)
         rng = np.random.default_rng(seed)
         n, dim = int(rng.integers(2, 60)), int(rng.integers(1, 7))
@@ -297,6 +306,16 @@ class TestDiameter:
         assert diameter(Configuration.from_points(pts)) == 130.0
         circle = len(pts) - 2
         assert sorted(cols for _, cols in blocks) == [1, 1] + [circle] * circle
+
+    @pytest.mark.parametrize("exponent", [0, -600, 600])
+    @pytest.mark.parametrize("pts", MID_SIZES)
+    def test_one_path_for_mid_sizes(self, pts, exponent):
+        # One prune and one product over the kept pairs, with no recompute
+        # of the whole set, and still distance_matrix's maximum.
+        pts = np.ldexp(pts, exponent)
+        config = Configuration.from_points(pts)
+        value, kept = value_on_path(lambda: diameter(config), pts, 1 << 20)
+        assert kept is not None and value == float(np.max(distance_matrix(config)))
 
     def test_prune_keeps_few_rows_of_a_cloud(self, monkeypatch):
         # One prune, then one product over the kept pairs, with no windows,
@@ -401,19 +420,17 @@ def spy_on_entries(monkeypatch) -> list:
 
 
 def values_on_each_path(call, pts, block) -> list:
-    """call()'s diameter with _DIAMETER_BLOCK at `block`, then on the kept pairs' path.
+    """call()'s diameter with _DIAMETER_BLOCK at `block`, then on the other screen.
 
-    Where the prune keeps K rows of n (learnt from a one-row block if
-    `block` holds the whole set), a block of len(K)^2 * dim holds the kept
-    pairs but not the whole set, so both paths run on every such example.
+    Where the prune keeps K rows, a block of len(K)^2 * dim screens the kept
+    pairs in one product and a block one entry smaller screens them within
+    windows, so both screens run on every example with two distinct points.
     """
     value, kept = value_on_path(call, pts, block)
     values = [value]
-    if kept is None and pts.size * len(pts) <= block:
-        value, kept = value_on_path(call, pts, 1)
-        values.append(value)
-    if kept is not None and kept < len(pts):
-        value, _ = value_on_path(call, pts, kept * kept * pts.shape[1])
+    if kept is not None:
+        pairs = kept * kept * pts.shape[1]
+        value, _ = value_on_path(call, pts, pairs - 1 if pairs <= block else pairs)
         values.append(value)
     return values
 
@@ -421,26 +438,26 @@ def values_on_each_path(call, pts, block) -> list:
 def value_on_path(call, pts, block) -> tuple:
     """(call()'s diameter, the prune's kept row count or None) at `block`.
 
-    Asserts the path with the spies: no prune where the whole set fits in
-    one block (or the points coincide), else one prune, then one Gram block
-    of the kept rows against themselves where their pairs fit in a block,
-    or else blocks of at most _SCREEN_ROWS rows against their windows.
+    Asserts the one path with the spies, whatever the set's size: one prune
+    on every set with two distinct points (only coincident points skip it),
+    then one Gram block of the kept rows against themselves where their
+    pairs fit in a block, or else blocks of at most _SCREEN_ROWS rows
+    against their windows.
     """
     n, d = pts.shape
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(diamramsey.geometry, "_DIAMETER_BLOCK", block)
         kept, blocks = spy_on_prune(mp), spy_on_screen(mp)
         value = call()
-    rows = max(1, block // (n * d))
-    if rows >= n or not kept:
-        assert kept == [] and blocks == []
-        assert rows >= n or value == 0.0
+    if not kept:
+        assert blocks == [] and value == 0.0 and np.all(pts == pts[0])
         return value, None
     assert len(kept) == 1
     k = len(kept[0])
     if k * k * d <= block:
         assert blocks == [(k, k)]
     else:
+        rows = max(1, block // (n * d))
         assert blocks and max(r for r, _ in blocks) <= min(rows, diamramsey.geometry._SCREEN_ROWS)
     return value, k
 

@@ -77,6 +77,18 @@ def test_one_pairwise_entry_formula():
                    and node.value == "ijk,ijk->ij") == ["geometry.py:_row_sq_dists"]
 
 
+def test_whole_pair_tensor_only_in_distance_matrix():
+    # geometry.distance_matrix is the one place that reads the entries of
+    # every pair: diameter reads them for its kept rows alone, so no branch
+    # on a set's size recomputes the whole n*n*d tensor unnoticed
+    def whole(node):
+        return (isinstance(node, ast.Call)
+                and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_row_sq_dists"
+                and any(isinstance(arg, ast.Call) and getattr(arg.func, "id", None) == "slice"
+                        for arg in node.args))
+    assert _owners(whole) == ["geometry.py:distance_matrix"]
+
+
 def test_one_distinct_rows_rule():
     # spheres._distinct is the one place that finds repeated rows: the
     # enclosing ball's core and the spread frame's kept points both read
