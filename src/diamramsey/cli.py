@@ -2,8 +2,11 @@
 
 Each run prints one JSON report to stdout (command, echoed inputs, outputs,
 seed, timing, version).  All randomness flows from --seed, defaulting to 0,
-never wall-clock, so reruns reproduce the numeric outputs.  Domain errors
-exit 1 with machine-readable JSON on stderr and a one-line summary on
+never wall-clock, so reruns reproduce the numeric outputs.  Every subcommand
+takes --seed and --out, and otherwise only the flags its handler reads:
+--tol on circumsphere, obstruct, conjecture, estimate-c and find-copy, and
+--format on all but triangle; any other flag is a usage error.  Domain
+errors exit 1 with machine-readable JSON on stderr and a one-line summary on
 stdout; usage errors, among them a float flag that is nan or infinite, a
 negative --tol, --seed, --samples or --oracle-samples and a --restarts
 below 1, exit 2.
@@ -179,69 +182,64 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    # Flags that several subcommands take, each declared here once.
+    shared = {
+        "--input": dict(required=True,
+                        help="configuration file (find-copy: coloured configuration JSON)"),
+        "--format": dict(choices=("json", "csv"), default="json",
+                         help="configuration file format (default json)"),
+        "--tol": dict(type=_tolerance, default=None, help="numeric tolerance override"),
+        "--radius": dict(type=_finite, required=True, help="ball radius"),
+        "--samples": dict(type=_count, default=100000, help="copies sampled"),
+        "--shell": dict(type=_finite, required=True, help="shell width"),
+    }
+
+    def add(name, handler, flags, help):
+        """A subcommand taking --seed, --out and the named shared flags."""
+        p = sub.add_parser(name, help=help)
         p.set_defaults(handler=handler)
-        p.add_argument("--format", choices=("json", "csv"), default="json",
-                       help="configuration file format (default json)")
         p.add_argument("--seed", type=_count, default=0,
                        help="seed for all randomness (default 0)")
-        p.add_argument("--tol", type=_tolerance, default=None,
-                       help="numeric tolerance override")
         p.add_argument("--out", default=None,
                        help="also write the primary output to this path")
+        for flag in flags.split():
+            p.add_argument(flag, **shared[flag])
         return p
 
-    def add_input(p):
-        p.add_argument("--input", required=True, help="configuration file")
+    add("diameter", _cmd_diameter, "--input --format", "largest pairwise distance")
+    add("meb", _cmd_meb, "--input --format", "minimum enclosing ball")
+    add("circumsphere", _cmd_circumsphere, "--input --format --tol",
+        "smallest containing sphere")
+    add("jung", _cmd_jung, "--input --format", "Jung covering-ball bound")
+    add("obstruct", _cmd_obstruct, "--input --format --tol",
+        "circumradius obstruction verdict")
 
-    add_input(add("diameter", _cmd_diameter, help="largest pairwise distance"))
-    add_input(add("meb", _cmd_meb, help="minimum enclosing ball"))
-    add_input(add("circumsphere", _cmd_circumsphere,
-                  help="smallest containing sphere"))
-    add_input(add("jung", _cmd_jung, help="Jung covering-ball bound"))
-    add_input(add("obstruct", _cmd_obstruct,
-                  help="circumradius obstruction verdict"))
-
-    p = add("triangle", _cmd_triangle, help="verdict for a triangle by largest angle")
+    p = add("triangle", _cmd_triangle, "", "verdict for a triangle by largest angle")
     p.add_argument("--alpha", type=_finite, required=True, help="largest angle, degrees")
     p.add_argument("--side", type=_finite, default=1.0, help="side opposite alpha")
 
-    add_input(add("conjecture", _cmd_conjecture,
-                  help="conjectural simplex classification (circumcenter vs hull)"))
+    add("conjecture", _cmd_conjecture, "--input --format --tol",
+        "conjectural simplex classification (circumcenter vs hull)")
 
-    p = add("estimate-c", _cmd_estimate_c,
-            help="certified minimal spread of congruent copies in the r-ball")
-    add_input(p)
-    p.add_argument("--radius", type=_finite, required=True)
+    p = add("estimate-c", _cmd_estimate_c, "--input --format --tol --radius",
+            "certified minimal spread of congruent copies in the r-ball")
     p.add_argument("--restarts", type=_positive, default=64,
                    help="cap on warm-started solve passes")
     p.add_argument("--oracle-samples", type=_count, default=0,
                    help="cross-check sample count (0 disables)")
 
-    p = add("oracle", _cmd_oracle,
-            help="sampled upper bound on c(A, r): least spread of random copies")
-    add_input(p)
-    p.add_argument("--radius", type=_finite, required=True)
-    p.add_argument("--samples", type=_count, default=100000)
+    add("oracle", _cmd_oracle, "--input --format --radius --samples",
+        "sampled upper bound on c(A, r): least spread of random copies")
+    add("color", _cmd_color, "--input --format --shell",
+        "shell-colour the points of a configuration")
+    add("falsify", _cmd_falsify, "--input --format --radius --shell --samples",
+        "Monte-Carlo hunt for monochromatic congruent copies")
 
-    p = add("color", _cmd_color, help="shell-colour the points of a configuration")
-    add_input(p)
-    p.add_argument("--shell", type=_finite, required=True, help="shell width")
-
-    p = add("falsify", _cmd_falsify,
-            help="Monte-Carlo hunt for monochromatic congruent copies")
-    add_input(p)
-    p.add_argument("--radius", type=_finite, required=True)
-    p.add_argument("--shell", type=_finite, required=True)
-    p.add_argument("--samples", type=_count, default=100000)
-
-    p = add("find-copy", _cmd_find_copy,
-            help="exact monochromatic-copy search in a coloured set")
-    p.add_argument("--input", required=True, help="coloured configuration JSON")
+    p = add("find-copy", _cmd_find_copy, "--input --format --tol",
+            "exact monochromatic-copy search in a coloured set")
     p.add_argument("--target", required=True, help="target configuration file")
 
-    p = add("construct", _cmd_construct, help="emit a witness configuration")
+    p = add("construct", _cmd_construct, "--format", "emit a witness configuration")
     p.add_argument("shape", choices=("regular", "cor3", "obtuse"))
     p.add_argument("--dim", type=int, default=2, help="simplex dimension")
     p.add_argument("--delta", type=_finite, default=0.01,
@@ -290,7 +288,7 @@ def run(argv=None) -> int:
         "version": __version__,
         "inputs": _echo_inputs(args),
         "outputs": outputs,
-        "seed": getattr(args, "seed", None),
+        "seed": args.seed,
         "timing_s": round(time.perf_counter() - start, 6),
     }
     print(json.dumps(report, indent=2))

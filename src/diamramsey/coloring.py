@@ -13,7 +13,7 @@ copy's shell indices unchanged (see the spread module).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,11 +51,11 @@ def num_colors(r: float, c: float) -> int:
 
 @dataclass(frozen=True)
 class ShellColoring:
-    """A shell colouring of B(0, radius) with shells of width shell_width."""
+    """The shell colouring of B(0, radius) by width-shell_width shells; num_colors is derived."""
 
     shell_width: float
     radius: float
-    num_colors: int = 0
+    num_colors: int = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "num_colors",

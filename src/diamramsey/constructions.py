@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .errors import Degenerate, DomainError, _check_positive
-from .geometry import Configuration, diameter, distance_matrix
+from .geometry import Configuration, distance_matrix
 
 
 def _helmert_basis(n: int) -> np.ndarray:
@@ -38,7 +38,7 @@ def regular_simplex(d: int) -> Configuration:
     corners = np.eye(n) / math.sqrt(2.0)
     centered = corners - corners.mean(axis=0)
     coords = centered @ _helmert_basis(n).T
-    return Configuration(dim=d, points=coords)
+    return Configuration(points=coords)
 
 
 def almost_regular_simplex(d: int, delta: float) -> Configuration:
@@ -66,7 +66,7 @@ def almost_regular_simplex(d: int, delta: float) -> Configuration:
     points[:d, :d - 1] = base
     points[:d, d - 1] = a
     points[d, d - 1] = r
-    return Configuration(dim=d, points=points)
+    return Configuration(points=points)
 
 
 def obtuse_triangle(alpha: float, a: float = 1.0) -> Configuration:
@@ -87,7 +87,7 @@ def obtuse_triangle(alpha: float, a: float = 1.0) -> Configuration:
         [a, 0.0],
         [0.5 * a, circ - depth],
     ])
-    return Configuration(dim=2, points=points)
+    return Configuration(points=points)
 
 
 def almost_regular_measure(config: Configuration) -> float:
@@ -98,10 +98,10 @@ def almost_regular_measure(config: Configuration) -> float:
     regular simplices; always in [0, 1].
     """
     n = len(config)
-    diam = diameter(config)
+    dists = distance_matrix(config)
+    diam = float(dists.max())
     if diam <= 0.0:
         raise Degenerate("measure undefined for sets of zero diameter")
-    dists = distance_matrix(config)
     iu = np.triu_indices(n, k=1)
     deficit = float(np.sum(diam * diam - dists[iu] ** 2))
     pairs = n * (n - 1) // 2

@@ -1,6 +1,7 @@
 """JSON and CSV serialization of configurations.
 
-Configuration JSON: {"dim": d, "points": [[x1, ..., xd], ...]}.
+Configuration JSON: {"dim": d, "points": [[x1, ..., xd], ...]}; "dim" may be
+left out, and where given it must be the integer d.
 CSV: one point per row, d columns, '.' decimal separator, no header.
 Coloured configurations add a "colors" array to the JSON object.
 Both readers reject ragged rows.
@@ -12,7 +13,7 @@ import json
 
 from .coloring import ColoredConfiguration
 from .errors import DomainError
-from .geometry import Configuration
+from .geometry import Configuration, _integer
 
 
 def configuration_to_dict(config: Configuration) -> dict:
@@ -32,7 +33,9 @@ def configuration_from_dict(data: dict) -> Configuration:
     # not coordinates.
     if not all(type(x) in (int, float) for row in points for x in row):
         raise DomainError("every coordinate must be a number")
-    return Configuration(dim=data.get("dim", widths.pop()), points=points)
+    if "dim" in data and _integer(data["dim"], "dim") != len(points[0]):
+        raise DomainError(f"'dim' is {data['dim']}, but the rows have {len(points[0])} numbers")
+    return Configuration(points=points)
 
 
 def configuration_to_json(config: Configuration) -> str:
@@ -65,7 +68,7 @@ def configuration_from_csv(text: str) -> Configuration:
         raise DomainError("CSV input contains no points")
     if len({len(row) for row in rows}) != 1:
         raise DomainError("ragged rows: every point needs the same coordinate count")
-    return Configuration(dim=len(rows[0]), points=rows)
+    return Configuration(points=rows)
 
 
 def colored_to_dict(colored: ColoredConfiguration) -> dict:

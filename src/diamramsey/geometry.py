@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 
 import numpy as np
@@ -46,7 +46,7 @@ def _as_json(record):
     order, with arrays as nested lists, enums as their values and nested
     records as dicts, so each record's report order is its field order."""
     if is_dataclass(record):
-        return {field.name: _as_json(getattr(record, field.name)) for field in fields(record)}
+        return {f.name: _as_json(getattr(record, f.name)) for f in fields(record)}
     if isinstance(record, np.ndarray):
         return record.tolist()
     return record.value if isinstance(record, Enum) else record
@@ -75,41 +75,40 @@ def _seed(value) -> int:
     return seed
 
 
+def _point_rows(points) -> np.ndarray:
+    """points as a float array, or DomainError if they are not all real numbers."""
+    try:
+        return np.asarray(points, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"points must be real numbers: {exc}") from exc
+
+
 @dataclass(frozen=True, eq=False)
 class Configuration:
-    """An ordered, nonempty point set in R^dim."""
+    """An ordered, nonempty point set in R^dim, where dim is the width of its rows."""
 
-    dim: int
+    dim: int = field(init=False)
     points: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "dim", _integer(self.dim, "ambient dimension"))
-        try:
-            pts = np.asarray(self.points, dtype=float)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise DomainError(f"points must be real numbers: {exc}") from exc
+        pts = _point_rows(self.points)
         if pts.ndim != 2:
             raise DomainError("points must be a 2-d array of shape (n, dim)")
-        if self.dim < 1:
-            raise DomainError("ambient dimension must be a positive integer")
         n, d = pts.shape
+        if d == 0:
+            raise DomainError("each point needs at least one coordinate")
         if n == 0:
             raise DomainError("a configuration must contain at least one point")
-        if d != self.dim:
-            raise DomainError(f"points have {d} coordinates, expected dim={self.dim}")
         if not np.all(np.isfinite(pts)):
             raise DomainError("all coordinates must be finite")
+        object.__setattr__(self, "dim", d)
         object.__setattr__(self, "points", _freeze(pts))
 
     @classmethod
     def from_points(cls, points) -> "Configuration":
-        """Build a configuration, inferring the ambient dimension."""
-        arr = np.asarray(points, dtype=float)
-        if arr.ndim == 1:
-            arr = arr.reshape(1, -1)
-        if arr.ndim != 2 or arr.shape[1] == 0:
-            raise DomainError("points must form a nonempty (n, dim) array")
-        return cls(dim=arr.shape[1], points=arr)
+        """Configuration(points=points), except that a 1-d array is one point."""
+        arr = _point_rows(points)
+        return cls(points=arr.reshape(1, -1) if arr.ndim == 1 else arr)
 
     def __len__(self) -> int:
         return self.points.shape[0]

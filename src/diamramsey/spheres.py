@@ -363,7 +363,7 @@ def _circumsphere(pts: np.ndarray, tol: float, far_sq: float):
         raise Degenerate("all points coincide; no smallest containing sphere")
 
     rel = pts[1:] - pts[0]
-    basis = _hull_basis(pts, 1e-12)         # (rank, dim), orthonormal rows
+    basis = _hull_basis(pts, DEFAULT_TOL)   # (rank, dim), orthonormal rows
     coords = rel @ basis.T                  # hull coordinates of p_i - p_1
     rhs = 0.5 * np.einsum("ij,ij->i", coords, coords)
     sol, *_ = np.linalg.lstsq(coords, rhs, rcond=None)

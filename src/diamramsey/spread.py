@@ -87,12 +87,6 @@ _EPS = np.finfo(float).eps
 _FRAMES = weakref.WeakKeyDictionary()
 
 
-def spread(config: Configuration) -> float:
-    """Max point norm minus min point norm; 0 iff the set sits on an origin sphere."""
-    norms = _norm(config.points, axis=1)
-    return float(norms.max() - norms.min())
-
-
 @dataclass(frozen=True, eq=False)
 class SpreadProblem:
     """Target set and ball radius.
@@ -206,7 +200,7 @@ def _target_frame(target: Configuration) -> Frame:
             k, pts = 0, target.points
         basis = _hull_basis(pts, DEFAULT_TOL)
         coords = (pts - pts[0]) @ basis.T / (diam or 1.0)
-        ball = (min_enclosing_ball(Configuration(dim=len(basis), points=coords)) if len(basis)
+        ball = (min_enclosing_ball(Configuration(points=coords)) if len(basis)
                 else Ball(center=np.zeros(0), radius=0.0))  # one point, or coincident points
         a = coords[list(keep)] - ball.center
         sq = np.einsum("ij,ij->i", a, a)

@@ -10,8 +10,9 @@ target by a complete 2-d grid search with closed-form plane height, the
 spread solve's reduced program by SLSQP (scipy, imported where it is used)
 and by the primal-dual interior point that the library's active-set pivot
 replaced, and the sampler's copies by building each one point by point.  The
-invariance tests' seeded rigid motions live here too (random_motion,
-apply_motion): the library only reports a placement.
+invariance tests' seeded rigid motions (random_motion, apply_motion) and the
+spread of a placed copy (spread) live here too: the library only reports a
+placement.
 """
 
 import itertools
@@ -23,6 +24,12 @@ from hypothesis import strategies as st
 from diamramsey import Configuration, RigidMotion
 from diamramsey.spheres import _circumcenter, _sq_dists
 from diamramsey.spread import _CHUNK
+
+
+def spread(config: Configuration) -> float:
+    """Max point norm minus min point norm; 0 iff the set sits on an origin sphere."""
+    norms = np.linalg.norm(config.points, axis=1)
+    return float(norms.max() - norms.min())
 
 
 def dist_matrix(points: np.ndarray) -> np.ndarray:
@@ -51,7 +58,7 @@ def random_motion(dim: int, seed=0, translation_scale: float = 1.0) -> RigidMoti
 def apply_motion(config: Configuration, motion: RigidMotion) -> Configuration:
     """Map every point to rotation @ p + translation."""
     pts = config.points @ motion.rotation.T + motion.translation
-    return Configuration(dim=config.dim, points=pts)
+    return Configuration(points=pts)
 
 
 def brute_force_meb(points) -> tuple[float, np.ndarray]:
@@ -660,4 +667,4 @@ def configurations(draw, min_points=1, max_points=7, max_dim=4, min_dim=1):
     rows = draw(st.lists(
         st.lists(_coord, min_size=dim, max_size=dim),
         min_size=n, max_size=n))
-    return Configuration(dim=dim, points=np.array(rows))
+    return Configuration(points=np.array(rows))

@@ -304,17 +304,25 @@ INTEGER_FLAGS = {
     **{f"construct-{shape}": ("--dim",) for shape in ("regular", "cor3", "obtuse")},
 }
 
+# the commands whose handlers read --tol; no other command takes it
+TOL_COMMANDS = ("circumsphere", "conjecture", "estimate-c", "find-copy", "obstruct")
+
 
 class TestBadNumbers:
     @staticmethod
-    def _sweep(capsys, tmp_path, tri150, command, flags, values):
-        # each run exits 0 with a finite report, 1 with a JSON error, or 2
+    def _base(tmp_path, tri150, command):
+        """COMMANDS[command] as an argv, with a coloured host for find-copy."""
         colored = ColoredConfiguration(configuration=regular_simplex(2),
                                        colors=(0, 0, 0))
         host = tmp_path / "host.json"
         host.write_text(json.dumps(colored_to_dict(colored)))
         template, _ = COMMANDS[command]
-        base = [part.format(tri=tri150, host=host) for part in template.split()]
+        return [part.format(tri=tri150, host=host) for part in template.split()]
+
+    @classmethod
+    def _sweep(cls, capsys, tmp_path, tri150, command, flags, values):
+        # each run exits 0 with a finite report, 1 with a JSON error, or 2
+        base = cls._base(tmp_path, tri150, command)
         failures = []
         for flag in flags:
             for value in values:
@@ -335,8 +343,26 @@ class TestBadNumbers:
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_every_float_flag(self, capsys, tmp_path, tri150, command):
-        self._sweep(capsys, tmp_path, tri150, command, ("--tol",) + COMMANDS[command][1],
+        tol = ("--tol",) if command in TOL_COMMANDS else ()
+        self._sweep(capsys, tmp_path, tri150, command, tol + COMMANDS[command][1],
                     ("nan", "inf", "-inf", "0", "-1"))
+
+    @pytest.mark.parametrize("command", TOL_COMMANDS)
+    def test_tol_is_taken_where_read(self, capsys, tmp_path, tri150, command):
+        base = self._base(tmp_path, tri150, command)
+        assert cli.run(base + ["--tol=1e-6"]) in (0, 1)
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("command, flag", [
+        *((command, "--tol") for command in ("diameter", "meb", "jung", "triangle", "oracle",
+                                             "color", "falsify", "construct-obtuse")),
+        ("triangle", "--format"),
+    ])
+    def test_flag_no_handler_reads_is_usage_error(self, capsys, tmp_path, tri150, command,
+                                                  flag):
+        value = "json" if flag == "--format" else "1e-6"
+        assert cli.run(self._base(tmp_path, tri150, command) + [flag, value]) == 2
+        capsys.readouterr()
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_every_integer_flag(self, capsys, tmp_path, tri150, command):

@@ -94,6 +94,11 @@ class TestNumColors:
         assert coloring.num_colors == 10
         assert coloring.color([0.25, 0.0]) == 2
 
+    def test_num_colors_is_derived_only(self):
+        # a given count would be replaced by the derived one without a word
+        with pytest.raises(TypeError):
+            ShellColoring(0.1, 0.95, num_colors=3)
+
 
 class TestColorConfiguration:
     def test_norm_ladder(self):
@@ -237,7 +242,7 @@ class TestFindMonochromaticCopy:
         colors = tuple(int(c) for c in rng.integers(0, 2, 8))
         colored = ColoredConfiguration(configuration=host, colors=colors)
         target_idx = [0, 3, 5]
-        target = Configuration(dim=2, points=host.points[target_idx])
+        target = Configuration(points=host.points[target_idx])
         witness = find_monochromatic_copy(colored, target)
         if witness is not None:
             assert len({colors[i] for i in witness}) == 1

@@ -43,6 +43,12 @@ class TestJsonRoundTrip:
         with pytest.raises(DomainError):
             configuration_from_json(f'{{"dim": {dim}, "points": [[1, 2], [3, 4]]}}')
 
+    @pytest.mark.parametrize("dim", ["1", "3"])
+    def test_dim_must_match_row_width(self, dim):
+        # the reader's check: Configuration takes its dim from the rows
+        with pytest.raises(DomainError):
+            configuration_from_json(f'{{"dim": {dim}, "points": [[1, 2], [3, 4]]}}')
+
     @pytest.mark.parametrize("point", ['["a", 2]', "[true, 2]", "[null, 2]", "[[1], 2]",
                                        "[1e999, 2]", "[1" + "0" * 400 + ", 2]"],
                              ids=["string", "bool", "null", "list", "inf", "huge-int"])

@@ -180,30 +180,44 @@ MID_SIZES = (
 class TestConfiguration:
     def test_rejects_empty(self):
         with pytest.raises(DomainError):
-            Configuration(dim=2, points=np.empty((0, 2)))
+            Configuration(points=np.empty((0, 2)))
 
     def test_rejects_ragged_dim(self):
+        # dim is the rows' width, so rows of two widths have none
         with pytest.raises(DomainError):
-            Configuration(dim=3, points=[[1.0, 2.0]])
+            Configuration(points=[[1.0, 2.0], [3.0]])
 
     def test_rejects_non_finite(self):
         with pytest.raises(DomainError):
-            Configuration(dim=1, points=[[np.inf]])
+            Configuration(points=[[np.inf]])
 
     @pytest.mark.parametrize("dim", [2.0, 2.5, "2", None, True, np.float64(2.0)])
     def test_rejects_non_integer_dim(self, dim):
-        # dim=2.0 used to pass and crash estimate_c later; dim=True was
-        # kept and serialised as true.
-        with pytest.raises(DomainError):
+        # dim is the points' width, so no dim of any type can be given: it
+        # could disagree with the points, or be no integer (2.0 would crash
+        # estimate_c, True serialise as true).  The JSON reader checks a
+        # file's "dim" (test_formats).
+        with pytest.raises(TypeError):
             Configuration(dim=dim, points=[[0.0, 0.0], [1.0, 0.5]])
 
     def test_integer_dim_becomes_int(self):
-        config = Configuration(dim=np.int64(2), points=[[0.0, 0.0], [1.0, 0.5]])
+        config = Configuration(points=np.array([[0.0, 0.0], [1.0, 0.5]]))
         assert type(config.dim) is int and config.dim == 2
 
     def test_rejects_non_numeric_points(self):
         with pytest.raises(DomainError):
-            Configuration(dim=2, points=[["a", 0.0], [1.0, 0.5]])
+            Configuration(points=[["a", 0.0], [1.0, 0.5]])
+
+    @pytest.mark.parametrize("points", [[["a", 0.0]], [[1, 2], [3]], [[10 ** 400, 2]]],
+                             ids=["non-numeric", "ragged", "huge-int"])
+    def test_from_points_raises_domain_error(self, points):
+        # from_points checks through Configuration, as the constructor does
+        with pytest.raises(DomainError):
+            Configuration.from_points(points)
+
+    def test_from_points_takes_a_flat_array_as_one_point(self):
+        config = Configuration.from_points([3.0, 4.0, 5.0])
+        assert config.dim == 3 and config.points.tolist() == [[3.0, 4.0, 5.0]]
 
     def test_points_are_frozen(self):
         config = Configuration.from_points([[1.0, 2.0]])
@@ -508,11 +522,11 @@ class TestApplyMotion:
 
 class TestIsCongruent:
     def test_reflection_is_congruent(self):
-        mirrored = Configuration(dim=2, points=EQUILATERAL.points * [-1.0, 1.0])
+        mirrored = Configuration(points=EQUILATERAL.points * [-1.0, 1.0])
         assert is_congruent(EQUILATERAL, mirrored, 1e-9)
 
     def test_scaled_not_congruent(self):
-        doubled = Configuration(dim=2, points=2.0 * EQUILATERAL.points)
+        doubled = Configuration(points=2.0 * EQUILATERAL.points)
         assert not is_congruent(EQUILATERAL, doubled, 1e-9)
 
     def test_square_vs_rhombus(self):
@@ -557,7 +571,7 @@ class TestIsCongruent:
     @pytest.mark.parametrize("scale", [1e8, 1e9])
     def test_tolerance_is_relative_at_large_scale(self, scale):
         # rounding the moved copy perturbs distances by ~eps * scale > 1e-9
-        config = Configuration(dim=4, points=scale * almost_regular_simplex(4, 0.01).points)
+        config = Configuration(points=scale * almost_regular_simplex(4, 0.01).points)
         moved = apply_motion(config, random_motion(4, seed=3, translation_scale=scale))
         assert is_congruent(config, moved)
         assert is_congruent(moved, config)

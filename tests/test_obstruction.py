@@ -12,6 +12,7 @@ from diamramsey import (
     DomainError,
     NotSpherical,
     Status,
+    affine_dimension,
     almost_regular_simplex,
     classify_triangle,
     conjecture_classification,
@@ -86,10 +87,26 @@ class TestObstructionVerdict:
         with pytest.raises(NotSpherical):
             obstruction_verdict(Configuration.from_points(pts))
 
+    @pytest.mark.parametrize("height, dim", [(1e-11, 2), (1e-10, 2), (1e-8, 3)])
+    def test_nearly_flat_tetrahedron_takes_affine_dimension(self, height, dim):
+        # The unit triangle and a point `height` above its centroid.  The
+        # circumsphere cuts its hull at DEFAULT_TOL, as affine_dimension
+        # does, so where the set reads planar the apex lies off the
+        # triangle's circle, not on a sphere of radius 1.7e10.
+        tri = np.hstack([regular_simplex(2).points, np.zeros((3, 1))])
+        pts = np.vstack([tri, [*tri.mean(axis=0)[:2], height]])
+        config = Configuration.from_points(pts)
+        assert affine_dimension(config) == dim
+        if dim == 2:
+            with pytest.raises(NotSpherical):
+                obstruction_verdict(config)
+        else:
+            assert obstruction_verdict(config).status is Status.NOT_DIAMETER_RAMSEY
+
     @pytest.mark.parametrize("scale", [0.5, 1.0, 2.0, 10.0])
     def test_scale_invariant_status(self, scale):
         for config in (obtuse_triangle(150.0, 1.0), regular_simplex(2)):
-            scaled = Configuration(dim=2, points=scale * config.points)
+            scaled = Configuration(points=scale * config.points)
             assert obstruction_verdict(scaled).status \
                 == obstruction_verdict(config).status
 
@@ -100,7 +117,7 @@ class TestObstructionVerdict:
         assert verdict.status is Status.NOT_DIAMETER_RAMSEY
         assert verdict.margin == pytest.approx(
             scale * (1.0 - 1.0 / math.sqrt(2)), rel=1e-9)
-        equilateral = Configuration(dim=2, points=scale * regular_simplex(2).points)
+        equilateral = Configuration(points=scale * regular_simplex(2).points)
         assert obstruction_verdict(equilateral).status is Status.UNKNOWN
 
 

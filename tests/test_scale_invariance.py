@@ -83,7 +83,7 @@ BASE = {name: _quantities(config, RADII[name]) for name, config in WITNESSES.ite
 def test_scaled_moved_witness(name, log_scale, seed):
     s = 10.0 ** log_scale
     config = WITNESSES[name]
-    scaled = Configuration(dim=config.dim, points=s * config.points)
+    scaled = Configuration(points=s * config.points)
     moved = apply_motion(scaled, random_motion(config.dim, seed=seed,
                                                translation_scale=s))
     base, got = BASE[name], _quantities(moved, s * RADII[name])
@@ -103,7 +103,7 @@ def test_placement_at_tiny_scales():
     triangle = obtuse_triangle(150.0)
     base = estimate_c(SpreadProblem(target=triangle, radius=0.95))
     for s in (1e-160, 1e-150, 1e150, 1e154):
-        scaled = Configuration(dim=2, points=s * triangle.points)
+        scaled = Configuration(points=s * triangle.points)
         estimate = estimate_c(SpreadProblem(target=scaled, radius=0.95 * s))
         assert estimate.c_estimate / s == pytest.approx(base.c_estimate, rel=1e-13)
         assert estimate.c_lower / s == pytest.approx(base.c_lower, rel=1e-13)
@@ -114,7 +114,7 @@ def test_verdict_at_extreme_scales(s):
     # The circumsphere and the centroid screen run over a power of two:
     # these scales read circumradius 0, NotSpherical and nan (with an
     # overflow warning), where s = 1 gives NotDiameterRamsey.
-    scaled = Configuration(dim=2, points=s * obtuse_triangle(150.0).points)
+    scaled = Configuration(points=s * obtuse_triangle(150.0).points)
     verdict = obstruction_verdict(scaled)
     assert verdict.status is Status.NOT_DIAMETER_RAMSEY
     assert verdict.circumradius / s == pytest.approx(1.0, rel=1e-14)
@@ -250,7 +250,7 @@ def test_lengths_scale_with_the_points(name, scaling):
     else:
         scale = lambda x: x * 10.0 ** j
         points = config.points * 10.0 ** j
-    got = _lengths(Configuration(dim=config.dim, points=points), scale(radius), scale(width))
+    got = _lengths(Configuration(points=points), scale(radius), scale(width))
     assert got["status"] is unit["status"]
     for key, values in unit["lengths"].items():
         expected = [scale(v) for v in values]
@@ -271,8 +271,8 @@ def test_congruence_at_extreme_scales(s):
     # Squared distances underflowed at 1e-170 and 1e-200, so a 1.5x copy
     # matched, and overflowed at 1e170 (inf - inf in the comparison).
     for name, config in WITNESSES.items():
-        scaled = Configuration(dim=config.dim, points=config.points * s)
-        larger = Configuration(dim=config.dim, points=config.points * (1.5 * s))
+        scaled = Configuration(points=config.points * s)
+        larger = Configuration(points=config.points * (1.5 * s))
         moved = apply_motion(scaled, random_motion(config.dim, seed=3, translation_scale=s))
         assert is_congruent(scaled, moved) and is_congruent(moved, scaled), name
         assert not is_congruent(scaled, larger), name
@@ -287,7 +287,7 @@ def test_congruence_at_extreme_scales(s):
 def test_embedding_feasible_at_extreme_scales(s):
     # The enclosing ball read radius 0 at 1e-200 and raised DomainError at
     # 1e160; the triangle's enclosing radius is 0.5 s.
-    scaled = Configuration(dim=2, points=obtuse_triangle(150.0).points * s)
+    scaled = Configuration(points=obtuse_triangle(150.0).points * s)
     assert embedding_feasible(SpreadProblem(target=scaled, radius=0.51 * s))
     assert not embedding_feasible(SpreadProblem(target=scaled, radius=0.49 * s))
 
@@ -298,7 +298,7 @@ def test_circumcenter_in_hull_at_extreme_scales(s):
     # regular tetrahedron as obtuse at 1e170.
     for config, inside in ((obtuse_triangle(150.0), False), (regular_simplex(3), True),
                            (obtuse_triangle(136.0), False), (regular_simplex(2), True)):
-        scaled = Configuration(dim=config.dim, points=config.points * s)
+        scaled = Configuration(points=config.points * s)
         assert circumcenter_in_hull(scaled) is inside
         assert (conjecture_classification(scaled) is ConjectureLabel.DIAMETER_RAMSEY) is inside
 

@@ -638,7 +638,7 @@ class TestWalkedWholeSets:
         # ball.
         config = almost_regular_simplex(dim, 1e-3)
         basis = _hull_basis(config.points, DEFAULT_TOL)
-        coords = Configuration(dim=dim, points=(config.points - config.points[0]) @ basis.T)
+        coords = Configuration(points=(config.points - config.points[0]) @ basis.T)
         pts = coords.points
         extremes = set(pts.argmin(axis=0)) | set(pts.argmax(axis=0))
         assert len(extremes) < dim + 1
@@ -774,8 +774,7 @@ class TestCircumsphere:
         # a planar triangle floating in R^3: the carrier spans its plane
         motion = random_motion(3, seed=2)
         flat = apply_motion(
-            Configuration(dim=3, points=np.hstack([EQUILATERAL.points,
-                                                   np.zeros((3, 1))])),
+            Configuration(points=np.hstack([EQUILATERAL.points, np.zeros((3, 1))])),
             motion)
         sphere = circumsphere(flat)
         assert sphere.radius == pytest.approx(1 / math.sqrt(3), abs=1e-9)

@@ -40,12 +40,12 @@ from diamramsey import (
     obstruction_verdict,
 )
 from diamramsey.spread import (ROUNDING_SLACK, _CHUNK, _active_set, _guess, _prepare,
-                               _summarize_chunks, spread)
+                               _summarize_chunks)
 from oracles import GRID_11 as GRID_11_POINTS
 from oracles import (TOO_LARGE_GRID_BALLS, apply_motion, brute_force_meb, co_spherical_sets,
                      configurations, explicit_copy_norms, hull_coordinates, interior_point,
                      ks_statistic, planar_spread_min, random_motion, rotated_copy_spreads,
-                     slsqp_levels)
+                     slsqp_levels, spread)
 
 OBTUSE_150 = obtuse_triangle(150.0, 1.0)
 EQUILATERAL = regular_simplex(2)
@@ -72,6 +72,7 @@ def sampler_witnesses():
 
 
 class TestSpread:
+    # The oracle that the placement tests below measure with.
     def test_two_norms(self):
         config = Configuration.from_points([[0.3, 0.0], [0.0, 0.4]])
         assert spread(config) == pytest.approx(0.1, abs=1e-12)
@@ -92,8 +93,7 @@ class TestSpread:
 
 def padded(config: Configuration, extra: int = 1) -> Configuration:
     """The configuration with `extra` zero coordinates appended."""
-    return Configuration(dim=config.dim + extra, points=np.hstack(
-        [config.points, np.zeros((len(config), extra))]))
+    return Configuration(points=np.hstack([config.points, np.zeros((len(config), extra))]))
 
 
 class TestSpreadProblem:
@@ -322,7 +322,7 @@ class TestEstimateC:
 
 def _fresh(config: Configuration) -> Configuration:
     """The same points in a new Configuration, whose frame is not yet kept."""
-    return Configuration(dim=config.dim, points=config.points)
+    return Configuration(points=config.points)
 
 
 def _squares(a: np.ndarray) -> np.ndarray:
@@ -943,7 +943,7 @@ class TestCertifiedBracket:
         base = estimate_c(SpreadProblem(target=config, radius=radius))
         moved = apply_motion(config, random_motion(config.dim, seed=seed))
         order = np.random.default_rng(seed).permutation(len(config))
-        relabelled = Configuration(dim=config.dim, points=moved.points[order])
+        relabelled = Configuration(points=moved.points[order])
         other = estimate_c(SpreadProblem(target=relabelled, radius=radius))
         assert other.c_estimate == pytest.approx(base.c_estimate,
                                                  abs=1e-9 * radius)
@@ -993,7 +993,7 @@ class TestScaleInvariance:
     def _sampled(case, scale):
         # The oracle and shell counts, without a RuntimeWarning.
         config, radius, width = case
-        target = Configuration(dim=config.dim, points=config.points * scale)
+        target = Configuration(points=config.points * scale)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             oracle = sample_spread_oracle(
@@ -1030,7 +1030,7 @@ class TestScaleInvariance:
     def test_large_radius_on_a_target_in_range(self):
         # The placement's offsets, about r = 1e160, overflowed when squared
         # at the target's own scale, and c_estimate read inf - inf = nan.
-        target = Configuration(dim=2, points=OBTUSE_150.points * 1e10)
+        target = Configuration(points=OBTUSE_150.points * 1e10)
         unit = estimate_c(SpreadProblem(target=OBTUSE_150, radius=1e150))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -1045,7 +1045,7 @@ class TestScaleInvariance:
         # overflows.  Once the target was solved as coincident points
         # (c = 0) and the solve overflowed, then both raised DomainError;
         # over a power of two near the target's extent they solve.
-        target = Configuration(dim=2, points=OBTUSE_150.points * scale)
+        target = Configuration(points=OBTUSE_150.points * scale)
         unit = estimate_c(SpreadProblem(target=OBTUSE_150, radius=0.95))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -1109,7 +1109,7 @@ class TestScaleInvariance:
     @pytest.mark.parametrize("scale, factor, cause", [(1.0, 1e300, "overflows when squared")])
     def test_out_of_range_is_domain_error(self, scale, factor, cause):
         # At r = 1e300 the solve overflowed.
-        target = Configuration(dim=2, points=OBTUSE_150.points * scale)
+        target = Configuration(points=OBTUSE_150.points * scale)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(DomainError, match=cause):
