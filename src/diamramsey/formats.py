@@ -4,7 +4,7 @@ Configuration JSON: {"dim": d, "points": [[x1, ..., xd], ...]}; "dim" may be
 left out, and where given it must be the integer d.
 CSV: one point per row, d columns, '.' decimal separator, no header.
 Coloured configurations add a "colors" array to the JSON object.
-Both readers reject ragged rows.
+Both readers reject ragged rows; the file readers reject text that is not UTF-8.
 """
 
 from __future__ import annotations
@@ -84,9 +84,16 @@ def colored_from_dict(data: dict) -> ColoredConfiguration:
     return ColoredConfiguration(configuration=config, colors=tuple(data["colors"]))
 
 
-def load_configuration(path: str, fmt: str = "json") -> Configuration:
+def _read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise DomainError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
+def load_configuration(path: str, fmt: str = "json") -> Configuration:
+    text = _read_text(path)
     if fmt == "json":
         return configuration_from_json(text)
     if fmt == "csv":
@@ -95,11 +102,10 @@ def load_configuration(path: str, fmt: str = "json") -> Configuration:
 
 
 def load_colored(path: str) -> ColoredConfiguration:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise DomainError(f"invalid JSON: {exc}") from exc
+    try:
+        data = json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise DomainError(f"invalid JSON: {exc}") from exc
     return colored_from_dict(data)
 
 

@@ -37,10 +37,11 @@ c(A, r) > 0.  Two independent ways to get at it:
   No copy is built either: each point's squared norm comes from the dot
   products the shrink already needs, and only each copy's largest and
   smallest norm are kept, which is all a spread or a shell colouring reads.  The copies come
-  in seeded chunks of _CHUNK, run on one thread per CPU (_summarize_chunks);
-  each chunk is reduced to a summary in its thread, and the summaries
-  combine by min and sum, so a seeded result does not depend on the
-  thread count.
+  in seeded chunks of _CHUNK, run in order on the calling thread
+  (_summarize_chunks); each chunk is reduced to a summary before the next
+  is drawn, and the summaries combine by min and sum.  A thread per CPU
+  held one chunk's buffers each, about 2 MB, and paid only while another
+  CPU stood idle (see _summarize_chunks).
 
 Both read one Frame per target (_target_frame), made on its first call of
 any spread entry: its distinct points over a power of two and their
@@ -56,9 +57,7 @@ its points and the origin, of dimension at most m + 1.
 from __future__ import annotations
 
 import math
-import os
 import sys
-import threading
 import weakref
 from dataclasses import dataclass
 
@@ -266,14 +265,6 @@ def _shrink_factors(offsets: np.ndarray, dots: np.ndarray,
     return np.minimum(factors, 1.0)
 
 
-def _cpus() -> int:
-    """The CPUs this process may run on: its affinity mask, else the machine's count."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _summarize_chunks(centered: np.ndarray, radius: float, n_samples: int,
                       seed: int, summary) -> list:
     """summary(top, bottom) of each chunk of copies, in chunk order.
@@ -288,23 +279,21 @@ def _summarize_chunks(centered: np.ndarray, radius: float, n_samples: int,
     point i's squared norm is |b_i|^2 + g*(2<b_i, t> + g*|t|^2), formed in
     place in the shrink's own dot products, and only the extremes of the
     squared norms are square-rooted (the smallest clamped at 0 against
-    rounding).  Chunk k is seeded by SeedSequence(seed, spawn_key=(k,)), so
-    its copies do not depend on which thread draws them.  The chunks run on
-    one thread per CPU (_cpus), at most one per chunk; the calling thread
-    is one of them, and worker w takes chunks w, w + workers, ....  numpy
-    releases the GIL in the draws, the product and the ufuncs, and only the
-    summaries outlive a chunk, so memory holds one chunk per worker.  Every
-    thread is joined before this returns.  A worker stops at its first
-    failing chunk, so each worker's lowest failing chunk runs, and the
-    exception of the lowest-numbered one is raised.
+    rounding).  Chunk k is seeded by SeedSequence(seed, spawn_key=(k,)).
+    The chunks run in order on the calling thread, and only the summaries
+    outlive a chunk, so memory holds one chunk; the first failing chunk's
+    exception propagates.  A thread per CPU ran them before; on a shared
+    2-vCPU host its second thread doubled the traced peak (2.0 to 3.9 MiB
+    for 131072 copies of a 4-simplex) and paid only while the other vCPU
+    was idle.  When another process kept that vCPU busy the two threads
+    never ran at once (their CPU time equalled their wall time) and the
+    benchmark's shell_sampling wall_s was ~7% lower on one thread; when it
+    was idle, ~30% higher.
     """
     dim = centered.shape[1]
     squares = np.einsum("kd,kd->k", centered, centered)
     gaps = np.minimum(squares - radius * radius, 0.0)
     n_chunks = (n_samples + _CHUNK - 1) // _CHUNK
-    workers = min(_cpus(), n_chunks)
-    results = [None] * n_chunks
-    errors = []
 
     def extremes(chunk):
         count = min(_CHUNK, n_samples - chunk * _CHUNK)
@@ -328,25 +317,7 @@ def _summarize_chunks(centered: np.ndarray, radius: float, n_samples: int,
         bottom = np.sqrt(np.maximum(dots.min(axis=0), 0.0))
         return top, bottom
 
-    def work(first):
-        for chunk in range(first, n_chunks, workers):
-            try:
-                results[chunk] = summary(*extremes(chunk))
-            except BaseException as error:  # raised by the caller after the join
-                errors.append((chunk, error))
-                return
-
-    threads = [threading.Thread(target=work, args=(first,)) for first in range(1, workers)]
-    for thread in threads:
-        thread.start()
-    try:
-        work(0)
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise min(errors, key=lambda entry: entry[0])[1]
-    return results
+    return [summary(*extremes(chunk)) for chunk in range(n_chunks)]
 
 
 def _prepare(problem: SpreadProblem):

@@ -261,6 +261,16 @@ class TestMalformedFiles:
         self.assert_domain_error(
             capsys, ["find-copy", "--input", str(host), "--target", str(target)])
 
+    @pytest.mark.parametrize("command", ["diameter", "find-copy"])
+    def test_undecodable_text(self, capsys, tmp_path, command):
+        # find-copy reads its --input through the coloured reader
+        bad = tmp_path / "utf16.json"
+        bad.write_bytes(b"\xff\xfe\x00")
+        target = tmp_path / "target.json"
+        target.write_text(json.dumps({"dim": 2, "points": self.PAIR}))
+        extra = ["--target", str(target)] if command == "find-copy" else []
+        self.assert_domain_error(capsys, [command, "--input", str(bad), *extra])
+
     @staticmethod
     def assert_domain_error(capsys, argv):
         code = cli.run(argv)

@@ -9,6 +9,7 @@ from diamramsey.formats import (
     configuration_from_json,
     configuration_to_csv,
     configuration_to_json,
+    load_colored,
     load_configuration,
     save_configuration,
 )
@@ -124,3 +125,10 @@ class TestFiles:
     def test_unknown_format(self, tmp_path):
         with pytest.raises(DomainError):
             save_configuration(regular_simplex(2), str(tmp_path / "x"), "xml")
+
+    @pytest.mark.parametrize("load", [load_configuration, load_colored])
+    def test_undecodable_text_rejected(self, tmp_path, load):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe\x00")
+        with pytest.raises(DomainError, match="not UTF-8"):
+            load(str(path))
