@@ -33,15 +33,15 @@ c(A, r) > 0.  Two independent ways to get at it:
   and shell indices have the same distribution with R left out.  The ball
   is symmetric under t -> -t, so the draws come in antithetic pairs: each
   t also serves the copy at -t, which has the same distribution and reuses
-  t's Gaussians, radius, normalisation, |t|^2 and negated dot products.
+  t's Gaussians, radius, normalisation, |t|^2, negated dot products and
+  the shrink's square roots.
   No copy is built either: each point's squared norm comes from the dot
   products the shrink already needs, and only each copy's largest and
   smallest norm are kept, which is all a spread or a shell colouring reads.  The copies come
-  in seeded chunks of _CHUNK, run in order on the calling thread
-  (_summarize_chunks); each chunk is reduced to a summary before the next
-  is drawn, and the summaries combine by min and sum.  A thread per CPU
-  held one chunk's buffers each, about 2 MB, and paid only while another
-  CPU stood idle (see _summarize_chunks).
+  in seeded chunks of _CHUNK, run on one thread per CPU (_summarize_chunks);
+  each chunk is reduced to a summary in its thread, and the summaries
+  combine by min and sum, so a seeded result does not depend on the
+  thread count.
 
 Both read one Frame per target (_target_frame), made on its first call of
 any spread entry: its distinct points over a power of two and their
@@ -57,7 +57,9 @@ its points and the origin, of dimension at most m + 1.
 from __future__ import annotations
 
 import math
+import os
 import sys
+import threading
 import weakref
 from dataclasses import dataclass
 
@@ -245,24 +247,44 @@ def _frame_radius(frame: Frame, radius: float) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 def _shrink_factors(offsets: np.ndarray, dots: np.ndarray,
-                    gaps: np.ndarray) -> np.ndarray:
-    """Largest g in [0, 1] with |b_i + g*t| <= r for every point i.
+                    gaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Largest g in [0, 1] with |b_i + g*t| <= r for every point i, and the
+    same for the antithetic copy b_i - g*t: a pair of (n,) arrays.
 
     offsets: |t|^2 per copy, shape (n,); dots: <t, b_i>, shape (k, n), one
     row per point, left unchanged; gaps: |b_i|^2 - r^2 <= 0 per point, shape
-    (k,).  Each per-point quadratic is solved exactly, in one (k, n) buffer;
-    its root times |t|^2 is reduced across the k rows first, and dividing by
-    |t|^2 > 0 afterwards gives the same bits as dividing each row.  With
-    gaps <= 0 the discriminant is a sum of nonnegative terms.
+    (k,).  Each per-point quadratic is solved exactly, one row at a time.
+    Its discriminant <t, b_i>^2 - gap*|t|^2 is the same at -t, so one square
+    root serves both copies, whose roots times |t|^2 are the root -/+ <t, b_i>.
+    These are reduced across the k rows as they come, so only (n,) buffers
+    are made, and dividing by |t|^2 > 0 afterwards gives the same bits as
+    dividing each row.  With gaps <= 0 the discriminant is a sum of
+    nonnegative terms.
     """
-    disc = dots * dots
-    for row, gap in zip(disc, gaps):
-        row -= gap * offsets
-    np.sqrt(disc, out=disc)
-    disc -= dots
-    factors = np.divide(disc.min(axis=0), offsets, out=np.ones_like(offsets),
-                        where=offsets > 0.0)
-    return np.minimum(factors, 1.0)
+    ahead = behind = None
+    for row, gap in zip(dots, gaps):
+        root = row * row
+        root -= gap * offsets
+        np.sqrt(root, out=root)
+        back = root + row
+        root -= row
+        if ahead is None:
+            ahead, behind = root, back
+        else:
+            np.minimum(ahead, root, out=ahead)
+            np.minimum(behind, back, out=behind)
+    positive = offsets > 0.0
+    return tuple(np.minimum(np.divide(least, offsets, out=np.ones_like(offsets),
+                                      where=positive), 1.0)
+                 for least in (ahead, behind))
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _summarize_chunks(centered: np.ndarray, radius: float, n_samples: int,
@@ -273,27 +295,30 @@ def _summarize_chunks(centered: np.ndarray, radius: float, n_samples: int,
     (count,) with count <= _CHUNK.  A chunk draws half = ceil(count/2)
     translations t_j uniform in B(0, radius); copy j < half is
     centered + g_j*t_j and copy half + j is its antithetic partner
-    centered - g'_j*t_j, each g its own shrink factor.  The partners'
-    dot products <b_i, -t_j> are the first half's negated, written into
-    the second half of the same (k, count) buffer.  No copy is built:
-    point i's squared norm is |b_i|^2 + g*(2<b_i, t> + g*|t|^2), formed in
-    place in the shrink's own dot products, and only the extremes of the
+    centered - g'_j*t_j, each g its own shrink factor (_shrink_factors
+    gives both).  No copy is built: point i's squared norm is
+    |b_i|^2 + g*(2<b_i, t> + g*|t|^2), formed in place in the (k, half)
+    dot products <b_i, t_j> for the first half, and for the partners, whose
+    dot products are those negated, in a (k, count - half) buffer; t is
+    dropped once the dot products are made.  Only the extremes of the
     squared norms are square-rooted (the smallest clamped at 0 against
-    rounding).  Chunk k is seeded by SeedSequence(seed, spawn_key=(k,)).
-    The chunks run in order on the calling thread, and only the summaries
-    outlive a chunk, so memory holds one chunk; the first failing chunk's
-    exception propagates.  A thread per CPU ran them before; on a shared
-    2-vCPU host its second thread doubled the traced peak (2.0 to 3.9 MiB
-    for 131072 copies of a 4-simplex) and paid only while the other vCPU
-    was idle.  When another process kept that vCPU busy the two threads
-    never ran at once (their CPU time equalled their wall time) and the
-    benchmark's shell_sampling wall_s was ~7% lower on one thread; when it
-    was idle, ~30% higher.
+    rounding).  Chunk k is seeded by SeedSequence(seed, spawn_key=(k,)), so
+    its copies do not depend on which thread draws them.  The chunks run on
+    one thread per CPU (_cpus), at most one per chunk; the calling thread
+    is one of them, and worker w takes chunks w, w + workers, ....  numpy
+    releases the GIL in the draws, the product and the ufuncs, and only the
+    summaries outlive a chunk, so memory holds one chunk per worker.  Every
+    thread is joined before this returns.  A worker stops at its first
+    failing chunk, so each worker's lowest failing chunk runs, and the
+    exception of the lowest-numbered one is raised.
     """
     dim = centered.shape[1]
     squares = np.einsum("kd,kd->k", centered, centered)
     gaps = np.minimum(squares - radius * radius, 0.0)
     n_chunks = (n_samples + _CHUNK - 1) // _CHUNK
+    workers = min(_cpus(), n_chunks)
+    results = [None] * n_chunks
+    errors = []
 
     def extremes(chunk):
         count = min(_CHUNK, n_samples - chunk * _CHUNK)
@@ -302,22 +327,46 @@ def _summarize_chunks(centered: np.ndarray, radius: float, n_samples: int,
         t = rng.standard_normal((dim, half))
         radii = radius * rng.random(half) ** (1.0 / dim)
         t *= radii / np.maximum(np.sqrt(np.einsum("dn,dn->n", t, t)), 1e-300)
-        offsets = np.empty(count)
-        np.einsum("dn,dn->n", t, t, out=offsets[:half])
-        offsets[half:] = offsets[:count - half]
-        dots = np.empty((len(centered), count))
-        np.matmul(centered, t, out=dots[:, :half])
-        np.negative(dots[:, :count - half], out=dots[:, half:])
-        g = _shrink_factors(offsets, dots, gaps)
+        offsets = np.einsum("dn,dn->n", t, t)
+        dots = centered @ t
+        del t, radii
+        ahead, behind = _shrink_factors(offsets, dots, gaps)
+        pairs = count - half
+        back = np.multiply(dots[:, :pairs], -2.0)
+        back += behind[:pairs] * offsets[:pairs]
+        back *= behind[:pairs]
+        back += squares[:, None]
         dots *= 2.0
-        dots += g * offsets
-        dots *= g
+        dots += ahead * offsets
+        dots *= ahead
         dots += squares[:, None]
-        top = np.sqrt(dots.max(axis=0))
-        bottom = np.sqrt(np.maximum(dots.min(axis=0), 0.0))
+        top, bottom = np.empty(count), np.empty(count)
+        for norms, part in ((dots, slice(half)), (back, slice(half, count))):
+            norms.max(axis=0, out=top[part])
+            norms.min(axis=0, out=bottom[part])
+        np.sqrt(top, out=top)
+        np.sqrt(np.maximum(bottom, 0.0, out=bottom), out=bottom)
         return top, bottom
 
-    return [summary(*extremes(chunk)) for chunk in range(n_chunks)]
+    def work(first):
+        for chunk in range(first, n_chunks, workers):
+            try:
+                results[chunk] = summary(*extremes(chunk))
+            except BaseException as error:  # raised by the caller after the join
+                errors.append((chunk, error))
+                return
+
+    threads = [threading.Thread(target=work, args=(first,)) for first in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    try:
+        work(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise min(errors, key=lambda entry: entry[0])[1]
+    return results
 
 
 def _prepare(problem: SpreadProblem):

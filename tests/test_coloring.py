@@ -161,8 +161,11 @@ class TestFalsifyColoring:
         assert report.min_spread >= 0.02
         assert report.num_colors == num_colors(0.85, 0.02)
 
-    def test_peak_allocation(self):
-        # the benchmark's sample count, several chunks; memory holds one chunk
+    def test_peak_allocation(self, monkeypatch):
+        # the benchmark's sample count, several chunks per worker; memory
+        # holds one chunk per worker (about 1.1 MiB here), so the bound is
+        # set for two workers
+        monkeypatch.setattr("diamramsey.spread._cpus", lambda: 2)
         target = almost_regular_simplex(4, 0.01)
         falsify_coloring(target, r=0.707, c=0.01, n_samples=100)
         tracemalloc.start()

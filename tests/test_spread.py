@@ -40,12 +40,12 @@ from diamramsey import (
     obstruction_verdict,
 )
 from diamramsey.spread import (ROUNDING_SLACK, _CHUNK, _active_set, _guess, _prepare,
-                               _summarize_chunks)
+                               _shrink_factors, _summarize_chunks)
 from oracles import GRID_11 as GRID_11_POINTS
-from oracles import (TOO_LARGE_GRID_BALLS, apply_motion, brute_force_meb, co_spherical_sets,
-                     configurations, explicit_copy_norms, hull_coordinates, interior_point,
-                     ks_statistic, planar_spread_min, random_motion, rotated_copy_spreads,
-                     slsqp_levels, spread)
+from oracles import (TOO_LARGE_GRID_BALLS, _explicit_shrink_factors, apply_motion,
+                     brute_force_meb, co_spherical_sets, configurations, explicit_copy_norms,
+                     hull_coordinates, interior_point, ks_statistic, planar_spread_min,
+                     random_motion, rotated_copy_spreads, slsqp_levels, spread)
 
 OBTUSE_150 = obtuse_triangle(150.0, 1.0)
 EQUILATERAL = regular_simplex(2)
@@ -53,7 +53,6 @@ DIAGNOSED_WITNESSES = [
     (OBTUSE_150, 0.95), (OBTUSE_150, 0.75), (almost_regular_simplex(3, 0.01), 0.707),
     (almost_regular_simplex(4, 0.01), 0.6633), (almost_regular_simplex(8, 1e-6), 0.7)]
 spread_module = importlib.import_module("diamramsey.spread")
-coloring_module = importlib.import_module("diamramsey.coloring")
 # (sample count, seed) pairs of which one is not a count or not a seed.
 BAD_COUNTS_AND_SEEDS = [(2.5, 0), (True, 0), ("10", 0), (None, 0), (10, 1.5), (10, "a"),
                         (10, -1), (10, True), (10, None)]
@@ -1146,7 +1145,7 @@ class TestLazyImport:
         assert _modules_after(code) == "[]"
 
     def test_cli_loads_no_concurrent(self):
-        # the samplers run every chunk on the calling thread; a pool from
+        # the samplers' threads come from threading, which numpy imports;
         # concurrent.futures would add its import to every CLI process
         assert _modules_after("import diamramsey.cli", "concurrent") == "[]"
 
@@ -1379,8 +1378,11 @@ class TestSampleSpreadOracle:
         report = falsify_coloring(target, radius, width, 2 * _CHUNK, seed=2)
         assert report.monochromatic_count == expected > 0
 
-    def test_peak_allocation(self):
-        # the benchmark's sample count, several chunks; memory holds one chunk
+    def test_peak_allocation(self, monkeypatch):
+        # the benchmark's sample count, several chunks per worker; memory
+        # holds one chunk per worker (about 1.1 MiB here), so the bound is
+        # set for two workers
+        monkeypatch.setattr(spread_module, "_cpus", lambda: 2)
         problem = SpreadProblem(target=almost_regular_simplex(4, 0.01),
                                 radius=0.707)
         sample_spread_oracle(problem, 100)
@@ -1392,47 +1394,81 @@ class TestSampleSpreadOracle:
             tracemalloc.stop()
         assert peak <= 3 * 2 ** 20
 
+    @pytest.mark.parametrize("points", [1, 3, 9])
+    def test_shrink_matches_the_full_buffer_at_both_signs(self, points):
+        # the shrink solves one row at a time and reuses each square root
+        # for the copy at -t; the reference solves all k rows in one (k, n)
+        # buffer, once per sign, and both must give the same bits
+        rng = np.random.default_rng(points)
+        dots = rng.standard_normal((points, 1000))
+        dots[:, :3] = 0.0
+        offsets = rng.random(1000)
+        offsets[:2] = 0.0
+        gaps = -rng.random(points)
+        gaps[0] = 0.0
+        ahead, behind = _shrink_factors(offsets, dots, gaps)
+        assert np.array_equal(ahead, _explicit_shrink_factors(offsets, dots, gaps))
+        assert np.array_equal(behind, _explicit_shrink_factors(offsets, -dots, gaps))
 
-class TestOneThread:
-    """The chunks run in order on the calling thread."""
+
+class TestWorkerCount:
+    """The chunks' threads change neither a result nor the thread count."""
 
     @pytest.mark.parametrize("target, radius", sampler_witnesses())
-    def test_a_sampler_call_starts_no_thread(self, monkeypatch, target, radius):
-        # the thread count read in every chunk's summary, for both samplers
-        counts = []
-
-        def counting(centered, scaled, n_samples, seed, summary):
-            def counted(top, bottom):
-                counts.append(threading.active_count())
-                return summary(top, bottom)
-            return _summarize_chunks(centered, scaled, n_samples, seed, counted)
-
-        monkeypatch.setattr(spread_module, "_summarize_chunks", counting)
-        monkeypatch.setattr(coloring_module, "_summarize_chunks", counting)
+    def test_one_worker_gives_the_same_results(self, monkeypatch, target, radius):
+        problem = SpreadProblem(target=target, radius=radius)
         before = threading.active_count()
-        value = sample_spread_oracle(SpreadProblem(target=target, radius=radius),
-                                     2 * 65536, seed=3)
-        falsify_coloring(target, radius, 4.0 * value, 2 * 65536, seed=3)
-        assert counts == [before] * (2 * 2 * 65536 // _CHUNK)
+        value = sample_spread_oracle(problem, 2 * 65536, seed=3)
+        width = 4.0 * value
+        report = falsify_coloring(target, radius, width, 2 * 65536, seed=3).to_dict()
+        assert threading.active_count() == before
+        monkeypatch.setattr(spread_module, "_cpus", lambda: 1)
+        assert sample_spread_oracle(problem, 2 * 65536, seed=3) == value
+        assert falsify_coloring(target, radius, width, 2 * 65536, seed=3).to_dict() == report
+
+    def test_many_workers_switching_often(self, monkeypatch):
+        # more workers than cores, switching threads as often as the
+        # interpreter allows: each chunk's summary lands in its own slot
+        centered, scaled, _ = _prepare(SpreadProblem(target=OBTUSE_150, radius=0.95))
+        monkeypatch.setattr(spread_module, "_CHUNK", 64)
+        monkeypatch.setattr(spread_module, "_cpus", lambda: 1)
+        expected = _summarize_chunks(centered, scaled, 64 * 300 + 7, 2, np.subtract)
+        monkeypatch.setattr(spread_module, "_cpus", lambda: 16)
+        found = []
+        runner = threading.Thread(target=lambda: found.extend(
+            _summarize_chunks(centered, scaled, 64 * 300 + 7, 2, np.subtract)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner.start()
+            runner.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert len(found) == len(expected) == 301
+        assert all(np.array_equal(a, b) for a, b in zip(found, expected))
 
     @pytest.mark.parametrize("failing", [None, 5])
-    def test_the_first_failing_chunk_raises(self, monkeypatch, failing):
-        # 3 full chunks and one of 5 copies; no chunk after the failing one is drawn
+    def test_a_failing_chunk_raises_after_every_thread_ends(self, monkeypatch, failing):
+        # 3 full chunks and one of 5 copies; with two workers the short
+        # chunk is the second worker's, not the calling thread's.  The
+        # shrink sees a chunk's ceil(count/2) translations.
         shrink = spread_module._shrink_factors
-        drawn = []
 
         def broken(offsets, dots, gaps):
-            drawn.append(len(offsets))
-            if failing is None or len(offsets) == failing:
+            if failing is None or len(offsets) == (failing + 1) // 2:
                 raise ArithmeticError(len(offsets))
             return shrink(offsets, dots, gaps)
 
+        monkeypatch.setattr(spread_module, "_cpus", lambda: 2)
         monkeypatch.setattr(spread_module, "_shrink_factors", broken)
+        before = threading.active_count()
         with pytest.raises(ArithmeticError) as raised:
             sample_spread_oracle(SpreadProblem(target=OBTUSE_150, radius=0.95),
                                  3 * _CHUNK + 5, seed=1)
-        assert raised.value.args == (_CHUNK if failing is None else failing,)
-        assert drawn == ([_CHUNK] if failing is None else [_CHUNK] * 3 + [failing])
+        # the lowest-numbered failing chunk's exception
+        assert raised.value.args == (((_CHUNK if failing is None else failing) + 1) // 2,)
+        assert threading.active_count() == before
 
 
 class TestSolve:
