@@ -6,10 +6,12 @@ never wall-clock, so reruns reproduce the numeric outputs.  Every subcommand
 takes --seed and --out, and otherwise only the flags its handler reads:
 --tol on circumsphere, obstruct, conjecture, estimate-c and find-copy, and
 --format on all but triangle; any other flag is a usage error.  Domain
-errors exit 1 with machine-readable JSON on stderr and a one-line summary on
-stdout; usage errors, among them a float flag that is nan or infinite, a
-negative --tol, --seed, --samples or --oracle-samples and a --restarts
-below 1, exit 2.
+errors, unreadable files and requests too large for memory exit 1 with
+machine-readable JSON on stderr and a one-line summary on stdout; usage
+errors, among them a float flag that is nan or infinite, a negative --tol,
+--seed, --samples or --oracle-samples and a --restarts below 1, exit 2.
+The library modules are read as module objects when a handler runs, so a
+call runs only the modules its subcommand uses.
 """
 
 from __future__ import annotations
@@ -20,22 +22,8 @@ import math
 import sys
 import time
 
-from . import __version__
-from .coloring import color_configuration, falsify_coloring, find_monochromatic_copy
-from .constructions import almost_regular_simplex, obtuse_triangle, regular_simplex
-from .errors import GeometryError
-from .formats import (
-    colored_to_dict,
-    configuration_to_dict,
-    load_colored,
-    load_configuration,
-    save_configuration,
-)
-from .geometry import DEFAULT_TOL, Configuration, _as_json, affine_dimension, diameter
-from .obstruction import (ConjectureLabel, classify_triangle, conjecture_classification,
-                          obstruction_verdict)
-from .spheres import _jung_radius, circumsphere, min_enclosing_ball
-from .spread import SpreadProblem, estimate_c, sample_spread_oracle
+from . import (__version__, coloring, constructions, errors, formats, geometry, obstruction,
+               spheres, spread)
 
 
 def _finite(text: str) -> float:
@@ -71,11 +59,16 @@ def _positive(text: str) -> int:
 
 
 def _load(args):
-    return load_configuration(args.input, args.format)
+    return formats.load_configuration(args.input, args.format)
 
 
 def _tol(args) -> float:
-    return DEFAULT_TOL if args.tol is None else args.tol
+    return geometry.DEFAULT_TOL if args.tol is None else args.tol
+
+
+def diameter(config) -> float:
+    """geometry.diameter, which the diameter and jung reports call through this name."""
+    return geometry.diameter(config)
 
 
 def _cmd_diameter(args):
@@ -86,19 +79,19 @@ def _cmd_diameter(args):
 
 def _cmd_meb(args):
     config = _load(args)
-    return _as_json(min_enclosing_ball(config, seed=args.seed)), None
+    return geometry._as_json(spheres.min_enclosing_ball(config, seed=args.seed)), None
 
 
 def _cmd_circumsphere(args):
     config = _load(args)
-    return _as_json(circumsphere(config, tol=_tol(args))), None
+    return geometry._as_json(spheres.circumsphere(config, tol=_tol(args))), None
 
 
 def _cmd_jung(args):
     config = _load(args)
-    m, diam = affine_dimension(config), diameter(config)
+    m, diam = geometry.affine_dimension(config), diameter(config)
     return {
-        "jung_bound": _jung_radius(m, diam),
+        "jung_bound": spheres._jung_radius(m, diam),
         "affine_dimension": m,
         "diameter": diam,
     }, None
@@ -106,43 +99,43 @@ def _cmd_jung(args):
 
 def _cmd_obstruct(args):
     config = _load(args)
-    verdict = obstruction_verdict(config, tol=_tol(args))
+    verdict = obstruction.obstruction_verdict(config, tol=_tol(args))
     return verdict.to_dict(), None
 
 
 def _cmd_triangle(args):
-    verdict = classify_triangle(args.alpha, args.side)
+    verdict = obstruction.classify_triangle(args.alpha, args.side)
     return verdict.to_dict(), None
 
 
 def _cmd_conjecture(args):
     config = _load(args)
-    label = conjecture_classification(config, tol=_tol(args))
+    label = obstruction.conjecture_classification(config, tol=_tol(args))
     return {"label": label.value,
-            "circumcenter_in_hull": label is ConjectureLabel.DIAMETER_RAMSEY,
+            "circumcenter_in_hull": label is obstruction.ConjectureLabel.DIAMETER_RAMSEY,
             "conjectural": True}, None
 
 
 def _cmd_estimate_c(args):
     config = _load(args)
-    problem = SpreadProblem(target=config, radius=args.radius)
-    estimate = estimate_c(problem, restarts=args.restarts, seed=args.seed,
-                          tolerance=_tol(args), oracle_samples=args.oracle_samples)
+    problem = spread.SpreadProblem(target=config, radius=args.radius)
+    estimate = spread.estimate_c(problem, restarts=args.restarts, seed=args.seed,
+                                 tolerance=_tol(args), oracle_samples=args.oracle_samples)
     return estimate.to_dict(), None
 
 
 def _cmd_oracle(args):
     config = _load(args)
-    problem = SpreadProblem(target=config, radius=args.radius)
-    value = sample_spread_oracle(problem, args.samples, seed=args.seed)
+    problem = spread.SpreadProblem(target=config, radius=args.radius)
+    value = spread.sample_spread_oracle(problem, args.samples, seed=args.seed)
     return {"oracle_value": value, "n_samples": args.samples,
             "radius": args.radius}, None
 
 
 def _cmd_color(args):
     config = _load(args)
-    colored = color_configuration(config, args.shell)
-    artifact = colored_to_dict(colored)
+    colored = coloring.color_configuration(config, args.shell)
+    artifact = formats.colored_to_dict(colored)
     outputs = dict(artifact)
     outputs["shell_width"] = args.shell
     return outputs, artifact
@@ -150,15 +143,15 @@ def _cmd_color(args):
 
 def _cmd_falsify(args):
     config = _load(args)
-    report = falsify_coloring(config, r=args.radius, c=args.shell,
-                              n_samples=args.samples, seed=args.seed)
+    report = coloring.falsify_coloring(config, r=args.radius, c=args.shell,
+                                       n_samples=args.samples, seed=args.seed)
     return report.to_dict(), None
 
 
 def _cmd_find_copy(args):
-    colored = load_colored(args.input)
-    target = load_configuration(args.target, args.format)
-    witness = find_monochromatic_copy(colored, target, tol=args.tol)
+    colored = formats.load_colored(args.input)
+    target = formats.load_configuration(args.target, args.format)
+    witness = coloring.find_monochromatic_copy(colored, target, tol=args.tol)
     return {
         "found": witness is not None,
         "indices": list(witness) if witness is not None else None,
@@ -167,12 +160,12 @@ def _cmd_find_copy(args):
 
 def _cmd_construct(args):
     if args.shape == "regular":
-        config = regular_simplex(args.dim)
+        config = constructions.regular_simplex(args.dim)
     elif args.shape == "cor3":
-        config = almost_regular_simplex(args.dim, args.delta)
+        config = constructions.almost_regular_simplex(args.dim, args.delta)
     else:
-        config = obtuse_triangle(args.alpha, args.side)
-    return {"configuration": configuration_to_dict(config)}, config
+        config = constructions.obtuse_triangle(args.alpha, args.side)
+    return {"configuration": formats.configuration_to_dict(config)}, config
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -257,6 +250,13 @@ def _echo_inputs(args) -> dict:
     return {k: v for k, v in vars(args).items() if k not in skip}
 
 
+def _fail(name: str, exc: BaseException) -> int:
+    """An error as JSON on stderr and one summary line on stdout; exit status 1."""
+    print(json.dumps({"error": name, "message": str(exc)}), file=sys.stderr)
+    print(f"error: {name}: {exc}")
+    return 1
+
+
 def run(argv=None) -> int:
     parser = build_parser()
     try:
@@ -267,21 +267,18 @@ def run(argv=None) -> int:
     start = time.perf_counter()
     try:
         outputs, artifact = args.handler(args)
-        if isinstance(artifact, Configuration) and args.out is not None:
-            save_configuration(artifact, args.out, args.format)
+        if isinstance(artifact, geometry.Configuration) and args.out is not None:
+            formats.save_configuration(artifact, args.out, args.format)
         elif args.out is not None:
             with open(args.out, "w", encoding="utf-8") as handle:
                 json.dump(outputs if artifact is None else artifact, handle, indent=2)
                 handle.write("\n")
-    except GeometryError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
-        print(f"error: {type(exc).__name__}: {exc}")
-        return 1
+    except errors.GeometryError as exc:
+        return _fail(type(exc).__name__, exc)
     except OSError as exc:
-        print(json.dumps({"error": "IOError", "message": str(exc)}), file=sys.stderr)
-        print(f"error: IOError: {exc}")
-        return 1
+        return _fail("IOError", exc)
+    except MemoryError as exc:
+        return _fail("MemoryError", exc)
 
     report = {
         "command": args.command,

@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import spread
 from .errors import BudgetExceeded, DomainError, _check_positive, _check_tolerance
 from .geometry import Configuration, _as_json, _integer, _match, _norm, _seed, distance_matrix
-from .spread import SpreadProblem, _prepare, _summarize_chunks
 
 FINDER_BUDGET = 20
 
@@ -131,7 +131,7 @@ def falsify_coloring(target: Configuration, r: float, c: float,
         raise DomainError(f"sample count must be nonnegative, got {n_samples}")
     seed = _seed(seed)
     k = num_colors(r, c)
-    centered, radius, scale = _prepare(SpreadProblem(target=target, radius=r))
+    centered, radius, scale = spread._prepare(spread.SpreadProblem(target=target, radius=r))
     if n_samples == 0:
         return FalsifyReport(radius=r, shell_width=c, num_colors=k,
                              n_samples=0, seed=seed, monochromatic_count=0,
@@ -146,8 +146,8 @@ def falsify_coloring(target: Configuration, r: float, c: float,
         return (int(np.count_nonzero(spans == 0.0)), float((top - bottom).min()),
                 int(spans.min()))
 
-    counts, spreads, span_mins = zip(*_summarize_chunks(centered, radius, n_samples,
-                                                        seed, summary))
+    counts, spreads, span_mins = zip(*spread._summarize_chunks(centered, radius, n_samples,
+                                                               seed, summary))
     mono, min_spread, min_span = sum(counts), min(spreads), min(span_mins)
     return FalsifyReport(radius=r, shell_width=c, num_colors=k,
                          n_samples=n_samples, seed=seed,

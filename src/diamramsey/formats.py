@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 
-from .coloring import ColoredConfiguration
+from . import coloring
 from .errors import DomainError
 from .geometry import Configuration, _integer
 
@@ -71,17 +71,17 @@ def configuration_from_csv(text: str) -> Configuration:
     return Configuration(points=rows)
 
 
-def colored_to_dict(colored: ColoredConfiguration) -> dict:
+def colored_to_dict(colored: coloring.ColoredConfiguration) -> dict:
     data = configuration_to_dict(colored.configuration)
     data["colors"] = list(colored.colors)
     return data
 
 
-def colored_from_dict(data: dict) -> ColoredConfiguration:
+def colored_from_dict(data: dict) -> coloring.ColoredConfiguration:
     config = configuration_from_dict(data)
     if not isinstance(data.get("colors"), list):
         raise DomainError("coloured configuration needs a 'colors' array")
-    return ColoredConfiguration(configuration=config, colors=tuple(data["colors"]))
+    return coloring.ColoredConfiguration(configuration=config, colors=tuple(data["colors"]))
 
 
 def _read_text(path: str) -> str:
@@ -101,7 +101,7 @@ def load_configuration(path: str, fmt: str = "json") -> Configuration:
     raise DomainError(f"unknown format {fmt!r}; expected 'json' or 'csv'")
 
 
-def load_colored(path: str) -> ColoredConfiguration:
+def load_colored(path: str) -> coloring.ColoredConfiguration:
     try:
         data = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:

@@ -189,6 +189,15 @@ class TestErrors:
         assert code == 1
         assert json.loads(captured.err)["error"] == "IOError"
 
+    def test_memory_error_exits_one(self, capsys):
+        # a simplex of 10^8 + 1 vertices needs ~71 PiB, so numpy refuses at once
+        code = cli.run(["construct", "regular", "--dim", "100000000"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert json.loads(captured.err)["error"] == "MemoryError"
+        assert captured.out.startswith("error: MemoryError:")
+        assert "Traceback" not in captured.err + captured.out
+
     def test_usage_error_exits_two(self, capsys):
         assert cli.run(["obstruct"]) == 2
         assert cli.run(["no-such-command"]) == 2

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 import threading
 import tracemalloc
 import warnings
@@ -27,6 +28,7 @@ from diamramsey import (
     Infeasible,
     NonConvergence,
     affine_dimension,
+    color_configuration,
     diameter,
     embedding_feasible,
     estimate_c,
@@ -39,6 +41,7 @@ from diamramsey import (
     min_enclosing_ball,
     obstruction_verdict,
 )
+from diamramsey.formats import colored_to_dict
 from diamramsey.spread import (ROUNDING_SLACK, _CHUNK, _active_set, _guess, _prepare,
                                _shrink_factors, _summarize_chunks)
 from oracles import GRID_11 as GRID_11_POINTS
@@ -1119,19 +1122,57 @@ class TestScaleInvariance:
 
 
 def _modules_after(code: str, package: str = "scipy") -> str:
-    """Run code in a fresh interpreter; return the modules of `package` it loaded."""
+    """Run code in a fresh interpreter; return the modules of `package` it ran.
+
+    A diamramsey module that nothing has used yet is in sys.modules only as
+    a placeholder, so it is not listed.
+    """
     src = str(Path(diamramsey.__file__).resolve().parents[1])
     code += (f"\nprint(sorted(m for m in sys.modules "
-             f"if m == {package!r} or m.startswith({package + '.'!r})))")
+             f"if (m == {package!r} or m.startswith({package + '.'!r})) "
+             f"and type(sys.modules[m]).__name__ != '_Placeholder'))")
     out = subprocess.run([sys.executable, "-c", "import sys\n" + code],
                          capture_output=True, text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=src))
     return out.stdout.strip().splitlines()[-1]
 
 
+LIBRARY_MODULES = ("errors", "geometry", "spheres", "spread", "coloring", "constructions",
+                   "obstruction", "formats")
+
+# The library modules each subcommand runs; "{tri}" is the 150-degree
+# triangle's file and "{colored}" its colouring.
+READS_A_FILE = ("errors", "formats", "geometry")
+SUBCOMMAND_MODULES = [
+    (["diameter", "--input", "{tri}"], READS_A_FILE),
+    (["meb", "--input", "{tri}"], READS_A_FILE + ("spheres",)),
+    (["circumsphere", "--input", "{tri}"], READS_A_FILE + ("spheres",)),
+    (["jung", "--input", "{tri}"], READS_A_FILE + ("spheres",)),
+    (["obstruct", "--input", "{tri}"], READS_A_FILE + ("obstruction", "spheres")),
+    (["triangle", "--alpha", "150"], ("errors", "geometry", "obstruction", "spheres")),
+    (["conjecture", "--input", "{tri}"], READS_A_FILE + ("obstruction", "spheres")),
+    (["construct", "regular", "--dim", "3"], READS_A_FILE + ("constructions",)),
+    (["color", "--input", "{tri}", "--shell", "0.1"], READS_A_FILE + ("coloring",)),
+    (["find-copy", "--input", "{colored}", "--target", "{tri}"], READS_A_FILE + ("coloring",)),
+    (["estimate-c", "--input", "{tri}", "--radius", "0.95"],
+     READS_A_FILE + ("spheres", "spread")),
+    (["oracle", "--input", "{tri}", "--radius", "0.95", "--samples", "100"],
+     READS_A_FILE + ("spheres", "spread")),
+    (["falsify", "--input", "{tri}", "--radius", "0.95", "--shell", "0.1",
+      "--samples", "100"], READS_A_FILE + ("coloring", "spheres", "spread")),
+]
+
+
 class TestLazyImport:
     def test_import_loads_no_scipy(self):
         assert _modules_after("import diamramsey") == "[]"
+
+    def test_import_runs_no_module(self):
+        # every library module is in sys.modules, none has run, and numpy is not imported
+        code = ("import diamramsey\n"
+                f"assert all('diamramsey.' + m in sys.modules for m in {LIBRARY_MODULES!r})\n"
+                "assert 'numpy' not in sys.modules")
+        assert _modules_after(code, "diamramsey") == "['diamramsey']"
 
     def test_estimate_c_loads_no_scipy(self):
         code = ("import diamramsey as dr\n"
@@ -1155,19 +1196,95 @@ class TestLazyImport:
         # process would pay
         assert _modules_after(_cli_code(tmp_path, *args), "numpy.ma") == "[]"
 
+    @pytest.mark.parametrize("argv, modules", SUBCOMMAND_MODULES,
+                             ids=[argv[0] for argv, _ in SUBCOMMAND_MODULES])
+    def test_cli_runs_only_its_modules(self, tmp_path, argv, modules):
+        _cli_code(tmp_path, "diameter")  # writes the triangle's file
+        colored = tmp_path / "colored.json"
+        colored.write_text(json.dumps(colored_to_dict(color_configuration(OBTUSE_150, 0.1))))
+        argv = [a.format(tri=tmp_path / "tri150.json", colored=colored) for a in argv]
+        ran = ["diamramsey"] + ["diamramsey." + m for m in sorted(modules)]
+        assert _modules_after(_main_code(argv), "diamramsey") == str(ran)
+
+    @pytest.mark.parametrize("argv, exit_code", [(["--version"], 0), (["--help"], 0),
+                                                 (["diameter"], 2)])
+    def test_cli_without_a_handler_imports_no_numpy(self, argv, exit_code):
+        assert _modules_after(_main_code(argv, exit_code), "numpy") == "[]"
+
+    def test_threads_share_one_first_run(self):
+        # eight threads read an unused module at once: one runs its code, the
+        # others wait for it and see the same finished module
+        code = textwrap.dedent("""\
+            import threading
+            runs = []
+            sys.addaudithook(lambda event, args: event == "exec" and getattr(
+                args[0], "co_filename", "").endswith("spread.py") and runs.append(1))
+            import diamramsey
+            module = sys.modules["diamramsey.spread"]
+            barrier, got = threading.Barrier(8), []
+            def first_read():
+                barrier.wait()
+                got.append(module.estimate_c)
+            threads = [threading.Thread(target=first_read) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert len(got) == 8 and len({id(f) for f in got}) == 1, got
+            assert got[0] is diamramsey.estimate_c and len(runs) == 1, runs
+            """)
+        assert "'diamramsey.spread'" in _modules_after(code, "diamramsey")
+
+    def test_write_before_first_run_survives_it(self):
+        # a write runs the module first (as monkeypatch.setattr's read does), so
+        # the module's own binding cannot overwrite it
+        code = ("import diamramsey\n"
+                "spread = sys.modules['diamramsey.spread']\n"
+                "spread._CHUNK = 7\n"
+                "assert spread._CHUNK == 7, spread._CHUNK")
+        assert "'diamramsey.spread'" in _modules_after(code, "diamramsey")
+
+    def test_failed_run_is_tried_again(self):
+        # a module whose code raises stays a placeholder; the next read runs it again
+        code = textwrap.dedent("""\
+            import diamramsey
+            sys.modules["numpy"] = None
+            try:
+                diamramsey.geometry.diameter
+            except ImportError:
+                pass
+            else:
+                raise AssertionError("geometry ran without numpy")
+            assert type(diamramsey.geometry).__name__ == "_Placeholder"
+            del sys.modules["numpy"]
+            assert diamramsey.geometry.diameter is diamramsey.diameter
+            """)
+        assert "'diamramsey.geometry'" in _modules_after(code, "diamramsey")
+
+    def test_exports_are_all(self):
+        assert set(diamramsey._EXPORTS) | {"__version__"} == set(diamramsey.__all__)
+        assert len(set(diamramsey.__all__)) == len(diamramsey.__all__)
+        for name, module in diamramsey._EXPORTS.items():
+            assert getattr(diamramsey, name) is getattr(
+                sys.modules["diamramsey." + module], name)
+
 
 def _cli_code(tmp_path, command: str, *args: str) -> str:
     """Code running `python -m diamramsey.cli command` on the 150-degree triangle."""
     target = tmp_path / "tri150.json"
     target.write_text(json.dumps({"dim": 2, "points": OBTUSE_150.points.tolist()}))
-    argv = ["diamramsey", command, "--input", str(target), *args]
+    return _main_code([command, "--input", str(target), *args])
+
+
+def _main_code(argv: list, exit_code: int = 0) -> str:
+    """Code running `python -m diamramsey.cli *argv`, expecting the exit status."""
     return ("import runpy\n"
-            f"sys.argv = {argv!r}\n"
+            f"sys.argv = {['diamramsey', *argv]!r}\n"
             "try:\n"
             "    runpy.run_module('diamramsey.cli', run_name='__main__',"
             " alter_sys=True)\n"
             "except SystemExit as stop:\n"
-            "    assert stop.code == 0, stop.code")
+            f"    assert stop.code == {exit_code}, stop.code")
 
 
 class TestAgainstInteriorPoint:
