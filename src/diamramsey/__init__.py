@@ -103,8 +103,9 @@ class _Placeholder(types.ModuleType):
     """A module that runs its code on the first use of one of its attributes.
 
     Once the code has run the object becomes a plain module, so later reads
-    cost nothing extra.  If the code raises, the namespace is put back and
-    the module stays a placeholder: the next use runs it again.
+    cost nothing extra.  If the code raises, the module stays a placeholder:
+    the next use runs it again, over what the failed run left, as
+    `importlib.reload` would.
     """
 
     def __getattribute__(self, name):
@@ -124,15 +125,10 @@ def _run(module) -> None:
     with _lock:
         if type(module) is not _Placeholder or module in _running:
             return
-        namespace = types.ModuleType.__getattribute__(module, "__dict__")
-        initial = dict(namespace)
+        spec = types.ModuleType.__getattribute__(module, "__spec__")
         _running.add(module)
         try:
-            namespace["__spec__"].loader.exec_module(module)
-        except BaseException:
-            namespace.clear()
-            namespace.update(initial)
-            raise
+            spec.loader.exec_module(module)
         finally:
             _running.discard(module)
         object.__setattr__(module, "__class__", types.ModuleType)

@@ -1163,9 +1163,13 @@ SUBCOMMAND_MODULES = [
 ]
 
 
+# Code that runs every library module: `import diamramsey` alone runs none.
+RUN_EVERY_MODULE = f"[vars(getattr(diamramsey, m)) for m in {LIBRARY_MODULES!r}]"
+
+
 class TestLazyImport:
     def test_import_loads_no_scipy(self):
-        assert _modules_after("import diamramsey") == "[]"
+        assert _modules_after("import diamramsey\n" + RUN_EVERY_MODULE) == "[]"
 
     def test_import_runs_no_module(self):
         # every library module is in sys.modules, none has run, and numpy is not imported
@@ -1188,7 +1192,8 @@ class TestLazyImport:
     def test_cli_loads_no_concurrent(self):
         # the samplers' threads come from threading, which numpy imports;
         # concurrent.futures would add its import to every CLI process
-        assert _modules_after("import diamramsey.cli", "concurrent") == "[]"
+        code = "import diamramsey.cli\n" + RUN_EVERY_MODULE
+        assert _modules_after(code, "concurrent") == "[]"
 
     @pytest.mark.parametrize("args", [("meb",), ("estimate-c", "--radius", "0.95")])
     def test_cli_loads_no_numpy_ma(self, tmp_path, args):
