@@ -15,22 +15,33 @@ class DomainError(GeometryError):
     """An argument is outside the documented domain of an operation."""
 
 
+def _is_finite(value, what: str) -> bool:
+    """math.isfinite(value), or DomainError unless value is a real number
+    that a float can hold: math.isfinite converts as float() does, but
+    parses no strings."""
+    try:
+        return math.isfinite(value)
+    except (TypeError, OverflowError) as exc:
+        raise DomainError(f"{what} must be a real number, got {value!r:.40}") from exc
+
+
 def _check_positive(value: float, what: str) -> None:
-    """Raise DomainError unless value is finite and positive.
+    """Raise DomainError unless value is a finite, positive real number.
 
     A bare `value <= 0` test lets nan through, since every comparison with
     nan is false.
     """
-    if not (math.isfinite(value) and value > 0):
+    if not (_is_finite(value, what) and value > 0):
         raise DomainError(f"{what} must be finite and positive, got {value}")
 
 
 def _check_tolerance(value: float) -> None:
-    """Raise DomainError unless value is a nonnegative number; zero is allowed.
+    """Raise DomainError unless value is a nonnegative real number; zero is allowed.
 
     A negative slack can never be met, so a stopping test or a verdict
     built on it would run out its budget or reject every input.
     """
+    _is_finite(value, "tolerance")
     if not value >= 0:
         raise DomainError(f"tolerance must be nonnegative, got {value}")
 

@@ -75,10 +75,11 @@ def _seed(value) -> int:
     return seed
 
 
-def _point_rows(points) -> np.ndarray:
-    """points as a float array, or DomainError if they are not all real numbers."""
+def _point_rows(points, copy: bool = False) -> np.ndarray:
+    """points as a float array, a new one if copy, or DomainError if they are
+    not all real numbers."""
     try:
-        return np.asarray(points, dtype=float)
+        return (np.array if copy else np.asarray)(points, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"points must be real numbers: {exc}") from exc
 
@@ -129,16 +130,17 @@ class RigidMotion:
     translation: np.ndarray
 
     def __post_init__(self):
-        rot = np.asarray(self.rotation, dtype=float)
-        tr = np.asarray(self.translation, dtype=float)
+        # Copies, so that no caller's array is frozen or changes the motion.
+        rot, tr = _point_rows(self.rotation, copy=True), _point_rows(self.translation, copy=True)
         if rot.ndim != 2 or rot.shape[0] != rot.shape[1]:
             raise DomainError("rotation must be a square matrix")
         if tr.shape != (rot.shape[0],):
             raise DomainError("translation length must match rotation dimension")
-        if not (np.all(np.isfinite(rot)) and np.all(np.isfinite(tr))):
+        if not (np.isfinite(rot).all() and np.isfinite(tr).all()):
             raise DomainError("rigid motion entries must be finite")
-        object.__setattr__(self, "rotation", _freeze(rot))
-        object.__setattr__(self, "translation", _freeze(tr))
+        rot.flags.writeable = tr.flags.writeable = False
+        object.__setattr__(self, "rotation", rot)
+        object.__setattr__(self, "translation", tr)
 
 
 def diameter(config: Configuration) -> float:
@@ -226,9 +228,10 @@ def _scaled(pts: np.ndarray, peak: float | None = None, center=None) -> tuple[in
 
 
 def _norm(x: np.ndarray, axis=None):
-    """np.linalg.norm(x, axis=axis) taken over _scaled's power of two."""
+    """np.linalg.norm(x, axis=axis) taken over _scaled's power of two.  Along
+    an axis it is norm's own sum of squares, without its dispatch."""
     k, x = _scaled(x, float(np.abs(x).max(initial=0.0)))
-    norms = np.linalg.norm(x, axis=axis)
+    norms = np.linalg.norm(x) if axis is None else np.sqrt(np.add.reduce(x * x, axis=axis))
     return np.ldexp(norms, k) if k else norms
 
 

@@ -15,12 +15,13 @@ c(A, r) > 0.  Two independent ways to get at it:
   constraints one paraboloid.  _solve solves it at one squared radius:
   coincident points (c = 0) and an affinely independent target whose
   circumsphere fits (the circumcentre, t_lower = 0) in closed form, else
-  by a primal active-set pivot (_pivot), whose first step, the KKT
-  equations of the set guessed at the pass's start (_guess, _active_set),
-  settles every witness; each further step moves to the rows' equality
-  optimum in closed form, adds the level that blocks it, or drops the most
-  negative multiplier's row.  _solve's t_lower, the Lagrangian dual at the
-  pivot's multipliers (see _dual_bound), gives c_lower.
+  by a primal active-set pivot (_pivot), whose first step, the set guessed
+  at the pass's start (_guess) with its point and multipliers in closed
+  form (_active_set), settles every witness; each further step moves to the
+  rows' equality optimum in closed form, adds the level that blocks it, or
+  drops the most negative multiplier's row.  _solve's t_lower, the
+  Lagrangian dual at the pivot's multipliers (see _dual_bound), gives
+  c_lower.
 * sample_spread_oracle: the minimum spread over a reproducible stream of
   random feasible copies, an upper bound.  A copy is the target centered at
   its enclosing-ball center, b_i, translated by g*t: t is drawn uniformly in
@@ -171,9 +172,10 @@ class Frame:
     the first point, up to its component off the hull, which the cutoff
     DEFAULT_TOL drops; sq holds the |a_k|^2; placed is all the points over
     2^k with one zero coordinate appended.  guess is _guess at y0 = 0, where
-    every call's first pass starts, so a later call's first pass solves only
-    what the radius changes.  circle is the circumcentre and squared
-    circumradius (y, rho^2) of affinely independent points, else None.
+    every call's first pass starts, so a later call's first pass solves no
+    linear system, only the quadratic in the radius.  circle is the
+    circumcentre and squared circumradius (y, rho^2) of affinely independent
+    points, else None.
     """
 
     k: int
@@ -219,8 +221,8 @@ def _target_frame(target: Configuration) -> Frame:
             circle = (y, float(np.einsum("ij,ij->i", gap, gap).max()))
         arrays = [a, sq, basis, placed] + ([circle[0]] if circle else [])
         if guess is not None:
-            upper, _, p, d, _, kkt = guess
-            arrays += [upper, p, d, kkt]
+            upper, _, p, d, _, _ = guess
+            arrays += [upper, p, d]
         for array in arrays:
             array.flags.writeable = False
         frame = _FRAMES[target] = Frame(k, diam, a, sq, basis, ball, placed, keep, guess, circle)
@@ -415,17 +417,20 @@ def sample_spread_oracle(problem: SpreadProblem, n_samples: int,
 def _guess(a: np.ndarray, sq: np.ndarray, y0: np.ndarray):
     """The active set guessed at y0 and the radius-free part of its solve, or None.
 
-    Returns (upper, lower, p, d, (qa, qb, qc), kkt) for _active_set.  The
-    guess takes the m rows with the highest levels f_k(y0) as upper (the
-    index array upper, ascending), the row with the lowest as lower, and
-    the paraboloid as active: the optimum of each of the library's
-    witnesses has that active set.  Equal upper levels put y on the line
-    p + s*d of points equidistant from the upper points, found by
-    elimination in one solve; |y - a_upper[0]|^2 is qa s^2 + qb s + qc
-    along it.  kkt holds the active constraints' gradients in (y, u, l),
-    one row each: the upper levels, the lower level, then the paraboloid,
-    whose y part, 2y, is left 0.  sq holds the |a_k|^2.  Returns None for
-    coincident points (m = 0) or a singular line system.
+    Returns (upper, lower, p, d, (qa, qb, qc), (foot, centre)) for
+    _active_set.  The guess takes the m rows with the highest levels
+    f_k(y0) as upper (the index array upper, ascending), the row with the
+    lowest as lower, and the paraboloid as active: the optimum of each of
+    the library's witnesses has that active set.  Equal upper levels put y
+    on the line p + s*d of points equidistant from the upper points, found
+    by elimination in one solve; d is normal to the upper face, with
+    <a_lower - a_upper[0], d> = 1, and |y - a_upper[0]|^2 is qa s^2 + qb s
+    + qc along it.  foot and centre, tuples of floats, are the barycentric
+    coordinates in the upper face of the lower point's foot a_lower - d/qa
+    and of the face's circumcentre p - qb/(2 qa) d: the weights on the upper
+    points, summing to 1, that with a multiple of the unit normal make up
+    a_lower and p, from one more solve.  sq holds the |a_k|^2.  Returns None
+    for coincident points (m = 0) or a singular system.
     """
     n, m = a.shape
     if m == 0:
@@ -443,12 +448,18 @@ def _guess(a: np.ndarray, sq: np.ndarray, y0: np.ndarray):
     rhs[:m - 1, 0], rhs[m - 1, 1] = sq[upper[1:]] - sq[upper[0]], 1.0
     try:
         p, d = np.linalg.solve(system, rhs).T
+        # The unit normal's column takes up the offsets along d, and keeps
+        # the system regular where the lower point rounds into the face.
+        span = np.ones((m + 1, m + 1))
+        span[:m, :m], span[:m, m], span[m, m] = rows[:m].T, d / math.sqrt(d @ d), 0.0
+        ends = np.ones((m + 1, 2))
+        ends[:m, 0], ends[:m, 1] = rows[m], p
+        weights = np.linalg.solve(span, ends)[:m].T.tolist()
     except np.linalg.LinAlgError:
         return None
     off = p - base
     return (np.array(upper), lower, p, d,
-            (float(d @ d), 2.0 * float(d @ off), float(off @ off)),
-            _gradients(a, upper, [lower], np.zeros(m)))
+            (float(d @ d), 2.0 * float(d @ off), float(off @ off)), tuple(map(tuple, weights)))
 
 
 def _gradients(a: np.ndarray, upper, lower, y) -> np.ndarray:
@@ -468,26 +479,25 @@ def _active_set(a: np.ndarray, radius: float, guess):
 
     The paraboloid puts y at distance r from the upper points, a quadratic
     along the guess's line, whose root with the smaller u - l is the point.
-    z weights the upper rows, the lower row and the paraboloid.  Returns
-    None without a guess, on a negative discriminant or a singular system.
+    z, a list, weights the upper rows, the lower row and the paraboloid.
+    Stationarity with the lower multiplier 1 leaves sum_k z_k a_k = a_lower
+    + nu y over z's upper part summing to 1 + nu; its component off the
+    face gives nu = 2/sqrt(disc), and its part in the face z_upper = foot +
+    nu centre (see _guess), so nothing is solved.  Returns None without a
+    guess or unless the discriminant is positive.
     """
     if guess is None:
         return None
-    upper, lower, p, d, (qa, qb, qc), kkt = guess
+    upper, lower, p, d, (qa, qb, qc), (foot, centre) = guess
     # |y - a_0|^2 = r^2 is qa s^2 + qb s + qc = r^2; u - l = f_0(y) - f_j(y)
     # grows as 2s along the line, so the smaller root is the point.
     disc = qb * qb - 4.0 * qa * (qc - radius * radius)
-    if not disc >= 0.0:
+    if not disc > 0.0:
         return None
-    y = p + (-qb - math.sqrt(disc)) / (2.0 * qa) * d
-    m = len(y)
-    kkt, pull = kkt.copy(), np.zeros(m + 2)
-    # Stationarity: the gradients weighted by z cancel the cost's, (0, 1, -1).
-    kkt[m + 1, :m], pull[m:] = 2.0 * y, (-1.0, 1.0)
-    try:
-        return y, np.linalg.solve(kkt.T, pull)
-    except np.linalg.LinAlgError:
-        return None
+    root = math.sqrt(disc)
+    nu = 2.0 / root
+    return (p + (-qb - root) / (2.0 * qa) * d,
+            [x + nu * w for x, w in zip(foot, centre)] + [1.0, nu])
 
 
 def _multipliers(a: np.ndarray, upper, lower, y) -> np.ndarray:
@@ -600,7 +610,7 @@ def _pivot(a: np.ndarray, sq: np.ndarray, radius: float, guess, y0: np.ndarray):
         gap = a - y
         dist2 = np.einsum("ij,ij->i", gap, gap)
         # Python's max and min beat numpy's on a few points.
-        z, slack, listed = z.tolist(), (n + m) * _EPS * r2, dist2.tolist()
+        slack, listed = (n + m) * _EPS * r2, dist2.tolist()
         if (max(abs(listed[k] - r2) for k in upper) > slack or max(listed) > r2 + slack
                 or min(listed) < listed[lower[0]] - slack):
             first = None

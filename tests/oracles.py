@@ -9,7 +9,8 @@ full subset-and-permutation enumeration, the minimal spread of a planar
 target by a complete 2-d grid search with closed-form plane height, the
 spread solve's reduced program by SLSQP (scipy, imported where it is used)
 and by the primal-dual interior point that the library's active-set pivot
-replaced, and the sampler's copies by building each one point by point.  The
+replaced, the pivot's first multipliers by the KKT solve that their closed
+form replaced, and the sampler's copies by building each one point by point.  The
 invariance tests' seeded rigid motions (random_motion, apply_motion) and the
 spread of a placed copy (spread) live here too: the library only reports a
 placement.
@@ -310,6 +311,27 @@ def slsqp_levels(a, radius, y0):
 # takes _IPM_TAIL_STEP once the mean complementarity is below
 # _IPM_TAIL_GAP.  The KKT finish takes _IPM_FINISH_STEPS Newton steps and
 # accepts constraint values up to _IPM_FINISH_SLACK.
+def kkt_gradients(a: np.ndarray, upper, lower: int, y: np.ndarray) -> np.ndarray:
+    """The gradients in (y, u, l) of the constraints active at the pivot's
+    first step, one row each: the upper levels (-2a_k, -1, 0), the lower
+    level (2a_j, 0, 1) and the paraboloid (2y, 1, 0)."""
+    m = a.shape[1]
+    rows = np.zeros((m + 2, m + 2))
+    rows[:m, :m], rows[:m, m] = -2.0 * a[upper], -1.0
+    rows[m, :m], rows[m, m + 1] = 2.0 * a[lower], 1.0
+    rows[m + 1, :m], rows[m + 1, m] = 2.0 * y, 1.0
+    return rows
+
+
+def kkt_multipliers(a: np.ndarray, upper, lower: int, y: np.ndarray) -> np.ndarray:
+    """The multipliers of kkt_gradients' rows at y, by one solve of the
+    stationarity equations: the gradients weighted to cancel the cost's
+    (0, 1, -1)."""
+    pull = np.zeros(a.shape[1] + 2)
+    pull[-2:] = -1.0, 1.0
+    return np.linalg.solve(kkt_gradients(a, upper, lower, y).T, pull)
+
+
 _IPM_MAX_ITERATIONS = 60
 _IPM_GAP = 1e-17
 _IPM_RESIDUAL = 1e-13

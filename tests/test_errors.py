@@ -35,3 +35,24 @@ def test_zero_tolerance_allowed(name):
         pytest.fail(f"tol=0 rejected: {exc}")
     except dr.GeometryError:
         pass  # an exact test may fail on rounding; only the domain matters
+
+
+# Every shared scalar check, given an entry that is not a real number or
+# that a float cannot hold; numeric strings are not real numbers either.
+NOT_REAL = {
+    "SpreadProblem radius 'a'": lambda: dr.SpreadProblem(TRI, radius="a"),
+    "SpreadProblem radius '0.5'": lambda: dr.SpreadProblem(TRI, radius="0.5"),
+    "SpreadProblem radius 10**400": lambda: dr.SpreadProblem(TRI, radius=10 ** 400),
+    "falsify_coloring radius 10**400": lambda: dr.falsify_coloring(TRI, 10 ** 400, 0.1, 10),
+    "num_colors radius 'a'": lambda: dr.num_colors("a", 1),
+    "ShellColoring shell_width 'a'": lambda: dr.ShellColoring(shell_width="a", radius=1),
+    "almost_regular_simplex delta 'a'": lambda: dr.almost_regular_simplex(3, "a"),
+    "is_congruent tol 'a'": lambda: dr.is_congruent(TRI, TRI, tol="a"),
+    "is_congruent tol 10**400": lambda: dr.is_congruent(TRI, TRI, tol=10 ** 400),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_REAL))
+def test_scalar_that_is_not_real_raises_domain_error(name):
+    with pytest.raises(dr.DomainError, match="real number"):
+        NOT_REAL[name]()

@@ -21,7 +21,7 @@ from diamramsey import (
     obtuse_triangle,
     regular_simplex,
 )
-from diamramsey.geometry import _diameter, _far_pair_sq
+from diamramsey.geometry import _diameter, _far_pair_sq, _norm, _scaled
 from oracles import (apply_motion, configurations, dist_matrix, pairwise_search_plan,
                      random_motion)
 
@@ -504,6 +504,41 @@ class TestDistanceMatrix:
         mat = distance_matrix(EQUILATERAL)
         off = mat[~np.eye(3, dtype=bool)]
         assert np.allclose(off, 1.0, atol=1e-12)
+
+
+class TestRigidMotion:
+    @pytest.mark.parametrize("rotation, translation", [
+        ([["a", 0.0], [0.0, 1.0]], [0.0, 0.0]),  # not a number
+        ([[1.0, 0.0], [0.0]], [0.0, 0.0]),  # ragged
+        ([[10 ** 400, 0.0], [0.0, 1.0]], [0.0, 0.0]),  # past the float range
+        ([[1.0, 0.0], [0.0, 1.0]], ["a", 0.0]),
+        ([[1.0, 0.0], [0.0, 1.0]], [10 ** 400, 0.0]),
+    ])
+    def test_entries_that_are_not_real_raise_domain_error(self, rotation, translation):
+        with pytest.raises(DomainError, match="real numbers"):
+            RigidMotion(rotation=rotation, translation=translation)
+
+    def test_fields_are_read_only_copies(self):
+        rotation, translation = np.eye(2), np.zeros(2)
+        motion = RigidMotion(rotation=rotation, translation=translation)
+        rotation[0, 0] = translation[0] = 5.0
+        assert motion.rotation[0, 0] == 1.0 and motion.translation[0] == 0.0
+        assert not (motion.rotation.flags.writeable or motion.translation.flags.writeable)
+
+
+@pytest.mark.parametrize("n", [1, 3, 300])
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 9])
+def test_norm_along_an_axis_is_numpys(n, dim):
+    # _norm's own sum of squares gives the bits of np.linalg.norm taken
+    # over _scaled's power of two, at scales inside and outside 2^+-128.
+    rng = np.random.default_rng([n, dim])
+    for exponent in (-200, -6, 0, 6, 200):
+        pts = rng.normal(size=(n, dim)) * 10.0 ** rng.integers(-3, 4, size=dim) \
+            * 10.0 ** exponent
+        k, scaled = _scaled(pts, float(np.abs(pts).max()))
+        for axis in (0, 1):
+            expected = np.ldexp(np.linalg.norm(scaled, axis=axis), k)
+            assert np.array_equal(_norm(pts, axis=axis), expected)
 
 
 class TestApplyMotion:

@@ -47,8 +47,9 @@ from diamramsey.spread import (ROUNDING_SLACK, _CHUNK, _active_set, _guess, _pre
 from oracles import GRID_11 as GRID_11_POINTS
 from oracles import (TOO_LARGE_GRID_BALLS, _explicit_shrink_factors, apply_motion,
                      brute_force_meb, co_spherical_sets, configurations, explicit_copy_norms,
-                     hull_coordinates, interior_point, ks_statistic, planar_spread_min,
-                     random_motion, rotated_copy_spreads, slsqp_levels, spread)
+                     hull_coordinates, interior_point, kkt_gradients, kkt_multipliers,
+                     ks_statistic, planar_spread_min, random_motion, rotated_copy_spreads,
+                     slsqp_levels, spread)
 
 OBTUSE_150 = obtuse_triangle(150.0, 1.0)
 EQUILATERAL = regular_simplex(2)
@@ -400,17 +401,17 @@ class TestFrameReuse:
         assert math.ldexp(frame.diam, frame.k) == diameter(target)
         assert np.array_equal(frame.sq, _squares(frame.a))
         assert frame.keep == (0, 1, 2)
-        upper, _, p, d, _, kkt = frame.guess
+        upper, _, p, d, _, _ = frame.guess
         for array in (frame.a, frame.sq, frame.basis, frame.ball.center, frame.placed,
-                      upper, p, d, kkt, frame.circle[0]):
+                      upper, p, d, frame.circle[0]):
             assert not array.flags.writeable
         with pytest.raises(dataclasses.FrozenInstanceError):
             frame.a = np.zeros_like(frame.a)
 
-    def test_warm_first_pass_solves_once(self, monkeypatch):
-        # A cold call solves the first pass's line system for the frame and
-        # its multiplier system in the pass; a warm call, at another
-        # radius, only the multiplier system.
+    def test_warm_first_pass_solves_no_system(self, monkeypatch):
+        # A cold call solves the first pass's line system and the upper
+        # face's barycentric system for the frame; a warm call, at another
+        # radius, solves nothing: its multipliers are in closed form.
         calls = []
         original = np.linalg.solve
 
@@ -423,7 +424,7 @@ class TestFrameReuse:
         cold = estimate_c(SpreadProblem(target=target, radius=0.95))
         assert len(calls) == 2
         warm = estimate_c(SpreadProblem(target=target, radius=0.85))
-        assert len(calls) == 3
+        assert len(calls) == 2
         for estimate in (cold, warm):
             assert [solve["stage"] for solve in estimate.diagnostics["passes"]] \
                 == ["active_set"]
@@ -469,14 +470,17 @@ class TestPinnedWitnesses:
     # c_estimate, c_lower and max_norm as float.hex, then upper and lower.
     # The two 4-simplex c_estimate values moved down by one ulp of the
     # placement's norms (128 and 32 ulp of c) when the placement came down
-    # onto the hull from a rounding height of 2.25e-8 r.
+    # onto the hull from a rounding height of 2.25e-8 r.  The c_lower values
+    # of the first case and the 3-simplex cases moved by +8, +55 and +4 ulp
+    # when the first step's multipliers came from their closed form in
+    # place of a KKT solve.
     PINNED = [
-        ("0x1.0e5bbe36b61c0p-7", "0x1.0e5bbe36728d4p-7", "0x1.e666666666666p-1", [0, 1], [2]),
+        ("0x1.0e5bbe36b61c0p-7", "0x1.0e5bbe36728dcp-7", "0x1.e666666666666p-1", [0, 1], [2]),
         ("0x1.d538e14ab67e0p-6", "0x1.d538e14a97797p-6", "0x1.b333333333333p-1", [0, 1], [2]),
         ("0x1.d3034cc058040p-5", "0x1.d3034cc049b2cp-5", "0x1.8000000000001p-1", [0, 1], [2]),
-        ("0x1.4ef7768ba2380p-8", "0x1.4ef7768b3d489p-8", "0x1.69fbe76c8b439p-1",
+        ("0x1.4ef7768ba2380p-8", "0x1.4ef7768b3d4c0p-8", "0x1.69fbe76c8b439p-1",
          [0, 1, 2], [3]),
-        ("0x1.00c5ffafbe2a0p-4", "0x1.00c5ffafb7d13p-4", "0x1.4a9f4ae73ce48p-1",
+        ("0x1.00c5ffafbe2a0p-4", "0x1.00c5ffafb7d17p-4", "0x1.4a9f4ae73ce48p-1",
          [0, 1, 2], [3]),
         ("0x1.c6dff36db5500p-8", "0x1.c6dff36d4fca0p-8", "0x1.69fbe76c8b439p-1",
          [0, 1, 2, 3], [4]),
@@ -685,6 +689,47 @@ class TestActiveSet:
         oracle = estimate_c(problem, restarts=2)
         assert [solve["stage"] for solve in oracle.diagnostics["passes"]] == [stage]
         _agree(solved, oracle)
+
+    @pytest.mark.parametrize("target, radius", sampler_witnesses())
+    def test_nu_is_two_over_the_root_of_the_discriminant(self, target, radius):
+        # The first pass stops at the frame's guess, whose paraboloid
+        # multiplier, with the lower one 1, is 2/sqrt(disc) bit for bit,
+        # disc the discriminant of |y - a_upper[0]|^2 = r^2 along the line.
+        estimate = estimate_c(SpreadProblem(target=target, radius=radius))
+        frame = spread_module._FRAMES[target]
+        qa, qb, qc = frame.guess[4]
+        scaled = max(math.ldexp(radius, -frame.k) / frame.diam,
+                     frame.ball.radius * (1.0 + ROUNDING_SLACK))
+        r = math.sqrt(scaled * scaled)
+        (solve,) = estimate.diagnostics["passes"]
+        assert (solve["stage"], solve["iterations"]) == ("active_set", 1)
+        assert solve["nu"] == 2.0 / math.sqrt(qb * qb - 4.0 * qa * (qc - r * r))
+
+    @given(configurations(min_points=2, max_points=8),
+           st.sampled_from([1e-12, 1e-9, 1e-3, 0.1, 0.5, 2.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_closed_form_multipliers_match_the_kkt_solve(self, config, grow):
+        # Wherever the pivot keeps the guess's first step (the test of
+        # _pivot: upper rows on the sphere, no point outside it or below
+        # the lower row), its multipliers are those of the KKT equations at
+        # its point.  Both sides are within a few eps cond(KKT) max|z| of
+        # the exact ones; the two agreed within 0.42 of that on 3000 draws.
+        frame = spread_module._target_frame(config)
+        a = frame.a
+        n, m = a.shape
+        radius = frame.ball.radius * (1.0 + grow)
+        first = _active_set(a, radius, frame.guess)
+        assume(first is not None)
+        (y, z), upper, lower = first, frame.guess[0].tolist(), frame.guess[1]
+        dist2, r2 = _squares(a - y), radius * radius
+        slack = (n + m) * np.finfo(float).eps * r2
+        assume(np.abs(dist2[upper] - r2).max() <= slack and dist2.max() <= r2 + slack
+               and dist2.min() >= dist2[lower] - slack)
+        reference = kkt_multipliers(a, upper, lower, y)
+        condition = np.linalg.cond(kkt_gradients(a, upper, lower, y))
+        tolerance = 8.0 * np.finfo(float).eps * condition * np.abs(reference).max()
+        assert len(z) == m + 2 and z[m] == 1.0
+        assert np.abs(np.array(z) - reference).max() <= tolerance
 
     @pytest.mark.parametrize("d", [2, 3, 4, 8])
     def test_nu_tends_to_sqrt_m_minus_one(self, d):

@@ -134,6 +134,18 @@ def test_one_solve_in_spread():
                               "Frame": {"circle"}}) == []
 
 
+def test_linear_algebra_in_spread_only_off_the_warm_path():
+    # A warm call's first pass (_solve, _active_set, the multipliers in
+    # closed form) solves no linear system: np.linalg is read only where the
+    # frame's guess is built and where the pivot takes a further step, so no
+    # per-radius solve returns to the warm path unnoticed
+    owners = {owner for owner in _owners(lambda node: isinstance(node, ast.Attribute)
+                                         and node.attr == "linalg")
+              if owner.startswith("spread.py:")}
+    assert owners <= {"spread.py:_guess", "spread.py:_step", "spread.py:_refine",
+                      "spread.py:_multipliers"}
+
+
 def test_one_report_rule():
     # geometry._as_json is the one place a result record becomes JSON: no
     # function in the package is a hand-written to_dict, the records' public
